@@ -41,7 +41,6 @@ from repro.serverless.placement import (
     make_policy,
     policy_names,
 )
-from repro.serverless.pool import PoolSimulatorBase
 from repro.serverless.simulator import ClusterSimulator, SimulationConfig
 from repro.serverless.workload import (
     RateSchedule,
@@ -75,7 +74,6 @@ __all__ = [
     "MultiModelCluster",
     "NodeCache",
     "PlacementPolicy",
-    "PoolSimulatorBase",
     "TaggedRequest",
     "TierSpec",
     "tag_workloads",

@@ -1,8 +1,8 @@
-"""Pluggable autoscaling policies for the cluster simulators.
+"""Pluggable autoscaling policies for the serverless pool simulator.
 
-The simulators used to hard-code one scale-down rule: a fixed
+The simulator used to hard-code one scale-down rule: a fixed
 ``keep_alive`` idle window evaluated only when a serving step completed
-(``serverless/pool.py``).  This module turns that inline branch into a
+(``serverless/cluster.py``).  This module turns that inline branch into a
 policy layer — :class:`AutoscalePolicy` exposes the four decision points
 the pool consults (``on_arrival``, ``on_stage_boundary``,
 ``on_idle_tick``, ``target_instances`` plus the ``should_retire`` /
@@ -28,7 +28,6 @@ or unseeded randomness.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 from repro.errors import InvalidValueError
@@ -62,7 +61,7 @@ class AutoscalePolicy:
     # -- observation hooks ---------------------------------------------------
 
     def on_arrival(self, pool, model: Optional[str], now: float) -> None:
-        """One request arrived for ``model`` (None in single-model pools)."""
+        """One request arrived for deployment ``model``."""
 
     def on_stage_boundary(self, pool, instance, stage, now: float) -> None:
         """One cold-start stage of ``instance`` completed at ``now``."""
@@ -284,7 +283,7 @@ class TargetQueueDelayPolicy(_WindowedRetirePolicy):
     def predicted_delay(self, pool, model: Optional[str],
                         now: float) -> float:
         """Estimated queueing delay for the scope's next admission."""
-        live = pool._scope_live(model)
+        live = pool._live_instances(model)
         if not live:
             return 0.0
         ready = [inst for inst in live if now >= inst.ready_at]
@@ -297,7 +296,7 @@ class TargetQueueDelayPolicy(_WindowedRetirePolicy):
     def target_instances(self, pool, model: Optional[str],
                          now: float) -> int:
         """One extra instance whenever the predicted delay breaches SLO."""
-        live = pool._scope_live(model)
+        live = pool._live_instances(model)
         if not live:
             return 0
         if self.predicted_delay(pool, model, now) > self.slo_ttft:
@@ -359,7 +358,3 @@ def make_autoscaler(spec, keep_alive: float = 20.0,
         f"autoscale must be a policy name, factory, or instance, "
         f"got {spec!r}")
 
-
-# math is used by callers computing targets from predictions; keep the
-# import honest for static checkers.
-_ = math.ceil

@@ -1,27 +1,29 @@
-"""Multi-model serverless clusters (the §2.4 model-diversity argument).
+"""The serverless GPU pool simulator (paper §7.5 and §2.4).
 
 A serverless platform hosts *many* model types behind one GPU pool; an
 instance serves exactly one model, so every model needs its own warm
-capacity.  That is precisely why the paper calls hot spares unaffordable:
-"the diversity of model types makes it unaffordable to over-provision for
-every type of model" (§2.4).  This module simulates such a shared pool —
-requests tagged with a model, per-model instance sets, one global GPU
-bound — and per-model plus aggregate metrics.
+capacity — why the paper calls hot spares unaffordable (§2.4).
+:class:`MultiModelCluster` simulates that pool on the :mod:`repro.sim`
+kernel: requests tagged with a model, per-model instance sets, one global
+GPU bound, per-model plus aggregate metrics.  A single-model run is the
+same pool with one deployment
+(:class:`repro.serverless.simulator.ClusterSimulator`).
 
-The event loop is the :mod:`repro.sim` kernel via
-:class:`repro.serverless.pool.PoolSimulatorBase` (shared with the
-single-model :class:`repro.serverless.simulator.ClusterSimulator`).  A
-deployment may carry a :class:`ColdStartProfile`: its cold starts then
-execute the scheduled LoadPlan stage by stage, and — the preemption the
-shared pool unlocks — when the pool is exhausted and a model has *zero*
-capacity, another model's in-flight cold start whose queue its siblings
-can absorb is cancelled at the next stage boundary to free the GPU.
+The router sends each request to the least-loaded live instance of its
+model and launches a new one when all are saturated and GPUs are free;
+it becomes ready after the *strategy-specific cold-start latency* — the
+quantity Medusa shrinks.  A deployment with a :class:`ColdStartProfile`
+cold-starts stage by stage (each ``ScheduledStage`` is an event), admits
+requests at ``Timeline.ready``, and can be cancelled at a stage boundary.
+A request whose model has no instance and no GPU to free waits until one
+frees up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidValueError, SchedulingError
 from repro.serverless.autoscale import AutoscalePolicy, make_autoscaler
@@ -32,9 +34,40 @@ from repro.serverless.instance import (
     InstanceConfig,
 )
 from repro.serverless.metrics import SimulationMetrics
-from repro.serverless.placement import TierSpec, make_policy
-from repro.serverless.pool import ARRIVAL, PoolSimulatorBase
+from repro.serverless.placement import (
+    TIER_DRAM,
+    ChunkFetchSummary,
+    FetchResolution,
+    TierSpec,
+    fetch_duration,
+    make_policy,
+)
 from repro.serverless.workload import Request, ShareGPTWorkload
+from repro.sim import EventLoop
+
+#: Event kinds, in tie-break (dispatch-priority) order.  IDLE_TICK
+#: deliberately sorts *after* every other kind: an arrival, stage
+#: completion, or step completion co-timed with an idle re-check always
+#: dispatches first, so a request landing at the exact instant a
+#: keep-alive window expires reaches the instance before the retirement
+#: decision runs — the tie-break is the kernel's ``(time, priority,
+#: seq)`` order, not handler luck.
+ARRIVAL = "arrival"
+COLD_STAGE_DONE = "cold_stage_done"
+INSTANCE_READY = "instance_ready"
+STEP_DONE = "step_done"
+IDLE_TICK = "idle_tick"
+
+#: One artifact's footprint in tier-capacity units — what its residency
+#: costs in a node's cache hierarchy.
+ARTIFACT_SIZE = 1.0
+
+_EPS = 1e-12
+
+
+def _track(instance: Instance) -> str:
+    """The trace track one instance's events land on."""
+    return f"instance-{instance.instance_id}"
 
 
 @dataclass(frozen=True)
@@ -54,12 +87,25 @@ class ModelDeployment:
     #: stage boundaries) and ``cold_start_latency`` is superseded by
     #: ``profile.serving_ready_time``.
     profile: Optional[ColdStartProfile] = None
-    #: Fractional serving slowdown under a pipelined restore's background
-    #: tail (stage-granular cold starts only).
-    background_tail_penalty: float = 0.15
-    #: This model's artifact footprint in tier-capacity units — what its
-    #: residency costs in a node's cache hierarchy.
-    artifact_size: float = 1.0
+    #: Warm (non-spare) instances launched at t=0; together with the hot
+    #: spares they are the floor keep-alive retirement never goes below.
+    initial_instances: int = 0
+    #: Optional ArtifactStore(-like) object every cold start fetches
+    #: ``artifact_key = (gpu_name, model_name)`` from: a hit on the
+    #: store's in-memory LRU caps the fetch at the DRAM tier's cost and
+    #: shows up as store_cache_hits/misses in the metrics.
+    artifact_store: Optional[object] = None
+    #: The artifact's identity in the store and in the nodes' placement
+    #: caches; None keys the caches by ``("model", name)``.
+    artifact_key: Optional[Tuple[str, str]] = None
+    #: Optional chunk-stream description of the artifact (``ChunkMeta``
+    #: -shaped objects with ``digest``/``nbytes``/``foreground``; see
+    #: :func:`repro.core.chunks.simulation_chunks`).  When set, cold
+    #: starts resolve tier residency chunk by chunk — a node that hosted
+    #: a sibling model sharing chunks starts partially warm — and the
+    #: metrics gain ``chunk_hits`` / ``bytes_deduped`` /
+    #: ``fetch_bytes_foreground``.  None keeps blob-granular fetches.
+    chunks: Optional[Tuple[object, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -81,50 +127,85 @@ def tag_workloads(workloads: Dict[str, ShareGPTWorkload]
     return tagged
 
 
-class MultiModelCluster(PoolSimulatorBase):
-    """One GPU pool shared by several model deployments."""
+class MultiModelCluster:
+    """One GPU pool shared by one or more model deployments.
+
+    ``placement`` picks nodes and prices artifact fetches over the
+    per-node ``tiers`` ladder (see :mod:`repro.serverless.placement`;
+    ``"flat"`` is the pre-placement pool bit for bit); ``autoscale``
+    builds one policy per deployment (see
+    :mod:`repro.serverless.autoscale`; ``keep_alive`` seeds its window);
+    ``slo_ttft`` (0.0 = none) is the TTFT budget the metrics and the
+    queue-delay policy use.  ``drain=False`` drops arrivals past the
+    horizon; ``abort_cold_starts`` cancels an in-flight stage-granular
+    cold start at its next stage boundary when ready instances of its
+    model can absorb its queue (the ServerlessLLM-style startup abort).
+    """
 
     def __init__(self, deployments: List[ModelDeployment], num_gpus: int,
                  keep_alive: float = 20.0, placement: object = "locality",
                  tiers: Optional[Tuple[TierSpec, ...]] = None,
-                 autoscale: object = "keep-alive", slo_ttft: float = 0.0):
+                 autoscale: object = "keep-alive", slo_ttft: float = 0.0,
+                 drain: bool = True, abort_cold_starts: bool = False):
         if num_gpus <= 0:
             raise InvalidValueError("num_gpus must be positive")
         names = [d.name for d in deployments]
         if len(set(names)) != len(names):
             raise InvalidValueError(f"duplicate deployment names in {names}")
-        total_spares = sum(d.hot_spares * d.gpus_per_instance
-                           for d in deployments)
-        if total_spares > num_gpus:
+        always_on = sum((d.initial_instances + d.hot_spares)
+                        * d.gpus_per_instance for d in deployments)
+        if always_on > num_gpus:
             raise InvalidValueError(
-                f"hot spares across deployments ({total_spares} GPUs) exceed "
-                f"the GPU pool ({num_gpus}) — the §2.4 affordability wall")
-        if any(d.gpus_per_instance > num_gpus for d in deployments):
+                f"initial instances and hot spares across deployments "
+                f"({always_on} GPUs) exceed the GPU pool ({num_gpus}) — "
+                f"the §2.4 affordability wall")
+        if any(not 1 <= d.gpus_per_instance <= num_gpus
+               for d in deployments):
             raise InvalidValueError(
-                "a deployment's gpus_per_instance exceeds the pool size")
+                "a deployment's gpus_per_instance must be between 1 and "
+                "the pool size")
         self.deployments = {d.name: d for d in deployments}
         self.num_gpus = num_gpus
         self.keep_alive = keep_alive
+        self.slo_ttft = slo_ttft
+        self.drain = drain
+        self.abort_cold_starts = abort_cold_starts
         self._placement_spec = placement
         self._tiers = tiers
         self._autoscale_spec = autoscale
-        self.slo_ttft = slo_ttft
-        self.placement_policy = make_policy(placement, num_gpus, tiers)
-        # One policy per deployment: idle-window prediction (histograms,
-        # cold-cost windows) is a per-model signal on a shared pool.
-        self.autoscalers: Dict[str, AutoscalePolicy] = \
-            self._build_autoscalers()
-        self.instances: Dict[str, List[Instance]] = {name: []
-                                                     for name in names}
-        self.metrics: Dict[str, SimulationMetrics] = {}
-        self._begin_run(horizon=0.0)
+        self._reset(horizon=0.0)
 
-    def _build_autoscalers(self) -> Dict[str, AutoscalePolicy]:
-        """Fresh per-deployment autoscale policies for one run."""
-        return {name: make_autoscaler(self._autoscale_spec,
-                                      keep_alive=self.keep_alive,
-                                      slo_ttft=self.slo_ttft)
-                for name in self.deployments}
+    def _reset(self, horizon: float) -> None:
+        """Fresh per-run state: metrics, instances, policies, event loop.
+
+        Cache residency must not leak across runs, and neither must the
+        autoscalers' observed histograms (a caller-supplied policy
+        *instance* is reused as-is).  One autoscaler per deployment:
+        idle-window prediction is a per-model signal on a shared pool.
+        """
+        self.horizon = horizon
+        self.metrics: Dict[str, SimulationMetrics] = {
+            name: SimulationMetrics(horizon=horizon, slo_ttft=self.slo_ttft)
+            for name in self.deployments}
+        self.instances: Dict[str, List[Instance]] = {
+            name: [] for name in self.deployments}
+        #: Requests that found no instance of their model and no GPU to
+        #: free, oldest first; re-routed whenever a GPU frees up.
+        self._starved: Deque[TaggedRequest] = deque()
+        self.placement_policy = make_policy(self._placement_spec,
+                                            self.num_gpus, self._tiers)
+        self.autoscalers: Dict[str, AutoscalePolicy] = {
+            name: make_autoscaler(self._autoscale_spec,
+                                  keep_alive=self.keep_alive,
+                                  slo_ttft=self.slo_ttft)
+            for name in self.deployments}
+        loop = EventLoop()
+        loop.on(ARRIVAL, self._on_arrival, priority=0)
+        loop.on(COLD_STAGE_DONE, self._on_cold_stage_done, priority=1)
+        loop.on(INSTANCE_READY, self._on_instance_ready, priority=2)
+        loop.on(STEP_DONE, self._on_step_done, priority=3)
+        loop.on(IDLE_TICK, self._on_idle_tick, priority=4)
+        self.loop = loop
 
     # -- capacity ------------------------------------------------------------
 
@@ -139,88 +220,42 @@ class MultiModelCluster(PoolSimulatorBase):
         return sum(self.deployments[inst.model_name].gpus_per_instance
                    for inst in self._live_instances())
 
-    # -- pool hooks ----------------------------------------------------------
-
-    def _metrics_for(self, instance: Instance) -> SimulationMetrics:
-        """Each instance reports into its deployment's metrics."""
-        return self.metrics[instance.model_name]
-
-    def _pool_size(self) -> int:
-        return self.num_gpus
-
-    def _autoscaler_for(self, model: Optional[str]) -> \
-            Optional[AutoscalePolicy]:
-        """The deployment-scoped policy governing ``model``."""
-        if model is None:
-            return None
-        return self.autoscalers.get(model)
-
-    def _model_of(self, instance: Instance) -> Optional[str]:
-        """Instances scope to their deployment's policy."""
-        return instance.model_name
-
-    def _payload_model(self, payload: TaggedRequest) -> Optional[str]:
-        """Arrivals are tagged with their deployment."""
-        return payload.model
-
-    def _scope_live(self, model: Optional[str]) -> List[Instance]:
-        """Policies see only their own deployment's live instances."""
-        return self._live_instances(model)
-
-    def _can_launch(self, model: Optional[str]) -> bool:
-        """Whether the shared pool can host one more of ``model``."""
-        if model is None:
-            return False
-        deployment = self.deployments[model]
-        return (self.gpus_in_use + deployment.gpus_per_instance
+    def _fits(self, model: str) -> bool:
+        """Whether the pool has GPUs free for one more ``model`` instance."""
+        return (self.gpus_in_use + self.deployments[model].gpus_per_instance
                 <= self.num_gpus)
 
-    def _launch_cold_for(self, model: Optional[str],
-                         now: float) -> Optional[Instance]:
-        """Proactive scale-up launch for one deployment."""
-        if model is None:
-            return None
-        return self._launch(model, now)
+    def _above_floor(self, instance: Instance) -> bool:
+        """Whether retiring ``instance`` keeps its model's always-on floor."""
+        deployment = self.deployments[instance.model_name]
+        return (len(self._live_instances(instance.model_name))
+                > deployment.initial_instances + deployment.hot_spares)
 
-    # -- lifecycle ---------------------------------------------------------------
+    # -- launching -----------------------------------------------------------
 
     def _launch(self, model: str, now: float, cold: bool = True,
                 hot_spare: bool = False) -> Instance:
         """Provision one instance of ``model``'s deployment.
 
-        Cold launches go through the placement layer: the policy picks
-        the node(s) the instance occupies (TP deployments span several;
-        the artifact lives on the first), and the resolved tier rewrites
-        the profile's ``fetch_artifact`` stage before the kernel
-        schedules the cold start.
+        The placement layer picks the node(s) (TP deployments span
+        several; the artifact lives on the first); for a cold launch the
+        resolved tier re-prices the profile's fetch stage before the
+        kernel schedules the cold start.
         """
         deployment = self.deployments[model]
-        profile = deployment.profile if cold else None
-        resolution = None
+        metrics = self.metrics[model]
+        node_ids, resolution = self._place(deployment, cold)
+        profile, latency = None, 0.0
         if cold:
-            base_fetch = profile.fetch_duration \
-                if profile is not None else 0.0
-            node_ids, resolution = self._resolve_placement(
-                ("model", model), deployment.artifact_size, base_fetch,
-                needed=deployment.gpus_per_instance)
-            profile = self._tier_resolved_profile(profile, resolution)
-        else:
-            node_ids, _ = self._resolve_placement(
-                None, 0.0, 0.0, needed=deployment.gpus_per_instance,
-                cold=False)
-        if not cold:
-            latency = 0.0
-        elif profile is not None:
-            latency = profile.serving_ready_time
-        else:
-            latency = deployment.cold_start_latency
+            profile = self._cold_profile(deployment, resolution)
+            latency = profile.serving_ready_time if profile is not None \
+                else deployment.cold_start_latency
         instance = Instance(
             costs=deployment.costs,
             config=InstanceConfig(
                 max_running=deployment.max_running,
                 use_cuda_graphs=deployment.use_cuda_graphs,
-                deferred_capture=deployment.deferred_capture,
-                background_tail_penalty=deployment.background_tail_penalty),
+                deferred_capture=deployment.deferred_capture),
             launched_at=now,
             cold_start_latency=latency,
             profile=profile,
@@ -229,48 +264,214 @@ class MultiModelCluster(PoolSimulatorBase):
         instance.node_ids = node_ids
         self.instances[model].append(instance)
         if cold:
-            self.metrics[model].cold_starts += 1
+            metrics.count("cold_starts")
             if profile is not None and profile.degraded_rung:
-                self.metrics[model].record_degraded_cold_start(
-                    profile.degraded_rung)
+                metrics.count("degraded_cold_starts")
+                metrics.count("degraded_rungs", key=profile.degraded_rung)
             self._record_placement(instance, resolution)
-        self._launch_events(instance)
+        events = [self.loop.schedule(instance.ready_at, INSTANCE_READY,
+                                     instance)]
+        for stage in instance.cold_stages:
+            events.append(self.loop.schedule(
+                instance.launched_at + stage.end, COLD_STAGE_DONE,
+                (instance, stage)))
+        instance.cold_events = events
         return instance
 
-    def _route(self, tagged: TaggedRequest, now: float) -> None:
-        """Route one tagged arrival within its deployment's capacity."""
-        model = tagged.model
-        deployment = self.deployments.get(model)
-        if deployment is None:
-            raise SchedulingError(f"no deployment for model {model!r}")
+    def _place(self, deployment: ModelDeployment, cold: bool
+               ) -> Tuple[Tuple[int, ...], Optional[FetchResolution]]:
+        """Pick the node(s) for one launch and price its artifact fetch.
+
+        Returns ``(node_ids, resolution)``: the nodes the instance will
+        occupy (empty when too few are free) and the policy's
+        tier-resolved fetch outcome (None under the flat policy and for
+        warm launches — the plan's own fetch duration then stands).  A
+        deployment with ``chunks`` resolves the fetch chunk by chunk.
+        """
+        policy = self.placement_policy
+        needed = deployment.gpus_per_instance
+        occupied = {node for inst in self._live_instances()
+                    for node in inst.node_ids}
+        free = [node for node in range(self.num_gpus)
+                if node not in occupied]
+        if len(free) < needed:
+            return (), None
+        key = deployment.artifact_key or ("model", deployment.name)
+        primary = policy.place(free, key) if cold else min(free)
+        policy.record_placement(primary)
+        others = [node for node in free if node != primary][:needed - 1]
+        nodes = (primary, *others)
+        if not cold:
+            return nodes, None
+        base_fetch = deployment.profile.fetch_duration \
+            if deployment.profile is not None else 0.0
+        resolution = policy.resolve_fetch(primary, key, ARTIFACT_SIZE,
+                                          base_fetch)
+        if deployment.chunks and resolution is not None:
+            resolution = self._resolve_chunk_stream(
+                primary, deployment.chunks, base_fetch, resolution)
+        return nodes, resolution
+
+    def _resolve_chunk_stream(self, node_id: int, chunks: Sequence,
+                              base_fetch: float,
+                              resolution: FetchResolution
+                              ) -> FetchResolution:
+        """Re-price one cold start's fetch as a per-chunk stream.
+
+        Each chunk resolves against ``node_id``'s content-addressed chunk
+        residency, so sibling models share warmth; the blob resolution
+        keeps its node/tier/hit bookkeeping but takes the summed
+        foreground chunk seconds and a :class:`ChunkFetchSummary`.  A
+        policy that does not track chunks (flat) leaves it untouched.
+        """
+        total_bytes = float(sum(c.nbytes for c in chunks)) or 1.0
+        fg_bytes = float(sum(c.nbytes for c in chunks if c.foreground)) \
+            or 1.0
+        hits = 0
+        bytes_deduped = 0.0
+        fetched_fg_bytes = 0.0
+        fg_seconds = 0.0
+        fg_base = 0.0
+        evicted = list(resolution.evicted)
+        for chunk in chunks:
+            # Foreground chunks split the plan's foreground fetch budget
+            # by byte share; background chunks are priced by the same
+            # per-byte rate but do not gate readiness.
+            per_base = base_fetch * (chunk.nbytes / fg_bytes)
+            per_size = ARTIFACT_SIZE * (chunk.nbytes / total_bytes)
+            resolved = self.placement_policy.resolve_chunk_fetch(
+                node_id, chunk.digest, per_size, per_base)
+            if resolved is None:
+                return resolution
+            if resolved.hit:
+                hits += 1
+                bytes_deduped += chunk.nbytes
+            elif chunk.foreground:
+                fetched_fg_bytes += chunk.nbytes
+            if chunk.foreground:
+                fg_seconds += resolved.duration
+                fg_base += per_base
+            evicted.extend(resolved.evicted)
+        summary = ChunkFetchSummary(
+            chunks=len(chunks), hits=hits, bytes_deduped=bytes_deduped,
+            foreground_bytes=fetched_fg_bytes,
+            foreground_seconds=fg_seconds)
+        return replace(resolution, duration=fg_seconds,
+                       base_duration=fg_base, evicted=tuple(evicted),
+                       chunks=summary)
+
+    def _cold_profile(self, deployment: ModelDeployment,
+                      resolution: Optional[FetchResolution]
+                      ) -> Optional[ColdStartProfile]:
+        """The deployment's profile with its fetch stage(s) re-priced.
+
+        ``resolution`` prices the fetch from the placement layer's cache
+        hierarchy.  A hit on the deployment's artifact store (its
+        in-memory LRU) independently caps it at the DRAM tier's cost —
+        the deserialized bytes are already in host memory, so the remote
+        fetch must not be charged again.  Returns the profile unchanged
+        when there is nothing to rewrite (no timeline, no fetch stage,
+        same cost).
+        """
+        store, key = deployment.artifact_store, deployment.artifact_key
+        store_hit = False
+        if store is not None and key is not None:
+            hits_before = store.cache_hits
+            store.get(*key)
+            store_hit = store.cache_hits > hits_before
+            self.metrics[deployment.name].count(
+                "store_cache_hits" if store_hit else "store_cache_misses")
+        profile = deployment.profile
+        base = profile.fetch_duration if profile is not None else 0.0
+        if base <= 0:
+            return profile
+        duration = base if resolution is None else resolution.duration
+        tiers = self.placement_policy.tiers
+        if store_hit and any(tier.name == TIER_DRAM for tier in tiers):
+            duration = min(duration, fetch_duration(tiers, TIER_DRAM, base))
+        return profile.with_fetch_duration(duration)
+
+    def _record_placement(self, instance: Instance,
+                          resolution: Optional[FetchResolution]) -> None:
+        """Flow one fetch resolution into metrics and the kernel trace."""
+        if resolution is None:
+            return
+        instance.fetch_tier = resolution.tier
+        metrics = self.metrics[instance.model_name]
+        if resolution.hit:
+            metrics.count("tier_hits", key=resolution.tier)
+        else:
+            metrics.count("tier_misses")
+        metrics.count("fetch_seconds_saved", resolution.seconds_saved)
+        now = self.loop.now
+        track = _track(instance)
+        self.loop.trace.mark(
+            "artifact_fetch", now, track=track,
+            node=resolution.node_id, tier=resolution.tier,
+            hit=resolution.hit,
+            seconds=round(resolution.duration, 6))
+        if resolution.chunks is not None:
+            summary = resolution.chunks
+            metrics.count("chunk_hits", summary.hits)
+            metrics.count("bytes_deduped", summary.bytes_deduped)
+            metrics.count("fetch_bytes_foreground", summary.foreground_bytes)
+            self.loop.trace.mark(
+                "chunk_fetch", now, track=track,
+                node=resolution.node_id, chunks=summary.chunks,
+                hits=summary.hits,
+                bytes_deduped=round(summary.bytes_deduped, 3),
+                foreground_bytes=round(summary.foreground_bytes, 3),
+                foreground_seconds=round(summary.foreground_seconds, 6))
+        if resolution.promoted is not None:
+            metrics.count("tier_promotions", key=resolution.promoted[1])
+            self.loop.trace.mark(
+                "artifact_promoted", now, track=track,
+                node=resolution.node_id,
+                from_tier=resolution.promoted[0],
+                to_tier=resolution.promoted[1])
+        for key, tier in resolution.evicted:
+            metrics.count("tier_evictions", key=tier)
+            self.loop.trace.mark(
+                "artifact_evicted", now, track=track,
+                node=resolution.node_id, artifact=list(key), tier=tier)
+
+    # -- routing ---------------------------------------------------------------
+
+    def _route(self, model: str, request: Request, now: float) -> None:
+        """Route one arrival within its deployment's capacity."""
+        deployment = self.deployments[model]
         live = self._live_instances(model)
         candidates = [inst for inst in live
                       if inst.load < deployment.max_running]
         if candidates:
             target = min(candidates, key=lambda inst: (inst.load,
                                                        inst.ready_at))
-        elif (self.gpus_in_use + deployment.gpus_per_instance
-                <= self.num_gpus):
+        elif self._fits(model):
             target = self._launch(model, now)
         elif live:
+            # Saturated: queue at the shortest backlog.
             target = min(live, key=lambda inst: inst.load)
         else:
-            # Pool exhausted by *other* models and this one has no instance:
-            # free a GPU (an idle instance, else a preemptable cold start).
-            target = self._launch_when_possible(model, now)
-        target.enqueue(tagged.request)
+            # Pool exhausted by *other* models and this one has no
+            # instance: free a GPU, or wait until one frees up.
+            target = self._launch_on_freed_gpu(model, now)
+            if target is None:
+                self._starved.append(TaggedRequest(model, request))
+                return
+        target.enqueue(request)
         self._maybe_step(target, now)
 
-    def _launch_when_possible(self, model: str, now: float) -> Instance:
+    def _launch_on_freed_gpu(self, model: str,
+                             now: float) -> Optional[Instance]:
         """Free one GPU for a zero-capacity model, then launch on it.
 
-        Preference order: retire an idle ready instance of another model
-        (the pre-kernel behaviour); else cancel another model's in-flight
-        stage-granular cold start at its next stage boundary, provided its
-        queued requests fit on its sibling instances — the
-        ServerlessLLM-style "abort a startup that another replica makes
-        redundant" decision, now possible *mid-cold-start* because stages
-        are events.
+        Preference order: retire an idle ready instance of another model;
+        else cancel another model's in-flight stage-granular cold start
+        at its next stage boundary, provided its queued requests fit on
+        its sibling instances — the ServerlessLLM-style "abort a startup
+        that another replica makes redundant" decision, possible
+        *mid-cold-start* because stages are events.  Hot spares are never
+        victims.  Returns None when no GPU can be freed now.
         """
         idle = [instance for pool in self.instances.values()
                 for instance in pool
@@ -281,26 +482,17 @@ class MultiModelCluster(PoolSimulatorBase):
             # Which idle instance to retire is a *placement* decision:
             # evicting the node that holds this model's artifact in a warm
             # tier forfeits the residency the launch could have reused.
-            # The flat policy (and a pool without one) picks index 0 —
-            # the legacy first-found scan.
-            pick = 0
-            if self.placement_policy is not None:
-                nodes = [inst.node_ids[0] if inst.node_ids else None
-                         for inst in idle]
-                pick = self.placement_policy.choose_victim(
-                    nodes, ("model", model))
-                if not 0 <= pick < len(idle):
-                    pick = 0
-            victim = idle[pick]
+            # The flat policy picks index 0 — the first-found scan.
+            deployment = self.deployments[model]
+            nodes = [inst.node_ids[0] if inst.node_ids else None
+                     for inst in idle]
+            pick = self.placement_policy.choose_victim(
+                nodes, deployment.artifact_key or ("model", model))
+            victim = idle[pick if 0 <= pick < len(idle) else 0]
             victim.retired = True
             victim.retired_at = now
             return self._launch(model, now)
-        preempted = self._preempt_cold_start(model, now)
-        if preempted is not None:
-            return preempted
-        raise SchedulingError(
-            f"GPU pool exhausted and no instance of {model!r} exists; "
-            f"increase num_gpus or lower hot_spares")
+        return self._preempt_cold_start(model, now)
 
     def _preempt_cold_start(self, model: str, now: float
                             ) -> Optional[Instance]:
@@ -323,11 +515,9 @@ class MultiModelCluster(PoolSimulatorBase):
                         or victim.stepping or not victim.cold_stages
                         or now >= victim.ready_at):
                     continue
-                siblings = [inst
-                            for inst in self._live_instances(victim_model)
-                            if inst is not victim]
-                if victim.waiting and not siblings:
-                    continue
+                if victim.waiting and \
+                        len(self._live_instances(victim_model)) < 2:
+                    continue   # no sibling to take the victim's queue
                 if best is None or victim.ready_at > best.ready_at:
                     best = victim
         if best is None:
@@ -336,47 +526,292 @@ class MultiModelCluster(PoolSimulatorBase):
         needed = self.deployments[model].gpus_per_instance
         if self.gpus_in_use - freed + needed > self.num_gpus:
             return None   # a TP deployment needs more GPUs than one victim
-        victim_model = best.model_name
-        rerouted = list(best.waiting)
-        best.waiting.clear()
-        boundary = self._cancel_cold_start(best, now,
-                                           reason="pool_exhausted")
-        if boundary is None:
-            best.waiting.extend(rerouted)
+        cancelled = self._cancel_cold_start(best, now,
+                                            reason="pool_exhausted")
+        if cancelled is None:
             return None
+        boundary_time, rerouted = cancelled
         # Claim the victim's GPU *before* re-routing its queue: the new
         # instance's cold start begins at the boundary where the GPU
         # frees, and the re-routed requests must queue on the victim's
         # siblings rather than re-grab the slot being handed over.
-        replacement = self._launch(model, boundary[0])
+        replacement = self._launch(model, boundary_time)
         for request in rerouted:
-            self._route(TaggedRequest(victim_model, request), now)
+            self._route(best.model_name, request, now)
         return replacement
+
+    def _serve_starved(self, now: float) -> None:
+        """Re-route every waiting starved request, oldest first."""
+        waiting, self._starved = self._starved, deque()
+        for tagged in waiting:
+            self._route(tagged.model, tagged.request, now)
+
+    def _cancel_cold_start(self, instance: Instance, now: float,
+                           reason: str
+                           ) -> Optional[Tuple[float, List[Request]]]:
+        """Abort ``instance``'s cold start at the next stage boundary.
+
+        Cancels every pending event past the boundary, retires the
+        instance there, and records the cancellation.  Returns
+        ``(boundary_time, queue)`` — the caller re-routes the requests
+        that waited on it — or None when the instance refused.
+        """
+        boundary = instance.cancel_cold_start(now)
+        if boundary is None:
+            return None
+        boundary_time, boundary_stage = boundary
+        for event in instance.cold_events:
+            if event.time > boundary_time + _EPS:
+                self.loop.cancel(event)
+        metrics = self.metrics[instance.model_name]
+        metrics.count("cancelled_cold_starts")
+        metrics.count("cancelled_at_stage", key=boundary_stage)
+        self.loop.trace.mark("cold_start_cancelled", now,
+                             track=_track(instance), stage=boundary_stage,
+                             effective_at=boundary_time, reason=reason)
+        queue = list(instance.waiting)
+        instance.waiting.clear()
+        return boundary_time, queue
+
+    def _consider_abort(self, instance: Instance, now: float) -> None:
+        """Cancel a now-pointless cold start at this stage boundary.
+
+        If ready instances of the same model can absorb every request
+        queued on a still-cold instance (above the always-on floor),
+        finishing the startup only wastes GPU time: abort here and
+        re-route the queue.
+        """
+        if (not self.abort_cold_starts or instance.retired
+                or instance.running or instance.stepping
+                or now >= instance.ready_at
+                or not self._above_floor(instance)):
+            return
+        model = instance.model_name
+        max_running = self.deployments[model].max_running
+        spare = sum(max(0, max_running - inst.load)
+                    for inst in self._live_instances(model)
+                    if inst is not instance and now >= inst.ready_at)
+        if spare < len(instance.waiting):
+            return
+        cancelled = self._cancel_cold_start(instance, now,
+                                            reason="free_capacity")
+        if cancelled is None:
+            return
+        for request in cancelled[1]:
+            self._route(model, request, now)
+        if self._starved:
+            self._serve_starved(now)
+
+    # -- event handlers ----------------------------------------------------------
+
+    def _on_arrival(self, event) -> None:
+        """Route one arrival (dropped past the horizon unless draining)."""
+        tagged = event.payload
+        now = self.loop.now
+        if not self.drain and now > self.horizon:
+            return
+        policy = self.autoscalers[tagged.model]
+        policy.on_arrival(self, tagged.model, now)
+        self._route(tagged.model, tagged.request, now)
+        self._apply_scale_up(policy, tagged.model, now)
+
+    def _on_cold_stage_done(self, event) -> None:
+        """Account one completed cold-start stage and poll the policy."""
+        instance, stage = event.payload
+        now = self.loop.now
+        metrics = self.metrics[instance.model_name]
+        metrics.count("cold_stage_seconds", stage.duration, key=stage.name)
+        metrics.count("cold_stage_counts", key=stage.name)
+        self.loop.trace.span(
+            stage.name, instance.launched_at + stage.start,
+            instance.launched_at + stage.end, track=_track(instance),
+            lane=stage.lane, background=stage.background,
+            critical=stage.critical, cold_start=True)
+        if stage.name.startswith("degrade_"):
+            # A degradation-ladder rung executed on this cold start: make
+            # it visible at cluster level, not only inside the engine.
+            self.loop.trace.mark("ladder_rung", now, track=_track(instance),
+                                 stage=stage.name)
+        self.autoscalers[instance.model_name].on_stage_boundary(
+            self, instance, stage, now)
+        self._consider_abort(instance, now)
+
+    def _on_instance_ready(self, event) -> None:
+        """An instance finished its foreground cold start: start serving."""
+        instance = event.payload
+        if instance.retired:
+            return
+        now = self.loop.now
+        self.loop.trace.mark("instance_ready", now, track=_track(instance))
+        self._maybe_step(instance, now)
+        if not instance.has_work and not instance.stepping \
+                and not instance.hot_spare:
+            # Ready with nothing queued: start the idle clock so window
+            # -enforcing policies retire it even if it never serves.
+            self._schedule_idle_tick(self.autoscalers[instance.model_name],
+                                     instance, now)
+            if self._starved:
+                self._serve_starved(now)
+
+    def _on_step_done(self, event) -> None:
+        """Record one serving iteration's TTFTs/completions; continue."""
+        instance, result = event.payload
+        now = self.loop.now
+        instance.stepping = False
+        metrics = self.metrics[instance.model_name]
+        for request, ttft in result.ttfts:
+            metrics.record_ttft(
+                ttft, cold_tax=self._cold_tax(instance, request, ttft))
+        for completion in result.completed:
+            metrics.record_completion(
+                completion.latency,
+                in_horizon=completion.completion_time <= self.horizon)
+        if result.background_contention > 0:
+            metrics.count("background_contended_steps")
+            metrics.count("background_contention_seconds",
+                          result.background_contention)
+        self._maybe_step(instance, now)
+        self._maybe_retire(instance, now)
+
+    def _on_idle_tick(self, event) -> None:
+        """Re-evaluate retirement for a (possibly no longer) idle instance."""
+        instance, stamp = event.payload
+        now = self.loop.now
+        if (instance.retired or instance.stepping or instance.has_work
+                or instance.last_busy_at != stamp):
+            return   # stale: the instance served (or died) since arming
+        self.autoscalers[instance.model_name].on_idle_tick(self, instance,
+                                                           now)
+        self._maybe_retire(instance, now)
+
+    # -- serving / retirement -------------------------------------------------
+
+    def _maybe_step(self, instance: Instance, now: float) -> None:
+        """Start one continuous-batching iteration if the instance can."""
+        if (instance.stepping or instance.retired
+                or now < instance.ready_at or not instance.has_work):
+            return
+        instance.stepping = True
+        result = instance.run_step(now)
+        self.loop.schedule(now + result.duration, STEP_DONE,
+                           (instance, result))
+        self.loop.trace.span(
+            "serve_step", now, now + result.duration,
+            track=_track(instance), admitted=len(result.ttfts),
+            completed=len(result.completed),
+            contended=result.background_contention > 0)
+
+    def _maybe_retire(self, instance: Instance, now: float) -> None:
+        """Retire an idle instance once its policy's window expires.
+
+        The decision is delegated to the autoscale policy
+        (``should_retire``).  When the policy declines *and* wants the
+        window actually enforced (``idle_check_delay``), an
+        :data:`IDLE_TICK` is scheduled at the window's expiry — it
+        tie-breaks after any co-timed arrival, so a request landing at
+        the exact expiry instant always wins.  Either way the instance's
+        GPU is now free or evictable, so starved requests get a turn.
+        """
+        if instance.has_work or instance.stepping or instance.retired:
+            return
+        if instance.hot_spare:
+            return   # §2.4: hot spares stay provisioned (and waste GPUs)
+        policy = self.autoscalers[instance.model_name]
+        if not policy.should_retire(self, instance, now):
+            self._schedule_idle_tick(policy, instance, now)
+        elif self._above_floor(instance):
+            policy._decide("retire")
+            instance.retired = True
+            instance.retired_at = now
+            self.loop.trace.mark("retired", now, track=_track(instance))
+        # Else it is due but holds its model's always-on floor: it stays,
+        # with no tick re-armed (a due window would re-fire at once,
+        # forever), until it serves again.
+        if self._starved:
+            self._serve_starved(now)
+
+    # -- autoscale mechanism ---------------------------------------------------
+
+    def _cold_tax(self, instance: Instance, request, ttft: float) -> float:
+        """Seconds of one request's TTFT attributable to a cold start.
+
+        The part of the wait spent before the serving instance's ready
+        instant: a request admitted by an already-warm instance pays 0.
+        """
+        return min(ttft, max(0.0, instance.ready_at - request.arrival_time))
+
+    def _schedule_idle_tick(self, policy: AutoscalePolicy,
+                            instance: Instance, now: float) -> None:
+        """Arm one idle re-check at the policy's requested delay.
+
+        The tick carries the instance's current ``last_busy_at`` as a
+        staleness stamp: serving work between scheduling and firing
+        advances the stamp, and the stale tick is ignored (the next idle
+        period arms its own).
+        """
+        delay = policy.idle_check_delay(self, instance, now)
+        if delay is None:
+            return
+        policy._decide("idle_tick_armed")
+        self.loop.schedule(now + max(0.0, delay), IDLE_TICK,
+                           (instance, instance.last_busy_at))
+
+    def _apply_scale_up(self, policy: AutoscalePolicy, model: str,
+                        now: float) -> None:
+        """Launch cold instances until the policy's target is met.
+
+        Best-effort: stops when the pool has no GPUs left for the model.
+        Every proactive launch is counted on the policy and marked in the
+        trace.
+        """
+        target = policy.target_instances(self, model, now)
+        if target <= 0:
+            return
+        while len(self._live_instances(model)) < target \
+                and self._fits(model):
+            instance = self._launch(model, now)
+            policy._decide("scale_up")
+            self.loop.trace.mark("autoscale_up", now,
+                                 track=_track(instance), policy=policy.name)
 
     # -- main loop -----------------------------------------------------------------
 
     def run(self, tagged_requests: List[TaggedRequest],
             horizon: float) -> Dict[str, SimulationMetrics]:
         """Simulate the merged arrival stream; returns per-model metrics."""
-        self.metrics = {name: SimulationMetrics(horizon=horizon,
-                                                slo_ttft=self.slo_ttft)
-                        for name in self.deployments}
-        self.instances = {name: [] for name in self.deployments}
-        # Fresh cache state per run: residency must not leak across runs,
-        # and neither must the autoscalers' observed histograms.
-        self.placement_policy = make_policy(self._placement_spec,
-                                            self.num_gpus, self._tiers)
-        self.autoscalers = self._build_autoscalers()
-        self._begin_run(horizon)
-        for tagged in tagged_requests:
-            self.metrics[tagged.model].arrived += 1
-            self.loop.schedule(tagged.request.arrival_time, ARRIVAL, tagged)
+        return self._simulate(tagged_requests, horizon)
+
+    def _simulate(self, tagged_requests: List[TaggedRequest],
+                  horizon: float) -> Dict[str, SimulationMetrics]:
+        """One run over a fresh pool, shared by both ``run`` methods.
+
+        Raises :class:`SchedulingError` for a request naming no
+        deployment, and when requests are still waiting for a GPU once
+        the loop drains — only hot spares (which are never evicted) can
+        hold the pool that long.
+        """
+        self._reset(horizon)
         for name, deployment in self.deployments.items():
+            for _ in range(deployment.initial_instances):
+                self._launch(name, 0.0, cold=False)
             for _ in range(deployment.hot_spares):
                 self._launch(name, 0.0, cold=False, hot_spare=True)
+        for tagged in tagged_requests:
+            metrics = self.metrics.get(tagged.model)
+            if metrics is None:
+                raise SchedulingError(
+                    f"no deployment for model {tagged.model!r}")
+            metrics.arrived += 1
+            self.loop.schedule(tagged.request.arrival_time, ARRIVAL, tagged)
 
         self.loop.run()
 
+        if self._starved:
+            raise SchedulingError(
+                f"GPU pool exhausted and no instance of "
+                f"{self._starved[0].model!r} could launch before the run "
+                f"ended; increase num_gpus or lower hot_spares")
+        # GPU-time accounting (the §2.4 hot-spares waste argument).
         end_of_run = max(horizon, self.loop.now)
         for model, pool in self.instances.items():
             for instance in pool:
@@ -385,7 +820,9 @@ class MultiModelCluster(PoolSimulatorBase):
                     max(0.0, until - instance.ready_at),
                     instance.busy_time)
         for model, policy in self.autoscalers.items():
-            self.metrics[model].record_autoscale_decisions(policy.decisions)
+            for kind, count in policy.decisions.items():
+                self.metrics[model].count("autoscale_decisions", count,
+                                          key=kind)
         return self.metrics
 
     # -- aggregate view --------------------------------------------------------------

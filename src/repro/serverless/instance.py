@@ -31,6 +31,12 @@ from repro.serverless.workload import Request
 #: Numerical slack for "these instants coincide" on stage boundaries.
 _EPS = 1e-12
 
+#: Fractional slowdown of serving steps that overlap a pipelined
+#: restore's background tail: the tail streams graph pools over PCIe and
+#: replays restore work on the GPU while the instance already serves, so
+#: early steps contend with it.
+BACKGROUND_TAIL_PENALTY = 0.15
+
 
 @dataclass(frozen=True)
 class ColdStartProfile:
@@ -144,11 +150,6 @@ class InstanceConfig:
     max_running: int = 14       # concurrent sequences per instance
     use_cuda_graphs: bool = True
     deferred_capture: bool = False   # §2.4: capture lazily while serving
-    #: Fractional slowdown of serving steps that overlap a pipelined
-    #: restore's background tail: the tail streams graph pools over PCIe
-    #: and replays restore work on the GPU while the instance already
-    #: serves, so early steps contend with it.
-    background_tail_penalty: float = 0.15
 
 
 @dataclass
@@ -309,7 +310,7 @@ class Instance:
         if duration > 0 and now < self.restore_tail_until - _EPS:
             # The background restore tail is still streaming: early serving
             # contends with it (§7.3's overlap, seen from the serving side).
-            contention = duration * self.config.background_tail_penalty
+            contention = duration * BACKGROUND_TAIL_PENALTY
             duration += contention
         end = now + duration
         for sequence in admitted:

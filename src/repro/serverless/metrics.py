@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional
 
 from repro.utils.stats import mean, percentile, summarize
 
@@ -23,7 +23,7 @@ class SimulationMetrics:
     degraded_cold_starts: int = 0
     degraded_rungs: Dict[str, int] = field(default_factory=dict)
     # Artifact-store LRU outcomes for the cold starts that fetched through
-    # a store (SimulationConfig.artifact_store): a hit skips deserialization
+    # a store (ModelDeployment.artifact_store): a hit skips deserialization
     # and static lint entirely (see repro.core.store.ArtifactStore).
     store_cache_hits: int = 0
     store_cache_misses: int = 0
@@ -83,12 +83,6 @@ class SimulationMetrics:
         if self.slo_ttft > 0 and ttft > self.slo_ttft:
             self.slo_violations += 1
 
-    def record_autoscale_decisions(self, decisions: Dict[str, int]) -> None:
-        """Fold one policy's decision counters into this run's metrics."""
-        for kind, count in decisions.items():
-            self.autoscale_decisions[kind] = \
-                self.autoscale_decisions.get(kind, 0) + count
-
     def record_instance_lifetime(self, provisioned: float,
                                  busy: float) -> None:
         """Account one instance's provisioned/busy GPU seconds.
@@ -100,58 +94,18 @@ class SimulationMetrics:
         self.busy_gpu_seconds += busy
         self.wasted_warm_seconds += max(0.0, provisioned - busy)
 
-    def record_degraded_cold_start(self, rung: str) -> None:
-        self.degraded_cold_starts += 1
-        self.degraded_rungs[rung] = self.degraded_rungs.get(rung, 0) + 1
+    def count(self, name: str, amount: float = 1,
+              key: Optional[str] = None) -> None:
+        """Add ``amount`` to counter field ``name``, or to its ``key`` entry.
 
-    def record_store_cache(self, hit: bool) -> None:
-        """Count one artifact-store fetch as an LRU hit or miss."""
-        if hit:
-            self.store_cache_hits += 1
+        The one recording call for every pure counter, numeric fields
+        (``cold_starts``) and per-label dicts (``tier_hits``) alike.
+        """
+        if key is None:
+            setattr(self, name, getattr(self, name) + amount)
         else:
-            self.store_cache_misses += 1
-
-    def record_cold_stage(self, name: str, duration: float) -> None:
-        """Account one completed cold-start stage event."""
-        self.cold_stage_seconds[name] = \
-            self.cold_stage_seconds.get(name, 0.0) + duration
-        self.cold_stage_counts[name] = \
-            self.cold_stage_counts.get(name, 0) + 1
-
-    def record_cancelled_cold_start(self, stage: str) -> None:
-        """Account one cold start aborted at stage boundary ``stage``."""
-        self.cancelled_cold_starts += 1
-        self.cancelled_at_stage[stage] = \
-            self.cancelled_at_stage.get(stage, 0) + 1
-
-    def record_tier_fetch(self, tier: str, hit: bool,
-                          seconds_saved: float = 0.0) -> None:
-        """Account one tier-resolved artifact fetch (placement layer)."""
-        if hit:
-            self.tier_hits[tier] = self.tier_hits.get(tier, 0) + 1
-        else:
-            self.tier_misses += 1
-        self.fetch_seconds_saved += seconds_saved
-
-    def record_tier_eviction(self, tier: str) -> None:
-        """Account one artifact spilled out of a node's cache hierarchy."""
-        self.tier_evictions[tier] = self.tier_evictions.get(tier, 0) + 1
-
-    def record_tier_promotion(self, tier: str) -> None:
-        """Account one artifact promoted into a warmer tier on a hit."""
-        self.tier_promotions[tier] = self.tier_promotions.get(tier, 0) + 1
-
-    def record_chunk_fetch(self, hits: int, bytes_deduped: float,
-                           foreground_bytes: float) -> None:
-        """Account one chunk-streamed artifact fetch's aggregate outcome."""
-        self.chunk_hits += hits
-        self.bytes_deduped += bytes_deduped
-        self.fetch_bytes_foreground += foreground_bytes
-
-    def record_background_contention(self, seconds: float) -> None:
-        """Account one serving step slowed by the background restore tail."""
-        self.background_contended_steps += 1
-        self.background_contention_seconds += seconds
+            counts = getattr(self, name)
+            counts[key] = counts.get(key, 0) + amount
 
     def record_completion(self, latency: float,
                           in_horizon: bool = True) -> None:
@@ -202,76 +156,41 @@ class SimulationMetrics:
         return self.completed / self.horizon
 
     def merge(self, other: "SimulationMetrics") -> None:
-        """Fold ``other``'s counters into this aggregate view."""
-        self.ttfts.extend(other.ttfts)
-        self.latencies.extend(other.latencies)
-        self.completed += other.completed
-        self.arrived += other.arrived
-        self.cold_starts += other.cold_starts
-        self.degraded_cold_starts += other.degraded_cold_starts
-        for rung, count in other.degraded_rungs.items():
-            self.degraded_rungs[rung] = \
-                self.degraded_rungs.get(rung, 0) + count
-        self.store_cache_hits += other.store_cache_hits
-        self.store_cache_misses += other.store_cache_misses
-        for name, seconds in other.cold_stage_seconds.items():
-            self.cold_stage_seconds[name] = \
-                self.cold_stage_seconds.get(name, 0.0) + seconds
-        for name, count in other.cold_stage_counts.items():
-            self.cold_stage_counts[name] = \
-                self.cold_stage_counts.get(name, 0) + count
-        self.cancelled_cold_starts += other.cancelled_cold_starts
-        for stage, count in other.cancelled_at_stage.items():
-            self.cancelled_at_stage[stage] = \
-                self.cancelled_at_stage.get(stage, 0) + count
-        self.background_contended_steps += other.background_contended_steps
-        self.background_contention_seconds += \
-            other.background_contention_seconds
-        for tier, count in other.tier_hits.items():
-            self.tier_hits[tier] = self.tier_hits.get(tier, 0) + count
-        self.tier_misses += other.tier_misses
-        for tier, count in other.tier_evictions.items():
-            self.tier_evictions[tier] = \
-                self.tier_evictions.get(tier, 0) + count
-        for tier, count in other.tier_promotions.items():
-            self.tier_promotions[tier] = \
-                self.tier_promotions.get(tier, 0) + count
-        self.fetch_seconds_saved += other.fetch_seconds_saved
-        self.chunk_hits += other.chunk_hits
-        self.bytes_deduped += other.bytes_deduped
-        self.fetch_bytes_foreground += other.fetch_bytes_foreground
-        self.provisioned_gpu_seconds += other.provisioned_gpu_seconds
-        self.busy_gpu_seconds += other.busy_gpu_seconds
-        if other.slo_ttft > 0:
-            self.slo_ttft = other.slo_ttft
-        self.slo_violations += other.slo_violations
-        self.cold_start_tax_seconds += other.cold_start_tax_seconds
-        self.wasted_warm_seconds += other.wasted_warm_seconds
-        for kind, count in other.autoscale_decisions.items():
-            self.autoscale_decisions[kind] = \
-                self.autoscale_decisions.get(kind, 0) + count
+        """Fold ``other`` into this aggregate view, field by field.
+
+        Lists extend, per-label dicts add key by key, numbers add.  Two
+        fields are settings, not counters: ``horizon`` stays this
+        object's own, and a configured ``slo_ttft`` carries over.
+        """
+        for spec in fields(self):
+            name = spec.name
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name == "horizon":
+                continue
+            if name == "slo_ttft":
+                if theirs > 0:
+                    self.slo_ttft = theirs
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, name, mine + theirs)
 
     def summary(self) -> Dict[str, float]:
         report = {f"ttft_{k}": v for k, v in summarize(self.ttfts).items()}
-        report.update({
-            "p90_ttft": self.p90_ttft,
-            "arrived": float(self.arrived),
-            "completed": float(self.completed),
-            "throughput": self.throughput,
-            "cold_starts": float(self.cold_starts),
-            "degraded_cold_starts": float(self.degraded_cold_starts),
-            "store_cache_hits": float(self.store_cache_hits),
-            "store_cache_misses": float(self.store_cache_misses),
-            "cancelled_cold_starts": float(self.cancelled_cold_starts),
-            "background_contended_steps":
-                float(self.background_contended_steps),
-            "background_contention_seconds":
-                self.background_contention_seconds,
-        })
-        report["tier_misses"] = float(self.tier_misses)
-        report["fetch_seconds_saved"] = self.fetch_seconds_saved
-        report["cold_start_tax_seconds"] = self.cold_start_tax_seconds
-        report["wasted_warm_seconds"] = self.wasted_warm_seconds
+        report["p90_ttft"] = self.p90_ttft
+        report["arrived"] = float(self.arrived)
+        report["completed"] = float(self.completed)
+        report["throughput"] = self.throughput
+        for name in ("cold_starts", "degraded_cold_starts",
+                     "store_cache_hits", "store_cache_misses",
+                     "cancelled_cold_starts", "background_contended_steps",
+                     "background_contention_seconds", "tier_misses",
+                     "fetch_seconds_saved", "cold_start_tax_seconds",
+                     "wasted_warm_seconds"):
+            report[name] = float(getattr(self, name))
         # SLO keys appear only when a TTFT budget was configured, and
         # autoscale decision counters only when the policy acted, so
         # default keep-alive runs keep their summaries change-free.
@@ -289,14 +208,10 @@ class SimulationMetrics:
             report["chunk_hits"] = float(self.chunk_hits)
             report["bytes_deduped"] = self.bytes_deduped
             report["fetch_bytes_foreground"] = self.fetch_bytes_foreground
-        for tier in sorted(self.tier_hits):
-            report[f"tier_hits[{tier}]"] = float(self.tier_hits[tier])
-        for tier in sorted(self.tier_evictions):
-            report[f"tier_evictions[{tier}]"] = \
-                float(self.tier_evictions[tier])
-        for tier in sorted(self.tier_promotions):
-            report[f"tier_promotions[{tier}]"] = \
-                float(self.tier_promotions[tier])
-        for name in sorted(self.cold_stage_seconds):
-            report[f"cold_stage[{name}]"] = self.cold_stage_seconds[name]
+        for label, counts in (("tier_hits", self.tier_hits),
+                              ("tier_evictions", self.tier_evictions),
+                              ("tier_promotions", self.tier_promotions),
+                              ("cold_stage", self.cold_stage_seconds)):
+            for key in sorted(counts):
+                report[f"{label}[{key}]"] = float(counts[key])
         return report

@@ -1,4 +1,4 @@
-"""The discrete-event cluster simulator (paper §7.5).
+"""The single-model cluster simulator (paper §7.5).
 
 Requests arrive (Poisson, ShareGPT-like shapes) at a router over a pool of
 GPUs.  The router sends each request to the least-loaded live instance; when
@@ -8,14 +8,13 @@ cold-start latency* — the quantity Medusa shrinks.  Runtime initialization
 is assumed warm-pooled (as in the paper: "the time required to launch an
 inference serving instance is equal to the duration of the loading phase").
 
-The event loop itself lives in :class:`repro.serverless.pool.
-PoolSimulatorBase` on top of the :mod:`repro.sim` kernel.  When the
-scenario carries a :class:`ColdStartProfile` with a scheduled LoadPlan
-timeline, cold starts are stage-granular: instances admit requests at
-``Timeline.ready`` (ahead of the background restore tail), tail stages
-contend with early serving, and — with ``abort_cold_starts`` enabled — a
-startup whose queued requests can be absorbed by freed capacity is
-cancelled at the next stage boundary instead of running to completion.
+The pool itself is :class:`repro.serverless.cluster.MultiModelCluster`;
+:class:`ClusterSimulator` runs one :class:`SimulationConfig` on it as a
+single :class:`~repro.serverless.cluster.ModelDeployment`.  The
+deployment-level fields of the config (``initial_instances``, the artifact
+store, ``chunks``, the serving flags) go to the deployment, the pool-level
+ones (``num_gpus``, ``keep_alive``, ``drain``, ``abort_cold_starts``,
+placement and autoscaling) to the pool.
 """
 
 from __future__ import annotations
@@ -24,22 +23,26 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import InvalidValueError
-from repro.serverless.autoscale import make_autoscaler
-from repro.serverless.costs import ServingCostModel
-from repro.serverless.instance import (
-    ColdStartProfile,
-    Instance,
-    InstanceConfig,
+from repro.serverless.cluster import (
+    ModelDeployment,
+    MultiModelCluster,
+    TaggedRequest,
 )
+from repro.serverless.costs import ServingCostModel
+from repro.serverless.instance import ColdStartProfile
 from repro.serverless.metrics import SimulationMetrics
-from repro.serverless.placement import TierSpec, make_policy
-from repro.serverless.pool import ARRIVAL, PoolSimulatorBase
+from repro.serverless.placement import TierSpec
 from repro.serverless.workload import Request
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One cluster-simulation scenario."""
+    """One single-model cluster-simulation scenario.
+
+    Pool-level fields are documented on
+    :class:`~repro.serverless.cluster.MultiModelCluster`, deployment-level
+    ones on :class:`~repro.serverless.cluster.ModelDeployment`.
+    """
 
     num_gpus: int = 4
     cold_start_latency: float = 3.0       # loading-phase time of the strategy
@@ -51,51 +54,14 @@ class SimulationConfig:
     keep_alive: float = 20.0              # idle seconds before retiring
     drain: bool = True                    # serve queued work past the horizon
     profile: Optional[ColdStartProfile] = None   # plan trace, if derived
-    #: Fractional serving slowdown while a pipelined restore's background
-    #: tail is still streaming (stage-granular cold starts only).
-    background_tail_penalty: float = 0.15
-    #: Scale-down policy: cancel an in-flight stage-granular cold start at
-    #: its next stage boundary when ready instances can absorb every
-    #: request queued on it (ServerlessLLM-style startup abort).
-    abort_cold_starts: bool = False
-    #: Optional ArtifactStore(-like) object fetched from on every cold
-    #: start, with ``artifact_key = (gpu_name, model_name)``: models
-    #: repeated cold starts on one node hitting the store's in-memory LRU,
-    #: surfaced as store_cache_hits/misses in the metrics.
-    artifact_store: Optional[object] = None
-    artifact_key: Optional[Tuple[str, str]] = None
-    #: Artifact placement across the cluster's nodes: a registered policy
-    #: name ("flat", "locality", "affinity"), a PlacementPolicy factory,
-    #: or an instance.  ``"flat"`` reproduces the pre-placement simulator
-    #: bit for bit; the default locality policy routes each cold start to
-    #: the node holding the artifact in the warmest tier and rewrites the
-    #: plan's ``fetch_artifact`` stage to that tier's fetch time.
-    placement: object = "locality"
-    #: Per-node tier ladder (warmest first, remote backstop last); None
-    #: uses :data:`repro.serverless.placement.DEFAULT_TIERS`.
-    tiers: Optional[Tuple[TierSpec, ...]] = None
-    #: Artifact footprint in tier-capacity units.
-    artifact_size: float = 1.0
-    #: Optional chunk-stream description of the artifact (``ChunkMeta``
-    #: -shaped objects with ``digest``/``nbytes``/``foreground``; see
-    #: :func:`repro.core.chunks.simulation_chunks`).  When set, cold
-    #: starts resolve tier residency chunk by chunk — a node that hosted
-    #: a sibling model sharing chunks starts partially warm — and the
-    #: metrics gain ``chunk_hits`` / ``bytes_deduped`` /
-    #: ``fetch_bytes_foreground``.  None keeps blob-granular fetches
-    #: (the golden-pinned behaviour).
-    chunks: Optional[Tuple[object, ...]] = None
-    #: Autoscaling policy: a registered name ("keep-alive", "histogram",
-    #: "cold-cost", "queue-slo"), an AutoscalePolicy factory, or an
-    #: instance.  The default keep-alive policy reproduces the
-    #: pre-policy simulator bit for bit (``keep_alive`` seeds its
-    #: window); the others enforce their idle windows with kernel-level
-    #: idle ticks and may scale up proactively.
-    autoscale: object = "keep-alive"
-    #: TTFT SLO budget in seconds (0.0 = none): feeds the metrics'
-    #: ``slo_attainment`` accounting and the queue-delay policy's
-    #: scale-up threshold.
-    slo_ttft: float = 0.0
+    abort_cold_starts: bool = False       # cancel redundant cold starts
+    artifact_store: Optional[object] = None   # store every cold start reads
+    artifact_key: Optional[Tuple[str, str]] = None   # (gpu_name, model_name)
+    placement: object = "locality"        # "flat" / "locality" / "affinity"
+    tiers: Optional[Tuple[TierSpec, ...]] = None   # None: DEFAULT_TIERS
+    chunks: Optional[Tuple[object, ...]] = None    # chunk-streamed fetch
+    autoscale: object = "keep-alive"      # autoscale policy name or object
+    slo_ttft: float = 0.0                 # TTFT SLO budget (0.0 = none)
 
     def __post_init__(self) -> None:
         if self.num_gpus <= 0:
@@ -120,214 +86,37 @@ class SimulationConfig:
                    profile=profile, **overrides)
 
 
-class ClusterSimulator(PoolSimulatorBase):
-    """Runs one scenario over one request trace."""
+class ClusterSimulator(MultiModelCluster):
+    """Runs one single-model scenario: a pool with one deployment.
+
+    ``model`` names that deployment (the cost model's model name);
+    ``instances[model]`` and ``metrics[model]`` hold its instances and
+    metrics, and :meth:`run` returns the latter.
+    """
 
     def __init__(self, costs: ServingCostModel, config: SimulationConfig):
         self.costs = costs
         self.config = config
-        self.keep_alive = config.keep_alive
-        self.instances: List[Instance] = []
-        self.metrics = SimulationMetrics()
-        self.placement_policy = make_policy(config.placement,
-                                            config.num_gpus, config.tiers)
-        self.autoscaler = make_autoscaler(config.autoscale,
-                                          keep_alive=config.keep_alive,
-                                          slo_ttft=config.slo_ttft)
-        self._begin_run(horizon=0.0)
+        self.model = costs.config.name
+        deployment = ModelDeployment(
+            name=self.model, costs=costs,
+            cold_start_latency=config.cold_start_latency,
+            use_cuda_graphs=config.use_cuda_graphs,
+            deferred_capture=config.deferred_capture,
+            hot_spares=config.hot_spares, max_running=config.max_running,
+            profile=config.profile,
+            initial_instances=config.initial_instances,
+            artifact_store=config.artifact_store,
+            artifact_key=config.artifact_key, chunks=config.chunks)
+        super().__init__(
+            [deployment], num_gpus=config.num_gpus,
+            keep_alive=config.keep_alive, placement=config.placement,
+            tiers=config.tiers, autoscale=config.autoscale,
+            slo_ttft=config.slo_ttft, drain=config.drain,
+            abort_cold_starts=config.abort_cold_starts)
 
-    # -- pool hooks ----------------------------------------------------------
-
-    def _can_launch(self, model) -> bool:
-        """A GPU is free for one more instance."""
-        return len(self._live_instances()) < self.config.num_gpus
-
-    def _launch_cold_for(self, model, now: float) -> Instance:
-        """Proactive scale-up launch (autoscale policy target)."""
-        return self._launch_instance(now)
-
-    def _metrics_for(self, instance: Instance) -> SimulationMetrics:
-        """Single-model pool: every instance reports into one sink."""
-        return self.metrics
-
-    def _retirement_floor(self) -> int:
-        """Keep the always-on capacity: initial instances + hot spares."""
-        return self.config.initial_instances + self.config.hot_spares
-
-    def _live_instances(self) -> List[Instance]:
-        """Every non-retired instance, ready or still cold-starting."""
-        return [inst for inst in self.instances if not inst.retired]
-
-    def _pool_size(self) -> int:
-        return self.config.num_gpus
-
-    def _placement_key(self) -> Tuple[str, str]:
-        """The artifact identity placement caches are keyed by."""
-        if self.config.artifact_key is not None:
-            return self.config.artifact_key
-        return ("cluster", self.costs.config.name)
-
-    # -- instance management --------------------------------------------------
-
-    def _launch_instance(self, now: float, cold: bool = True,
-                         hot_spare: bool = False) -> Instance:
-        """Provision one instance; cold launches execute the LoadPlan.
-
-        Cold launches resolve the artifact's placement first: the policy
-        picks the node, the node's cache prices the ``fetch_artifact``
-        stage (tier-resolved), and the profile's timeline is rewritten
-        before the kernel schedules its stage events — so admission,
-        background tails, and traces all reflect locality.  A hit on the
-        artifact store's in-memory LRU likewise caps the fetch at the
-        DRAM tier's cost: the bytes are already deserialized in host
-        memory, so charging the flat remote fetch would double-bill.
-        """
-        profile = self.config.profile if cold else None
-        resolution = None
-        node_ids: Tuple[int, ...] = ()
-        store_hit = False
-        if cold:
-            store = self.config.artifact_store
-            if store is not None and self.config.artifact_key is not None:
-                hits_before = store.cache_hits
-                store.get(*self.config.artifact_key)
-                store_hit = store.cache_hits > hits_before
-            base_fetch = profile.fetch_duration \
-                if profile is not None else 0.0
-            node_ids, resolution = self._resolve_placement(
-                self._placement_key(), self.config.artifact_size,
-                base_fetch, chunks=self.config.chunks)
-            profile = self._tier_resolved_profile(profile, resolution,
-                                                  store_hit=store_hit)
-        else:
-            node_ids, _ = self._resolve_placement(None, 0.0, 0.0,
-                                                  cold=False)
-        if not cold:
-            latency = 0.0
-        elif profile is not None:
-            latency = profile.serving_ready_time
-        else:
-            latency = self.config.cold_start_latency
-        instance = Instance(
-            costs=self.costs,
-            config=InstanceConfig(
-                max_running=self.config.max_running,
-                use_cuda_graphs=self.config.use_cuda_graphs,
-                deferred_capture=self.config.deferred_capture,
-                background_tail_penalty=self.config.background_tail_penalty),
-            launched_at=now,
-            cold_start_latency=latency,
-            profile=profile,
-        )
-        instance.hot_spare = hot_spare
-        instance.node_ids = node_ids
-        self.instances.append(instance)
-        if cold:
-            self.metrics.cold_starts += 1
-            if profile is not None and profile.degraded_rung:
-                self.metrics.record_degraded_cold_start(
-                    profile.degraded_rung)
-            if self.config.artifact_store is not None \
-                    and self.config.artifact_key is not None:
-                self.metrics.record_store_cache(hit=store_hit)
-            self._record_placement(instance, resolution)
-        self._launch_events(instance)
-        return instance
-
-    def _route(self, request: Request, now: float) -> None:
-        """Least-loaded routing with scale-from-zero autoscaling."""
-        live = self._live_instances()
-        candidates = [inst for inst in live
-                      if inst.load < self.config.max_running]
-        if candidates:
-            target = min(candidates, key=lambda inst: (inst.load,
-                                                       inst.ready_at))
-        elif len(live) < self.config.num_gpus:
-            target = self._launch_instance(now)
-        else:
-            # Saturated: queue at the shortest backlog.
-            target = min(live, key=lambda inst: inst.load)
-        target.enqueue(request)
-        self._maybe_step(target, now)
-
-    # -- scale-down policy ------------------------------------------------------
-
-    def _consider_abort(self, instance: Instance, stage, now: float) -> None:
-        """Cancel a now-pointless cold start at this stage boundary.
-
-        If ready instances have freed enough capacity to absorb every
-        request queued on a still-cold instance (beyond the provisioning
-        floor), finishing the startup only wastes GPU time: re-route the
-        queue and abort at the boundary we are standing on.
-        """
-        if not self.config.abort_cold_starts:
-            return
-        if instance.retired or instance.running or instance.stepping:
-            return
-        if now >= instance.ready_at:
-            return
-        live = self._live_instances()
-        if len(live) <= self._retirement_floor():
-            return
-        ready = [inst for inst in live
-                 if inst is not instance and now >= inst.ready_at]
-        spare = sum(max(0, self.config.max_running - inst.load)
-                    for inst in ready)
-        if spare < len(instance.waiting):
-            return
-        rerouted = list(instance.waiting)
-        instance.waiting.clear()
-        if self._cancel_cold_start(instance, now,
-                                   reason="free_capacity") is None:
-            instance.waiting.extend(rerouted)
-            return
-        for request in rerouted:
-            self._route(request, now)
-
-    # -- event handlers ---------------------------------------------------------
-
-    def _on_arrival(self, event) -> None:
-        """Route one arrival (dropped past the horizon unless draining)."""
-        now = self.loop.now
-        if not self.config.drain and now > self.horizon:
-            return
-        self._dispatch_arrival(event.payload, now)
-
-    # -- main loop ------------------------------------------------------------------
-
-    def run(self, requests: List[Request], horizon: float) -> SimulationMetrics:
+    def run(self, requests: List[Request],
+            horizon: float) -> SimulationMetrics:
         """Simulate the full trace; returns the run's metrics."""
-        self.metrics = SimulationMetrics(horizon=horizon,
-                                         slo_ttft=self.config.slo_ttft)
-        self.metrics.arrived = len(requests)
-        self.instances = []
-        # Fresh cache state per run: placement must not leak residency
-        # across runs, or repeated runs would diverge.  The autoscaler is
-        # likewise rebuilt so its observed histograms/decisions restart
-        # (a caller-supplied policy *instance* is reused as-is).
-        self.placement_policy = make_policy(self.config.placement,
-                                            self.config.num_gpus,
-                                            self.config.tiers)
-        self.autoscaler = make_autoscaler(self.config.autoscale,
-                                          keep_alive=self.config.keep_alive,
-                                          slo_ttft=self.config.slo_ttft)
-        self._begin_run(horizon)
-        for _ in range(self.config.initial_instances):
-            self._launch_instance(0.0, cold=False)
-        for _ in range(self.config.hot_spares):
-            self._launch_instance(0.0, cold=False, hot_spare=True)
-        for request in requests:
-            self.loop.schedule(request.arrival_time, ARRIVAL, request)
-
-        self.loop.run()
-
-        # GPU-time accounting (the §2.4 hot-spares waste argument).
-        end_of_run = max(horizon, self.loop.now)
-        for instance in self.instances:
-            until = getattr(instance, "retired_at", end_of_run)
-            self.metrics.record_instance_lifetime(
-                max(0.0, until - instance.ready_at), instance.busy_time)
-        if self.autoscaler is not None:
-            self.metrics.record_autoscale_decisions(
-                self.autoscaler.decisions)
-        return self.metrics
+        tagged = [TaggedRequest(self.model, request) for request in requests]
+        return self._simulate(tagged, horizon)[self.model]

@@ -19,7 +19,6 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.loadplan import ScheduledStage, Timeline
-from repro.errors import SchedulingError
 from repro.serverless import (
     ColdStartProfile,
     ModelDeployment,
@@ -126,12 +125,7 @@ def _run_cluster(policy, trace):
         prompt_tokens=64, output_tokens=8))
         for i, (model, arrival) in enumerate(trace)]
     tagged.sort(key=lambda t: t.request.arrival_time)
-    try:
-        cluster.run(tagged, horizon=200.0)
-    except SchedulingError as exc:
-        # Three cold models can exhaust two GPUs with nothing evictable;
-        # that refusal must itself reproduce identically.
-        return ("exhausted", str(exc))
+    cluster.run(tagged, horizon=200.0)
     agg = cluster.aggregate()
     placements = [(model, inst.node_ids, inst.fetch_tier)
                   for model, pool in cluster.instances.items()

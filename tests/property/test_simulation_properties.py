@@ -2,12 +2,18 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.loadplan import ScheduledStage, Timeline
 from repro.serverless import (
     ClusterSimulator,
+    ColdStartProfile,
+    ModelDeployment,
+    MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
     SimulationConfig,
+    TaggedRequest,
 )
+from repro.serverless.workload import Request
 from repro.utils.stats import percentile
 
 _COSTS = ServingCostModel("Qwen1.5-4B")
@@ -52,6 +58,50 @@ class TestSimulationInvariants:
             simulator = ClusterSimulator(_COSTS, SimulationConfig(num_gpus=2))
             runs.append(simulator.run(requests, horizon=30).ttfts)
         assert runs[0] == runs[1]
+
+
+def _staged_profile():
+    stages = [ScheduledStage("fetch_artifact", 0.0, 0.6, lane="disk"),
+              ScheduledStage("restore", 0.6, 1.0, lane="gpu_compute")]
+    return ColdStartProfile(loading_time=1.0,
+                            timeline=Timeline(None, stages))
+
+
+class TestStarvedModelProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(models=st.integers(3, 5), data=st.data(),
+           trace=st.lists(st.tuples(st.integers(0, 4),
+                                    st.floats(0.0, 60.0, allow_nan=False),
+                                    st.integers(1, 40)),
+                          min_size=1, max_size=40),
+           placement=st.sampled_from(["flat", "locality"]),
+           autoscale=st.sampled_from(["keep-alive", "cold-cost",
+                                      "queue-slo"]))
+    def test_every_arrival_gets_a_ttft(self, models, data, trace,
+                                       placement, autoscale):
+        """More deployments than GPUs: starved models wait, never drop."""
+        gpus = data.draw(st.integers(1, models - 1))
+        staged = data.draw(st.lists(st.booleans(), min_size=models,
+                                    max_size=models))
+        deployments = [
+            ModelDeployment(name=f"m{i}", costs=_COSTS,
+                            cold_start_latency=1.0, max_running=4,
+                            profile=_staged_profile() if staged[i] else None)
+            for i in range(models)]
+        tagged = sorted(
+            (TaggedRequest(f"m{model % models}", Request(
+                request_id=i, arrival_time=arrival, prompt_tokens=64,
+                output_tokens=output))
+             for i, (model, arrival, output) in enumerate(trace)),
+            key=lambda t: t.request.arrival_time)
+        cluster = MultiModelCluster(deployments, num_gpus=gpus,
+                                    placement=placement,
+                                    autoscale=autoscale, keep_alive=5.0)
+        per_model = cluster.run(tagged, horizon=60.0)
+        for metrics in per_model.values():
+            assert len(metrics.ttfts) == metrics.arrived
+        assert sum(m.arrived for m in per_model.values()) == len(tagged)
+        assert cluster.gpus_in_use <= gpus
 
 
 class TestPercentileProperties:

@@ -43,7 +43,7 @@ class TestHotSpares:
             num_gpus=2, cold_start_latency=1.0, hot_spares=2,
             keep_alive=5.0))
         simulator.run(workload.generate(), horizon=120)
-        spares = [i for i in simulator.instances
+        spares = [i for i in simulator.instances[simulator.model]
                   if getattr(i, "hot_spare", False)]
         assert len(spares) == 2
         assert not any(i.retired for i in spares)

@@ -24,6 +24,7 @@ from repro.serverless import (
     make_autoscaler,
 )
 from repro.serverless.workload import Request
+from repro.sim import EventLoop
 
 _COSTS = ServingCostModel("Qwen1.5-4B")
 
@@ -155,12 +156,12 @@ class TestColdCostAwarePolicy:
 
 
 class _FakePool:
-    """A pool stub exposing only ``_scope_live``."""
+    """A pool stub exposing only ``_live_instances``."""
 
     def __init__(self, instances):
         self._instances = instances
 
-    def _scope_live(self, model):
+    def _live_instances(self, model):
         return self._instances
 
 
@@ -207,7 +208,7 @@ def _first_idle_window(policy_name):
         num_gpus=2, cold_start_latency=1.0, placement="flat",
         autoscale=policy_name))
     simulator.run([_request(0, 0.0)], horizon=30.0)
-    instance = simulator.instances[0]
+    instance = simulator.instances[simulator.model][0]
     policy = make_autoscaler(policy_name)
     window = policy._window(simulator, instance, instance.last_busy_at)
     return instance.last_busy_at, window
@@ -238,7 +239,7 @@ class TestEqualTimestampTieBreak:
         # same instance, so no second cold start happened.
         assert metrics.cold_starts == 1
         assert len(metrics.ttfts) == 2
-        instance = simulator.instances[0]
+        instance = simulator.instances[simulator.model][0]
         assert getattr(instance, "retired_at", expiry) > expiry
 
     def test_arrival_after_expiry_finds_the_instance_retired(self):
@@ -290,3 +291,28 @@ class TestPolicyDecisionAccounting:
         assert policy.should_retire(None, None, 0.0) is False
         assert policy.idle_check_delay(None, None, 0.0) is None
         assert policy.target_instances(None, None, 0.0) == 0
+
+
+class TestAlwaysOnFloor:
+    @pytest.mark.parametrize("policy", ["histogram", "cold-cost",
+                                        "queue-slo"])
+    def test_windowed_policy_at_the_floor_drains(self, monkeypatch,
+                                                 policy):
+        """Regression: a due window on a floor instance re-armed its idle
+        tick at delay 0 forever, so the event loop never drained."""
+        def bounded_run(self):
+            count = 0
+            while self.step() is not None:
+                count += 1
+                assert count < 100_000, "event loop did not drain"
+            return count
+
+        monkeypatch.setattr(EventLoop, "run", bounded_run)
+        simulator = ClusterSimulator(_COSTS, SimulationConfig(
+            num_gpus=2, cold_start_latency=0.5, placement="flat",
+            initial_instances=1, keep_alive=1.0, autoscale=policy))
+        metrics = simulator.run([_request(i, 5.0 * i) for i in range(4)],
+                                horizon=60.0)
+        assert len(metrics.ttfts) == 4
+        floor = simulator.instances[simulator.model][0]
+        assert not floor.retired

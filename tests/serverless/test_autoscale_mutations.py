@@ -15,7 +15,7 @@ not strawmen: every mutated line exists in the real implementation.
 import pytest
 
 from repro.serverless import metrics as metrics_module
-from repro.serverless import pool as pool_module
+from repro.serverless.cluster import MultiModelCluster
 from repro.serverless.autoscale import (
     ColdCostAwarePolicy,
     HistogramPolicy,
@@ -91,13 +91,12 @@ class TestIdleWindowMutations:
             if (instance.retired or instance.stepping
                     or instance.has_work or instance.hot_spare):
                 return
-            if len(self._live_instances()) <= self._retirement_floor():
+            if not self._above_floor(instance):
                 return
             instance.retired = True
             instance.retired_at = now
 
-        monkeypatch.setattr(pool_module.PoolSimulatorBase, "_on_idle_tick",
-                            on_idle_tick)
+        monkeypatch.setattr(MultiModelCluster, "_on_idle_tick", on_idle_tick)
         assert_mutation_detected(goldens, "single_model_burst")
 
 
@@ -135,8 +134,7 @@ class TestAccountingMutations:
             return min(ttft, max(0.0, instance.launched_at
                                  - request.arrival_time))
 
-        monkeypatch.setattr(pool_module.PoolSimulatorBase, "_cold_tax",
-                            cold_tax)
+        monkeypatch.setattr(MultiModelCluster, "_cold_tax", cold_tax)
         assert_mutation_detected(goldens, "single_model_burst")
 
 
@@ -145,7 +143,7 @@ class TestScaleUpMutations:
                                                       goldens):
         """A delay predictor blind to 'nothing is ready yet'."""
         def predicted_delay(self, pool, model, now):
-            live = pool._scope_live(model)
+            live = pool._live_instances(model)
             if not live:
                 return 0.0
             ready = [inst for inst in live if now >= inst.ready_at]

@@ -59,7 +59,7 @@ def launch(policy, chunks, costs):
     config = SimulationConfig(num_gpus=1, profile=chunk_profile(),
                               placement=policy, chunks=chunks)
     simulator = ClusterSimulator(costs, config)
-    instance = simulator._launch_instance(0.0)
+    instance = simulator._launch(simulator.model, 0.0)
     return simulator, instance
 
 
@@ -72,7 +72,7 @@ class TestChunkStreamResolution:
     def test_cold_node_fetches_every_foreground_byte(self, costs):
         simulator, _ = launch(LocalityPlacement(num_nodes=1), CHUNKS_A,
                               costs)
-        metrics = simulator.metrics
+        metrics = simulator.metrics[simulator.model]
         assert metrics.chunk_hits == 0
         assert metrics.bytes_deduped == 0.0
         assert metrics.fetch_bytes_foreground == pytest.approx(1000.0)
@@ -82,13 +82,14 @@ class TestChunkStreamResolution:
         simulator_a, instance_a = launch(policy, CHUNKS_A, costs)
         simulator_b, instance_b = launch(policy, CHUNKS_B, costs)
 
-        warm = simulator_b.metrics
+        cold = simulator_a.metrics[simulator_a.model]
+        warm = simulator_b.metrics[simulator_b.model]
         assert warm.chunk_hits == 2
         assert warm.bytes_deduped == pytest.approx(900.0)
         # Only the sibling's private chunk moves in the foreground.
         assert warm.fetch_bytes_foreground == pytest.approx(100.0)
         assert warm.fetch_bytes_foreground \
-            <= 0.7 * simulator_a.metrics.fetch_bytes_foreground
+            <= 0.7 * cold.fetch_bytes_foreground
         # The cache hits make the warm cold start strictly faster.
         fetch_a = instance_a.profile.timeline.stage(
             "fetch_artifact").duration
@@ -116,8 +117,8 @@ class TestChunkStreamResolution:
         config = SimulationConfig(num_gpus=1, profile=chunk_profile(),
                                   placement=policy, chunks=CHUNKS_A)
         simulator = ClusterSimulator(costs, config)
-        _nodes, resolution = simulator._resolve_placement(
-            ("model", "a"), 1.0, 2.0, chunks=CHUNKS_A)
+        _nodes, resolution = simulator._place(
+            simulator.deployments[simulator.model], cold=True)
         summary = resolution.chunks
         assert isinstance(summary, ChunkFetchSummary)
         assert summary.chunks == len(CHUNKS_A)
@@ -133,7 +134,7 @@ class TestChunkStreamResolution:
         simulator, instance = launch(FlatPlacement(num_nodes=1), CHUNKS_A,
                                      costs)
         assert instance.fetch_tier == ""
-        metrics = simulator.metrics
+        metrics = simulator.metrics[simulator.model]
         assert metrics.chunk_hits == 0
         assert metrics.fetch_bytes_foreground == 0.0
         report = metrics.summary()
@@ -142,12 +143,19 @@ class TestChunkStreamResolution:
         assert "fetch_bytes_foreground" not in report
 
 
+def record_chunk_fetch(metrics, hits, bytes_deduped, foreground_bytes):
+    """Count one chunk-streamed fetch the way the pool does."""
+    metrics.count("chunk_hits", hits)
+    metrics.count("bytes_deduped", bytes_deduped)
+    metrics.count("fetch_bytes_foreground", foreground_bytes)
+
+
 class TestChunkMetrics:
     def test_summary_emits_chunk_keys_only_when_nonzero(self):
         metrics = SimulationMetrics()
         assert "chunk_hits" not in metrics.summary()
-        metrics.record_chunk_fetch(hits=3, bytes_deduped=17.0,
-                                   foreground_bytes=5.0)
+        record_chunk_fetch(metrics, hits=3, bytes_deduped=17.0,
+                           foreground_bytes=5.0)
         report = metrics.summary()
         assert report["chunk_hits"] == 3.0
         assert report["bytes_deduped"] == 17.0
@@ -155,11 +163,11 @@ class TestChunkMetrics:
 
     def test_merge_folds_chunk_counters(self):
         a = SimulationMetrics()
-        a.record_chunk_fetch(hits=1, bytes_deduped=10.0,
-                             foreground_bytes=100.0)
+        record_chunk_fetch(a, hits=1, bytes_deduped=10.0,
+                           foreground_bytes=100.0)
         b = SimulationMetrics()
-        b.record_chunk_fetch(hits=2, bytes_deduped=20.0,
-                             foreground_bytes=200.0)
+        record_chunk_fetch(b, hits=2, bytes_deduped=20.0,
+                           foreground_bytes=200.0)
         merged = SimulationMetrics()
         merged.merge(a)
         merged.merge(b)

@@ -38,8 +38,8 @@ class TestPoolContention:
         assert evicted
 
     def test_exhausted_pool_with_busy_foreigners_raises(self):
-        """If every GPU is busy with other models and the starved model has
-        no instance, the router reports the capacity wall loudly."""
+        """If hot spares of other models hold every GPU, the starved model
+        can never launch: the run reports the capacity wall loudly."""
         cluster = MultiModelCluster(
             [deployment("a", hot_spares=1), deployment("b")],
             num_gpus=1, keep_alive=10_000.0)
@@ -47,3 +47,30 @@ class TestPoolContention:
         # are never evicted.
         with pytest.raises(SchedulingError):
             cluster.run([request(0, 1.0, "b")], horizon=10.0)
+
+    def test_starved_model_waits_for_a_freed_gpu(self):
+        """Regression: three models on two GPUs, one request each.
+
+        ``a`` and ``b`` take both GPUs with cold starts that already hold
+        queued work, so ``c`` finds no idle instance and no cold start to
+        preempt.  It used to raise; it now waits, and launches on the GPU
+        ``a`` frees when its request completes.
+        """
+        cluster = MultiModelCluster(
+            [deployment("a"), deployment("b"), deployment("c")],
+            num_gpus=2)
+        metrics = cluster.run([request(0, 0.0, "a"), request(1, 0.1, "b"),
+                               request(2, 0.2, "c")], horizon=30.0)
+        assert all(len(metrics[m].ttfts) == 1 for m in "abc")
+        # a's request arrived at t = 0, so its latency is when a idled.
+        a_idle_at = metrics["a"].latencies[0]
+        (c_instance,) = cluster.instances["c"]
+        assert c_instance.launched_at == a_idle_at
+        assert metrics["c"].ttfts[0] > a_idle_at + 0.5 - 0.2
+        (a_instance,) = cluster.instances["a"]
+        assert a_instance.retired_at == a_idle_at
+
+    def test_unknown_model_raises(self):
+        cluster = MultiModelCluster([deployment("a")], num_gpus=1)
+        with pytest.raises(SchedulingError, match="no deployment"):
+            cluster.run([request(0, 0.0, "zzz")], horizon=10.0)

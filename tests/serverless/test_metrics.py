@@ -1,8 +1,35 @@
 """SimulationMetrics unit tests."""
 
+import copy
+from dataclasses import fields
+
 import pytest
 
 from repro.serverless.metrics import SimulationMetrics
+
+
+def stage_done(metrics, name, seconds):
+    """Count one completed cold-start stage the way the pool does."""
+    metrics.count("cold_stage_seconds", seconds, key=name)
+    metrics.count("cold_stage_counts", key=name)
+
+
+def cancelled(metrics, stage):
+    """Count one cold start cancelled at ``stage``."""
+    metrics.count("cancelled_cold_starts")
+    metrics.count("cancelled_at_stage", key=stage)
+
+
+def contended(metrics, seconds):
+    """Count one serving step slowed by a background restore tail."""
+    metrics.count("background_contended_steps")
+    metrics.count("background_contention_seconds", seconds)
+
+
+def tier_hit(metrics, tier, seconds_saved=0.0):
+    """Count one artifact fetch served from ``tier``."""
+    metrics.count("tier_hits", key=tier)
+    metrics.count("fetch_seconds_saved", seconds_saved)
 
 
 class TestMetrics:
@@ -70,9 +97,9 @@ class TestMetrics:
 class TestStageColdStartCounters:
     def test_cold_stage_accumulation(self):
         metrics = SimulationMetrics(horizon=1.0)
-        metrics.record_cold_stage("fetch_artifact", 0.4)
-        metrics.record_cold_stage("fetch_artifact", 0.6)
-        metrics.record_cold_stage("replay_alloc", 0.3)
+        stage_done(metrics, "fetch_artifact", 0.4)
+        stage_done(metrics, "fetch_artifact", 0.6)
+        stage_done(metrics, "replay_alloc", 0.3)
         assert metrics.cold_stage_seconds == pytest.approx(
             {"fetch_artifact": 1.0, "replay_alloc": 0.3})
         assert metrics.cold_stage_counts == {"fetch_artifact": 2,
@@ -83,9 +110,9 @@ class TestStageColdStartCounters:
 
     def test_cancelled_cold_start_accounting(self):
         metrics = SimulationMetrics(horizon=1.0)
-        metrics.record_cancelled_cold_start("replay_alloc")
-        metrics.record_cancelled_cold_start("replay_alloc")
-        metrics.record_cancelled_cold_start("fetch_artifact")
+        cancelled(metrics, "replay_alloc")
+        cancelled(metrics, "replay_alloc")
+        cancelled(metrics, "fetch_artifact")
         assert metrics.cancelled_cold_starts == 3
         assert metrics.cancelled_at_stage == {"replay_alloc": 2,
                                               "fetch_artifact": 1}
@@ -93,8 +120,8 @@ class TestStageColdStartCounters:
 
     def test_background_contention_accounting(self):
         metrics = SimulationMetrics(horizon=1.0)
-        metrics.record_background_contention(0.05)
-        metrics.record_background_contention(0.15)
+        contended(metrics, 0.05)
+        contended(metrics, 0.15)
         assert metrics.background_contended_steps == 2
         assert metrics.background_contention_seconds == pytest.approx(0.2)
         summary = metrics.summary()
@@ -104,13 +131,14 @@ class TestStageColdStartCounters:
     def test_merge_folds_every_stage_counter(self):
         left = SimulationMetrics(horizon=10.0)
         right = SimulationMetrics(horizon=10.0)
-        left.record_cold_stage("s1", 1.0)
-        right.record_cold_stage("s1", 2.0)
-        right.record_cold_stage("s2", 0.5)
-        left.record_cancelled_cold_start("s1")
-        right.record_cancelled_cold_start("s2")
-        right.record_background_contention(0.25)
-        right.record_degraded_cold_start("partial")
+        stage_done(left, "s1", 1.0)
+        stage_done(right, "s1", 2.0)
+        stage_done(right, "s2", 0.5)
+        cancelled(left, "s1")
+        cancelled(right, "s2")
+        contended(right, 0.25)
+        right.count("degraded_cold_starts")
+        right.count("degraded_rungs", key="partial")
         left.merge(right)
         assert left.cold_stage_seconds == pytest.approx({"s1": 3.0,
                                                          "s2": 0.5})
@@ -133,8 +161,8 @@ class TestMergeEdgeCases:
     def test_merge_empty_into_populated_changes_nothing(self):
         left = SimulationMetrics(horizon=10.0)
         left.record_ttft(0.5)
-        left.record_cold_stage("s1", 1.0)
-        left.record_tier_fetch("dram", hit=True, seconds_saved=1.9)
+        stage_done(left, "s1", 1.0)
+        tier_hit(left, "dram", 1.9)
         before = left.summary()
         left.merge(SimulationMetrics(horizon=10.0))
         assert left.summary() == before
@@ -142,9 +170,9 @@ class TestMergeEdgeCases:
     def test_merge_disjoint_cold_stage_keys_unions_them(self):
         left = SimulationMetrics(horizon=10.0)
         right = SimulationMetrics(horizon=10.0)
-        left.record_cold_stage("fetch_artifact", 0.4)
-        right.record_cold_stage("replay_alloc", 0.3)
-        right.record_cold_stage("restore_graph[1]", 0.2)
+        stage_done(left, "fetch_artifact", 0.4)
+        stage_done(right, "replay_alloc", 0.3)
+        stage_done(right, "restore_graph[1]", 0.2)
         left.merge(right)
         assert left.cold_stage_seconds == pytest.approx(
             {"fetch_artifact": 0.4, "replay_alloc": 0.3,
@@ -156,15 +184,15 @@ class TestMergeEdgeCases:
     def test_merge_folds_tier_counters(self):
         left = SimulationMetrics(horizon=10.0)
         right = SimulationMetrics(horizon=10.0)
-        left.record_tier_fetch("dram", hit=True, seconds_saved=1.9)
-        left.record_tier_fetch("remote", hit=False)
-        right.record_tier_fetch("dram", hit=True, seconds_saved=1.9)
-        right.record_tier_fetch("gpu", hit=True, seconds_saved=2.0)
-        right.record_tier_fetch("remote", hit=False)
-        left.record_tier_eviction("ssd")
-        right.record_tier_eviction("ssd")
-        right.record_tier_eviction("remote")
-        right.record_tier_promotion("gpu")
+        tier_hit(left, "dram", 1.9)
+        left.count("tier_misses")
+        tier_hit(right, "dram", 1.9)
+        tier_hit(right, "gpu", 2.0)
+        right.count("tier_misses")
+        left.count("tier_evictions", key="ssd")
+        right.count("tier_evictions", key="ssd")
+        right.count("tier_evictions", key="remote")
+        right.count("tier_promotions", key="gpu")
         left.merge(right)
         assert left.tier_hits == {"dram": 2, "gpu": 1}
         assert left.tier_misses == 2
@@ -182,10 +210,94 @@ class TestMergeEdgeCases:
     def test_merge_tier_counters_into_empty_aggregate(self):
         aggregate = SimulationMetrics(horizon=5.0)
         part = SimulationMetrics(horizon=5.0)
-        part.record_tier_fetch("dram", hit=True, seconds_saved=0.7)
+        tier_hit(part, "dram", 0.7)
         aggregate.merge(part)
         assert aggregate.tier_hits == {"dram": 1}
         assert aggregate.fetch_seconds_saved == pytest.approx(0.7)
         # The source's dicts must not be aliased into the aggregate.
-        part.record_tier_fetch("dram", hit=True)
+        tier_hit(part, "dram")
         assert aggregate.tier_hits == {"dram": 1}
+
+
+def populated(seed):
+    """Metrics with every dataclass field set to a non-default value."""
+    metrics = SimulationMetrics()
+    for number, spec in enumerate(fields(SimulationMetrics), start=seed):
+        default = getattr(metrics, spec.name)
+        if isinstance(default, list):
+            value = [float(number), number + 0.5]
+        elif isinstance(default, dict):
+            value = {"x": number, f"k{seed}": number + 1.5}
+        elif isinstance(default, int):
+            value = number + 1
+        else:
+            value = number + 0.25
+        assert value != default
+        setattr(metrics, spec.name, value)
+    return metrics
+
+
+#: Summary keys of an empty run.
+DEFAULT_SUMMARY_KEYS = [
+    "ttft_count", "ttft_mean", "ttft_p50", "ttft_p90", "ttft_p99",
+    "ttft_max", "p90_ttft", "arrived", "completed", "throughput",
+    "cold_starts", "degraded_cold_starts", "store_cache_hits",
+    "store_cache_misses", "cancelled_cold_starts",
+    "background_contended_steps", "background_contention_seconds",
+    "tier_misses", "fetch_seconds_saved", "cold_start_tax_seconds",
+    "wasted_warm_seconds"]
+
+
+class TestGenericFields:
+    def test_merge_folds_every_field(self):
+        """Walks every dataclass field, so a new one cannot be dropped."""
+        left, right = populated(1), populated(100)
+        before = copy.deepcopy(left)
+        left.merge(right)
+        for spec in fields(SimulationMetrics):
+            name = spec.name
+            mine, theirs = getattr(before, name), getattr(right, name)
+            merged = getattr(left, name)
+            if name == "horizon":
+                assert merged == mine
+            elif name == "slo_ttft":
+                assert merged == theirs
+            elif isinstance(mine, list):
+                assert merged == mine + theirs, name
+            elif isinstance(mine, dict):
+                assert merged == {key: mine.get(key, 0) + theirs.get(key, 0)
+                                  for key in {**mine, **theirs}}, name
+            else:
+                assert merged == mine + theirs, name
+
+    def test_merge_keeps_the_slo_when_the_other_has_none(self):
+        left = SimulationMetrics(slo_ttft=0.5)
+        left.merge(SimulationMetrics())
+        assert left.slo_ttft == 0.5
+
+    def test_count_grows_numbers_and_labelled_dicts(self):
+        metrics = SimulationMetrics()
+        metrics.count("cold_starts")
+        metrics.count("fetch_seconds_saved", 1.5)
+        metrics.count("tier_hits", key="dram")
+        metrics.count("cold_stage_seconds", 0.25, key="fetch_artifact")
+        metrics.count("cold_stage_seconds", 0.5, key="fetch_artifact")
+        assert metrics.cold_starts == 1
+        assert metrics.fetch_seconds_saved == 1.5
+        assert metrics.tier_hits == {"dram": 1}
+        assert metrics.cold_stage_seconds == {"fetch_artifact": 0.75}
+
+    def test_default_summary_keys(self):
+        assert list(SimulationMetrics().summary()) == DEFAULT_SUMMARY_KEYS
+
+    def test_populated_summary_keys(self):
+        labelled = [f"{prefix}[{key}]"
+                    for prefix in ("tier_hits", "tier_evictions",
+                                   "tier_promotions", "cold_stage")
+                    for key in ("k1", "x")]
+        assert list(populated(1).summary()) == (
+            DEFAULT_SUMMARY_KEYS
+            + ["slo_ttft", "slo_violations", "slo_attainment",
+               "autoscale[k1]", "autoscale[x]", "chunk_hits",
+               "bytes_deduped", "fetch_bytes_foreground"]
+            + labelled)

@@ -233,7 +233,7 @@ class TestSimulatorWiring:
         assert metrics.tier_misses == 1
         assert metrics.tier_hits == {}
         assert metrics.fetch_seconds_saved == 0.0
-        instance = simulator.instances[0]
+        instance = simulator.instances[simulator.model][0]
         assert instance.node_ids == (0,)
         assert instance.fetch_tier == "remote"
         # A remote-cost miss must not perturb the plan's timing at all.
@@ -243,34 +243,34 @@ class TestSimulatorWiring:
     def test_relaunch_on_same_node_hits_dram(self, costs):
         config = SimulationConfig(num_gpus=2, profile=fetch_heavy_profile())
         simulator = ClusterSimulator(costs, config)
-        first = simulator._launch_instance(0.0)
+        first = simulator._launch(simulator.model, 0.0)
         first.retired = True
         first.retired_at = 50.0
-        second = simulator._launch_instance(50.0)
+        second = simulator._launch(simulator.model, 50.0)
         assert second.node_ids == first.node_ids
         assert second.fetch_tier == "dram"
         rewritten = second.profile.timeline.stage("fetch_artifact")
         assert rewritten.duration == pytest.approx(0.1)   # 2.0 * 0.05
         assert second.profile.serving_ready_time < \
             first.profile.serving_ready_time
-        assert simulator.metrics.tier_hits == {"dram": 1}
-        assert simulator.metrics.fetch_seconds_saved == pytest.approx(1.9)
+        assert simulator.metrics[simulator.model].tier_hits == {"dram": 1}
+        assert simulator.metrics[simulator.model].fetch_seconds_saved == pytest.approx(1.9)
 
     def test_flat_policy_never_rewrites_the_profile(self, costs):
         config = SimulationConfig(num_gpus=2, profile=fetch_heavy_profile(),
                                   placement="flat")
         simulator = ClusterSimulator(costs, config)
-        first = simulator._launch_instance(0.0)
+        first = simulator._launch(simulator.model, 0.0)
         first.retired = True
         first.retired_at = 50.0
-        second = simulator._launch_instance(50.0)
+        second = simulator._launch(simulator.model, 50.0)
         assert second.profile is config.profile
         # Node identity is tracked (it is timing-inert) but no tier
         # resolution happens and no placement counters move.
         assert second.node_ids == (0,)
         assert second.fetch_tier == ""
-        assert simulator.metrics.tier_hits == {}
-        assert simulator.metrics.tier_misses == 0
+        assert simulator.metrics[simulator.model].tier_hits == {}
+        assert simulator.metrics[simulator.model].tier_misses == 0
 
     def test_store_cache_hit_charges_tier_resolved_fetch(self, costs,
                                                         tmp_path,
@@ -293,12 +293,12 @@ class TestSimulatorWiring:
             num_gpus=2, profile=fetch_heavy_profile(),
             artifact_store=store, artifact_key=key, placement="flat")
         simulator = ClusterSimulator(costs, config)
-        first = simulator._launch_instance(0.0)
+        first = simulator._launch(simulator.model, 0.0)
         first.retired = True
         first.retired_at = 50.0
-        second = simulator._launch_instance(50.0)
-        assert simulator.metrics.store_cache_misses == 1
-        assert simulator.metrics.store_cache_hits == 1
+        second = simulator._launch(simulator.model, 50.0)
+        assert simulator.metrics[simulator.model].store_cache_misses == 1
+        assert simulator.metrics[simulator.model].store_cache_hits == 1
         # First fetch pays the full remote cost...
         assert first.profile.timeline.stage("fetch_artifact").duration \
             == pytest.approx(2.0)

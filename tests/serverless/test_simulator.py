@@ -56,8 +56,8 @@ class TestScaling:
     def test_gpu_pool_bounds_instances(self, costs):
         _metrics, simulator = simulate(costs, rps=20, duration=30,
                                        num_gpus=2, cold_start_latency=1.0)
-        live_peak = len(simulator.instances)
-        retired = sum(1 for i in simulator.instances if i.retired)
+        live_peak = len(simulator.instances[simulator.model])
+        retired = sum(1 for i in simulator.instances[simulator.model] if i.retired)
         assert live_peak - retired <= 2
 
     def test_shorter_cold_start_improves_tail(self, costs):

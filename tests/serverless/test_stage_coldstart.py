@@ -157,7 +157,7 @@ class TestScaleDownAbort:
         assert stage in {"fetch_artifact", "replay_alloc"}
         # The drained request was re-routed and still completed.
         assert metrics.completed == 2
-        cancelled = [inst for inst in simulator.instances if inst.cancelled]
+        cancelled = [inst for inst in simulator.instances[simulator.model] if inst.cancelled]
         assert len(cancelled) == 1
         assert cancelled[0].retired
         marks = [m[0] for m in simulator.loop.trace.marks]

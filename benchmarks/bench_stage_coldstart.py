@@ -35,12 +35,12 @@ NUM_GPUS = 4
 
 @pytest.fixture(scope="module")
 def pipelined_report(tmp_path_factory):
-    """A Medusa cold-start report from the pipelined (fast) restore path."""
+    """A Medusa cold-start report from the pipelined restore plan."""
     artifact, _ = run_offline(MODEL, seed=9000)
     path = tmp_path_factory.mktemp("staged") / f"{MODEL}.medusa.npz"
     save_binary(artifact, path)
     _engine, report = medusa_cold_start(MODEL, LazyArtifact(path),
-                                        seed=9001, fast=True)
+                                        seed=9001)
     return report
 
 

@@ -1,13 +1,16 @@
-"""Wall-clock benchmark for the pipelined restoration fast path.
+"""Wall-clock benchmark for loading and restoring a binary artifact.
 
 Unlike the figure benches (which report *simulated* seconds), this harness
 times the restoration machinery itself with ``time.perf_counter``: binary
-artifact save, eager vs lazy load, and the object-path vs vectorized
-restore over a paper-scale artifact (~16k graph nodes, ~65k replay
-events for Qwen1.5-4B).  It writes ``BENCH_restore.json`` with the p50
-wall-clock numbers plus the simulated critical-path seconds per strategy,
-and (with ``--assert-speedup``/``--quick``) exits non-zero unless the
-vectorized restore beats the object path by the required factor — the CI
+artifact save, eager vs lazy load, and load + restore over a paper-scale
+artifact (~16k graph nodes, ~65k replay events for Qwen1.5-4B).  There is
+one restorer; what still differs is the input it gets — an eager
+``load_binary`` model (rehydrated into Python objects, then packed back
+into arrays on entry) or a lazy npz open.  It writes
+``BENCH_restore.json`` with the p50 wall-clock numbers plus the simulated
+critical-path seconds per strategy, and (with
+``--assert-speedup``/``--quick``) exits non-zero unless lazy load +
+restore beats eager load + restore by the required factor — the CI
 perf-smoke gate.
 
 Run it directly::
@@ -44,7 +47,7 @@ def _p50(fn: Callable[[], object], repeats: int) -> float:
 
 
 def _restore_p50(model: str, open_artifact: Callable[[], object],
-                 fast: bool, repeats: int) -> float:
+                 repeats: int) -> float:
     """p50 wall-clock of one full restore (artifact open + cold start).
 
     Each repeat opens the artifact afresh and builds a fresh engine, so
@@ -53,7 +56,7 @@ def _restore_p50(model: str, open_artifact: Callable[[], object],
     """
     def run():
         engine, restorer = prepare_medusa_cold_start(
-            model, open_artifact(), seed=9600, fast=fast)
+            model, open_artifact(), seed=9600)
         engine.cold_start(restorer=restorer)
     return _p50(run, repeats)
 
@@ -92,7 +95,7 @@ def _simulated_critical_paths(model: str, artifact,
     for strategy in Strategy:
         if strategy is Strategy.MEDUSA:
             engine, restorer = prepare_medusa_cold_start(
-                model, artifact, seed=9601, fast=False)
+                model, artifact, seed=9601)
             report = engine.cold_start(restorer=restorer)
         else:
             report = LLMEngine(model, strategy, seed=9601).cold_start()
@@ -102,7 +105,7 @@ def _simulated_critical_paths(model: str, artifact,
             "total": report.timeline.total,
         }
     engine, restorer = prepare_medusa_cold_start(
-        model, LazyArtifact(lazy_path), seed=9601, fast=True)
+        model, LazyArtifact(lazy_path), seed=9601)
     report = engine.cold_start(restorer=restorer)
     results["medusa-pipelined"] = {
         "loading": report.loading_time,
@@ -123,10 +126,10 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
     save_p50 = _p50(lambda: save_binary(artifact, npz_path), repeats)
     eager_load_p50 = _p50(lambda: load_binary(npz_path), repeats)
     lazy_open_p50 = _p50(lambda: LazyArtifact(npz_path), repeats)
-    object_restore_p50 = _restore_p50(
-        model, lambda: load_binary(npz_path), fast=False, repeats=repeats)
-    fast_restore_p50 = _restore_p50(
-        model, lambda: LazyArtifact(npz_path), fast=True, repeats=repeats)
+    eager_restore_p50 = _restore_p50(
+        model, lambda: load_binary(npz_path), repeats=repeats)
+    lazy_restore_p50 = _restore_p50(
+        model, lambda: LazyArtifact(npz_path), repeats=repeats)
 
     print("timing chunk-store gets (serial vs parallel)...", flush=True)
     chunk_p50s = _chunk_store_p50s(artifact, workdir, repeats)
@@ -146,16 +149,16 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
             "save_binary": save_p50,
             "load_binary_eager": eager_load_p50,
             "lazy_open": lazy_open_p50,
-            # Full load+restore wall-clock: eager deserialize + object-path
-            # restorer vs lazy npz open + vectorized restorer.
-            "load_restore_object_path": object_restore_p50,
-            "load_restore_fast_path": fast_restore_p50,
+            # Full load+restore wall-clock: eager deserialize + restore
+            # (monolithic plan) vs lazy npz open + restore (pipelined).
+            "load_restore_eager": eager_restore_p50,
+            "load_restore_lazy": lazy_restore_p50,
             # Content-addressed chunk store: full get (manifest +
             # decompress + reassemble), one thread vs a 4-worker pool.
             **chunk_p50s,
         },
         "speedup": {
-            "load_restore": object_restore_p50 / max(fast_restore_p50, 1e-9),
+            "load_restore": eager_restore_p50 / max(lazy_restore_p50, 1e-9),
             "load": eager_load_p50 / max(lazy_open_p50, 1e-9),
         },
         "simulated_critical_path_s": simulated,
@@ -182,8 +185,8 @@ def main(argv=None) -> int:
                         help="CI perf-smoke mode: smaller model, fewer "
                              "repeats, and --assert-speedup 2.0")
     parser.add_argument("--assert-speedup", type=float, default=None,
-                        help="exit 1 unless fast-path load+restore beats "
-                             "the object path by this factor")
+                        help="exit 1 unless lazy load+restore beats "
+                             "eager load+restore by this factor")
     args = parser.parse_args(argv)
     model, repeats = args.model, args.repeats
     min_speedup = args.assert_speedup
@@ -203,12 +206,12 @@ def main(argv=None) -> int:
 
     wall = report["wallclock_p50_s"]
     speedup = report["speedup"]["load_restore"]
-    print(f"load+restore p50: object path "
-          f"{wall['load_restore_object_path'] * 1e3:.1f} ms, fast path "
-          f"{wall['load_restore_fast_path'] * 1e3:.1f} ms "
+    print(f"load+restore p50: eager "
+          f"{wall['load_restore_eager'] * 1e3:.1f} ms, lazy "
+          f"{wall['load_restore_lazy'] * 1e3:.1f} ms "
           f"({speedup:.1f}x)")
     if min_speedup is not None and speedup < min_speedup:
-        print(f"FAIL: fast path is only {speedup:.2f}x the object path "
+        print(f"FAIL: lazy load+restore is only {speedup:.2f}x eager "
               f"(required {min_speedup:g}x)", file=sys.stderr)
         return 1
     return 0

@@ -36,7 +36,6 @@ from repro.core import (
     MaterializedModel,
     OfflinePhase,
     OfflineReport,
-    OnlineRestorer,
     VectorizedRestorer,
     cold_start_for,
     load_binary,
@@ -96,7 +95,6 @@ __all__ = [
     "ModelConfig",
     "OfflinePhase",
     "OfflineReport",
-    "OnlineRestorer",
     "PAPER_MODELS",
     "ServingCostModel",
     "ShareGPTWorkload",

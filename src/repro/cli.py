@@ -16,10 +16,10 @@ Artifact paths ending in ``.npz`` select the binary format: ``offline``
 writes via :func:`repro.core.binfmt.save_binary`, and the consuming
 commands open them lazily (:class:`repro.core.binfmt.LazyArtifact`),
 which puts ``coldstart --strategy medusa``/``restore``/``validate`` on
-the pipelined vectorized fast path.
+the pipelined plan (JSON artifacts restore on the monolithic one).
 
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
-exit-code convention:
+exit-code convention (``coldstart`` and ``restore`` share its 2):
 0 = clean/passed, 1 = diagnostics found or outputs diverged, 2 = the
 artifact could not be read at all.  With ``validate --degraded-ok`` a
 restore that walked the degradation ladder but still serves correct
@@ -39,6 +39,7 @@ from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import validate_restoration
 from repro.engine import Strategy
+from repro.errors import ArtifactError
 from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
@@ -73,8 +74,10 @@ def _load_artifact(path: str):
     """Open an artifact path: ``.npz`` lazily, anything else as JSON.
 
     Binary artifacts come back as :class:`repro.core.binfmt.LazyArtifact`,
-    which routes ``coldstart``/``restore``/``validate`` onto the pipelined
-    fast path (`medusa_cold_start(fast=...)` auto-detects it).
+    which puts ``coldstart``/``restore``/``validate`` on the pipelined
+    plan; an unreadable one raises
+    :class:`~repro.errors.ArtifactError`, which each command reports as
+    exit code 2.
     """
     if str(path).endswith(".npz"):
         return LazyArtifact(path)
@@ -234,7 +237,11 @@ def _cmd_coldstart(args) -> int:
         print("error: --strategy medusa requires --artifact "
               "(run `repro offline` first)", file=sys.stderr)
         return 2
-    artifact = _load_artifact(args.artifact) if args.artifact else None
+    try:
+        artifact = _load_artifact(args.artifact) if args.artifact else None
+    except ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _engine, report = cold_start_for(args.model, args.strategy,
                                      artifact=artifact, seed=args.seed)
     _print_report(report)
@@ -268,7 +275,11 @@ def _cmd_offline(args) -> int:
 
 
 def _cmd_restore(args) -> int:
-    artifact = _load_artifact(args.artifact)
+    try:
+        artifact = _load_artifact(args.artifact)
+    except ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _engine, report = cold_start_for(args.model, Strategy.MEDUSA,
                                      artifact=artifact, seed=args.seed)
     _print_report(report)
@@ -282,7 +293,6 @@ def _cmd_restore(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_artifact, lint_file
-    from repro.errors import ArtifactError
     try:
         if str(args.artifact).endswith(".npz"):
             report = lint_artifact(LazyArtifact(args.artifact).materialize())
@@ -334,7 +344,7 @@ def _cmd_lint_plan(args) -> int:
 def _cmd_validate(args) -> int:
     import json as _json
 
-    from repro.errors import ArtifactError, MaterializationError
+    from repro.errors import MaterializationError
     from repro.reporting import format_diagnostics
 
     try:

@@ -17,8 +17,7 @@ from repro.core.artifact import MaterializedModel
 from repro.core.binfmt import LazyArtifact, load_binary, save_binary
 from repro.core.fastpath import VectorizedRestorer
 from repro.core.offline import OfflinePhase, OfflineReport, run_offline
-from repro.core.online import (OnlineRestorer, cold_start_for,
-                               medusa_cold_start,
+from repro.core.online import (cold_start_for, medusa_cold_start,
                                prepare_medusa_cold_start)
 from repro.core.store import ArtifactStore
 
@@ -28,7 +27,6 @@ __all__ = [
     "MaterializedModel",
     "OfflinePhase",
     "OfflineReport",
-    "OnlineRestorer",
     "VectorizedRestorer",
     "cold_start_for",
     "load_binary",

@@ -7,17 +7,14 @@ small metadata as an embedded JSON string — typically ~6x smaller and much
 faster to load, which matters because artifact deserialization sits on the
 online critical path (§7.3).
 
-Two readers share the on-disk format:
-
-- :func:`load_binary` — the eager path: rehydrate everything into
-  per-node :class:`~repro.core.artifact.MaterializedNode` /
-  :class:`~repro.core.artifact.ReplayEvent` Python objects (the pre-fast-
-  path behavior, kept callable as the comparison baseline);
-- :class:`LazyArtifact` — the fast path: open the npz and parse only the
-  embedded JSON metadata; the bulk replay/parameter tables stay numpy
-  arrays (:class:`ReplayTable`, :class:`GraphTable`), decompressed
-  per-graph on first access, and are consumed array-at-a-time by
-  :mod:`repro.core.fastpath` without ever becoming Python objects.
+One reader, :class:`LazyArtifact`, opens the npz and parses only the
+embedded JSON metadata; the bulk replay/parameter tables stay numpy arrays
+(:class:`ReplayTable`, :class:`GraphTable`), decompressed per graph on first
+access, and :mod:`repro.core.fastpath` restores from them array-at-a-time
+without ever building per-node Python objects.  An eager
+:class:`~repro.core.artifact.MaterializedModel` becomes the same view in
+memory through :func:`as_lazy`; :func:`load_binary` goes the other way
+(``LazyArtifact(path).materialize()``) for lint and JSON conversion.
 """
 
 from __future__ import annotations
@@ -40,7 +37,8 @@ from repro.core.pointer_analysis import CONST, POINTER, ParamRestore
 from repro.errors import ArtifactError
 
 _KIND_CODES = {CONST: 0, POINTER: 1}
-_KIND_NAMES = {0: CONST, 1: POINTER}
+#: On-disk code of pointer-kind parameter slots (``GraphTable.param_kinds``).
+POINTER_CODE = _KIND_CODES[POINTER]
 _EVENT_CODES = {"alloc": 0, "free": 1, "empty_cache": 2}
 _EVENT_NAMES = {0: "alloc", 1: "free", 2: "empty_cache"}
 
@@ -154,83 +152,25 @@ def save_binary(artifact: MaterializedModel, path) -> int:
 
 
 def load_binary(path) -> MaterializedModel:
-    """Read an artifact written by :func:`save_binary`."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except FileNotFoundError as exc:
-        raise ArtifactError(f"no binary artifact at {path}") from exc
-    except Exception as exc:
-        raise ArtifactError(f"unreadable binary artifact {path}: {exc}") \
-            from exc
-    metadata = json.loads(str(data["metadata"][0]))
-    artifact = MaterializedModel(
-        model_name=metadata["model_name"],
-        gpu_name=metadata["gpu_name"],
-        kv_bytes=metadata["kv_bytes"],
-        kv_num_blocks=metadata["kv_num_blocks"],
-        kv_layer_stride=metadata["kv_layer_stride"],
-        kv_alloc_index=metadata["kv_alloc_index"],
-        structure_prefix=[tuple(p) for p in metadata["structure_prefix"]],
-        graph_input_alloc_index=metadata["graph_input_alloc_index"],
-        graph_output_alloc_index=metadata["graph_output_alloc_index"],
-        capture_marker=metadata["capture_marker"],
-        kernel_libraries=metadata["kernel_libraries"],
-        permanent_contents={int(k): v for k, v
-                            in metadata["permanent_contents"].items()},
-        first_layer_nodes=metadata["first_layer_nodes"],
-        trigger_plans=[TriggerPlan(name, tuple(ref))
-                       for name, ref in metadata["trigger_plans"]],
-        stats=metadata["stats"],
-    )
-    kernel_names = [str(n) for n in data["kernel_names"]]
-    tags = [str(t) for t in data["tags"]]
-    pools = [str(p) for p in data["pools"]]
+    """Read an artifact written by :func:`save_binary` as an eager model.
 
-    artifact.replay_events = [
-        ReplayEvent(kind=_EVENT_NAMES[int(kind)],
-                    alloc_index=int(alloc_index), size=int(size),
-                    tag=tags[tag] if tags else "",
-                    pooled=bool(pooled),
-                    pool=pools[pool] if pools else "default")
-        for kind, alloc_index, size, pooled, tag, pool in zip(
-            data["ev_kind"], data["ev_alloc_index"], data["ev_size"],
-            data["ev_pooled"], data["ev_tag"], data["ev_pool"])
-    ]
+    Goes through :class:`LazyArtifact`, so both readers share one format
+    version and metadata check.
+    """
+    return LazyArtifact(path).materialize()
 
-    for batch in metadata["batches"]:
-        prefix = f"g{batch}_"
-        param_bytes, num_tokens = metadata["graph_meta"][str(batch)][:2]
-        offsets = data[prefix + "param_offsets"]
-        sizes = data[prefix + "param_sizes"]
-        kinds = data[prefix + "param_kinds"]
-        values = data[prefix + "param_values"]
-        byte_offsets = data[prefix + "param_byte_offsets"]
-        nodes: List[MaterializedNode] = []
-        for node_index, kernel_id in enumerate(data[prefix + "kernel"]):
-            start, end = int(offsets[node_index]), int(offsets[node_index + 1])
-            restores = []
-            for position in range(start, end):
-                if _KIND_NAMES[int(kinds[position])] == POINTER:
-                    restores.append(ParamRestore.pointer(
-                        int(values[position]), int(byte_offsets[position])))
-                else:
-                    restores.append(ParamRestore.const(int(values[position])))
-            nodes.append(MaterializedNode(
-                kernel_name=kernel_names[int(kernel_id)],
-                param_sizes=[int(s) for s in sizes[start:end]],
-                param_restores=restores,
-                launch_dims={"batch_size":
-                             int(data[prefix + "batchdim"][node_index])},
-            ))
-        artifact.graphs[int(batch)] = MaterializedGraph(
-            batch_size=int(batch),
-            nodes=nodes,
-            edges=[tuple(int(v) for v in edge)
-                   for edge in data[prefix + "edges"]],
-            param_bytes=param_bytes,
-            num_tokens=num_tokens,
-        )
-    return artifact
+
+def as_lazy(artifact) -> "LazyArtifact":
+    """``artifact`` as a :class:`LazyArtifact`.
+
+    An eager :class:`~repro.core.artifact.MaterializedModel` is packed once
+    with :func:`artifact_arrays` into an in-memory view; a lazy artifact
+    (``.npz`` or chunk-backed) is returned as is.
+    """
+    if isinstance(artifact, LazyArtifact):
+        return artifact
+    arrays, metadata = artifact_arrays(artifact)
+    return LazyArtifact(None, data=arrays, meta=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +180,12 @@ def load_binary(path) -> MaterializedModel:
 class ReplayTable:
     """The replay-event sequence as a struct of numpy arrays.
 
-    The eager path rehydrates ~65k :class:`ReplayEvent` objects; this table
-    keeps the six columns the events decompose into (kind code, allocation
-    index, size, pooled flag, tag id, pool id) plus the two string tables.
+    Instead of ~65k :class:`ReplayEvent` objects, this table keeps the six
+    columns the events decompose into (kind code, allocation index, size,
+    pooled flag, tag id, pool id) plus the two string tables.
     :meth:`rows` yields plain-int tuples for the replay loop (converted from
     the arrays once, not per access), and :meth:`event` rehydrates a single
-    :class:`ReplayEvent` for error paths and spot checks.
+    :class:`ReplayEvent` for the fault injector's per-event hook.
     """
 
     def __init__(self, kind: np.ndarray, alloc_index: np.ndarray,
@@ -338,7 +278,7 @@ class GraphTable:
         end = int(self.param_offsets[index + 1])
         restores: List[ParamRestore] = []
         for position in range(start, end):
-            if int(self.param_kinds[position]) == _KIND_CODES[POINTER]:
+            if int(self.param_kinds[position]) == POINTER_CODE:
                 restores.append(ParamRestore.pointer(
                     int(self.param_values[position]),
                     int(self.param_byte_offsets[position])))
@@ -373,8 +313,8 @@ class LazyArtifact:
     demand and cache the result, so restoring only the first-request batch
     size never pays for the others.  The metadata properties mirror
     :class:`~repro.core.artifact.MaterializedModel`, and
-    :meth:`materialize` rehydrates the full eager artifact (byte-identical
-    to :func:`load_binary`) for consumers that need per-event hooks.
+    :meth:`materialize` rehydrates the full eager artifact for static lint
+    and :func:`load_binary`.
     """
 
     def __init__(self, path, data=None, meta=None):
@@ -601,14 +541,11 @@ class LazyArtifact:
         """
         return self.graph_table(batch)
 
-    # -- eager fallback -----------------------------------------------------
+    # -- eager conversion ---------------------------------------------------
 
     def materialize(self) -> MaterializedModel:
-        """Rehydrate the full eager artifact (== :func:`load_binary`).
-
-        The escape hatch for consumers that need per-event/per-node object
-        hooks — fault injectors, the degradation ladder, static lint.
-        """
+        """Rehydrate the full eager artifact (what :func:`load_binary`
+        returns); static lint reads this form, restores never do."""
         meta = self._meta
         artifact = MaterializedModel(
             model_name=meta["model_name"],

@@ -1,704 +1,51 @@
 """The online phase: restore instead of profile/capture (paper §3, §4.2, §5).
 
 Plugged into :meth:`repro.engine.engine.LLMEngine.cold_start` for
-``Strategy.MEDUSA``.  The restorer:
+``Strategy.MEDUSA``.  :func:`prepare_medusa_cold_start` builds the engine
+and the one restorer, :class:`repro.core.fastpath.VectorizedRestorer`
+(KV restore, allocation replay, first-layer warm-up with triggering
+kernels, and graph restore by one pointer gather per graph).  Every input
+kind runs that restorer; an eager artifact is packed into arrays on entry.
+The input and the hooks pick the LoadPlan:
 
-1. **KV restore (§6)** — verifies the engine's structure-init allocation
-   prefix against the artifact (the deterministic-control-flow assumption,
-   checked rather than assumed), replays the recorded (de)allocation
-   sequence up to the KV region, and adopts the materialized block count —
-   no profiling forwarding.
-2. **Warm-up window (overlaps weight loading)** — finishes the allocation
-   replay, restores the permanent buffer contents (§4.3), then warms up and
-   captures only the *first layer* per batch size: its kernels are the
-   triggering-kernels that force every hidden module to load (§5.2), plus
-   any handwritten trigger plans for modules the first layer misses (§5.1).
-3. **Restore tail** — resolves every materialized kernel name to this
-   process's addresses (first-layer graph nodes → dlsym →
-   cuModuleEnumerateFunctions), fills pointers and constants back into
-   fresh graph nodes via the indirect index pointer table (§4.2), rebuilds
-   the dependency edges, and instantiates ready-to-execute graphs.
+================================== =====================
+input                              plan
+================================== =====================
+eager artifact, or any active hook ``medusa`` (monolithic restore tail)
+``.npz`` ``LazyArtifact``          ``medusa-pipelined``
+chunk-backed artifact              ``medusa-chunked``
+================================== =====================
+
+A :class:`~repro.faults.FaultInjector` or
+:class:`~repro.faults.DegradationPolicy` keeps the monolithic plan, on
+whose tail the degradation ladder resolves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.core.artifact import MaterializedModel, MaterializedNode, ReplayEvent
 from repro.core.binfmt import LazyArtifact
-from repro.core.fastpath import VectorizedRestorer, resolve_kernel_addresses
-from repro.core.pointer_analysis import CONST, POINTER
-from repro.engine.capture_runner import (
-    CaptureArtifacts,
-    capture_one,
-    prepare_capture_stage,
-    run_capture_stage,
+# resolve_kernel_addresses is re-exported: bench/tracing.py wraps it here.
+from repro.core.fastpath import (  # noqa: F401
+    VectorizedRestorer,
+    resolve_kernel_addresses,
 )
 from repro.engine.engine import ColdStartReport, LLMEngine
-from repro.engine.kvcache import BlockManager, KVCacheConfig, KVCacheRegion
+from repro.engine.kvcache import KVCacheConfig
 from repro.engine.strategies import (
     Strategy,
     chunked_medusa_plan,
     pipelined_medusa_plan,
 )
-from repro.errors import (
-    CudaError,
-    MaterializationError,
-    RestorationError,
-    TriggerTimeoutError,
-)
-from repro.faults.ladder import (
-    DEGRADE_EAGER,
-    DEGRADE_KV_PROFILE,
-    DEGRADE_PARTIAL,
-    DEGRADE_RECAPTURE,
-    RESTORE_VERIFY,
-    DegradationPolicy,
-    DegradationReport,
-    LadderStep,
-    Rung,
-)
+from repro.errors import RestorationError
+from repro.faults.ladder import DegradationPolicy
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
-from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
-from repro.simgpu.kernels import PAYLOAD_DIM, KernelParam
-from repro.simgpu.memory import Buffer
-from repro.simgpu.process import CudaProcess, ExecutionMode
+from repro.simgpu.process import ExecutionMode
 
-#: What the degradation ladder may catch and recover from: Medusa-level
-#: restore failures and realistic driver/runtime errors.  Engine-level
-#: errors (mis-wired plans, exhausted KV budgets) still propagate.
-_LADDER_ERRORS = (MaterializationError, CudaError)
-
-
-class OnlineRestorer:
-    """Restores one materialized model into a fresh process.
-
-    ``injector``: optional :class:`repro.faults.FaultInjector` whose faults
-    fire at this restorer's injection sites (chaos testing).
-    ``policy``: optional :class:`repro.faults.DegradationPolicy`.  When set,
-    restore failures walk the degradation ladder (partial → recapture →
-    eager) instead of killing the cold start; when ``None`` (the default)
-    every failure propagates exactly as before.
-    """
-
-    #: Action names :meth:`stage_actions` registers (identical for the
-    #: strict and ladder variants).  The static plan verifier
-    #: (`repro.analysis.planlint`) resolves PLN004 bindings against this.
-    STAGE_ACTION_NAMES = ("restore_kv", "restore_warmup", "restore_tail")
-
-    def __init__(self, artifact: MaterializedModel,
-                 injector=None,
-                 policy: Optional[DegradationPolicy] = None):
-        active = injector is not None and injector.active
-        if active:
-            injector.prepare(artifact)
-            artifact = injector.corrupted_artifact(artifact)
-        self.artifact = artifact
-        self.injector = injector if active else None
-        self.policy = policy
-        self.degradation = DegradationReport()
-        self._verify_dumps = policy is not None and (
-            policy.verify_dumps if policy.verify_dumps is not None
-            else active)
-        self._verify_outputs = policy is not None and (
-            policy.verify_outputs if policy.verify_outputs is not None
-            else active)
-        self._buffers: Dict[int, Buffer] = {}
-        self._replay_allocated: List[Buffer] = []
-        self._replay_cursor = 0
-        self._name_to_address: Dict[str, int] = {}
-        self._kv_broken = False
-        self._warmup_ok = False
-        self._warm: Optional[Tuple[Buffer, Buffer, CudaGraph]] = None
-
-    def stage_actions(self, engine: LLMEngine) -> Dict[str, object]:
-        """The restore actions Medusa's LoadPlan binds its stages to.
-
-        ``restore_kv`` replaces the profiling-based KV init;
-        ``restore_warmup`` runs the overlappable warm-up window and
-        ``restore_tail`` reports the serial tail measured by the same
-        :meth:`restore_graphs` call (the tail runs immediately after the
-        warm-up; the plan's dependencies place it after every branch).
-
-        With a :class:`DegradationPolicy`, each action additionally catches
-        restore faults and records ladder steps; the tail action finishes by
-        resolving the ladder (drop / recapture / eager capture) so the
-        engine always leaves the cold start able to serve.
-        """
-        if self.policy is None:
-            return self._strict_stage_actions(engine)
-        return self._ladder_stage_actions(engine)
-
-    def _strict_stage_actions(self, engine: LLMEngine) -> Dict[str, object]:
-        clock = engine.process.clock
-        measured: Dict[str, float] = {}
-
-        def restore_kv() -> float:
-            start = clock.now
-            self.restore_kv(engine)
-            return clock.now - start
-
-        def restore_warmup() -> float:
-            measured["warmup"], measured["tail"] = self.restore_graphs(engine)
-            return measured["warmup"]
-
-        def restore_tail() -> float:
-            if "tail" not in measured:
-                raise RestorationError(
-                    "restore tail scheduled before the warm-up ran — the "
-                    "plan must order medusa_warmup before medusa_restore")
-            return measured["tail"]
-
-        return {"restore_kv": restore_kv,
-                "restore_warmup": restore_warmup,
-                "restore_tail": restore_tail}
-
-    # ------------------------------------------------------------------
-    # Ladder-aware stage actions (policy set)
-    # ------------------------------------------------------------------
-
-    def _ladder_stage_actions(self, engine: LLMEngine) -> Dict[str, object]:
-        clock = engine.process.clock
-
-        def restore_kv() -> float:
-            start = clock.now
-            try:
-                self.restore_kv(engine)
-            except _LADDER_ERRORS as exc:
-                base = clock.now - start
-                self.degradation.note_failure("kv_restore", exc)
-                self._kv_broken = True
-                fallback_start = clock.now
-                # The aborted replay leaked whatever it had allocated so
-                # far (possibly the near-full KV region): release it and
-                # collapse the allocator's high-water mark, or the
-                # re-profiling below sees a peak it cannot size under.
-                self._rollback_replay(engine.process)
-                engine.adopt_kv_bytes(engine.profile_available_kv_bytes())
-                self.degradation.record(LadderStep(
-                    rung=Rung.EAGER, stage=DEGRADE_KV_PROFILE,
-                    reason="allocation replay broke before the KV region; "
-                           "re-profiled KV sizing eagerly",
-                    duration=clock.now - fallback_start))
-                return base
-            return clock.now - start
-
-        def restore_warmup() -> float:
-            if self._kv_broken:
-                return 0.0
-            start = clock.now
-            try:
-                self._warm = self._run_warmup(engine)
-                self._warmup_ok = True
-            except _LADDER_ERRORS as exc:
-                self.degradation.note_failure("warmup", exc)
-                stream = engine.process.default_stream
-                if stream.is_capturing:
-                    stream.end_capture()   # abandon the half-built capture
-            return clock.now - start
-
-        def restore_tail() -> float:
-            start = clock.now
-            artifacts: Optional[CaptureArtifacts] = None
-            poisoned: set = set()
-            if self._warmup_ok:
-                try:
-                    artifacts, poisoned = self._run_tail_tolerant(
-                        engine, self._warm)
-                except _LADDER_ERRORS as exc:
-                    self.degradation.note_failure("restore_tail", exc)
-                    artifacts, poisoned = None, set(self.artifact.graphs)
-            base = clock.now - start
-            poisoned |= self._verify_restored(engine, artifacts)
-            self._resolve_ladder(engine, artifacts, poisoned)
-            return base
-
-        return {"restore_kv": restore_kv,
-                "restore_warmup": restore_warmup,
-                "restore_tail": restore_tail}
-
-    # ------------------------------------------------------------------
-    # Stage 1: materialized KV initialization (§6)
-    # ------------------------------------------------------------------
-
-    def restore_kv(self, engine: LLMEngine) -> None:
-        artifact = self.artifact
-        process = engine.process
-        process.clock.advance(engine.cost_model.kv_restore_time)
-        self._verify_structure_prefix(engine)
-        consumed = self._replay_until(process,
-                                      stop_alloc_index=artifact.kv_alloc_index)
-        process.clock.advance(
-            engine.cost_model.alloc_replay_per_event * consumed)
-        kv_buffer = self._buffer(artifact.kv_alloc_index)
-        kv_buffer.write(np.zeros((PAYLOAD_DIM, PAYLOAD_DIM)))
-        engine.kv_bytes = artifact.kv_bytes
-        engine.kv_region = KVCacheRegion(
-            buffer=kv_buffer,
-            num_blocks=artifact.kv_num_blocks,
-            block_bytes=engine.kv_config.block_bytes(engine.config),
-            layer_stride=artifact.kv_layer_stride,
-        )
-        engine.block_manager = BlockManager(
-            artifact.kv_num_blocks, engine.kv_config.block_size_tokens)
-
-    def _verify_structure_prefix(self, engine: LLMEngine) -> None:
-        """Check the deterministic-control-flow assumption (§2.5) holds."""
-        history = engine.process.allocator.history
-        expected = self.artifact.structure_prefix
-        if len(history) < len(expected):
-            raise RestorationError(
-                f"online process made {len(history)} allocations before "
-                f"restore; artifact expects a {len(expected)}-allocation "
-                f"structure-init prefix")
-        for position, (size, tag) in enumerate(expected):
-            buffer = history[position]
-            if (buffer.size, buffer.tag) != (size, tag):
-                raise RestorationError(
-                    f"allocation {position} diverged from the offline run: "
-                    f"got ({buffer.size}, {buffer.tag!r}), artifact has "
-                    f"({size}, {tag!r}) — control flow is not deterministic")
-            self._buffers[buffer.alloc_index] = buffer
-
-    # ------------------------------------------------------------------
-    # Stages 2+3: graph restoration (§4.2, §5)
-    # ------------------------------------------------------------------
-
-    def restore_graphs(self, engine: LLMEngine) -> Tuple[float, float]:
-        """Returns (warm-up duration, serial restore duration)."""
-        clock = engine.process.clock
-        warmup_start = clock.now
-        warm = self._run_warmup(engine)
-        warmup_duration = clock.now - warmup_start
-        restore_start = clock.now
-        self._run_tail_strict(engine, warm)
-        restore_duration = clock.now - restore_start
-        return warmup_duration, restore_duration
-
-    def _run_warmup(self, engine: LLMEngine
-                    ) -> Tuple[Buffer, Buffer, CudaGraph]:
-        """The overlappable warm-up window: finish the allocation replay,
-        restore permanent contents, warm up + capture the first layer."""
-        artifact = self.artifact
-        process = engine.process
-        cm = engine.cost_model
-        clock = process.clock
-        consumed = self._replay_until(process, stop_alloc_index=None)
-        clock.advance(cm.alloc_replay_per_event * consumed)
-        self._restore_permanent_contents()
-        graph_input = self._buffer(artifact.graph_input_alloc_index)
-        graph_output = self._buffer(artifact.graph_output_alloc_index)
-        zeros = np.zeros((PAYLOAD_DIM, PAYLOAD_DIM))
-        graph_input.write(zeros)
-        graph_output.write(zeros)
-
-        batch_order = sorted(artifact.graphs, reverse=True)
-        for batch_size in batch_order:
-            self._launch_first_layer(engine, batch_size)
-        self._run_trigger_plans(engine)
-        first_layer_graph = self._capture_first_layer(engine, batch_order[0])
-        return graph_input, graph_output, first_layer_graph
-
-    def _run_tail_strict(self, engine: LLMEngine, warm) -> None:
-        """The serial restore tail: address table, fill, instantiate."""
-        artifact = self.artifact
-        process = engine.process
-        cm = engine.cost_model
-        clock = process.clock
-        graph_input, graph_output, first_layer_graph = warm
-        clock.advance(cm.artifact_load_base
-                      + cm.artifact_deserialize_per_node * artifact.total_nodes)
-        self._build_address_table(engine, first_layer_graph)
-        capture_artifacts = CaptureArtifacts(
-            graph_input=graph_input,
-            graph_output=graph_output,
-            capture_marker=artifact.capture_marker,
-        )
-        for batch_size in sorted(artifact.graphs, reverse=True):
-            materialized = artifact.graph(batch_size)
-            graph = self._assemble_graph(engine, materialized)
-            capture_artifacts.graphs[batch_size] = graph
-            capture_artifacts.execs[batch_size] = graph.instantiate(process)
-        clock.advance(cm.restore_fill_per_node * artifact.total_nodes)
-        engine.capture_artifacts = capture_artifacts
-
-    def _run_tail_tolerant(self, engine: LLMEngine, warm
-                           ) -> Tuple[CaptureArtifacts, set]:
-        """The restore tail, per-graph fault isolation (ladder mode).
-
-        Unresolvable kernels and per-graph assembly failures poison only
-        the batch sizes they touch; every other graph restores normally.
-        Returns ``(capture_artifacts, poisoned batch sizes)``.
-        """
-        artifact = self.artifact
-        process = engine.process
-        cm = engine.cost_model
-        clock = process.clock
-        graph_input, graph_output, first_layer_graph = warm
-        clock.advance(cm.artifact_load_base
-                      + cm.artifact_deserialize_per_node * artifact.total_nodes)
-        unresolved = self._build_address_table(engine, first_layer_graph,
-                                               tolerate=True)
-        if unresolved:
-            self.degradation.note_failure(
-                "address_table",
-                RestorationError(f"unresolved kernel address(es): "
-                                 f"{sorted(unresolved)}"))
-        capture_artifacts = CaptureArtifacts(
-            graph_input=graph_input,
-            graph_output=graph_output,
-            capture_marker=artifact.capture_marker,
-        )
-        poisoned: set = set()
-        for batch_size in sorted(artifact.graphs, reverse=True):
-            materialized = artifact.graph(batch_size)
-            if unresolved & {n.kernel_name for n in materialized.nodes}:
-                poisoned.add(batch_size)
-                continue
-            try:
-                graph = self._assemble_graph(engine, materialized)
-                capture_artifacts.graphs[batch_size] = graph
-                capture_artifacts.execs[batch_size] = \
-                    graph.instantiate(process)
-            except _LADDER_ERRORS as exc:
-                self.degradation.note_failure(
-                    f"assemble batch {batch_size}", exc)
-                capture_artifacts.graphs.pop(batch_size, None)
-                capture_artifacts.execs.pop(batch_size, None)
-                poisoned.add(batch_size)
-        clock.advance(cm.restore_fill_per_node * artifact.total_nodes)
-        engine.capture_artifacts = capture_artifacts
-        return capture_artifacts, poisoned
-
-    # -- ladder resolution (policy set) ------------------------------------------
-
-    def _verify_restored(self, engine: LLMEngine,
-                         artifacts: Optional[CaptureArtifacts]) -> set:
-        """Output-oracle verification of every restored graph (§4).
-
-        Replays each restored graph against an eager forwarding over
-        identical inputs and KV state; mismatching batch sizes are poisoned
-        and dropped.  COMPUTE mode only (the oracle is a real forwarding);
-        recorded as its own ``restore_verify`` timeline stage.
-        """
-        if (not self._verify_outputs
-                or engine.process.mode is not ExecutionMode.COMPUTE
-                or artifacts is None or not artifacts.execs
-                or engine.kv_region is None):
-            return set()
-        clock = engine.process.clock
-        start = clock.now
-        ctx = artifacts.context(engine.kv_region)
-        bad: set = set()
-        batches = sorted(artifacts.execs)
-        # Settle one-time eager-path state (workspace setup) first, so the
-        # reference forwarding and the replay see identical process state.
-        ctx.input_buffer.write(_verify_input(batches[0]))
-        engine.model.forward(batches[0], batches[0], ctx)
-        for batch_size in batches:
-            ctx.input_buffer.write(_verify_input(batch_size))
-            engine.reset_kv_state()
-            snapshot = engine.process.snapshot_payloads()
-            engine.model.forward(batch_size, batch_size, ctx)
-            expected = ctx.output_buffer.read().copy()
-            engine.process.restore_payloads(snapshot)
-            artifacts.execs[batch_size].replay()
-            if not np.array_equal(ctx.output_buffer.read(), expected):
-                bad.add(batch_size)
-        for batch_size in bad:
-            artifacts.graphs.pop(batch_size, None)
-            artifacts.execs.pop(batch_size, None)
-            self.degradation.note_failure(
-                f"verify batch {batch_size}",
-                RestorationError("restored graph output diverged from the "
-                                 "eager oracle"))
-        self.degradation.record(LadderStep(
-            rung=Rung.FULL, stage=RESTORE_VERIFY,
-            reason=f"output verification over batches {batches}",
-            batches=tuple(sorted(bad)),
-            duration=clock.now - start))
-        return bad
-
-    def _resolve_ladder(self, engine: LLMEngine,
-                        artifacts: Optional[CaptureArtifacts],
-                        poisoned: set) -> None:
-        """Walk the ladder until the engine can serve every batch size."""
-        policy = self.policy
-        clock = engine.process.clock
-        all_batches = set(self.artifact.graphs)
-        if self._kv_broken:
-            # No trustworthy replay at all: vanilla eager capture on the
-            # re-profiled KV region (the bottom rung).
-            start = clock.now
-            engine.capture_artifacts = run_capture_stage(
-                engine.process, engine.model, engine.kv_region)
-            self.degradation.record(LadderStep(
-                rung=Rung.EAGER, stage=DEGRADE_EAGER,
-                reason="replay broken before the KV region; captured all "
-                       "graphs eagerly",
-                batches=tuple(sorted(all_batches)),
-                duration=clock.now - start))
-            return
-        if self._warmup_ok and artifacts is not None and not poisoned:
-            return   # full restore — stay on the top rung
-        survivors = set(artifacts.execs) if artifacts is not None else set()
-        missing = sorted(all_batches - survivors)
-        if survivors and policy.allow_partial:
-            self.degradation.record(LadderStep(
-                rung=Rung.PARTIAL, stage=DEGRADE_PARTIAL,
-                reason="dropped poisoned graphs; their batch sizes serve "
-                       "through padding to a surviving graph",
-                batches=tuple(missing)))
-            return
-        if policy.allow_recapture:
-            start = clock.now
-            if artifacts is None:
-                artifacts = prepare_capture_stage(engine.process,
-                                                  engine.model)
-                engine.capture_artifacts = artifacts
-            for batch_size in sorted(missing, reverse=True):
-                capture_one(engine.process, engine.model, artifacts,
-                            engine.kv_region, batch_size)
-            self.degradation.record(LadderStep(
-                rung=Rung.RECAPTURE, stage=DEGRADE_RECAPTURE,
-                reason="re-captured poisoned graphs live (restored KV "
-                       "region kept)",
-                batches=tuple(missing),
-                duration=clock.now - start))
-            return
-        start = clock.now
-        engine.capture_artifacts = run_capture_stage(
-            engine.process, engine.model, engine.kv_region)
-        self.degradation.record(LadderStep(
-            rung=Rung.EAGER, stage=DEGRADE_EAGER,
-            reason="degradation policy forbids partial/recapture; captured "
-                   "all graphs eagerly",
-            batches=tuple(sorted(all_batches)),
-            duration=clock.now - start))
-
-    # -- allocation replay (§4.2) -----------------------------------------------
-
-    def _rollback_replay(self, process: CudaProcess) -> None:
-        """Undo an aborted allocation replay before degrading to profiling.
-
-        Frees every buffer the replay allocated that is still live, flushes
-        the caching allocator's free lists, and resets the peak watermark —
-        the fallback ``profile_available_kv_bytes`` sizes against
-        ``peak_bytes``, which must reflect the post-rollback state, not the
-        replay's leak.  Structure-init allocations predate the replay and
-        stay untouched.
-        """
-        allocator = process.allocator
-        for buffer in reversed(self._replay_allocated):
-            if allocator.is_live(buffer.address):
-                process.free(buffer.address)
-        process.empty_cache()
-        allocator.reset_peak()
-        self._replay_allocated.clear()
-
-    def _replay_until(self, process: CudaProcess,
-                      stop_alloc_index: Optional[int]) -> int:
-        """Replay recorded events; stop after allocating ``stop_alloc_index``."""
-        events = self.artifact.replay_events
-        consumed = 0
-        while self._replay_cursor < len(events):
-            position = self._replay_cursor
-            event = events[position]
-            self._replay_cursor += 1
-            consumed += 1
-            self._apply_event(process, event, position)
-            if (stop_alloc_index is not None and event.kind == "alloc"
-                    and event.alloc_index == stop_alloc_index):
-                break
-        return consumed
-
-    def _apply_event(self, process: CudaProcess, event: ReplayEvent,
-                     position: int = 0) -> None:
-        if self.injector is not None:
-            # May raise OutOfMemoryError (REPLAY_OOM) or return a diverged
-            # event (REPLAY_DIVERGENCE) — both surface as replay faults.
-            event = self.injector.on_replay_event(position, event)
-        if event.kind == "alloc":
-            buffer = process.malloc(event.size, tag=event.tag,
-                                    pool=event.pool)
-            self._replay_allocated.append(buffer)
-            if buffer.alloc_index != event.alloc_index:
-                raise RestorationError(
-                    f"replay drift: allocation came back as index "
-                    f"{buffer.alloc_index}, artifact expects "
-                    f"{event.alloc_index}")
-            self._buffers[event.alloc_index] = buffer
-        elif event.kind == "free":
-            buffer = self._buffer(event.alloc_index)
-            if event.pooled:
-                process.pool_free(buffer.address)
-            else:
-                process.free(buffer.address)
-        elif event.kind == "empty_cache":
-            process.empty_cache()
-        else:
-            raise RestorationError(f"unknown replay event kind {event.kind!r}")
-
-    def _buffer(self, alloc_index: int) -> Buffer:
-        buffer = self._buffers.get(alloc_index)
-        if buffer is None:
-            raise RestorationError(
-                f"indirect index {alloc_index} points outside the replayed "
-                f"allocation sequence")
-        return buffer
-
-    def _restore_permanent_contents(self) -> None:
-        for alloc_index in sorted(self.artifact.permanent_contents):
-            payload = self.artifact.permanent_payload(alloc_index)
-            if self.injector is not None:
-                payload = self.injector.permanent_payload(alloc_index,
-                                                          payload)
-            buffer = self._buffer(alloc_index)
-            buffer.write(payload)
-            if self._verify_dumps:
-                expected = self.artifact.permanent_payload(alloc_index)
-                if not np.array_equal(buffer.read(), expected):
-                    raise RestorationError(
-                        f"permanent dump readback mismatch at alloc "
-                        f"{alloc_index} — the stored dump is corrupt (§4.3)")
-
-    # -- pointer restoration (§4.2) ------------------------------------------------
-
-    def _restore_params(self, node: MaterializedNode) -> List[KernelParam]:
-        params: List[KernelParam] = []
-        for size, restore in zip(node.param_sizes, node.param_restores):
-            if restore.kind == CONST:
-                params.append(KernelParam(size, restore.value))
-            elif restore.kind == POINTER:
-                buffer = self._buffer(restore.alloc_index)
-                if restore.offset >= buffer.size:
-                    raise RestorationError(
-                        f"offset {restore.offset} exceeds replayed buffer "
-                        f"size {buffer.size} (alloc {restore.alloc_index})")
-                params.append(KernelParam(size, buffer.address + restore.offset))
-            else:
-                raise RestorationError(
-                    f"unknown param restore kind {restore.kind!r}")
-        return params
-
-    # -- triggering-kernels (§5.1, §5.2) ----------------------------------------------
-
-    def _check_trigger(self, engine: LLMEngine, kernel_name: str) -> None:
-        """Watchdog on a triggering-kernel launch (fault-injection site).
-
-        A wedged trigger launch charges its full watchdog budget to the
-        clock and raises, instead of hanging the warm-up window forever.
-        """
-        if self.injector is None \
-                or not self.injector.trigger_times_out(kernel_name):
-            return
-        budget = engine.cost_model.trigger_timeout_seconds
-        engine.process.clock.advance(budget)
-        raise TriggerTimeoutError(
-            f"triggering kernel {kernel_name} exceeded its {budget}s "
-            f"watchdog budget during warm-up")
-
-    def _launch_first_layer(self, engine: LLMEngine, batch_size: int) -> None:
-        """Warm up the prologue + first layer eagerly (restored params)."""
-        artifact = self.artifact
-        process = engine.process
-        graph = artifact.graph(batch_size)
-        plan = graph.nodes[:artifact.first_layer_nodes]
-        for node in plan:
-            self._check_trigger(engine, node.kernel_name)
-            spec = engine.catalog.kernel(node.kernel_name)
-            process.launch(spec, self._restore_params(node),
-                           launch_dims=dict(node.launch_dims),
-                           preset_magic=True)
-        cm = engine.cost_model
-        layer_gpu = (cm.forward_gpu_time(engine.config.param_bytes, batch_size)
-                     / max(1, engine.config.num_layers))
-        process.clock.advance(layer_gpu + len(plan) * cm.launch_gap)
-
-    def _run_trigger_plans(self, engine: LLMEngine) -> None:
-        for plan in self.artifact.trigger_plans:
-            self._check_trigger(engine, plan.kernel_name)
-            batch_size, node_index = plan.node_ref
-            node = self.artifact.graph(batch_size).nodes[node_index]
-            spec = engine.catalog.kernel(plan.kernel_name)
-            engine.process.launch(spec, self._restore_params(node),
-                                  launch_dims=dict(node.launch_dims),
-                                  preset_magic=True)
-            engine.process.clock.advance(engine.cost_model.launch_gap)
-
-    def _capture_first_layer(self, engine: LLMEngine,
-                             batch_size: int) -> CudaGraph:
-        """Capture the warmed-up first layer; its nodes expose addresses."""
-        artifact = self.artifact
-        process = engine.process
-        stream = process.default_stream
-        graph = artifact.graph(batch_size)
-        plan = graph.nodes[:artifact.first_layer_nodes]
-        stream.begin_capture(GraphExecMeta(
-            param_bytes=0, num_tokens=batch_size, batch_size=batch_size))
-        for node in plan:
-            spec = engine.catalog.kernel(node.kernel_name)
-            process.launch(spec, self._restore_params(node),
-                           launch_dims=dict(node.launch_dims),
-                           preset_magic=True)
-        return stream.end_capture()
-
-    # -- kernel address restoration (§5) ----------------------------------------------
-
-    def _build_address_table(self, engine: LLMEngine,
-                             first_layer_graph: CudaGraph,
-                             tolerate: bool = False) -> set:
-        """Resolve materialized kernel names to this process's addresses.
-
-        With ``tolerate=True`` (ladder mode) unresolvable kernels are
-        collected and returned instead of raising, so the caller can poison
-        only the graphs that reference them.  Returns the unresolved set
-        (always empty in strict mode).  The resolution itself lives in
-        :func:`repro.core.fastpath.resolve_kernel_addresses`, shared with
-        the vectorized restorer.
-        """
-        needed = {node.kernel_name
-                  for graph in self.artifact.graphs.values()
-                  for node in graph.nodes}
-        return resolve_kernel_addresses(
-            engine, first_layer_graph, needed,
-            self.artifact.kernel_libraries, self._name_to_address,
-            tolerate=tolerate)
-
-    # -- graph assembly -----------------------------------------------------------------
-
-    def _assemble_graph(self, engine: LLMEngine, materialized) -> CudaGraph:
-        nodes = []
-        for node in materialized.nodes:
-            address = self._name_to_address.get(node.kernel_name)
-            if address is None:
-                raise RestorationError(
-                    f"no restored address for kernel {node.kernel_name}")
-            nodes.append(CudaGraphNode(
-                kernel_address=address,
-                params=self._restore_params(node),
-                launch_dims=dict(node.launch_dims),
-            ))
-        return CudaGraph(
-            nodes=nodes,
-            edges={tuple(edge) for edge in materialized.edges},
-            exec_meta=GraphExecMeta(
-                param_bytes=materialized.param_bytes,
-                num_tokens=materialized.num_tokens,
-                batch_size=materialized.batch_size,
-            ),
-        )
-
-
-def _verify_input(batch_size: int) -> np.ndarray:
-    """Deterministic oracle input for restore-time output verification."""
-    base = np.arange(PAYLOAD_DIM, dtype=np.float64)
-    grid = np.outer(base + batch_size, np.ones(PAYLOAD_DIM))
-    return grid / PAYLOAD_DIM
+#: The restorer under its historical name.
+OnlineRestorer = VectorizedRestorer
 
 
 def prepare_medusa_cold_start(config, artifact, seed: int = 1,
@@ -706,25 +53,19 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
                               cost_model: Optional[CostModel] = None,
                               kv_config: Optional[KVCacheConfig] = None,
                               checkpoints=None, injector=None,
-                              policy: Optional[DegradationPolicy] = None,
-                              fast: Optional[bool] = None):
+                              policy: Optional[DegradationPolicy] = None):
     """Build the (engine, restorer) pair for one Medusa cold start.
 
-    The path-selection logic in one place: ``artifact`` may be an eager
-    :class:`MaterializedModel` or a :class:`repro.core.binfmt.LazyArtifact`.
-    ``fast=None`` (the default) auto-routes — a lazy artifact with no
-    :class:`~repro.faults.FaultInjector` and no
-    :class:`~repro.faults.DegradationPolicy` gets the pipelined
-    :class:`~repro.core.fastpath.VectorizedRestorer`
-    (``pipelined_medusa_plan`` over its batch sizes); anything needing
-    per-event hooks falls back to the object-path
-    :class:`OnlineRestorer` (materializing the lazy artifact first).
-    ``fast=False`` forces the object path — the comparison baseline
-    ``benchmarks/bench_wallclock.py`` measures; ``fast=True`` with an eager
-    artifact raises, since the vectorized path reads the packed arrays.
+    ``artifact`` may be an eager :class:`MaterializedModel` or a
+    :class:`repro.core.binfmt.LazyArtifact`; the plan follows the input
+    (see the module docstring): an eager artifact, an active
+    :class:`~repro.faults.FaultInjector` or a
+    :class:`~repro.faults.DegradationPolicy` gets the monolithic
+    ``medusa`` plan, a chunk-backed artifact the chunk-streamed plan, and
+    any other lazy artifact the pipelined plan over its batch sizes.
 
     Exposed separately from :func:`medusa_cold_start` so callers (the
-    wall-clock bench) can wrap the restorer before running
+    wall-clock bench, plan lint) can use the pair before running
     ``engine.cold_start(restorer=...)``.
     """
     if isinstance(config, str):
@@ -732,30 +73,16 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     if artifact.model_name != config.name:
         raise RestorationError(
             f"artifact is for {artifact.model_name}, engine wants {config.name}")
-    lazy = isinstance(artifact, LazyArtifact)
-    hooks = (injector is not None and injector.active) or policy is not None
-    if fast is None:
-        fast = lazy and not hooks
-    if fast and not lazy:
-        raise RestorationError(
-            "fast=True needs a binary artifact opened with "
-            "repro.core.binfmt.LazyArtifact (save it with save_binary "
-            "first)")
-    if fast and hooks:
-        # The vectorized path has no per-event injection/ladder hooks;
-        # defer to the object path whenever they are requested.
-        fast = False
-    if lazy and not fast:
-        artifact = artifact.materialize()
-    plan = None
-    if fast:
-        manifest = getattr(artifact, "chunk_manifest", None)
-        if manifest is not None:
-            # Chunk-backed lazy artifact: stream fetches per chunk, with
-            # only the first graph's chunks in the foreground.
-            plan = chunked_medusa_plan(manifest)
-        else:
-            plan = pipelined_medusa_plan(artifact.batches)
+    hooked = (injector is not None and injector.active) or policy is not None
+    manifest = getattr(artifact, "chunk_manifest", None)
+    if hooked or not isinstance(artifact, LazyArtifact):
+        plan = None     # the strategy's registered monolithic plan
+    elif manifest is not None:
+        # Chunk-backed lazy artifact: stream fetches per chunk, with only
+        # the first graph's chunks in the foreground.
+        plan = chunked_medusa_plan(manifest)
+    else:
+        plan = pipelined_medusa_plan(artifact.batches)
     engine = LLMEngine(config, Strategy.MEDUSA, seed=seed, mode=mode,
                        cost_model=cost_model, kv_config=kv_config,
                        checkpoints=checkpoints, plan=plan, injector=injector)
@@ -766,10 +93,7 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
             f"artifact was materialized on {artifact.gpu_name!r}, this "
             f"engine runs on {engine.cost_model.gpu.name!r} — the offline "
             f"phase is per <GPU type, model type> (§3)")
-    if fast:
-        restorer: object = VectorizedRestorer(artifact)
-    else:
-        restorer = OnlineRestorer(artifact, injector=injector, policy=policy)
+    restorer = VectorizedRestorer(artifact, injector=injector, policy=policy)
     return engine, restorer
 
 
@@ -778,22 +102,20 @@ def medusa_cold_start(config, artifact, seed: int = 1,
                       cost_model: Optional[CostModel] = None,
                       kv_config: Optional[KVCacheConfig] = None,
                       checkpoints=None, injector=None,
-                      policy: Optional[DegradationPolicy] = None,
-                      fast: Optional[bool] = None
+                      policy: Optional[DegradationPolicy] = None
                       ) -> Tuple[LLMEngine, ColdStartReport]:
     """One Medusa cold start: fresh process, restore-based loading phase.
 
     ``injector`` threads a :class:`repro.faults.FaultInjector` through the
     process/driver and the restorer; ``policy`` opts the restorer into the
     graceful-degradation ladder (see :mod:`repro.faults.ladder`).
-    ``artifact`` may be eager or a :class:`~repro.core.binfmt.LazyArtifact`;
-    ``fast`` selects the restoration path (see
-    :func:`prepare_medusa_cold_start` for the auto-routing rules).
+    ``artifact`` may be eager or a :class:`~repro.core.binfmt.LazyArtifact`
+    (see :func:`prepare_medusa_cold_start` for the plan each one gets).
     """
     engine, restorer = prepare_medusa_cold_start(
         config, artifact, seed=seed, mode=mode, cost_model=cost_model,
         kv_config=kv_config, checkpoints=checkpoints, injector=injector,
-        policy=policy, fast=fast)
+        policy=policy)
     report = engine.cold_start(restorer=restorer)
     return engine, report
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.artifact import MaterializedModel
-from repro.core.online import OnlineRestorer
+from repro.core.fastpath import VectorizedRestorer
 from repro.engine.engine import ColdStartReport, LLMEngine
 from repro.engine.strategies import Strategy
 from repro.errors import EngineError
@@ -76,5 +76,5 @@ def medusa_plus_optimus_cold_start(
     engine = LLMEngine(config, Strategy.MEDUSA, seed=seed, mode=mode,
                        cost_model=cost_model, kv_config=kv_config)
     OptimusTransformer(donor_family=config.family).install(engine)
-    report = engine.cold_start(restorer=OnlineRestorer(artifact))
+    report = engine.cold_start(restorer=VectorizedRestorer(artifact))
     return engine, report

@@ -212,7 +212,8 @@ class ArtifactStore:
         lazy.reader.prefetch(workers=self.parallel_workers)
         artifact = lazy.materialize()
         if self.injector is not None and self.injector.active:
-            artifact = self.injector.corrupted_artifact(artifact)
+            for batch, table in self.injector.corrupted_tables(lazy).items():
+                artifact.graphs[batch] = table.to_graph()
         if self.lint_on_load:
             from repro.analysis import lint_artifact
             report = lint_artifact(artifact)
@@ -230,7 +231,7 @@ class ArtifactStore:
     def get_lazy(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:
         """Open one artifact chunk-backed, without materializing.
 
-        The fast-path entry: chunks decompress on first access (the
+        The chunked-plan entry: chunks decompress on first access (the
         restorer's foreground stages touch heads and replay shards only),
         so nothing is read here beyond the manifest.  Bypasses the LRU,
         lint, and injector hooks — each call returns a fresh reader the

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.artifact import MaterializedModel
-from repro.core.online import medusa_cold_start
+from repro.core.online import prepare_medusa_cold_start
 from repro.errors import ValidationError
 from repro.simgpu.kernels import PAYLOAD_DIM
 from repro.simgpu.process import ExecutionMode
@@ -79,8 +79,9 @@ def validate_restoration(config, artifact: MaterializedModel,
     (chaos testing).
 
     ``artifact`` may be a :class:`repro.core.binfmt.LazyArtifact`; the
-    restore then runs on the vectorized fast path (unless hooks force the
-    object path), and static lint checks a materialized copy.
+    restore then runs the plan that input gets (see
+    :func:`repro.core.online.prepare_medusa_cold_start`), and static lint
+    checks a materialized copy.
     """
     report = ValidationReport(model=artifact.model_name)
     degraded_ok = policy is not None
@@ -96,41 +97,31 @@ def validate_restoration(config, artifact: MaterializedModel,
                 f"{artifact.model_name}: static verification found "
                 f"{len(lint.errors)} error(s) ({', '.join(lint.codes())}); "
                 f"refusing to restore a corrupt artifact")
-        # Plan-lint prepass (PLN0xx): verify the load plan this restore
-        # will execute, with PLN004 bindings resolved against the action
-        # registries the restore would actually bind.  Mirrors the path
-        # selection in repro.core.online.prepare_medusa_cold_start.
-        from repro.analysis.planlint import lint_plan
-        from repro.engine.engine import ENGINE_STAGE_ACTIONS
-        from repro.engine.strategies import (
-            Strategy,
-            pipelined_medusa_plan,
-            plan_for,
-        )
-        hooks = (injector is not None and injector.active) \
-            or policy is not None
-        if isinstance(artifact, LazyArtifact) and not hooks:
-            from repro.core.fastpath import VectorizedRestorer
-            plan = pipelined_medusa_plan(artifact.batches)
-            known = ENGINE_STAGE_ACTIONS \
-                + VectorizedRestorer(artifact).stage_action_names()
-        else:
-            from repro.core.online import OnlineRestorer
-            plan = plan_for(Strategy.MEDUSA)
-            known = ENGINE_STAGE_ACTIONS + OnlineRestorer.STAGE_ACTION_NAMES
-        plan_lint = lint_plan(plan, known_actions=known,
-                              cost_model=cost_model)
-        report.diagnostics.extend(plan_lint.diagnostics)
-        if plan_lint.errors and not degraded_ok:
-            raise ValidationError(
-                f"{artifact.model_name}: load plan {plan.name!r} failed "
-                f"static verification "
-                f"({', '.join(d.code for d in plan_lint.errors)}); "
-                f"refusing to execute an unsafe plan")
-    engine, cold = medusa_cold_start(
+    engine, restorer = prepare_medusa_cold_start(
         config, artifact, seed=seed, mode=ExecutionMode.COMPUTE,
         cost_model=cost_model, kv_config=kv_config,
         injector=injector, policy=policy)
+    if static_lint:
+        # Plan-lint prepass (PLN0xx): verify the load plan this restore
+        # will execute, with PLN004 bindings resolved against exactly the
+        # actions the engine and the restorer register.
+        from repro.analysis.planlint import lint_plan
+        from repro.engine.engine import ENGINE_STAGE_ACTIONS
+        from repro.engine.strategies import Strategy, plan_for
+        plan = engine.plan or plan_for(Strategy.MEDUSA)
+        plan_lint = lint_plan(
+            plan,
+            known_actions=ENGINE_STAGE_ACTIONS
+            + restorer.stage_action_names(),
+            cost_model=cost_model)
+        report.diagnostics.extend(plan_lint.diagnostics)
+        if plan_lint.errors and not degraded_ok:
+            raise ValidationError(
+                f"{artifact.model_name}: load plan {plan.name!r} "
+                f"failed static verification "
+                f"({', '.join(d.code for d in plan_lint.errors)}); "
+                f"refusing to execute an unsafe plan")
+    cold = engine.cold_start(restorer=restorer)
     report.degradation = getattr(cold, "degradation", None)
     report.cold_report = cold
     check_batches = list(batches) if batches is not None else \

@@ -12,7 +12,7 @@ from repro.engine.engine import ColdStartReport, LLMEngine
 from repro.engine.kvcache import BlockManager, KVCacheConfig, KVCacheRegion
 from repro.engine.lanes import Contention, Lane
 from repro.engine.loadplan import LoadPlan, PlanStage
-from repro.engine.pipeline import ScheduledStage, StageTiming, Timeline
+from repro.engine.pipeline import ScheduledStage, Timeline
 from repro.engine.request import SamplingParams, Sequence, SequenceStatus
 from repro.engine.scheduler import ContinuousBatchingScheduler
 from repro.engine.serving import ServingLoop
@@ -39,7 +39,6 @@ __all__ = [
     "Sequence",
     "SequenceStatus",
     "ServingLoop",
-    "StageTiming",
     "Strategy",
     "Timeline",
     "plan_for",

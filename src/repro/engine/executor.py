@@ -1,12 +1,12 @@
 """A deterministic resource-lane task executor for loading-phase schedules.
 
-:mod:`repro.engine.pipeline` composes each strategy's stage timeline in
-closed form.  This module provides the general mechanism those closed forms
-are special cases of: tasks with durations, dependencies, and a *resource
+:mod:`repro.engine.loadplan` schedules each strategy's registered LoadPlan
+into a stage timeline.  This module provides the general mechanism those
+timelines are special cases of: tasks with durations, dependencies, and a *resource
 lane* (CPU / IO / GPU), executed by a list scheduler where each lane runs
-one task at a time.  Tests cross-validate the closed-form timelines against
-this executor, so the analytic composition cannot silently drift from the
-semantics it claims to model.
+one task at a time.  Tests cross-validate the plan timelines against this
+executor, so the plan scheduler cannot silently drift from the semantics
+it claims to model.
 """
 
 from __future__ import annotations

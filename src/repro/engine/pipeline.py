@@ -1,21 +1,13 @@
-"""Loading-phase timeline names and the legacy composition entry point.
+"""Loading-phase stage names and timeline types, re-exported.
 
-The bespoke per-strategy timeline math that used to live here (closed-form
-sequential/async/Medusa composition with a hard-coded interference
-constant) is **replaced** by the declarative stage graphs in
-:mod:`repro.engine.loadplan` and the per-strategy plans registered in
-:mod:`repro.engine.strategies`.  This module keeps the canonical stage
-names, the :class:`Timeline`/:class:`ScheduledStage` types (now defined in
-``loadplan``), and :func:`compose_timeline` as a thin compatibility shim
-that schedules the strategy's registered LoadPlan — so historical callers
-and tests keep working while producing placements through the one generic
-scheduler.
+The canonical stage names and the :class:`Timeline`/:class:`ScheduledStage`
+types live in :mod:`repro.engine.loadplan`; this module keeps them under
+the ``repro.engine.pipeline`` import path.  Stage durations are placed on
+a strategy's timeline with ``plan_for(strategy).schedule(durations,
+penalties, strategy=strategy)`` (:mod:`repro.engine.strategies`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict
 
 from repro.engine.loadplan import (   # noqa: F401  (re-exported names)
     CAPTURE,
@@ -33,27 +25,3 @@ from repro.engine.loadplan import (   # noqa: F401  (re-exported names)
     restore_graph_stage,
     Timeline,
 )
-from repro.engine.strategies import Strategy, plan_for
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    """Measured duration of one stage (execution-order independent)."""
-
-    name: str
-    duration: float
-
-
-def compose_timeline(strategy: Strategy, durations: Dict[str, float],
-                     interference_penalty: float) -> Timeline:
-    """Place stage durations on the wall clock according to ``strategy``.
-
-    .. deprecated:: replaced by ``plan_for(strategy).schedule(...)`` — this
-       shim resolves the strategy's registered LoadPlan and schedules it
-       with ``interference_penalty`` as the only contention penalty, which
-       reproduces the legacy closed-form placements exactly.
-    """
-    plan = plan_for(strategy)
-    return plan.schedule(
-        durations, {"weight_kv_interference": interference_penalty},
-        strategy=strategy)

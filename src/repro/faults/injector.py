@@ -5,19 +5,21 @@ is threaded through the layers a restore actually crosses — the artifact
 store (load-time corruption), the simulated driver (symbol resolution), and
 the online restorer (allocation replay, permanent dumps, trigger launches).
 ``prepare(artifact)`` resolves every underspecified fault target against the
-concrete artifact using the plan's seeded RNG, so the same (plan, artifact)
-pair always faults at the same site.
+concrete artifact's packed arrays (a :class:`~repro.core.binfmt.LazyArtifact`)
+using the plan's seeded RNG, so the same (plan, artifact) pair always faults
+at the same site.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.artifact import MaterializedModel, ReplayEvent
+from repro.core.artifact import ReplayEvent
+from repro.core.binfmt import POINTER_CODE, GraphTable, LazyArtifact
 from repro.core.pointer_analysis import POINTER
 from repro.errors import InvalidValueError, OutOfMemoryError
 from repro.faults.plan import (
@@ -33,25 +35,28 @@ from repro.faults.plan import (
 _CORRUPT_OFFSET = 1 << 40
 #: Perturbation applied to a diverged replay event's allocation index.
 _DIVERGENCE_SHIFT = 7919
+#: Replay-table kind code of an allocation event.
+_ALLOC_CODE = 0
 
 
 def _pointer_sites(param_restores) -> List[int]:
-    """Indices of POINTER-kind restores in one node's restore list."""
+    """Indices of POINTER-kind restores in one node's JSON restore list."""
     return [i for i, restore in enumerate(param_restores)
-            if getattr(restore, "kind", None) == POINTER
-            or (isinstance(restore, dict) and restore.get("kind") == POINTER)]
+            if restore.get("kind") == POINTER]
 
 
-def _pick_corruption_site(nodes, first_layer_nodes: int,
-                          restores_of) -> Tuple[int, int]:
+def _pick_corruption_site(num_nodes: int, first_layer_nodes: int,
+                          pointer_sites) -> Tuple[int, int]:
     """(node index, param index) to corrupt in one graph.
 
-    Prefers a node *after* the first-layer prefix so the poison stays local
-    to the graph's restore tail instead of breaking the shared warm-up.
+    ``pointer_sites(node_index)`` lists a node's pointer-kind param
+    indices.  Prefers a node *after* the first-layer prefix so the poison
+    stays local to the graph's restore tail instead of breaking the shared
+    warm-up.
     """
     candidates = []
-    for node_index in range(len(nodes) - 1, -1, -1):
-        sites = _pointer_sites(restores_of(nodes[node_index]))
+    for node_index in range(num_nodes - 1, -1, -1):
+        sites = pointer_sites(node_index)
         if sites:
             candidates.append((node_index, sites[-1]))
             if node_index >= first_layer_nodes:
@@ -70,8 +75,8 @@ def corrupt_graph_payload(payload: Dict, batch_size: Optional[int] = None) -> Di
     key = str(batch_size) if batch_size is not None else sorted(graphs)[0]
     nodes = graphs[key]["nodes"]
     node_index, param_index = _pick_corruption_site(
-        nodes, payload.get("first_layer_nodes", 0),
-        lambda node: node["param_restores"])
+        len(nodes), payload.get("first_layer_nodes", 0),
+        lambda index: _pointer_sites(nodes[index]["param_restores"]))
     nodes[node_index]["param_restores"][param_index]["offset"] = _CORRUPT_OFFSET
     return payload
 
@@ -112,7 +117,7 @@ class FaultInjector:
     # Target resolution
     # ------------------------------------------------------------------
 
-    def prepare(self, artifact: MaterializedModel) -> None:
+    def prepare(self, artifact: LazyArtifact) -> None:
         """Pin every fault's target against ``artifact`` (idempotent)."""
         if self._prepared or not self.active:
             self._prepared = True
@@ -122,13 +127,13 @@ class FaultInjector:
         self._prepared = True
 
     def _resolve(self, index: int, spec: FaultSpec,
-                 artifact: MaterializedModel) -> _ResolvedFault:
+                 artifact: LazyArtifact) -> _ResolvedFault:
         rng = self.plan.rng("fault", index, spec.kind.value)
         resolved = _ResolvedFault(spec=spec)
         if spec.kind is FaultKind.ARTIFACT_CORRUPTION:
-            batches = sorted(artifact.graphs)
+            batches = artifact.batches
             resolved.batch_size = spec.batch_size if spec.batch_size in \
-                artifact.graphs else batches[int(rng.integers(len(batches)))]
+                batches else batches[int(rng.integers(len(batches)))]
         elif spec.kind in (FaultKind.REPLAY_DIVERGENCE, FaultKind.REPLAY_OOM):
             resolved.event_index = self._resolve_replay_target(
                 spec, artifact, rng)
@@ -136,19 +141,16 @@ class FaultInjector:
             # Only kernels outside the captured first-layer prefix ever go
             # through dlsym/enumeration — prefix kernels get their address
             # from the captured warm-up graph and would never miss.
-            max_graph = artifact.graph(max(artifact.graphs))
-            prefix = {node.kernel_name
-                      for node in
-                      max_graph.nodes[:artifact.first_layer_nodes]}
-            names = sorted({node.kernel_name
-                            for graph in artifact.graphs.values()
-                            for node in graph.nodes} - prefix) \
+            max_graph = artifact.graph_table(max(artifact.batches))
+            prefix = set(max_graph.node_kernel_names()
+                         [:artifact.first_layer_nodes])
+            names = sorted(set(artifact.kernel_name_table()) - prefix) \
                 or sorted(artifact.kernel_libraries)
             resolved.kernel_name = spec.kernel_name or \
                 names[int(rng.integers(len(names)))]
         elif spec.kind is FaultKind.PERMANENT_DUMP_BITFLIP:
             dumps = sorted(artifact.permanent_contents)
-            if spec.alloc_index in artifact.permanent_contents:
+            if spec.alloc_index in dumps:
                 resolved.alloc_index = spec.alloc_index
             elif dumps:
                 resolved.alloc_index = dumps[int(rng.integers(len(dumps)))]
@@ -156,32 +158,31 @@ class FaultInjector:
             if spec.kernel_name:
                 resolved.kernel_name = spec.kernel_name
             else:
-                graph = artifact.graph(max(artifact.graphs))
-                prefix = graph.nodes[:artifact.first_layer_nodes] or graph.nodes
-                names = sorted({node.kernel_name for node in prefix})
+                nodes = artifact.graph_table(
+                    max(artifact.batches)).node_kernel_names()
+                prefix = nodes[:artifact.first_layer_nodes] or nodes
+                names = sorted(set(prefix))
                 resolved.kernel_name = names[int(rng.integers(len(names)))]
         return resolved
 
     @staticmethod
-    def _resolve_replay_target(spec: FaultSpec,
-                               artifact: MaterializedModel,
+    def _resolve_replay_target(spec: FaultSpec, artifact: LazyArtifact,
                                rng) -> Optional[int]:
-        events = artifact.replay_events
+        replay = artifact.replay_table()
+        total = len(replay)
         if spec.event_index is not None:
-            return spec.event_index if 0 <= spec.event_index < len(events) \
+            return spec.event_index if 0 <= spec.event_index < total \
                 else None
-        kv_pos = next((i for i, e in enumerate(events)
-                       if e.kind == "alloc"
-                       and e.alloc_index == artifact.kv_alloc_index),
-                      len(events) - 1)
+        allocs = replay.kind == _ALLOC_CODE
+        kv_hits = np.flatnonzero(
+            allocs & (replay.alloc_index == artifact.kv_alloc_index))
+        kv_pos = int(kv_hits[0]) if kv_hits.size else total - 1
         phase = spec.phase or PHASE_WARMUP
-        if phase == PHASE_KV:
-            span = range(0, kv_pos + 1)
-        else:
-            span = range(kv_pos + 1, len(events))
+        span = slice(0, kv_pos + 1) if phase == PHASE_KV \
+            else slice(kv_pos + 1, total)
         # Both replay faults model cudaMalloc misbehavior (an unexpected
         # return or a failure), so only alloc events are meaningful targets.
-        candidates = [i for i in span if events[i].kind == "alloc"]
+        candidates = (np.flatnonzero(allocs[span]) + span.start).tolist()
         if not candidates:
             return kv_pos if phase == PHASE_KV else None
         return candidates[int(rng.integers(len(candidates)))]
@@ -193,32 +194,37 @@ class FaultInjector:
     # Site hooks
     # ------------------------------------------------------------------
 
-    def corrupted_artifact(self, artifact: MaterializedModel
-                           ) -> MaterializedModel:
-        """Apply ARTIFACT_CORRUPTION faults; returns a mutated deep copy
-        (or ``artifact`` itself when no corruption fault targets it)."""
+    def corrupted_tables(self, artifact: LazyArtifact
+                         ) -> Dict[int, GraphTable]:
+        """Apply ARTIFACT_CORRUPTION faults: batch -> a graph-table copy
+        whose ``param_byte_offsets`` has one pointer offset pushed out of
+        bounds (``artifact`` itself is never mutated)."""
         self.prepare(artifact)
-        faults = self._faults(FaultKind.ARTIFACT_CORRUPTION)
-        if not faults:
-            return artifact
-        corrupted = copy.deepcopy(artifact)
-        for fault in faults:
-            graph = corrupted.graph(fault.batch_size)
+        tables: Dict[int, GraphTable] = {}
+        for fault in self._faults(FaultKind.ARTIFACT_CORRUPTION):
+            table = tables.get(fault.batch_size)
+            if table is None:
+                table = copy.copy(artifact.graph_table(fault.batch_size))
+                table.param_byte_offsets = table.param_byte_offsets.copy()
+                tables[fault.batch_size] = table
+            offsets = table.param_offsets
             node_index, param_index = _pick_corruption_site(
-                graph.nodes, corrupted.first_layer_nodes,
-                lambda node: node.param_restores)
-            restore = graph.nodes[node_index].param_restores[param_index]
-            graph.nodes[node_index].param_restores[param_index] = \
-                replace(restore, offset=_CORRUPT_OFFSET)
+                table.num_nodes, artifact.first_layer_nodes,
+                lambda index: np.flatnonzero(
+                    table.param_kinds[offsets[index]:offsets[index + 1]]
+                    == POINTER_CODE).tolist())
+            slot = int(offsets[node_index]) + param_index
+            table.param_byte_offsets[slot] = _CORRUPT_OFFSET
             self.record("store.load",
                         f"corrupted batch-{fault.batch_size} graph node "
                         f"{node_index} param {param_index} (offset pushed "
                         f"out of bounds)")
-        return corrupted
+        return tables
 
     def on_replay_event(self, position: int,
                         event: ReplayEvent) -> ReplayEvent:
-        """Called per replayed event; may perturb it or raise OOM."""
+        """Called per replayed event; may raise OOM or return the event
+        with its allocation index shifted (divergence)."""
         for fault in self._faults(FaultKind.REPLAY_OOM):
             if fault.event_index == position:
                 self.record("replay.event",

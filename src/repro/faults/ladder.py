@@ -8,7 +8,7 @@ cold-start latency for less trust in the artifact:
 =========== ================================================================
 rung        meaning
 =========== ================================================================
-FULL        every graph restored from the artifact (the normal fast path)
+FULL        every graph restored from the artifact (the normal restore)
 PARTIAL     poisoned batch-size graphs dropped; served via batch padding
 RECAPTURE   poisoned graphs re-captured live (restored KV kept)
 EAGER       restoration abandoned; vanilla profile + capture cold start

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.artifact import MaterializedModel
+from repro.core.fastpath import VectorizedRestorer
 from repro.core.offline import OfflinePhase, OfflineReport
-from repro.core.online import OnlineRestorer, medusa_cold_start
 from repro.engine import ColdStartReport, LLMEngine, Strategy
 from repro.errors import InvalidValueError, RestorationError
 from repro.models.config import ModelConfig
@@ -191,6 +191,6 @@ class TensorParallelMedusa:
         engine = TensorParallelEngine(
             self.config, self.tp_degree, Strategy.MEDUSA, seed=seed,
             mode=self.mode, cost_model=self.cost_model)
-        restorers = [OnlineRestorer(artifact) for artifact in artifacts]
+        restorers = [VectorizedRestorer(artifact) for artifact in artifacts]
         report = engine.cold_start(restorers=restorers)
         return engine, report

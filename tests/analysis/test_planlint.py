@@ -38,6 +38,7 @@ from repro.engine.loadplan import (
     WEIGHTS,
     LoadPlan,
     PlanStage,
+    restore_graph_stage,
 )
 from repro.engine.strategies import (
     Strategy,
@@ -328,31 +329,38 @@ class TestRegistrySync:
         assert set(LADDER_ACTION_EFFECTS) == set(LADDER_STAGES)
 
     def test_online_restorer_names_match_runtime(self, tiny2l_artifact):
-        from repro.core.online import (
-            OnlineRestorer,
-            prepare_medusa_cold_start,
-        )
-        assert set(OnlineRestorer.STAGE_ACTION_NAMES) \
-            <= set(RESTORE_ACTION_EFFECTS)
+        from repro.analysis.effects import default_effects
+        from repro.core.online import prepare_medusa_cold_start
         artifact, _ = tiny2l_artifact
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", artifact, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model())
-        assert set(restorer.stage_actions(engine)) \
-            == set(OnlineRestorer.STAGE_ACTION_NAMES)
+        names = restorer.stage_action_names()
+        # Every registered action has a default effect set: the fixed
+        # names are RESTORE_ACTION_EFFECTS keys, the rest its patterns.
+        assert {"restore_kv", "restore_warmup", "restore_tail"} \
+            <= set(names)
+        assert all(default_effects(name) is not None for name in names)
+        assert set(names) - set(RESTORE_ACTION_EFFECTS) == {
+            restore_graph_stage(batch) for batch in artifact.graphs}
+        assert set(restorer.stage_actions(engine)) == set(names)
 
     def test_ladder_restorer_names_match_runtime(self, tiny2l_artifact):
-        from repro.core.online import (
-            OnlineRestorer,
-            prepare_medusa_cold_start,
-        )
+        from repro.core.online import prepare_medusa_cold_start
+        from repro.engine.engine import ENGINE_STAGE_ACTIONS
         from repro.faults import DegradationPolicy
         artifact, _ = tiny2l_artifact
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", artifact, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model(), policy=DegradationPolicy())
-        assert set(restorer.stage_actions(engine)) \
-            == set(OnlineRestorer.STAGE_ACTION_NAMES)
+        names = restorer.stage_action_names()
+        assert set(restorer.stage_actions(engine)) == set(names)
+        # The plan a hooked restore runs lints clean against exactly the
+        # actions the engine + this restorer register.
+        assert engine.plan is None      # the registered monolithic plan
+        report = lint_plan(plan_for(Strategy.MEDUSA),
+                           known_actions=tuple(ENGINE_STAGE_ACTIONS) + names)
+        assert report.clean, report.format_text()
 
     def test_vectorized_restorer_names_match_runtime(self, tiny2l_artifact,
                                                      tmp_path):

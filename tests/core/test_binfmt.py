@@ -1,5 +1,8 @@
 """Binary artifact format tests."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.binfmt import load_binary, save_binary
@@ -42,4 +45,39 @@ class TestBinaryRoundTrip:
         path = tmp_path / "bad.npz"
         path.write_bytes(b"not an npz")
         with pytest.raises(ArtifactError):
+            load_binary(path)
+
+
+def _rewritten(tmp_path, artifact, edit):
+    """A saved artifact whose npz members went through ``edit``."""
+    path = tmp_path / "source.npz"
+    save_binary(artifact, path)
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    edit(members)
+    out = tmp_path / "edited.npz"
+    with open(out, "wb") as handle:
+        np.savez_compressed(handle, **members)
+    return out
+
+
+class TestStaleArtifactsRejected:
+    """``load_binary`` shares ``LazyArtifact``'s version and metadata check."""
+
+    def test_unknown_format_version_raises(self, tmp_path, tiny2l_artifact):
+        artifact, _ = tiny2l_artifact
+
+        def bump_version(members):
+            meta = json.loads(str(members["metadata"][0]))
+            meta["format_version"] = 999
+            members["metadata"] = np.array([json.dumps(meta)])
+
+        with pytest.raises(ArtifactError, match="format version 999"):
+            load_binary(_rewritten(tmp_path, artifact, bump_version))
+
+    def test_missing_metadata_raises(self, tmp_path, tiny2l_artifact):
+        artifact, _ = tiny2l_artifact
+        path = _rewritten(tmp_path, artifact,
+                          lambda members: members.pop("metadata"))
+        with pytest.raises(ArtifactError, match="no metadata member"):
             load_binary(path)

@@ -5,13 +5,9 @@ import pytest
 
 from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.fastpath import PackedParams, VectorizedRestorer
-from repro.core.online import (
-    OnlineRestorer,
-    medusa_cold_start,
-    prepare_medusa_cold_start,
-)
+from repro.core.online import medusa_cold_start, prepare_medusa_cold_start
 from repro.engine.loadplan import restore_graph_stage
-from repro.errors import RestorationError
+from repro.engine.strategies import plan_for
 from repro.faults import (
     DegradationPolicy,
     FaultInjector,
@@ -33,6 +29,11 @@ def tiny2l_npz(tmp_path_factory, tiny2l_artifact):
     path = tmp_path_factory.mktemp("fastpath") / "tiny2l.medusa.npz"
     save_binary(artifact, path)
     return path
+
+
+def plan_name(engine):
+    """The LoadPlan a prepared engine will run (None = the registered one)."""
+    return (engine.plan or plan_for(engine.strategy)).name
 
 
 def fast_cold_start(path, mode=ExecutionMode.TIMING, **kwargs):
@@ -58,36 +59,49 @@ class TestFastPathCorrectness:
         assert report.timeline.plan == "medusa-pipelined"
         assert engine.capture_artifacts.execs
 
-    def test_rejects_eager_artifact(self, tiny2l_artifact):
+    def test_packs_eager_artifact(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        with pytest.raises(RestorationError):
-            VectorizedRestorer(artifact)
+        restorer = VectorizedRestorer(artifact)
+        assert isinstance(restorer.artifact, LazyArtifact)
+        assert restorer.artifact.batches == sorted(artifact.graphs)
+        assert restorer.artifact.total_nodes == artifact.total_nodes
 
 
 class TestPathSelection:
+    """One restorer for every input; the input and hooks pick the plan."""
+
     def test_lazy_artifact_auto_routes_to_fast_path(self, tiny2l_npz):
-        _engine, restorer = prepare_medusa_cold_start(
+        engine, restorer = prepare_medusa_cold_start(
             MODEL, LazyArtifact(tiny2l_npz), cost_model=tiny_cost_model())
         assert isinstance(restorer, VectorizedRestorer)
+        assert plan_name(engine) == "medusa-pipelined"
 
-    def test_eager_artifact_stays_on_object_path(self, tiny2l_artifact):
+    def test_eager_artifact_gets_monolithic_plan(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        _engine, restorer = prepare_medusa_cold_start(
+        engine, restorer = prepare_medusa_cold_start(
             artifact.model_name, artifact, cost_model=tiny_cost_model())
-        assert isinstance(restorer, OnlineRestorer)
+        assert isinstance(restorer, VectorizedRestorer)
+        assert plan_name(engine) == "medusa"
 
-    def test_fast_requires_lazy_artifact(self, tiny2l_artifact):
+    def test_fast_requires_lazy_artifact(self, tiny2l_artifact, tmp_path):
+        from repro.core.store import ArtifactStore
         artifact, _ = tiny2l_artifact
-        with pytest.raises(RestorationError):
-            prepare_medusa_cold_start(artifact.model_name, artifact,
-                                      cost_model=tiny_cost_model(),
-                                      fast=True)
+        store = ArtifactStore(tmp_path / "store")
+        store.put(artifact)
+        engine, _restorer = prepare_medusa_cold_start(
+            MODEL, store.get_lazy(artifact.gpu_name, MODEL),
+            cost_model=tiny_cost_model())
+        assert plan_name(engine) == "medusa-chunked"
+        eager_engine, _restorer = prepare_medusa_cold_start(
+            MODEL, artifact, cost_model=tiny_cost_model())
+        assert plan_name(eager_engine) == "medusa"
 
-    def test_policy_falls_back_to_object_path(self, tiny2l_npz):
-        _engine, restorer = prepare_medusa_cold_start(
+    def test_policy_keeps_monolithic_plan(self, tiny2l_npz):
+        engine, restorer = prepare_medusa_cold_start(
             MODEL, LazyArtifact(tiny2l_npz), cost_model=tiny_cost_model(),
             policy=DegradationPolicy())
-        assert isinstance(restorer, OnlineRestorer)
+        assert isinstance(restorer, VectorizedRestorer)
+        assert plan_name(engine) == "medusa"
 
     def test_chaos_run_falls_back_and_degrades(self, tiny2l_npz):
         spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
@@ -96,7 +110,7 @@ class TestPathSelection:
             tiny2l_npz, mode=ExecutionMode.COMPUTE, injector=injector,
             policy=DegradationPolicy())
         assert injector.fired
-        assert report.timeline.plan != "medusa-pipelined"
+        assert report.timeline.plan == "medusa+degraded"
         assert engine.capture_artifacts is not None
 
 
@@ -122,7 +136,8 @@ class TestPipelinedTimeline:
         assert report.ready_time == timeline.ready
         assert report.loading_time == timeline.total
 
-    def test_fast_ready_beats_object_path(self, tiny2l_npz, tiny2l_artifact):
+    def test_pipelined_ready_beats_monolithic_plan(self, tiny2l_npz,
+                                                   tiny2l_artifact):
         artifact, _ = tiny2l_artifact
         _engine, fast = fast_cold_start(tiny2l_npz)
         _engine, slow = medusa_cold_start(

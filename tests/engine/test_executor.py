@@ -12,8 +12,7 @@ from repro.engine.executor import (
     execute,
     strategy_tasks,
 )
-from repro.engine.pipeline import compose_timeline
-from repro.engine.strategies import Strategy
+from repro.engine.strategies import Strategy, plan_for
 from repro.errors import EngineError
 
 
@@ -66,7 +65,7 @@ MEDUSA = {
 
 
 class TestClosedFormsMatchExecutor:
-    """compose_timeline() must equal the general list scheduler."""
+    """The registered LoadPlans must equal the general list scheduler."""
 
     @pytest.mark.parametrize("strategy,durations", [
         (Strategy.VLLM, PAPER),
@@ -75,7 +74,9 @@ class TestClosedFormsMatchExecutor:
         (Strategy.MEDUSA, MEDUSA),
     ])
     def test_makespan_matches(self, strategy, durations):
-        timeline = compose_timeline(strategy, durations, 0.08)
+        timeline = plan_for(strategy).schedule(
+            durations, {"weight_kv_interference": 0.08},
+            strategy=strategy)
         schedule = execute(strategy_tasks(strategy, durations, 0.08))
         assert timeline.total == pytest.approx(schedule.makespan)
 
@@ -85,7 +86,9 @@ class TestClosedFormsMatchExecutor:
         durations = dict(zip(
             ("structure_init", "load_weights", "load_tokenizer",
              "kv_init", "capture"), values))
-        timeline = compose_timeline(Strategy.VLLM_ASYNC, durations, 0.08)
+        timeline = plan_for(Strategy.VLLM_ASYNC).schedule(
+            durations, {"weight_kv_interference": 0.08},
+            strategy=Strategy.VLLM_ASYNC)
         schedule = execute(strategy_tasks(Strategy.VLLM_ASYNC, durations,
                                           0.08))
         assert timeline.total == pytest.approx(schedule.makespan)
@@ -96,6 +99,8 @@ class TestClosedFormsMatchExecutor:
         durations = dict(zip(
             ("structure_init", "load_weights", "load_tokenizer",
              "kv_init", "medusa_warmup", "medusa_restore"), values))
-        timeline = compose_timeline(Strategy.MEDUSA, durations, 0.08)
+        timeline = plan_for(Strategy.MEDUSA).schedule(
+            durations, {"weight_kv_interference": 0.08},
+            strategy=Strategy.MEDUSA)
         schedule = execute(strategy_tasks(Strategy.MEDUSA, durations, 0.08))
         assert timeline.total == pytest.approx(schedule.makespan)

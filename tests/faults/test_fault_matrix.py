@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.online import medusa_cold_start
+from repro.core.store import ArtifactStore
 from repro.faults import (
     DEGRADE_EAGER,
     DEGRADE_PARTIAL,
@@ -114,6 +116,45 @@ def test_fault_matrix(tiny2l_artifact, chaos_seed, case_id, spec, natural,
     assert placed.end <= report.timeline.total + 1e-9
 
     # The engine still serves — correctly — on whatever rung it landed.
+    assert_serves_correctly(engine, artifact)
+
+
+@pytest.fixture(scope="module")
+def tiny2l_lazy_inputs(tiny2l_artifact, tmp_path_factory):
+    """Openers for the ``.npz`` and chunk-backed forms of the artifact."""
+    artifact, _ = tiny2l_artifact
+    workdir = tmp_path_factory.mktemp("fault-inputs")
+    path = workdir / "tiny2l.medusa.npz"
+    save_binary(artifact, path)
+    store = ArtifactStore(workdir / "store")
+    store.put(artifact)
+    return {
+        "lazy": lambda: LazyArtifact(path),
+        "chunked": lambda: store.get_lazy(artifact.gpu_name,
+                                          artifact.model_name),
+    }
+
+
+@pytest.mark.parametrize("input_kind", ["lazy", "chunked"])
+@pytest.mark.parametrize("case_id,spec,natural",
+                         FAULT_CASES, ids=[c for c, _, _ in FAULT_CASES])
+def test_default_row_on_lazy_inputs(tiny2l_artifact, tiny2l_lazy_inputs,
+                                    chaos_seed, case_id, spec, natural,
+                                    input_kind):
+    """The default-policy row over ``.npz`` and chunked inputs lands on the
+    eager input's rung with the same faults fired at the same sites."""
+    artifact, _ = tiny2l_artifact
+    policy = DegradationPolicy()
+    runs = []
+    for opened in (artifact, tiny2l_lazy_inputs[input_kind]()):
+        injector = FaultInjector(FaultPlan(seed=chaos_seed, faults=(spec,)))
+        engine, report = medusa_cold_start(
+            "Tiny-2L", opened, seed=3, mode=ExecutionMode.COMPUTE,
+            cost_model=tiny_cost_model(), injector=injector, policy=policy)
+        runs.append((report.degradation.rung, injector.fired))
+    assert runs[0][0] is expected_rung(natural, policy)
+    assert runs[1] == runs[0]
+    assert runs[0][1], f"fault {spec.kind.value} never fired"
     assert_serves_correctly(engine, artifact)
 
 

@@ -216,3 +216,31 @@ class TestSimulateStrategies:
         output = capsys.readouterr().out
         assert "Deferred capture" in output
         assert "cold_starts" in output
+
+
+class TestMalformedArtifactExitCodes:
+    """Every command that opens an artifact reports a malformed one as
+    ``error: …`` with exit code 2, never a traceback."""
+
+    @pytest.fixture
+    def metadata_less_npz(self, tmp_path):
+        import numpy as np
+        path = tmp_path / "bare.npz"
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, ev_kind=np.zeros(3, dtype=np.int8))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+        ["lint"],
+    ], ids=["restore", "coldstart", "validate", "lint"])
+    def test_metadata_less_npz_exits_two(self, metadata_less_npz, argv,
+                                         capsys):
+        assert main(argv + [metadata_less_npz]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "no metadata member" in err
+        assert "Traceback" not in err

@@ -11,7 +11,9 @@ into arrays on entry) or a lazy npz open.  It writes
 critical-path seconds per strategy, and (with
 ``--assert-speedup``/``--quick``) exits non-zero unless lazy load +
 restore beats eager load + restore by the required factor — the CI
-perf-smoke gate.
+perf-smoke gate.  ``--quick`` also exits non-zero unless static lint of
+a Tiny-2L artifact takes under half the wall-clock of a full restore +
+output validation of it.
 
 Run it directly::
 
@@ -34,6 +36,9 @@ from repro.core.online import prepare_medusa_cold_start
 from repro.engine import LLMEngine, Strategy
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: --quick bound: lint seconds / validate_restoration seconds.
+LINT_VS_VALIDATE_MAX = 0.5
 
 
 def _p50(fn: Callable[[], object], repeats: int) -> float:
@@ -88,6 +93,33 @@ def _chunk_store_p50s(artifact, workdir: pathlib.Path,
     }
 
 
+def _lint_vs_validate() -> Dict[str, float]:
+    """Wall-clock of static lint (mean of 3) vs one restore + validation.
+
+    Both run on a Tiny-2L artifact on a small simulated GPU: lint must
+    stay a small fraction of what output validation costs.
+    """
+    from repro.analysis import lint_artifact
+    from repro.core.validation import validate_restoration
+    from repro.simgpu.costmodel import CostModel, GpuProperties
+    from repro.simgpu.process import ExecutionMode
+
+    cost_model = CostModel(gpu=GpuProperties(
+        name="Tiny-GPU", total_memory_bytes=256 * 1024**2))
+    artifact, _ = run_offline("Tiny-2L", seed=1101,
+                              mode=ExecutionMode.COMPUTE,
+                              cost_model=cost_model)
+    start = time.perf_counter()
+    for _ in range(3):
+        lint_artifact(artifact)
+    lint_seconds = (time.perf_counter() - start) / 3
+    start = time.perf_counter()
+    validate_restoration("Tiny-2L", artifact, seed=7, cost_model=cost_model)
+    validate_seconds = time.perf_counter() - start
+    return {"lint_s": lint_seconds, "validate_s": validate_seconds,
+            "ratio": lint_seconds / validate_seconds}
+
+
 def _simulated_critical_paths(model: str, artifact,
                               lazy_path) -> Dict[str, Dict[str, float]]:
     """Simulated loading/ready/total seconds for every strategy."""
@@ -137,6 +169,9 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
     print("deriving simulated critical paths per strategy...", flush=True)
     simulated = _simulated_critical_paths(model, artifact, npz_path)
 
+    print("timing lint vs restore + validation (Tiny-2L)...", flush=True)
+    lint_vs_validate = _lint_vs_validate()
+
     report = {
         "model": model,
         "repeats": repeats,
@@ -162,6 +197,7 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
             "load": eager_load_p50 / max(lazy_open_p50, 1e-9),
         },
         "simulated_critical_path_s": simulated,
+        "lint_vs_validate": lint_vs_validate,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[written to {output}]")
@@ -183,7 +219,8 @@ def main(argv=None) -> int:
                              "(default: a temp directory)")
     parser.add_argument("--quick", action="store_true",
                         help="CI perf-smoke mode: smaller model, fewer "
-                             "repeats, and --assert-speedup 2.0")
+                             "repeats, --assert-speedup 2.0, and lint "
+                             "under 0.5x a restore + validation")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         help="exit 1 unless lazy load+restore beats "
                              "eager load+restore by this factor")
@@ -210,9 +247,17 @@ def main(argv=None) -> int:
           f"{wall['load_restore_eager'] * 1e3:.1f} ms, lazy "
           f"{wall['load_restore_lazy'] * 1e3:.1f} ms "
           f"({speedup:.1f}x)")
+    lint = report["lint_vs_validate"]
+    print(f"lint {lint['lint_s'] * 1e3:.1f} ms vs validate "
+          f"{lint['validate_s'] * 1e3:.1f} ms ({lint['ratio']:.2f}x)")
     if min_speedup is not None and speedup < min_speedup:
         print(f"FAIL: lazy load+restore is only {speedup:.2f}x eager "
               f"(required {min_speedup:g}x)", file=sys.stderr)
+        return 1
+    if args.quick and lint["ratio"] >= LINT_VS_VALIDATE_MAX:
+        print(f"FAIL: lint takes {lint['ratio']:.2f}x a restore + "
+              f"validation (required < {LINT_VS_VALIDATE_MAX:g}x)",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -86,19 +86,20 @@ def analyze_replay(artifact: MaterializedModel) -> LivenessResult:
     free_lists: Dict[Tuple[str, int], List[Tuple[int, bool]]] = {}
     counter = len(artifact.structure_prefix)
 
+    # Diagnostic locations are formatted only when a diagnostic fires.
     for position, event in enumerate(artifact.replay_events):
-        where = f"replay[{position}]"
         if event.kind == "alloc":
             if event.alloc_index != counter:
                 diagnostics.append(Diagnostic(
                     "MED001",
                     f"alloc index {event.alloc_index} arrived where the "
                     f"sequence expects {counter}; online replay would abort "
-                    f"with replay drift", where))
+                    f"with replay drift", _where(position)))
             counter = event.alloc_index + 1
             if event.size <= 0:
                 diagnostics.append(Diagnostic(
-                    "MED004", f"allocation of size {event.size}", where))
+                    "MED004", f"allocation of size {event.size}",
+                    _where(position)))
                 continue
             aligned = _align(event.size)
             bucket = free_lists.get((event.pool, aligned))
@@ -121,13 +122,14 @@ def analyze_replay(artifact: MaterializedModel) -> LivenessResult:
                     "MED002",
                     f"free of allocation index {event.alloc_index}, which "
                     f"no prior alloc or structure-prefix entry produced",
-                    where))
+                    _where(position)))
                 continue
             if record.freed is not None:
                 diagnostics.append(Diagnostic(
                     "MED003",
                     f"allocation {event.alloc_index} freed again "
-                    f"(first free at replay[{record.freed}])", where))
+                    f"(first free at {_where(record.freed)})",
+                    _where(position)))
                 continue
             record.freed = position
             record.pooled_free = event.pooled
@@ -147,10 +149,15 @@ def analyze_replay(artifact: MaterializedModel) -> LivenessResult:
             free_lists.clear()
         else:
             diagnostics.append(Diagnostic(
-                "MED005", f"replay event kind {event.kind!r}", where))
+                "MED005", f"replay event kind {event.kind!r}",
+                _where(position)))
 
     _check_anchors(artifact, result)
     return result
+
+
+def _where(position: int) -> str:
+    return f"replay[{position}]"
 
 
 def _check_anchors(artifact: MaterializedModel, result: LivenessResult) -> None:

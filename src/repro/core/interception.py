@@ -44,12 +44,9 @@ class TraceInterceptor(Interceptor):
         ))
 
     def on_free(self, buffer: Buffer) -> None:
-        # ``live`` distinguishes nothing here (pool frees keep buffers live);
-        # the allocator's own event log carries the pooled flag, but the
-        # interceptor sees the free *after* it happened, so consult the last
-        # allocator event via the buffer's state: a pooled free leaves the
-        # payload intact, a cudaFree poisons it.  We instead record pooled
-        # based on buffer.live, which is False only after a cudaFree.
+        # The hook runs after the free: a cudaFree has already set
+        # ``buffer.live`` to False, while a pool free leaves it True.  So
+        # ``live`` is exactly the pooled flag.
         self.trace.events.append(FreeTraceEvent(
             seq=self._next_seq(),
             alloc_index=buffer.alloc_index,
@@ -61,12 +58,13 @@ class TraceInterceptor(Interceptor):
         self.trace.events.append(EmptyCacheTraceEvent(seq=self._next_seq()))
 
     def on_launch(self, record: LaunchRecord) -> None:
+        params = record.params
         self.trace.events.append(LaunchTraceEvent(
             seq=self._next_seq(),
             kernel_name=record.kernel_name,
             library=record.library,
-            param_sizes=tuple(p.size for p in record.params),
-            param_values=tuple(p.value for p in record.params),
+            param_sizes=tuple([p.size for p in params]),
+            param_values=tuple([p.value for p in params]),
             launch_dims=tuple(sorted(record.launch_dims.items())),
             captured=record.captured,
         ))

@@ -48,26 +48,66 @@ class LaunchTraceEvent:
 
 
 @dataclass
+class _KindSplit:
+    """``Trace.events`` split by event kind (one pass)."""
+
+    source: List[object]
+    length: int
+    allocations: List[AllocTraceEvent]
+    frees: List[FreeTraceEvent]
+    launches: List[LaunchTraceEvent]
+    freed: Dict[int, int]
+
+    @classmethod
+    def of(cls, events: List[object]) -> "_KindSplit":
+        allocations: List[AllocTraceEvent] = []
+        frees: List[FreeTraceEvent] = []
+        launches: List[LaunchTraceEvent] = []
+        for event in events:
+            if isinstance(event, AllocTraceEvent):
+                allocations.append(event)
+            elif isinstance(event, FreeTraceEvent):
+                frees.append(event)
+            elif isinstance(event, LaunchTraceEvent):
+                launches.append(event)
+        return cls(events, len(events), allocations, frees, launches,
+                   {e.alloc_index: e.seq for e in frees})
+
+
+@dataclass
 class Trace:
-    """The full intercepted event stream of one offline capture stage."""
+    """The full intercepted event stream of one offline capture stage.
+
+    The per-kind views are split out of ``events`` in one pass, on first
+    use, and re-split only when ``events`` has changed length (events are
+    only ever appended).
+    """
 
     events: List[object] = field(default_factory=list)
+    _split = None   # cached _KindSplit (a class default, not a field)
+
+    def _kinds(self) -> _KindSplit:
+        split = self._split
+        if split is None or split.source is not self.events \
+                or split.length != len(self.events):
+            split = self._split = _KindSplit.of(self.events)
+        return split
 
     def allocations(self) -> List[AllocTraceEvent]:
-        return [e for e in self.events if isinstance(e, AllocTraceEvent)]
+        return list(self._kinds().allocations)
 
     def frees(self) -> List[FreeTraceEvent]:
-        return [e for e in self.events if isinstance(e, FreeTraceEvent)]
+        return list(self._kinds().frees)
 
     def launches(self) -> List[LaunchTraceEvent]:
-        return [e for e in self.events if isinstance(e, LaunchTraceEvent)]
+        return list(self._kinds().launches)
 
     def captured_launches(self) -> List[LaunchTraceEvent]:
-        return [e for e in self.launches() if e.captured]
+        return [e for e in self._kinds().launches if e.captured]
 
     def freed_alloc_indices(self) -> Dict[int, int]:
         """alloc_index -> seq of its free event (pool or cudaFree)."""
-        return {e.alloc_index: e.seq for e in self.frees()}
+        return dict(self._kinds().freed)
 
     @property
     def num_events(self) -> int:

@@ -12,7 +12,7 @@ permanent magic workspace on first launch (warm-up).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class ForwardContext:
     kv_layer_stride: int = 0
 
 
+#: One parameter slot of a launch template (see ``Model._launch_template``).
+_Slot = Tuple[bool, int, str, Optional[KernelParam]]
+
+
 class Model:
     """One model instance living inside one simulated process."""
 
@@ -56,6 +60,14 @@ class Model:
         self._specs: Dict[str, KernelSpec] = {
             key: kernel_spec(config, key) for key in all_kernel_keys(config)
         }
+        self._templates: Dict[str, Tuple[_Slot, ...]] = {
+            spec.name: self._launch_template(spec)
+            for spec in self._specs.values()
+        }
+        # Pointer params are immutable (size, value) pairs and the same few
+        # hundred addresses recur in every forwarding: share one object per
+        # address instead of allocating one per launch.
+        self._pointer_params: Dict[int, KernelParam] = {}
         self._weights_loaded = False
 
     # -- loading-phase stages (timing is accounted by the engine) ------------
@@ -104,14 +116,18 @@ class Model:
         template = self.config.kernel_template()
 
         launched = 0
+        # Shared by every launch of this forwarding: the stream copies it
+        # into each graph node and launch record.
+        batch_dims = {"batch_size": batch_size}
+        no_consts: Dict[str, int] = {}
 
         def launch(key: str, roles: Dict[str, int],
                    consts: Optional[Dict[str, int]] = None,
                    dims: Optional[Dict[str, int]] = None) -> None:
             nonlocal launched
             spec = self._specs[key]
-            process.launch(spec, self._params(spec, roles, consts or {}),
-                           launch_dims=dims or {"batch_size": batch_size})
+            process.launch(spec, self._params(spec, roles, consts or no_consts),
+                           launch_dims=dims or batch_dims)
             launched += 1
 
         temp_bytes = max(256, batch_size * self.config.hidden_size * 2)
@@ -287,8 +303,12 @@ class Model:
                               f"structure not initialized?")
         return buffer
 
-    def _params(self, spec: KernelSpec, roles: Dict[str, int],
-                consts: Dict[str, int]) -> List[KernelParam]:
+    def _launch_template(self, spec: KernelSpec) -> Tuple[_Slot, ...]:
+        """Per-spec launch layout: ``(is_pointer, size, role, default)``.
+
+        ``default`` is the const's prebuilt :class:`KernelParam` (None for
+        pointers and for consts every launch must supply).
+        """
         want_a, want_b = magic_values(spec.name)
         defaults = {
             "magic_a_expected": want_a,
@@ -298,14 +318,31 @@ class Model:
             "rot_steps": 0,
             "layer_idx": 0,
         }
-        params: List[KernelParam] = []
+        template = []
         for slot in spec.params:
-            if slot.kind is ParamKind.POINTER:
-                params.append(KernelParam(slot.size, roles.get(slot.role, 0)))
+            value = None if slot.kind is ParamKind.POINTER \
+                else defaults.get(slot.role)
+            template.append((
+                slot.kind is ParamKind.POINTER, slot.size, slot.role,
+                None if value is None else KernelParam(slot.size, int(value))))
+        return tuple(template)
+
+    def _params(self, spec: KernelSpec, roles: Dict[str, int],
+                consts: Dict[str, int]) -> List[KernelParam]:
+        pointers = self._pointer_params
+        params: List[KernelParam] = []
+        for is_pointer, size, role, default in self._templates[spec.name]:
+            if is_pointer:
+                value = roles.get(role, 0)
+                param = pointers.get(value)
+                if param is None:
+                    param = pointers[value] = KernelParam(size, value)
+                params.append(param)
+            elif role in consts:
+                params.append(KernelParam(size, int(consts[role])))
+            elif default is not None:
+                params.append(default)
             else:
-                value = consts.get(slot.role, defaults.get(slot.role))
-                if value is None:
-                    raise InvalidValueError(
-                        f"kernel {spec.name}: missing const {slot.role!r}")
-                params.append(KernelParam(slot.size, int(value)))
+                raise InvalidValueError(
+                    f"kernel {spec.name}: missing const {role!r}")
         return params

@@ -54,6 +54,10 @@ class CudaDriver:
         self._loaded_modules: Set[Tuple[str, str]] = set()   # (library, module)
         self._addr_to_kernel: Dict[int, KernelSpec] = {}
         self._kernel_to_addr: Dict[str, int] = {}
+        #: kernel name -> (library, address) once a launch found its library
+        #: initialized and its module loaded.  Exact because that state only
+        #: grows: nothing uninitializes a library or unloads a module.
+        self.launch_ready: Dict[str, Tuple[str, int]] = {}
 
     # -- ASLR ----------------------------------------------------------------
 

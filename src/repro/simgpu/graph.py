@@ -32,7 +32,7 @@ class CudaGraphNode:
     launch_dims: Dict[str, int] = field(default_factory=dict)
 
     def param_sizes(self) -> Tuple[int, ...]:
-        return tuple(p.size for p in self.params)
+        return tuple([p.size for p in self.params])
 
     def set_param(self, index: int, value: int) -> None:
         old = self.params[index]

@@ -24,6 +24,7 @@ two 4-byte permanent buffers holding magic numbers (§4.3).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -97,6 +98,16 @@ class KernelSpec:
     def pointer_roles(self) -> List[str]:
         return [p.role for p in self.params if p.kind is ParamKind.POINTER]
 
+    @functools.cached_property
+    def pointer_slots(self) -> Tuple[Tuple[int, str], ...]:
+        """``(slot index, role)`` of every pointer parameter, in order.
+
+        Computed once per spec (specs are immutable), so per-launch code
+        need not re-filter ``params`` by kind.
+        """
+        return tuple((index, p.role) for index, p in enumerate(self.params)
+                     if p.kind is ParamKind.POINTER)
+
     def param_index(self, role: str) -> int:
         for i, p in enumerate(self.params):
             if p.role == role:
@@ -104,11 +115,13 @@ class KernelSpec:
         raise InvalidValueError(f"kernel {self.name} has no param role {role!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def magic_values(kernel_name: str) -> Tuple[int, int]:
     """The two per-kernel magic numbers a cuBLAS-style kernel requires.
 
     Derived deterministically from the kernel name so the offline and online
     phases agree on ground truth, while remaining distinct per kernel.
+    Memoized: a pure function of the name, asked for on every launch.
     """
     h = abs(hash_stable(kernel_name))
     return (h & 0x7FFFFFFF) or 1, ((h >> 31) & 0x7FFFFFFF) or 2

@@ -33,17 +33,19 @@ class DynamicLibrary:
     requires_init: bool = True   # first use synchronizes the device
 
     def __post_init__(self) -> None:
-        seen: Dict[str, str] = {}
+        # kernel name -> (its module, its spec): an index, not a field.
+        index: Dict[str, Tuple[CudaModule, KernelSpec]] = {}
+        object.__setattr__(self, "_index", index)
         for module in self.modules:
             if module.library != self.name:
                 raise InvalidValueError(
                     f"module {module.name} belongs to {module.library}, "
                     f"not {self.name}")
             for spec in module.kernels:
-                if spec.name in seen:
+                if spec.name in index:
                     raise InvalidValueError(
                         f"duplicate kernel {spec.name} in library {self.name}")
-                seen[spec.name] = module.name
+                index[spec.name] = (module, spec)
 
     def iter_kernels(self) -> Iterator[KernelSpec]:
         for module in self.modules:
@@ -59,18 +61,17 @@ class DynamicLibrary:
                              if s.host_entry}))
 
     def find_kernel(self, kernel_name: str) -> KernelSpec:
-        for spec in self.iter_kernels():
-            if spec.name == kernel_name:
-                return spec
-        raise SymbolNotFoundError(
-            f"library {self.name} has no kernel {kernel_name}")
+        return self._lookup(kernel_name)[1]
 
     def module_of(self, kernel_name: str) -> CudaModule:
-        for module in self.modules:
-            if any(s.name == kernel_name for s in module.kernels):
-                return module
-        raise SymbolNotFoundError(
-            f"library {self.name} has no kernel {kernel_name}")
+        return self._lookup(kernel_name)[0]
+
+    def _lookup(self, kernel_name: str) -> Tuple[CudaModule, KernelSpec]:
+        entry = self._index.get(kernel_name)
+        if entry is None:
+            raise SymbolNotFoundError(
+                f"library {self.name} has no kernel {kernel_name}")
+        return entry
 
 
 class LibraryCatalog:

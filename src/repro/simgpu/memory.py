@@ -25,6 +25,7 @@ pass.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -121,6 +122,8 @@ class DeviceAllocator:
         self._alloc_counter = 0
         self._pending: set = set()            # addresses sitting on free lists
         self._large_live: Dict[int, Buffer] = {}   # interior-pointer targets
+        #: sorted keys of ``_large_live``; None when a key came or went.
+        self._large_starts: Optional[List[int]] = None
 
     # -- core API -----------------------------------------------------------
 
@@ -173,6 +176,8 @@ class DeviceAllocator:
         self._live[address] = buffer
         self._history.append(buffer)
         if aligned > _LARGE_THRESHOLD:
+            if address not in self._large_live:
+                self._large_starts = None
             self._large_live[address] = buffer
         self.peak_bytes = max(self.peak_bytes, self.bytes_in_use)
         self.events.append(
@@ -187,7 +192,9 @@ class DeviceAllocator:
         Checkpoint/restore systems reconstruct an address space verbatim so
         raw pointers inside driver objects stay valid; this is the primitive
         that makes the §9 baseline implementable.  The address must not
-        overlap any live allocation.
+        overlap any live allocation.  Blocks that were cudaFree'd into the
+        mapped range leave the free lists, so no later allocation is handed
+        memory that overlaps the mapping.
         """
         if address % ALIGNMENT:
             raise InvalidValueError(
@@ -201,6 +208,7 @@ class DeviceAllocator:
                 raise IllegalMemoryAccessError(
                     f"fixed mapping 0x{address:x}..+{aligned} overlaps live "
                     f"buffer 0x{live.address:x}..+{live.size}")
+        self._forget_free_blocks(address, address + aligned)
         index = self._alloc_counter
         self._alloc_counter += 1
         buffer = Buffer(address=address, size=aligned, alloc_index=index,
@@ -211,6 +219,7 @@ class DeviceAllocator:
         self._history.append(buffer)
         if aligned > _LARGE_THRESHOLD:
             self._large_live[address] = buffer
+            self._large_starts = None
         self.bytes_in_use += aligned
         self.peak_bytes = max(self.peak_bytes, self.bytes_in_use)
         self._cursor = max(self._cursor, address + aligned)
@@ -238,10 +247,11 @@ class DeviceAllocator:
         that still references it faults on replay (the hazard PyTorch avoids
         by never cudaFree-ing capture-referenced memory, §2.2).
         """
-        buffer = self._live.pop(address, None)
+        buffer = self._live.get(address)
         if buffer is None or self._pending_pool_reuse(address):
             raise IllegalMemoryAccessError(
                 f"cudaFree of unknown or already-freed address 0x{address:x}")
+        del self._live[address]
         buffer.live = False
         buffer.freed_at_index = len(self.events)
         if buffer.payload is not None:
@@ -249,7 +259,7 @@ class DeviceAllocator:
         self._free_lists.setdefault((buffer.pool, buffer.size), []).append(
             (address, False, None))
         self._pending.add(address)
-        self._large_live.pop(address, None)
+        self._unindex_large(address)
         self.bytes_in_use -= buffer.size
         self.events.append(
             AllocationEvent("free", address, 0, buffer.alloc_index, buffer.tag))
@@ -293,7 +303,7 @@ class DeviceAllocator:
                 if buffer is None:
                     continue
                 buffer.live = False
-                self._large_live.pop(address, None)
+                self._unindex_large(address)
                 if buffer.payload is not None:
                     buffer.payload = np.full_like(buffer.payload, POISON_VALUE)
                 self.bytes_in_use -= buffer.size
@@ -302,6 +312,22 @@ class DeviceAllocator:
         self._pending.clear()
         self.events.append(AllocationEvent("empty_cache", 0, 0, None))
         return released
+
+    def _unindex_large(self, address: int) -> None:
+        if self._large_live.pop(address, None) is not None:
+            self._large_starts = None
+
+    def _forget_free_blocks(self, start: int, end: int) -> None:
+        """Drop cudaFree'd free-list blocks overlapping ``[start, end)``."""
+        for (_pool, size), entries in self._free_lists.items():
+            kept = []
+            for entry in entries:
+                block, pooled, _payload = entry
+                if not pooled and block < end and start < block + size:
+                    self._pending.discard(block)
+                else:
+                    kept.append(entry)
+            entries[:] = kept
 
     def _pending_pool_reuse(self, address: int) -> bool:
         """True if ``address`` already sits on a free list awaiting reuse."""
@@ -327,7 +353,14 @@ class DeviceAllocator:
         buffer = self._live.get(address)
         if buffer is not None:
             return buffer
-        for candidate in self._large_live.values():
+        # Live buffers never overlap, so the only large buffer that can
+        # contain ``address`` is the one starting closest below it.
+        starts = self._large_starts
+        if starts is None:
+            starts = self._large_starts = sorted(self._large_live)
+        position = bisect.bisect_right(starts, address) - 1
+        if position >= 0:
+            candidate = self._large_live[starts[position]]
             if candidate.contains(address):
                 return candidate
         for candidate in self._live.values():

@@ -21,7 +21,6 @@ from repro.simgpu.kernels import (
     CONST32_SIZE,
     KernelParam,
     KernelSpec,
-    ParamKind,
     magic_values,
 )
 from repro.simgpu.libraries import LibraryCatalog
@@ -91,6 +90,7 @@ class CudaProcess:
                                  injector=injector)
         self.default_stream = Stream(self, name="stream0")
         self._interceptors: List[Interceptor] = []
+        self._charges_interception = False   # any hook with adds_overhead
         self._magic: Dict[str, Tuple[int, int]] = {}   # kernel -> (addr_a, addr_b)
         self._current_pool = "default"
 
@@ -98,16 +98,23 @@ class CudaProcess:
 
     def add_interceptor(self, interceptor: Interceptor) -> None:
         self._interceptors.append(interceptor)
+        self._update_charging()
 
     def remove_interceptor(self, interceptor: Interceptor) -> None:
         self._interceptors.remove(interceptor)
+        self._update_charging()
+
+    def _update_charging(self) -> None:
+        # ``adds_overhead`` is read when hooks attach or detach, not per event.
+        self._charges_interception = any(
+            i.adds_overhead for i in self._interceptors)
 
     @property
     def intercepted(self) -> bool:
         return bool(self._interceptors)
 
     def _charge_interception(self) -> None:
-        if any(i.adds_overhead for i in self._interceptors):
+        if self._charges_interception:
             self.clock.advance(self.cost_model.interception_per_event)
 
     def notify_launch(self, record: LaunchRecord) -> None:
@@ -219,13 +226,11 @@ class CudaProcess:
         """Substitute the registered magic buffer addresses into ``params``."""
         addr_a, addr_b = self._magic[spec.name]
         patched = list(params)
-        for index, slot in enumerate(spec.params):
-            if slot.kind is not ParamKind.POINTER:
-                continue
-            if slot.role == "magic_a":
-                patched[index] = KernelParam(slot.size, addr_a)
-            elif slot.role == "magic_b":
-                patched[index] = KernelParam(slot.size, addr_b)
+        for index, role in spec.pointer_slots:
+            if role == "magic_a":
+                patched[index] = KernelParam(spec.params[index].size, addr_a)
+            elif role == "magic_b":
+                patched[index] = KernelParam(spec.params[index].size, addr_b)
         return patched
 
     # -- launching & capture -----------------------------------------------------

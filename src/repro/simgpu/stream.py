@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CaptureViolationError, InvalidValueError
+from repro.simgpu.executor import execute_params
 from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
-from repro.simgpu.kernels import KernelParam, KernelSpec, ParamKind
+from repro.simgpu.kernels import KernelParam, KernelSpec
 
 
 @dataclass
@@ -89,17 +90,19 @@ class _CaptureBuilder:
                 self.graph.add_edge(dependency, index)
         reads: List[int] = []
         writes: List[int] = []
-        for slot, param in zip(spec.params, params):
-            if slot.kind is not ParamKind.POINTER:
-                continue
-            buffer = process.allocator.resolve(param.value)
-            if slot.role == "output":
-                writes.append(buffer.address)
-            elif slot.role == "kv":
-                reads.append(buffer.address)
-                writes.append(buffer.address)
+        resolve = process.allocator.resolve
+        count = len(params)
+        for slot_index, role in spec.pointer_slots:
+            if slot_index >= count:
+                break
+            base = resolve(params[slot_index].value).address
+            if role == "output":
+                writes.append(base)
+            elif role == "kv":
+                reads.append(base)
+                writes.append(base)
             else:
-                reads.append(buffer.address)
+                reads.append(base)
         for base in reads:
             writer = self._last_writer.get(base)
             if writer is not None and writer != index:
@@ -205,9 +208,45 @@ class Stream:
         referenced by ``params`` already exist (the restoration/plan-launch
         path); first-touch workspace setup is skipped.
         """
-        from repro.simgpu.executor import execute_params  # avoid cycle
-        from repro.simgpu.process import ExecutionMode
+        process = self.process
+        ready = process.driver.launch_ready.get(spec.name)
+        if ready is not None and ready[0] == spec.library:
+            address = ready[1]
+        else:
+            address = self._prepare_first_launch(spec)
 
+        if spec.needs_magic and not preset_magic:
+            if not process.has_magic(spec.name):
+                if self._capture is not None:
+                    self.abort_capture()
+                    raise CaptureViolationError(
+                        f"one-time workspace setup of {spec.name} during "
+                        f"capture — warm up first")
+                process.setup_magic(spec)
+            params = process.patch_magic_params(spec, params)
+
+        capturing = self._capture is not None
+        if process.intercepted:
+            process.notify_launch(LaunchRecord(
+                kernel_name=spec.name, library=spec.library,
+                params=list(params), launch_dims=dict(launch_dims or {}),
+                captured=capturing))
+
+        if capturing:
+            self._capture.record(process, spec, address, params,
+                                 launch_dims or {}, stream=self)
+            return
+        from repro.simgpu.process import ExecutionMode  # avoid cycle
+        if process.mode is ExecutionMode.COMPUTE:
+            execute_params(process, spec, params)
+
+    def _prepare_first_launch(self, spec: KernelSpec) -> int:
+        """Map, initialize and load what ``spec`` needs; return its address.
+
+        Runs until the driver has seen one launch of ``spec`` with its
+        library initialized and its module loaded; from then on
+        ``launch_kernel`` takes the address from ``driver.launch_ready``.
+        """
         process = self.process
         driver = process.driver
         driver.dlopen(spec.library)
@@ -232,26 +271,6 @@ class Stream:
                     f"warm up first")
             driver.load_module_for(spec)
 
-        if spec.needs_magic and not preset_magic:
-            if not process.has_magic(spec.name):
-                if self._capture is not None:
-                    self.abort_capture()
-                    raise CaptureViolationError(
-                        f"one-time workspace setup of {spec.name} during "
-                        f"capture — warm up first")
-                process.setup_magic(spec)
-            params = process.patch_magic_params(spec, params)
-
         address = driver.kernel_address(spec.name)
-        capturing = self._capture is not None
-        process.notify_launch(LaunchRecord(
-            kernel_name=spec.name, library=spec.library,
-            params=list(params), launch_dims=dict(launch_dims or {}),
-            captured=capturing))
-
-        if capturing:
-            self._capture.record(process, spec, address, params,
-                                 launch_dims or {}, stream=self)
-            return
-        if process.mode is ExecutionMode.COMPUTE:
-            execute_params(process, spec, params)
+        driver.launch_ready[spec.name] = (spec.library, address)
+        return address

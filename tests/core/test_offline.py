@@ -92,3 +92,46 @@ class TestDeterminism:
         # Different seeds -> different raw addresses offline, but the
         # materialized (address-free) artifacts must be identical.
         assert art_a.to_json() == art_b.to_json()
+
+
+class TestCollectorPause:
+    """``OfflinePhase.run`` pauses the cyclic GC; that must cost nothing."""
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        import gc
+        gc.collect()
+        phase = OfflinePhase("Tiny-2L", cost_model=tiny_cost_model())
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = phase.run()
+            unreachable = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert result[0].total_nodes > 0
+        assert unreachable == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        import gc
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            OfflinePhase("Tiny-2L", cost_model=tiny_cost_model()).run()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_restored_when_run_raises(self, monkeypatch):
+        import gc
+        from repro.errors import MaterializationError
+
+        def fail(self, engine, trace):
+            raise MaterializationError("analysis failed")
+
+        monkeypatch.setattr(OfflinePhase, "_analysis_stage", fail)
+        assert gc.isenabled()
+        with pytest.raises(MaterializationError):
+            OfflinePhase("Tiny-2L", cost_model=tiny_cost_model()).run()
+        assert gc.isenabled()

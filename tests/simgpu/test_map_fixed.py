@@ -59,6 +59,18 @@ class TestMapFixed:
         allocator.map_fixed(BASE, 512)
         assert allocator.bytes_in_use == 512
 
+    def test_mapping_over_freed_block_is_never_reallocated(self):
+        """A cudaFree'd block under a fixed mapping leaves the free list,
+        so the next same-size malloc cannot overlap the mapping."""
+        allocator = make_allocator()
+        freed = allocator.malloc(4096)
+        allocator.free(freed.address)
+        mapped = allocator.map_fixed(freed.address + ALIGNMENT, 256)
+        fresh = allocator.malloc(4096)
+        assert fresh.address >= mapped.end
+        assert allocator.is_live(mapped.address)
+        assert allocator.resolve(mapped.address) is mapped
+
 
 class TestAslrDeterminism:
     def test_library_bases_independent_of_dlopen_order(self, catalog):

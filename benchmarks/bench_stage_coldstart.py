@@ -46,7 +46,7 @@ def pipelined_report(tmp_path_factory):
 
 def _simulate(config):
     workload = ShareGPTWorkload(rps=RPS, duration=DURATION, seed=SEED)
-    simulator = ClusterSimulator(ServingCostModel(MODEL), config)
+    simulator = ClusterSimulator(ServingCostModel(MODEL), config, trace=True)
     metrics = simulator.run(workload.generate(), horizon=DURATION)
     return simulator, metrics
 

@@ -415,7 +415,8 @@ def _cmd_simulate(args) -> int:
         SimulationConfig.from_report(report, num_gpus=args.gpus,
                                      placement=args.placement,
                                      autoscale=args.autoscale,
-                                     slo_ttft=args.slo_ttft))
+                                     slo_ttft=args.slo_ttft),
+        trace=bool(args.trace))
     metrics = simulator.run(workload.generate(), horizon=args.duration)
     summary = metrics.summary()
     rows = [[key, value] for key, value in sorted(summary.items())]

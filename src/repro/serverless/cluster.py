@@ -140,13 +140,17 @@ class MultiModelCluster:
     horizon; ``abort_cold_starts`` cancels an in-flight stage-granular
     cold start at its next stage boundary when ready instances of its
     model can absorb its queue (the ServerlessLLM-style startup abort).
+    ``trace=True`` records the run's spans and marks on ``loop.trace``
+    for the Chrome-trace export; off, ``loop.trace`` stays empty and no
+    metric reads it either way.
     """
 
     def __init__(self, deployments: List[ModelDeployment], num_gpus: int,
                  keep_alive: float = 20.0, placement: object = "locality",
                  tiers: Optional[Tuple[TierSpec, ...]] = None,
                  autoscale: object = "keep-alive", slo_ttft: float = 0.0,
-                 drain: bool = True, abort_cold_starts: bool = False):
+                 drain: bool = True, abort_cold_starts: bool = False,
+                 trace: bool = False):
         if num_gpus <= 0:
             raise InvalidValueError("num_gpus must be positive")
         names = [d.name for d in deployments]
@@ -170,6 +174,7 @@ class MultiModelCluster:
         self.slo_ttft = slo_ttft
         self.drain = drain
         self.abort_cold_starts = abort_cold_starts
+        self.trace = trace
         self._placement_spec = placement
         self._tiers = tiers
         self._autoscale_spec = autoscale
@@ -200,6 +205,7 @@ class MultiModelCluster:
                                   slo_ttft=self.slo_ttft)
             for name in self.deployments}
         loop = EventLoop()
+        loop.trace.enabled = self.trace
         loop.on(ARRIVAL, self._on_arrival, priority=0)
         loop.on(COLD_STAGE_DONE, self._on_cold_stage_done, priority=1)
         loop.on(INSTANCE_READY, self._on_instance_ready, priority=2)
@@ -695,11 +701,12 @@ class MultiModelCluster:
         result = instance.run_step(now)
         self.loop.schedule(now + result.duration, STEP_DONE,
                            (instance, result))
-        self.loop.trace.span(
-            "serve_step", now, now + result.duration,
-            track=_track(instance), admitted=len(result.ttfts),
-            completed=len(result.completed),
-            contended=result.background_contention > 0)
+        if self.loop.trace.enabled:
+            self.loop.trace.span(
+                "serve_step", now, now + result.duration,
+                track=_track(instance), admitted=len(result.ttfts),
+                completed=len(result.completed),
+                contended=result.background_contention > 0)
 
     def _maybe_retire(self, instance: Instance, now: float) -> None:
         """Retire an idle instance once its policy's window expires.

@@ -9,7 +9,7 @@ KV-cache read traffic that grows with context length during decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Tuple
 
 from repro.engine.strategies import Strategy
 from repro.models.config import ModelConfig
@@ -17,29 +17,49 @@ from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServingCostModel:
-    """Per-iteration serving times for one model under one cost model."""
+    """Per-iteration serving times for one model under one cost model.
+
+    Immutable: the padded-batch table and the hoisted decode constants
+    below are derived once from ``config`` and ``cost_model`` and would
+    go stale if either changed.
+    """
 
     config: ModelConfig
     cost_model: CostModel = field(default_factory=CostModel)
+    #: ``_padded[b]`` is :meth:`padded_batch` of ``b`` for
+    #: ``0 <= b <= max(capture_batch_sizes)``.
+    _padded: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: ``decode_step_time``'s per-model constants, each the same
+    #: expression the formula evaluates, so every result keeps its bits.
+    _decode: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.config, str):
-            self.config = get_model_config(self.config)
+        config = self.config
+        if isinstance(config, str):
+            config = get_model_config(config)
+            object.__setattr__(self, "config", config)
+        sizes = config.capture_batch_sizes
+        padded = tuple(min(b for b in sizes if b >= batch)
+                       for batch in range(max(sizes) + 1))
+        cm = self.cost_model
+        gpu = cm.gpu
+        decode = (2.0 * config.num_params, gpu.effective_flops,
+                  config.param_bytes, config.hidden_size,
+                  config.num_layers, gpu.effective_mem_bandwidth,
+                  cm.graph_launch_overhead,
+                  config.nodes_for_batch(1) * cm.launch_gap)
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "_decode", decode)
 
     # -- components ---------------------------------------------------------
 
-    def _kv_read_bytes(self, batch_size: int, avg_context: float) -> float:
-        """K+V read volume for one decode step across the batch."""
-        return (batch_size * avg_context * self.config.hidden_size
-                * 2 * 2 * self.config.num_layers)
-
     def padded_batch(self, batch_size: int) -> int:
-        candidates = [b for b in self.config.capture_batch_sizes
-                      if b >= batch_size]
-        return min(candidates) if candidates else \
-            max(self.config.capture_batch_sizes)
+        """The smallest capture batch size >= ``batch_size``; the largest
+        one when ``batch_size`` exceeds them all."""
+        padded = self._padded
+        return padded[min(batch_size, len(padded) - 1)]
 
     # -- iteration times ---------------------------------------------------------
 
@@ -53,19 +73,20 @@ class ServingCostModel:
     def decode_step_time(self, batch_size: int, avg_context: float,
                          use_graphs: bool) -> float:
         """One decode iteration over ``batch_size`` running sequences."""
-        cm = self.cost_model
-        gpu = self.cost_model.gpu
+        (two_params, flops, param_bytes, hidden, layers, bandwidth,
+         graph_launch, eager_launch) = self._decode
         effective_batch = self.padded_batch(batch_size) if use_graphs \
             else batch_size
-        compute = (2.0 * self.config.num_params * effective_batch
-                   / gpu.effective_flops)
-        memory = ((self.config.param_bytes
-                   + self._kv_read_bytes(batch_size, avg_context))
-                  / gpu.effective_mem_bandwidth)
-        gpu_time = max(compute, memory)
+        compute = two_params * effective_batch / flops
+        # Weights plus the batch's K+V read volume.  Keep this evaluation
+        # order: re-associating the product changes its bits.
+        memory = ((param_bytes
+                   + batch_size * avg_context * hidden * 2 * 2 * layers)
+                  / bandwidth)
+        gpu_time = memory if memory > compute else compute
         if use_graphs:
-            return gpu_time + cm.graph_launch_overhead
-        return gpu_time + self.config.nodes_for_batch(1) * cm.launch_gap
+            return gpu_time + graph_launch
+        return gpu_time + eager_launch
 
     def deferred_capture_penalty(self, batch_size: int) -> float:
         """One-off cost of lazily capturing a batch size while serving (§2.4):

@@ -152,19 +152,24 @@ class InstanceConfig:
     deferred_capture: bool = False   # §2.4: capture lazily while serving
 
 
-@dataclass
 class _RunningSequence:
-    request: Request
-    generated: int = 0
-    first_token_time: float = 0.0
+    """One admitted request and the instance step at which it finishes.
 
-    @property
-    def context(self) -> int:
-        return self.request.prompt_tokens + self.generated
+    A sequence admitted at step ``s`` has generated one token by the end
+    of ``s`` and one more every later step, so it is done at the end of
+    step ``s + max(output_tokens - 1, 0)``; its context then is
+    ``prompt_tokens + max(output_tokens, 1)`` tokens.
+    """
 
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_tokens
+    __slots__ = ("request", "first_token_time", "finish_step",
+                 "final_context")
+
+    def __init__(self, request: Request, step: int):
+        self.request = request
+        self.first_token_time = 0.0
+        output = request.output_tokens
+        self.finish_step = step + max(output - 1, 0)
+        self.final_context = request.prompt_tokens + max(output, 1)
 
 
 @dataclass
@@ -209,6 +214,11 @@ class Instance:
         self.last_busy_at = self.ready_at
         self.busy_time = 0.0
         self._captured_batches: set = set()
+        # -- decode bookkeeping (see run_step) -------------------------------
+        self._steps = 0                  # index of the next serving step
+        self._context_sum = 0            # sum of running sequences' contexts
+        #: finish step -> sequences finishing there, in admission order.
+        self._finishing: Dict[int, List[_RunningSequence]] = {}
         # -- stage-granular cold start (profile timelines only) -------------
         self.cold_stages: List[object] = []
         self.restore_tail_until = self.ready_at
@@ -279,33 +289,47 @@ class Instance:
         """Execute one continuous-batching iteration starting at ``now``.
 
         Returns the step duration plus the TTFTs and completions it produced.
+        A step costs O(1 + admitted + completed): the running context sum
+        is kept as an exact integer, and each sequence waits in the bucket
+        of the step it finishes at, in admission (= ``running``) order.
         """
-        if not self.has_work:
+        running = self.running
+        waiting = self.waiting
+        if not (waiting or running):
             raise SchedulingError(
                 f"instance {self.instance_id} stepped without work")
+        step = self._steps
+        self._steps = step + 1
+        costs = self.costs
+        config = self.config
+        context_sum = self._context_sum
+        carried = batch = len(running)
         duration = 0.0
         admitted: List[_RunningSequence] = []
-        while self.waiting and len(self.running) < self.config.max_running:
-            request = self.waiting.popleft()
-            duration += self.costs.prefill_time(request.prompt_tokens)
-            sequence = _RunningSequence(request=request, generated=1)
-            self.running.append(sequence)
+        finishing = self._finishing
+        while waiting and batch < config.max_running:
+            request = waiting.popleft()
+            duration += costs.prefill_time(request.prompt_tokens)
+            sequence = _RunningSequence(request, step)
+            running.append(sequence)
             admitted.append(sequence)
-        if self.running:
-            if self.config.deferred_capture and self.config.use_cuda_graphs:
-                padded = self.costs.padded_batch(len(self.running))
+            context_sum += request.prompt_tokens + 1
+            finishing.setdefault(sequence.finish_step, []).append(sequence)
+            batch += 1
+        if batch:
+            if config.deferred_capture and config.use_cuda_graphs:
+                padded = costs.padded_batch(batch)
                 if padded not in self._captured_batches:
                     # §2.4: the capture latency lands on this iteration's
                     # requests instead of on the cold start.
-                    duration += self.costs.deferred_capture_penalty(padded)
+                    duration += costs.deferred_capture_penalty(padded)
                     self._captured_batches.add(padded)
-            contexts = [seq.context for seq in self.running]
-            duration += self.costs.decode_step_time(
-                len(self.running), sum(contexts) / len(contexts),
-                self.config.use_cuda_graphs)
-            for sequence in self.running:
-                if sequence not in admitted:
-                    sequence.generated += 1
+            # Integer sum / count: the same correctly rounded division as
+            # the mean over the per-sequence contexts.
+            duration += costs.decode_step_time(
+                batch, context_sum / batch, config.use_cuda_graphs)
+            # Every sequence admitted before this step generated a token.
+            context_sum += carried
         contention = 0.0
         if duration > 0 and now < self.restore_tail_until - _EPS:
             # The background restore tail is still streaming: early serving
@@ -313,29 +337,39 @@ class Instance:
             contention = duration * BACKGROUND_TAIL_PENALTY
             duration += contention
         end = now + duration
+        ttfts = []
         for sequence in admitted:
             sequence.first_token_time = end
-        ttfts = [(seq.request, end - seq.request.arrival_time)
-                 for seq in admitted]
-        completed = [CompletedRequest(
-                        seq.request,
-                        ttft=seq.first_token_time - seq.request.arrival_time,
-                        completion_time=end)
-                     for seq in self.running if seq.done]
-        self.running = [seq for seq in self.running if not seq.done]
+            ttfts.append((sequence.request,
+                          end - sequence.request.arrival_time))
+        completed = []
+        done = finishing.pop(step, None)
+        if done is not None:
+            for sequence in done:
+                request = sequence.request
+                completed.append(CompletedRequest(
+                    request,
+                    ttft=sequence.first_token_time - request.arrival_time,
+                    completion_time=end))
+                context_sum -= sequence.final_context
+            self.running = [sequence for sequence in running
+                            if sequence.finish_step != step]
+        self._context_sum = context_sum
         self.last_busy_at = end
         self.busy_time += duration
-        return StepResult(duration=duration, ttfts=ttfts,
-                          completed=completed,
-                          background_contention=contention)
+        return StepResult(duration, ttfts, completed, contention)
 
 
-@dataclass
 class StepResult:
     """Outcome of one continuous-batching iteration."""
 
-    duration: float
-    ttfts: List
-    completed: List[CompletedRequest]
-    #: Extra seconds this step paid for overlapping the restore tail.
-    background_contention: float = 0.0
+    __slots__ = ("duration", "ttfts", "completed", "background_contention")
+
+    def __init__(self, duration: float, ttfts: List,
+                 completed: List[CompletedRequest],
+                 background_contention: float = 0.0):
+        self.duration = duration
+        self.ttfts = ttfts
+        self.completed = completed
+        #: Extra seconds this step paid for overlapping the restore tail.
+        self.background_contention = background_contention

@@ -91,10 +91,12 @@ class ClusterSimulator(MultiModelCluster):
 
     ``model`` names that deployment (the cost model's model name);
     ``instances[model]`` and ``metrics[model]`` hold its instances and
-    metrics, and :meth:`run` returns the latter.
+    metrics, and :meth:`run` returns the latter.  ``trace`` is the
+    pool's option of the same name.
     """
 
-    def __init__(self, costs: ServingCostModel, config: SimulationConfig):
+    def __init__(self, costs: ServingCostModel, config: SimulationConfig,
+                 trace: bool = False):
         self.costs = costs
         self.config = config
         self.model = costs.config.name
@@ -113,7 +115,7 @@ class ClusterSimulator(MultiModelCluster):
             keep_alive=config.keep_alive, placement=config.placement,
             tiers=config.tiers, autoscale=config.autoscale,
             slo_ttft=config.slo_ttft, drain=config.drain,
-            abort_cold_starts=config.abort_cold_starts)
+            abort_cold_starts=config.abort_cold_starts, trace=trace)
 
     def run(self, requests: List[Request],
             horizon: float) -> SimulationMetrics:

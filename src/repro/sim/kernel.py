@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import InvalidValueError, SchedulingError
 
@@ -75,10 +75,17 @@ class TraceRecorder:
     args: List[Dict[str, object]] = field(default_factory=list)
     marks: List[Tuple[str, float, str, Dict[str, object]]] = \
         field(default_factory=list)
+    #: False makes :meth:`span` and :meth:`mark` no-ops, so an untraced
+    #: run keeps every list empty and pays for no records.  Set by the
+    #: simulator that owns the loop (``MultiModelCluster(trace=...)``).
+    enabled: bool = field(default=True, init=False)
 
     def span(self, label: str, start: float, end: float,
-             track: str = "", **extra: object) -> Span:
-        """Record one closed interval on ``track``; returns the span."""
+             track: str = "", **extra: object) -> Optional[Span]:
+        """Record one closed interval on ``track``; returns the span
+        (None when recording is disabled)."""
+        if not self.enabled:
+            return None
         record = Span(label=label, start=start, end=end)
         self.spans.append(record)
         self.tracks.append(track)
@@ -88,7 +95,8 @@ class TraceRecorder:
     def mark(self, label: str, time: float, track: str = "",
              **extra: object) -> None:
         """Record one instantaneous event on ``track``."""
-        self.marks.append((label, time, track, dict(extra)))
+        if self.enabled:
+            self.marks.append((label, time, track, dict(extra)))
 
     def spans_named(self, label: str) -> List[Span]:
         """Every recorded span carrying ``label``, in record order."""
@@ -104,13 +112,13 @@ class TraceRecorder:
         return named[-1] if named else None
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One typed occurrence at one simulated instant.
 
     ``seq`` is the loop-local insertion sequence number — together with
     the kind's registered priority it makes dispatch order a pure
-    function of the schedule calls, independent of heap internals.
+    function of the schedule calls, independent of heap internals.  A
+    named tuple: immutable, slotted, and cheap to build on the hot path.
     """
 
     time: float
@@ -157,16 +165,16 @@ class EventLoop:
     def schedule(self, time: float, kind: str,
                  payload: object = None) -> Event:
         """Enqueue an event at absolute ``time`` (>= now); returns it."""
-        if kind not in self._handlers:
+        priority = self._priorities.get(kind)
+        if priority is None:
             raise SchedulingError(
                 f"cannot schedule unregistered event kind {kind!r}; "
                 f"registered: {sorted(self._handlers) or '<none>'}")
-        check_advance(self.now, time - self.now)
-        event = Event(time=time, kind=kind, seq=next(self._seq),
-                      payload=payload)
-        heapq.heappush(self._heap,
-                       (event.time, self._priorities[kind], event.seq,
-                        event))
+        if time < self.now:
+            check_advance(self.now, time - self.now)   # raises
+        seq = next(self._seq)
+        event = Event(time, kind, seq, payload)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def schedule_in(self, delay: float, kind: str,
@@ -188,10 +196,12 @@ class EventLoop:
 
     def step(self) -> Optional[Event]:
         """Dispatch the next event to its handler; None when drained."""
-        while self._heap:
-            time, _priority, seq, event = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap:
+            time, _priority, seq, event = heapq.heappop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
                 continue
             self.now = time
             self.dispatched += 1

@@ -1,11 +1,15 @@
 """Serving cost model and instance batching tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SchedulingError
+from repro.models.zoo import get_model_config
 from repro.serverless.costs import ServingCostModel
 from repro.serverless.instance import Instance, InstanceConfig
 from repro.serverless.workload import Request
+from repro.simgpu.costmodel import CostModel
 
 
 @pytest.fixture
@@ -43,6 +47,18 @@ class TestServingCosts:
         assert costs.padded_batch(3) == 4
         assert costs.padded_batch(8) == 8
         assert costs.padded_batch(1000) == 256
+
+    def test_padded_batch_off_the_table(self, costs):
+        """Sizes at and above the largest capture size pad to it."""
+        assert costs.padded_batch(256) == 256
+        assert costs.padded_batch(257) == 256
+
+    def test_is_immutable(self, costs):
+        """The derived tables are built once: the inputs cannot change."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            costs.config = get_model_config("Qwen1.5-4B")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            costs.cost_model = CostModel()
 
 
 def request(rid, arrival=0.0, prompt=100, output=3):

@@ -1,0 +1,240 @@
+"""Event-stream golden of the pool simulator.
+
+``golden_event_streams.json`` pins, per scenario, the exact stream of
+events the kernel dispatches: ``loop.dispatched``, the per-kind dispatch
+counts, and a sha256 over every dispatched ``(time.hex(), kind)`` pair in
+dispatch order.  The scenarios are the 6 single-model and 2 multi-model
+``golden_sim_metrics.json`` runs plus the stage-granular tail-contention
+and preemption runs of ``test_stage_coldstart.py``.  A toy ``repro
+simulate --trace`` call pins the sha256 of its stdout and of the Chrome
+trace it writes.
+
+The metric goldens show that the *numbers* survive a change to the
+simulator's hot path; this one shows that the *event order* does, to the
+last bit of every timestamp.  Handlers are tapped through
+:meth:`repro.sim.EventLoop.on`, the same registration point every pool
+uses.  To re-record after an intended change to the event stream::
+
+    PYTHONPATH=src python -m tests.serverless.test_event_stream_golden
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+from collections import Counter
+from pathlib import Path
+from typing import Dict, Iterator
+
+import pytest
+
+from repro import cli
+from repro.serverless import (
+    ClusterSimulator,
+    ModelDeployment,
+    MultiModelCluster,
+    ServingCostModel,
+    ShareGPTWorkload,
+    SimulationConfig,
+    TaggedRequest,
+    tag_workloads,
+)
+from repro.serverless.instance import Instance
+from repro.serverless.workload import Request
+from repro.sim import EventLoop
+from tests.serverless.test_golden_equivalence import (
+    MULTI_SCENARIOS,
+    SINGLE_SCENARIOS,
+    _deployments,
+    _multi_workloads,
+)
+from tests.serverless.test_stage_coldstart import (
+    burst,
+    pipelined_profile,
+    scalar_timeline_profile,
+)
+
+GOLDEN_PATH = Path(__file__).parent / "golden_event_streams.json"
+
+#: The toy CLI call; ``--trace`` names a file in the working directory so
+#: the printed path (and therefore stdout) does not depend on it.
+CLI_ARGV = ["simulate", "--model", "Tiny-2L", "--strategy", "medusa",
+            "--rps", "2", "--duration", "20", "--gpus", "2",
+            "--shape", "burst", "--seed", "7", "--trace", "trace.json"]
+
+
+class _Tap:
+    """Per-loop dispatch log: a running sha256 and per-kind counts."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.kinds: Counter = Counter()
+
+    def wrap(self, handler):
+        def tapped(event):
+            self.digest.update(
+                f"{float(event.time).hex()} {event.kind}\n".encode())
+            self.kinds[event.kind] += 1
+            return handler(event)
+        return tapped
+
+
+@contextlib.contextmanager
+def tapped_loops() -> Iterator[Dict[int, _Tap]]:
+    """Tap every handler registered while the context is open.
+
+    Yields ``{id(loop): tap}``; a pool registers its handlers on a fresh
+    loop per run, so the last registered loop's tap is the run's.
+    """
+    taps: Dict[int, _Tap] = {}
+    original = EventLoop.on
+
+    def on(self, kind, handler, priority=None):
+        tap = taps.setdefault(id(self), _Tap())
+        return original(self, kind, tap.wrap(handler), priority)
+
+    EventLoop.on = on
+    try:
+        yield taps
+    finally:
+        EventLoop.on = original
+
+
+def _stream(pool, taps: Dict[int, _Tap]) -> dict:
+    tap = taps[id(pool.loop)]
+    assert sum(tap.kinds.values()) == pool.loop.dispatched
+    return {"dispatched": pool.loop.dispatched,
+            "kinds": dict(sorted(tap.kinds.items())),
+            "sha256": tap.digest.hexdigest()}
+
+
+def run_single(name: str) -> dict:
+    scenario = SINGLE_SCENARIOS[name]
+    workload = ShareGPTWorkload(rps=scenario["rps"],
+                                duration=scenario["duration"],
+                                seed=scenario["seed"])
+    with tapped_loops() as taps:
+        simulator = ClusterSimulator(ServingCostModel(scenario["model"]),
+                                     SimulationConfig(**scenario["config"]))
+        simulator.run(workload.generate(), horizon=scenario["duration"])
+    return _stream(simulator, taps)
+
+
+def run_multi(name: str) -> dict:
+    with tapped_loops() as taps:
+        cluster = MultiModelCluster(_deployments(), num_gpus=4)
+        cluster.run(tag_workloads(_multi_workloads(MULTI_SCENARIOS[name])),
+                    horizon=60.0)
+    return _stream(cluster, taps)
+
+
+def run_stage_tail_contention() -> dict:
+    """The staged burst of ``test_pipelined_plan_beats_scalar_ttft_under_
+    burst``: 40 arrivals on a pipelined plan whose background tail
+    contends with early serving."""
+    with tapped_loops() as taps:
+        simulator = ClusterSimulator(
+            ServingCostModel("Llama2-7B"),
+            SimulationConfig(profile=pipelined_profile(), max_running=8))
+        simulator.run(burst(40), horizon=30.0)
+    return _stream(simulator, taps)
+
+
+def run_stage_preemption() -> dict:
+    """``TestMultiModelPreemption``: a zero-capacity model cancels another
+    model's in-flight staged cold start at a stage boundary."""
+    with tapped_loops() as taps:
+        cluster = MultiModelCluster([
+            ModelDeployment(
+                name="a", costs=ServingCostModel("Llama2-7B"),
+                cold_start_latency=3.0, max_running=1,
+                profile=scalar_timeline_profile()),
+            ModelDeployment(
+                name="b", costs=ServingCostModel("Qwen1.5-4B"),
+                cold_start_latency=0.5),
+        ], num_gpus=2)
+        cluster.run([TaggedRequest("a", Request(0, 0.0, 64, 4)),
+                     TaggedRequest("a", Request(1, 0.1, 64, 4)),
+                     TaggedRequest("b", Request(2, 1.2, 64, 4))],
+                    horizon=30.0)
+    return _stream(cluster, taps)
+
+
+STREAMS = {
+    **{f"single/{name}": (lambda name=name: run_single(name))
+       for name in sorted(SINGLE_SCENARIOS)},
+    **{f"multi/{name}": (lambda name=name: run_multi(name))
+       for name in sorted(MULTI_SCENARIOS)},
+    "stage/tail_contention": run_stage_tail_contention,
+    "stage/preemption": run_stage_preemption,
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _call_cli(argv) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == 0
+    return buffer.getvalue()
+
+
+def run_cli(workdir: Path) -> dict:
+    """The toy ``repro simulate`` call, with and without ``--trace``, run
+    in ``workdir`` as in a fresh process.
+
+    Instance ids (the trace's ``instance-N`` tracks) come from a
+    process-wide counter, so it restarts at 0 for each call, as it does
+    for each ``repro`` process.
+    """
+    previous = os.getcwd()
+    ids = Instance._ids
+    os.chdir(workdir)
+    try:
+        Instance._ids = itertools.count()
+        traced = _call_cli(CLI_ARGV)
+        trace = (workdir / "trace.json").read_bytes()
+        Instance._ids = itertools.count()
+        untraced = _call_cli(CLI_ARGV[:-2])
+    finally:
+        Instance._ids = ids
+        os.chdir(previous)
+    return {"stdout_sha256": _sha256(traced.encode()),
+            "trace_sha256": _sha256(trace),
+            "untraced_stdout_sha256": _sha256(untraced.encode())}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_event_stream_matches_golden(golden, name):
+    assert STREAMS[name]() == golden["streams"][name]
+
+
+def test_cli_trace_matches_golden(golden, tmp_path):
+    assert run_cli(tmp_path) == golden["cli"]
+
+
+def _record(workdir: Path) -> dict:
+    return {"streams": {name: run() for name, run in sorted(STREAMS.items())},
+            "cli": run_cli(workdir)}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        recorded = _record(Path(workdir))
+    with open(GOLDEN_PATH, "w") as out:
+        json.dump(recorded, out, indent=2, sort_keys=True)
+        out.write("\n")

@@ -68,9 +68,10 @@ def burst(count, spacing=0.05, prompt=128, output=30):
 
 
 def run_single(requests, horizon=30.0, **config_kwargs):
-    """One ClusterSimulator run; returns (simulator, metrics)."""
+    """One traced ClusterSimulator run; returns (simulator, metrics)."""
     simulator = ClusterSimulator(ServingCostModel("Llama2-7B"),
-                                 SimulationConfig(**config_kwargs))
+                                 SimulationConfig(**config_kwargs),
+                                 trace=True)
     metrics = simulator.run(requests, horizon=horizon)
     return simulator, metrics
 
@@ -273,3 +274,53 @@ class TestUnifiedTraceExport:
                    if event["name"] == "thread_name"]
         assert any(event["args"]["name"].startswith("instance-")
                    for event in threads)
+
+
+class TestTraceOptIn:
+    """``trace=False`` (the default) records nothing and changes nothing.
+
+    The trace is an output only: the same run with and without it must
+    produce bit-identical metrics, so no metric can depend on a record.
+    """
+
+    @staticmethod
+    def _single(trace):
+        simulator = ClusterSimulator(
+            ServingCostModel("Llama2-7B"),
+            SimulationConfig(profile=pipelined_profile(), max_running=8,
+                             num_gpus=2, abort_cold_starts=True),
+            trace=trace)
+        return simulator, {"m": simulator.run(burst(40), horizon=30.0)}
+
+    @staticmethod
+    def _multi(trace):
+        cluster = MultiModelCluster([
+            ModelDeployment(name="a", costs=ServingCostModel("Llama2-7B"),
+                            cold_start_latency=3.0, max_running=1,
+                            profile=scalar_timeline_profile()),
+            ModelDeployment(name="b", costs=ServingCostModel("Qwen1.5-4B"),
+                            cold_start_latency=0.5,
+                            profile=pipelined_profile()),
+        ], num_gpus=2, trace=trace)
+        tagged = [TaggedRequest("a", Request(0, 0.0, 64, 4)),
+                  TaggedRequest("a", Request(1, 0.1, 64, 4)),
+                  TaggedRequest("b", Request(2, 1.2, 64, 4)),
+                  TaggedRequest("b", Request(3, 9.0, 640, 40))]
+        return cluster, cluster.run(tagged, horizon=30.0)
+
+    @pytest.mark.parametrize("run", ["_single", "_multi"])
+    def test_untraced_run_records_nothing_and_matches(self, run):
+        quiet, quiet_metrics = getattr(self, run)(False)
+        traced, traced_metrics = getattr(self, run)(True)
+        assert quiet.loop.trace.spans == [] and quiet.loop.trace.marks == []
+        assert quiet.loop.trace.tracks == [] and quiet.loop.trace.args == []
+        assert traced.loop.trace.spans and traced.loop.trace.marks
+        assert quiet.loop.dispatched == traced.loop.dispatched
+        for name, metrics in quiet_metrics.items():
+            other = traced_metrics[name]
+            assert repr(metrics.summary()) == repr(other.summary())
+            assert metrics.provisioned_gpu_seconds.hex() == \
+                other.provisioned_gpu_seconds.hex()
+            assert metrics.busy_gpu_seconds.hex() == \
+                other.busy_gpu_seconds.hex()
+            assert sum(metrics.ttfts).hex() == sum(other.ttfts).hex()

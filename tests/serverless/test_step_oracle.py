@@ -1,0 +1,123 @@
+"""The constant-cost serving step against the list-scan reference.
+
+``Instance.run_step`` keeps an integer context sum, finish-step buckets
+and a padded-batch table instead of re-scanning every running sequence
+each step.  This property drives it and :mod:`reference_step` (the
+original step and cost formulas) through the same random enqueue/step
+schedules and requires, after every step, identical duration bits, the
+same ``(request, ttft)`` and completion lists (same request objects, same
+order), and the same contention, busy time, last-busy instant, load and
+work flag.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pytest
+
+from repro.errors import SchedulingError
+from repro.models.zoo import get_model_config
+from repro.serverless import ServingCostModel
+from repro.serverless.instance import Instance, InstanceConfig
+from repro.serverless.workload import Request
+from tests.serverless import reference_step
+from tests.serverless.reference_step import ReferenceInstance
+
+#: Full 35-size capture ladders, plus one whose largest capture size (16)
+#: the batch cap can exceed.
+COSTS = [
+    ServingCostModel("Llama2-7B"),
+    ServingCostModel("Qwen1.5-0.5B"),
+    ServingCostModel(dataclasses.replace(
+        get_model_config("Qwen1.5-4B"), capture_batch_sizes=(1, 2, 4, 8, 16))),
+]
+
+_requests = st.lists(
+    st.tuples(st.integers(1, 5000),
+              st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 40))),
+    min_size=0, max_size=6)
+
+#: One op: enqueue a few requests (arriving up to ``lag`` seconds before
+#: now), or step after an idle gap.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), _requests,
+                  st.sampled_from([0.0, 0.001, 0.5])),
+        st.tuples(st.just("step"), st.sampled_from([0.0, 0.0, 0.02, 1.5]))),
+    min_size=1, max_size=60)
+
+
+def _same_step(new, ref) -> None:
+    duration, ttfts, completed, contention = ref
+    assert new.duration.hex() == duration.hex()
+    assert [(id(request), ttft.hex()) for request, ttft in new.ttfts] == \
+        [(id(request), ttft.hex()) for request, ttft in ttfts]
+    assert [(id(c.request), c.ttft.hex(), c.completion_time.hex())
+            for c in new.completed] == \
+        [(id(c.request), c.ttft.hex(), c.completion_time.hex())
+         for c in completed]
+    assert new.background_contention.hex() == contention.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(costs=st.sampled_from(COSTS),
+       max_running=st.integers(1, 32),
+       use_cuda_graphs=st.booleans(),
+       deferred_capture=st.booleans(),
+       restore_tail=st.sampled_from([0.0, 0.3, 2.0, 50.0]),
+       ops=_ops)
+def test_step_matches_list_scan_reference(costs, max_running,
+                                          use_cuda_graphs, deferred_capture,
+                                          restore_tail, ops):
+    config = InstanceConfig(max_running=max_running,
+                            use_cuda_graphs=use_cuda_graphs,
+                            deferred_capture=deferred_capture)
+    instance = Instance(costs, config, launched_at=0.0,
+                        cold_start_latency=0.0)
+    instance.restore_tail_until = restore_tail
+    reference = ReferenceInstance(costs, config,
+                                  restore_tail_until=restore_tail)
+    now = 0.0
+    request_id = 0
+    # Every op, then up to 100 more steps draining what is left.
+    for op in list(ops) + [("step", 0.0)] * 100:
+        if op[0] == "enqueue":
+            _kind, lengths, lag = op
+            for prompt, output in lengths:
+                request = Request(request_id, max(0.0, now - lag), prompt,
+                                  output)
+                request_id += 1
+                instance.enqueue(request)
+                reference.enqueue(request)
+        else:
+            now += op[1]
+            if not reference.has_work:
+                with pytest.raises(SchedulingError):
+                    instance.run_step(now)
+                continue
+            _same_step(instance.run_step(now), reference.run_step(now))
+            now = reference.last_busy_at
+        assert instance.busy_time.hex() == reference.busy_time.hex()
+        assert instance.last_busy_at.hex() == reference.last_busy_at.hex()
+        assert instance.load == reference.load
+        assert instance.has_work == reference.has_work
+
+
+@settings(max_examples=300, deadline=None)
+@given(costs=st.sampled_from(COSTS), batch=st.integers(0, 600),
+       avg_context=st.one_of(st.integers(1, 10**5),
+                             st.floats(1.0, 1e5, allow_nan=False)),
+       use_graphs=st.booleans(), prompt=st.integers(1, 10**5))
+def test_costs_match_reference_formulas(costs, batch, avg_context,
+                                        use_graphs, prompt):
+    """Batches past 256 reach the compute-bound branch the step above,
+    capped at 32 sequences, never prices."""
+    assert costs.padded_batch(batch) == \
+        reference_step.padded_batch(costs, batch)
+    assert costs.decode_step_time(batch, avg_context, use_graphs).hex() == \
+        reference_step.decode_step_time(costs, batch, avg_context,
+                                        use_graphs).hex()
+    assert costs.prefill_time(prompt).hex() == \
+        reference_step.prefill_time(costs, prompt).hex()

@@ -153,6 +153,14 @@ class TestTraceRecorder:
         assert trace.args[0] == {"lane": "disk"}
         assert trace.marks == [("ready", 3.0, "instance-0", {"detail": 1})]
 
+    def test_disabled_recorder_records_nothing(self):
+        trace = TraceRecorder()
+        trace.enabled = False
+        assert trace.span("load", 0.0, 2.0, track="instance-0") is None
+        trace.mark("ready", 3.0, track="instance-0", detail=1)
+        assert trace.spans == [] and trace.tracks == []
+        assert trace.args == [] and trace.marks == []
+
     def test_span_type_shared_with_engine_clock(self):
         from repro.simgpu.clock import Span as ClockSpan
         assert ClockSpan is Span

@@ -17,6 +17,14 @@ cold-starts stage by stage (each ``ScheduledStage`` is an event), admits
 requests at ``Timeline.ready``, and can be cancelled at a stage boundary.
 A request whose model has no instance and no GPU to free waits until one
 frees up.
+
+Serving steps that record nothing (no TTFT, no completion, no restore
+-tail contention, no trace) are not dispatched one by one: the instance
+runs through them in one loop and the kernel dispatches one step
+completion at the end of the run, which an arrival cuts back to the step
+in flight (see ``_maybe_step`` and ``_cut_run``).  For that to be exact,
+co-timed step completions dispatch in instance order (the kernel's
+``tie``), an order that does not depend on when they were scheduled.
 """
 
 from __future__ import annotations
@@ -51,12 +59,18 @@ from repro.sim import EventLoop
 #: dispatches first, so a request landing at the exact instant a
 #: keep-alive window expires reaches the instance before the retirement
 #: decision runs — the tie-break is the kernel's ``(time, priority,
-#: seq)`` order, not handler luck.
+#: tie, seq)`` order, not handler luck.  STEP_DONE passes the instance
+#: id as ``tie``: co-timed step completions dispatch in instance order,
+#: which needs no history, so it is the same whether or not the steps
+#: before them were ever scheduled (see ``_maybe_step``).  Every other
+#: kind keeps tie 0 and so insertion order.
 ARRIVAL = "arrival"
 COLD_STAGE_DONE = "cold_stage_done"
 INSTANCE_READY = "instance_ready"
 STEP_DONE = "step_done"
 IDLE_TICK = "idle_tick"
+#: STEP_DONE's dispatch priority, which the cut rule compares against.
+_STEP_DONE_PRIORITY = 3
 
 #: One artifact's footprint in tier-capacity units — what its residency
 #: costs in a node's cache hierarchy.
@@ -197,6 +211,12 @@ class MultiModelCluster:
         #: Requests that found no instance of their model and no GPU to
         #: free, oldest first; re-routed whenever a GPU frees up.
         self._starved: Deque[TaggedRequest] = deque()
+        #: ``(deployment, fetch seconds) -> retimed profile``: a run
+        #: relaunches each model on few distinct tiers, and re-scheduling
+        #: the LoadPlan timeline is the cold launch's main cost.  Profiles
+        #: are frozen and their timelines never mutated, so instances
+        #: share them as they share the unretimed one.
+        self._retimed: Dict[Tuple[str, float], ColdStartProfile] = {}
         self.placement_policy = make_policy(self._placement_spec,
                                             self.num_gpus, self._tiers)
         self.autoscalers: Dict[str, AutoscalePolicy] = {
@@ -209,7 +229,7 @@ class MultiModelCluster:
         loop.on(ARRIVAL, self._on_arrival, priority=0)
         loop.on(COLD_STAGE_DONE, self._on_cold_stage_done, priority=1)
         loop.on(INSTANCE_READY, self._on_instance_ready, priority=2)
-        loop.on(STEP_DONE, self._on_step_done, priority=3)
+        loop.on(STEP_DONE, self._on_step_done, priority=_STEP_DONE_PRIORITY)
         loop.on(IDLE_TICK, self._on_idle_tick, priority=4)
         self.loop = loop
 
@@ -395,7 +415,12 @@ class MultiModelCluster:
         tiers = self.placement_policy.tiers
         if store_hit and any(tier.name == TIER_DRAM for tier in tiers):
             duration = min(duration, fetch_duration(tiers, TIER_DRAM, base))
-        return profile.with_fetch_duration(duration)
+        memo = (deployment.name, duration)
+        retimed = self._retimed.get(memo)
+        if retimed is None:
+            retimed = self._retimed[memo] = \
+                profile.with_fetch_duration(duration)
+        return retimed
 
     def _record_placement(self, instance: Instance,
                           resolution: Optional[FetchResolution]) -> None:
@@ -464,8 +489,31 @@ class MultiModelCluster:
             if target is None:
                 self._starved.append(TaggedRequest(model, request))
                 return
+        if target.run_event is not None:
+            self._cut_run(target)
         target.enqueue(request)
         self._maybe_step(target, now)
+
+    def _cut_run(self, instance: Instance) -> None:
+        """Cut ``instance``'s silent run back to the step in flight now.
+
+        Stepping one at a time, the step in flight is the first whose
+        completion key ``(end, STEP_DONE priority, instance id)`` sorts
+        after the key of the event being handled: arrivals, stage ends
+        and ready events sort before a co-timed step completion, an idle
+        tick after it.  The run's completion event moves to that step's
+        end, where the next step admits what is about to be enqueued.
+        """
+        loop = self.loop
+        priority, tie = loop._dispatching[1:3]
+        end = instance.cut_run(
+            loop.now, (_STEP_DONE_PRIORITY, instance.instance_id)
+            < (priority, tie))
+        if end is not None:
+            loop.cancel(instance.run_event)
+            loop.schedule(end, STEP_DONE, (instance, None),
+                          tie=instance.instance_id)
+        instance.run_event = None
 
     def _launch_on_freed_gpu(self, model: str,
                              now: float) -> Optional[Instance]:
@@ -660,22 +708,27 @@ class MultiModelCluster:
                 self._serve_starved(now)
 
     def _on_step_done(self, event) -> None:
-        """Record one serving iteration's TTFTs/completions; continue."""
+        """Record one serving iteration's TTFTs/completions; continue.
+
+        A silent run ends with no result: its steps recorded nothing.
+        """
         instance, result = event.payload
         now = self.loop.now
         instance.stepping = False
-        metrics = self.metrics[instance.model_name]
-        for request, ttft in result.ttfts:
-            metrics.record_ttft(
-                ttft, cold_tax=self._cold_tax(instance, request, ttft))
-        for completion in result.completed:
-            metrics.record_completion(
-                completion.latency,
-                in_horizon=completion.completion_time <= self.horizon)
-        if result.background_contention > 0:
-            metrics.count("background_contended_steps")
-            metrics.count("background_contention_seconds",
-                          result.background_contention)
+        instance.run_event = None
+        if result is not None:
+            metrics = self.metrics[instance.model_name]
+            for request, ttft in result.ttfts:
+                metrics.record_ttft(
+                    ttft, cold_tax=self._cold_tax(instance, request, ttft))
+            for completion in result.completed:
+                metrics.record_completion(
+                    completion.latency,
+                    in_horizon=completion.completion_time <= self.horizon)
+            if result.background_contention > 0:
+                metrics.count("background_contended_steps")
+                metrics.count("background_contention_seconds",
+                              result.background_contention)
         self._maybe_step(instance, now)
         self._maybe_retire(instance, now)
 
@@ -693,20 +746,40 @@ class MultiModelCluster:
     # -- serving / retirement -------------------------------------------------
 
     def _maybe_step(self, instance: Instance, now: float) -> None:
-        """Start one continuous-batching iteration if the instance can."""
+        """Start one continuous-batching iteration if the instance can.
+
+        A *silent* step records nothing: it admits nothing, completes
+        nothing, pays no contention, and the trace is off (a traced step
+        records a span).  After one, the instance runs through the
+        pure-decode steps up to its next completion step in one loop
+        (:meth:`Instance.run_ahead`) and one STEP_DONE is scheduled at
+        the run's end instead of one per step.  Nothing outside the
+        instance can observe the skipped steps, except an enqueue, and
+        ``_route`` cuts the run back to the step in flight before it
+        enqueues (``_cut_run``).
+        """
         if (instance.stepping or instance.retired
                 or now < instance.ready_at or not instance.has_work):
             return
         instance.stepping = True
         result = instance.run_step(now)
-        self.loop.schedule(now + result.duration, STEP_DONE,
-                           (instance, result))
-        if self.loop.trace.enabled:
-            self.loop.trace.span(
-                "serve_step", now, now + result.duration,
+        end = now + result.duration
+        loop = self.loop
+        tie = instance.instance_id
+        if loop.trace.enabled:
+            loop.trace.span(
+                "serve_step", now, end,
                 track=_track(instance), admitted=len(result.ttfts),
                 completed=len(result.completed),
                 contended=result.background_contention > 0)
+        elif not (result.ttfts or result.completed
+                  or result.background_contention):
+            run_end = instance.run_ahead(end)
+            if run_end is not None:
+                instance.run_event = loop.schedule(
+                    run_end, STEP_DONE, (instance, None), tie=tie)
+                return
+        loop.schedule(end, STEP_DONE, (instance, result), tie=tie)
 
     def _maybe_retire(self, instance: Instance, now: float) -> None:
         """Retire an idle instance once its policy's window expires.

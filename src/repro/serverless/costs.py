@@ -9,7 +9,9 @@ KV-cache read traffic that grows with context length during decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from itertools import repeat
+from operator import truediv
+from typing import Iterable, List, Tuple
 
 from repro.engine.strategies import Strategy
 from repro.models.config import ModelConfig
@@ -73,20 +75,49 @@ class ServingCostModel:
     def decode_step_time(self, batch_size: int, avg_context: float,
                          use_graphs: bool) -> float:
         """One decode iteration over ``batch_size`` running sequences."""
+        return self._decode_times(batch_size, (avg_context,), use_graphs)[0]
+
+    def decode_run(self, batch_size: int, context_sum: int, steps: int,
+                   use_graphs: bool) -> List[float]:
+        """Times of ``steps`` consecutive pure-decode iterations.
+
+        The batch stays ``batch_size`` sequences and admits nothing, so
+        its integer context sum starts at ``context_sum`` and grows by
+        ``batch_size`` per iteration.  Each time has the bits of
+        :meth:`decode_step_time` at that iteration's mean context.
+        """
+        return self._decode_times(
+            batch_size,
+            map(truediv, range(context_sum, context_sum + steps * batch_size,
+                               batch_size), repeat(batch_size)),
+            use_graphs)
+
+    def _decode_times(self, batch_size: int, avg_contexts: Iterable[float],
+                      use_graphs: bool) -> List[float]:
+        """Decode iteration times of one batch size, one per mean context.
+
+        The batch's compute term does not depend on context, so it is
+        priced once; only the K+V read volume varies per iteration.
+        """
         (two_params, flops, param_bytes, hidden, layers, bandwidth,
          graph_launch, eager_launch) = self._decode
-        effective_batch = self.padded_batch(batch_size) if use_graphs \
-            else batch_size
-        compute = two_params * effective_batch / flops
-        # Weights plus the batch's K+V read volume.  Keep this evaluation
-        # order: re-associating the product changes its bits.
-        memory = ((param_bytes
-                   + batch_size * avg_context * hidden * 2 * 2 * layers)
-                  / bandwidth)
-        gpu_time = memory if memory > compute else compute
         if use_graphs:
-            return gpu_time + graph_launch
-        return gpu_time + eager_launch
+            compute = two_params * self.padded_batch(batch_size) / flops
+            launch = graph_launch
+        else:
+            compute = two_params * batch_size / flops
+            launch = eager_launch
+        times = []
+        append = times.append
+        for avg_context in avg_contexts:
+            # Weights plus the batch's K+V read volume.  Keep this
+            # evaluation order: re-associating the product changes its
+            # bits.
+            memory = ((param_bytes
+                       + batch_size * avg_context * hidden * 2 * 2 * layers)
+                      / bandwidth)
+            append((memory if memory > compute else compute) + launch)
+        return times
 
     def deferred_capture_penalty(self, batch_size: int) -> float:
         """One-off cost of lazily capturing a batch size while serving (§2.4):

@@ -14,11 +14,17 @@ request-ready at ``Timeline.ready`` (not ``total``), pays a contention
 penalty on serving steps that overlap the background restore tail, and can
 be **cancelled at a stage boundary** by the cluster's scale-down policy
 instead of only before launch or after readiness.
+
+After a step that records nothing, the instance can run through the pure
+-decode steps up to its next completion in one loop (:meth:`Instance.
+run_ahead`), and go back to any of them if a request arrives mid-run
+(:meth:`Instance.cut_run`), with the same bits as stepping one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 from collections import deque
@@ -219,6 +225,13 @@ class Instance:
         self._context_sum = 0            # sum of running sequences' contexts
         #: finish step -> sequences finishing there, in admission order.
         self._finishing: Dict[int, List[_RunningSequence]] = {}
+        #: The latest silent run (see run_ahead); it can be cut only
+        #: while its end event is pending.
+        self._run: Optional[Tuple[int, int, int, List[float],
+                                  List[float]]] = None
+        #: The pending kernel event that ends a silent run, else None;
+        #: set and cleared by the pool.
+        self.run_event: Optional[object] = None
         # -- stage-granular cold start (profile timelines only) -------------
         self.cold_stages: List[object] = []
         self.restore_tail_until = self.ready_at
@@ -358,6 +371,68 @@ class Instance:
         self.last_busy_at = end
         self.busy_time += duration
         return StepResult(duration, ttfts, completed, contention)
+
+    # -- silent runs ----------------------------------------------------------
+
+    def run_ahead(self, start: float) -> Optional[float]:
+        """Run the pure-decode steps that follow a silent step.
+
+        Call right after a :meth:`run_step` that admitted nothing,
+        completed nothing and paid no contention; ``start`` is its end.
+        Until the next completion step the batch cannot change: admission
+        needs a free slot and a waiting request, and only a completion
+        frees a slot or an :meth:`enqueue` adds a request (the pool cuts
+        the run with :meth:`cut_run` before it enqueues).  Later steps
+        start later, so they pay no contention either, and the batch's
+        padded size is already captured.  Those steps are computed here
+        in one loop, stopping before the next completion step, with
+        every float added in :meth:`run_step`'s order, so the state
+        after them is bit for bit what stepping one at a time leaves.
+
+        Returns the end of the run's last step, or None when the next
+        step completes a sequence (there is nothing to run ahead).
+        """
+        step = self._steps
+        count = min(self._finishing) - step
+        if count <= 0:
+            return None
+        batch = len(self.running)
+        context = self._context_sum
+        durations = self.costs.decode_run(batch, context, count,
+                                          self.config.use_cuda_graphs)
+        # ends[j] and busy[j]: the instant step j of the run ends and the
+        # busy time by then; index 0 is the silent step that started it.
+        ends = list(itertools.accumulate(durations, initial=start))
+        busy = list(itertools.accumulate(durations,
+                                         initial=self.busy_time))
+        self._run = (step, context, batch, ends, busy)
+        self._steps = step + count
+        self._context_sum = context + count * batch
+        self.busy_time = busy[-1]
+        self.last_busy_at = end = ends[-1]
+        return end
+
+    def cut_run(self, now: float, ended_at_now: bool) -> Optional[float]:
+        """Cut the run in flight back to its step in flight at ``now``.
+
+        ``ended_at_now`` says whether a step ending exactly at ``now`` has
+        completed by now (its completion event sorts before the event
+        being handled).  The state goes back to the end of the step in
+        flight, from the run's recorded ends and busy sums; ``_steps``
+        and the context sum are exact integers.  Returns that step's end,
+        or None when it is the run's last step (nothing to cut).  Either
+        way the run is over: a later cut would find the same step.
+        """
+        step, context, batch, ends, busy = self._run
+        self._run = None
+        index = (bisect_right if ended_at_now else bisect_left)(ends, now)
+        if index >= len(ends) - 1:
+            return None
+        self._steps = step + index
+        self._context_sum = context + index * batch
+        self.busy_time = busy[index]
+        self.last_busy_at = end = ends[index]
+        return end
 
 
 class StepResult:

@@ -8,9 +8,13 @@ hand-rolled ``heapq`` loop each in ``repro.serverless.simulator`` and
 - :class:`Event` — a typed, immutable occurrence at one instant, carrying a
   string ``kind`` and an opaque payload;
 - :class:`EventLoop` — a priority queue with **stable tie-breaking**
-  (``(time, kind priority, insertion sequence)``), so two runs over the
-  same inputs dispatch identical event streams: determinism is structural,
-  not accidental.  Scheduling into the past raises
+  (``(time, kind priority, tie, insertion sequence)``), so two runs over
+  the same inputs dispatch identical event streams: determinism is
+  structural, not accidental.  ``tie`` defaults to 0, so kinds that do
+  not pass one keep insertion order; a caller that gives co-timed events
+  of one kind a key of their own (the pool passes the instance id for
+  step completions) makes their order independent of when they were
+  scheduled.  Scheduling into the past raises
   :class:`repro.errors.InvalidValueError` via the same monotonicity check
   (:func:`check_advance`) the engine clock uses;
 - :class:`TraceRecorder` — labelled span *and* instant-mark recording
@@ -116,9 +120,10 @@ class Event(NamedTuple):
     """One typed occurrence at one simulated instant.
 
     ``seq`` is the loop-local insertion sequence number — together with
-    the kind's registered priority it makes dispatch order a pure
-    function of the schedule calls, independent of heap internals.  A
-    named tuple: immutable, slotted, and cheap to build on the hot path.
+    the kind's registered priority and the caller's ``tie`` it makes
+    dispatch order a pure function of the schedule calls, independent of
+    heap internals.  A named tuple: immutable, slotted, and cheap to
+    build on the hot path.
     """
 
     time: float
@@ -133,9 +138,14 @@ class EventLoop:
     Handlers are registered per event kind with :meth:`on`; each
     registration assigns the kind a tie-break priority (defaulting to
     registration order), so simultaneous events dispatch in a declared,
-    stable order: ``(time, priority, insertion seq)``.  ``seed`` is
-    carried for consumers that derive randomness per run; the loop itself
-    is deterministic by construction and never consumes entropy.
+    stable order: ``(time, priority, tie, insertion seq)``, where ``tie``
+    is the caller's key from :meth:`schedule` (0 unless given).  While a
+    handler runs, ``_dispatching`` holds the heap entry
+    ``(time, priority, tie, seq, event)`` of its event, so the pool can
+    tell whether an event it never scheduled would already have
+    dispatched.  ``seed`` is carried for consumers that derive randomness
+    per run; the loop itself is deterministic by construction and never
+    consumes entropy.
     """
 
     def __init__(self, start: float = 0.0, seed: int = 0):
@@ -143,7 +153,9 @@ class EventLoop:
         self.seed = seed
         self.dispatched = 0
         self.trace = TraceRecorder()
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Tuple[float, int, int, int, Event]] = []
+        self._dispatching: Optional[Tuple[float, int, int, int, Event]] = \
+            None
         self._seq = itertools.count()
         self._priorities: Dict[str, int] = {}
         self._handlers: Dict[str, Callable[[Event], None]] = {}
@@ -162,9 +174,13 @@ class EventLoop:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, time: float, kind: str,
-                 payload: object = None) -> Event:
-        """Enqueue an event at absolute ``time`` (>= now); returns it."""
+    def schedule(self, time: float, kind: str, payload: object = None,
+                 tie: int = 0) -> Event:
+        """Enqueue an event at absolute ``time`` (>= now); returns it.
+
+        Co-timed events of equal priority dispatch in ascending ``tie``,
+        then in insertion order.
+        """
         priority = self._priorities.get(kind)
         if priority is None:
             raise SchedulingError(
@@ -174,7 +190,7 @@ class EventLoop:
             check_advance(self.now, time - self.now)   # raises
         seq = next(self._seq)
         event = Event(time, kind, seq, payload)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        heapq.heappush(self._heap, (time, priority, tie, seq, event))
         return event
 
     def schedule_in(self, delay: float, kind: str,
@@ -199,11 +215,13 @@ class EventLoop:
         heap = self._heap
         cancelled = self._cancelled
         while heap:
-            time, _priority, seq, event = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            time, _priority, _tie, seq, event = entry
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
             self.now = time
+            self._dispatching = entry
             self.dispatched += 1
             self._handlers[event.kind](event)
             return event

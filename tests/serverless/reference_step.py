@@ -7,10 +7,16 @@ recomputes every context, scans the capture batch sizes and filters
 original cost formulas too (also copied here), so the property test in
 ``test_step_oracle.py`` checks the new step and the new cost model
 together against code that shares neither.
+
+The pool-level reference is the per-step path: :func:`per_step_path`
+turns silent runs off, so every serving step goes through ``run_step``
+and completes with its own kernel event.  :func:`pool_outcome` is what a
+pool run must reproduce on either path.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 from dataclasses import dataclass
 from typing import List
@@ -19,6 +25,7 @@ from repro.errors import SchedulingError
 from repro.serverless.instance import (
     BACKGROUND_TAIL_PENALTY,
     CompletedRequest,
+    Instance,
     InstanceConfig,
 )
 from repro.serverless.workload import Request
@@ -149,3 +156,46 @@ class ReferenceInstance:
         self.last_busy_at = end
         self.busy_time += duration
         return duration, ttfts, completed, contention
+
+
+@contextlib.contextmanager
+def per_step_path():
+    """Run every pool built inside the block one serving step at a time:
+    ``Instance.run_ahead`` finds nothing to run ahead."""
+    original = Instance.run_ahead
+    Instance.run_ahead = lambda self, start: None
+    try:
+        yield
+    finally:
+        Instance.run_ahead = original
+
+
+def total_steps(pool) -> int:
+    """Serving steps every instance of ``pool`` ran, on either path."""
+    return sum(instance._steps for instances in pool.instances.values()
+               for instance in instances)
+
+
+def pool_outcome(pool) -> dict:
+    """Everything a pool run observably produced, floats as hex.
+
+    Per model: the summary, every TTFT and latency in record order, and
+    the provisioned and busy GPU seconds.  Per instance, in launch order:
+    busy time, last busy instant, steps run and retirement instant.
+    """
+    def hexed(values):
+        return [float(value).hex() for value in values]
+
+    models = {
+        name: (repr(metrics.summary()), hexed(metrics.ttfts),
+               hexed(metrics.latencies),
+               metrics.provisioned_gpu_seconds.hex(),
+               metrics.busy_gpu_seconds.hex())
+        for name, metrics in pool.metrics.items()}
+    instances = {
+        name: [(instance.busy_time.hex(), instance.last_busy_at.hex(),
+                instance._steps,
+                repr(getattr(instance, "retired_at", None)))
+               for instance in pool_instances]
+        for name, pool_instances in pool.instances.items()}
+    return {"models": models, "instances": instances}

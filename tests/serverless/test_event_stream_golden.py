@@ -13,7 +13,12 @@ The metric goldens show that the *numbers* survive a change to the
 simulator's hot path; this one shows that the *event order* does, to the
 last bit of every timestamp.  Handlers are tapped through
 :meth:`repro.sim.EventLoop.on`, the same registration point every pool
-uses.  To re-record after an intended change to the event stream::
+uses.  The streams are those of the per-step path, where every serving
+step completes with its own event; the same scenarios with silent runs
+(``Instance.run_ahead``) must produce the same outcome and step count
+from at least 4x fewer dispatches on each metric-golden scenario.  The
+CLI hashes are those of the real path.  To re-record after an intended
+change to the event stream::
 
     PYTHONPATH=src python -m tests.serverless.test_event_stream_golden
 """
@@ -46,6 +51,11 @@ from repro.serverless import (
 from repro.serverless.instance import Instance
 from repro.serverless.workload import Request
 from repro.sim import EventLoop
+from tests.serverless.reference_step import (
+    per_step_path,
+    pool_outcome,
+    total_steps,
+)
 from tests.serverless.test_golden_equivalence import (
     MULTI_SCENARIOS,
     SINGLE_SCENARIOS,
@@ -112,59 +122,56 @@ def _stream(pool, taps: Dict[int, _Tap]) -> dict:
             "sha256": tap.digest.hexdigest()}
 
 
-def run_single(name: str) -> dict:
+def run_single(name: str):
     scenario = SINGLE_SCENARIOS[name]
     workload = ShareGPTWorkload(rps=scenario["rps"],
                                 duration=scenario["duration"],
                                 seed=scenario["seed"])
-    with tapped_loops() as taps:
-        simulator = ClusterSimulator(ServingCostModel(scenario["model"]),
-                                     SimulationConfig(**scenario["config"]))
-        simulator.run(workload.generate(), horizon=scenario["duration"])
-    return _stream(simulator, taps)
+    simulator = ClusterSimulator(ServingCostModel(scenario["model"]),
+                                 SimulationConfig(**scenario["config"]))
+    simulator.run(workload.generate(), horizon=scenario["duration"])
+    return simulator
 
 
-def run_multi(name: str) -> dict:
-    with tapped_loops() as taps:
-        cluster = MultiModelCluster(_deployments(), num_gpus=4)
-        cluster.run(tag_workloads(_multi_workloads(MULTI_SCENARIOS[name])),
-                    horizon=60.0)
-    return _stream(cluster, taps)
+def run_multi(name: str):
+    cluster = MultiModelCluster(_deployments(), num_gpus=4)
+    cluster.run(tag_workloads(_multi_workloads(MULTI_SCENARIOS[name])),
+                horizon=60.0)
+    return cluster
 
 
-def run_stage_tail_contention() -> dict:
+def run_stage_tail_contention():
     """The staged burst of ``test_pipelined_plan_beats_scalar_ttft_under_
     burst``: 40 arrivals on a pipelined plan whose background tail
     contends with early serving."""
-    with tapped_loops() as taps:
-        simulator = ClusterSimulator(
-            ServingCostModel("Llama2-7B"),
-            SimulationConfig(profile=pipelined_profile(), max_running=8))
-        simulator.run(burst(40), horizon=30.0)
-    return _stream(simulator, taps)
+    simulator = ClusterSimulator(
+        ServingCostModel("Llama2-7B"),
+        SimulationConfig(profile=pipelined_profile(), max_running=8))
+    simulator.run(burst(40), horizon=30.0)
+    return simulator
 
 
-def run_stage_preemption() -> dict:
+def run_stage_preemption():
     """``TestMultiModelPreemption``: a zero-capacity model cancels another
     model's in-flight staged cold start at a stage boundary."""
-    with tapped_loops() as taps:
-        cluster = MultiModelCluster([
-            ModelDeployment(
-                name="a", costs=ServingCostModel("Llama2-7B"),
-                cold_start_latency=3.0, max_running=1,
-                profile=scalar_timeline_profile()),
-            ModelDeployment(
-                name="b", costs=ServingCostModel("Qwen1.5-4B"),
-                cold_start_latency=0.5),
-        ], num_gpus=2)
-        cluster.run([TaggedRequest("a", Request(0, 0.0, 64, 4)),
-                     TaggedRequest("a", Request(1, 0.1, 64, 4)),
-                     TaggedRequest("b", Request(2, 1.2, 64, 4))],
-                    horizon=30.0)
-    return _stream(cluster, taps)
+    cluster = MultiModelCluster([
+        ModelDeployment(
+            name="a", costs=ServingCostModel("Llama2-7B"),
+            cold_start_latency=3.0, max_running=1,
+            profile=scalar_timeline_profile()),
+        ModelDeployment(
+            name="b", costs=ServingCostModel("Qwen1.5-4B"),
+            cold_start_latency=0.5),
+    ], num_gpus=2)
+    cluster.run([TaggedRequest("a", Request(0, 0.0, 64, 4)),
+                 TaggedRequest("a", Request(1, 0.1, 64, 4)),
+                 TaggedRequest("b", Request(2, 1.2, 64, 4))],
+                horizon=30.0)
+    return cluster
 
 
-STREAMS = {
+#: Scenario name -> a function running it and returning the pool.
+SCENARIOS = {
     **{f"single/{name}": (lambda name=name: run_single(name))
        for name in sorted(SINGLE_SCENARIOS)},
     **{f"multi/{name}": (lambda name=name: run_multi(name))
@@ -172,6 +179,17 @@ STREAMS = {
     "stage/tail_contention": run_stage_tail_contention,
     "stage/preemption": run_stage_preemption,
 }
+
+#: The ``golden_sim_metrics.json`` scenarios.
+METRIC_GOLDEN = [name for name in SCENARIOS
+                 if not name.startswith("stage/")]
+
+
+def per_step_stream(name: str) -> dict:
+    """The scenario's event stream, one event per serving step."""
+    with per_step_path(), tapped_loops() as taps:
+        pool = SCENARIOS[name]()
+    return _stream(pool, taps)
 
 
 def _sha256(data: bytes) -> str:
@@ -216,9 +234,20 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("name", sorted(STREAMS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_event_stream_matches_golden(golden, name):
-    assert STREAMS[name]() == golden["streams"][name]
+    assert per_step_stream(name) == golden["streams"][name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_silent_runs_match_the_per_step_path(name):
+    with per_step_path():
+        reference = SCENARIOS[name]()
+    pool = SCENARIOS[name]()
+    assert pool_outcome(pool) == pool_outcome(reference)
+    assert total_steps(pool) == total_steps(reference)
+    if name in METRIC_GOLDEN:
+        assert 4 * pool.loop.dispatched <= reference.loop.dispatched
 
 
 def test_cli_trace_matches_golden(golden, tmp_path):
@@ -226,7 +255,8 @@ def test_cli_trace_matches_golden(golden, tmp_path):
 
 
 def _record(workdir: Path) -> dict:
-    return {"streams": {name: run() for name, run in sorted(STREAMS.items())},
+    return {"streams": {name: per_step_stream(name)
+                        for name in sorted(SCENARIOS)},
             "cli": run_cli(workdir)}
 
 

@@ -27,6 +27,7 @@ from repro.serverless import (
     TaggedRequest,
 )
 from repro.serverless.workload import Request
+from tests.serverless.reference_step import total_steps
 
 
 def pipelined_profile():
@@ -315,7 +316,7 @@ class TestTraceOptIn:
         assert quiet.loop.trace.spans == [] and quiet.loop.trace.marks == []
         assert quiet.loop.trace.tracks == [] and quiet.loop.trace.args == []
         assert traced.loop.trace.spans and traced.loop.trace.marks
-        assert quiet.loop.dispatched == traced.loop.dispatched
+        assert total_steps(quiet) == total_steps(traced)
         for name, metrics in quiet_metrics.items():
             other = traced_metrics[name]
             assert repr(metrics.summary()) == repr(other.summary())

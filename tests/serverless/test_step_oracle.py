@@ -8,6 +8,13 @@ schedules and requires, after every step, identical duration bits, the
 same ``(request, ttft)`` and completion lists (same request objects, same
 order), and the same contention, busy time, last-busy instant, load and
 work flag.
+
+A second property drives silent runs: after every silent step the
+instance runs ahead to its next completion step (``run_ahead``) and the
+run is either left to finish or cut (``cut_run``) at a random instant,
+exactly at a step end included.  The reference steps one at a time to
+the same step; every step end, busy sum, the last-busy instant and the
+context sum must agree bit for bit.
 """
 
 import dataclasses
@@ -121,3 +128,111 @@ def test_costs_match_reference_formulas(costs, batch, avg_context,
                                         use_graphs).hex()
     assert costs.prefill_time(prompt).hex() == \
         reference_step.prefill_time(costs, prompt).hex()
+
+
+def _silent(result) -> bool:
+    return not (result.ttfts or result.completed
+                or result.background_contention)
+
+
+def _same_state(instance, reference) -> None:
+    assert instance.busy_time.hex() == reference.busy_time.hex()
+    assert instance.last_busy_at.hex() == reference.last_busy_at.hex()
+    assert instance._context_sum == sum(sequence.context
+                                        for sequence in reference.running)
+    assert instance.load == reference.load
+    assert instance.has_work == reference.has_work
+
+
+@settings(max_examples=200, deadline=None)
+@given(costs=st.sampled_from(COSTS),
+       max_running=st.integers(1, 8),
+       use_cuda_graphs=st.booleans(),
+       deferred_capture=st.booleans(),
+       restore_tail=st.sampled_from([0.0, 0.3, 2.0]),
+       data=st.data())
+def test_silent_runs_and_cuts_match_per_step_reference(
+        costs, max_running, use_cuda_graphs, deferred_capture, restore_tail,
+        data):
+    config = InstanceConfig(max_running=max_running,
+                            use_cuda_graphs=use_cuda_graphs,
+                            deferred_capture=deferred_capture)
+    instance = Instance(costs, config, launched_at=0.0,
+                        cold_start_latency=0.0)
+    instance.restore_tail_until = restore_tail
+    reference = ReferenceInstance(costs, config,
+                                  restore_tail_until=restore_tail)
+    now = 0.0
+    request_id = 0
+    for _ in range(data.draw(st.integers(1, 25), label="rounds")):
+        for prompt, output in data.draw(_requests, label="enqueue"):
+            request = Request(request_id, now, prompt, output)
+            request_id += 1
+            instance.enqueue(request)
+            reference.enqueue(request)
+        if not reference.has_work:
+            now += 1.0
+            continue
+        result = instance.run_step(now)
+        _same_step(result, reference.run_step(now))
+        now = reference.last_busy_at
+        if not _silent(result) or instance.run_ahead(now) is None:
+            _same_state(instance, reference)
+            continue
+        step, _context, batch, ends, busy = instance._run
+        assert ends[0] == now
+        assert batch == len(reference.running)
+        last = len(ends) - 1
+        how = data.draw(st.sampled_from(["finish", "at_end", "between"]),
+                        label="cut")
+        if how == "finish":
+            in_flight, cut_at, ended = last, None, False
+        else:
+            index = data.draw(st.one_of(st.sampled_from([0, last]),
+                                        st.integers(0, last)),
+                              label="index")
+            cut_at = ends[index]
+            if how == "between" and index < last:
+                cut_at += (ends[index + 1] - cut_at) * data.draw(
+                    st.floats(0.0, 1.0), label="fraction")
+            # A step ending at the cut instant has completed only when
+            # its event sorts first; the run's own last event has not.
+            ended = cut_at < ends[last] and data.draw(st.booleans(),
+                                                      label="ended")
+            returned = instance.cut_run(cut_at, ended)
+        # The reference steps one at a time up to the step in flight.
+        steps = 0
+        while steps < last and (how == "finish" or now < cut_at
+                                or (now == cut_at and ended)):
+            duration, ttfts, completed, contention = \
+                reference.run_step(now)
+            assert not (ttfts or completed or contention)
+            steps += 1
+            assert (now + duration).hex() == ends[steps].hex()
+            assert reference.busy_time.hex() == busy[steps].hex()
+            now = reference.last_busy_at
+        if how != "finish":
+            assert returned == (None if steps == last else ends[steps])
+        assert instance._steps == step + steps
+        _same_state(instance, reference)
+    # Drain: both must finish the same work the same way.
+    while reference.has_work:
+        _same_step(instance.run_step(now), reference.run_step(now))
+        now = reference.last_busy_at
+        _same_state(instance, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(costs=st.sampled_from(COSTS), batch=st.integers(1, 300),
+       context_sum=st.integers(1, 10**6), steps=st.integers(0, 40),
+       use_graphs=st.booleans())
+def test_decode_run_matches_decode_step_time(costs, batch, context_sum,
+                                             steps, use_graphs):
+    run = costs.decode_run(batch, context_sum, steps, use_graphs)
+    assert len(run) == steps
+    for index, duration in enumerate(run):
+        avg_context = (context_sum + index * batch) / batch
+        assert duration.hex() == costs.decode_step_time(
+            batch, avg_context, use_graphs).hex()
+        assert duration.hex() == reference_step.decode_step_time(
+            costs, batch, avg_context, use_graphs).hex()

@@ -87,6 +87,58 @@ class TestScheduling:
         assert log == [0.0, 1.0, 2.0, 3.0]
 
 
+class TestTieKeys:
+    def test_co_timed_events_order_by_tie_then_insertion(self):
+        log = []
+        loop = make_loop(log)
+        loop.schedule(1.0, "a", "t2", tie=2)
+        loop.schedule(1.0, "a", "t0-first")
+        loop.schedule(1.0, "a", "t1-first", tie=1)
+        loop.schedule(1.0, "a", "t1-second", tie=1)
+        loop.schedule(1.0, "a", "t0-second", tie=0)
+        loop.run()
+        assert [p for _, _, p in log] == [
+            "t0-first", "t0-second", "t1-first", "t1-second", "t2"]
+
+    def test_tie_ranks_below_time_and_priority(self):
+        log = []
+        loop = make_loop(log)   # "a" before "b"
+        loop.schedule(2.0, "a", "late", tie=0)
+        loop.schedule(1.0, "b", "b-tie0", tie=0)
+        loop.schedule(1.0, "a", "a-tie9", tie=9)
+        loop.run()
+        assert [p for _, _, p in log] == ["a-tie9", "b-tie0", "late"]
+
+    def test_default_tie_keeps_insertion_order(self):
+        log = []
+        loop = make_loop(log)
+        for payload in ("x", "y", "z"):
+            loop.schedule(1.0, "a", payload)
+        loop.run()
+        assert [p for _, _, p in log] == ["x", "y", "z"]
+
+    def test_cancel_a_tied_event(self):
+        log = []
+        loop = make_loop(log)
+        loop.schedule(1.0, "a", "keep-1", tie=1)
+        drop = loop.schedule(1.0, "a", "drop", tie=1)
+        loop.schedule(1.0, "a", "keep-0", tie=0)
+        loop.cancel(drop)
+        assert loop.pending == 2
+        assert loop.run() == 2
+        assert [p for _, _, p in log] == ["keep-0", "keep-1"]
+
+    def test_dispatching_holds_the_current_sort_key(self):
+        keys = []
+        loop = EventLoop()
+        loop.on("a", lambda e: keys.append(loop._dispatching[:3]))
+        loop.on("b", lambda e: keys.append(loop._dispatching[:3]))
+        loop.schedule(1.0, "b", tie=7)
+        loop.schedule(1.0, "a")
+        loop.run()
+        assert keys == [(1.0, 0, 0), (1.0, 1, 7)]
+
+
 class TestCancellation:
     def test_cancelled_event_never_dispatches(self):
         log = []

@@ -10,6 +10,12 @@ the simulated loading time and every scheduled stage must stay bit-exact.
 (tiny cost model) and Qwen1.5-0.5B, each with and without a default
 :class:`~repro.faults.DegradationPolicy`.
 
+``golden_restore_allocators.json`` pins, for the same rows, a digest of
+the online allocator once the restore is done: every buffer it ever
+handed out (offset from the heap base, size, alloc index, tag, pool,
+liveness), ``bytes_in_use``, ``peak_bytes`` and the free lists.  The
+allocation replay must land every buffer where it always has.
+
 Regenerate (only when a timeline change is intended)::
 
     PYTHONPATH=src:. python tests/core/test_restore_goldens.py
@@ -17,6 +23,7 @@ Regenerate (only when a timeline change is intended)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import tempfile
@@ -31,6 +38,8 @@ from repro.simgpu.process import ExecutionMode
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name(
     "golden_restore_timelines.json")
+ALLOCATOR_GOLDEN_PATH = pathlib.Path(__file__).with_name(
+    "golden_restore_allocators.json")
 INPUT_KINDS = ("eager", "lazy", "chunked")
 POLICIES = ("strict", "ladder")
 #: (model, offline seed, cold-start seed, restore mode, tiny cost model?)
@@ -77,9 +86,27 @@ def _snapshot(report) -> dict:
     }
 
 
-def model_timelines(model: str, artifact, seed: int, mode,
-                    tiny: bool) -> dict:
-    """``{"<model>/<input>/<policy>": snapshot}`` for one materialized model."""
+def allocator_digest(allocator) -> str:
+    """SHA-256 of the allocator's layout, relative to its heap base."""
+    base = allocator.base
+    state = {
+        "history": [[buffer.address - base, buffer.size, buffer.alloc_index,
+                     buffer.tag, buffer.pool, buffer.live]
+                    for buffer in allocator.history],
+        "bytes_in_use": allocator.bytes_in_use,
+        "peak_bytes": allocator.peak_bytes,
+        "free_lists": [[pool, size, [[address - base, pooled]
+                                     for address, pooled, _payload in entries]]
+                       for (pool, size), entries
+                       in allocator._free_lists.items()],
+    }
+    return hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
+def model_restores(model: str, artifact, seed: int, mode,
+                   tiny: bool) -> dict:
+    """``{"<model>/<input>/<policy>": (timeline, allocator digest)}`` for
+    one materialized model."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in INPUT_KINDS:
@@ -91,7 +118,9 @@ def model_timelines(model: str, artifact, seed: int, mode,
                     mode=mode, cost_model=_cost_model(tiny),
                     policy=DegradationPolicy() if policy == "ladder"
                     else None)
-                out[f"{model}/{kind}/{policy}"] = _snapshot(report)
+                out[f"{model}/{kind}/{policy}"] = (
+                    _snapshot(report),
+                    allocator_digest(_engine.process.allocator))
     return out
 
 
@@ -100,31 +129,42 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+@pytest.fixture(scope="module")
+def allocator_golden():
+    return json.loads(ALLOCATOR_GOLDEN_PATH.read_text())
+
+
 @pytest.mark.parametrize("model,offline_seed,seed,mode,tiny", MODELS,
                          ids=[m[0] for m in MODELS])
-def test_restore_timelines_match_golden(golden, tiny2l_artifact, model,
+def test_restore_timelines_match_golden(golden, allocator_golden,
+                                        tiny2l_artifact, model,
                                         offline_seed, seed, mode, tiny):
     if model == "Tiny-2L":
         artifact, _ = tiny2l_artifact
     else:
         artifact = _materialize(model, offline_seed, tiny)
-    actual = model_timelines(model, artifact, seed, mode, tiny)
+    actual = model_restores(model, artifact, seed, mode, tiny)
     expected = {key: value for key, value in golden.items()
                 if key.startswith(f"{model}/")}
     assert sorted(actual) == sorted(expected)
     for key in sorted(expected):
-        assert actual[key] == expected[key], key
+        timeline, digest = actual[key]
+        assert timeline == expected[key], key
+        assert digest == allocator_golden[key], key
 
 
 def record() -> None:
-    """Rewrite the golden file from the current code."""
-    snapshots = {}
+    """Rewrite both golden files from the current code."""
+    restores = {}
     for model, offline_seed, seed, mode, tiny in MODELS:
         artifact = _materialize(model, offline_seed, tiny)
-        snapshots.update(model_timelines(model, artifact, seed, mode, tiny))
-    GOLDEN_PATH.write_text(json.dumps(snapshots, indent=1, sort_keys=True)
-                           + "\n")
-    print(f"wrote {len(snapshots)} timelines to {GOLDEN_PATH}")
+        restores.update(model_restores(model, artifact, seed, mode, tiny))
+    for path, column in ((GOLDEN_PATH, 0), (ALLOCATOR_GOLDEN_PATH, 1)):
+        path.write_text(json.dumps(
+            {key: row[column] for key, row in restores.items()},
+            indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(restores)} restores to {GOLDEN_PATH} and "
+          f"{ALLOCATOR_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ Runs once per <GPU type, model type>:
 
 from __future__ import annotations
 
-import contextlib
-import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -48,6 +46,7 @@ from repro.errors import MaterializationError
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
 from repro.simgpu.process import ExecutionMode
+from repro.utils.collector import cyclic_gc_paused
 
 
 @dataclass
@@ -62,25 +61,6 @@ class OfflineReport:
     @property
     def total_time(self) -> float:
         return self.capture_stage_time + self.analysis_time
-
-
-@contextlib.contextmanager
-def _cyclic_gc_paused():
-    """Pause Python's cyclic garbage collector for one offline phase.
-
-    The phase builds ~300k long-lived objects for a 7B model (trace
-    events, allocator history, graph nodes, the artifact) and drops no
-    reference cycle before it returns, so every collection during it walks
-    a growing heap and frees nothing.  Refcounting still frees everything
-    acyclic.  The collector's previous state is restored on exit.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class OfflinePhase:
@@ -124,7 +104,10 @@ class OfflinePhase:
     # ------------------------------------------------------------------
 
     def run(self) -> Tuple[MaterializedModel, OfflineReport]:
-        with _cyclic_gc_paused():
+        # The phase builds ~300k long-lived objects for a 7B model (trace
+        # events, allocator history, graph nodes, the artifact) and drops
+        # no reference cycle before it returns.
+        with cyclic_gc_paused():
             engine, trace, capture_stage_time = self._capturing_stage()
             artifact, analysis_time, stats = self._analysis_stage(engine,
                                                                   trace)

@@ -43,6 +43,7 @@ from repro.faults.ladder import DegradationPolicy
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
 from repro.simgpu.process import ExecutionMode
+from repro.utils.collector import cyclic_gc_paused
 
 #: The restorer under its historical name.
 OnlineRestorer = VectorizedRestorer
@@ -112,11 +113,16 @@ def medusa_cold_start(config, artifact, seed: int = 1,
     ``artifact`` may be eager or a :class:`~repro.core.binfmt.LazyArtifact`
     (see :func:`prepare_medusa_cold_start` for the plan each one gets).
     """
-    engine, restorer = prepare_medusa_cold_start(
-        config, artifact, seed=seed, mode=mode, cost_model=cost_model,
-        kv_config=kv_config, checkpoints=checkpoints, injector=injector,
-        policy=policy)
-    report = engine.cold_start(restorer=restorer)
+    # The restore builds ~40k long-lived objects (replayed buffers, graph
+    # nodes) and turns only a few hundred into cyclic garbage while the
+    # engine lives, so collections during it would walk a growing heap and
+    # free next to nothing.
+    with cyclic_gc_paused():
+        engine, restorer = prepare_medusa_cold_start(
+            config, artifact, seed=seed, mode=mode, cost_model=cost_model,
+            kv_config=kv_config, checkpoints=checkpoints, injector=injector,
+            policy=policy)
+        report = engine.cold_start(restorer=restorer)
     return engine, report
 
 

@@ -470,18 +470,28 @@ class MultiModelCluster:
 
     def _route(self, model: str, request: Request, now: float) -> None:
         """Route one arrival within its deployment's capacity."""
-        deployment = self.deployments[model]
-        live = self._live_instances(model)
-        candidates = [inst for inst in live
-                      if inst.load < deployment.max_running]
-        if candidates:
-            target = min(candidates, key=lambda inst: (inst.load,
-                                                       inst.ready_at))
+        max_running = self.deployments[model].max_running
+        # One pass over the live instances, reading each load once: the
+        # least (load, ready_at) below capacity, and the least load among
+        # the rest.  Strict compares keep the first of equals, as min does.
+        best = best_key = shortest = shortest_load = None
+        for inst in self.instances[model]:
+            if inst.retired:
+                continue
+            load = inst.load
+            if load < max_running:
+                key = (load, inst.ready_at)
+                if best is None or key < best_key:
+                    best, best_key = inst, key
+            elif shortest is None or load < shortest_load:
+                shortest, shortest_load = inst, load
+        if best is not None:
+            target = best
         elif self._fits(model):
             target = self._launch(model, now)
-        elif live:
+        elif shortest is not None:
             # Saturated: queue at the shortest backlog.
-            target = min(live, key=lambda inst: inst.load)
+            target = shortest
         else:
             # Pool exhausted by *other* models and this one has no
             # instance: free a GPU, or wait until one frees up.

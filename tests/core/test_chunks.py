@@ -4,7 +4,10 @@ content-addressed chunk store paths built on it."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -57,6 +60,125 @@ class TestPackFormat:
         blob = pack_chunk({"a": np.arange(3)})
         with pytest.raises(ArtifactError):
             unpack_chunk(b"XXXX" + blob[4:])
+
+
+def _container(payloads):
+    """A chunk blob from raw per-member payload bytes (pack_chunk's layout,
+    without its np.save step), for handcrafted members."""
+    raw = io.BytesIO()
+    raw.write(b"MCHK\x01")
+    for name, data in payloads.items():
+        encoded = name.encode("utf-8")
+        raw.write(struct.pack("<I", len(encoded)) + encoded)
+        raw.write(struct.pack("<Q", len(data)) + data)
+    return zlib.compress(raw.getvalue())
+
+
+def _payloads(blob):
+    """Split a chunk blob into ``{name: .npy payload bytes}``."""
+    raw = zlib.decompress(blob)
+    offset, out = 5, {}
+    while offset < len(raw):
+        (name_len,) = struct.unpack_from("<I", raw, offset)
+        name = raw[offset + 4:offset + 4 + name_len].decode("utf-8")
+        offset += 4 + name_len
+        (data_len,) = struct.unpack_from("<Q", raw, offset)
+        out[name] = raw[offset + 8:offset + 8 + data_len]
+        offset += 8 + data_len
+    return out
+
+
+def _npy(array, allow_pickle=False):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def _assert_decodes_like_np_load(blob):
+    decoded = unpack_chunk(blob)
+    payloads = _payloads(blob)
+    assert list(decoded) == list(payloads)
+    for name, data in payloads.items():
+        expected = np.load(io.BytesIO(data), allow_pickle=False)
+        actual = decoded[name]
+        assert actual.dtype == expected.dtype, name
+        assert actual.shape == expected.shape, name
+        assert actual.strides == expected.strides, name
+        assert actual.tobytes() == expected.tobytes(), name
+        assert actual.flags.writeable, name
+
+
+class TestMemberDecoder:
+    """``unpack_chunk`` decodes ``.npy`` members without ``np.load``."""
+
+    @pytest.mark.parametrize("array", [
+        np.arange(7, dtype=np.int64),
+        np.linspace(0.0, 1.0, 5),
+        np.array([np.nan, -0.0, np.inf]),
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+        np.arange(12, dtype=np.int32).reshape(3, 4).T,        # Fortran order
+        np.arange(3, dtype=">i4"),
+        np.array([True, False]),
+        np.arange(5, dtype=np.int8),
+        np.array(["", "ab", "naïve"]),
+        np.array([b"x", b"yz"]),
+        np.array(5),
+        np.zeros(0),
+        np.zeros((0, 4), dtype=np.int64),
+        np.array([], dtype=str),
+    ], ids=lambda a: f"{a.dtype.str}{a.shape}")
+    def test_round_trips_like_np_load(self, array):
+        blob = pack_chunk({"m": array})
+        _assert_decodes_like_np_load(blob)
+        np.testing.assert_array_equal(unpack_chunk(blob)["m"], array)
+
+    def test_every_chunk_of_a_model_decodes_like_np_load(self, chunked):
+        _manifest, blobs = chunked
+        for blob in blobs.values():
+            _assert_decodes_like_np_load(blob)
+
+    def test_result_is_a_private_copy(self):
+        blob = pack_chunk({"a": np.arange(4)})
+        first = unpack_chunk(blob)["a"]
+        first[0] = 99
+        assert unpack_chunk(blob)["a"][0] == 0
+
+    def test_truncated_payload_is_rejected(self):
+        data = _npy(np.arange(8, dtype=np.int64))
+        with pytest.raises(ArtifactError, match="header declares"):
+            unpack_chunk(_container({"a": data[:-8]}))
+        with pytest.raises(ArtifactError, match="truncated"):
+            unpack_chunk(_container({"a": data[:9]}))
+
+    def test_member_running_past_the_blob_is_rejected(self):
+        raw = zlib.decompress(pack_chunk({"a": np.arange(8)}))
+        with pytest.raises(ArtifactError):
+            unpack_chunk(zlib.compress(raw[:-1]))
+        with pytest.raises(ArtifactError):
+            unpack_chunk(zlib.compress(raw + b"\x01\x00"))
+
+    def test_bad_member_magic_is_rejected(self):
+        data = _npy(np.arange(3))
+        with pytest.raises(ArtifactError, match="not a .npy payload"):
+            unpack_chunk(_container({"a": b"XNUMPY" + data[6:]}))
+
+    def test_unknown_npy_version_is_rejected(self):
+        data = _npy(np.arange(3))
+        with pytest.raises(ArtifactError, match="version"):
+            unpack_chunk(_container({"a": data[:6] + b"\x03\x00"
+                                     + data[8:]}))
+
+    def test_object_dtype_is_rejected(self):
+        data = _npy(np.array([{"x": 1}], dtype=object), allow_pickle=True)
+        with pytest.raises(ArtifactError, match="object dtype"):
+            unpack_chunk(_container({"a": data}))
+
+    def test_malformed_header_is_rejected(self):
+        data = _npy(np.arange(3))
+        header_len = int.from_bytes(data[8:10], "little")
+        garbled = data[:10] + b"{" * header_len + data[10 + header_len:]
+        with pytest.raises(ArtifactError, match="header"):
+            unpack_chunk(_container({"a": garbled}))
 
 
 class TestChunkModel:

@@ -94,8 +94,34 @@ class TestDeterminism:
         assert art_a.to_json() == art_b.to_json()
 
 
+def _cyclic_garbage(run):
+    """Call ``run()`` with the collector off; the number of objects a
+    collection then finds unreachable, while ``run``'s result is alive."""
+    import gc
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run()
+        unreachable = gc.collect()
+        del result
+    finally:
+        if was_enabled:
+            gc.enable()
+    return unreachable
+
+
+def _tiny_cold_start(artifact, **kwargs):
+    from repro.core.online import medusa_cold_start
+    from repro.simgpu.process import ExecutionMode
+    return medusa_cold_start("Tiny-2L", artifact, seed=7,
+                             mode=ExecutionMode.COMPUTE,
+                             cost_model=tiny_cost_model(), **kwargs)
+
+
 class TestCollectorPause:
-    """``OfflinePhase.run`` pauses the cyclic GC; that must cost nothing."""
+    """``OfflinePhase.run`` and ``medusa_cold_start`` pause the cyclic GC;
+    that must cost nothing."""
 
     def test_run_leaves_no_cyclic_garbage(self):
         import gc
@@ -135,3 +161,83 @@ class TestCollectorPause:
         with pytest.raises(MaterializationError):
             OfflinePhase("Tiny-2L", cost_model=tiny_cost_model()).run()
         assert gc.isenabled()
+
+    # -- the online phase ----------------------------------------------------
+
+    def test_cold_start_pauses_collector(self, tiny2l_artifact, monkeypatch):
+        import gc
+        from repro.engine.engine import LLMEngine
+        states = []
+        cold_start = LLMEngine.cold_start
+
+        def spy(self, *args, **kwargs):
+            states.append(gc.isenabled())
+            return cold_start(self, *args, **kwargs)
+
+        monkeypatch.setattr(LLMEngine, "cold_start", spy)
+        assert gc.isenabled()
+        _tiny_cold_start(tiny2l_artifact[0])
+        assert states == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cold_start_restores_collector_state(self, tiny2l_artifact,
+                                                 enabled):
+        import gc
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            _tiny_cold_start(tiny2l_artifact[0])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_restored_when_cold_start_raises(self,
+                                                       tiny2l_artifact):
+        """A replay OOM with no DegradationPolicy fails the restore."""
+        import gc
+        from repro.errors import OutOfMemoryError
+        from repro.faults import (
+            PHASE_KV,
+            FaultInjector,
+            FaultKind,
+            FaultPlan,
+            FaultSpec,
+        )
+        injector = FaultInjector(FaultPlan(seed=1, faults=(
+            FaultSpec(kind=FaultKind.REPLAY_OOM, phase=PHASE_KV),)))
+        assert gc.isenabled()
+        with pytest.raises(OutOfMemoryError):
+            _tiny_cold_start(tiny2l_artifact[0], injector=injector)
+        assert injector.fired
+        assert gc.isenabled()
+
+    def test_cold_start_leaves_no_cyclic_garbage(self, tiny2l_artifact,
+                                                 tmp_path):
+        """Eager input, and chunked input once the chunk decoder has seen
+        its ``.npy`` headers, drop no reference cycle."""
+        from repro.core.store import ArtifactStore
+        artifact, _ = tiny2l_artifact
+        store = ArtifactStore(tmp_path / "store")
+        store.put(artifact)
+        chunked = store.get_lazy(artifact.gpu_name, artifact.model_name)
+        _tiny_cold_start(chunked)           # parses every header once
+        assert _cyclic_garbage(lambda: _tiny_cold_start(artifact)) == 0
+        assert _cyclic_garbage(lambda: _tiny_cold_start(store.get_lazy(
+            artifact.gpu_name, artifact.model_name))) == 0
+
+    def test_cold_header_cache_bounds_cyclic_garbage(self, tiny2l_artifact,
+                                                     tmp_path):
+        """The only cycles a restore drops are ``ast.literal_eval``'s own
+        closures, one small set per newly parsed ``.npy`` header."""
+        from repro.core.chunks import _npy_header
+        from repro.core.store import ArtifactStore
+        artifact, _ = tiny2l_artifact
+        store = ArtifactStore(tmp_path / "store")
+        store.put(artifact)
+        chunked = store.get_lazy(artifact.gpu_name, artifact.model_name)
+        _npy_header.cache_clear()
+        unreachable = _cyclic_garbage(lambda: _tiny_cold_start(chunked))
+        parsed = _npy_header.cache_info().misses
+        assert parsed > 0
+        assert unreachable <= 16 * parsed

@@ -10,8 +10,18 @@ from typing import List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.interception import attach
+from repro.core.trace import (
+    AllocTraceEvent,
+    EmptyCacheTraceEvent,
+    FreeTraceEvent,
+)
 from repro.errors import IllegalMemoryAccessError, OutOfMemoryError
+from repro.simgpu.costmodel import CostModel, GpuProperties
 from repro.simgpu.memory import ALIGNMENT, DeviceAllocator
+from repro.simgpu.process import CudaProcess
+
+from tests.conftest import make_small_catalog
 
 CAPACITY = 1 << 22          # 4 MiB keeps examples fast
 
@@ -28,8 +38,11 @@ _ops = st.lists(
 )
 
 
-def _run_program(allocator: DeviceAllocator, program) -> List[int]:
-    """Apply a program, skipping infeasible steps; returns live addresses."""
+def _run_program(allocator, program) -> List[int]:
+    """Apply a program, skipping infeasible steps; returns live addresses.
+
+    ``allocator`` is a :class:`DeviceAllocator` or a :class:`CudaProcess`
+    (same malloc/free/pool_free/empty_cache calls)."""
     live: List[int] = []
     for op, arg in program:
         if op == "alloc":
@@ -93,31 +106,36 @@ class TestAllocatorInvariants:
     @settings(max_examples=100, deadline=None)
     @given(program=_ops)
     def test_replay_reproduces_relative_layout(self, program):
-        """The §4.2 property: replaying the recorded event sequence on a
-        fresh allocator (different base) reproduces every address *offset*
-        and the same alloc-index aliasing structure."""
-        first = DeviceAllocator(base=0x7F00_0000_0000,
-                                capacity_bytes=CAPACITY)
-        _run_program(first, program)
+        """The §4.2 property: replaying the sequence a TraceInterceptor
+        records on one process on a fresh allocator (different base)
+        reproduces every address *offset* and the same alloc-index
+        aliasing structure."""
+        process = CudaProcess(
+            seed=11, catalog=make_small_catalog(),
+            cost_model=CostModel(gpu=GpuProperties(
+                name="Prop-GPU", total_memory_bytes=CAPACITY)))
+        tracer = attach(process)
+        _run_program(process, program)
+        first = process.allocator
         second = DeviceAllocator(base=0x7E00_0000_0000,
                                  capacity_bytes=CAPACITY)
         index_to_addr = {}
-        for event in first.events:
-            if event.kind == "alloc":
+        for event in tracer.trace.events:
+            if isinstance(event, AllocTraceEvent):
                 buffer = second.malloc(event.size, tag=event.tag,
                                        pool=event.pool)
                 assert buffer.alloc_index == event.alloc_index
                 index_to_addr[event.alloc_index] = buffer.address
-            elif event.kind == "free":
+            elif isinstance(event, FreeTraceEvent):
                 address = index_to_addr[event.alloc_index]
                 if event.pooled:
                     second.pool_free(address)
                 else:
                     second.free(address)
-            elif event.kind == "empty_cache":
+            elif isinstance(event, EmptyCacheTraceEvent):
                 second.empty_cache()
-        for event in first.events:
-            if event.kind == "alloc":
+        for event in tracer.trace.events:
+            if isinstance(event, AllocTraceEvent):
                 assert (event.address - first.base
                         == index_to_addr[event.alloc_index] - second.base)
 

@@ -3,16 +3,28 @@
 import numpy as np
 import pytest
 
+from repro.core.interception import attach
+from repro.core.trace import AllocTraceEvent, FreeTraceEvent
 from repro.errors import (
     IllegalMemoryAccessError,
     InvalidValueError,
     OutOfMemoryError,
 )
 from repro.simgpu.memory import ALIGNMENT, DeviceAllocator
+from repro.simgpu.process import CudaProcess
+
+from tests.conftest import make_small_catalog
 
 
 def make_allocator(capacity=1 << 20):
     return DeviceAllocator(base=0x7F00_0000_0000, capacity_bytes=capacity)
+
+
+def traced_process():
+    """A process with a TraceInterceptor attached: the (de)allocation log
+    Medusa's online phase replays (§4.2) is that interceptor's trace."""
+    process = CudaProcess(seed=3, catalog=make_small_catalog())
+    return process, attach(process)
 
 
 class TestMalloc:
@@ -86,12 +98,15 @@ class TestFreeAndReuse:
             buf.read()
 
     def test_free_records_event_with_original_alloc_index(self):
-        allocator = make_allocator()
-        buf = allocator.malloc(64)
-        allocator.free(buf.address)
-        free_events = [e for e in allocator.events if e.kind == "free"]
+        process, tracer = traced_process()
+        process.malloc(64)
+        buf = process.malloc(64)
+        process.free(buf.address)
+        free_events = [e for e in tracer.trace.events
+                       if isinstance(e, FreeTraceEvent)]
         assert len(free_events) == 1
-        assert free_events[0].alloc_index == buf.alloc_index
+        assert free_events[0].alloc_index == buf.alloc_index == 1
+        assert not free_events[0].pooled
 
 
 class TestResolve:
@@ -137,15 +152,16 @@ class TestResolve:
 
 class TestEventSequence:
     def test_events_replayable_order(self):
-        allocator = make_allocator()
-        a = allocator.malloc(64, tag="w")
-        b = allocator.malloc(128, tag="x")
-        allocator.free(a.address)
-        c = allocator.malloc(64, tag="y")
-        kinds = [(e.kind, e.size, e.tag) for e in allocator.events]
+        process, tracer = traced_process()
+        a = process.malloc(64, tag="w")
+        b = process.malloc(128, tag="x")
+        process.free(a.address)
+        c = process.malloc(64, tag="y")
+        kinds = [("alloc", e.size, e.tag) if isinstance(e, AllocTraceEvent)
+                 else ("free", e.alloc_index) for e in tracer.trace.events]
         assert kinds == [
             ("alloc", 256, "w"), ("alloc", 256, "x"),
-            ("free", 0, "w"), ("alloc", 256, "y"),
+            ("free", a.alloc_index), ("alloc", 256, "y"),
         ]
         # LIFO reuse: c got a's address, with a fresh alloc index.
         assert c.address == a.address

@@ -239,11 +239,11 @@ def _cmd_coldstart(args) -> int:
         return 2
     try:
         artifact = _load_artifact(args.artifact) if args.artifact else None
+        _engine, report = cold_start_for(args.model, args.strategy,
+                                         artifact=artifact, seed=args.seed)
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _engine, report = cold_start_for(args.model, args.strategy,
-                                     artifact=artifact, seed=args.seed)
     _print_report(report)
     return 0
 
@@ -277,11 +277,11 @@ def _cmd_offline(args) -> int:
 def _cmd_restore(args) -> int:
     try:
         artifact = _load_artifact(args.artifact)
+        _engine, report = cold_start_for(args.model, Strategy.MEDUSA,
+                                         artifact=artifact, seed=args.seed)
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _engine, report = cold_start_for(args.model, Strategy.MEDUSA,
-                                     artifact=artifact, seed=args.seed)
     _print_report(report)
     if args.validate:
         result = validate_restoration(args.model, artifact,

@@ -15,12 +15,20 @@ without ever building per-node Python objects.  An eager
 :class:`~repro.core.artifact.MaterializedModel` becomes the same view in
 memory through :func:`as_lazy`; :func:`load_binary` goes the other way
 (``LazyArtifact(path).materialize()``) for lint and JSON conversion.
+
+Every ``.npy`` member, of an npz (:class:`NpzMembers`) or of a chunk
+(:func:`repro.core.chunks.unpack_chunk`), is read by one decoder,
+:func:`_decode_npy`, with one set of :class:`ArtifactError` checks.
 """
 
 from __future__ import annotations
 
-import io
+import ast
+import functools
 import json
+import math
+import zipfile
+import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -174,6 +182,107 @@ def as_lazy(artifact) -> "LazyArtifact":
 
 
 # ---------------------------------------------------------------------------
+# ``.npy`` member decoder, shared by the npz reader and the chunk codec
+# ---------------------------------------------------------------------------
+
+#: Magic and version of the ``.npy`` v1.0 payloads ``np.save`` writes here.
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_VERSION = b"\x01\x00"
+_NPY_PREAMBLE = len(_NPY_MAGIC) + len(_NPY_VERSION) + 2   # + <H header len
+_NPY_KEYS = frozenset({"descr", "fortran_order", "shape"})
+
+
+@functools.lru_cache(maxsize=4096)
+def _npy_header(header: bytes) -> Tuple[np.dtype, Tuple[int, ...], bool]:
+    """``(dtype, shape, fortran_order)`` of one ``.npy`` v1.0 header.
+
+    Cached by the header bytes: the same members, and so the same
+    headers, come back on every restore of a model.  A round-robin of
+    Qwen1.5-0.5B, Qwen1.5-1.8B and Llama2-7B restores looks up ~690
+    headers per restore, and only 101 distinct ones in all.
+    """
+    try:
+        fields = ast.literal_eval(header.decode("latin1"))
+        if not isinstance(fields, dict) or set(fields) != _NPY_KEYS:
+            raise ValueError(f"unexpected header {fields!r}")
+        dtype = np.lib.format.descr_to_dtype(fields["descr"])
+        shape = fields["shape"]
+        fortran_order = fields["fortran_order"]
+        if not isinstance(shape, tuple) or not all(
+                isinstance(n, int) and n >= 0 for n in shape) \
+                or not isinstance(fortran_order, bool):
+            raise ValueError(f"unexpected header {fields!r}")
+    except (SyntaxError, ValueError, TypeError, MemoryError,
+            RecursionError) as exc:
+        raise ArtifactError(f"corrupt .npy member header: {exc}") from exc
+    if dtype.hasobject:
+        raise ArtifactError(
+            f"member has object dtype {dtype}; artifacts hold plain arrays "
+            f"only")
+    return dtype, shape, fortran_order
+
+
+def _decode_npy(raw: bytes, start: int, end: int, name: str) -> np.ndarray:
+    """Decode the ``.npy`` payload ``raw[start:end]`` into a fresh,
+    writable array equal to what ``np.load`` returns for it.
+
+    Any malformed payload raises :class:`ArtifactError`.
+    """
+    if raw[start:start + len(_NPY_MAGIC)] != _NPY_MAGIC:
+        raise ArtifactError(f"member {name!r} is not a .npy payload")
+    version = raw[start + len(_NPY_MAGIC):start + len(_NPY_MAGIC) + 2]
+    if version != _NPY_VERSION:
+        raise ArtifactError(
+            f"member {name!r} has unsupported .npy version "
+            f"{tuple(version)}")
+    header_start = start + _NPY_PREAMBLE
+    data_start = header_start + int.from_bytes(
+        raw[header_start - 2:header_start], "little")
+    if data_start > end:
+        raise ArtifactError(f"member {name!r} is truncated")
+    dtype, shape, fortran_order = _npy_header(raw[header_start:data_start])
+    count = math.prod(shape)
+    if end - data_start != count * dtype.itemsize:
+        raise ArtifactError(
+            f"member {name!r} holds {end - data_start} data bytes, "
+            f"its header declares {count * dtype.itemsize}")
+    if count == 0 or dtype.itemsize == 0:
+        flat = np.empty(count, dtype=dtype)
+    else:
+        flat = np.frombuffer(raw, dtype=dtype, count=count,
+                             offset=data_start).copy()
+    if fortran_order:
+        return flat.reshape(shape[::-1]).transpose()
+    return flat.reshape(shape)
+
+
+class NpzMembers:
+    """The arrays of a ``.npz`` file by member name, read on demand.
+
+    ``members[name]`` inflates the zip entry ``name.npy`` and decodes it
+    with :func:`_decode_npy`, which is what ``np.load``'s ``NpzFile`` does
+    minus re-parsing every header.  A missing member raises ``KeyError``;
+    an unreadable one :class:`ArtifactError`.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._zip = zipfile.ZipFile(path)
+
+    def __getitem__(self, member: str) -> np.ndarray:
+        entry = member + ".npy"
+        try:
+            raw = self._zip.read(entry)
+        except KeyError:
+            raise KeyError(member) from None
+        except (zipfile.BadZipFile, zlib.error, OSError, EOFError) as exc:
+            raise ArtifactError(
+                f"unreadable member {member!r} of {self.path}: {exc}"
+            ) from exc
+        return _decode_npy(raw, 0, len(raw), member)
+
+
+# ---------------------------------------------------------------------------
 # Lazy reader: header + metadata up front, bulk arrays on demand
 # ---------------------------------------------------------------------------
 
@@ -321,7 +430,7 @@ class LazyArtifact:
         self.path = path
         if data is None:
             try:
-                data = np.load(path, allow_pickle=False)
+                data = NpzMembers(path)
             except FileNotFoundError as exc:
                 raise ArtifactError(f"no binary artifact at {path}") from exc
             except Exception as exc:
@@ -333,6 +442,13 @@ class LazyArtifact:
                 raise ArtifactError(
                     f"binary artifact {path} has no metadata member — not a "
                     f"Medusa artifact") from exc
+            except (ValueError, IndexError) as exc:
+                raise ArtifactError(
+                    f"binary artifact {path} has corrupt metadata: {exc}"
+                ) from exc
+            if not isinstance(meta, dict):
+                raise ArtifactError(
+                    f"binary artifact {path} has corrupt metadata")
         elif meta is None:
             raise ArtifactError(
                 "LazyArtifact needs parsed metadata when opened from an "

@@ -33,12 +33,9 @@ byte-identically while loading only the chunks a consumer touches.
 
 from __future__ import annotations
 
-import ast
-import functools
 import hashlib
 import io
 import json
-import math
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +46,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.artifact import MaterializedModel
-from repro.core.binfmt import GraphTable, LazyArtifact, artifact_arrays
+from repro.core.binfmt import (
+    GraphTable,
+    LazyArtifact,
+    _decode_npy,
+    artifact_arrays,
+)
 from repro.errors import ArtifactError
 
 #: Version byte of the chunk container + manifest schema.
@@ -125,74 +127,6 @@ def pack_chunk(members: Dict[str, np.ndarray]) -> bytes:
         raw.write(_DATA_LEN.pack(len(data)))
         raw.write(data)
     return zlib.compress(raw.getvalue(), 6)
-
-
-#: Magic and version of the ``.npy`` v1.0 payloads ``np.save`` writes here.
-_NPY_MAGIC = b"\x93NUMPY"
-_NPY_VERSION = b"\x01\x00"
-_NPY_PREAMBLE = len(_NPY_MAGIC) + len(_NPY_VERSION) + 2   # + <H header len
-_NPY_KEYS = frozenset({"descr", "fortran_order", "shape"})
-
-
-@functools.lru_cache(maxsize=4096)
-def _npy_header(header: bytes) -> Tuple[np.dtype, Tuple[int, ...], bool]:
-    """``(dtype, shape, fortran_order)`` of one ``.npy`` v1.0 header.
-
-    Cached by the header bytes: the same chunk members, and so the same
-    headers, come back on every restore of a model.  A round-robin of
-    Qwen1.5-0.5B, Qwen1.5-1.8B and Llama2-7B restores looks up ~690
-    headers per restore, and only 101 distinct ones in all.
-    """
-    try:
-        fields = ast.literal_eval(header.decode("latin1"))
-        if not isinstance(fields, dict) or set(fields) != _NPY_KEYS:
-            raise ValueError(f"unexpected header {fields!r}")
-        dtype = np.lib.format.descr_to_dtype(fields["descr"])
-        shape = fields["shape"]
-        fortran_order = fields["fortran_order"]
-        if not isinstance(shape, tuple) or not all(
-                isinstance(n, int) and n >= 0 for n in shape) \
-                or not isinstance(fortran_order, bool):
-            raise ValueError(f"unexpected header {fields!r}")
-    except (SyntaxError, ValueError, TypeError, MemoryError,
-            RecursionError) as exc:
-        raise ArtifactError(f"corrupt chunk member header: {exc}") from exc
-    if dtype.hasobject:
-        raise ArtifactError(
-            f"chunk member has object dtype {dtype}; chunks hold plain "
-            f"arrays only")
-    return dtype, shape, fortran_order
-
-
-def _decode_npy(raw: bytes, start: int, end: int, name: str) -> np.ndarray:
-    """Decode the ``.npy`` payload ``raw[start:end]`` into a fresh,
-    writable array equal to what ``np.load`` returns for it."""
-    if raw[start:start + len(_NPY_MAGIC)] != _NPY_MAGIC:
-        raise ArtifactError(f"chunk member {name!r} is not a .npy payload")
-    version = raw[start + len(_NPY_MAGIC):start + len(_NPY_MAGIC) + 2]
-    if version != _NPY_VERSION:
-        raise ArtifactError(
-            f"chunk member {name!r} has unsupported .npy version "
-            f"{tuple(version)}")
-    header_start = start + _NPY_PREAMBLE
-    data_start = header_start + int.from_bytes(
-        raw[header_start - 2:header_start], "little")
-    if data_start > end:
-        raise ArtifactError(f"chunk member {name!r} is truncated")
-    dtype, shape, fortran_order = _npy_header(raw[header_start:data_start])
-    count = math.prod(shape)
-    if end - data_start != count * dtype.itemsize:
-        raise ArtifactError(
-            f"chunk member {name!r} holds {end - data_start} data bytes, "
-            f"its header declares {count * dtype.itemsize}")
-    if count == 0 or dtype.itemsize == 0:
-        flat = np.empty(count, dtype=dtype)
-    else:
-        flat = np.frombuffer(raw, dtype=dtype, count=count,
-                             offset=data_start).copy()
-    if fortran_order:
-        return flat.reshape(shape[::-1]).transpose()
-    return flat.reshape(shape)
 
 
 def unpack_chunk(blob: bytes) -> Dict[str, np.ndarray]:
@@ -314,12 +248,6 @@ class ChunkManifest:
         for ref in self.chunks:
             if ref.name == name:
                 return ref
-        raise ArtifactError(f"manifest has no chunk named {name!r}")
-
-    def chunk_index(self, name: str) -> int:
-        for index, ref in enumerate(self.chunks):
-            if ref.name == name:
-                return index
         raise ArtifactError(f"manifest has no chunk named {name!r}")
 
     def foreground_chunks(self) -> Tuple[ChunkRef, ...]:

@@ -64,10 +64,6 @@ class TriggerTimeoutError(CudaError):
     start, so the restorer treats it as a fault and degrades instead."""
 
 
-class DeviceMismatchError(CudaError):
-    """An operation mixed objects belonging to different simulated processes."""
-
-
 # ---------------------------------------------------------------------------
 # Engine / Medusa errors
 # ---------------------------------------------------------------------------

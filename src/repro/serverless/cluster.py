@@ -29,6 +29,7 @@ co-timed step completions dispatch in instance order (the kernel's
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -208,6 +209,9 @@ class MultiModelCluster:
             for name in self.deployments}
         self.instances: Dict[str, List[Instance]] = {
             name: [] for name in self.deployments}
+        #: Instance ids count from 0 in every run, so a run's output
+        #: (trace track names included) does not depend on earlier pools.
+        self._instance_ids = itertools.count()
         #: Requests that found no instance of their model and no GPU to
         #: free, oldest first; re-routed whenever a GPU frees up.
         self._starved: Deque[TaggedRequest] = deque()
@@ -285,7 +289,8 @@ class MultiModelCluster:
             launched_at=now,
             cold_start_latency=latency,
             profile=profile,
-            model_name=model)
+            model_name=model,
+            instance_id=next(self._instance_ids))
         instance.hot_spare = hot_spare
         instance.node_ids = node_ids
         self.instances[model].append(instance)
@@ -627,6 +632,7 @@ class MultiModelCluster:
         for event in instance.cold_events:
             if event.time > boundary_time + _EPS:
                 self.loop.cancel(event)
+        instance.cold_events = []
         metrics = self.metrics[instance.model_name]
         metrics.count("cancelled_cold_starts")
         metrics.count("cancelled_at_stage", key=boundary_stage)
@@ -703,6 +709,9 @@ class MultiModelCluster:
     def _on_instance_ready(self, event) -> None:
         """An instance finished its foreground cold start: start serving."""
         instance = event.payload
+        # Past readiness the cold start cannot be cancelled; its events
+        # (whose payload is the instance) are no longer needed.
+        instance.cold_events = []
         if instance.retired:
             return
         now = self.loop.now
@@ -895,6 +904,9 @@ class MultiModelCluster:
             self.loop.schedule(tagged.request.arrival_time, ARRIVAL, tagged)
 
         self.loop.run()
+        # The handlers are this pool's bound methods: unregistering them
+        # keeps pool and loop out of a reference cycle.
+        self.loop.close()
 
         if self._starved:
             raise SchedulingError(

@@ -192,13 +192,13 @@ class CompletedRequest:
 class Instance:
     """One GPU-backed serving instance inside the cluster simulator."""
 
-    _ids = itertools.count()
-
     def __init__(self, costs: ServingCostModel, config: InstanceConfig,
                  launched_at: float, cold_start_latency: float,
                  profile: Optional[ColdStartProfile] = None,
-                 model_name: str = ""):
-        self.instance_id = next(Instance._ids)
+                 model_name: str = "", instance_id: int = 0):
+        #: Launch order within the owning pool (its trace track and its
+        #: tie-break among same-time step events).
+        self.instance_id = instance_id
         self.costs = costs
         self.config = config
         self.profile = profile       # the cold-start plan trace, if known
@@ -237,7 +237,9 @@ class Instance:
         self.restore_tail_until = self.ready_at
         self.cancelled = False
         self.cancelled_stage = ""
-        self.cold_events: List[object] = []   # kernel Events, set by the pool
+        #: Kernel events of the cold start, set by the pool and dropped
+        #: once the cold start can no longer be cancelled.
+        self.cold_events: List[object] = []
         timeline = getattr(profile, "timeline", None) \
             if profile is not None else None
         if cold_start_latency > 0 and timeline is not None \

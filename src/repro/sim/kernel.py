@@ -172,6 +172,17 @@ class EventLoop:
         self._priorities[kind] = (priority if priority is not None
                                   else len(self._priorities))
 
+    def close(self) -> None:
+        """Unregister every handler; the loop schedules nothing after this.
+
+        Handlers are usually bound methods of the object that owns the
+        loop, so owner and loop form a reference cycle until the handlers
+        go.  Closing a drained loop lets refcounting free both; its
+        counters and trace stay readable.
+        """
+        self._handlers.clear()
+        self._priorities.clear()
+
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, time: float, kind: str, payload: object = None,

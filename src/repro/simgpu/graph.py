@@ -134,7 +134,3 @@ class CudaGraphExec:
                 self._order = self.graph.topological_order()
             for index in self._order:
                 execute_node(process, self.graph.nodes[index])
-
-    def invalidate_order_cache(self) -> None:
-        """Call after mutating edges (restoration does this once)."""
-        self._order = None

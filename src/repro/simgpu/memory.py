@@ -319,14 +319,6 @@ class DeviceAllocator:
                     kept.append(entry)
             entries[:] = kept
 
-    @property
-    def reserved_bytes(self) -> int:
-        """Bytes sitting on free lists awaiting reuse (pool-freed only)."""
-        total = 0
-        for (_pool, size), entries in self._free_lists.items():
-            total += sum(size for _addr, pooled, _payload in entries if pooled)
-        return total
-
     # -- lookups -------------------------------------------------------------
 
     def resolve(self, address: int) -> Buffer:

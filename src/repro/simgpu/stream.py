@@ -14,6 +14,7 @@ Stream capture reproduces the real driver's behaviour and restrictions
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -113,10 +114,16 @@ class _CaptureBuilder:
 
 
 class Stream:
-    """A CUDA stream bound to one simulated process."""
+    """A CUDA stream bound to one simulated process.
+
+    The stream refers to its process weakly: the process owns its default
+    stream, so a strong back-reference would make every dropped process
+    (and the engine around it) one reference cycle that only the cyclic
+    collector could free.
+    """
 
     def __init__(self, process, name: str = "stream0"):
-        self.process = process
+        self._process = weakref.ref(process)
         self.name = name
         self._capture: Optional[_CaptureBuilder] = None
 
@@ -145,8 +152,9 @@ class Stream:
         graph = self._capture.graph
         for stream in self._capture.joined:
             stream._capture = None
-        cm = self.process.cost_model
-        self.process.clock.advance(cm.capture_forward_time(graph.num_nodes))
+        process = self._process()
+        process.clock.advance(
+            process.cost_model.capture_forward_time(graph.num_nodes))
         return graph
 
     def abort_capture(self) -> None:
@@ -194,7 +202,7 @@ class Stream:
             self.abort_capture()
             raise CaptureViolationError(
                 "stream synchronization is prohibited during capture")
-        self.process.clock.advance(5e-6)
+        self._process().clock.advance(5e-6)
 
     # -- launching ------------------------------------------------------------
 
@@ -208,7 +216,7 @@ class Stream:
         referenced by ``params`` already exist (the restoration/plan-launch
         path); first-touch workspace setup is skipped.
         """
-        process = self.process
+        process = self._process()
         ready = process.driver.launch_ready.get(spec.name)
         if ready is not None and ready[0] == spec.library:
             address = ready[1]
@@ -247,7 +255,7 @@ class Stream:
         library initialized and its module loaded; from then on
         ``launch_kernel`` takes the address from ``driver.launch_ready``.
         """
-        process = self.process
+        process = self._process()
         driver = process.driver
         driver.dlopen(spec.library)
 

@@ -81,3 +81,18 @@ class TestStaleArtifactsRejected:
                           lambda members: members.pop("metadata"))
         with pytest.raises(ArtifactError, match="no metadata member"):
             load_binary(path)
+
+    @pytest.mark.parametrize("metadata", [
+        np.array(["{not json"]),
+        np.array(["[1, 2]"]),
+        np.array([], dtype="<U4"),
+    ], ids=["not-json", "not-an-object", "empty"])
+    def test_corrupt_metadata_raises(self, tmp_path, tiny2l_artifact,
+                                     metadata):
+        artifact, _ = tiny2l_artifact
+
+        def corrupt(members):
+            members["metadata"] = metadata
+
+        with pytest.raises(ArtifactError, match="corrupt metadata"):
+            load_binary(_rewritten(tmp_path, artifact, corrupt))

@@ -181,6 +181,83 @@ class TestMemberDecoder:
             unpack_chunk(_container({"a": garbled}))
 
 
+_SHORT = _npy(np.arange(3))
+_LONG = _npy(np.arange(8, dtype=np.int64))
+
+#: Malformed ``.npy`` members and the diagnostic each must raise, as a
+#: chunk member and as a ``.npz`` member alike.
+_MALFORMED_MEMBERS = {
+    "bad-magic": (b"XNUMPY" + _SHORT[6:], "not a .npy payload"),
+    "truncated-data": (_LONG[:-8], "header declares"),
+    "truncated-header": (_LONG[:9], "truncated"),
+    "object-dtype": (_npy(np.array([{"x": 1}], dtype=object),
+                          allow_pickle=True), "object dtype"),
+    "unknown-version": (_SHORT[:6] + b"\x03\x00" + _SHORT[8:], "version"),
+}
+
+
+class TestNpzMemberDecoder:
+    """``.npz`` members go through the chunk codec's ``.npy`` decoder."""
+
+    @staticmethod
+    def _npz(tmp_path, members):
+        import zipfile
+        path = tmp_path / "members.npz"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, data in members.items():
+                archive.writestr(name + ".npy", data)
+        return path
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_MEMBERS))
+    def test_malformed_member_fails_alike(self, case, tmp_path):
+        from repro.core.binfmt import NpzMembers
+        payload, message = _MALFORMED_MEMBERS[case]
+        with pytest.raises(ArtifactError, match=message):
+            unpack_chunk(_container({"a": payload}))
+        members = NpzMembers(self._npz(tmp_path, {"a": payload}))
+        with pytest.raises(ArtifactError, match=message):
+            members["a"]
+
+    def test_missing_member_is_a_key_error(self, tmp_path):
+        from repro.core.binfmt import NpzMembers
+        members = NpzMembers(self._npz(tmp_path, {"a": _npy(np.arange(3))}))
+        np.testing.assert_array_equal(members["a"], np.arange(3))
+        with pytest.raises(KeyError):
+            members["b"]
+
+    def test_every_member_of_a_model_decodes_like_np_load(self, tiny2l,
+                                                         tmp_path):
+        from repro.core.binfmt import NpzMembers
+        path = tmp_path / "tiny.npz"
+        save_binary(tiny2l, path)
+        members = NpzMembers(path)
+        with np.load(path, allow_pickle=False) as expected:
+            for name in expected.files:
+                actual = members[name]
+                assert actual.dtype == expected[name].dtype, name
+                assert actual.shape == expected[name].shape, name
+                assert actual.tobytes() == expected[name].tobytes(), name
+                assert actual.flags.writeable, name
+
+    def test_malformed_bulk_member_fails_on_first_use(self, tiny2l,
+                                                      tmp_path):
+        import zipfile
+        from repro.core.binfmt import LazyArtifact
+        good = tmp_path / "tiny.npz"
+        save_binary(tiny2l, good)
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good) as source, \
+                zipfile.ZipFile(bad, "w") as target:
+            for name in source.namelist():
+                data = source.read(name)
+                if name == "ev_kind.npy":
+                    data = data[:-1]
+                target.writestr(name, data)
+        artifact = LazyArtifact(bad)          # metadata is intact
+        with pytest.raises(ArtifactError, match="ev_kind"):
+            artifact.replay_table()
+
+
 class TestChunkModel:
     def test_manifest_is_deterministic(self, tiny2l):
         m1, blobs1 = chunk_model(tiny2l)

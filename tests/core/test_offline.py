@@ -95,16 +95,19 @@ class TestDeterminism:
 
 
 def _cyclic_garbage(run):
-    """Call ``run()`` with the collector off; the number of objects a
-    collection then finds unreachable, while ``run``'s result is alive."""
+    """Call ``run()`` with the collector off and drop its result; the
+    number of objects a collection then finds unreachable.
+
+    Refcounting frees everything acyclic, so this counts exactly what
+    only the cyclic collector could free.
+    """
     import gc
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        result = run()
+        run()
         unreachable = gc.collect()
-        del result
     finally:
         if was_enabled:
             gc.enable()
@@ -124,19 +127,11 @@ class TestCollectorPause:
     that must cost nothing."""
 
     def test_run_leaves_no_cyclic_garbage(self):
-        import gc
-        gc.collect()
+        """A dropped offline result and its engine are freed by
+        refcounting alone."""
         phase = OfflinePhase("Tiny-2L", cost_model=tiny_cost_model())
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            result = phase.run()
-            unreachable = gc.collect()
-        finally:
-            if was_enabled:
-                gc.enable()
-        assert result[0].total_nodes > 0
-        assert unreachable == 0
+        assert phase.run()[0].total_nodes > 0       # warm-up
+        assert _cyclic_garbage(phase.run) == 0
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, enabled):
@@ -214,23 +209,64 @@ class TestCollectorPause:
 
     def test_cold_start_leaves_no_cyclic_garbage(self, tiny2l_artifact,
                                                  tmp_path):
-        """Eager input, and chunked input once the chunk decoder has seen
-        its ``.npy`` headers, drop no reference cycle."""
+        """A dropped engine is freed by refcounting alone, whatever the
+        input: eager, ``.npz`` or chunked.  A warm-up restore of each kind
+        first parses its ``.npy`` headers into the decoder's cache."""
+        from repro.core.binfmt import LazyArtifact, save_binary
         from repro.core.store import ArtifactStore
         artifact, _ = tiny2l_artifact
+        save_binary(artifact, tmp_path / "tiny.npz")
         store = ArtifactStore(tmp_path / "store")
         store.put(artifact)
-        chunked = store.get_lazy(artifact.gpu_name, artifact.model_name)
-        _tiny_cold_start(chunked)           # parses every header once
-        assert _cyclic_garbage(lambda: _tiny_cold_start(artifact)) == 0
-        assert _cyclic_garbage(lambda: _tiny_cold_start(store.get_lazy(
-            artifact.gpu_name, artifact.model_name))) == 0
+        inputs = {
+            "eager": lambda: artifact,
+            "npz": lambda: LazyArtifact(tmp_path / "tiny.npz"),
+            "chunked": lambda: store.get_lazy(artifact.gpu_name,
+                                              artifact.model_name),
+        }
+        for kind, open_input in inputs.items():
+            _tiny_cold_start(open_input())          # warm-up
+            unreachable = _cyclic_garbage(
+                lambda: _tiny_cold_start(open_input()))
+            assert unreachable == 0, kind
+
+    def test_simulation_leaves_no_cyclic_garbage(self, tmp_path):
+        """The library path of ``repro simulate --trace``: materialize,
+        cold start, simulate a toy pool, summarize, write the trace."""
+        from repro.core.offline import run_offline
+        from repro.core.online import cold_start_for
+        from repro.engine import Strategy
+        from repro.reporting.timeline import save_simulation_trace
+        from repro.serverless import (
+            ClusterSimulator,
+            ServingCostModel,
+            ShareGPTWorkload,
+            SimulationConfig,
+        )
+
+        def simulate():
+            artifact, _ = run_offline("Tiny-2L", seed=7)
+            _engine, report = cold_start_for("Tiny-2L", Strategy.MEDUSA,
+                                             artifact=artifact, seed=7)
+            simulator = ClusterSimulator(
+                ServingCostModel("Tiny-2L"),
+                SimulationConfig.from_report(report, num_gpus=2),
+                trace=True)
+            workload = ShareGPTWorkload(rps=2, duration=20, seed=7,
+                                        shape="burst")
+            metrics = simulator.run(workload.generate(), horizon=20)
+            assert metrics.summary()
+            assert save_simulation_trace(simulator.loop.trace,
+                                         tmp_path / "trace.json") > 0
+
+        simulate()                                  # warm-up
+        assert _cyclic_garbage(simulate) == 0
 
     def test_cold_header_cache_bounds_cyclic_garbage(self, tiny2l_artifact,
                                                      tmp_path):
         """The only cycles a restore drops are ``ast.literal_eval``'s own
         closures, one small set per newly parsed ``.npy`` header."""
-        from repro.core.chunks import _npy_header
+        from repro.core.binfmt import _npy_header
         from repro.core.store import ArtifactStore
         artifact, _ = tiny2l_artifact
         store = ArtifactStore(tmp_path / "store")

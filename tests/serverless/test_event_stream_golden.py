@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 from collections import Counter
@@ -48,7 +47,6 @@ from repro.serverless import (
     TaggedRequest,
     tag_workloads,
 )
-from repro.serverless.instance import Instance
 from repro.serverless.workload import Request
 from repro.sim import EventLoop
 from tests.serverless.reference_step import (
@@ -205,23 +203,14 @@ def _call_cli(argv) -> str:
 
 def run_cli(workdir: Path) -> dict:
     """The toy ``repro simulate`` call, with and without ``--trace``, run
-    in ``workdir`` as in a fresh process.
-
-    Instance ids (the trace's ``instance-N`` tracks) come from a
-    process-wide counter, so it restarts at 0 for each call, as it does
-    for each ``repro`` process.
-    """
+    in ``workdir``."""
     previous = os.getcwd()
-    ids = Instance._ids
     os.chdir(workdir)
     try:
-        Instance._ids = itertools.count()
         traced = _call_cli(CLI_ARGV)
         trace = (workdir / "trace.json").read_bytes()
-        Instance._ids = itertools.count()
         untraced = _call_cli(CLI_ARGV[:-2])
     finally:
-        Instance._ids = ids
         os.chdir(previous)
     return {"stdout_sha256": _sha256(traced.encode()),
             "trace_sha256": _sha256(trace),
@@ -252,6 +241,17 @@ def test_silent_runs_match_the_per_step_path(name):
 
 def test_cli_trace_matches_golden(golden, tmp_path):
     assert run_cli(tmp_path) == golden["cli"]
+
+
+def test_cli_trace_does_not_depend_on_earlier_pools(tmp_path):
+    """Two toy ``repro simulate --trace`` calls in one process, after
+    another pool has launched instances, write the same bytes."""
+    pool = SCENARIOS[METRIC_GOLDEN[0]]()
+    assert sum(len(launched) for launched in pool.instances.values()) > 0
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    assert run_cli(first) == run_cli(second)
 
 
 def _record(workdir: Path) -> dict:

@@ -244,3 +244,54 @@ class TestMalformedArtifactExitCodes:
         assert err.startswith("error:")
         assert "no metadata member" in err
         assert "Traceback" not in err
+
+    @pytest.fixture
+    def truncated_npz(self, tmp_path):
+        import numpy as np
+        path = tmp_path / "truncated.npz"
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, metadata=np.array(["{}"]),
+                                ev_kind=np.zeros(64, dtype=np.int8))
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+        ["lint"],
+    ], ids=["restore", "coldstart", "validate", "lint"])
+    def test_truncated_npz_exits_two(self, truncated_npz, argv, capsys):
+        assert main(argv + [truncated_npz]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unreadable binary artifact" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["lint"],
+    ], ids=["restore", "coldstart", "lint"])
+    def test_malformed_bulk_member_exits_two(self, tmp_path, argv, capsys):
+        """The npz opens and its metadata parses; a bulk member read
+        later by the restore or by lint is not a ``.npy`` payload."""
+        import zipfile
+        assert main(["offline", "--model", "Tiny-2L", "--output",
+                     str(tmp_path / "good.npz")]) == 0
+        capsys.readouterr()
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(tmp_path / "good.npz") as good, \
+                zipfile.ZipFile(path, "w") as bad:
+            for name in good.namelist():
+                data = good.read(name)
+                bad.writestr(name, b"garbage" if name == "ev_kind.npy"
+                             else data)
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'ev_kind' is not a .npy payload" in err
+        assert "Traceback" not in err

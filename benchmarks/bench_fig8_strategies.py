@@ -8,7 +8,7 @@ with KV init 0.50 -> 0.02 s and capturing 0.90 -> 0.57 s.
 import pytest
 
 from repro.engine import Strategy
-from repro.engine.pipeline import MEDUSA_RESTORE, MEDUSA_WARMUP
+from repro.engine.loadplan import MEDUSA_RESTORE, MEDUSA_WARMUP
 from repro.reporting import format_table
 
 MODEL = "Qwen1.5-4B"

@@ -30,6 +30,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -360,6 +361,11 @@ def _cmd_validate(args) -> int:
     try:
         result = validate_restoration(model, artifact, seed=args.seed + 1,
                                       policy=policy)
+    except ArtifactError as exc:
+        # A lazy artifact reads its bulk members during the restore; one
+        # that turns out unreadable there is exit 2, not a divergence.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MaterializationError as exc:
         if args.json:
             print(_json.dumps({"model": model, "passed": False,
@@ -475,9 +481,20 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares.
+
+    ``build_parser`` depends on nothing but the code, and ``parse_args``
+    leaves the parser as it found it, so one tree serves every call; a
+    fresh one per call would leave ~480 objects of cyclic garbage.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

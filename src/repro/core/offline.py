@@ -223,6 +223,7 @@ class OfflinePhase:
 
         # Per-graph pointer analysis, in the order capture ran.
         captured = trace.captured_launches()
+        kernel_libraries = artifact.kernel_libraries
         cursor = 0
         referenced: Set[int] = set()
         totals = AnalysisStats()
@@ -248,17 +249,17 @@ class OfflinePhase:
                     raise MaterializationError(
                         f"node/launch mismatch: {kernel_name} vs "
                         f"{launch.kernel_name}")
-                artifact.kernel_libraries.setdefault(
-                    kernel_name, catalog.kernel(kernel_name).library)
+                if kernel_name not in kernel_libraries:
+                    kernel_libraries[kernel_name] = \
+                        catalog.kernel(kernel_name).library
                 for restore in node_restores:
                     if restore.kind == POINTER:
                         referenced.add(restore.alloc_index)
+                # The launch row carries the node's parameter sizes: both
+                # were recorded from the same parameter list.
                 nodes.append(MaterializedNode(
-                    kernel_name=kernel_name,
-                    param_sizes=list(node.param_sizes()),
-                    param_restores=node_restores,
-                    launch_dims=dict(node.launch_dims),
-                ))
+                    kernel_name, list(launch.param_sizes), node_restores,
+                    dict(node.launch_dims)))
             artifact.graphs[batch_size] = MaterializedGraph(
                 batch_size=batch_size,
                 nodes=nodes,
@@ -322,13 +323,14 @@ def _replay_events(trace: Trace, boundary_seq: int) -> List[ReplayEvent]:
         kind = type(event)
         if kind is LaunchTraceEvent or event.seq <= boundary_seq:
             continue
+        # ReplayEvent fields, positionally: kind, alloc_index, size, tag,
+        # pooled, pool.
         if kind is AllocTraceEvent:
-            append(ReplayEvent("alloc", alloc_index=event.alloc_index,
-                               size=event.size, tag=event.tag,
-                               pool=event.pool))
+            append(ReplayEvent("alloc", event.alloc_index, event.size,
+                               event.tag, False, event.pool))
         elif kind is FreeTraceEvent:
-            append(ReplayEvent("free", alloc_index=event.alloc_index,
-                               pooled=event.pooled))
+            append(ReplayEvent("free", event.alloc_index, 0, "",
+                               event.pooled))
         elif kind is EmptyCacheTraceEvent:
             append(ReplayEvent("empty_cache"))
     return events

@@ -27,11 +27,11 @@ Two extra concerns from the paper are handled here:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PointerAnalysisError
-from repro.core.trace import AllocTraceEvent, LaunchTraceEvent, Trace
+from repro.core.trace import LaunchTraceEvent, Trace
 
 #: Values at or above this look like device-heap pointers.  The simulated
 #: heap lives at 0x7F00_0000_0000+, libraries at 0x5500_0000_0000+; plain
@@ -84,24 +84,36 @@ class AllocationIndex:
         # address -> [(seq, alloc_index, size, free_seq, end)] ascending by
         # seq; ``end`` = base + size, precomputed once so the lookup loops
         # compare against a stored bound instead of re-deriving it per entry.
-        self._by_address: Dict[
-            int, List[Tuple[int, int, int, float, int]]] = {}
+        by_address: Dict[int, List[Tuple[int, int, int, float, int]]] = {}
+        self._by_address = by_address
         freed = trace.freed_alloc_indices()
-        for event in trace.allocations():
-            free_seq = freed.get(event.alloc_index, float("inf"))
-            self._by_address.setdefault(event.address, []).append(
-                (event.seq, event.alloc_index, event.size, free_seq,
-                 event.address + event.size))
-        self._bases = sorted(self._by_address)
+        never = float("inf")
+        for seq, alloc_index, address, size, _tag, _pool in \
+                trace.allocations():
+            entry = (seq, alloc_index, size, freed.get(alloc_index, never),
+                     address + size)
+            entries = by_address.get(address)
+            if entries is None:
+                by_address[address] = [entry]
+            else:
+                entries.append(entry)
+        self._bases = sorted(by_address)
         # prefix_reach[i] = max end address over bases[0..i] — a monotone
         # bound that tells the interior walk when no further base can cover
         # the queried address.
         self._prefix_reach: List[int] = []
         reach = 0
         for base in self._bases:
-            end = max(entry[4] for entry in self._by_address[base])
+            end = max(entry[4] for entry in by_address[base])
             reach = max(reach, end)
             self._prefix_reach.append(reach)
+        # The restore rules of this index's analysis run, interned: one
+        # ParamRestore per distinct const value and per (alloc_index,
+        # offset).  Most parameters repeat across layers and batch sizes,
+        # and the rules are immutable, so nodes share them.  The tables
+        # live and die with the index, never across runs.
+        self._const_rules: Dict[int, ParamRestore] = {}
+        self._pointer_rules: Dict[Tuple[int, int], ParamRestore] = {}
 
     # -- trace-based backward matching (§4.1) -------------------------------
 
@@ -184,60 +196,73 @@ def analyze_graph_params(
     node order; each carries the launch sequence number bounding the
     backward search.  ``naive=True`` switches to forward-first matching (the
     ablation baseline), still applying the pointer-likeness heuristic.
+    Equal rules are one shared, immutable :class:`ParamRestore`, interned in
+    ``index`` (so across all graphs of one analysis run).
     """
-    stats = AnalysisStats()
+    const_params = pointer_params = interior = demoted_count = 0
     per_node: List[List[ParamRestore]] = []
-    votes = _positional_votes(node_launches)
+    demoted = _demoted_positions(node_launches)
+    const_rules = index._const_rules
+    pointer_rules = index._pointer_rules
     for launch in node_launches:
+        kernel_name = launch.kernel_name
         restores: List[ParamRestore] = []
+        append = restores.append
         for position, (size, value) in enumerate(
                 zip(launch.param_sizes, launch.param_values)):
-            if not is_pointer_like(size, value):
-                restores.append(ParamRestore.const(value))
-                stats.const_params += 1
-                continue
-            if not _position_is_pointer(votes, launch.kernel_name, position):
+            # is_pointer_like, inlined: this loop runs once per parameter.
+            if size != 8 or value < POINTER_PREFIX:
+                const_params += 1
+            elif demoted and (kernel_name, position) in demoted:
                 # Positional majority vote: this slot is a constant in most
                 # instances of this kernel — a false-positive address-shaped
                 # constant (§4: "rare... validates and corrects").
-                restores.append(ParamRestore.const(value))
-                stats.demoted_false_positives += 1
-                continue
-            if naive:
-                match = index.naive_match(value)
+                demoted_count += 1
             else:
-                match = index.backward_match(value, launch.seq)
-            if match is None:
-                raise PointerAnalysisError(
-                    f"kernel {launch.kernel_name} param {position}: pointer "
-                    f"0x{value:x} matches no intercepted allocation")
-            alloc_index, offset = match
-            if offset:
-                stats.interior_pointers += 1
-            restores.append(ParamRestore.pointer(alloc_index, offset))
-            stats.pointer_params += 1
+                if naive:
+                    match = index.naive_match(value)
+                else:
+                    match = index.backward_match(value, launch.seq)
+                if match is None:
+                    raise PointerAnalysisError(
+                        f"kernel {kernel_name} param {position}: pointer "
+                        f"0x{value:x} matches no intercepted allocation")
+                if match[1]:
+                    interior += 1
+                pointer_params += 1
+                rule = pointer_rules.get(match)
+                if rule is None:
+                    rule = pointer_rules[match] = ParamRestore.pointer(*match)
+                append(rule)
+                continue
+            rule = const_rules.get(value)
+            if rule is None:
+                rule = const_rules[value] = ParamRestore.const(value)
+            append(rule)
         per_node.append(restores)
+    stats = AnalysisStats(pointer_params=pointer_params,
+                          const_params=const_params,
+                          interior_pointers=interior,
+                          demoted_false_positives=demoted_count)
     return per_node, stats
 
 
-def _positional_votes(
-        launches: Sequence[LaunchTraceEvent]) -> Dict[Tuple[str, int],
-                                                      Tuple[int, int]]:
-    """(kernel, position) -> (pointer-like count, total count)."""
+def _demoted_positions(
+        launches: Sequence[LaunchTraceEvent]) -> Set[Tuple[str, int]]:
+    """(kernel, position) slots whose 8-byte values are pointer-like in at
+    most half of the kernel's instances: the positional vote's constants."""
     votes: Dict[Tuple[str, int], List[int]] = {}
     for launch in launches:
+        kernel_name = launch.kernel_name
         for position, (size, value) in enumerate(
                 zip(launch.param_sizes, launch.param_values)):
             if size != 8:
                 continue
-            tally = votes.setdefault((launch.kernel_name, position), [0, 0])
-            tally[0] += 1 if is_pointer_like(size, value) else 0
+            tally = votes.get((kernel_name, position))
+            if tally is None:
+                tally = votes[(kernel_name, position)] = [0, 0]
+            if value >= POINTER_PREFIX:
+                tally[0] += 1
             tally[1] += 1
-    return {key: (tally[0], tally[1]) for key, tally in votes.items()}
-
-
-def _position_is_pointer(votes, kernel_name: str, position: int) -> bool:
-    pointer_count, total = votes.get((kernel_name, position), (0, 0))
-    if total == 0:
-        return True
-    return pointer_count * 2 > total
+    return {key for key, (pointers, total) in votes.items()
+            if pointers * 2 <= total}

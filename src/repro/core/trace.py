@@ -5,16 +5,18 @@ and kernel-launch events, exactly what interposing on the allocator and on
 ``cudaLaunchKernel`` yields (§4.1).  Sequence numbers give the "backwards
 from its corresponding cudaLaunchKernel()" ordering the trace-based matching
 needs.
+
+Each event is an immutable row (a ``NamedTuple``): a capture records ~76k of
+them for a 7B model, so a row costs a tuple, not an object with a
+``__dict__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class AllocTraceEvent:
+class AllocTraceEvent(NamedTuple):
     seq: int
     alloc_index: int      # global allocation index in the process
     address: int
@@ -23,21 +25,18 @@ class AllocTraceEvent:
     pool: str = "default"
 
 
-@dataclass(frozen=True)
-class FreeTraceEvent:
+class FreeTraceEvent(NamedTuple):
     seq: int
     alloc_index: int      # allocation being freed
     address: int
     pooled: bool
 
 
-@dataclass(frozen=True)
-class EmptyCacheTraceEvent:
+class EmptyCacheTraceEvent(NamedTuple):
     seq: int
 
 
-@dataclass(frozen=True)
-class LaunchTraceEvent:
+class LaunchTraceEvent(NamedTuple):
     seq: int
     kernel_name: str
     library: str
@@ -47,67 +46,58 @@ class LaunchTraceEvent:
     captured: bool        # recorded into a CUDA graph (vs eager warm-up)
 
 
-@dataclass
-class _KindSplit:
-    """``Trace.events`` split by event kind (one pass)."""
-
-    source: List[object]
-    length: int
-    allocations: List[AllocTraceEvent]
-    frees: List[FreeTraceEvent]
-    launches: List[LaunchTraceEvent]
-    freed: Dict[int, int]
-
-    @classmethod
-    def of(cls, events: List[object]) -> "_KindSplit":
-        allocations: List[AllocTraceEvent] = []
-        frees: List[FreeTraceEvent] = []
-        launches: List[LaunchTraceEvent] = []
-        for event in events:
-            if isinstance(event, AllocTraceEvent):
-                allocations.append(event)
-            elif isinstance(event, FreeTraceEvent):
-                frees.append(event)
-            elif isinstance(event, LaunchTraceEvent):
-                launches.append(event)
-        return cls(events, len(events), allocations, frees, launches,
-                   {e.alloc_index: e.seq for e in frees})
-
-
-@dataclass
 class Trace:
     """The full intercepted event stream of one offline capture stage.
 
-    The per-kind views are split out of ``events`` in one pass, on first
-    use, and re-split only when ``events`` has changed length (events are
-    only ever appended).
+    ``events`` is the ordered stream.  The per-kind lists hold the same
+    rows in the same order, and ``freed`` maps each freed allocation index
+    to the seq of its (last) free.  All of them are filled as each event is
+    recorded, by :meth:`record` or by
+    :class:`repro.core.interception.TraceInterceptor`, so nothing re-splits
+    the stream.  The accessors (``allocations()``, ``frees()``,
+    ``launches()``, ``freed_alloc_indices()``) return these containers
+    themselves, not copies: read them, do not mutate them.
     """
 
-    events: List[object] = field(default_factory=list)
-    _split = None   # cached _KindSplit (a class default, not a field)
+    __slots__ = ("events", "alloc_events", "free_events", "launch_events",
+                 "freed")
 
-    def _kinds(self) -> _KindSplit:
-        split = self._split
-        if split is None or split.source is not self.events \
-                or split.length != len(self.events):
-            split = self._split = _KindSplit.of(self.events)
-        return split
+    def __init__(self, events: Iterable[tuple] = ()):
+        self.events: List[tuple] = []
+        self.alloc_events: List[AllocTraceEvent] = []
+        self.free_events: List[FreeTraceEvent] = []
+        self.launch_events: List[LaunchTraceEvent] = []
+        self.freed: Dict[int, int] = {}
+        for event in events:
+            self.record(event)
+
+    def record(self, event: tuple) -> None:
+        """Append one event to the stream and to its per-kind list."""
+        self.events.append(event)
+        kind = type(event)
+        if kind is AllocTraceEvent:
+            self.alloc_events.append(event)
+        elif kind is FreeTraceEvent:
+            self.free_events.append(event)
+            self.freed[event.alloc_index] = event.seq
+        elif kind is LaunchTraceEvent:
+            self.launch_events.append(event)
 
     def allocations(self) -> List[AllocTraceEvent]:
-        return list(self._kinds().allocations)
+        return self.alloc_events
 
     def frees(self) -> List[FreeTraceEvent]:
-        return list(self._kinds().frees)
+        return self.free_events
 
     def launches(self) -> List[LaunchTraceEvent]:
-        return list(self._kinds().launches)
+        return self.launch_events
 
     def captured_launches(self) -> List[LaunchTraceEvent]:
-        return [e for e in self._kinds().launches if e.captured]
+        return [e for e in self.launch_events if e.captured]
 
     def freed_alloc_indices(self) -> Dict[int, int]:
         """alloc_index -> seq of its free event (pool or cudaFree)."""
-        return dict(self._kinds().freed)
+        return self.freed
 
     @property
     def num_events(self) -> int:

@@ -11,8 +11,12 @@ that distinguishes vLLM, vLLM+ASYNC, and Medusa (Figures 1, 2, 7, 8).
 from repro.engine.engine import ColdStartReport, LLMEngine
 from repro.engine.kvcache import BlockManager, KVCacheConfig, KVCacheRegion
 from repro.engine.lanes import Contention, Lane
-from repro.engine.loadplan import LoadPlan, PlanStage
-from repro.engine.pipeline import ScheduledStage, Timeline
+from repro.engine.loadplan import (
+    LoadPlan,
+    PlanStage,
+    ScheduledStage,
+    Timeline,
+)
 from repro.engine.request import SamplingParams, Sequence, SequenceStatus
 from repro.engine.scheduler import ContinuousBatchingScheduler
 from repro.engine.serving import ServingLoop

@@ -82,3 +82,46 @@ class TestTrace:
     def test_freed_indices_map(self):
         trace = Trace(events=[alloc(0, 0), free(5, 0)])
         assert trace.freed_alloc_indices() == {0: 5}
+
+
+def _assert_trace_contract(trace):
+    """The per-kind lists and the free map are views of ``events``."""
+    events = trace.events
+    for kind, rows in ((AllocTraceEvent, trace.allocations()),
+                       (FreeTraceEvent, trace.frees()),
+                       (LaunchTraceEvent, trace.launches())):
+        assert rows == [e for e in events if type(e) is kind]
+    seqs = [e.seq for e in events]
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
+    assert trace.freed_alloc_indices() == {
+        e.alloc_index: e.seq for e in events if type(e) is FreeTraceEvent}
+
+
+class TestTraceContract:
+    def test_constructed_trace(self):
+        _assert_trace_contract(Trace(events=[
+            alloc(0, 0), alloc(1, 1), free(2, 1), EmptyCacheTraceEvent(3),
+            LaunchTraceEvent(4, "k", "l", (8,), (HEAP,), (), True),
+            alloc(5, 2), free(6, 0), free(7, 2)]))
+
+    def test_recorded_capture_trace(self):
+        """A real offline capture: rows land in their per-kind lists and
+        the free map as they are recorded, with ``seq`` = stream position."""
+        from unittest import mock
+
+        from repro.core import offline
+        from tests.conftest import tiny_cost_model
+        traces = []
+        real_detach = offline.detach
+
+        def spy(process, interceptor):
+            traces.append(real_detach(process, interceptor))
+            return traces[-1]
+
+        with mock.patch.object(offline, "detach", spy):
+            offline.run_offline("Tiny-2L", cost_model=tiny_cost_model())
+        trace, = traces
+        _assert_trace_contract(trace)
+        assert [e.seq for e in trace.events] == list(range(trace.num_events))
+        assert trace.allocations() and trace.frees() and trace.launches()
+        assert any(type(e) is EmptyCacheTraceEvent for e in trace.events)

@@ -102,6 +102,14 @@ def test_offline_artifact_matches_golden(golden, model):
     assert sorted(actual) == sorted(expected)
 
 
+def test_golden_holds_after_another_model_in_process(golden):
+    """No cache of one materialization reaches the next: a model
+    materialized after a different one in the same process still matches
+    its golden (runs depend only on their inputs)."""
+    offline.run_offline("Tiny-4L")
+    assert snapshot("Tiny-2L") == golden["Tiny-2L"]
+
+
 def record() -> None:
     """Rewrite the golden file from the current code."""
     snapshots = {model: snapshot(model) for model in MODELS}

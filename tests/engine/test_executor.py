@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.executor import (
+from tests.engine.executor import (
     CPU,
     GPU,
     IO,

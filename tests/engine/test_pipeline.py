@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.pipeline import (
+from repro.engine.loadplan import (
     CAPTURE,
     KV_INIT,
     MEDUSA_RESTORE,

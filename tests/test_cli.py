@@ -30,6 +30,34 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestSharedParser:
+    """``main`` parses with one parser per process."""
+
+    def test_main_leaves_no_cyclic_garbage(self, capsys):
+        import gc
+        assert main(["models"]) == 0      # warm-up: builds the parser
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(["models"]) == 0
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_parses_like_a_fresh_parser_after_other_calls(self, capsys):
+        from repro.cli import _parser
+        argv = ["simulate", "--model", "Tiny-2L", "--rps", "1",
+                "--strategy", "medusa"]
+        assert main(["models"]) == 0
+        with pytest.raises(SystemExit):
+            main(["coldstart", "--model", "X", "--strategy", "warp-drive"])
+        assert _parser().parse_args(argv) == build_parser().parse_args(argv)
+        assert _parser().parse_args(["models"]) == \
+            build_parser().parse_args(["models"])
+
+
 class TestCommands:
     def test_models_lists_ten(self, capsys):
         assert main(["models"]) == 0
@@ -274,8 +302,9 @@ class TestMalformedArtifactExitCodes:
         ["restore", "--model", "Tiny-2L", "--artifact"],
         ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
          "--artifact"],
+        ["validate", "--artifact"],
         ["lint"],
-    ], ids=["restore", "coldstart", "lint"])
+    ], ids=["restore", "coldstart", "validate", "lint"])
     def test_malformed_bulk_member_exits_two(self, tmp_path, argv, capsys):
         """The npz opens and its metadata parses; a bulk member read
         later by the restore or by lint is not a ``.npy`` payload."""

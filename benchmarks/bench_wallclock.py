@@ -2,13 +2,14 @@
 
 Unlike the figure benches (which report *simulated* seconds), this harness
 times the restoration machinery itself with ``time.perf_counter``: binary
-artifact save, eager vs lazy load, and load + restore over a paper-scale
-artifact (~16k graph nodes, ~65k replay events for Qwen1.5-4B).  There is
+artifact save, eager vs lazy load, load + restore, and a full
+chunk-store read over a paper-scale artifact (~16k graph nodes, ~65k
+replay events for Qwen1.5-4B).  There is
 one restorer; what still differs is the input it gets — an eager
 ``load_binary`` model (rehydrated into Python objects, then packed back
 into arrays on entry) or a lazy npz open.  It writes
-``BENCH_restore.json`` with the p50 wall-clock numbers plus the simulated
-critical-path seconds per strategy, and (with
+``BENCH_restore.json`` with the host, the p50 wall-clock numbers and the
+simulated critical-path seconds per strategy, and (with
 ``--assert-speedup``/``--quick``) exits non-zero unless lazy load +
 restore beats eager load + restore by the required factor — the CI
 perf-smoke gate.  ``--quick`` also exits non-zero unless static lint of
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import statistics
 import sys
 import time
@@ -66,31 +69,20 @@ def _restore_p50(model: str, open_artifact: Callable[[], object],
     return _p50(run, repeats)
 
 
-def _chunk_store_p50s(artifact, workdir: pathlib.Path,
-                      repeats: int) -> Dict[str, float]:
-    """p50 wall-clock of chunk-store gets: serial vs parallel decompress.
+def _chunk_get_p50(artifact, workdir: pathlib.Path, repeats: int) -> float:
+    """p50 wall-clock of a full chunk-store read: open + reassemble.
 
-    ``ArtifactStore.get`` reassembles the artifact from its manifest's
-    content-addressed chunks; with ``parallel_workers`` a thread pool
-    decompresses independent chunks concurrently.  Each repeat uses a
-    cache-disabled store so every get pays the full decompress.
+    Times ``store.get_lazy(...).materialize()``: the manifest read plus
+    decompressing, digest-checking and reassembling every
+    content-addressed chunk into a ``MaterializedModel``.  Each repeat
+    opens a fresh chunk reader, so every sample pays the full decode.
     """
     from repro.core.store import ArtifactStore
 
-    root = workdir / "chunk-store"
-    seed_store = ArtifactStore(root)
-    seed_store.put(artifact)
+    store = ArtifactStore(workdir / "chunk-store")
+    store.put(artifact)
     key = (artifact.gpu_name, artifact.model_name)
-
-    def get_with(workers: int) -> Callable[[], object]:
-        store = ArtifactStore(root, cache_size=0,
-                              parallel_workers=workers)
-        return lambda: store.get(*key)
-
-    return {
-        "chunk_get_serial": _p50(get_with(0), repeats),
-        "chunk_get_parallel": _p50(get_with(4), repeats),
-    }
+    return _p50(lambda: store.get_lazy(*key).materialize(), repeats)
 
 
 def _lint_vs_validate() -> Dict[str, float]:
@@ -163,8 +155,8 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
     lazy_restore_p50 = _restore_p50(
         model, lambda: LazyArtifact(npz_path), repeats=repeats)
 
-    print("timing chunk-store gets (serial vs parallel)...", flush=True)
-    chunk_p50s = _chunk_store_p50s(artifact, workdir, repeats)
+    print("timing chunk-store reads...", flush=True)
+    chunk_get_p50 = _chunk_get_p50(artifact, workdir, repeats)
 
     print("deriving simulated critical paths per strategy...", flush=True)
     simulated = _simulated_critical_paths(model, artifact, npz_path)
@@ -174,6 +166,11 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
 
     report = {
         "model": model,
+        "host": {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+        },
         "repeats": repeats,
         "artifact": {
             "graph_nodes": artifact.total_nodes,
@@ -188,9 +185,9 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
             # (monolithic plan) vs lazy npz open + restore (pipelined).
             "load_restore_eager": eager_restore_p50,
             "load_restore_lazy": lazy_restore_p50,
-            # Content-addressed chunk store: full get (manifest +
-            # decompress + reassemble), one thread vs a 4-worker pool.
-            **chunk_p50s,
+            # Content-addressed chunk store: full read (manifest +
+            # decompress + reassemble into a MaterializedModel).
+            "chunk_get": chunk_get_p50,
         },
         "speedup": {
             "load_restore": eager_restore_p50 / max(lazy_restore_p50, 1e-9),

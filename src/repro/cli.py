@@ -445,8 +445,11 @@ def _cmd_store(args) -> int:
     """Dispatch ``repro store <subcommand>`` (currently only ``stats``)."""
     from repro.core.store import ArtifactStore
 
-    store = ArtifactStore(args.dir)
-    stats = store.stats()
+    try:
+        stats = ArtifactStore(args.dir).stats()
+    except ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         import json
         print(json.dumps(stats, indent=2, sort_keys=True))

@@ -38,7 +38,6 @@ import io
 import json
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -284,17 +283,22 @@ class ChunkManifest:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ArtifactError(f"unreadable chunk manifest: {exc}") from exc
-        version = payload.get("chunk_format_version")
+        version = (payload.get("chunk_format_version")
+                   if isinstance(payload, dict) else None)
         if version != CHUNK_FORMAT_VERSION:
             raise ArtifactError(
                 f"chunk manifest has format version {version!r} but this "
                 f"code reads version {CHUNK_FORMAT_VERSION}")
-        metadata = payload["metadata"]
-        if isinstance(metadata, str):
-            metadata = json.loads(metadata)
-        return cls(metadata=metadata,
-                   chunks=tuple(ChunkRef.from_dict(entry)
-                                for entry in payload["chunks"]))
+        try:
+            metadata = payload["metadata"]
+            if isinstance(metadata, str):
+                metadata = json.loads(metadata)
+            return cls(metadata=metadata,
+                       chunks=tuple(ChunkRef.from_dict(entry)
+                                    for entry in payload["chunks"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(
+                f"malformed chunk manifest: {exc!r}") from exc
 
 
 def simulation_chunks(manifest: ChunkManifest) -> Tuple[ChunkMeta, ...]:
@@ -461,45 +465,21 @@ class ChunkReader:
         """Names of the chunks decompressed so far."""
         return frozenset(self._chunks)
 
-    def _decode(self, name: str) -> Dict[str, np.ndarray]:
-        ref = self._refs[name]
-        blob = self._loader(ref)
-        if chunk_digest(blob) != ref.digest:
-            raise ArtifactError(
-                f"chunk {ref.name} failed content-hash verification "
-                f"(expected {ref.digest[:12]}…)")
-        return unpack_chunk(blob)
-
     def chunk(self, name: str) -> Dict[str, np.ndarray]:
         """The decompressed member dict of one chunk (cached)."""
         members = self._chunks.get(name)
         if members is None:
-            if name not in self._refs:
+            ref = self._refs.get(name)
+            if ref is None:
                 raise ArtifactError(f"manifest has no chunk named {name!r}")
-            members = self._decode(name)
+            blob = self._loader(ref)
+            if chunk_digest(blob) != ref.digest:
+                raise ArtifactError(
+                    f"chunk {ref.name} failed content-hash verification "
+                    f"(expected {ref.digest[:12]}…)")
+            members = unpack_chunk(blob)
             self._chunks[name] = members
         return members
-
-    def prefetch(self, names: Optional[List[str]] = None,
-                 workers: int = 0) -> None:
-        """Decompress chunks ahead of member access.
-
-        With ``workers > 1`` the not-yet-loaded chunks decompress on a
-        :class:`~concurrent.futures.ThreadPoolExecutor` — each decode is
-        independent (read + zlib + decode), so this is the store's
-        parallel read path.  Serial otherwise.
-        """
-        if names is None:
-            names = [ref.name for ref in self.manifest.chunks]
-        pending = [name for name in names if name not in self._chunks]
-        if workers > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for name, members in zip(pending,
-                                         pool.map(self._decode, pending)):
-                    self._chunks[name] = members
-        else:
-            for name in pending:
-                self.chunk(name)
 
     def __getitem__(self, member: str) -> np.ndarray:
         sources = self._sources.get(member)

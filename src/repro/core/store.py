@@ -5,11 +5,12 @@ model and reuses them across cold starts.  This store is that layer, now
 chunk-granular: :meth:`ArtifactStore.put` splits an artifact with
 :func:`repro.core.chunks.chunk_model` into sha256-addressed blobs under
 ``root/chunks/`` plus a small per-model **manifest** file, and
-:meth:`ArtifactStore.get` reassembles the artifact from the manifest.
-Because blobs are addressed by content, two models (or the same model
-re-materialized for two GPUs) that share structurally identical graph,
-replay, or kernel-table chunks store those bytes **once** —
-:meth:`stats` reports the resulting dedup ratio.
+:meth:`ArtifactStore.get` opens it chunk-backed from the manifest
+(a :class:`~repro.core.chunks.ChunkedLazyArtifact`; chunks decompress
+on first access).  Because blobs are addressed by content, two models
+(or the same model re-materialized for two GPUs) that share structurally
+identical graph, replay, or kernel-table chunks store those bytes
+**once** — :meth:`stats` reports the resulting dedup ratio.
 
 Three caches keep repeated cold starts on one node off the
 deserialization path:
@@ -20,18 +21,13 @@ deserialization path:
 - each **parsed manifest** is stamp-cached the same way
   (``manifest_reads`` counts actual parses), so manifest-granular gets
   keep the same "100 gets ⇒ 1 parse" behavior;
-- fetched artifacts land in a small in-memory **LRU keyed by the
+- opened artifacts land in a small in-memory **LRU keyed by the
   manifest file's content hash** (``cache_size`` entries, 0 disables).
   The manifest lists every chunk digest, so its hash is a content
-  address for the whole artifact.  A hit returns the already-
-  deserialized — and, with ``lint_on_load``, already-verified —
-  artifact; treat it as read-only.  The cache is bypassed entirely while
-  a :class:`~repro.faults.FaultInjector` is active, so chaos runs always
-  see freshly corrupted copies.
-
-``parallel_workers > 1`` decompresses independent chunks on a
-:class:`~concurrent.futures.ThreadPoolExecutor` during :meth:`get` /
-:meth:`get_lazy` prefetch (measured in ``benchmarks/bench_wallclock.py``).
+  address for the whole artifact.  A hit returns the same artifact
+  object — with ``lint_on_load``, one that already passed the
+  verifier — and its already-decompressed chunks; treat it as
+  read-only.
 """
 
 from __future__ import annotations
@@ -64,8 +60,8 @@ def _slug(text: str) -> str:
 class ArtifactStore:
     """Materialization artifacts for many models on one storage path."""
 
-    def __init__(self, root, lint_on_load: bool = False, injector=None,
-                 cache_size: int = 4, parallel_workers: int = 0):
+    def __init__(self, root, lint_on_load: bool = False,
+                 cache_size: int = 4):
         """``lint_on_load``: statically verify every artifact fetched with
         :meth:`get` (see :mod:`repro.analysis`) and raise
         :class:`~repro.errors.LintError` on error-severity diagnostics —
@@ -74,22 +70,12 @@ class ArtifactStore:
         runs once per distinct content (lint-once): a cache hit is by
         definition the artifact that already passed.
 
-        ``injector``: optional :class:`repro.faults.FaultInjector`; its
-        ARTIFACT_CORRUPTION faults mutate artifacts as they come off the
-        store, simulating a stale/bit-rotted SSD copy whose index entry
-        still looks fine.
-
         ``cache_size``: in-memory LRU capacity in artifacts (content-hash
-        keyed); 0 disables caching entirely.
-
-        ``parallel_workers``: decompress this many chunks concurrently on
-        reads (0/1 = serial)."""
+        keyed); 0 disables caching entirely."""
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.lint_on_load = lint_on_load
-        self.injector = injector
         self.cache_size = cache_size
-        self.parallel_workers = parallel_workers
         self.cache_hits = 0
         self.cache_misses = 0
         self.index_reads = 0
@@ -103,7 +89,7 @@ class ArtifactStore:
             Tuple[Tuple[int, int], Dict[str, str]]] = None
         self._manifest_cache: Dict[
             str, Tuple[Tuple[int, int], ChunkManifest, str]] = {}
-        self._cache: "OrderedDict[str, MaterializedModel]" = OrderedDict()
+        self._cache: "OrderedDict[str, ChunkedLazyArtifact]" = OrderedDict()
 
     # -- index ------------------------------------------------------------
 
@@ -121,6 +107,11 @@ class ArtifactStore:
             raise ArtifactError(
                 f"artifact store index at {self._index_path} is corrupt: "
                 f"{exc}") from exc
+        if not isinstance(parsed, dict) or not all(
+                isinstance(name, str) for name in parsed.values()):
+            raise ArtifactError(
+                f"artifact store index at {self._index_path} is not a "
+                f"key -> manifest-file object")
         self._index_cache = (stamp, parsed)
         return dict(parsed)
 
@@ -152,7 +143,12 @@ class ArtifactStore:
         self.manifest_reads += 1
         payload = path.read_bytes()
         digest = hashlib.sha256(payload).hexdigest()
-        manifest = ChunkManifest.from_json(payload.decode("utf-8"))
+        try:
+            text = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArtifactError(
+                f"chunk manifest {filename} is not UTF-8 text: {exc}") from exc
+        manifest = ChunkManifest.from_json(text)
         self._manifest_cache[filename] = (stamp, manifest, digest)
         return manifest, digest
 
@@ -194,14 +190,16 @@ class ArtifactStore:
         self._write_index(index)
         return path
 
-    def get(self, gpu_name: str, model_name: str) -> MaterializedModel:
-        """Fetch one artifact (through the LRU unless an injector is live),
-        reassembled from its manifest's chunks."""
+    def get(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:
+        """Open one artifact chunk-backed, through the LRU.
+
+        A miss reads only the (stamp-cached) manifest; with
+        ``lint_on_load`` it also reassembles the artifact once to verify
+        it.  A hit returns the same object, decompressed chunks included.
+        """
         filename = self._lookup(gpu_name, model_name)
         manifest, digest = self._load_manifest(filename)
-        caching = self.cache_size > 0 and not (
-            self.injector is not None and self.injector.active)
-        if caching:
+        if self.cache_size > 0:
             cached = self._cache.get(digest)
             if cached is not None:
                 self._cache.move_to_end(digest)
@@ -209,33 +207,27 @@ class ArtifactStore:
                 return cached
             self.cache_misses += 1
         lazy = self._open_chunked(manifest, filename)
-        lazy.reader.prefetch(workers=self.parallel_workers)
-        artifact = lazy.materialize()
-        if self.injector is not None and self.injector.active:
-            for batch, table in self.injector.corrupted_tables(lazy).items():
-                artifact.graphs[batch] = table.to_graph()
         if self.lint_on_load:
             from repro.analysis import lint_artifact
-            report = lint_artifact(artifact)
+            report = lint_artifact(lazy.materialize())
             if report.errors:
                 raise LintError(
                     f"stored artifact {filename} failed static "
                     f"verification with {len(report.errors)} error(s): "
                     f"{', '.join(report.codes())}", report=report)
-        if caching:
-            self._cache[digest] = artifact
+        if self.cache_size > 0:
+            self._cache[digest] = lazy
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
-        return artifact
+        return lazy
 
     def get_lazy(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:
-        """Open one artifact chunk-backed, without materializing.
+        """Open one artifact chunk-backed, bypassing the LRU and lint.
 
         The chunked-plan entry: chunks decompress on first access (the
         restorer's foreground stages touch heads and replay shards only),
-        so nothing is read here beyond the manifest.  Bypasses the LRU,
-        lint, and injector hooks — each call returns a fresh reader the
-        caller owns.
+        so nothing is read here beyond the manifest.  Each call returns a
+        fresh reader the caller owns.
         """
         filename = self._lookup(gpu_name, model_name)
         manifest, _ = self._load_manifest(filename)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -33,13 +32,16 @@ class SequenceStatus(enum.Enum):
 
 @dataclass
 class Sequence:
-    """One request's generation state inside the engine."""
+    """One request's generation state inside the engine.
 
-    _ids = itertools.count()
+    ``seq_id`` keys the sequence's KV block table, so it must be unique
+    among the sequences one scheduler holds; its owner assigns it (a
+    :class:`~repro.engine.serving.ServingLoop` numbers its own).
+    """
 
     prompt_token_ids: List[int]
+    seq_id: str
     sampling: SamplingParams = field(default_factory=SamplingParams)
-    seq_id: str = field(default_factory=lambda: f"seq-{next(Sequence._ids)}")
     output_token_ids: List[int] = field(default_factory=list)
     status: SequenceStatus = SequenceStatus.WAITING
     arrival_time: float = 0.0

@@ -48,13 +48,16 @@ class ServingLoop:
         self.scheduler = ContinuousBatchingScheduler(
             engine.block_manager, max_batch_size=max_batch_size)
         self._iteration = 0
+        self._submitted = 0
 
     # -- intake -----------------------------------------------------------
 
     def submit(self, prompt_token_ids: List[int],
                sampling: Optional[SamplingParams] = None) -> Sequence:
         sequence = Sequence(prompt_token_ids=list(prompt_token_ids),
+                            seq_id=f"seq-{self._submitted}",
                             sampling=sampling or SamplingParams())
+        self._submitted += 1
         sequence.arrival_time = self.engine.process.clock.now
         self.scheduler.add(sequence)
         return sequence
@@ -117,8 +120,8 @@ class ServingLoop:
         In COMPUTE mode the substrate's sampled one-hot output seeds the
         token; the sequence identity keeps streams distinct.
         """
-        # Identity from prompt + position (not seq_id, which is process
-        # global): the same prompt deterministically yields the same tokens.
+        # Identity from prompt + position (not seq_id, which depends on
+        # submission order): the same prompt yields the same tokens.
         position = len(sequence.output_token_ids)
         seed = hash_stable(f"{sequence.prompt_token_ids}:{position}")
         if self.engine.process.mode is ExecutionMode.COMPUTE:

@@ -105,10 +105,11 @@ class ModelDeployment:
     #: Warm (non-spare) instances launched at t=0; together with the hot
     #: spares they are the floor keep-alive retirement never goes below.
     initial_instances: int = 0
-    #: Optional ArtifactStore(-like) object every cold start fetches
-    #: ``artifact_key = (gpu_name, model_name)`` from: a hit on the
-    #: store's in-memory LRU caps the fetch at the DRAM tier's cost and
-    #: shows up as store_cache_hits/misses in the metrics.
+    #: Optional ArtifactStore(-like) object whose LRU every cold start
+    #: touches with ``get(*artifact_key)``, ``artifact_key = (gpu_name,
+    #: model_name)`` (a chunk-backed open; nothing is decoded): a hit caps
+    #: the fetch at the DRAM tier's cost and shows up as
+    #: store_cache_hits/misses in the metrics.
     artifact_store: Optional[object] = None
     #: The artifact's identity in the store and in the nodes' placement
     #: caches; None keys the caches by ``("model", name)``.
@@ -398,11 +399,12 @@ class MultiModelCluster:
 
         ``resolution`` prices the fetch from the placement layer's cache
         hierarchy.  A hit on the deployment's artifact store (its
-        in-memory LRU) independently caps it at the DRAM tier's cost —
-        the deserialized bytes are already in host memory, so the remote
-        fetch must not be charged again.  Returns the profile unchanged
-        when there is nothing to rewrite (no timeline, no fetch stage,
-        same cost).
+        in-memory LRU, touched through ``store.get``, which opens the
+        artifact chunk-backed and decodes nothing) independently caps it
+        at the DRAM tier's cost — the artifact is already in host memory,
+        so the remote fetch must not be charged again.  Returns the
+        profile unchanged when there is nothing to rewrite (no timeline,
+        no fetch stage, same cost).
         """
         store, key = deployment.artifact_store, deployment.artifact_key
         store_hit = False

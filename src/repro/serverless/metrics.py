@@ -23,8 +23,9 @@ class SimulationMetrics:
     degraded_cold_starts: int = 0
     degraded_rungs: Dict[str, int] = field(default_factory=dict)
     # Artifact-store LRU outcomes for the cold starts that fetched through
-    # a store (ModelDeployment.artifact_store): a hit skips deserialization
-    # and static lint entirely (see repro.core.store.ArtifactStore).
+    # a store (ModelDeployment.artifact_store): a hit returns the already
+    # opened artifact and skips static lint (see
+    # repro.core.store.ArtifactStore); it caps the fetch at DRAM cost.
     store_cache_hits: int = 0
     store_cache_misses: int = 0
     # Stage-granular cold-start accounting (profile-driven launches only):

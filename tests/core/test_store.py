@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.chunks import ChunkedLazyArtifact
 from repro.core.store import ArtifactStore
 from repro.errors import ArtifactError
 
@@ -97,7 +98,7 @@ class TestStoreCaches:
         store.put(artifact)
         first = store.get(artifact.gpu_name, artifact.model_name)
         second = store.get(artifact.gpu_name, artifact.model_name)
-        assert second is first            # the deserialized object itself
+        assert second is first            # the opened artifact itself
         info = store.cache_info()
         assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
 
@@ -149,22 +150,29 @@ class TestStoreCaches:
             store.get(artifact.gpu_name, artifact.model_name)
         assert len(calls) == 1            # lint-once: hits skip the verifier
 
-    def test_active_injector_bypasses_cache(self, tmp_path,
-                                            tiny2l_artifact):
-        from repro.faults import (
-            FaultInjector,
-            FaultKind,
-            FaultPlan,
-            FaultSpec,
-        )
+    def test_get_decodes_no_chunk(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
-        injector = FaultInjector(FaultPlan(seed=3, faults=(spec,)))
-        store = ArtifactStore(tmp_path, injector=injector)
+        store = ArtifactStore(tmp_path)
         store.put(artifact)
-        first = store.get(artifact.gpu_name, artifact.model_name)
-        second = store.get(artifact.gpu_name, artifact.model_name)
-        assert second is not first        # fresh corrupted copy every fetch
-        info = store.cache_info()
-        assert info["entries"] == 0
-        assert info["hits"] == info["misses"] == 0
+        miss = store.get(artifact.gpu_name, artifact.model_name)
+        assert isinstance(miss, ChunkedLazyArtifact)
+        assert miss.reader.loaded_chunks == frozenset()
+        hit = store.get(artifact.gpu_name, artifact.model_name)
+        assert hit is miss
+        assert hit.reader.loaded_chunks == frozenset()
+        assert (store.cache_hits, store.cache_misses) == (1, 1)
+
+    def test_lint_on_load_rejects_a_broken_artifact(self, tmp_path,
+                                                     tiny2l_artifact):
+        import dataclasses
+
+        from repro.errors import LintError
+        artifact, _ = tiny2l_artifact
+        broken = dataclasses.replace(artifact, capture_marker=-5)
+        store = ArtifactStore(tmp_path, lint_on_load=True)
+        store.put(broken)
+        for _ in range(2):                # a rejected artifact is not cached
+            with pytest.raises(LintError):
+                store.get(broken.gpu_name, broken.model_name)
+        assert store.cache_info()["entries"] == 0
+        assert store.cache_misses == 2

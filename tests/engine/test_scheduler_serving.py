@@ -1,5 +1,7 @@
 """Continuous-batching scheduler + serving loop tests."""
 
+import itertools
+
 import pytest
 
 from repro.engine import LLMEngine, Strategy
@@ -18,15 +20,19 @@ from repro.simgpu.process import ExecutionMode
 from tests.conftest import tiny_cost_model
 
 
+_seq_ids = itertools.count()
+
+
 def seq(prompt_len=8, max_tokens=4):
     return Sequence(prompt_token_ids=list(range(1, prompt_len + 1)),
+                    seq_id=f"test-{next(_seq_ids)}",
                     sampling=SamplingParams(max_tokens=max_tokens))
 
 
 class TestSequence:
     def test_empty_prompt_rejected(self):
         with pytest.raises(InvalidValueError):
-            Sequence(prompt_token_ids=[])
+            Sequence(prompt_token_ids=[], seq_id="empty")
 
     def test_finishes_at_max_tokens(self):
         sequence = seq(max_tokens=2)
@@ -38,7 +44,7 @@ class TestSequence:
         assert sequence.finish_time == 2.0
 
     def test_stop_token_short_circuits(self):
-        sequence = Sequence(prompt_token_ids=[1],
+        sequence = Sequence(prompt_token_ids=[1], seq_id="stop",
                             sampling=SamplingParams(max_tokens=10,
                                                     stop_token=99))
         sequence.append_token(99, now=0.5)
@@ -224,6 +230,17 @@ class TestServingLoop:
             (completed,) = loop.run_until_complete()
             outputs.append(completed.token_ids)
         assert outputs[0] == outputs[1]
+
+    def test_fresh_loops_hand_out_the_same_ids(self):
+        """Ids come from the loop, not from what ran earlier in the
+        process."""
+        ids = []
+        for seed in (88, 89):
+            loop = self.make_loop(seed=seed)
+            ids.append([loop.submit([1, 2], SamplingParams(max_tokens=2))
+                        .seq_id for _ in range(3)])
+            loop.run_until_complete()
+        assert ids[0] == ids[1] == ["seq-0", "seq-1", "seq-2"]
 
     def test_serving_without_graphs(self):
         loop = self.make_loop(strategy=Strategy.NO_CUDA_GRAPH, seed=86)

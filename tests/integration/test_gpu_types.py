@@ -39,8 +39,10 @@ class TestPerGpuMaterialization:
         for artifact in per_gpu_artifacts.values():
             store.put(artifact)
         assert len(store.list()) == 2
-        loaded = store.get(H100_80GB.name, "Qwen1.5-4B")
+        loaded = store.get(H100_80GB.name, "Qwen1.5-4B").materialize()
         assert loaded.gpu_name == H100_80GB.name
+        assert loaded.total_nodes \
+            == per_gpu_artifacts[H100_80GB.name].total_nodes
 
     def test_cross_gpu_restore_rejected(self, per_gpu_artifacts):
         a100_artifact = per_gpu_artifacts[A100_40GB.name]

@@ -113,10 +113,11 @@ class TestChunkDedupProperty:
         assert stats["total_chunks"] == copies * baseline["total_chunks"]
         assert stats["dedup_ratio"] == float(copies)
         # Every identity still materializes to the same content.
-        original = store.get(artifact.gpu_name, artifact.model_name)
+        original = store.get(artifact.gpu_name,
+                             artifact.model_name).materialize()
         for i in range(1, copies):
             copy = store.get(artifact.gpu_name,
-                             f"{artifact.model_name}-copy{i}")
+                             f"{artifact.model_name}-copy{i}").materialize()
             assert copy.graphs.keys() == original.graphs.keys()
             assert copy.permanent_contents == original.permanent_contents
 
@@ -131,8 +132,8 @@ class TestChunkDedupProperty:
         store = ArtifactStore(tmp_path_factory.mktemp("store") / "s")
         store.put(a)
         store.put(b)
-        got_a = store.get(a.gpu_name, a.model_name)
-        got_b = store.get(b.gpu_name, b.model_name)
+        got_a = store.get(a.gpu_name, a.model_name).materialize()
+        got_b = store.get(b.gpu_name, b.model_name).materialize()
         assert got_a.to_json() == load_json_normalized(a)
         assert got_b.to_json() == load_json_normalized(b)
 

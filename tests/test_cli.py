@@ -324,3 +324,55 @@ class TestMalformedArtifactExitCodes:
         assert err.startswith("error:")
         assert "'ev_kind' is not a .npy payload" in err
         assert "Traceback" not in err
+
+
+class TestStoreCommand:
+    """``repro store stats`` on a good store and on malformed ones."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path, tiny2l_artifact):
+        from repro.core.store import ArtifactStore
+        artifact, _ = tiny2l_artifact
+        ArtifactStore(tmp_path).put(artifact)
+        return tmp_path
+
+    def test_table(self, store_dir, tiny2l_artifact, capsys):
+        artifact, _ = tiny2l_artifact
+        assert main(["store", "stats", "--dir", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"Artifact store: {store_dir}" in out
+        assert artifact.gpu_name in out and artifact.model_name in out
+        assert "dedup ratio: 1.000x" in out
+
+    def test_json(self, store_dir, tiny2l_artifact, capsys):
+        from repro.core.store import ArtifactStore
+        artifact, _ = tiny2l_artifact
+        assert main(["store", "stats", "--dir", str(store_dir),
+                     "--format", "json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats == json.loads(json.dumps(
+            ArtifactStore(store_dir).stats()))
+        key = f"{artifact.gpu_name}::{artifact.model_name}"
+        assert list(stats["models"]) == [key]
+        assert stats["dedup_ratio"] == 1.0
+
+    @pytest.mark.parametrize("index, manifest", [
+        ("{broken", None),
+        (json.dumps({"A100::Gone": "gone.medusa.manifest.json"}), None),
+        (json.dumps({"A100::Bad": "bad.medusa.manifest.json"}), b"{not json"),
+        (json.dumps({"A100::Bad": "bad.medusa.manifest.json"}), b"\xff\xfe"),
+        (json.dumps({"A100::Bad": "bad.medusa.manifest.json"}),
+         b'{"chunk_format_version": 1}'),
+        ("[1]", None),
+    ], ids=["corrupt-index", "missing-manifest", "unparsable-manifest",
+            "binary-manifest", "manifest-without-fields", "index-not-object"])
+    def test_malformed_store_exits_two(self, tmp_path, index, manifest,
+                                       capsys):
+        (tmp_path / "index.json").write_text(index)
+        if manifest is not None:
+            (tmp_path / "bad.medusa.manifest.json").write_bytes(manifest)
+        assert main(["store", "stats", "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import io
 import json
 import math
 import zipfile
@@ -43,6 +44,7 @@ from repro.core.artifact import (
 )
 from repro.core.pointer_analysis import CONST, POINTER, ParamRestore
 from repro.errors import ArtifactError
+from repro.utils.files import write_if_changed
 
 _KIND_CODES = {CONST: 0, POINTER: 1}
 #: On-disk code of pointer-kind parameter slots (``GraphTable.param_kinds``).
@@ -150,13 +152,19 @@ def artifact_arrays(
 
 
 def save_binary(artifact: MaterializedModel, path) -> int:
-    """Write ``artifact`` as .npz; returns the byte size on disk."""
+    """Write ``artifact`` as .npz; returns the byte size on disk.
+
+    The archive's bytes depend only on the artifact (every zip member
+    carries the same fixed timestamp), so a file that already holds them
+    is left as it is.
+    """
     arrays, metadata = artifact_arrays(artifact)
     arrays["metadata"] = np.array([json.dumps(metadata)])
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-    import os
-    return os.path.getsize(path)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    payload = buffer.getvalue()
+    write_if_changed(path, payload)
+    return len(payload)
 
 
 def load_binary(path) -> MaterializedModel:

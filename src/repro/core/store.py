@@ -47,6 +47,7 @@ from repro.core.chunks import (
     directory_loader,
 )
 from repro.errors import ArtifactError, LintError
+from repro.utils.files import write_if_changed
 
 _INDEX_NAME = "index.json"
 _CHUNK_DIR = "chunks"
@@ -170,7 +171,9 @@ class ArtifactStore:
     def put(self, artifact: MaterializedModel) -> pathlib.Path:
         """Persist an artifact as chunks + manifest; returns the manifest
         path.  Chunk blobs already present (from any model/GPU) are not
-        rewritten — ``chunks_deduped``/``bytes_deduped`` count them."""
+        rewritten — ``chunks_deduped``/``bytes_deduped`` count them — and
+        neither are a manifest or an index entry that already hold the
+        same bytes."""
         manifest, blobs = chunk_model(artifact)
         self._chunk_dir.mkdir(exist_ok=True)
         for digest in sorted(blobs):
@@ -184,10 +187,13 @@ class ArtifactStore:
         filename = (f"{_slug(artifact.gpu_name)}__"
                     f"{_slug(artifact.model_name)}{_MANIFEST_SUFFIX}")
         path = self.root / filename
-        path.write_text(manifest.to_json())
+        # A re-put of the same artifact leaves both files untouched.
+        write_if_changed(path, manifest.to_json().encode("utf-8"))
         index = self._read_index()
-        index[self._key(artifact.gpu_name, artifact.model_name)] = filename
-        self._write_index(index)
+        key = self._key(artifact.gpu_name, artifact.model_name)
+        if index.get(key) != filename:
+            index[key] = filename
+            self._write_index(index)
         return path
 
     def get(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:

@@ -66,8 +66,10 @@ class Model:
         }
         # Pointer params are immutable (size, value) pairs and the same few
         # hundred addresses recur in every forwarding: share one object per
-        # address instead of allocating one per launch.
+        # address instead of allocating one per launch.  Consts (batch
+        # sizes, sequence lengths, layer indices) recur the same way.
         self._pointer_params: Dict[int, KernelParam] = {}
+        self._const_params: Dict[Tuple[int, int], KernelParam] = {}
         self._weights_loaded = False
 
     # -- loading-phase stages (timing is accounted by the engine) ------------
@@ -330,6 +332,7 @@ class Model:
     def _params(self, spec: KernelSpec, roles: Dict[str, int],
                 consts: Dict[str, int]) -> List[KernelParam]:
         pointers = self._pointer_params
+        interned = self._const_params
         params: List[KernelParam] = []
         for is_pointer, size, role, default in self._templates[spec.name]:
             if is_pointer:
@@ -339,7 +342,11 @@ class Model:
                     param = pointers[value] = KernelParam(size, value)
                 params.append(param)
             elif role in consts:
-                params.append(KernelParam(size, int(consts[role])))
+                key = (size, int(consts[role]))
+                param = interned.get(key)
+                if param is None:
+                    param = interned[key] = KernelParam(*key)
+                params.append(param)
             elif default is not None:
                 params.append(default)
             else:

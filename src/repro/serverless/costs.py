@@ -9,14 +9,18 @@ KV-cache read traffic that grows with context length during decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import truediv
-from typing import Iterable, List, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.engine.strategies import Strategy
 from repro.models.config import ModelConfig
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
+
+
+def _maximum_in_place(memory: np.ndarray, compute: float) -> np.ndarray:
+    return np.maximum(memory, compute, out=memory)
 
 
 @dataclass(frozen=True)
@@ -75,29 +79,34 @@ class ServingCostModel:
     def decode_step_time(self, batch_size: int, avg_context: float,
                          use_graphs: bool) -> float:
         """One decode iteration over ``batch_size`` running sequences."""
-        return self._decode_times(batch_size, (avg_context,), use_graphs)[0]
+        return self._decode_time(batch_size, avg_context, use_graphs)
 
     def decode_run(self, batch_size: int, context_sum: int, steps: int,
-                   use_graphs: bool) -> List[float]:
+                   use_graphs: bool) -> np.ndarray:
         """Times of ``steps`` consecutive pure-decode iterations.
 
         The batch stays ``batch_size`` sequences and admits nothing, so
         its integer context sum starts at ``context_sum`` and grows by
-        ``batch_size`` per iteration.  Each time has the bits of
+        ``batch_size`` per iteration.  Returns a float64 array, priced in
+        place in one buffer; each element has the bits of
         :meth:`decode_step_time` at that iteration's mean context.
         """
-        return self._decode_times(
-            batch_size,
-            map(truediv, range(context_sum, context_sum + steps * batch_size,
-                               batch_size), repeat(batch_size)),
-            use_graphs)
+        # Integer-valued float64s below 2**53 are exact, so each division
+        # is the correctly rounded ``int / int`` of the per-step formula.
+        contexts = np.arange(context_sum, context_sum + steps * batch_size,
+                             batch_size, dtype=np.float64)
+        contexts /= batch_size
+        return self._decode_time(batch_size, contexts, use_graphs,
+                                 _maximum_in_place)
 
-    def _decode_times(self, batch_size: int, avg_contexts: Iterable[float],
-                      use_graphs: bool) -> List[float]:
-        """Decode iteration times of one batch size, one per mean context.
+    def _decode_time(self, batch_size: int, avg_context, use_graphs: bool,
+                     maximum=max):
+        """The decode formula, on one mean context or on an array of them.
 
-        The batch's compute term does not depend on context, so it is
-        priced once; only the K+V read volume varies per iteration.
+        A float (or int) is rebound by each augmented operation; a
+        float64 array is updated in place, elementwise, by the same
+        IEEE operation in the same order.  ``maximum`` picks the larger
+        of the memory and compute terms (either one when they tie).
         """
         (two_params, flops, param_bytes, hidden, layers, bandwidth,
          graph_launch, eager_launch) = self._decode
@@ -107,17 +116,22 @@ class ServingCostModel:
         else:
             compute = two_params * batch_size / flops
             launch = eager_launch
-        times = []
-        append = times.append
-        for avg_context in avg_contexts:
-            # Weights plus the batch's K+V read volume.  Keep this
-            # evaluation order: re-associating the product changes its
-            # bits.
-            memory = ((param_bytes
-                       + batch_size * avg_context * hidden * 2 * 2 * layers)
-                      / bandwidth)
-            append((memory if memory > compute else compute) + launch)
-        return times
+        # Weights plus the batch's K+V read volume, evaluated as
+        # ``(param_bytes + batch_size * avg_context * hidden * 2 * 2 *
+        # layers) / bandwidth``.  Keep this order: re-associating the
+        # product changes its bits (IEEE + and * commute, so swapping
+        # operands does not).
+        memory = avg_context
+        memory *= batch_size
+        memory *= hidden
+        memory *= 2
+        memory *= 2
+        memory *= layers
+        memory += param_bytes
+        memory /= bandwidth
+        time = maximum(memory, compute)
+        time += launch
+        return time
 
     def deferred_capture_penalty(self, batch_size: int) -> float:
         """One-off cost of lazily capturing a batch size while serving (§2.4):

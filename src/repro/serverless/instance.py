@@ -16,19 +16,22 @@ be **cancelled at a stage boundary** by the cluster's scale-down policy
 instead of only before launch or after readiness.
 
 After a step that records nothing, the instance can run through the pure
--decode steps up to its next completion in one loop (:meth:`Instance.
-run_ahead`), and go back to any of them if a request arrives mid-run
-(:meth:`Instance.cut_run`), with the same bits as stepping one by one.
+-decode steps up to its next completion at once (:meth:`Instance.
+run_ahead`), priced as one float64 array with running sums of its step
+ends and busy time, and go back to any of them if a request arrives
+mid-run (:meth:`Instance.cut_run`, a binary search of those ends), with
+the same bits as stepping one by one.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
 from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.engine import loadplan
 from repro.engine.strategies import Strategy
 from repro.errors import SchedulingError
 from repro.serverless.costs import ServingCostModel
@@ -68,6 +71,22 @@ class ColdStartProfile:
     # Ladder rung label ("partial"/"recapture"/"eager") when the cold start
     # this profile came from degraded; "" on a clean restore.
     degraded_rung: str = ""
+    #: Every scheduled fetch stage: ``fetch_artifact`` and any
+    #: chunk-streamed ``fetch_chunk[i]`` stages (schedule order).
+    _fetch_stages: Tuple = field(init=False, repr=False, compare=False)
+    #: :attr:`fetch_duration`, summed once from ``_fetch_stages``.
+    _fetch_seconds: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The profile is frozen and ``with_fetch_duration``'s ``replace``
+        # runs this again, so both stay in step with ``timeline``.
+        stages = tuple(
+            stage for stage in getattr(self.timeline, "stages", ())
+            if stage.name == loadplan.FETCH_ARTIFACT
+            or loadplan.FETCH_CHUNK_PATTERN.match(stage.name) is not None)
+        object.__setattr__(self, "_fetch_stages", stages)
+        object.__setattr__(self, "_fetch_seconds", sum(
+            stage.duration for stage in stages if not stage.background))
 
     @classmethod
     def from_report(cls, report) -> "ColdStartProfile":
@@ -92,16 +111,6 @@ class ColdStartProfile:
         """The cold-start latency the simulator charges before serving."""
         return self.ready_time if self.ready_time > 0 else self.loading_time
 
-    def _fetch_stages(self) -> List:
-        """Every scheduled fetch stage: ``fetch_artifact`` and any
-        chunk-streamed ``fetch_chunk[i]`` stages (schedule order)."""
-        from repro.engine.loadplan import FETCH_ARTIFACT, FETCH_CHUNK_PATTERN
-        if self.timeline is None:
-            return []
-        return [stage for stage in self.timeline.stages
-                if stage.name == FETCH_ARTIFACT
-                or FETCH_CHUNK_PATTERN.match(stage.name) is not None]
-
     @property
     def fetch_duration(self) -> float:
         """The scheduled *foreground* artifact-fetch seconds (0.0 when
@@ -112,8 +121,7 @@ class ColdStartProfile:
         the flat artifact store, and the placement layer rewrites it per
         tier via :meth:`with_fetch_duration`.
         """
-        return sum(stage.duration for stage in self._fetch_stages()
-                   if not stage.background)
+        return self._fetch_seconds
 
     def with_fetch_duration(self, duration: float) -> "ColdStartProfile":
         """This profile with its fetch stage(s) retimed.
@@ -129,16 +137,13 @@ class ColdStartProfile:
         unchanged when the profile has no fetch stage or the duration
         already matches.
         """
-        from dataclasses import replace
-
-        from repro.engine.loadplan import retime_stages
         base = self.fetch_duration
         if base == 0.0 or duration == base:
             return self
         ratio = duration / base
         overrides = {stage.name: stage.duration * ratio
-                     for stage in self._fetch_stages()}
-        timeline = retime_stages(self.timeline, overrides)
+                     for stage in self._fetch_stages}
+        timeline = loadplan.retime_stages(self.timeline, overrides)
         loading = max(0.0, self.loading_time
                       + (timeline.total - self.timeline.total))
         ready = self.ready_time
@@ -227,8 +232,8 @@ class Instance:
         self._finishing: Dict[int, List[_RunningSequence]] = {}
         #: The latest silent run (see run_ahead); it can be cut only
         #: while its end event is pending.
-        self._run: Optional[Tuple[int, int, int, List[float],
-                                  List[float]]] = None
+        self._run: Optional[Tuple[int, int, int, np.ndarray,
+                                  np.ndarray]] = None
         #: The pending kernel event that ends a silent run, else None;
         #: set and cleared by the pool.
         self.run_event: Optional[object] = None
@@ -386,10 +391,12 @@ class Instance:
         frees a slot or an :meth:`enqueue` adds a request (the pool cuts
         the run with :meth:`cut_run` before it enqueues).  Later steps
         start later, so they pay no contention either, and the batch's
-        padded size is already captured.  Those steps are computed here
-        in one loop, stopping before the next completion step, with
-        every float added in :meth:`run_step`'s order, so the state
-        after them is bit for bit what stepping one at a time leaves.
+        padded size is already captured.  Those steps are priced here as
+        one array (:meth:`ServingCostModel.decode_run`), stopping before
+        the next completion step, and their ends and busy sums are
+        sequential running sums (``np.cumsum``) that add every float in
+        :meth:`run_step`'s order, so the state after them is bit for bit
+        what stepping one at a time leaves.
 
         Returns the end of the run's last step, or None when the next
         step completes a sequence (there is nothing to run ahead).
@@ -400,18 +407,22 @@ class Instance:
             return None
         batch = len(self.running)
         context = self._context_sum
-        durations = self.costs.decode_run(batch, context, count,
-                                          self.config.use_cuda_graphs)
         # ends[j] and busy[j]: the instant step j of the run ends and the
         # busy time by then; index 0 is the silent step that started it.
-        ends = list(itertools.accumulate(durations, initial=start))
-        busy = list(itertools.accumulate(durations,
-                                         initial=self.busy_time))
+        sums = np.empty(count + 1)
+        sums[1:] = self.costs.decode_run(batch, context, count,
+                                         self.config.use_cuda_graphs)
+        sums[0] = self.busy_time
+        busy = sums.cumsum()
+        sums[0] = start
+        ends = sums.cumsum()
         self._run = (step, context, batch, ends, busy)
         self._steps = step + count
         self._context_sum = context + count * batch
-        self.busy_time = busy[-1]
-        self.last_busy_at = end = ends[-1]
+        # Python floats: numpy scalars would leak into summaries and
+        # change their reprs.
+        self.busy_time = float(busy[-1])
+        self.last_busy_at = end = float(ends[-1])
         return end
 
     def cut_run(self, now: float, ended_at_now: bool) -> Optional[float]:
@@ -419,21 +430,24 @@ class Instance:
 
         ``ended_at_now`` says whether a step ending exactly at ``now`` has
         completed by now (its completion event sorts before the event
-        being handled).  The state goes back to the end of the step in
-        flight, from the run's recorded ends and busy sums; ``_steps``
-        and the context sum are exact integers.  Returns that step's end,
-        or None when it is the run's last step (nothing to cut).  Either
-        way the run is over: a later cut would find the same step.
+        being handled); the search side follows it, as ``bisect_right``
+        or ``bisect_left`` would.  The state goes back to the end of the
+        step in flight, from the run's recorded ends and busy sums (as
+        Python floats); ``_steps`` and the context sum are exact
+        integers.  Returns that step's end, or None when it is the run's
+        last step (nothing to cut).  Either way the run is over: a later
+        cut would find the same step.
         """
         step, context, batch, ends, busy = self._run
         self._run = None
-        index = (bisect_right if ended_at_now else bisect_left)(ends, now)
+        index = int(ends.searchsorted(now,
+                                      "right" if ended_at_now else "left"))
         if index >= len(ends) - 1:
             return None
         self._steps = step + index
         self._context_sum = context + index * batch
-        self.busy_time = busy[index]
-        self.last_busy_at = end = ends[index]
+        self.busy_time = float(busy[index])
+        self.last_busy_at = end = float(ends[index])
         return end
 
 

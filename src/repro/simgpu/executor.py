@@ -9,6 +9,7 @@ so restoration mistakes surface as faults or corrupt data.
 
 from __future__ import annotations
 
+import enum
 from typing import Dict, Sequence
 
 import numpy as np
@@ -16,6 +17,13 @@ import numpy as np
 from repro.errors import IllegalMemoryAccessError, InvalidValueError
 from repro.simgpu.graph import CudaGraphNode
 from repro.simgpu.kernels import KernelParam, KernelSpec, ParamKind, run_op
+
+
+class ExecutionMode(enum.Enum):
+    """COMPUTE executes kernel numpy ops; TIMING only advances the clock."""
+
+    COMPUTE = "compute"
+    TIMING = "timing"
 
 
 def execute_params(process, spec: KernelSpec,

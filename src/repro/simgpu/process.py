@@ -9,7 +9,6 @@ non-determinism Medusa's materialization has to survive (paper §2.5).
 from __future__ import annotations
 
 import contextlib
-import enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.simgpu.kernels import (
 )
 from repro.simgpu.libraries import LibraryCatalog
 from repro.simgpu.driver import CudaDriver
+from repro.simgpu.executor import ExecutionMode
 from repro.simgpu.memory import ALIGNMENT, Buffer, DeviceAllocator
 from repro.simgpu.stream import LaunchRecord, Stream
 from repro.utils.rng import SeedSequence
@@ -32,13 +32,6 @@ from repro.utils.rng import SeedSequence
 #: Device heap region (above the library text region, see driver.py).
 _HEAP_REGION_BASE = 0x7F00_0000_0000
 _HEAP_REGION_SPAN = 0x0040_0000_0000
-
-
-class ExecutionMode(enum.Enum):
-    """COMPUTE executes kernel numpy ops; TIMING only advances the clock."""
-
-    COMPUTE = "compute"
-    TIMING = "timing"
 
 
 class Interceptor:

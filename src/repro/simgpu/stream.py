@@ -15,23 +15,26 @@ Stream capture reproduces the real driver's behaviour and restrictions
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import CaptureViolationError, InvalidValueError
-from repro.simgpu.executor import execute_params
+from repro.simgpu.executor import ExecutionMode, execute_params
 from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
 from repro.simgpu.kernels import KernelParam, KernelSpec
 
 
-@dataclass
-class LaunchRecord:
-    """One intercepted ``cudaLaunchKernel`` (Medusa's offline trace unit)."""
+class LaunchRecord(NamedTuple):
+    """One intercepted ``cudaLaunchKernel`` (Medusa's offline trace unit).
+
+    ``params`` and ``launch_dims`` are the launch's own objects, not
+    copies: interceptors read them during the notification and keep
+    nothing mutable.
+    """
 
     kernel_name: str
     library: str
-    params: List[KernelParam]
-    launch_dims: Dict[str, int]
+    params: Sequence[KernelParam]
+    launch_dims: Mapping[str, int]
     captured: bool      # True if this launch was recorded into a graph
 
 
@@ -236,15 +239,13 @@ class Stream:
         capturing = self._capture is not None
         if process.intercepted:
             process.notify_launch(LaunchRecord(
-                kernel_name=spec.name, library=spec.library,
-                params=list(params), launch_dims=dict(launch_dims or {}),
-                captured=capturing))
+                spec.name, spec.library, params, launch_dims or {},
+                capturing))
 
         if capturing:
             self._capture.record(process, spec, address, params,
                                  launch_dims or {}, stream=self)
             return
-        from repro.simgpu.process import ExecutionMode  # avoid cycle
         if process.mode is ExecutionMode.COMPUTE:
             execute_params(process, spec, params)
 

@@ -1,5 +1,8 @@
 """Artifact store tests."""
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.core.chunks import ChunkedLazyArtifact
@@ -66,6 +69,67 @@ class TestArtifactStore:
         assert report.loading_time > 0
 
 
+#: An old modification time: a write after ``_age`` always changes it.
+_OLD_NS = 1_000_000_000_000_000_000
+
+
+def _age(root):
+    """Set every file under ``root`` to :data:`_OLD_NS`; returns the paths."""
+    paths = sorted(path for path in root.rglob("*") if path.is_file())
+    for path in paths:
+        os.utime(path, ns=(_OLD_NS, _OLD_NS))
+    return paths
+
+
+class TestUnchangedWrites:
+    """A put that changes no bytes rewrites no file."""
+
+    def test_second_put_touches_no_file(self, tmp_path, tiny2l_artifact):
+        artifact, _ = tiny2l_artifact
+        store = ArtifactStore(tmp_path)
+        store.put(artifact)
+        paths = _age(tmp_path)
+        store.put(artifact)
+        assert sorted(path for path in tmp_path.rglob("*")
+                      if path.is_file()) == paths
+        assert [path.stat().st_mtime_ns for path in paths] == \
+            [_OLD_NS] * len(paths)
+        # The stamp caches stay valid across a put: nothing is parsed
+        # again.
+        store.get(artifact.gpu_name, artifact.model_name)
+        reads = (store.index_reads, store.manifest_reads)
+        store.put(artifact)
+        store.get(artifact.gpu_name, artifact.model_name)
+        assert (store.index_reads, store.manifest_reads) == reads
+
+    def test_changed_artifact_is_rewritten(self, tmp_path, tiny2l_artifact):
+        artifact, _ = tiny2l_artifact
+        changed = dataclasses.replace(
+            artifact, kv_num_blocks=artifact.kv_num_blocks + 1)
+        store = ArtifactStore(tmp_path)
+        path = store.put(artifact)
+        _age(tmp_path)
+        assert store.put(changed) == path
+        assert path.stat().st_mtime_ns != _OLD_NS
+        assert store.get(artifact.gpu_name,
+                         artifact.model_name).kv_num_blocks == \
+            changed.kv_num_blocks
+
+    def test_save_binary_skips_identical_bytes(self, tmp_path,
+                                               tiny2l_artifact):
+        from repro.core.binfmt import save_binary
+        artifact, _ = tiny2l_artifact
+        path = tmp_path / "a.npz"
+        size = save_binary(artifact, path)
+        os.utime(path, ns=(_OLD_NS, _OLD_NS))
+        assert save_binary(artifact, path) == size == path.stat().st_size
+        assert path.stat().st_mtime_ns == _OLD_NS
+        changed = dataclasses.replace(
+            artifact, kv_num_blocks=artifact.kv_num_blocks + 1)
+        assert save_binary(changed, path) == path.stat().st_size
+        assert path.stat().st_mtime_ns != _OLD_NS
+
+
 class TestStoreCaches:
     """The parsed-index cache and the content-hash artifact LRU."""
 
@@ -108,8 +172,10 @@ class TestStoreCaches:
         store = ArtifactStore(tmp_path)
         store.put(artifact)
         store.get(artifact.gpu_name, artifact.model_name)
-        store.put(artifact)               # same bytes, new mtime
+        # Same bytes under a new stamp, as a rewrite by another writer.
+        _age(tmp_path)
         store.get(artifact.gpu_name, artifact.model_name)
+        assert store.manifest_reads == 2
         assert store.cache_hits == 1      # content hash, not file stamp
 
     def test_lru_evicts_oldest(self, tmp_path, tiny2l_artifact,

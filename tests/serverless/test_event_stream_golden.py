@@ -7,7 +7,10 @@ dispatch order.  The scenarios are the 6 single-model and 2 multi-model
 ``golden_sim_metrics.json`` runs plus the stage-granular tail-contention
 and preemption runs of ``test_stage_coldstart.py``.  A toy ``repro
 simulate --trace`` call pins the sha256 of its stdout and of the Chrome
-trace it writes.
+trace it writes, and a paper-scale ``repro simulate`` call (Llama2-7B, 20
+rps burst over 16 GPUs for 300 s) pins the sha256 of its table: its
+silent runs are long enough to exercise the array-priced decode runs that
+the toy call's short runs never reach.
 
 The metric goldens show that the *numbers* survive a change to the
 simulator's hot path; this one shows that the *event order* does, to the
@@ -73,6 +76,11 @@ GOLDEN_PATH = Path(__file__).parent / "golden_event_streams.json"
 CLI_ARGV = ["simulate", "--model", "Tiny-2L", "--strategy", "medusa",
             "--rps", "2", "--duration", "20", "--gpus", "2",
             "--shape", "burst", "--seed", "7", "--trace", "trace.json"]
+
+#: The paper-scale CLI call: the ``simulate_burst`` benchmark op's command.
+PAPER_CLI_ARGV = ["simulate", "--model", "Llama2-7B", "--strategy",
+                  "medusa", "--rps", "20", "--duration", "300", "--gpus",
+                  "16", "--shape", "burst", "--seed", "1"]
 
 
 class _Tap:
@@ -243,6 +251,15 @@ def test_cli_trace_matches_golden(golden, tmp_path):
     assert run_cli(tmp_path) == golden["cli"]
 
 
+def run_paper_cli() -> dict:
+    """The paper-scale ``repro simulate`` call's printed table."""
+    return {"stdout_sha256": _sha256(_call_cli(PAPER_CLI_ARGV).encode())}
+
+
+def test_paper_scale_cli_matches_golden(golden):
+    assert run_paper_cli() == golden["paper_cli"]
+
+
 def test_cli_trace_does_not_depend_on_earlier_pools(tmp_path):
     """Two toy ``repro simulate --trace`` calls in one process, after
     another pool has launched instances, write the same bytes."""
@@ -257,7 +274,8 @@ def test_cli_trace_does_not_depend_on_earlier_pools(tmp_path):
 def _record(workdir: Path) -> dict:
     return {"streams": {name: per_step_stream(name)
                         for name in sorted(SCENARIOS)},
-            "cli": run_cli(workdir)}
+            "cli": run_cli(workdir),
+            "paper_cli": run_paper_cli()}
 
 
 if __name__ == "__main__":

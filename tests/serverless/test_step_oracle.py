@@ -19,7 +19,8 @@ context sum must agree bit for bit.
 
 import dataclasses
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -136,6 +137,9 @@ def _silent(result) -> bool:
 
 
 def _same_state(instance, reference) -> None:
+    # Python floats, not numpy scalars: these reach summaries and reprs.
+    assert type(instance.busy_time) is float
+    assert type(instance.last_busy_at) is float
     assert instance.busy_time.hex() == reference.busy_time.hex()
     assert instance.last_busy_at.hex() == reference.last_busy_at.hex()
     assert instance._context_sum == sum(sequence.context
@@ -176,9 +180,11 @@ def test_silent_runs_and_cuts_match_per_step_reference(
         result = instance.run_step(now)
         _same_step(result, reference.run_step(now))
         now = reference.last_busy_at
-        if not _silent(result) or instance.run_ahead(now) is None:
+        run_end = instance.run_ahead(now) if _silent(result) else None
+        if run_end is None:
             _same_state(instance, reference)
             continue
+        assert type(run_end) is float
         step, _context, batch, ends, busy = instance._run
         assert ends[0] == now
         assert batch == len(reference.running)
@@ -200,6 +206,7 @@ def test_silent_runs_and_cuts_match_per_step_reference(
             ended = cut_at < ends[last] and data.draw(st.booleans(),
                                                       label="ended")
             returned = instance.cut_run(cut_at, ended)
+            assert returned is None or type(returned) is float
         # The reference steps one at a time up to the step in flight.
         steps = 0
         while steps < last and (how == "finish" or now < cut_at
@@ -223,14 +230,21 @@ def test_silent_runs_and_cuts_match_per_step_reference(
 
 
 @settings(max_examples=200, deadline=None)
-@given(costs=st.sampled_from(COSTS), batch=st.integers(1, 300),
-       context_sum=st.integers(1, 10**6), steps=st.integers(0, 40),
+@given(costs=st.sampled_from(COSTS), batch=st.integers(1, 600),
+       context_sum=st.integers(1, 10**6),
+       steps=st.one_of(st.integers(0, 40), st.integers(0, 2000)),
        use_graphs=st.booleans())
+# Llama2-7B at batch 256 turns memory-bound at a mean context near 63:
+# this run starts compute-bound and crosses over.
+@example(costs=COSTS[0], batch=256, context_sum=256 * 10, steps=2000,
+         use_graphs=True)
 def test_decode_run_matches_decode_step_time(costs, batch, context_sum,
                                              steps, use_graphs):
+    """The array-priced run against the per-step formula, element by
+    element, on both sides of the compute-bound crossover."""
     run = costs.decode_run(batch, context_sum, steps, use_graphs)
-    assert len(run) == steps
-    for index, duration in enumerate(run):
+    assert run.dtype == np.float64 and run.shape == (steps,)
+    for index, duration in enumerate(run.tolist()):
         avg_context = (context_sum + index * batch) / batch
         assert duration.hex() == costs.decode_step_time(
             batch, avg_context, use_graphs).hex()

@@ -9,10 +9,11 @@
    dlsym vs needing module enumeration through triggering kernels.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.binfmt import POINTER_CODE
 from repro.core.offline import OfflinePhase
-from repro.core.pointer_analysis import POINTER
 from repro.models.kernels_catalog import build_catalog
 from repro.models.zoo import get_model_config
 from repro.reporting import format_table
@@ -32,16 +33,15 @@ def test_ablation_backward_vs_naive_matching(benchmark, emit, offline_pair):
     def run():
         exact, naive = offline_pair
         total = mismatched = 0
-        for batch, graph in exact.graphs.items():
-            for node, naive_node in zip(graph.nodes,
-                                        naive.graph(batch).nodes):
-                for a, b in zip(node.param_restores,
-                                naive_node.param_restores):
-                    if a.kind != POINTER:
-                        continue
-                    total += 1
-                    if (a.alloc_index, a.offset) != (b.alloc_index, b.offset):
-                        mismatched += 1
+        for batch in exact.batches:
+            a, b = exact.graph_table(batch), naive.graph_table(batch)
+            pointers = a.param_kinds == POINTER_CODE
+            total += int(np.count_nonzero(pointers))
+            # A naive slot binds elsewhere, or is not a pointer at all.
+            wrong = (b.param_kinds != POINTER_CODE) \
+                | (a.param_values != b.param_values) \
+                | (a.param_byte_offsets != b.param_byte_offsets)
+            mismatched += int(np.count_nonzero(pointers & wrong))
         rows = [
             ["pointer params analyzed", total],
             ["naive false positives (Fig. 6)", mismatched],
@@ -87,9 +87,9 @@ def test_ablation_kernel_resolution_paths(benchmark, emit, offline_pair):
             else:
                 visible += 1
         node_visible = node_hidden = 0
-        for graph in exact.graphs.values():
-            for node in graph.nodes:
-                if catalog.kernel(node.kernel_name).hidden:
+        for batch in exact.batches:
+            for name in exact.graph_table(batch).node_kernel_names():
+                if catalog.kernel(name).hidden:
                     node_hidden += 1
                 else:
                     node_visible += 1

@@ -174,7 +174,7 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
         "repeats": repeats,
         "artifact": {
             "graph_nodes": artifact.total_nodes,
-            "replay_events": len(artifact.replay_events),
+            "replay_events": artifact.total_replay_events,
             "npz_bytes": npz_path.stat().st_size,
         },
         "wallclock_p50_s": {

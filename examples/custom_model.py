@@ -50,7 +50,7 @@ def main() -> None:
     artifact, offline_report = OfflinePhase(CUSTOM, seed=6).run()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "custom-3b.medusa.json"
-        size = artifact.save(path)
+        size = artifact.materialize().save(path)
         print(f"   artifact: {size / 1024:.0f} KiB at {path.name}, offline "
               f"took {offline_report.total_time:.1f} s (simulated)")
         loaded = MaterializedModel.load(path)

@@ -16,9 +16,9 @@ Walks the mechanism end to end on a tiny 2-layer model with *real compute*
 import numpy as np
 
 from repro import CostModel, GpuProperties
+from repro.core.binfmt import POINTER_CODE
 from repro.core.offline import run_offline
 from repro.core.online import medusa_cold_start
-from repro.core.pointer_analysis import POINTER
 from repro.core.validation import make_input_ids, validate_restoration
 from repro.models.kernels_catalog import build_catalog
 from repro.models.zoo import get_model_config
@@ -39,7 +39,7 @@ def main() -> None:
                                    mode=ExecutionMode.COMPUTE,
                                    cost_model=cost_model)
     stats = artifact.stats
-    print(f"   graphs: {len(artifact.graphs)}, "
+    print(f"   graphs: {len(artifact.batches)}, "
           f"nodes: {artifact.total_nodes}, "
           f"replayable allocation events: {artifact.total_replay_events}")
     print(f"   pointer params: {int(stats['pointer_params'])}, "
@@ -52,27 +52,33 @@ def main() -> None:
           f"({int(stats['permanent_bytes'])} bytes dumped)")
 
     print("\n== A node under the microscope (batch 1, the qkv GEMM)")
-    graph = artifact.graph(1)
+    # The artifact is packed: node i owns parameter slots
+    # param_offsets[i]:param_offsets[i + 1] of the flat columns.
+    table = artifact.graph_table(1)
     catalog = build_catalog(config)
-    node = next(n for n in graph.nodes if "qkv_proj" in n.kernel_name)
-    spec = catalog.kernel(node.kernel_name)
-    print(f"   kernel: {node.kernel_name}")
+    names = table.node_kernel_names()
+    node_index = next(i for i, name in enumerate(names) if "qkv_proj" in name)
+    spec = catalog.kernel(names[node_index])
+    print(f"   kernel: {names[node_index]}")
     print(f"   hidden from the symbol table: {spec.hidden} "
           f"(reachable only via host entry {spec.host_entry!r})")
-    for slot, restore in zip(spec.params, node.param_restores):
-        if restore.kind == POINTER:
+    start, stop = table.param_offsets[node_index:node_index + 2].tolist()
+    for slot, kind, value, offset in zip(
+            spec.params, table.param_kinds[start:stop].tolist(),
+            table.param_values[start:stop].tolist(),
+            table.param_byte_offsets[start:stop].tolist()):
+        if kind == POINTER_CODE:
             print(f"   param {slot.role:10s} -> indirect index pointer "
-                  f"(allocation #{restore.alloc_index}, "
-                  f"offset {restore.offset})")
+                  f"(allocation #{value}, offset {offset})")
         else:
-            print(f"   param {slot.role:18s} -> constant {restore.value}")
+            print(f"   param {slot.role:18s} -> constant {value}")
 
     print("\n== Online restore in a fresh process (new heap, new ASLR)")
     engine, cold_report = medusa_cold_start(
         MODEL, artifact, seed=2, mode=ExecutionMode.COMPUTE,
         cost_model=cost_model)
     restored = engine.capture_artifacts.graphs[1]
-    restored_node = restored.nodes[graph.nodes.index(node)]
+    restored_node = restored.nodes[node_index]
     print(f"   restored kernel address: 0x{restored_node.kernel_address:x} "
           f"(process-local; different every launch)")
 

@@ -32,7 +32,7 @@ def main() -> None:
     print(f"   capturing stage: {offline_report.capture_stage_time:.1f} s, "
           f"analysis stage: {offline_report.analysis_time:.1f} s")
     print(f"   materialized {artifact.total_nodes} CUDA graph nodes across "
-          f"{len(artifact.graphs)} batch sizes, "
+          f"{len(artifact.batches)} batch sizes, "
           f"{artifact.total_replay_events} replayable allocation events, "
           f"{len(artifact.permanent_contents)} permanent buffers dumped")
 

@@ -1,6 +1,7 @@
 """Static artifact verification: multi-pass analysis with no execution.
 
-``repro.analysis`` proves a :class:`~repro.core.artifact.MaterializedModel`
+``repro.analysis`` proves a packed artifact
+(:class:`~repro.core.binfmt.LazyArtifact`, the tables the restorer reads)
 internally consistent *before* the latency-critical online restore touches
 it — replay-sequence liveness, pointer bounds and use-after-free, graph
 topology, kernel resolvability, and dump coverage.  See

@@ -1,8 +1,9 @@
 """The multi-pass static artifact verifier (``repro lint``).
 
-Runs every analysis pass over a :class:`MaterializedModel` **without
-executing any forwarding** — no simulated process, no kernels, no replay
-on device memory.  The passes, in order:
+Runs every analysis pass over the packed tables the restorer reads (a JSON
+artifact is packed first) **without executing any forwarding** — no
+simulated process, no kernels, no replay on device memory.  The passes,
+in order:
 
 1. ``liveness``  — symbolic replay of the (de)allocation events (§4.2);
 2. ``pointers``  — indirect-index-pointer bounds and use-after-free (§4.1);
@@ -14,15 +15,14 @@ on device memory.  The passes, in order:
 5. ``coverage``  — format version, permanent-dump coverage, cross-batch
    layout consistency (§3, §4.3).
 
-Entry points: :func:`lint_artifact` for in-memory artifacts (what the
-offline phase and the store call), :func:`lint_json_text` /
-:func:`lint_file` for serialized ones (what the CLI calls) — these report
-a version mismatch as a MED040 diagnostic instead of refusing to load.
+Entry points: :func:`lint_artifact` for any artifact (what the offline
+phase, the store and ``repro lint x.npz`` call), :func:`lint_json_text` /
+:func:`lint_file` for JSON ones — these report a version mismatch as a
+MED040 diagnostic instead of refusing to load.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from repro.analysis.coverage import check_coverage
@@ -31,19 +31,28 @@ from repro.analysis.graphs import check_topology
 from repro.analysis.kernels import check_kernels
 from repro.analysis.liveness import analyze_replay
 from repro.analysis.pointers import check_pointers
-from repro.core.artifact import ARTIFACT_FORMAT_VERSION, MaterializedModel
-from repro.errors import ArtifactError, InvalidValueError
+from repro.core.artifact import (
+    ARTIFACT_FORMAT_VERSION,
+    MaterializedModel,
+    parse_artifact_json,
+    read_artifact_text,
+)
+from repro.core.binfmt import LazyArtifact, as_lazy
+from repro.errors import InvalidValueError
 
 
-def lint_artifact(artifact: MaterializedModel,
-                  catalog=None) -> LintReport:
+def lint_artifact(artifact, catalog=None) -> LintReport:
     """Statically verify one artifact; returns the full report.
 
-    ``catalog`` is the model's :class:`LibraryCatalog`; when omitted it is
-    built from the model zoo by name.  Artifacts for models outside the
-    zoo get every catalog-independent pass plus a MED034 warning.
+    ``artifact`` may be packed or object-form.  ``catalog`` is the model's
+    :class:`LibraryCatalog`; when omitted it is built from the model zoo
+    by name.  Artifacts for models outside the zoo get every
+    catalog-independent pass plus a MED034 warning.
     """
+    artifact = as_lazy(artifact)
     report = LintReport(model=artifact.model_name, gpu=artifact.gpu_name)
+    # MED014/MED022: what the JSON importer found while packing.
+    report.extend([Diagnostic(*finding) for finding in artifact.findings])
 
     liveness = analyze_replay(artifact)
     report.extend(liveness.diagnostics)
@@ -67,14 +76,14 @@ def lint_artifact(artifact: MaterializedModel,
     report.stats.update({
         "allocations": float(len(liveness.records)),
         "replay_events": float(liveness.num_events),
-        "graphs": float(len(artifact.graphs)),
+        "graphs": float(len(artifact.batches)),
         "nodes": float(artifact.total_nodes),
         "diagnostics": float(len(report.diagnostics)),
     })
     return report
 
 
-def _zoo_catalog(artifact: MaterializedModel, report: LintReport):
+def _zoo_catalog(artifact: LazyArtifact, report: LintReport):
     from repro.models.kernels_catalog import build_catalog
     from repro.models.zoo import get_model_config
     try:
@@ -98,14 +107,7 @@ def lint_json_text(text: str, catalog=None) -> LintReport:
     than an exception, so CI can distinguish "corrupt file" (exit 2)
     from "diagnostics found" (exit 1).
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ArtifactError(
-            f"artifact payload is a {type(payload).__name__}, expected an "
-            f"object")
+    payload = parse_artifact_json(text)
     version = payload.get("format_version")
     if version != ARTIFACT_FORMAT_VERSION:
         report = LintReport(model=str(payload.get("model_name", "")),
@@ -117,16 +119,10 @@ def lint_json_text(text: str, catalog=None) -> LintReport:
             f"{ARTIFACT_FORMAT_VERSION}; re-run the offline phase",
             "format_version"))
         return report
-    return lint_artifact(MaterializedModel.from_json(text), catalog=catalog)
+    return lint_artifact(MaterializedModel.from_payload(payload),
+                         catalog=catalog)
 
 
 def lint_file(path, catalog=None) -> LintReport:
-    """Lint an artifact file; raises ArtifactError if unreadable."""
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except FileNotFoundError as exc:
-        raise ArtifactError(f"no artifact at {path}") from exc
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact at {path}: {exc}") from exc
-    return lint_json_text(text, catalog=catalog)
+    """Lint a JSON artifact file; raises ArtifactError if unreadable."""
+    return lint_json_text(read_artifact_text(path), catalog=catalog)

@@ -20,15 +20,17 @@ Three families of invariants close out the analyzer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import LivenessResult
-from repro.core.artifact import ARTIFACT_FORMAT_VERSION, MaterializedModel
-from repro.core.pointer_analysis import POINTER
+from repro.core.artifact import ARTIFACT_FORMAT_VERSION
+from repro.core.binfmt import POINTER_CODE, LazyArtifact
 
 
-def check_coverage(artifact: MaterializedModel,
+def check_coverage(artifact: LazyArtifact,
                    liveness: LivenessResult) -> List[Diagnostic]:
     """Schema, capture-marker, permanent-dump, and layout checks (§4.3)."""
     diagnostics: List[Diagnostic] = []
@@ -51,34 +53,29 @@ def check_coverage(artifact: MaterializedModel,
     return diagnostics
 
 
-def _referenced_indices(artifact: MaterializedModel) -> Set[int]:
-    referenced: Set[int] = set()
-    for graph in artifact.graphs.values():
-        for node in graph.nodes:
-            for restore in node.param_restores:
-                if restore.kind == POINTER:
-                    referenced.add(restore.alloc_index)
-    return referenced
-
-
-def _check_permanent_dumps(artifact: MaterializedModel,
+def _check_permanent_dumps(artifact: LazyArtifact,
                            liveness: LivenessResult) -> List[Diagnostic]:
     """Recompute §4.3's classification and diff it against the dumps."""
     diagnostics: List[Diagnostic] = []
-    permanent: Set[int] = set()
-    for alloc_index in _referenced_indices(artifact):
+    tables = [artifact.graph_table(batch) for batch in artifact.batches]
+    referenced = np.unique(np.concatenate(
+        [table.param_values[table.param_kinds == POINTER_CODE]
+         for table in tables] or [[]])).tolist()
+    permanent = set()
+    for alloc_index in referenced:
         record = liveness.record(alloc_index)
         if record is None:
             continue    # MED010 already covers dangling references
         if alloc_index >= artifact.capture_marker and record.freed is None:
             permanent.add(alloc_index)
-    for alloc_index in sorted(permanent - set(artifact.permanent_contents)):
+    dumped = set(artifact.permanent_contents)
+    for alloc_index in sorted(permanent - dumped):
         diagnostics.append(Diagnostic(
             "MED042",
             f"allocation {alloc_index} is permanent (referenced, born at "
             f"or after the capture marker, never freed) but its contents "
             f"were not dumped", f"permanent_contents[{alloc_index}]"))
-    for alloc_index in sorted(set(artifact.permanent_contents) - permanent):
+    for alloc_index in sorted(dumped - permanent):
         diagnostics.append(Diagnostic(
             "MED041",
             f"dumped contents exist for allocation {alloc_index}, which "
@@ -88,23 +85,26 @@ def _check_permanent_dumps(artifact: MaterializedModel,
     return diagnostics
 
 
-def _check_layout_consistency(
-        artifact: MaterializedModel) -> List[Diagnostic]:
+def _check_layout_consistency(artifact: LazyArtifact) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
-    # kernel name -> layout signature -> [(batch, node_index), ...]
-    layouts: Dict[str, Dict[Tuple[str, ...],
-                            List[Tuple[int, int]]]] = {}
-    for batch_size in sorted(artifact.graphs):
-        graph = artifact.graphs[batch_size]
-        for node_index, node in enumerate(graph.nodes):
-            signature = tuple(r.kind for r in node.param_restores)
-            layouts.setdefault(node.kernel_name, {}).setdefault(
-                signature, []).append((batch_size, node_index))
+    # kernel name -> layout signature -> [(batch, node_index), ...]; a
+    # node's signature is its slice of one byte per slot (1: pointer).
+    layouts: Dict[str, Dict[bytes, List[Tuple[int, int]]]] = {}
+    for batch_size in artifact.batches:
+        table = artifact.graph_table(batch_size)
+        kinds = (table.param_kinds == POINTER_CODE).tobytes()
+        offsets = table.param_offsets.tolist()
+        for node_index, (kernel_id, start, stop) in enumerate(zip(
+                table.kernel_ids.tolist(), offsets, offsets[1:])):
+            layouts.setdefault(table.kernel_names[kernel_id], {}).setdefault(
+                kinds[start:stop], []).append((batch_size, node_index))
     for kernel_name, by_signature in sorted(layouts.items()):
         if len(by_signature) == 1:
             continue
         dominant = max(by_signature.values(), key=len)
-        for signature, instances in sorted(by_signature.items()):
+        for signature, instances in sorted(
+                (tuple("ptr" if kind else "const" for kind in signature),
+                 instances) for signature, instances in by_signature.items()):
             if instances is dominant:
                 continue
             batch_size, node_index = instances[0]

@@ -6,7 +6,8 @@ graph is structurally sound:
 
 - every dependency edge references a valid node index (MED020);
 - the edges form a DAG — instantiation order exists (MED021);
-- the ``graphs`` mapping key equals the graph's own ``batch_size`` (MED022);
+- the ``graphs`` mapping key equals the graph's own ``batch_size`` (MED022,
+  checked by the JSON importer: only the object form can break it);
 - the first-layer node count used for triggering (§5.2) is within bounds
   (MED023) and selects the *same* kernel-name prefix in every batch size's
   graph (MED024) — online warm-up launches ``nodes[:first_layer_nodes]`` of
@@ -18,52 +19,50 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.analysis.diagnostics import Diagnostic
-from repro.core.artifact import MaterializedModel
+from repro.core.binfmt import GraphTable, LazyArtifact
 
 
-def check_topology(artifact: MaterializedModel) -> List[Diagnostic]:
+def check_topology(artifact: LazyArtifact) -> List[Diagnostic]:
     """Edge validity, DAG-ness, and first-layer consistency checks (§5)."""
     diagnostics: List[Diagnostic] = []
-    for batch_size in sorted(artifact.graphs):
-        graph = artifact.graphs[batch_size]
-        where = f"graphs[{batch_size}]"
-        if graph.batch_size != batch_size:
-            diagnostics.append(Diagnostic(
-                "MED022",
-                f"stored under key {batch_size} but declares batch_size "
-                f"{graph.batch_size}", where))
-        diagnostics.extend(_check_edges(graph, where))
+    for batch_size in artifact.batches:
+        diagnostics.extend(_check_edges(artifact.graph_table(batch_size),
+                                        f"graphs[{batch_size}]"))
     diagnostics.extend(_check_first_layer(artifact))
     return diagnostics
 
 
-def _check_edges(graph, where: str) -> List[Diagnostic]:
+def _check_edges(table: GraphTable, where: str) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
-    num_nodes = graph.num_nodes
-    adjacency: Dict[int, List[int]] = {}
-    indegree = [0] * num_nodes
-    valid_edges = 0
-    for edge_index, (src, dst) in enumerate(graph.edges):
-        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-            diagnostics.append(Diagnostic(
-                "MED020",
-                f"edge ({src}, {dst}) references nodes outside "
-                f"0..{num_nodes - 1}", f"{where}.edges[{edge_index}]"))
-            continue
-        adjacency.setdefault(src, []).append(dst)
-        indegree[dst] += 1
-        valid_edges += 1
+    num_nodes = table.num_nodes
+    edges = table.edges
+    valid = ((edges >= 0) & (edges < num_nodes)).all(axis=1)
+    for edge_index, (src, dst) in zip(np.flatnonzero(~valid).tolist(),
+                                      edges[~valid].tolist()):
+        diagnostics.append(Diagnostic(
+            "MED020",
+            f"edge ({src}, {dst}) references nodes outside "
+            f"0..{num_nodes - 1}", f"{where}.edges[{edge_index}]"))
+    src, dst = edges[valid].T
+    if (src < dst).all():
+        return diagnostics     # every edge points forward: a DAG
     # Kahn's algorithm over the valid edges: leftovers mean a cycle.
+    adjacency: Dict[int, List[int]] = {}
+    indegree = np.bincount(dst, minlength=num_nodes).tolist()
+    for source, target in zip(src.tolist(), dst.tolist()):
+        adjacency.setdefault(source, []).append(target)
     ready = [n for n in range(num_nodes) if indegree[n] == 0]
     visited = 0
     while ready:
         node = ready.pop()
         visited += 1
-        for dst in adjacency.get(node, ()):
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                ready.append(dst)
+        for target in adjacency.get(node, ()):
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                ready.append(target)
     if visited < num_nodes:
         cyclic = sorted(n for n in range(num_nodes) if indegree[n] > 0)
         diagnostics.append(Diagnostic(
@@ -74,12 +73,14 @@ def _check_edges(graph, where: str) -> List[Diagnostic]:
     return diagnostics
 
 
-def _check_first_layer(artifact: MaterializedModel) -> List[Diagnostic]:
+def _check_first_layer(artifact: LazyArtifact) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
-    if not artifact.graphs:
+    if not artifact.batches:
         return diagnostics
+    tables = {batch: artifact.graph_table(batch)
+              for batch in artifact.batches}
     count = artifact.first_layer_nodes
-    smallest = min(g.num_nodes for g in artifact.graphs.values())
+    smallest = min(table.num_nodes for table in tables.values())
     if not 1 <= count <= smallest:
         diagnostics.append(Diagnostic(
             "MED023",
@@ -87,12 +88,12 @@ def _check_first_layer(artifact: MaterializedModel) -> List[Diagnostic]:
             f"smallest graph's node count ({smallest})",
             "first_layer_nodes"))
         return diagnostics
-    reference_batch = min(artifact.graphs)
-    reference = [node.kernel_name
-                 for node in artifact.graphs[reference_batch].nodes[:count]]
-    for batch_size in sorted(artifact.graphs):
-        prefix = [node.kernel_name
-                  for node in artifact.graphs[batch_size].nodes[:count]]
+    names = artifact.kernel_name_table()
+    reference_batch = min(tables)
+    reference = [names[k] for k in
+                 tables[reference_batch].kernel_ids[:count].tolist()]
+    for batch_size, table in tables.items():
+        prefix = [names[k] for k in table.kernel_ids[:count].tolist()]
         if prefix != reference:
             mismatch = next(i for i, (a, b) in enumerate(zip(prefix,
                                                              reference))

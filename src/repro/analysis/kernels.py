@@ -22,46 +22,60 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.diagnostics import Diagnostic
-from repro.core.artifact import MaterializedModel
-from repro.errors import InvalidValueError
+from repro.core.binfmt import LazyArtifact
 
 
-def check_kernels(artifact: MaterializedModel, catalog) -> List[Diagnostic]:
-    """``catalog`` is a :class:`repro.simgpu.libraries.LibraryCatalog`."""
+def check_kernels(artifact: LazyArtifact, catalog) -> List[Diagnostic]:
+    """``catalog`` is a :class:`repro.simgpu.libraries.LibraryCatalog`.
+
+    Facts are decided per distinct kernel; only nodes of a faulty kernel
+    are visited, to locate their diagnostics."""
     diagnostics: List[Diagnostic] = []
     covered_modules: Set[Tuple[str, str]] = set()
-    needed_modules: Dict[Tuple[str, str], List[str]] = {}
+    needed_modules: Dict[Tuple[str, str], Set[str]] = {}
+    names = artifact.kernel_name_table()
+    libraries = artifact.kernel_libraries
+    specs = [catalog.kernel(name) if name in catalog else None
+             for name in names]
+    faulty = np.array([libraries.get(name) is None or spec is None
+                       or libraries[name] != spec.library
+                       for name, spec in zip(names, specs)], dtype=bool)
+    first_layer = max(artifact.first_layer_nodes, 0)
 
-    for batch_size in sorted(artifact.graphs):
-        graph = artifact.graphs[batch_size]
-        for node_index, node in enumerate(graph.nodes):
+    for batch_size in artifact.batches:
+        kernel_ids = artifact.graph_table(batch_size).kernel_ids
+        first = set(kernel_ids[:first_layer].tolist())
+        for kernel_id in np.unique(kernel_ids).tolist():
+            spec = specs[kernel_id]
+            if spec is not None and (kernel_id in first or not spec.hidden):
+                covered_modules.add((spec.library, spec.module))
+            if spec is not None and spec.hidden:
+                needed_modules.setdefault((spec.library, spec.module),
+                                          set()).add(names[kernel_id])
+        bad_nodes = np.flatnonzero(faulty[kernel_ids])
+        for node_index, kernel_id in zip(bad_nodes.tolist(),
+                                         kernel_ids[bad_nodes].tolist()):
             where = f"graphs[{batch_size}].nodes[{node_index}]"
-            name = node.kernel_name
-            declared_library = artifact.kernel_libraries.get(name)
+            name, spec = names[kernel_id], specs[kernel_id]
+            declared_library = libraries.get(name)
             if declared_library is None:
                 diagnostics.append(Diagnostic(
                     "MED030",
                     f"kernel {name} has no entry in the kernel-library "
                     f"table; dlsym fallback cannot pick a library", where))
-            if name not in catalog:
+            if spec is None:
                 diagnostics.append(Diagnostic(
                     "MED030",
                     f"kernel {name} does not exist in the model's kernel "
                     f"catalog", where))
-                continue
-            spec = catalog.kernel(name)
-            if declared_library is not None \
-                    and declared_library != spec.library:
+            elif declared_library not in (None, spec.library):
                 diagnostics.append(Diagnostic(
                     "MED033",
                     f"kernel {name} mapped to {declared_library}, catalog "
                     f"says {spec.library}", where))
-            module_key = (spec.library, spec.module)
-            if node_index < artifact.first_layer_nodes or not spec.hidden:
-                covered_modules.add(module_key)
-            if spec.hidden:
-                needed_modules.setdefault(module_key, []).append(name)
 
     diagnostics.extend(_check_trigger_plans(artifact, catalog,
                                             covered_modules))
@@ -69,7 +83,7 @@ def check_kernels(artifact: MaterializedModel, catalog) -> List[Diagnostic]:
         if module_key in covered_modules:
             continue
         library, module = module_key
-        kernels = sorted(set(needed_modules[module_key]))
+        kernels = sorted(needed_modules[module_key])
         diagnostics.append(Diagnostic(
             "MED031",
             f"module {module} of {library} holds hidden kernel(s) "
@@ -78,7 +92,7 @@ def check_kernels(artifact: MaterializedModel, catalog) -> List[Diagnostic]:
     return diagnostics
 
 
-def _check_trigger_plans(artifact: MaterializedModel, catalog,
+def _check_trigger_plans(artifact: LazyArtifact, catalog,
                          covered_modules: Set[Tuple[str, str]]
                          ) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
@@ -91,20 +105,21 @@ def _check_trigger_plans(artifact: MaterializedModel, catalog,
                 f"catalog", where))
             continue
         batch_size, node_index = plan.node_ref
-        graph = artifact.graphs.get(batch_size)
-        if graph is None or not 0 <= node_index < graph.num_nodes:
+        table = artifact.graph_table(batch_size) \
+            if batch_size in artifact.batches else None
+        if table is None or not 0 <= node_index < table.num_nodes:
             diagnostics.append(Diagnostic(
                 "MED032",
                 f"trigger plan references node ({batch_size}, {node_index}) "
                 f"which the artifact does not contain", where))
             continue
-        node = graph.nodes[node_index]
-        if node.kernel_name != plan.kernel_name:
+        node_kernel = table.kernel_names[int(table.kernel_ids[node_index])]
+        if node_kernel != plan.kernel_name:
             diagnostics.append(Diagnostic(
                 "MED032",
                 f"trigger plan launches {plan.kernel_name} with parameters "
                 f"of node ({batch_size}, {node_index}), which belongs to "
-                f"{node.kernel_name}", where))
+                f"{node_kernel}", where))
             continue
         spec = catalog.kernel(plan.kernel_name)
         covered_modules.add((spec.library, spec.module))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.core.artifact import MaterializedModel
+from repro.core.binfmt import LazyArtifact, as_lazy
 
 _ALIGNMENT = 256
 
@@ -70,9 +70,12 @@ class LivenessResult:
         return self.records.get(alloc_index)
 
 
-def analyze_replay(artifact: MaterializedModel) -> LivenessResult:
-    """Symbolically execute the structure prefix plus replay suffix."""
-    result = LivenessResult(num_events=len(artifact.replay_events))
+def analyze_replay(artifact) -> LivenessResult:
+    """Symbolically execute the structure prefix plus replay suffix, one
+    packed replay-table row at a time."""
+    artifact = as_lazy(artifact)
+    rows = artifact.replay_table().rows()
+    result = LivenessResult(num_events=len(rows))
     records = result.records
     diagnostics = result.diagnostics
 
@@ -83,73 +86,72 @@ def analyze_replay(artifact: MaterializedModel) -> LivenessResult:
 
     # (pool, aligned size) -> [(alloc_index, pooled)] — the symbolic free
     # lists; LIFO, exactly like DeviceAllocator.
-    free_lists: Dict[Tuple[str, int], List[Tuple[int, bool]]] = {}
+    free_lists: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
     counter = len(artifact.structure_prefix)
 
     # Diagnostic locations are formatted only when a diagnostic fires.
-    for position, event in enumerate(artifact.replay_events):
-        if event.kind == "alloc":
-            if event.alloc_index != counter:
+    for position, (kind, alloc_index, size, pooled, tag, pool) in \
+            enumerate(rows):
+        if kind == 0:           # alloc
+            if alloc_index != counter:
                 diagnostics.append(Diagnostic(
                     "MED001",
-                    f"alloc index {event.alloc_index} arrived where the "
+                    f"alloc index {alloc_index} arrived where the "
                     f"sequence expects {counter}; online replay would abort "
                     f"with replay drift", _where(position)))
-            counter = event.alloc_index + 1
-            if event.size <= 0:
+            counter = alloc_index + 1
+            if size <= 0:
                 diagnostics.append(Diagnostic(
-                    "MED004", f"allocation of size {event.size}",
+                    "MED004", f"allocation of size {size}",
                     _where(position)))
                 continue
-            aligned = _align(event.size)
-            bucket = free_lists.get((event.pool, aligned))
+            aligned = _align(size)
+            bucket = free_lists.get((pool, aligned))
             if bucket:
-                previous_index, pooled = bucket.pop()
-                if pooled:
+                previous_index, previous_pooled = bucket.pop()
+                if previous_pooled:
                     previous = records[previous_index]
                     previous.end_state = SUPERSEDED
                     previous.end_position = position
-            if event.alloc_index in records:
-                # Drift already flagged; keep the newest record.
-                pass
-            records[event.alloc_index] = AllocationRecord(
-                alloc_index=event.alloc_index, size=aligned, tag=event.tag,
-                pool=event.pool, origin="replay", born=position)
-        elif event.kind == "free":
-            record = records.get(event.alloc_index)
+            # After drift (already flagged) the newest record wins.
+            records[alloc_index] = AllocationRecord(
+                alloc_index=alloc_index, size=aligned, tag=tag,
+                pool=pool, origin="replay", born=position)
+        elif kind == 1:         # free
+            record = records.get(alloc_index)
             if record is None:
                 diagnostics.append(Diagnostic(
                     "MED002",
-                    f"free of allocation index {event.alloc_index}, which "
+                    f"free of allocation index {alloc_index}, which "
                     f"no prior alloc or structure-prefix entry produced",
                     _where(position)))
                 continue
             if record.freed is not None:
                 diagnostics.append(Diagnostic(
                     "MED003",
-                    f"allocation {event.alloc_index} freed again "
+                    f"allocation {alloc_index} freed again "
                     f"(first free at {_where(record.freed)})",
                     _where(position)))
                 continue
             record.freed = position
-            record.pooled_free = event.pooled
-            if not event.pooled:
+            record.pooled_free = bool(pooled)
+            if not pooled:
                 record.end_state = UNMAPPED
                 record.end_position = position
             free_lists.setdefault((record.pool, record.size), []).append(
-                (event.alloc_index, event.pooled))
-        elif event.kind == "empty_cache":
+                (alloc_index, pooled))
+        elif kind == 2:         # empty_cache
             # torch.cuda.empty_cache(): every pool-cached block is released.
             for bucket in free_lists.values():
-                for alloc_index, pooled in bucket:
-                    if pooled:
-                        record = records[alloc_index]
+                for cached_index, cached_pooled in bucket:
+                    if cached_pooled:
+                        record = records[cached_index]
                         record.end_state = UNMAPPED
                         record.end_position = position
             free_lists.clear()
         else:
             diagnostics.append(Diagnostic(
-                "MED005", f"replay event kind {event.kind!r}",
+                "MED005", f"replay event kind code {kind}",
                 _where(position)))
 
     _check_anchors(artifact, result)
@@ -160,7 +162,7 @@ def _where(position: int) -> str:
     return f"replay[{position}]"
 
 
-def _check_anchors(artifact: MaterializedModel, result: LivenessResult) -> None:
+def _check_anchors(artifact: LazyArtifact, result: LivenessResult) -> None:
     """The artifact's designated allocations must exist with the right tag."""
     anchors = (
         ("kv_alloc_index", artifact.kv_alloc_index, "kv"),

@@ -15,64 +15,75 @@ This pass proves, against the symbolic liveness table:
   caching allocator keeps the block — and graph kernels rewrite them
   before reading (§4.3), so only cudaFree'd or empty-cache-released
   targets are faults;
-- a pointer restore sits on an 8-byte parameter slot (MED013) and every
-  node carries exactly one restore rule per parameter (MED014).
+- a pointer restore sits on an 8-byte parameter slot (MED013).
+
+One restore rule per parameter (MED014) only the JSON object form can
+break; :func:`repro.core.binfmt.as_lazy` checks it while packing.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import UNMAPPED, LivenessResult
-from repro.core.artifact import MaterializedModel
-from repro.core.pointer_analysis import POINTER
+from repro.core.binfmt import POINTER_CODE, LazyArtifact
 
 
-def check_pointers(artifact: MaterializedModel,
+def check_pointers(artifact: LazyArtifact,
                    liveness: LivenessResult) -> List[Diagnostic]:
-    """Bounds- and liveness-check every indirect index pointer (§4.1)."""
+    """Bounds- and liveness-check every indirect index pointer (§4.1):
+    a vector scan per graph flags bad slots, worded one by one."""
     diagnostics: List[Diagnostic] = []
-    for batch_size in sorted(artifact.graphs):
-        graph = artifact.graphs[batch_size]
-        for node_index, node in enumerate(graph.nodes):
-            where = f"graphs[{batch_size}].nodes[{node_index}]"
-            if len(node.param_restores) != len(node.param_sizes):
+    for batch_size in artifact.batches:
+        table = artifact.graph_table(batch_size)
+        slots = np.flatnonzero(table.param_kinds == POINTER_CODE)
+        targets = table.param_values[slots]
+        offsets = table.param_byte_offsets[slots]
+        sizes = table.param_sizes[slots]
+        # Each distinct target's record, spread back over its slots.
+        unique, inverse = np.unique(targets, return_inverse=True)
+        records = [liveness.record(i) for i in unique.tolist()]
+        alloc_sizes = np.array([r.size if r else 0 for r in records])
+        ok = np.array([r is not None and r.end_state != UNMAPPED
+                       for r in records], dtype=bool)
+        bad = (sizes != 8) | ~ok[inverse] \
+            | (offsets < 0) | (offsets >= alloc_sizes[inverse])
+        flagged = slots[bad]
+        nodes = np.searchsorted(table.param_offsets, flagged, "right") - 1
+        for node, param, kernel_id, size, alloc_index, offset in zip(
+                nodes.tolist(),
+                (flagged - table.param_offsets[nodes]).tolist(),
+                table.kernel_ids[nodes].tolist(), sizes[bad].tolist(),
+                targets[bad].tolist(), offsets[bad].tolist()):
+            kernel_name = table.kernel_names[kernel_id]
+            spot = f"graphs[{batch_size}].nodes[{node}].params[{param}]"
+            if size != 8:
                 diagnostics.append(Diagnostic(
-                    "MED014",
-                    f"kernel {node.kernel_name}: {len(node.param_restores)} "
-                    f"restore rules for {len(node.param_sizes)} parameters",
-                    where))
-            for position, (size, restore) in enumerate(
-                    zip(node.param_sizes, node.param_restores)):
-                if restore.kind != POINTER:
-                    continue
-                spot = f"{where}.params[{position}]"
-                if size != 8:
-                    diagnostics.append(Diagnostic(
-                        "MED013",
-                        f"pointer restore on a {size}-byte parameter of "
-                        f"{node.kernel_name}", spot))
-                record = liveness.record(restore.alloc_index)
-                if record is None:
-                    diagnostics.append(Diagnostic(
-                        "MED010",
-                        f"pointer names allocation {restore.alloc_index}, "
-                        f"which the replayed sequence never produces", spot))
-                    continue
-                if not 0 <= restore.offset < record.size:
-                    diagnostics.append(Diagnostic(
-                        "MED011",
-                        f"offset {restore.offset} outside allocation "
-                        f"{restore.alloc_index} of {record.size} bytes",
-                        spot))
-                if record.end_state == UNMAPPED:
-                    cause = ("cudaFree'd" if record.freed is not None
-                             and not record.pooled_free else
-                             "released by empty_cache")
-                    diagnostics.append(Diagnostic(
-                        "MED012",
-                        f"pointer into allocation {restore.alloc_index}, "
-                        f"{cause} at replay[{record.end_position}] and "
-                        f"unmapped when the graph launches", spot))
+                    "MED013",
+                    f"pointer restore on a {size}-byte parameter of "
+                    f"{kernel_name}", spot))
+            record = liveness.record(alloc_index)
+            if record is None:
+                diagnostics.append(Diagnostic(
+                    "MED010",
+                    f"pointer names allocation {alloc_index}, which the "
+                    f"replayed sequence never produces", spot))
+                continue
+            if not 0 <= offset < record.size:
+                diagnostics.append(Diagnostic(
+                    "MED011",
+                    f"offset {offset} outside allocation {alloc_index} of "
+                    f"{record.size} bytes", spot))
+            if record.end_state == UNMAPPED:
+                cause = ("cudaFree'd" if record.freed is not None
+                         and not record.pooled_free else
+                         "released by empty_cache")
+                diagnostics.append(Diagnostic(
+                    "MED012",
+                    f"pointer into allocation {alloc_index}, {cause} at "
+                    f"replay[{record.end_position}] and unmapped when the "
+                    f"graph launches", spot))
     return diagnostics

@@ -16,15 +16,16 @@ Artifact paths ending in ``.npz`` select the binary format: ``offline``
 writes via :func:`repro.core.binfmt.save_binary`, and the consuming
 commands open them lazily (:class:`repro.core.binfmt.LazyArtifact`),
 which puts ``coldstart --strategy medusa``/``restore``/``validate`` on
-the pipelined plan (JSON artifacts restore on the monolithic one).
+the pipelined plan (JSON artifacts are packed in memory and restore on the
+monolithic one).  ``lint`` reads the packed tables either way.
 
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
-exit-code convention (``coldstart`` and ``restore`` share its 2):
-0 = clean/passed, 1 = diagnostics found or outputs diverged, 2 = the
-artifact could not be read at all.  With ``validate --degraded-ok`` a
-restore that walked the degradation ladder but still serves correct
-outputs exits 3 — distinguishable from both a clean pass and a hard
-failure.
+exit-code convention (``coldstart`` and ``restore`` share its 1 and 2):
+0 = clean/passed, 1 = diagnostics found, outputs diverged or the restore
+failed, 2 = the artifact could not be read at all.  With ``validate
+--degraded-ok`` a restore that walked the degradation ladder but still
+serves correct outputs exits 3 — distinguishable from both a clean pass
+and a hard failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import validate_restoration
 from repro.engine import Strategy
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, MaterializationError
 from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
@@ -245,6 +246,9 @@ def _cmd_coldstart(args) -> int:
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MaterializationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _print_report(report)
     return 0
 
@@ -266,11 +270,11 @@ def _cmd_offline(args) -> int:
     if str(args.output).endswith(".npz"):
         size = save_binary(artifact, args.output)
     else:
-        size = artifact.save(args.output)
+        size = artifact.materialize().save(args.output)
     print(f"capturing stage: {report.capture_stage_time:.1f} s (simulated)")
     print(f"analysis stage:  {report.analysis_time:.1f} s (simulated)")
     print(f"materialized {artifact.total_nodes} nodes / "
-          f"{len(artifact.graphs)} graphs -> {args.output} "
+          f"{len(artifact.batches)} graphs -> {args.output} "
           f"({size / 1024**2:.1f} MiB)")
     return 0
 
@@ -280,15 +284,18 @@ def _cmd_restore(args) -> int:
         artifact = _load_artifact(args.artifact)
         _engine, report = cold_start_for(args.model, Strategy.MEDUSA,
                                          artifact=artifact, seed=args.seed)
+        _print_report(report)
+        if args.validate:
+            result = validate_restoration(args.model, artifact,
+                                          seed=args.seed + 1)
+            print(f"validation: PASSED on batches {result.batches_checked} "
+                  f"(max abs error {result.max_abs_error})")
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_report(report)
-    if args.validate:
-        result = validate_restoration(args.model, artifact,
-                                      seed=args.seed + 1)
-        print(f"validation: PASSED on batches {result.batches_checked} "
-              f"(max abs error {result.max_abs_error})")
+    except MaterializationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -296,7 +303,7 @@ def _cmd_lint(args) -> int:
     from repro.analysis import lint_artifact, lint_file
     try:
         if str(args.artifact).endswith(".npz"):
-            report = lint_artifact(LazyArtifact(args.artifact).materialize())
+            report = lint_artifact(LazyArtifact(args.artifact))
         else:
             report = lint_file(args.artifact)
     except ArtifactError as exc:
@@ -345,7 +352,6 @@ def _cmd_lint_plan(args) -> int:
 def _cmd_validate(args) -> int:
     import json as _json
 
-    from repro.errors import MaterializationError
     from repro.reporting import format_diagnostics
 
     try:

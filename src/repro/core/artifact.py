@@ -1,7 +1,11 @@
-"""The materialization artifact: everything the online phase restores from.
+"""The artifact's object form, used only at the JSON boundary.
 
-One artifact is produced per <GPU type, model type> by the offline phase
-(§3) and contains:
+In memory the artifact is packed numpy tables
+(:class:`repro.core.binfmt.LazyArtifact`); this module's
+:class:`MaterializedModel` is what JSON import and export go through
+(:func:`repro.core.binfmt.as_lazy` packs it, ``LazyArtifact.materialize``
+builds it).  One artifact is produced per <GPU type, model type> by the
+offline phase (§3) and contains:
 
 - the materialized KV-cache initialization (the profiled free memory, §6);
 - the replayable buffer (de)allocation event sequence (§4.2);
@@ -12,20 +16,18 @@ One artifact is produced per <GPU type, model type> by the offline phase
 - the first-layer node count (for first-layer triggering, §5.2) and any
   handwritten trigger plans (§5.1).
 
-The artifact is JSON-serializable, so it round-trips through files the way
-the real system persists CUDA graph state to SSDs.
+In this form the artifact round-trips through JSON files the way the real
+system persists CUDA graph state to SSDs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.errors import ArtifactError
-from repro.core.pointer_analysis import CONST, POINTER, ParamRestore
+from repro.core.pointer_analysis import ParamRestore
 
 ARTIFACT_FORMAT_VERSION = 2
 
@@ -105,24 +107,6 @@ class MaterializedModel:
     # Offline statistics carried for reports/ablations.
     stats: Dict[str, float] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(graph.num_nodes for graph in self.graphs.values())
-
-    @property
-    def total_replay_events(self) -> int:
-        return len(self.replay_events)
-
-    def graph(self, batch_size: int) -> MaterializedGraph:
-        graph = self.graphs.get(batch_size)
-        if graph is None:
-            raise ArtifactError(
-                f"artifact for {self.model_name} has no graph for batch "
-                f"{batch_size} (has: {sorted(self.graphs)})")
-        return graph
-
     # -- (de)serialization ------------------------------------------------
 
     def to_json(self) -> str:
@@ -171,14 +155,11 @@ class MaterializedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MaterializedModel":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ArtifactError(
-                f"artifact payload is a {type(payload).__name__}, expected "
-                f"an object")
+        return cls.from_payload(parse_artifact_json(text))
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "MaterializedModel":
+        """The model a parsed JSON artifact describes."""
         version = payload.get("format_version")
         if version != ARTIFACT_FORMAT_VERSION:
             raise ArtifactError(
@@ -236,17 +217,31 @@ class MaterializedModel:
 
     @classmethod
     def load(cls, path) -> "MaterializedModel":
-        try:
-            with open(path) as handle:
-                return cls.from_json(handle.read())
-        except FileNotFoundError as exc:
-            raise ArtifactError(f"no artifact at {path}") from exc
+        return cls.from_json(read_artifact_text(path))
 
-    # -- payload helpers ------------------------------------------------------
 
-    def permanent_payload(self, alloc_index: int) -> np.ndarray:
-        rows = self.permanent_contents.get(alloc_index)
-        if rows is None:
-            raise ArtifactError(
-                f"no dumped contents for allocation {alloc_index}")
-        return np.array(rows, dtype=np.float64)
+def parse_artifact_json(text: str) -> dict:
+    """Parse artifact JSON; anything but a JSON object is an ArtifactError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"artifact payload is a {type(payload).__name__}"
+                            f", expected an object")
+    return payload
+
+
+def read_artifact_text(path) -> str:
+    """A JSON artifact file's text, read as bytes and decoded here: a
+    missing, unreadable or non-UTF-8 file raises :class:`ArtifactError`."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    except FileNotFoundError as exc:
+        raise ArtifactError(f"no artifact at {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"artifact at {path} is not UTF-8 text: {exc}"
+                            ) from exc
+    except OSError as exc:
+        raise ArtifactError(f"cannot read artifact at {path}: {exc}") from exc

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.artifact import MaterializedModel
 from repro.models.config import ModelConfig
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
@@ -52,8 +51,11 @@ class CheckpointRestoreBaseline:
                 / self.cost_model.gpu.h2d_bandwidth
                 + self.restore_fixup_time)
 
-    def compare_with_artifact(self, artifact: MaterializedModel) -> dict:
-        """Storage/latency comparison against a Medusa artifact (§9)."""
+    def compare_with_artifact(self, artifact) -> dict:
+        """Storage/latency comparison against a Medusa artifact (§9).
+
+        The artifact's size is its JSON export's, the form the paper's
+        artifact persists."""
         kv_bytes = artifact.kv_bytes
         artifact_bytes = len(artifact.to_json())
         checkpoint = self.checkpoint_bytes(kv_bytes)

@@ -1,24 +1,19 @@
-"""Binary artifact format (.npz): the bulk arrays out of JSON.
+"""The packed artifact: the one in-memory form, and its ``.npz`` file.
 
 A paper-scale artifact holds ~16k nodes x ~7 parameter restores plus ~65k
-replay events; as JSON that is ~10 MiB of digits.  This module packs the
-bulky parts into numpy arrays (one ``.npz`` per artifact) while keeping the
-small metadata as an embedded JSON string — typically ~6x smaller and much
-faster to load, which matters because artifact deserialization sits on the
-online critical path (§7.3).
-
-One reader, :class:`LazyArtifact`, opens the npz and parses only the
-embedded JSON metadata; the bulk replay/parameter tables stay numpy arrays
-(:class:`ReplayTable`, :class:`GraphTable`), decompressed per graph on first
-access, and :mod:`repro.core.fastpath` restores from them array-at-a-time
-without ever building per-node Python objects.  An eager
-:class:`~repro.core.artifact.MaterializedModel` becomes the same view in
-memory through :func:`as_lazy`; :func:`load_binary` goes the other way
-(``LazyArtifact(path).materialize()``) for lint and JSON conversion.
-
-Every ``.npy`` member, of an npz (:class:`NpzMembers`) or of a chunk
+replay events, so it lives as numpy columns plus a small metadata dict
+(:class:`LazyArtifact`, with the bulk :class:`ReplayTable` and
+:class:`GraphTable`).  The restorer and lint read those tables
+array-at-a-time; objects exist only at the JSON boundary
+(:meth:`LazyArtifact.materialize`, :func:`as_lazy`).  One packer,
+:func:`pack_artifact`, builds the columns, for the offline phase and for
+the JSON importer alike.  :func:`save_binary` writes the artifact's own
+members as one ``.npz``, and ``LazyArtifact(path)`` parses only its
+embedded metadata up front, decompressing each table on first access and
+checking it once (dtype, shape, lengths, CSR offsets, string ids).  Every
+``.npy`` member, of an npz (:class:`NpzMembers`) or of a chunk
 (:func:`repro.core.chunks.unpack_chunk`), is read by one decoder,
-:func:`_decode_npy`, with one set of :class:`ArtifactError` checks.
+:func:`_decode_npy`; any failed check raises :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -30,7 +25,9 @@ import json
 import math
 import zipfile
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,147 +43,178 @@ from repro.core.pointer_analysis import CONST, POINTER, ParamRestore
 from repro.errors import ArtifactError
 from repro.utils.files import write_if_changed
 
-_KIND_CODES = {CONST: 0, POINTER: 1}
 #: On-disk code of pointer-kind parameter slots (``GraphTable.param_kinds``).
-POINTER_CODE = _KIND_CODES[POINTER]
+POINTER_CODE = 1
 _EVENT_CODES = {"alloc": 0, "free": 1, "empty_cache": 2}
 _EVENT_NAMES = {0: "alloc", 1: "free", 2: "empty_cache"}
 
+#: The embedded metadata's keys, in the order ``save_binary`` writes them.
+_META_KEYS = ("model_name", "gpu_name", "format_version", "kv_bytes",
+              "kv_num_blocks", "kv_layer_stride", "kv_alloc_index",
+              "structure_prefix", "graph_input_alloc_index",
+              "graph_output_alloc_index", "capture_marker",
+              "kernel_libraries", "permanent_contents", "batches",
+              "graph_meta", "first_layer_nodes", "trigger_plans", "stats")
 
-def artifact_arrays(
-        artifact: MaterializedModel) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Flatten ``artifact`` into its on-disk arrays and metadata dict.
+#: Bulk members of one graph, without the ``g<batch>_`` prefix.
+GRAPH_MEMBERS = ("kernel", "batchdim", "param_offsets", "param_sizes",
+                 "param_kinds", "param_values", "param_byte_offsets", "edges")
 
-    Shared by :func:`save_binary` (which packs everything into one .npz)
-    and :mod:`repro.core.chunks` (which splits the same arrays into
-    content-addressed chunks).  The metadata dict is the exact object
-    :func:`save_binary` embeds as the ``metadata`` member.
+
+class GraphRows(NamedTuple):
+    """One graph as :func:`pack_artifact` takes it: per-node sequences."""
+    kernel_names: Sequence[str]
+    batch_dims: Sequence[int]
+    param_sizes: Sequence[Sequence[int]]
+    restores: Sequence[Sequence[ParamRestore]]
+    edges: Sequence[Sequence[int]]
+    param_bytes: int
+    num_tokens: int
+
+
+def pack_artifact(fields: dict, replay: Sequence[tuple],
+                  graphs: Dict[int, GraphRows]) -> "LazyArtifact":
+    """The one packer: the in-memory artifact's arrays and metadata.
+
+    ``fields`` holds every metadata entry but the derived ``batches`` and
+    ``graph_meta``; its dicts and lists are kept, so a caller may fill one
+    in after packing.  ``replay`` rows are ``(kind code, alloc_index,
+    size, pooled, tag, pool)``; ``graphs`` is in member order.
     """
-    kernel_names = sorted({node.kernel_name
-                           for graph in artifact.graphs.values()
-                           for node in graph.nodes})
+    kernel_names = sorted({name for graph in graphs.values()
+                           for name in graph.kernel_names})
     name_index = {name: i for i, name in enumerate(kernel_names)}
-    pools = sorted({event.pool for event in artifact.replay_events})
-    pool_index = {pool: i for i, pool in enumerate(pools)}
-    tags = sorted({event.tag for event in artifact.replay_events})
-    tag_index = {tag: i for i, tag in enumerate(tags)}
-
-    arrays: Dict[str, np.ndarray] = {
-        "kernel_names": np.array(kernel_names),
-        "pools": np.array(pools),
-        "tags": np.array(tags),
-    }
-
-    # Replay events: one row each.
-    events = artifact.replay_events
-    arrays["ev_kind"] = np.array(
-        [_EVENT_CODES[e.kind] for e in events], dtype=np.int8)
-    arrays["ev_alloc_index"] = np.array(
-        [e.alloc_index for e in events], dtype=np.int64)
-    arrays["ev_size"] = np.array([e.size for e in events], dtype=np.int64)
-    arrays["ev_pooled"] = np.array([e.pooled for e in events], dtype=np.int8)
-    arrays["ev_tag"] = np.array(
-        [tag_index[e.tag] for e in events], dtype=np.int16)
-    arrays["ev_pool"] = np.array(
-        [pool_index[e.pool] for e in events], dtype=np.int8)
-
-    # Graphs: per batch, flattened node/param/edge arrays.
-    for batch, graph in artifact.graphs.items():
-        prefix = f"g{batch}_"
-        arrays[prefix + "kernel"] = np.array(
-            [name_index[n.kernel_name] for n in graph.nodes], dtype=np.int32)
-        arrays[prefix + "batchdim"] = np.array(
-            [n.launch_dims.get("batch_size", 0) for n in graph.nodes],
-            dtype=np.int32)
-        offsets = [0]
-        sizes: List[int] = []
-        kinds: List[int] = []
-        values: List[int] = []
-        byte_offsets: List[int] = []
-        for node in graph.nodes:
-            for size, restore in zip(node.param_sizes, node.param_restores):
-                sizes.append(size)
-                kinds.append(_KIND_CODES[restore.kind])
-                if restore.kind == POINTER:
-                    values.append(restore.alloc_index)
-                    byte_offsets.append(restore.offset)
-                else:
-                    values.append(restore.value)
-                    byte_offsets.append(0)
-            offsets.append(len(sizes))
-        arrays[prefix + "param_offsets"] = np.array(offsets, dtype=np.int64)
-        arrays[prefix + "param_sizes"] = np.array(sizes, dtype=np.int8)
-        arrays[prefix + "param_kinds"] = np.array(kinds, dtype=np.int8)
-        arrays[prefix + "param_values"] = np.array(values, dtype=np.int64)
-        arrays[prefix + "param_byte_offsets"] = np.array(byte_offsets,
-                                                         dtype=np.int64)
-        arrays[prefix + "edges"] = np.array(sorted(graph.edges),
-                                            dtype=np.int64).reshape(-1, 2)
-
-    metadata = {
-        "model_name": artifact.model_name,
-        "gpu_name": artifact.gpu_name,
-        "format_version": artifact.format_version,
-        "kv_bytes": artifact.kv_bytes,
-        "kv_num_blocks": artifact.kv_num_blocks,
-        "kv_layer_stride": artifact.kv_layer_stride,
-        "kv_alloc_index": artifact.kv_alloc_index,
-        "structure_prefix": list(artifact.structure_prefix),
-        "graph_input_alloc_index": artifact.graph_input_alloc_index,
-        "graph_output_alloc_index": artifact.graph_output_alloc_index,
-        "capture_marker": artifact.capture_marker,
-        "kernel_libraries": artifact.kernel_libraries,
-        "permanent_contents": {str(k): v for k, v
-                               in artifact.permanent_contents.items()},
-        "batches": sorted(artifact.graphs),
-        # [param_bytes, num_tokens, num_nodes] — the node count lets a
-        # lazy reader report totals without decompressing any graph array.
-        "graph_meta": {str(b): [g.param_bytes, g.num_tokens, g.num_nodes]
-                       for b, g in artifact.graphs.items()},
-        "first_layer_nodes": artifact.first_layer_nodes,
-        "trigger_plans": [[t.kernel_name, list(t.node_ref)]
-                          for t in artifact.trigger_plans],
-        "stats": artifact.stats,
-    }
-    return arrays, metadata
+    kinds, alloc_indices, sizes, pooled, tags, pools = \
+        zip(*replay) if replay else ((),) * 6
+    tag_table = sorted(set(tags))
+    tag_index = {tag: i for i, tag in enumerate(tag_table)}
+    pool_table = sorted(set(pools))
+    pool_index = {pool: i for i, pool in enumerate(pool_table)}
+    try:
+        arrays: Dict[str, np.ndarray] = {
+            "kernel_names": np.array(kernel_names),
+            "pools": np.array(pool_table),
+            "tags": np.array(tag_table),
+            "ev_kind": np.array(kinds, dtype=np.int8),
+            "ev_alloc_index": np.array(alloc_indices, dtype=np.int64),
+            "ev_size": np.array(sizes, dtype=np.int64),
+            "ev_pooled": np.array(pooled, dtype=np.int8),
+            "ev_tag": np.array([tag_index[t] for t in tags], dtype=np.int16),
+            "ev_pool": np.array([pool_index[p] for p in pools],
+                                dtype=np.int8),
+        }
+        for batch, graph in graphs.items():
+            prefix = f"g{batch}_"
+            offsets = np.zeros(len(graph.restores) + 1, dtype=np.int64)
+            offsets[1:] = np.cumsum([len(r) for r in graph.restores])
+            slot_kinds: List[bool] = []    # True is POINTER_CODE
+            values: List[int] = []
+            byte_offsets: List[int] = []
+            for restore in chain.from_iterable(graph.restores):
+                pointer = restore.kind == POINTER
+                if not pointer and restore.kind != CONST:
+                    raise ArtifactError(f"graph {batch} has a parameter "
+                                        f"restore of kind {restore.kind!r}")
+                slot_kinds.append(pointer)
+                values.append(restore.alloc_index if pointer
+                              else restore.value)
+                byte_offsets.append(restore.offset if pointer else 0)
+            arrays[prefix + "kernel"] = np.array(
+                [name_index[name] for name in graph.kernel_names],
+                dtype=np.int32)
+            arrays[prefix + "batchdim"] = np.array(graph.batch_dims,
+                                                   dtype=np.int32)
+            arrays[prefix + "param_offsets"] = offsets
+            arrays[prefix + "param_sizes"] = np.array(
+                list(chain.from_iterable(graph.param_sizes)), dtype=np.int8)
+            arrays[prefix + "param_kinds"] = np.array(slot_kinds,
+                                                      dtype=np.int8)
+            arrays[prefix + "param_values"] = np.array(values,
+                                                       dtype=np.int64)
+            arrays[prefix + "param_byte_offsets"] = np.array(byte_offsets,
+                                                             dtype=np.int64)
+            arrays[prefix + "edges"] = np.array(
+                graph.edges, dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArtifactError(f"artifact does not pack: {exc}") from exc
+    # graph_meta rows are [param_bytes, num_tokens, num_nodes]: the node
+    # count lets a reader report totals without decompressing any graph.
+    fields = dict(fields, batches=sorted(graphs), graph_meta={
+        str(b): [g.param_bytes, g.num_tokens, len(g.kernel_names)]
+        for b, g in graphs.items()})
+    return LazyArtifact(None, data=arrays,
+                        meta={key: fields[key] for key in _META_KEYS})
 
 
-def save_binary(artifact: MaterializedModel, path) -> int:
-    """Write ``artifact`` as .npz; returns the byte size on disk.
+def save_binary(artifact, path) -> int:
+    """Write the packed ``artifact``'s own members as .npz; returns the
+    byte size on disk.
 
     The archive's bytes depend only on the artifact (every zip member
     carries the same fixed timestamp), so a file that already holds them
     is left as it is.
     """
-    arrays, metadata = artifact_arrays(artifact)
-    arrays["metadata"] = np.array([json.dumps(metadata)])
+    artifact = as_lazy(artifact)
+    members = artifact.members()
+    members["metadata"] = np.array([json.dumps(artifact.metadata())])
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
+    np.savez_compressed(buffer, **members)
     payload = buffer.getvalue()
     write_if_changed(path, payload)
     return len(payload)
 
 
 def load_binary(path) -> MaterializedModel:
-    """Read an artifact written by :func:`save_binary` as an eager model.
-
-    Goes through :class:`LazyArtifact`, so both readers share one format
-    version and metadata check.
-    """
+    """Read an artifact written by :func:`save_binary` in object form
+    (through :class:`LazyArtifact`, so both share one metadata check)."""
     return LazyArtifact(path).materialize()
 
 
 def as_lazy(artifact) -> "LazyArtifact":
-    """``artifact`` as a :class:`LazyArtifact`.
+    """``artifact`` packed: the JSON importer.
 
-    An eager :class:`~repro.core.artifact.MaterializedModel` is packed once
-    with :func:`artifact_arrays` into an in-memory view; a lazy artifact
-    (``.npz`` or chunk-backed) is returned as is.
+    A packed artifact is returned as is.  An object-form
+    :class:`~repro.core.artifact.MaterializedModel` is packed, and the two
+    checks only that form can fail land on the result's ``findings`` for
+    lint: a node with more or fewer restore rules than parameters (MED014,
+    packed truncated) and a graph under another batch size than its own
+    (MED022).
     """
     if isinstance(artifact, LazyArtifact):
         return artifact
-    arrays, metadata = artifact_arrays(artifact)
-    return LazyArtifact(None, data=arrays, meta=metadata)
+    findings: List[Tuple[str, str, str]] = []
+    graphs: Dict[int, GraphRows] = {}
+    for batch, graph in artifact.graphs.items():
+        if graph.batch_size != batch:
+            findings.append((
+                "MED022", f"stored under key {batch} but declares "
+                f"batch_size {graph.batch_size}", f"graphs[{batch}]"))
+        nodes = graph.nodes
+        for node_index, node in enumerate(nodes):
+            if len(node.param_restores) != len(node.param_sizes):
+                findings.append((
+                    "MED014", f"kernel {node.kernel_name}: "
+                    f"{len(node.param_restores)} restore rules for "
+                    f"{len(node.param_sizes)} parameters",
+                    f"graphs[{batch}].nodes[{node_index}]"))
+        graphs[batch] = GraphRows(
+            [node.kernel_name for node in nodes],
+            [node.launch_dims.get("batch_size", 0) for node in nodes],
+            [n.param_sizes[:len(n.param_restores)] for n in nodes],
+            [n.param_restores[:len(n.param_sizes)] for n in nodes],
+            graph.edges, graph.param_bytes, graph.num_tokens)
+    replay = [(_EVENT_CODES.get(e.kind, -1), e.alloc_index, e.size,
+               e.pooled, e.tag, e.pool) for e in artifact.replay_events]
+    fields = {key: getattr(artifact, key, None) for key in _META_KEYS}
+    fields.update(
+        structure_prefix=list(artifact.structure_prefix),
+        permanent_contents={str(k): v for k, v
+                            in artifact.permanent_contents.items()},
+        trigger_plans=[[t.kernel_name, list(t.node_ref)]
+                       for t in artifact.trigger_plans])
+    lazy = pack_artifact(fields, replay, graphs)
+    lazy.findings = findings
+    return lazy
 
 
 # ---------------------------------------------------------------------------
@@ -294,29 +322,28 @@ class NpzMembers:
 # Lazy reader: header + metadata up front, bulk arrays on demand
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class ReplayTable:
     """The replay-event sequence as a struct of numpy arrays.
 
     Instead of ~65k :class:`ReplayEvent` objects, this table keeps the six
     columns the events decompose into (kind code, allocation index, size,
     pooled flag, tag id, pool id) plus the two string tables.
-    :meth:`rows` yields plain-int tuples for the replay loop (converted from
+    :meth:`rows` yields plain-int tuples for the replay loops (converted from
     the arrays once, not per access), and :meth:`event` rehydrates a single
-    :class:`ReplayEvent` for the fault injector's per-event hook.
+    :class:`ReplayEvent`.
     """
 
-    def __init__(self, kind: np.ndarray, alloc_index: np.ndarray,
-                 size: np.ndarray, pooled: np.ndarray, tag_id: np.ndarray,
-                 pool_id: np.ndarray, tags: List[str], pools: List[str]):
-        self.kind = kind
-        self.alloc_index = alloc_index
-        self.size = size
-        self.pooled = pooled
-        self.tag_id = tag_id
-        self.pool_id = pool_id
-        self.tags = tags
-        self.pools = pools
-        self._rows: Optional[List[Tuple[int, int, int, int, str, str]]] = None
+    kind: np.ndarray
+    alloc_index: np.ndarray
+    size: np.ndarray
+    pooled: np.ndarray
+    tag_id: np.ndarray
+    pool_id: np.ndarray
+    tags: List[str]
+    pools: List[str]
+    _rows: Optional[List[Tuple[int, int, int, int, str, str]]] = field(
+        default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return int(self.kind.shape[0])
@@ -327,9 +354,7 @@ class ReplayTable:
         if self._rows is None:
             tags, pools = self.tags, self.pools
             self._rows = [
-                (kind, alloc_index, size, pooled,
-                 tags[tag] if tags else "",
-                 pools[pool] if pools else "default")
+                (kind, alloc_index, size, pooled, tags[tag], pools[pool])
                 for kind, alloc_index, size, pooled, tag, pool in zip(
                     self.kind.tolist(), self.alloc_index.tolist(),
                     self.size.tolist(), self.pooled.tolist(),
@@ -338,16 +363,14 @@ class ReplayTable:
         return self._rows
 
     def event(self, position: int) -> ReplayEvent:
-        """Rehydrate the one event at ``position`` (object fallback)."""
+        """The one event at ``position`` as an object (the fault
+        injector's per-event hook, and JSON export)."""
         kind, alloc_index, size, pooled, tag, pool = self.rows()[position]
         return ReplayEvent(kind=_EVENT_NAMES[kind], alloc_index=alloc_index,
                            size=size, tag=tag, pooled=bool(pooled), pool=pool)
 
-    def events(self) -> List[ReplayEvent]:
-        """Every event as an object list (the eager equivalent)."""
-        return [self.event(i) for i in range(len(self))]
 
-
+@dataclass(eq=False)
 class GraphTable:
     """One captured batch size's graph as flat numpy arrays.
 
@@ -360,24 +383,18 @@ class GraphTable:
     vectorized restorer performs in one shot.
     """
 
-    def __init__(self, batch_size: int, kernel_ids: np.ndarray,
-                 kernel_names: List[str], batch_dims: np.ndarray,
-                 param_offsets: np.ndarray, param_sizes: np.ndarray,
-                 param_kinds: np.ndarray, param_values: np.ndarray,
-                 param_byte_offsets: np.ndarray, edges: np.ndarray,
-                 param_bytes: int, num_tokens: int):
-        self.batch_size = batch_size
-        self.kernel_ids = kernel_ids
-        self.kernel_names = kernel_names       # shared global name table
-        self.batch_dims = batch_dims
-        self.param_offsets = param_offsets
-        self.param_sizes = param_sizes
-        self.param_kinds = param_kinds
-        self.param_values = param_values
-        self.param_byte_offsets = param_byte_offsets
-        self.edges = edges
-        self.param_bytes = param_bytes
-        self.num_tokens = num_tokens
+    batch_size: int
+    kernel_ids: np.ndarray
+    kernel_names: List[str]        # the artifact's shared name table
+    batch_dims: np.ndarray
+    param_offsets: np.ndarray
+    param_sizes: np.ndarray
+    param_kinds: np.ndarray
+    param_values: np.ndarray
+    param_byte_offsets: np.ndarray
+    edges: np.ndarray
+    param_bytes: int
+    num_tokens: int
 
     @property
     def num_nodes(self) -> int:
@@ -389,49 +406,45 @@ class GraphTable:
         names = self.kernel_names
         return [names[k] for k in self.kernel_ids.tolist()]
 
-    def node(self, index: int) -> MaterializedNode:
-        """Rehydrate node ``index`` as an object (eager equivalent)."""
-        start = int(self.param_offsets[index])
-        end = int(self.param_offsets[index + 1])
-        restores: List[ParamRestore] = []
-        for position in range(start, end):
-            if int(self.param_kinds[position]) == POINTER_CODE:
-                restores.append(ParamRestore.pointer(
-                    int(self.param_values[position]),
-                    int(self.param_byte_offsets[position])))
-            else:
-                restores.append(ParamRestore.const(
-                    int(self.param_values[position])))
-        return MaterializedNode(
-            kernel_name=self.kernel_names[int(self.kernel_ids[index])],
-            param_sizes=[int(s) for s in self.param_sizes[start:end]],
-            param_restores=restores,
-            launch_dims={"batch_size": int(self.batch_dims[index])},
-        )
-
     def to_graph(self) -> MaterializedGraph:
-        """Rehydrate the whole graph into objects (eager equivalent)."""
+        """The graph as objects (the JSON export form)."""
+        restores = [ParamRestore.pointer(value, offset) if kind == POINTER_CODE
+                    else ParamRestore.const(value)
+                    for kind, value, offset in zip(
+                        self.param_kinds.tolist(), self.param_values.tolist(),
+                        self.param_byte_offsets.tolist())]
+        sizes = self.param_sizes.tolist()
+        offsets = self.param_offsets.tolist()
+        names = self.kernel_names
         return MaterializedGraph(
             batch_size=self.batch_size,
-            nodes=[self.node(i) for i in range(self.num_nodes)],
-            edges=[tuple(int(v) for v in edge) for edge in self.edges],
+            nodes=[MaterializedNode(names[kernel_id], sizes[start:stop],
+                                    restores[start:stop],
+                                    {"batch_size": batch_dim})
+                   for kernel_id, batch_dim, start, stop in zip(
+                       self.kernel_ids.tolist(), self.batch_dims.tolist(),
+                       offsets, offsets[1:])],
+            edges=[tuple(edge) for edge in self.edges.tolist()],
             param_bytes=self.param_bytes,
             num_tokens=self.num_tokens,
         )
 
 
-class LazyArtifact:
-    """Header-and-metadata-only view of a binary artifact.
+def _meta_field(key: str, doc: str) -> property:
+    """A read-only :class:`LazyArtifact` property for one metadata entry."""
+    return property(lambda self: self._meta[key], doc=doc)
 
-    Opening one reads the npz directory and decompresses a single member —
-    the embedded JSON metadata.  Everything bulky (the replay-event columns
-    and each graph's parameter arrays) stays on disk until first use:
-    :meth:`replay_table` and :meth:`graph_table` decompress their arrays on
-    demand and cache the result, so restoring only the first-request batch
-    size never pays for the others.  The metadata properties mirror
-    :class:`~repro.core.artifact.MaterializedModel`, and
-    :meth:`materialize` rehydrates the full eager artifact for static lint
-    and :func:`load_binary`.
+
+class LazyArtifact:
+    """The packed artifact: metadata up front, bulk tables on demand.
+
+    ``LazyArtifact(path)`` opens a ``.npz`` reading only its directory and
+    metadata member; :meth:`replay_table` and :meth:`graph_table`
+    decompress, check and cache their arrays on first use, so restoring
+    one batch size never pays for the others.
+    ``LazyArtifact(None, data=arrays, meta=meta)`` is the in-memory
+    artifact :func:`pack_artifact` returns (``path is None`` exactly for
+    those).
     """
 
     def __init__(self, path, data=None, meta=None):
@@ -457,10 +470,6 @@ class LazyArtifact:
             if not isinstance(meta, dict):
                 raise ArtifactError(
                     f"binary artifact {path} has corrupt metadata")
-        elif meta is None:
-            raise ArtifactError(
-                "LazyArtifact needs parsed metadata when opened from an "
-                "external member source")
         self._data = data
         self._meta = meta
         version = self._meta.get("format_version")
@@ -472,43 +481,28 @@ class LazyArtifact:
         self._replay_table: Optional[ReplayTable] = None
         self._graph_tables: Dict[int, GraphTable] = {}
         self._kernel_names: Optional[List[str]] = None
+        #: (code, message, location) of the importer's findings (as_lazy).
+        self.findings: List[Tuple[str, str, str]] = []
 
     # -- metadata mirror ----------------------------------------------------
 
-    @property
-    def model_name(self) -> str:
-        """The materialized model's name (artifact key half, §3)."""
-        return self._meta["model_name"]
-
-    @property
-    def gpu_name(self) -> str:
-        """The GPU type the artifact was materialized on (§3)."""
-        return self._meta["gpu_name"]
-
-    @property
-    def format_version(self) -> int:
-        """On-disk artifact format version."""
-        return self._meta["format_version"]
-
-    @property
-    def kv_bytes(self) -> int:
-        """Materialized KV-cache size in bytes (§6)."""
-        return self._meta["kv_bytes"]
-
-    @property
-    def kv_num_blocks(self) -> int:
-        """Materialized KV block count (§6)."""
-        return self._meta["kv_num_blocks"]
-
-    @property
-    def kv_layer_stride(self) -> int:
-        """Per-layer stride inside the KV region."""
-        return self._meta["kv_layer_stride"]
-
-    @property
-    def kv_alloc_index(self) -> int:
-        """Allocation index of the KV region in the replay sequence."""
-        return self._meta["kv_alloc_index"]
+    model_name = _meta_field("model_name", "Model half of the key (§3).")
+    gpu_name = _meta_field("gpu_name", "GPU half of the key (§3).")
+    format_version = _meta_field("format_version", "Artifact format version.")
+    kv_bytes = _meta_field("kv_bytes", "Materialized KV-cache bytes (§6).")
+    kv_num_blocks = _meta_field("kv_num_blocks", "KV block count (§6).")
+    kv_layer_stride = _meta_field("kv_layer_stride", "Per-layer KV stride.")
+    kv_alloc_index = _meta_field("kv_alloc_index", "The KV region's index.")
+    graph_input_alloc_index = _meta_field("graph_input_alloc_index",
+                                          "The graph input's index.")
+    graph_output_alloc_index = _meta_field("graph_output_alloc_index",
+                                           "The graph output's index.")
+    capture_marker = _meta_field("capture_marker", "Capture boundary index.")
+    kernel_libraries = _meta_field("kernel_libraries",
+                                   "Kernel name -> owning library (§5).")
+    first_layer_nodes = _meta_field("first_layer_nodes",
+                                    "Prologue + first-layer nodes (§5.2).")
+    stats = _meta_field("stats", "Offline statistics carried for reports.")
 
     @property
     def structure_prefix(self) -> List[Tuple[int, str]]:
@@ -516,35 +510,9 @@ class LazyArtifact:
         return [tuple(p) for p in self._meta["structure_prefix"]]
 
     @property
-    def graph_input_alloc_index(self) -> int:
-        """Allocation index of the shared graph input buffer."""
-        return self._meta["graph_input_alloc_index"]
-
-    @property
-    def graph_output_alloc_index(self) -> int:
-        """Allocation index of the shared graph output buffer."""
-        return self._meta["graph_output_alloc_index"]
-
-    @property
-    def capture_marker(self) -> int:
-        """Allocation index marking the capture boundary."""
-        return self._meta["capture_marker"]
-
-    @property
-    def kernel_libraries(self) -> Dict[str, str]:
-        """Kernel name -> owning library (§5)."""
-        return self._meta["kernel_libraries"]
-
-    @property
     def permanent_contents(self) -> Dict[int, List[List[float]]]:
         """Alloc index -> dumped payload rows (§4.3)."""
-        return {int(k): v
-                for k, v in self._meta["permanent_contents"].items()}
-
-    @property
-    def first_layer_nodes(self) -> int:
-        """Prologue + first-layer node count (§5.2 triggering)."""
-        return self._meta["first_layer_nodes"]
+        return {int(k): v for k, v in self._dumps().items()}
 
     @property
     def trigger_plans(self) -> List[TriggerPlan]:
@@ -553,32 +521,22 @@ class LazyArtifact:
                 for name, ref in self._meta["trigger_plans"]]
 
     @property
-    def stats(self) -> Dict[str, float]:
-        """Offline statistics carried along for reports."""
-        return self._meta["stats"]
-
-    @property
     def batches(self) -> List[int]:
         """Captured batch sizes, ascending."""
         return [int(b) for b in self._meta["batches"]]
 
-    @property
-    def graphs(self) -> Dict[int, int]:
-        """batch size -> node count, from metadata alone.
-
-        Shaped like ``MaterializedModel.graphs`` for key-iteration
-        consumers (``sorted(artifact.graphs)``, ``len``, ``in``) without
-        touching any graph array.
-        """
-        return {batch: self.graph_nodes(batch) for batch in self.batches}
-
-    def graph_nodes(self, batch: int) -> int:
-        """Node count of one graph without decompressing it."""
+    def _graph_meta(self, batch: int) -> list:
+        """``[param_bytes, num_tokens, num_nodes]`` of one graph."""
         meta = self._meta["graph_meta"].get(str(batch))
         if meta is None:
             raise ArtifactError(
                 f"artifact for {self.model_name} has no graph for batch "
                 f"{batch} (has: {self.batches})")
+        return meta
+
+    def graph_nodes(self, batch: int) -> int:
+        """Node count of one graph without decompressing it."""
+        meta = self._graph_meta(batch)
         if len(meta) >= 3:          # written by the lazy-aware format
             return int(meta[2])
         return self.graph_table(batch).num_nodes   # legacy: count the array
@@ -595,7 +553,7 @@ class LazyArtifact:
 
     def permanent_payload(self, alloc_index: int) -> np.ndarray:
         """The dumped payload of one permanent buffer as float64 rows."""
-        rows = self._meta["permanent_contents"].get(str(alloc_index))
+        rows = self._dumps().get(str(alloc_index))
         if rows is None:
             raise ArtifactError(
                 f"no dumped contents for allocation {alloc_index}")
@@ -606,89 +564,139 @@ class LazyArtifact:
     def kernel_name_table(self) -> List[str]:
         """The shared kernel-name string table."""
         if self._kernel_names is None:
-            self._kernel_names = [str(n) for n in self._data["kernel_names"]]
+            self._kernel_names = [str(n) for n in
+                                  _column(self._data, "kernel_names", "")]
         return self._kernel_names
 
     def replay_table(self) -> ReplayTable:
-        """The replay-event columns (first call decompresses them)."""
+        """The replay-event columns (first call decompresses and checks
+        them)."""
         if self._replay_table is None:
             data = self._data
-            self._replay_table = ReplayTable(
-                kind=data["ev_kind"],
-                alloc_index=data["ev_alloc_index"],
-                size=data["ev_size"],
-                pooled=data["ev_pooled"],
-                tag_id=data["ev_tag"],
-                pool_id=data["ev_pool"],
-                tags=[str(t) for t in data["tags"]],
-                pools=[str(p) for p in data["pools"]],
-            )
+            columns = [_column(data, name) for name in REPLAY_MEMBERS]
+            if len({len(column) for column in columns}) > 1:
+                raise ArtifactError(
+                    f"replay columns have unequal lengths "
+                    f"{[len(column) for column in columns]}")
+            tags = [str(t) for t in _column(data, "tags", "")]
+            pools = [str(p) for p in _column(data, "pools", "")]
+            _check_ids(columns[4], tags, "ev_tag")
+            _check_ids(columns[5], pools, "ev_pool")
+            self._replay_table = ReplayTable(*columns, tags, pools)
         return self._replay_table
 
     def graph_table(self, batch: int) -> GraphTable:
-        """One batch size's graph arrays (first call decompresses them)."""
+        """One batch size's graph arrays (first call decompresses and
+        checks them)."""
         table = self._graph_tables.get(batch)
         if table is None:
-            if batch not in self.batches:
-                raise ArtifactError(
-                    f"artifact for {self.model_name} has no graph for "
-                    f"batch {batch} (has: {self.batches})")
-            data = self._data
-            prefix = f"g{batch}_"
-            meta = self._meta["graph_meta"][str(batch)]
-            table = GraphTable(
-                batch_size=batch,
-                kernel_ids=data[prefix + "kernel"],
-                kernel_names=self.kernel_name_table(),
-                batch_dims=data[prefix + "batchdim"],
-                param_offsets=data[prefix + "param_offsets"],
-                param_sizes=data[prefix + "param_sizes"],
-                param_kinds=data[prefix + "param_kinds"],
-                param_values=data[prefix + "param_values"],
-                param_byte_offsets=data[prefix + "param_byte_offsets"],
-                edges=data[prefix + "edges"],
-                param_bytes=int(meta[0]),
-                num_tokens=int(meta[1]),
-            )
+            table = self._graph_table(batch, self._data)
             self._graph_tables[batch] = table
         return table
 
-    def first_layer_table(self, batch: int) -> GraphTable:
-        """The graph-table prefix :mod:`repro.core.fastpath` warms up with.
+    def _graph_table(self, batch: int, source,
+                     edges: Optional[np.ndarray] = None) -> GraphTable:
+        """Build and check batch ``batch``'s table from the members in
+        ``source`` (``edges`` stands in for a source without them)."""
+        meta = self._graph_meta(batch)
+        prefix = f"g{batch}_"
+        kernel_ids, batch_dims, offsets, *params = [
+            _column(source, prefix + name) for name in GRAPH_MEMBERS[:-1]]
+        if edges is None:
+            edges = _member(source, prefix + "edges")
+        # CSR: one offset per node plus one, non-decreasing from 0 to the
+        # length of every parameter column.
+        lengths = [len(column) for column in
+                   (kernel_ids, batch_dims, offsets, *params)]
+        if lengths[:3] != [lengths[0]] * 2 + [lengths[0] + 1] \
+                or lengths[3:] != [lengths[3]] * 4 \
+                or offsets[0] != 0 or offsets[-1] != lengths[3] \
+                or (np.diff(offsets) < 0).any():
+            raise ArtifactError(
+                f"graph {batch} has inconsistent CSR columns (lengths "
+                f"{lengths}, offsets {offsets[0]}..{offsets[-1]})")
+        if edges.ndim != 2 or edges.shape[1] != 2 \
+                or edges.dtype.kind not in "iu":
+            raise ArtifactError(
+                f"graph {batch} has an edge member of shape {edges.shape} "
+                f"and dtype {edges.dtype}; expected (n, 2) integers")
+        kernel_names = self.kernel_name_table()
+        _check_ids(kernel_ids, kernel_names, prefix + "kernel")
+        return GraphTable(batch, kernel_ids, kernel_names, batch_dims,
+                          offsets, *params, edges, int(meta[0]),
+                          int(meta[1]))
 
-        The restorer only launches ``min(first_layer_nodes, num_nodes)``
-        nodes per batch during warmup; a monolithic npz cannot load less
-        than the whole graph, so this base implementation returns
-        :meth:`graph_table`.  Chunk-backed artifacts override it to
-        decompress only the head chunk (see
-        :class:`repro.core.chunks.ChunkedLazyArtifact`).
-        """
+    def first_layer_table(self, batch: int) -> GraphTable:
+        """The table the warm-up reads its first-layer nodes from: the
+        whole graph here; chunk-backed artifacts load only the head."""
         return self.graph_table(batch)
 
-    # -- eager conversion ---------------------------------------------------
+    # -- members and the JSON boundary --------------------------------------
+
+    def members(self) -> Dict[str, np.ndarray]:
+        """Every bulk member by name, in the order :func:`save_binary`
+        writes them."""
+        names = list(KERNEL_MEMBERS + REPLAY_MEMBERS)
+        for batch in self._meta["graph_meta"]:
+            names.extend(f"g{batch}_{name}" for name in GRAPH_MEMBERS)
+        return {name: _member(self._data, name) for name in names}
+
+    def _dumps(self) -> Dict[str, list]:
+        """The permanent contents, keyed as the metadata stores them."""
+        return self._meta["permanent_contents"]
+
+    def metadata(self) -> dict:
+        """The metadata dict :func:`save_binary` embeds."""
+        return dict(self._meta, permanent_contents=self._dumps())
 
     def materialize(self) -> MaterializedModel:
-        """Rehydrate the full eager artifact (what :func:`load_binary`
-        returns); static lint reads this form, restores never do."""
-        meta = self._meta
-        artifact = MaterializedModel(
-            model_name=meta["model_name"],
-            gpu_name=meta["gpu_name"],
-            kv_bytes=meta["kv_bytes"],
-            kv_num_blocks=meta["kv_num_blocks"],
-            kv_layer_stride=meta["kv_layer_stride"],
-            kv_alloc_index=meta["kv_alloc_index"],
-            structure_prefix=self.structure_prefix,
-            graph_input_alloc_index=meta["graph_input_alloc_index"],
-            graph_output_alloc_index=meta["graph_output_alloc_index"],
-            capture_marker=meta["capture_marker"],
-            kernel_libraries=meta["kernel_libraries"],
-            permanent_contents=self.permanent_contents,
-            first_layer_nodes=meta["first_layer_nodes"],
-            trigger_plans=self.trigger_plans,
-            stats=meta["stats"],
-        )
-        artifact.replay_events = self.replay_table().events()
-        for batch in self.batches:
-            artifact.graphs[batch] = self.graph_table(batch).to_graph()
+        """A fresh object-form copy, for JSON export (what
+        :func:`load_binary` returns); lint and restore read the tables."""
+        fields = json.loads(json.dumps(self.metadata()))   # our own copy
+        del fields["batches"], fields["graph_meta"]
+        fields.update(structure_prefix=self.structure_prefix,
+                      permanent_contents=self.permanent_contents,
+                      trigger_plans=self.trigger_plans)
+        artifact = MaterializedModel(**fields)
+        replay = self.replay_table()
+        artifact.replay_events = [replay.event(i) for i in range(len(replay))]
+        for batch in self._meta["graph_meta"]:      # member order
+            artifact.graphs[int(batch)] = \
+                self.graph_table(int(batch)).to_graph()
         return artifact
+
+    def to_json(self) -> str:
+        """The artifact as JSON (:meth:`MaterializedModel.to_json`)."""
+        return self.materialize().to_json()
+
+
+#: String-table members, replay columns: the members outside any graph.
+KERNEL_MEMBERS = ("kernel_names", "pools", "tags")
+REPLAY_MEMBERS = ("ev_kind", "ev_alloc_index", "ev_size", "ev_pooled",
+                  "ev_tag", "ev_pool")
+
+
+def _member(source, name: str) -> np.ndarray:
+    try:
+        return source[name]
+    except KeyError:
+        raise ArtifactError(f"artifact has no member {name!r}") from None
+
+
+def _column(source, name: str, kinds: str = "iu") -> np.ndarray:
+    """Member ``name``, checked to be 1-D and (with ``kinds``) of an
+    integer dtype."""
+    column = _member(source, name)
+    if column.ndim != 1 or (kinds and column.dtype.kind not in kinds):
+        raise ArtifactError(
+            f"member {name!r} has shape {column.shape} and dtype "
+            f"{column.dtype}; expected a 1-D column")
+    return column
+
+
+def _check_ids(ids: np.ndarray, table: List[str], name: str) -> None:
+    """Every id must index ``table``."""
+    if len(ids) and not 0 <= ids.min() <= ids.max() < len(table):
+        raise ArtifactError(
+            f"member {name!r} holds ids outside its {len(table)}-entry "
+            f"string table")

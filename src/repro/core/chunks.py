@@ -40,16 +40,18 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.artifact import MaterializedModel
 from repro.core.binfmt import (
+    GRAPH_MEMBERS,
+    KERNEL_MEMBERS,
+    REPLAY_MEMBERS,
     GraphTable,
     LazyArtifact,
     _decode_npy,
-    artifact_arrays,
+    as_lazy,
 )
 from repro.errors import ArtifactError
 
@@ -63,13 +65,6 @@ REPLAY_SHARD_EVENTS = 16384
 
 #: Magic prefix of a packed chunk blob (before zlib).
 _CHUNK_MAGIC = b"MCHK\x01"
-
-#: The six replay-event columns sharded into ``replay[j]`` chunks.
-REPLAY_MEMBERS = ("ev_kind", "ev_alloc_index", "ev_size", "ev_pooled",
-                  "ev_tag", "ev_pool")
-
-#: String-table members of the ``kernels`` chunk.
-KERNEL_MEMBERS = ("kernel_names", "pools", "tags")
 
 #: Single member of the ``dumps`` chunk: the permanent-contents mapping as
 #: one JSON string (kept out of the manifest metadata).
@@ -211,9 +206,9 @@ class ChunkMeta:
 class ChunkManifest:
     """The small JSON that replaces a monolithic artifact file.
 
-    ``metadata`` is the :func:`~repro.core.binfmt.artifact_arrays` metadata
-    dict with ``permanent_contents`` hollowed out (it lives in the
-    ``dumps`` chunk); ``chunks`` is the canonical fetch order — kernels,
+    ``metadata`` is the artifact's metadata dict with
+    ``permanent_contents`` hollowed out (it lives in the ``dumps`` chunk);
+    ``chunks`` is the canonical fetch order — kernels,
     replay shards, dumps, graph heads (batches descending), graph tails
     (batches descending).  Serialization sorts keys, so equal manifests
     are equal bytes and the store's content-hash LRU keeps working.
@@ -315,10 +310,11 @@ def simulation_chunks(manifest: ChunkManifest) -> Tuple[ChunkMeta, ...]:
 # Chunking policy: arrays -> (manifest, blobs)
 # ---------------------------------------------------------------------------
 
-def chunk_model(artifact: MaterializedModel,
-                replay_shard_events: int = REPLAY_SHARD_EVENTS,
+def chunk_model(artifact, replay_shard_events: int = REPLAY_SHARD_EVENTS,
                 ) -> Tuple[ChunkManifest, Dict[str, bytes]]:
-    """Split ``artifact`` into content-addressed chunks.
+    """Split ``artifact``'s own members into content-addressed chunks (an
+    object-form artifact is packed first, see
+    :func:`~repro.core.binfmt.as_lazy`).
 
     Returns the manifest plus ``digest -> packed blob`` for every chunk it
     references.  Chunks with equal content collapse to one dict entry, so
@@ -327,7 +323,9 @@ def chunk_model(artifact: MaterializedModel,
     """
     if replay_shard_events < 1:
         raise ArtifactError("replay_shard_events must be >= 1")
-    arrays, metadata = artifact_arrays(artifact)
+    artifact = as_lazy(artifact)
+    arrays = artifact.members()
+    metadata = artifact.metadata()
     refs: List[ChunkRef] = []
     blobs: Dict[str, bytes] = {}
 
@@ -356,39 +354,28 @@ def chunk_model(artifact: MaterializedModel,
 
     batches = sorted(metadata["batches"], reverse=True)
     first_layer = int(metadata["first_layer_nodes"])
-    splits = {}
+    halves = {}
     for batch in batches:
         prefix = f"g{batch}_"
-        num_nodes = int(arrays[prefix + "kernel"].shape[0])
-        count = min(first_layer, num_nodes)
+        count = min(first_layer, len(arrays[prefix + "kernel"]))
         pstop = int(arrays[prefix + "param_offsets"][count])
-        splits[batch] = (count, pstop)
-        emit(graph_head_chunk_name(batch), KIND_GRAPH_HEAD, {
-            prefix + "kernel": arrays[prefix + "kernel"][:count],
-            prefix + "batchdim": arrays[prefix + "batchdim"][:count],
-            prefix + "param_offsets":
-                arrays[prefix + "param_offsets"][:count + 1],
-            prefix + "param_sizes": arrays[prefix + "param_sizes"][:pstop],
-            prefix + "param_kinds": arrays[prefix + "param_kinds"][:pstop],
-            prefix + "param_values": arrays[prefix + "param_values"][:pstop],
-            prefix + "param_byte_offsets":
-                arrays[prefix + "param_byte_offsets"][:pstop],
-        }, batch=batch)
+        # Node columns split after ``count`` nodes, parameter columns after
+        # their ``pstop`` slots; offsets stay absolute, edges go in the tail.
+        splits = {"kernel": count, "batchdim": count,
+                  "param_offsets": count + 1}
+        splits.update((name, pstop) for name in GRAPH_MEMBERS[3:-1])
+        head = {prefix + name: arrays[prefix + name][:at]
+                for name, at in splits.items()}
+        tail = {prefix + name: arrays[prefix + name][at:]
+                for name, at in splits.items()}
+        tail[prefix + "edges"] = arrays[prefix + "edges"]
+        halves[batch] = head, tail
     for batch in batches:
-        prefix = f"g{batch}_"
-        count, pstop = splits[batch]
-        emit(graph_tail_chunk_name(batch), KIND_GRAPH_TAIL, {
-            prefix + "kernel": arrays[prefix + "kernel"][count:],
-            prefix + "batchdim": arrays[prefix + "batchdim"][count:],
-            prefix + "param_offsets":
-                arrays[prefix + "param_offsets"][count + 1:],
-            prefix + "param_sizes": arrays[prefix + "param_sizes"][pstop:],
-            prefix + "param_kinds": arrays[prefix + "param_kinds"][pstop:],
-            prefix + "param_values": arrays[prefix + "param_values"][pstop:],
-            prefix + "param_byte_offsets":
-                arrays[prefix + "param_byte_offsets"][pstop:],
-            prefix + "edges": arrays[prefix + "edges"],
-        }, batch=batch)
+        emit(graph_head_chunk_name(batch), KIND_GRAPH_HEAD, halves[batch][0],
+             batch=batch)
+    for batch in batches:
+        emit(graph_tail_chunk_name(batch), KIND_GRAPH_TAIL, halves[batch][1],
+             batch=batch)
 
     metadata = dict(metadata)
     metadata["permanent_contents"] = {}
@@ -451,15 +438,6 @@ class ChunkReader:
             for member in ref.members:
                 self._sources.setdefault(member, []).append(ref.name)
 
-    def __contains__(self, member: str) -> bool:
-        return member in self._sources
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sources)
-
-    def keys(self):
-        return self._sources.keys()
-
     @property
     def loaded_chunks(self) -> frozenset:
         """Names of the chunks decompressed so far."""
@@ -497,11 +475,9 @@ class ChunkedLazyArtifact(LazyArtifact):
     Every inherited accessor works unchanged — the :class:`ChunkReader`
     stands in for the npz mapping, concatenating shards and head/tail
     splits back into the exact arrays :func:`save_binary` wrote.  On top
-    of that it (a) serves ``permanent_contents`` from the ``dumps`` chunk
-    (the manifest metadata carries an empty placeholder) and (b) overrides
-    :meth:`first_layer_table` to decompress only the head chunk, which is
-    what lets a chunked load plan keep graph tails off the foreground
-    fetch path.
+    of that it serves the permanent contents from the ``dumps`` chunk and
+    decompresses only the head chunk for :meth:`first_layer_table`, which
+    keeps graph tails off a chunked plan's foreground fetch path.
     """
 
     def __init__(self, manifest: ChunkManifest,
@@ -519,47 +495,20 @@ class ChunkedLazyArtifact(LazyArtifact):
         return cls(manifest, memory_loader(blobs), path=path)
 
     def _dumps(self) -> dict:
+        """The permanent contents, from the dumps chunk (the manifest's
+        metadata holds an empty placeholder)."""
         if self._dump_rows is None:
             member = self.reader.chunk(KIND_DUMPS)[DUMPS_MEMBER]
             self._dump_rows = json.loads(str(member[0]))
         return self._dump_rows
 
-    @property
-    def permanent_contents(self) -> Dict[int, List[List[float]]]:
-        """Alloc index -> dumped payload rows, from the dumps chunk."""
-        return {int(k): v for k, v in self._dumps().items()}
-
-    def permanent_payload(self, alloc_index: int) -> np.ndarray:
-        rows = self._dumps().get(str(alloc_index))
-        if rows is None:
-            raise ArtifactError(
-                f"no dumped contents for allocation {alloc_index}")
-        return np.array(rows, dtype=np.float64)
-
     def first_layer_table(self, batch: int) -> GraphTable:
         """Batch ``batch``'s warmup prefix from the head chunk alone."""
         table = self._head_tables.get(batch)
         if table is None:
-            if batch not in self.batches:
-                raise ArtifactError(
-                    f"artifact for {self.model_name} has no graph for "
-                    f"batch {batch} (has: {self.batches})")
-            members = self.reader.chunk(graph_head_chunk_name(batch))
-            prefix = f"g{batch}_"
-            meta = self._meta["graph_meta"][str(batch)]
-            table = GraphTable(
-                batch_size=batch,
-                kernel_ids=members[prefix + "kernel"],
-                kernel_names=self.kernel_name_table(),
-                batch_dims=members[prefix + "batchdim"],
-                param_offsets=members[prefix + "param_offsets"],
-                param_sizes=members[prefix + "param_sizes"],
-                param_kinds=members[prefix + "param_kinds"],
-                param_values=members[prefix + "param_values"],
-                param_byte_offsets=members[prefix + "param_byte_offsets"],
-                edges=np.empty((0, 2), dtype=np.int64),
-                param_bytes=int(meta[0]),
-                num_tokens=int(meta[1]),
-            )
+            self._graph_meta(batch)       # an unknown batch raises here
+            table = self._graph_table(
+                batch, self.reader.chunk(graph_head_chunk_name(batch)),
+                edges=np.empty((0, 2), dtype=np.int64))
             self._head_tables[batch] = table
         return table

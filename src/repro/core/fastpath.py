@@ -2,8 +2,9 @@
 
 :class:`VectorizedRestorer` restores one materialized model into a fresh
 process, reading the artifact as packed numpy arrays
-(:class:`repro.core.binfmt.LazyArtifact`).  An eager
-:class:`~repro.core.artifact.MaterializedModel` is packed once on entry
+(:class:`repro.core.binfmt.LazyArtifact`, what the offline phase emits).
+An object-form (JSON) :class:`~repro.core.artifact.MaterializedModel` is
+packed once on entry
 (:func:`repro.core.binfmt.as_lazy`), so every input kind runs the same code:
 
 - **KV restore (§6)** — verifies the engine's structure-init allocation
@@ -31,10 +32,10 @@ picked by :func:`repro.core.online.prepare_medusa_cold_start`:
 ================================== ===================== ==================
 input                              plan                  restore actions
 ================================== ===================== ==================
-eager artifact, or any active hook ``medusa``            ``restore_kv``,
-                                                         ``restore_warmup``,
+in-memory artifact, or any active  ``medusa``            ``restore_kv``,
+hook                                                     ``restore_warmup``,
                                                          ``restore_tail``
-``.npz`` :class:`LazyArtifact`     ``medusa-pipelined``  ``fetch_artifact``,
+artifact file (``.npz``)           ``medusa-pipelined``  ``fetch_artifact``,
                                                          ``replay_alloc``,
                                                          ``restore_graph[bs]``
 chunk-backed artifact              ``medusa-chunked``    ``fetch_chunk[i]``,
@@ -227,8 +228,9 @@ def _enumerate_modules(engine, library: str, kernel_name: str,
 class VectorizedRestorer:
     """Restores one materialized model into a fresh process.
 
-    ``artifact``: a :class:`~repro.core.binfmt.LazyArtifact` (``.npz`` or
-    chunk-backed), or an eager ``MaterializedModel``, packed on entry.
+    ``artifact``: a :class:`~repro.core.binfmt.LazyArtifact` (in memory,
+    ``.npz`` or chunk-backed), or an object-form ``MaterializedModel``,
+    packed on entry.
     ``injector``: optional :class:`repro.faults.FaultInjector` whose faults
     fire at this restorer's injection sites (chaos testing).
     ``policy``: optional :class:`repro.faults.DegradationPolicy`.  When set,

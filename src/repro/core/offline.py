@@ -8,26 +8,28 @@ Runs once per <GPU type, model type>:
   then inspected and dumped (kernel names via ``cuFuncGetName``).
 - **Analysis stage** — indirect index pointer analysis with trace-based
   backward matching, buffer contents classification, kernel name table and
-  trigger-plan construction; everything lands in one
-  :class:`repro.core.artifact.MaterializedModel`.
+  trigger-plan construction, packed straight from the trace and the
+  analysis's rules into one :class:`repro.core.binfmt.LazyArtifact`, the
+  form lint, the store, ``save_binary`` and the restorer all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.artifact import (
-    MaterializedGraph,
-    MaterializedModel,
-    MaterializedNode,
-    ReplayEvent,
-    TriggerPlan,
+import numpy as np
+
+from repro.core.artifact import ARTIFACT_FORMAT_VERSION
+from repro.core.binfmt import (
+    POINTER_CODE,
+    GraphRows,
+    LazyArtifact,
+    pack_artifact,
 )
 from repro.core.classify import classify_buffers
 from repro.core.interception import attach, detach
 from repro.core.pointer_analysis import (
-    POINTER,
     AllocationIndex,
     AnalysisStats,
     analyze_graph_params,
@@ -103,7 +105,7 @@ class OfflinePhase:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> Tuple[MaterializedModel, OfflineReport]:
+    def run(self) -> Tuple[LazyArtifact, OfflineReport]:
         # The phase builds ~300k long-lived objects for a 7B model (trace
         # events, allocator history, graph nodes, the artifact) and drops
         # no reference cycle before it returns.
@@ -124,11 +126,11 @@ class OfflinePhase:
         return artifact, report
 
     def _lint_artifact(self, engine: LLMEngine,
-                       artifact: MaterializedModel) -> int:
+                       artifact: LazyArtifact) -> int:
         """Lint-on-materialize: never emit an artifact that cannot restore."""
-        from repro.analysis import lint_artifact
+        from repro import analysis
         from repro.errors import LintError
-        report = lint_artifact(artifact, catalog=engine.catalog)
+        report = analysis.lint_artifact(artifact, catalog=engine.catalog)
         if report.errors:
             raise LintError(
                 f"materialized artifact for {self.config.name} failed "
@@ -178,22 +180,12 @@ class OfflinePhase:
     # -- analysis stage ----------------------------------------------------------
 
     def _analysis_stage(self, engine: LLMEngine,
-                        trace: Trace) -> Tuple[MaterializedModel, float, Dict]:
+                        trace: Trace) -> Tuple[LazyArtifact, float, Dict]:
         config = self.config
-        process = engine.process
-        driver = process.driver
+        driver = engine.process.driver
         catalog = engine.catalog
         capture_artifacts = engine.capture_artifacts
         index = AllocationIndex(trace)
-
-        artifact = MaterializedModel(
-            model_name=config.name,
-            gpu_name=self.cost_model.gpu.name,
-            kv_bytes=engine.kv_bytes,
-            kv_num_blocks=engine.kv_region.num_blocks,
-            kv_layer_stride=engine.kv_region.layer_stride,
-            capture_marker=capture_artifacts.capture_marker,
-        )
 
         # Allocation bookkeeping: structure prefix + replay suffix (§4.2).
         weight_count = config.weight_buffer_count()
@@ -207,28 +199,20 @@ class OfflinePhase:
             raise MaterializationError(
                 "structure-init prefix contains non-weight allocations; "
                 "the deterministic-control-flow assumption is violated")
-        artifact.structure_prefix = [(e.size, e.tag) for e in prefix]
-        boundary_seq = prefix[-1].seq
-        artifact.replay_events = _replay_events(trace, boundary_seq)
-
+        anchors = {"kv": -1, "graph_input": -1, "graph_output": -1}
         for event in allocations:
-            if event.tag == "kv":
-                artifact.kv_alloc_index = event.alloc_index
-            elif event.tag == "graph_input":
-                artifact.graph_input_alloc_index = event.alloc_index
-            elif event.tag == "graph_output":
-                artifact.graph_output_alloc_index = event.alloc_index
-        if artifact.kv_alloc_index < 0:
+            if event.tag in anchors:
+                anchors[event.tag] = event.alloc_index
+        if anchors["kv"] < 0:
             raise MaterializationError("trace contains no KV region allocation")
 
         # Per-graph pointer analysis, in the order capture ran.
         captured = trace.captured_launches()
-        kernel_libraries = artifact.kernel_libraries
+        kernel_libraries: Dict[str, str] = {}
         cursor = 0
-        referenced: Set[int] = set()
         totals = AnalysisStats()
-        batch_order = sorted(capture_artifacts.graphs, reverse=True)
-        for batch_size in batch_order:
+        graphs: Dict[int, GraphRows] = {}
+        for batch_size in sorted(capture_artifacts.graphs, reverse=True):
             graph = capture_artifacts.graphs[batch_size]
             node_launches = captured[cursor:cursor + graph.num_nodes]
             cursor += graph.num_nodes
@@ -241,65 +225,90 @@ class OfflinePhase:
             totals.const_params += stats.const_params
             totals.interior_pointers += stats.interior_pointers
             totals.demoted_false_positives += stats.demoted_false_positives
-            nodes: List[MaterializedNode] = []
-            for node, launch, node_restores in zip(graph.nodes, node_launches,
-                                                   restores):
-                kernel_name = driver.cu_func_get_name(node.kernel_address)
-                if kernel_name != launch.kernel_name:
+            names = [launch.kernel_name for launch in node_launches]
+            for node, kernel_name in zip(graph.nodes, names):
+                node_name = driver.cu_func_get_name(node.kernel_address)
+                if node_name != kernel_name:
                     raise MaterializationError(
-                        f"node/launch mismatch: {kernel_name} vs "
-                        f"{launch.kernel_name}")
+                        f"node/launch mismatch: {node_name} vs "
+                        f"{kernel_name}")
+            for kernel_name in dict.fromkeys(names):
                 if kernel_name not in kernel_libraries:
                     kernel_libraries[kernel_name] = \
                         catalog.kernel(kernel_name).library
-                for restore in node_restores:
-                    if restore.kind == POINTER:
-                        referenced.add(restore.alloc_index)
-                # The launch row carries the node's parameter sizes: both
-                # were recorded from the same parameter list.
-                nodes.append(MaterializedNode(
-                    kernel_name, list(launch.param_sizes), node_restores,
-                    dict(node.launch_dims)))
-            artifact.graphs[batch_size] = MaterializedGraph(
-                batch_size=batch_size,
-                nodes=nodes,
-                edges=sorted(graph.edges),
-                param_bytes=graph.exec_meta.param_bytes,
-                num_tokens=graph.exec_meta.num_tokens,
-            )
+            # The launch rows carry the nodes' parameter sizes: both were
+            # recorded from the same parameter lists.
+            graphs[batch_size] = GraphRows(
+                names,
+                [node.launch_dims.get("batch_size", 0)
+                 for node in graph.nodes],
+                [launch.param_sizes for launch in node_launches],
+                restores, sorted(graph.edges),
+                graph.exec_meta.param_bytes, graph.exec_meta.num_tokens)
         if cursor != len(captured):
             raise MaterializationError(
                 f"{len(captured) - cursor} captured launches were not "
                 f"attributed to any graph")
 
+        # Classification and trigger plans read the packed tables; their
+        # results fill the metadata entries packed empty here.
+        permanent_contents: Dict[str, list] = {}
+        trigger_plans: List[list] = []
+        template = config.kernel_template()
+        artifact = pack_artifact({
+            "model_name": config.name,
+            "gpu_name": self.cost_model.gpu.name,
+            "format_version": ARTIFACT_FORMAT_VERSION,
+            "kv_bytes": engine.kv_bytes,
+            "kv_num_blocks": engine.kv_region.num_blocks,
+            "kv_layer_stride": engine.kv_region.layer_stride,
+            "kv_alloc_index": anchors["kv"],
+            "structure_prefix": [(e.size, e.tag) for e in prefix],
+            "graph_input_alloc_index": anchors["graph_input"],
+            "graph_output_alloc_index": anchors["graph_output"],
+            "capture_marker": capture_artifacts.capture_marker,
+            "kernel_libraries": kernel_libraries,
+            "permanent_contents": permanent_contents,
+            # First-layer triggering (§5.2): prologue + first layer.
+            "first_layer_nodes": 1 + len(template.layer_kernels),
+            "trigger_plans": trigger_plans,
+            "stats": {},
+        }, _replay_rows(trace, prefix[-1].seq), graphs)
+
         # Copy-free contents classification (§4.3).
+        tables = [artifact.graph_table(batch) for batch in artifact.batches]
+        pointer_slots = [table.param_kinds == POINTER_CODE
+                         for table in tables]
+        referenced = np.unique(np.concatenate(
+            [table.param_values[mask] for table, mask
+             in zip(tables, pointer_slots)] or [[]])).tolist()
         plan = classify_buffers(trace, capture_artifacts.capture_marker,
                                 referenced)
         permanent_bytes = 0
         for alloc_index in sorted(plan.permanent):
-            buffer = process.allocator.buffer_by_alloc_index(alloc_index)
+            buffer = engine.process.allocator.buffer_by_alloc_index(
+                alloc_index)
             payload = buffer.payload
             if payload is None:
                 raise MaterializationError(
                     f"permanent buffer {alloc_index} has no contents to dump")
-            artifact.permanent_contents[alloc_index] = payload.tolist()
+            permanent_contents[str(alloc_index)] = payload.tolist()
             permanent_bytes += buffer.size
 
-        # First-layer triggering plus handwritten fallbacks (§5).
-        template = config.kernel_template()
-        artifact.first_layer_nodes = 1 + len(template.layer_kernels)
-        artifact.trigger_plans = _trigger_plans(artifact, catalog)
+        # Handwritten fallbacks for modules the first layer misses (§5.1).
+        trigger_plans.extend(_trigger_plans(artifact, catalog))
 
-        analysis_time = (self.cost_model.analysis_per_node
-                         * artifact.total_nodes
+        total_nodes = artifact.total_nodes
+        analysis_time = (self.cost_model.analysis_per_node * total_nodes
                          + self.cost_model.artifact_write_base)
-
-        magic_kernels = sum(
-            1 for graph in artifact.graphs.values() for node in graph.nodes
-            if any(r.alloc_index in plan.permanent
-                   for r in node.param_restores if r.kind == POINTER))
+        permanent = np.array(sorted(plan.permanent), dtype=np.int64)
+        magic_kernels = 0     # nodes with a pointer into a permanent buffer
+        for table, mask in zip(tables, pointer_slots):
+            hits = np.cumsum(mask & np.isin(table.param_values, permanent))
+            magic_kernels += int(np.count_nonzero(np.diff(np.concatenate(
+                ([0], hits))[table.param_offsets])))
         stats = {
-            "total_nodes": float(artifact.total_nodes),
+            "total_nodes": float(total_nodes),
             "pointer_params": float(totals.pointer_params),
             "const_params": float(totals.const_params),
             "interior_pointers": float(totals.interior_pointers),
@@ -309,62 +318,63 @@ class OfflinePhase:
             "permanent_buffers": float(len(plan.permanent)),
             "permanent_bytes": float(permanent_bytes),
             "permanent_kernel_fraction": (
-                magic_kernels / artifact.total_nodes
-                if artifact.total_nodes else 0.0),
+                magic_kernels / total_nodes if total_nodes else 0.0),
             "replay_events": float(artifact.total_replay_events),
         }
         return artifact, analysis_time, stats
 
 
-def _replay_events(trace: Trace, boundary_seq: int) -> List[ReplayEvent]:
-    events: List[ReplayEvent] = []
-    append = events.append
+def _replay_rows(trace: Trace, boundary_seq: int) -> List[tuple]:
+    """The replay suffix as :func:`pack_artifact` rows: ``(kind code,
+    alloc_index, size, pooled, tag, pool)``."""
+    rows: List[tuple] = []
+    append = rows.append
     for event in trace.events:
         kind = type(event)
         if kind is LaunchTraceEvent or event.seq <= boundary_seq:
             continue
-        # ReplayEvent fields, positionally: kind, alloc_index, size, tag,
-        # pooled, pool.
         if kind is AllocTraceEvent:
-            append(ReplayEvent("alloc", event.alloc_index, event.size,
-                               event.tag, False, event.pool))
+            append((0, event.alloc_index, event.size, False, event.tag,
+                    event.pool))
         elif kind is FreeTraceEvent:
-            append(ReplayEvent("free", event.alloc_index, 0, "",
-                               event.pooled))
+            append((1, event.alloc_index, 0, event.pooled, "", "default"))
         elif kind is EmptyCacheTraceEvent:
-            append(ReplayEvent("empty_cache"))
-    return events
+            append((2, -1, 0, False, "", "default"))
+    return rows
 
 
-def _trigger_plans(artifact: MaterializedModel, catalog) -> List[TriggerPlan]:
+def _trigger_plans(artifact: LazyArtifact, catalog) -> List[list]:
     """Handwritten triggering kernels for modules first-layer misses (§5.1).
 
     A module is already covered if a first-layer kernel lives in it (the
     first-layer warm-up loads it) or if any of its needed kernels is visible
     (the dlsym path loads it).  Whatever remains needs an explicit trigger:
     we reuse one captured node's parameters to launch a representative
-    kernel of the module eagerly.
+    kernel of the module eagerly.  Returns the metadata rows
+    ``[kernel_name, [batch_size, node_index]]``.
     """
+    names = artifact.kernel_name_table()
+    specs = [catalog.kernel(name) for name in names]
+    modules = [(spec.library, spec.module) for spec in specs]
+    first_layer = artifact.first_layer_nodes
+    # module -> the first node (in capture order) running one of its kernels
     needed: Dict[Tuple[str, str], Tuple[str, int, int]] = {}
-    covered: Set[Tuple[str, str]] = set()
-    for batch_size, graph in artifact.graphs.items():
-        for node_index, node in enumerate(graph.nodes):
-            spec = catalog.kernel(node.kernel_name)
-            module_key = (spec.library, spec.module)
-            if node_index < artifact.first_layer_nodes or not spec.hidden:
-                covered.add(module_key)
-            needed.setdefault(module_key,
-                              (node.kernel_name, batch_size, node_index))
-    plans: List[TriggerPlan] = []
-    for module_key, (kernel_name, batch_size, node_index) in sorted(
-            needed.items()):
-        if module_key in covered:
-            continue
-        plans.append(TriggerPlan(kernel_name=kernel_name,
-                                 node_ref=(batch_size, node_index)))
-    return plans
+    covered = set()
+    for batch_size in sorted(artifact.batches, reverse=True):
+        kernel_ids = artifact.graph_table(batch_size).kernel_ids
+        covered.update(modules[k]
+                       for k in np.unique(kernel_ids[:first_layer]).tolist())
+        present, first_index = np.unique(kernel_ids, return_index=True)
+        for node_index, k in sorted(zip(first_index.tolist(),
+                                        present.tolist())):
+            if not specs[k].hidden:
+                covered.add(modules[k])
+            needed.setdefault(modules[k], (names[k], batch_size, node_index))
+    return [[kernel_name, [batch_size, node_index]]
+            for module_key, (kernel_name, batch_size, node_index)
+            in sorted(needed.items()) if module_key not in covered]
 
 
-def run_offline(config, **kwargs) -> Tuple[MaterializedModel, OfflineReport]:
+def run_offline(config, **kwargs) -> Tuple[LazyArtifact, OfflineReport]:
     """Convenience wrapper: materialize ``config`` with default settings."""
     return OfflinePhase(config, **kwargs).run()

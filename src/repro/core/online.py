@@ -5,15 +5,16 @@ Plugged into :meth:`repro.engine.engine.LLMEngine.cold_start` for
 and the one restorer, :class:`repro.core.fastpath.VectorizedRestorer`
 (KV restore, allocation replay, first-layer warm-up with triggering
 kernels, and graph restore by one pointer gather per graph).  Every input
-kind runs that restorer; an eager artifact is packed into arrays on entry.
-The input and the hooks pick the LoadPlan:
+kind runs that restorer on the packed tables (a JSON artifact is packed
+on entry).  The packed artifact alone and the hooks pick the LoadPlan:
 
 ================================== =====================
 input                              plan
 ================================== =====================
-eager artifact, or any active hook ``medusa`` (monolithic restore tail)
-``.npz`` ``LazyArtifact``          ``medusa-pipelined``
-chunk-backed artifact              ``medusa-chunked``
+in memory (``path is None``: the   ``medusa`` (monolithic restore tail)
+offline output or JSON), or hooked
+an artifact file (``.npz``)        ``medusa-pipelined``
+a chunk manifest                   ``medusa-chunked``
 ================================== =====================
 
 A :class:`~repro.faults.FaultInjector` or
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.binfmt import LazyArtifact
+from repro.core.binfmt import as_lazy
 # resolve_kernel_addresses is re-exported: bench/tracing.py wraps it here.
 from repro.core.fastpath import (  # noqa: F401
     VectorizedRestorer,
@@ -57,13 +58,12 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
                               policy: Optional[DegradationPolicy] = None):
     """Build the (engine, restorer) pair for one Medusa cold start.
 
-    ``artifact`` may be an eager :class:`MaterializedModel` or a
-    :class:`repro.core.binfmt.LazyArtifact`; the plan follows the input
-    (see the module docstring): an eager artifact, an active
-    :class:`~repro.faults.FaultInjector` or a
+    ``artifact`` may be packed or object-form (packed here); the plan
+    follows the packed artifact (see the module docstring): an in-memory
+    one, an active :class:`~repro.faults.FaultInjector` or a
     :class:`~repro.faults.DegradationPolicy` gets the monolithic
     ``medusa`` plan, a chunk-backed artifact the chunk-streamed plan, and
-    any other lazy artifact the pipelined plan over its batch sizes.
+    an artifact file the pipelined plan over its batch sizes.
 
     Exposed separately from :func:`medusa_cold_start` so callers (the
     wall-clock bench, plan lint) can use the pair before running
@@ -71,12 +71,13 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     """
     if isinstance(config, str):
         config = get_model_config(config)
+    artifact = as_lazy(artifact)
     if artifact.model_name != config.name:
         raise RestorationError(
             f"artifact is for {artifact.model_name}, engine wants {config.name}")
     hooked = (injector is not None and injector.active) or policy is not None
     manifest = getattr(artifact, "chunk_manifest", None)
-    if hooked or not isinstance(artifact, LazyArtifact):
+    if hooked or artifact.path is None:
         plan = None     # the strategy's registered monolithic plan
     elif manifest is not None:
         # Chunk-backed lazy artifact: stream fetches per chunk, with only
@@ -110,8 +111,8 @@ def medusa_cold_start(config, artifact, seed: int = 1,
     ``injector`` threads a :class:`repro.faults.FaultInjector` through the
     process/driver and the restorer; ``policy`` opts the restorer into the
     graceful-degradation ladder (see :mod:`repro.faults.ladder`).
-    ``artifact`` may be eager or a :class:`~repro.core.binfmt.LazyArtifact`
-    (see :func:`prepare_medusa_cold_start` for the plan each one gets).
+    ``artifact`` may be packed or object-form (see
+    :func:`prepare_medusa_cold_start` for the plan each one gets).
     """
     # The restore builds ~40k long-lived objects (replayed buffers, graph
     # nodes) and turns only a few hundred into cyclic garbage while the
@@ -131,8 +132,8 @@ def cold_start_for(config, strategy: Strategy, artifact=None, seed: int = 0,
     """One cold start under any strategy; returns ``(engine, report)``.
 
     The single entry point the CLI (and tooling) routes every strategy
-    through: ``MEDUSA`` requires a :class:`MaterializedModel` ``artifact``
-    and goes through :func:`medusa_cold_start`; every other strategy runs
+    through: ``MEDUSA`` requires an ``artifact`` and goes through
+    :func:`medusa_cold_start`; every other strategy runs
     a plain :class:`LLMEngine` cold start.
     """
     if strategy is Strategy.MEDUSA:

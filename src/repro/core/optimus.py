@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.artifact import MaterializedModel
 from repro.core.fastpath import VectorizedRestorer
 from repro.engine.engine import ColdStartReport, LLMEngine
 from repro.engine.strategies import Strategy
@@ -65,7 +64,7 @@ class OptimusTransformer:
 
 
 def medusa_plus_optimus_cold_start(
-        config, artifact: MaterializedModel, seed: int = 1,
+        config, artifact, seed: int = 1,
         mode: ExecutionMode = ExecutionMode.TIMING,
         cost_model=None, kv_config=None,
 ) -> Tuple[LLMEngine, ColdStartReport]:

@@ -114,6 +114,8 @@ class AllocationIndex:
         # live and die with the index, never across runs.
         self._const_rules: Dict[int, ParamRestore] = {}
         self._pointer_rules: Dict[Tuple[int, int], ParamRestore] = {}
+        #: Entries backward_match inspected: its deterministic lookup cost.
+        self.visits = 0
 
     # -- trace-based backward matching (§4.1) -------------------------------
 
@@ -121,12 +123,15 @@ class AllocationIndex:
                        before_seq: int) -> Optional[Tuple[int, int]]:
         """The most recent allocation before ``before_seq`` containing
         ``address``; returns (alloc_index, offset) or None."""
+        visited = 0
         # Exact fast path: newest allocation of this very address that was
         # live at launch time.
         entries = self._by_address.get(address)
         if entries is not None:
             for seq, alloc_index, _size, free_seq, _end in reversed(entries):
+                visited += 1
                 if seq < before_seq and free_seq >= before_seq:
+                    self.visits += visited
                     return alloc_index, 0
         # Interior path: walk bases leftward; the first allocation live at
         # launch time containing the address is the unique answer.
@@ -138,11 +143,14 @@ class AllocationIndex:
             base = self._bases[position]
             for seq, alloc_index, _size, free_seq, end in reversed(
                     self._by_address[base]):
+                visited += 1
                 if (seq < before_seq and free_seq >= before_seq
                         and base <= address < end):
+                    self.visits += visited
                     return alloc_index, address - base
             position -= 1
             walked += 1
+        self.visits += visited
         return None
 
     # -- the naive strategy of Figure 6 (ablation baseline) -------------------

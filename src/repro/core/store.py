@@ -39,7 +39,6 @@ import re
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.artifact import MaterializedModel
 from repro.core.chunks import (
     ChunkManifest,
     ChunkedLazyArtifact,
@@ -168,9 +167,10 @@ class ArtifactStore:
 
     # -- operations ----------------------------------------------------------
 
-    def put(self, artifact: MaterializedModel) -> pathlib.Path:
-        """Persist an artifact as chunks + manifest; returns the manifest
-        path.  Chunk blobs already present (from any model/GPU) are not
+    def put(self, artifact) -> pathlib.Path:
+        """Persist an artifact's members as chunks + manifest; returns the
+        manifest path.  Chunk blobs already present (from any model/GPU)
+        are not
         rewritten — ``chunks_deduped``/``bytes_deduped`` count them — and
         neither are a manifest or an index entry that already hold the
         same bytes."""
@@ -200,8 +200,8 @@ class ArtifactStore:
         """Open one artifact chunk-backed, through the LRU.
 
         A miss reads only the (stamp-cached) manifest; with
-        ``lint_on_load`` it also reassembles the artifact once to verify
-        it.  A hit returns the same object, decompressed chunks included.
+        ``lint_on_load`` it also lints the artifact's tables once.  A hit
+        returns the same object, decompressed chunks included.
         """
         filename = self._lookup(gpu_name, model_name)
         manifest, digest = self._load_manifest(filename)
@@ -215,7 +215,7 @@ class ArtifactStore:
         lazy = self._open_chunked(manifest, filename)
         if self.lint_on_load:
             from repro.analysis import lint_artifact
-            report = lint_artifact(lazy.materialize())
+            report = lint_artifact(lazy)
             if report.errors:
                 raise LintError(
                     f"stored artifact {filename} failed static "

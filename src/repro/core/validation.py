@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.artifact import MaterializedModel
+from repro.core.binfmt import as_lazy
 from repro.core.online import prepare_medusa_cold_start
 from repro.errors import ValidationError
 from repro.simgpu.kernels import PAYLOAD_DIM
@@ -56,7 +56,7 @@ def make_input_ids(seed: int = 0) -> np.ndarray:
                         size=(PAYLOAD_DIM, PAYLOAD_DIM)).astype(float)
 
 
-def validate_restoration(config, artifact: MaterializedModel,
+def validate_restoration(config, artifact,
                          batches: Optional[Sequence[int]] = None,
                          seed: int = 77, cost_model=None,
                          kv_config=None,
@@ -78,19 +78,16 @@ def validate_restoration(config, artifact: MaterializedModel,
     ``injector`` threads a :class:`repro.faults.FaultInjector` through
     (chaos testing).
 
-    ``artifact`` may be a :class:`repro.core.binfmt.LazyArtifact`; the
-    restore then runs the plan that input gets (see
-    :func:`repro.core.online.prepare_medusa_cold_start`), and static lint
-    checks a materialized copy.
+    ``artifact`` is packed once; lint and the restore read the same
+    tables, and the restore runs the plan that input gets (see
+    :func:`repro.core.online.prepare_medusa_cold_start`).
     """
+    artifact = as_lazy(artifact)
     report = ValidationReport(model=artifact.model_name)
     degraded_ok = policy is not None
     if static_lint:
-        from repro.analysis import lint_artifact
-        from repro.core.binfmt import LazyArtifact
-        lint_target = artifact.materialize() \
-            if isinstance(artifact, LazyArtifact) else artifact
-        lint = lint_artifact(lint_target)
+        from repro import analysis
+        lint = analysis.lint_artifact(artifact)
         report.diagnostics = list(lint.diagnostics)
         if lint.errors and not degraded_ok:
             raise ValidationError(
@@ -125,7 +122,7 @@ def validate_restoration(config, artifact: MaterializedModel,
     report.degradation = getattr(cold, "degradation", None)
     report.cold_report = cold
     check_batches = list(batches) if batches is not None else \
-        [min(artifact.graphs)]
+        [min(artifact.batches)]
     if degraded_ok:
         available = set(engine.capture_artifacts.execs) \
             if engine.capture_artifacts is not None else set()

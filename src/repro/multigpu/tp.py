@@ -16,7 +16,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.artifact import MaterializedModel
+import numpy as np
+
+from repro.core.binfmt import LazyArtifact
 from repro.core.fastpath import VectorizedRestorer
 from repro.core.offline import OfflinePhase, OfflineReport
 from repro.engine import ColdStartReport, LLMEngine, Strategy
@@ -140,10 +142,10 @@ class TensorParallelMedusa:
 
     # -- offline ----------------------------------------------------------
 
-    def run_offline(self) -> Tuple[List[MaterializedModel],
+    def run_offline(self) -> Tuple[List[LazyArtifact],
                                    List[OfflineReport]]:
         """Materialize every rank; verifies the ranks agree structurally."""
-        artifacts: List[MaterializedModel] = []
+        artifacts: List[LazyArtifact] = []
         reports: List[OfflineReport] = []
         for rank in range(self.tp_degree):
             phase = OfflinePhase(
@@ -157,7 +159,7 @@ class TensorParallelMedusa:
         return artifacts, reports
 
     @staticmethod
-    def _verify_rank_consistency(artifacts: List[MaterializedModel]) -> None:
+    def _verify_rank_consistency(artifacts: List[LazyArtifact]) -> None:
         """All ranks must capture the same graph structure.
 
         Tensor parallelism shards the weights, not the program: rank
@@ -166,24 +168,25 @@ class TensorParallelMedusa:
         """
         reference = artifacts[0]
         for rank, artifact in enumerate(artifacts[1:], start=1):
-            if set(artifact.graphs) != set(reference.graphs):
+            if artifact.batches != reference.batches:
                 raise RestorationError(
                     f"rank {rank} captured batch sizes "
-                    f"{sorted(artifact.graphs)} != rank 0's "
-                    f"{sorted(reference.graphs)}")
-            for batch, graph in artifact.graphs.items():
-                ref_graph = reference.graph(batch)
+                    f"{artifact.batches} != rank 0's {reference.batches}")
+            for batch in artifact.batches:
+                graph = artifact.graph_table(batch)
+                ref_graph = reference.graph_table(batch)
                 if graph.num_nodes != ref_graph.num_nodes:
                     raise RestorationError(
                         f"rank {rank} batch {batch}: {graph.num_nodes} nodes"
                         f" != rank 0's {ref_graph.num_nodes}")
-                if sorted(graph.edges) != sorted(ref_graph.edges):
+                # The offline phase stores each graph's edges sorted.
+                if not np.array_equal(graph.edges, ref_graph.edges):
                     raise RestorationError(
                         f"rank {rank} batch {batch}: edge structure diverged")
 
     # -- online ---------------------------------------------------------------
 
-    def cold_start(self, artifacts: List[MaterializedModel], seed: int = 1
+    def cold_start(self, artifacts: List[LazyArtifact], seed: int = 1
                    ) -> Tuple[TensorParallelEngine, TensorParallelColdStart]:
         if len(artifacts) != self.tp_degree:
             raise RestorationError(

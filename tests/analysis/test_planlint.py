@@ -342,7 +342,7 @@ class TestRegistrySync:
             <= set(names)
         assert all(default_effects(name) is not None for name in names)
         assert set(names) - set(RESTORE_ACTION_EFFECTS) == {
-            restore_graph_stage(batch) for batch in artifact.graphs}
+            restore_graph_stage(batch) for batch in artifact.batches}
         assert set(restorer.stage_actions(engine)) == set(names)
 
     def test_ladder_restorer_names_match_runtime(self, tiny2l_artifact):

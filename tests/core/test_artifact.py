@@ -11,6 +11,7 @@ from repro.core.artifact import (
     ReplayEvent,
     TriggerPlan,
 )
+from repro.core.binfmt import as_lazy
 from repro.core.pointer_analysis import ParamRestore
 from repro.errors import ArtifactError
 
@@ -55,7 +56,7 @@ class TestRoundTrip:
         assert loaded.replay_events == artifact.replay_events
         assert loaded.kernel_libraries == artifact.kernel_libraries
         assert loaded.trigger_plans == artifact.trigger_plans
-        graph = loaded.graph(1)
+        graph = loaded.graphs[1]
         assert graph.nodes[0].param_restores == \
             artifact.graphs[1].nodes[0].param_restores
         assert graph.nodes[0].launch_dims == {"batch_size": 1}
@@ -65,7 +66,7 @@ class TestRoundTrip:
         path = tmp_path / "artifact.json"
         artifact.save(path)
         loaded = MaterializedModel.load(path)
-        np.testing.assert_array_equal(loaded.permanent_payload(7),
+        np.testing.assert_array_equal(as_lazy(loaded).permanent_payload(7),
                                       np.array([[1.0]]))
 
     def test_missing_file_raises(self, tmp_path):
@@ -115,13 +116,15 @@ class TestRoundTrip:
 
 
 class TestAccessors:
+    """The object form's queries are answered by its packed form."""
+
     def test_total_nodes(self):
-        assert small_artifact().total_nodes == 1
+        assert as_lazy(small_artifact()).total_nodes == 1
 
     def test_unknown_batch_raises(self):
         with pytest.raises(ArtifactError):
-            small_artifact().graph(512)
+            as_lazy(small_artifact()).graph_table(512)
 
     def test_unknown_permanent_payload_raises(self):
         with pytest.raises(ArtifactError):
-            small_artifact().permanent_payload(99)
+            as_lazy(small_artifact()).permanent_payload(99)

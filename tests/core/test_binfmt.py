@@ -33,7 +33,7 @@ class TestBinaryRoundTrip:
 
     def test_binary_smaller_than_json(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        json_size = artifact.save(tmp_path / "a.json")
+        json_size = artifact.materialize().save(tmp_path / "a.json")
         binary_size = save_binary(artifact, tmp_path / "a.npz")
         assert binary_size < json_size
 
@@ -96,3 +96,78 @@ class TestStaleArtifactsRejected:
 
         with pytest.raises(ArtifactError, match="corrupt metadata"):
             load_binary(_rewritten(tmp_path, artifact, corrupt))
+
+
+class TestPackOnce:
+    """The offline output is the packed artifact: nothing downstream packs
+    it again or unpacks it into objects."""
+
+    def test_materialization_packs_once_and_never_unpacks(self, tmp_path,
+                                                          monkeypatch):
+        from repro.core import binfmt, offline
+        from repro.core.store import ArtifactStore
+        from repro.simgpu.process import ExecutionMode
+
+        calls = {"pack_artifact": 0, "materialize": 0}
+        real_pack = binfmt.pack_artifact
+        real_materialize = binfmt.LazyArtifact.materialize
+
+        def counting_pack(*args, **kwargs):
+            calls["pack_artifact"] += 1
+            return real_pack(*args, **kwargs)
+
+        def counting_materialize(self):
+            calls["materialize"] += 1
+            return real_materialize(self)
+
+        monkeypatch.setattr(binfmt, "pack_artifact", counting_pack)
+        monkeypatch.setattr(offline, "pack_artifact", counting_pack)
+        monkeypatch.setattr(binfmt.LazyArtifact, "materialize",
+                            counting_materialize)
+        artifact, _ = offline.run_offline("Tiny-2L", seed=3,
+                                          mode=ExecutionMode.COMPUTE,
+                                          cost_model=tiny_cost_model())
+        path = tmp_path / "a.npz"
+        save_binary(artifact, path)
+        store = ArtifactStore(tmp_path / "store", lint_on_load=True)
+        store.put(artifact)
+        assert calls == {"pack_artifact": 1, "materialize": 0}
+        # Lint and restore read the tables of every input kind.
+        store.get(artifact.gpu_name, artifact.model_name)
+        for target in (artifact, binfmt.LazyArtifact(path)):
+            assert validate_restoration("Tiny-2L", target, batches=[1],
+                                        seed=4,
+                                        cost_model=tiny_cost_model()).passed
+        assert calls == {"pack_artifact": 1, "materialize": 0}
+        assert not hasattr(binfmt, "artifact_arrays")
+
+
+class TestTableChecks:
+    """Every table is checked once where it is built: a well-formed
+    ``.npy`` member of the wrong dtype, shape or length is an
+    ``ArtifactError``, never a crash inside lint or the restorer."""
+
+    @pytest.mark.parametrize("member,corrupt,message", [
+        ("g4_param_values", lambda a: a.astype(np.float32), "1-D column"),
+        ("ev_kind", lambda a: a.reshape(1, -1), "1-D column"),
+        ("ev_tag", lambda a: a[:-1], "unequal lengths"),
+        ("ev_pool", lambda a: a + 50, "outside its"),
+        ("g4_kernel", lambda a: a + 1000, "outside its"),
+        ("g4_batchdim", lambda a: a[:-1], "inconsistent CSR"),
+        ("g4_param_kinds", lambda a: a[:-1], "inconsistent CSR"),
+        ("g4_param_offsets", lambda a: a[::-1].copy(), "inconsistent CSR"),
+        ("g4_edges", lambda a: a.ravel(), "edge member"),
+    ])
+    def test_malformed_member_raises(self, tmp_path, tiny2l_artifact,
+                                     member, corrupt, message):
+        from repro.core.binfmt import LazyArtifact
+        artifact, _ = tiny2l_artifact
+
+        def rewrite(members):
+            members[member] = corrupt(members[member])
+
+        lazy = LazyArtifact(_rewritten(tmp_path, artifact, rewrite))
+        with pytest.raises(ArtifactError, match=message):
+            lazy.replay_table()
+            for batch in lazy.batches:
+                lazy.graph_table(batch)

@@ -276,7 +276,7 @@ class TestChunkModel:
         kinds = {}
         for ref in manifest.chunks:
             kinds.setdefault(ref.kind, []).append(ref)
-        batches = sorted(tiny2l.graphs)
+        batches = tiny2l.batches
         assert sorted(r.batch for r in kinds[KIND_GRAPH_HEAD]) == batches
         assert sorted(r.batch for r in kinds[KIND_GRAPH_TAIL]) == batches
 
@@ -325,7 +325,7 @@ class TestChunkedLazyArtifact:
         lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
         for batch in manifest.batches:
             table = lazy.graph_table(batch)
-            assert table.num_nodes == tiny2l.graphs[batch].num_nodes
+            assert table.num_nodes == tiny2l.graph_nodes(batch)
 
     def test_permanent_contents_come_from_dumps_chunk(self, tiny2l,
                                                       chunked):
@@ -339,7 +339,8 @@ class TestStoreChunking:
     def test_sibling_model_dedups_every_chunk(self, tiny2l, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put(tiny2l)
-        sibling = dataclasses.replace(tiny2l, model_name="Tiny-2L-twin")
+        sibling = dataclasses.replace(tiny2l.materialize(),
+                                      model_name="Tiny-2L-twin")
         store.put(sibling)
         stats = store.stats()
         assert stats["total_chunks"] == 2 * stats["unique_chunks"]
@@ -355,7 +356,8 @@ class TestStoreChunking:
             self, tiny2l, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put(tiny2l)
-        sibling = dataclasses.replace(tiny2l, model_name="Tiny-2L-twin")
+        sibling = dataclasses.replace(tiny2l.materialize(),
+                                      model_name="Tiny-2L-twin")
         store.put(sibling)
         store.delete(sibling.gpu_name, sibling.model_name)
         # The survivor still materializes: its chunks were not GC'd.

@@ -61,9 +61,9 @@ class TestFastPathCorrectness:
 
     def test_packs_eager_artifact(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        restorer = VectorizedRestorer(artifact)
+        restorer = VectorizedRestorer(artifact.materialize())
         assert isinstance(restorer.artifact, LazyArtifact)
-        assert restorer.artifact.batches == sorted(artifact.graphs)
+        assert restorer.artifact.batches == artifact.batches
         assert restorer.artifact.total_nodes == artifact.total_nodes
 
 
@@ -119,7 +119,7 @@ class TestPipelinedTimeline:
                                                      tiny2l_artifact):
         artifact, _ = tiny2l_artifact
         _engine, report = fast_cold_start(tiny2l_npz)
-        batches = sorted(artifact.graphs, reverse=True)
+        batches = sorted(artifact.batches, reverse=True)
         stages = {stage.name: stage for stage in report.timeline.stages}
         first = stages[restore_graph_stage(batches[0])]
         assert not first.background

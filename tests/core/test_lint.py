@@ -138,6 +138,13 @@ class TestLivenessPass:
         result = analyze_replay(artifact)
         assert any(d.code == "MED001" for d in result.diagnostics)
 
+    def test_unknown_event_kind_flagged(self):
+        """The importer packs an unknown kind to a code liveness rejects."""
+        artifact = clean_artifact()
+        artifact.replay_events.append(ReplayEvent("defragment"))
+        result = analyze_replay(artifact)
+        assert [d.code for d in result.diagnostics] == ["MED005"]
+
     def test_mistagged_kv_anchor_flagged(self):
         artifact = clean_artifact()
         artifact.kv_alloc_index = 2    # tagged graph_input

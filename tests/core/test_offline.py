@@ -13,15 +13,15 @@ TINY2 = get_model_config("Tiny-2L")
 class TestOfflineArtifact:
     def test_graphs_for_all_batch_sizes(self, tiny2l_artifact):
         artifact, _report = tiny2l_artifact
-        assert set(artifact.graphs) == set(TINY2.capture_batch_sizes)
+        assert set(artifact.batches) == set(TINY2.capture_batch_sizes)
         assert artifact.total_nodes == TINY2.total_graph_nodes
 
     def test_kernel_names_not_addresses(self, tiny2l_artifact):
         artifact, _report = tiny2l_artifact
-        for graph in artifact.graphs.values():
-            for node in graph.nodes:
-                assert node.kernel_name.startswith("_ZN")
-                assert node.kernel_name in artifact.kernel_libraries
+        for batch in artifact.batches:
+            for name in artifact.graph_table(batch).node_kernel_names():
+                assert name.startswith("_ZN")
+                assert name in artifact.kernel_libraries
 
     def test_structure_prefix_covers_weights(self, tiny2l_artifact):
         artifact, _report = tiny2l_artifact
@@ -61,7 +61,7 @@ class TestOfflineArtifact:
     def test_interior_pointers_found_for_kv(self, tiny2l_artifact):
         """Layer >= 1 attention uses interior KV pointers (§4.1)."""
         artifact, _report = tiny2l_artifact
-        assert artifact.stats["interior_pointers"] >= len(artifact.graphs)
+        assert artifact.stats["interior_pointers"] >= len(artifact.batches)
 
 
 class TestOfflineReport:

@@ -53,7 +53,8 @@ class TestRestoredEngine:
         artifact, _ = tiny2l_artifact
         engine, _ = restore(artifact)
         for batch, graph in engine.capture_artifacts.graphs.items():
-            assert graph.edges == set(map(tuple, artifact.graph(batch).edges))
+            assert graph.edges == set(map(tuple, artifact.graph_table(batch)
+                                               .edges.tolist()))
 
     def test_medusa_loading_beats_vanilla(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
@@ -106,8 +107,7 @@ class TestRestorationFailures:
 
     def test_structure_prefix_divergence_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        import copy
-        broken = copy.deepcopy(artifact)
+        broken = artifact.materialize()
         size, tag = broken.structure_prefix[0]
         broken.structure_prefix[0] = (size + 256, tag)
         with pytest.raises(RestorationError):
@@ -115,8 +115,7 @@ class TestRestorationFailures:
 
     def test_missing_kernel_library_mapping_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        import copy
-        broken = copy.deepcopy(artifact)
+        broken = artifact.materialize()
         # Drop a library mapping for a kernel outside the first layer.
         victim = broken.graphs[1].nodes[-1].kernel_name
         first_layer_names = {n.kernel_name
@@ -129,9 +128,8 @@ class TestRestorationFailures:
 
     def test_out_of_range_indirect_index_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        import copy
         from repro.core.pointer_analysis import ParamRestore
-        broken = copy.deepcopy(artifact)
+        broken = artifact.materialize()
         node = broken.graphs[1].nodes[0]
         for position, restore_rule in enumerate(node.param_restores):
             if restore_rule.kind == "ptr":
@@ -147,11 +145,10 @@ class TestCorruptionIsCaught:
         """If the analysis had produced a wrong indirect index, output
         validation must notice (the §4 guarantee)."""
         artifact, _ = tiny2l_artifact
-        import copy
         from repro.core.pointer_analysis import ParamRestore
         from repro.errors import ValidationError
         from repro.errors import IllegalMemoryAccessError
-        broken = copy.deepcopy(artifact)
+        broken = artifact.materialize()
         graph = broken.graphs[1]
         # Swap the weight pointers of the two layernorm weights: outputs
         # change but every access stays legal.

@@ -22,7 +22,7 @@ def partial_artifact():
 class TestPartialOffline:
     def test_artifact_holds_only_the_subset(self, partial_artifact):
         artifact, _ = partial_artifact
-        assert sorted(artifact.graphs) == [1, 8]
+        assert artifact.batches == [1, 8]
 
     def test_subset_outside_capture_list_rejected(self):
         with pytest.raises(MaterializationError):

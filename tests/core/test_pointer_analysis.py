@@ -196,32 +196,14 @@ class TestAnalyzeGraphParams:
         assert bad[0][0].alloc_index == 0   # the false positive
 
 
-class _CountingEntries(list):
-    """One address's allocation entries, counting every entry visited."""
-
-    def __init__(self, entries, visits):
-        super().__init__(entries)
-        self._visits = visits
-
-    def __iter__(self):
-        for entry in super().__iter__():
-            self._visits[0] += 1
-            yield entry
-
-    def __reversed__(self):
-        for entry in super().__reversed__():
-            self._visits[0] += 1
-            yield entry
-
-
 class TestIndexScaling:
     """The precomputed interval ends keep per-query work flat in trace size.
 
-    The test wraps the index's per-address entry lists and counts the
-    allocation entries ``backward_match`` visits — a deterministic
-    stand-in for lookup cost.  10x the launches must not visit more
-    entries per query; a lookup that rescans or re-derives allocation
-    extents grows with the trace.
+    ``AllocationIndex.visits`` counts the allocation entries
+    ``backward_match`` inspects — a deterministic stand-in for lookup
+    cost.  10x the launches must not visit more entries per query; a
+    lookup that rescans or re-derives allocation extents grows with the
+    trace.
     """
 
     def _visits_per_query(self, n):
@@ -236,18 +218,14 @@ class TestIndexScaling:
             offset = 0 if i % 2 == 0 else 128
             events.append(launch(n + i, [addresses[i] + offset]))
         index = AllocationIndex(Trace(events=events))
-        visits = [0]
-        index._by_address = {
-            address: _CountingEntries(entries, visits)
-            for address, entries in index._by_address.items()}
+        assert index.visits == 0
         for i in range(n):
             offset = 0 if i % 2 == 0 else 128
             match = index.backward_match(addresses[i] + offset, n + i)
             assert match == (i, offset)
-        # Every query inspects at least its own allocation: a zero count
-        # would mean the wrapper no longer sees the lookup.
-        assert visits[0] >= n
-        return visits[0] / n
+        # Every query inspects at least its own allocation.
+        assert index.visits >= n
+        return index.visits / n
 
     def test_ten_x_launches_scale_subquadratically(self):
         small = self._visits_per_query(500)

@@ -105,7 +105,7 @@ class TestUnchangedWrites:
     def test_changed_artifact_is_rewritten(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
         changed = dataclasses.replace(
-            artifact, kv_num_blocks=artifact.kv_num_blocks + 1)
+            artifact.materialize(), kv_num_blocks=artifact.kv_num_blocks + 1)
         store = ArtifactStore(tmp_path)
         path = store.put(artifact)
         _age(tmp_path)
@@ -125,7 +125,7 @@ class TestUnchangedWrites:
         assert save_binary(artifact, path) == size == path.stat().st_size
         assert path.stat().st_mtime_ns == _OLD_NS
         changed = dataclasses.replace(
-            artifact, kv_num_blocks=artifact.kv_num_blocks + 1)
+            artifact.materialize(), kv_num_blocks=artifact.kv_num_blocks + 1)
         assert save_binary(changed, path) == path.stat().st_size
         assert path.stat().st_mtime_ns != _OLD_NS
 
@@ -234,7 +234,8 @@ class TestStoreCaches:
 
         from repro.errors import LintError
         artifact, _ = tiny2l_artifact
-        broken = dataclasses.replace(artifact, capture_marker=-5)
+        broken = dataclasses.replace(artifact.materialize(),
+                                     capture_marker=-5)
         store = ArtifactStore(tmp_path, lint_on_load=True)
         store.put(broken)
         for _ in range(2):                # a rejected artifact is not cached

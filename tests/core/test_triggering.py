@@ -50,6 +50,7 @@ class TestHandwrittenTriggerPlans:
         artifact, _report = OfflinePhase(
             "Tiny-2L", seed=44, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model()).run()
+        artifact = artifact.materialize()
         artifact.trigger_plans = []
         with pytest.raises(RestorationError):
             medusa_cold_start("Tiny-2L", artifact, seed=45,
@@ -67,7 +68,7 @@ class TestFirstLayerTriggering:
         every module the remaining layers' hidden kernels live in."""
         from repro.models.kernels_catalog import build_catalog
         from repro.models.zoo import get_model_config
-        artifact, _ = tiny2l_artifact
+        artifact = tiny2l_artifact[0].materialize()
         catalog = build_catalog(get_model_config("Tiny-2L"))
         first_layer = artifact.graphs[1].nodes[:artifact.first_layer_nodes]
         covered = {(catalog.kernel(n.kernel_name).library,

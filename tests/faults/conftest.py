@@ -27,7 +27,7 @@ def assert_serves_correctly(engine, artifact) -> None:
     engine holds must replay to the exact output of an eager forwarding."""
     execs = engine.capture_artifacts.execs
     assert execs, "engine left the cold start with no executable graphs"
-    for batch_size in sorted(artifact.graphs):
+    for batch_size in artifact.batches:
         padded = engine.padded_batch(batch_size)
         assert padded in execs, (
             f"batch {batch_size} pads to {padded}, which has no graph "

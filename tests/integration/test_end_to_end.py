@@ -18,7 +18,7 @@ class TestArtifactFileRoundTrip:
         """The artifact survives disk persistence (the SSD path)."""
         artifact, _ = tiny2l_artifact
         path = tmp_path / "tiny2l.medusa.json"
-        artifact.save(path)
+        artifact.materialize().save(path)
         loaded = MaterializedModel.load(path)
         report = validate_restoration("Tiny-2L", loaded, batches=[1, 4],
                                       seed=404, cost_model=tiny_cost_model())

@@ -39,7 +39,7 @@ class TestPerGpuMaterialization:
         for artifact in per_gpu_artifacts.values():
             store.put(artifact)
         assert len(store.list()) == 2
-        loaded = store.get(H100_80GB.name, "Qwen1.5-4B").materialize()
+        loaded = store.get(H100_80GB.name, "Qwen1.5-4B")
         assert loaded.gpu_name == H100_80GB.name
         assert loaded.total_nodes \
             == per_gpu_artifacts[H100_80GB.name].total_nodes

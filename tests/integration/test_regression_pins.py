@@ -36,7 +36,7 @@ class TestOfflinePins:
     def test_interior_pointers_cover_kv_layers(self, qwen_artifact):
         artifact, _ = qwen_artifact
         # 39 interior KV pointers per graph (layer 0 hits the base address).
-        expected = 39 * len(artifact.graphs)
+        expected = 39 * len(artifact.batches)
         assert artifact.stats["interior_pointers"] == expected
 
     def test_no_false_positive_demotions_in_standard_models(self,

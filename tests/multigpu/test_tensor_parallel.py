@@ -101,9 +101,10 @@ class TestTensorParallelMedusa:
 
     def test_rank_consistency_check_catches_divergence(self, tp_artifacts):
         medusa, artifacts, _ = tp_artifacts
-        import copy
-        broken = [artifacts[0], copy.deepcopy(artifacts[1])]
-        broken[1].graphs[1].nodes.pop()
+        from repro.core.binfmt import as_lazy
+        diverged = artifacts[1].materialize()
+        diverged.graphs[1].nodes.pop()
+        broken = [artifacts[0], as_lazy(diverged)]
         with pytest.raises(RestorationError):
             medusa._verify_rank_consistency(broken)
 

@@ -105,7 +105,8 @@ class TestChunkDedupProperty:
         baseline = store.stats()
         for i in range(1, copies):
             store.put(dataclasses.replace(
-                artifact, model_name=f"{artifact.model_name}-copy{i}"))
+                artifact.materialize(),
+                model_name=f"{artifact.model_name}-copy{i}"))
 
         stats = store.stats()
         assert stats["unique_chunks"] == baseline["unique_chunks"]
@@ -127,8 +128,9 @@ class TestChunkDedupProperty:
                                                      tmp_path_factory):
         """Two different-content artifacts in one store stay independent."""
         a = _materialized(config, seed)
-        b = dataclasses.replace(_materialized(config, seed + 1),
-                                model_name=f"{config.name}-alt")
+        b = dataclasses.replace(
+            _materialized(config, seed + 1).materialize(),
+            model_name=f"{config.name}-alt")
         store = ArtifactStore(tmp_path_factory.mktemp("store") / "s")
         store.put(a)
         store.put(b)

@@ -325,6 +325,81 @@ class TestMalformedArtifactExitCodes:
         assert "'ev_kind' is not a .npy payload" in err
         assert "Traceback" not in err
 
+    @pytest.fixture(scope="class")
+    def good_npz(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("npz") / "good.npz"
+        assert main(["offline", "--model", "Tiny-2L", "--output",
+                     str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("member,reshape", [
+        ("g4_param_values", lambda column: column.astype("float32")),
+        ("ev_kind", lambda column: column.reshape(1, -1)),
+    ], ids=["float32-param-values", "2d-ev-kind"])
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+        ["lint"],
+    ], ids=["restore", "coldstart", "validate", "lint"])
+    def test_wrong_dtype_or_shape_member_exits_two(
+            self, good_npz, tmp_path, member, reshape, argv, capsys):
+        """A member that is a well-formed ``.npy`` of the wrong dtype or
+        shape fails the table check where the table is built."""
+        import io
+        import zipfile
+
+        import numpy as np
+        buffer = io.BytesIO()
+        np.save(buffer, reshape(np.load(good_npz)[member]))
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good_npz) as good, \
+                zipfile.ZipFile(path, "w") as bad:
+            for name in good.namelist():
+                bad.writestr(name, buffer.getvalue()
+                             if name == member + ".npy" else good.read(name))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"member '{member}' has shape" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lint"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+    ], ids=["lint", "coldstart", "validate"])
+    def test_byte_flipped_json_exits_two(self, tiny_artifact_path, tmp_path,
+                                         argv, capsys):
+        data = bytearray(open(tiny_artifact_path, "rb").read())
+        data[len(data) // 2] = 0xFF
+        path = tmp_path / "flipped.medusa.json"
+        path.write_bytes(bytes(data))
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
+class TestRestoreFailureExitCodes:
+    """A readable artifact whose restore fails exits 1 with ``error:``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--model", "Tiny-4L", "--strategy", "medusa",
+         "--artifact"],
+        ["restore", "--model", "Tiny-4L", "--artifact"],
+    ], ids=["coldstart", "restore"])
+    def test_restoration_error_exits_one(self, tiny_artifact_path, argv,
+                                         capsys):
+        assert main(argv + [tiny_artifact_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "artifact is for Tiny-2L" in err
+
 
 class TestStoreCommand:
     """``repro store stats`` on a good store and on malformed ones."""

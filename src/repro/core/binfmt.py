@@ -33,11 +33,17 @@ import numpy as np
 
 from repro.core.artifact import (
     ARTIFACT_FORMAT_VERSION,
+    SHARED_FIELDS,
     MaterializedGraph,
     MaterializedModel,
     MaterializedNode,
     ReplayEvent,
     TriggerPlan,
+    check_fields,
+    check_index_key,
+    check_shared,
+    check_tuple,
+    check_type,
 )
 from repro.core.pointer_analysis import CONST, POINTER, ParamRestore
 from repro.errors import ArtifactError
@@ -328,9 +334,11 @@ class ReplayTable:
 
     Instead of ~65k :class:`ReplayEvent` objects, this table keeps the six
     columns the events decompose into (kind code, allocation index, size,
-    pooled flag, tag id, pool id) plus the two string tables.
-    :meth:`rows` yields plain-int tuples for the replay loops (converted from
-    the arrays once, not per access), and :meth:`event` rehydrates a single
+    pooled flag, tag id, pool id) plus the two string tables.  The restore
+    hands the columns to one allocator call
+    (:meth:`repro.simgpu.memory.DeviceAllocator.replay`); :meth:`rows`
+    yields plain-int tuples for lint's liveness pass (converted from the
+    arrays once, not per access), and :meth:`event` rehydrates a single
     :class:`ReplayEvent`.
     """
 
@@ -363,11 +371,29 @@ class ReplayTable:
         return self._rows
 
     def event(self, position: int) -> ReplayEvent:
-        """The one event at ``position`` as an object (the fault
-        injector's per-event hook, and JSON export)."""
-        kind, alloc_index, size, pooled, tag, pool = self.rows()[position]
-        return ReplayEvent(kind=_EVENT_NAMES[kind], alloc_index=alloc_index,
-                           size=size, tag=tag, pooled=bool(pooled), pool=pool)
+        """The one event at ``position`` as an object (what the fault
+        injector reports)."""
+        return _replay_event(
+            int(self.kind[position]), int(self.alloc_index[position]),
+            int(self.size[position]), int(self.pooled[position]),
+            self.tags[self.tag_id[position]],
+            self.pools[self.pool_id[position]])
+
+    def events(self) -> List[ReplayEvent]:
+        """Every event as an object (the JSON export)."""
+        tags, pools = self.tags, self.pools
+        return [_replay_event(kind, alloc_index, size, pooled, tags[tag],
+                              pools[pool])
+                for kind, alloc_index, size, pooled, tag, pool in zip(
+                    self.kind.tolist(), self.alloc_index.tolist(),
+                    self.size.tolist(), self.pooled.tolist(),
+                    self.tag_id.tolist(), self.pool_id.tolist())]
+
+
+def _replay_event(kind: int, alloc_index: int, size: int, pooled: int,
+                  tag: str, pool: str) -> ReplayEvent:
+    return ReplayEvent(kind=_EVENT_NAMES[kind], alloc_index=alloc_index,
+                       size=size, tag=tag, pooled=bool(pooled), pool=pool)
 
 
 @dataclass(eq=False)
@@ -478,6 +504,8 @@ class LazyArtifact:
                 f"artifact has format version {version!r} but this code "
                 f"reads version {ARTIFACT_FORMAT_VERSION}; re-run the "
                 f"offline phase to re-materialize it")
+        if path is not None:        # read back: check what the file says
+            _check_meta(meta)
         self._replay_table: Optional[ReplayTable] = None
         self._graph_tables: Dict[int, GraphTable] = {}
         self._kernel_names: Optional[List[str]] = None
@@ -658,8 +686,7 @@ class LazyArtifact:
                       permanent_contents=self.permanent_contents,
                       trigger_plans=self.trigger_plans)
         artifact = MaterializedModel(**fields)
-        replay = self.replay_table()
-        artifact.replay_events = [replay.event(i) for i in range(len(replay))]
+        artifact.replay_events = self.replay_table().events()
         for batch in self._meta["graph_meta"]:      # member order
             artifact.graphs[int(batch)] = \
                 self.graph_table(int(batch)).to_graph()
@@ -668,6 +695,29 @@ class LazyArtifact:
     def to_json(self) -> str:
         """The artifact as JSON (:meth:`MaterializedModel.to_json`)."""
         return self.materialize().to_json()
+
+
+_META_FIELDS = dict(SHARED_FIELDS, batches=list, graph_meta=dict)
+
+
+def _check_meta(meta: dict) -> None:
+    """Field types of a read-back metadata dict (the JSON artifact's
+    checks, on the packed layout): a wrong one raises
+    :class:`ArtifactError` naming it."""
+    check_fields(meta, _META_FIELDS)
+    check_shared(meta)
+    for position, batch in enumerate(meta["batches"]):
+        check_type(batch, int, f"batches[{position}]")
+    for batch, row in meta["graph_meta"].items():
+        check_index_key(batch, "graph_meta")
+        check_tuple(row, (int,) * len(row), f"graph_meta[{batch!r}]")
+        if len(row) < 2:
+            raise ArtifactError(f"artifact field graph_meta[{batch!r}] "
+                                f"must have 2 or 3 entries")
+    for position, plan in enumerate(meta["trigger_plans"]):
+        where = f"trigger_plans[{position}]"
+        check_tuple(plan, (str, list), where)
+        check_tuple(plan[1], (int, int), f"{where}[1]")
 
 
 #: String-table members, replay columns: the members outside any graph.

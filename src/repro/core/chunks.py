@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.artifact import check_dumps, check_type
 from repro.core.binfmt import (
     GRAPH_MEMBERS,
     KERNEL_MEMBERS,
@@ -499,7 +500,9 @@ class ChunkedLazyArtifact(LazyArtifact):
         metadata holds an empty placeholder)."""
         if self._dump_rows is None:
             member = self.reader.chunk(KIND_DUMPS)[DUMPS_MEMBER]
-            self._dump_rows = json.loads(str(member[0]))
+            rows = json.loads(str(member[0]))
+            check_dumps(check_type(rows, dict, "permanent_contents"))
+            self._dump_rows = rows
         return self._dump_rows
 
     def first_layer_table(self, batch: int) -> GraphTable:

@@ -11,9 +11,10 @@ packed once on entry
   prefix (the deterministic-control-flow assumption, checked rather than
   assumed), replays the recorded (de)allocations up to the KV region, and
   adopts the materialized block count — no profiling forwarding.
-- **Allocation replay (§4.2)** — the rest of the recorded sequence, from
-  plain-tuple rows; the replayed buffers become two dense
-  ``alloc_index -> (base address, size)`` lookup tables.
+- **Allocation replay (§4.2)** — the rest of the recorded sequence, as
+  one allocator call over the packed replay columns
+  (:meth:`repro.simgpu.memory.DeviceAllocator.replay`), which returns the
+  two dense ``alloc_index -> (base address, size)`` lookup tables.
 - **Warm-up (§4.3, §5.1, §5.2)** — restores the permanent buffer contents,
   then warms up and captures only the *first layer* per batch size: its
   kernels are the triggering-kernels that load every hidden module, plus
@@ -44,19 +45,20 @@ chunk-backed artifact              ``medusa-chunked``    ``fetch_chunk[i]``,
 ================================== ===================== ==================
 
 With a :class:`~repro.faults.FaultInjector` its faults fire at the array
-sites (one graph's corrupted ``param_byte_offsets`` copy, per-row replay
-hooks, permanent-dump bit-flips, trigger timeouts in the warm-up); with a
+sites (one graph's corrupted ``param_byte_offsets`` copy, a replay table
+with shifted allocation indices, a replay range cut short by an OOM,
+permanent-dump bit-flips, trigger timeouts in the warm-up); with a
 :class:`~repro.faults.DegradationPolicy` restore failures walk the
 degradation ladder (partial → recapture → eager) instead of propagating.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.binfmt import POINTER_CODE, GraphTable, as_lazy
+from repro.core.binfmt import POINTER_CODE, GraphTable, ReplayTable, as_lazy
 from repro.engine.capture_runner import (
     CaptureArtifacts,
     capture_one,
@@ -87,7 +89,7 @@ from repro.faults.ladder import (
 )
 from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
 from repro.simgpu.kernels import PAYLOAD_DIM, KernelParam
-from repro.simgpu.memory import Buffer
+from repro.simgpu.memory import Buffer, Replayed
 from repro.simgpu.process import ExecutionMode
 
 #: What the degradation ladder may catch and recover from: Medusa-level
@@ -248,9 +250,13 @@ class VectorizedRestorer:
         #: batch -> the graph table the restore reads when it is not the
         #: artifact's own (a fault-corrupted copy).
         self._tables: Dict[int, GraphTable] = {}
+        #: the replay table when it is not the artifact's own (a copy
+        #: with REPLAY_DIVERGENCE rows shifted).
+        self._replay_table: Optional[ReplayTable] = None
         if active:
             injector.prepare(artifact)
             self._tables = injector.corrupted_tables(artifact)
+            self._replay_table = injector.diverged_replay(artifact)
         self.artifact = artifact
         self.injector = injector if active else None
         self.policy = policy
@@ -261,9 +267,12 @@ class VectorizedRestorer:
         self._verify_outputs = policy is not None and (
             policy.verify_outputs if policy.verify_outputs is not None
             else active)
-        self._buffers: Dict[int, Buffer] = {}
-        self._replay_allocated: List[Buffer] = []
+        #: replay progress: next row, first replayed alloc index, and
+        #: the alloc indices the replay has made known so far
         self._replay_cursor = 0
+        self._replay_first: Optional[int] = None
+        self._known = 0
+        self._replayed: Optional[Replayed] = None
         self._name_to_address: Dict[str, int] = {}
         self._addr_by_alloc: Optional[np.ndarray] = None
         self._size_by_alloc: Optional[np.ndarray] = None
@@ -316,7 +325,7 @@ class VectorizedRestorer:
             start = clock.now
             clock.advance(cm.artifact_load_base)
             # The real I/O: decompress the replay columns + name table.
-            artifact.replay_table().rows()
+            artifact.replay_table()
             artifact.kernel_name_table()
             return clock.now - start
 
@@ -452,7 +461,7 @@ class VectorizedRestorer:
             process, stop_alloc_index=artifact.kv_alloc_index)
         process.clock.advance(
             engine.cost_model.alloc_replay_per_event * consumed)
-        kv_buffer = self._buffer(artifact.kv_alloc_index)
+        kv_buffer = self._buffer(process, artifact.kv_alloc_index)
         kv_buffer.write(np.zeros((PAYLOAD_DIM, PAYLOAD_DIM)))
         engine.kv_bytes = artifact.kv_bytes
         engine.kv_region = KVCacheRegion(
@@ -484,73 +493,69 @@ class VectorizedRestorer:
 
     def _verify_structure_prefix(self, engine) -> None:
         """Check the deterministic-control-flow assumption (§2.5) holds."""
-        history = engine.process.allocator.history
+        allocator = engine.process.allocator
         expected = self.artifact.structure_prefix
-        if len(history) < len(expected):
+        made = allocator.num_allocations
+        if made < len(expected):
             raise RestorationError(
-                f"online process made {len(history)} allocations before "
+                f"online process made {made} allocations before "
                 f"restore; artifact expects a {len(expected)}-allocation "
                 f"structure-init prefix")
         for position, (size, tag) in enumerate(expected):
-            buffer = history[position]
+            buffer = allocator.buffer_by_alloc_index(position)
             if (buffer.size, buffer.tag) != (size, tag):
                 raise RestorationError(
                     f"allocation {position} diverged from the offline run: "
                     f"got ({buffer.size}, {buffer.tag!r}), artifact has "
                     f"({size}, {tag!r}) — control flow is not deterministic")
-            self._buffers[buffer.alloc_index] = buffer
 
     def _replay_rest(self, engine) -> None:
-        """Replay every remaining event, then build the lookup tables."""
+        """Replay every remaining row; the first call publishes the
+        alloc-index lookup tables.
+
+        Freed buffers keep their entries (pointers into them restore the
+        recorded base); an index past the tables is caught by the
+        gather's bounds check.
+        """
         consumed = self._replay_until(engine.process, stop_alloc_index=None)
         engine.process.clock.advance(
             engine.cost_model.alloc_replay_per_event * consumed)
         if self._addr_by_alloc is None:
-            self._build_alloc_tables()
+            self._addr_by_alloc = self._replayed.addresses
+            self._size_by_alloc = self._replayed.sizes
 
     def _replay_until(self, process, stop_alloc_index: Optional[int]) -> int:
-        """Replay recorded events from plain-tuple rows (no event objects).
+        """Replay the recorded rows from the cursor in one allocator call;
+        returns how many it replayed.
 
-        With an active injector each row first passes its hook, which may
-        raise (REPLAY_OOM) or shift the allocation index
-        (REPLAY_DIVERGENCE).
+        With an active injector, a REPLAY_OOM row ends the range and fails
+        once the replay reaches it, and REPLAY_DIVERGENCE rows replay from
+        the injector's shifted copy of the table.
         """
-        replay = self.artifact.replay_table()
-        rows = replay.rows()
-        buffers = self._buffers
+        table = self._replay_table or self.artifact.replay_table()
+        start = self._replay_cursor
         injector = self.injector
-        cursor = self._replay_cursor
-        consumed = 0
-        total = len(rows)
-        while cursor < total:
-            kind, alloc_index, size, pooled, tag, pool = rows[cursor]
+        oom = None if injector is None else injector.replay_oom(start,
+                                                                len(table))
+        if self._replay_first is None:
+            self._replay_first = process.allocator.num_allocations
+        end = start
+        try:
+            replayed = process.replay(table, start, oom, stop_alloc_index)
+            end = replayed.end
+        except _LADDER_ERRORS as exc:
+            end = getattr(exc, "replay_row", start - 1) + 1
+            raise
+        finally:
             if injector is not None:
-                alloc_index = injector.on_replay_event(
-                    cursor, replay.event(cursor)).alloc_index
-            cursor += 1
-            consumed += 1
-            if kind == 0:            # alloc
-                buffer = process.malloc(size, tag=tag, pool=pool)
-                self._replay_allocated.append(buffer)
-                if buffer.alloc_index != alloc_index:
-                    raise RestorationError(
-                        f"replay drift: allocation came back as index "
-                        f"{buffer.alloc_index}, artifact expects "
-                        f"{alloc_index}")
-                buffers[alloc_index] = buffer
-                if stop_alloc_index is not None \
-                        and alloc_index == stop_alloc_index:
-                    break
-            elif kind == 1:          # free
-                buffer = self._buffer(alloc_index)
-                if pooled:
-                    process.pool_free(buffer.address)
-                else:
-                    process.free(buffer.address)
-            else:                    # empty_cache
-                process.empty_cache()
-        self._replay_cursor = cursor
-        return consumed
+                injector.replay_reached(self.artifact.replay_table(), start,
+                                        end)
+        if oom == end and not replayed.stopped:
+            injector.fail_replay(oom)
+        self._replay_cursor = end
+        self._replayed = replayed
+        self._known = process.allocator.num_allocations
+        return end - start
 
     def _rollback_replay(self, process) -> None:
         """Undo an aborted allocation replay before degrading to profiling.
@@ -563,46 +568,35 @@ class VectorizedRestorer:
         stay untouched.
         """
         allocator = process.allocator
-        for buffer in reversed(self._replay_allocated):
-            if allocator.is_live(buffer.address):
+        first = self._replay_first
+        if first is not None:
+            held = [buffer for buffer in allocator.live_buffers
+                    if buffer.alloc_index >= first
+                    and allocator.is_live(buffer.address)]
+            for buffer in sorted(held, reverse=True,
+                                 key=lambda buffer: buffer.alloc_index):
                 process.free(buffer.address)
         process.empty_cache()
         allocator.reset_peak()
-        self._replay_allocated.clear()
+        self._replay_first = None
 
-    def _buffer(self, alloc_index: int) -> Buffer:
-        buffer = self._buffers.get(alloc_index)
-        if buffer is None:
+    def _buffer(self, process, alloc_index: int) -> Buffer:
+        if not 0 <= alloc_index < self._known:
             raise RestorationError(
                 f"indirect index {alloc_index} points outside the replayed "
                 f"allocation sequence")
-        return buffer
-
-    def _build_alloc_tables(self) -> None:
-        """Dense alloc-index -> (base address, size) lookup tables.
-
-        Freed buffers keep their entries (pointers into them restore the
-        recorded base), and never-allocated indices translate to -1,
-        caught by the gather's bounds check.
-        """
-        buffers = self._buffers
-        limit = max(buffers) + 1 if buffers else 0
-        addresses = np.full(limit, -1, dtype=np.int64)
-        sizes = np.zeros(limit, dtype=np.int64)
-        for alloc_index, buffer in buffers.items():
-            addresses[alloc_index] = buffer.address
-            sizes[alloc_index] = buffer.size
-        self._addr_by_alloc = addresses
-        self._size_by_alloc = sizes
+        return process.allocator.buffer_by_alloc_index(alloc_index)
 
     # -- warm-up window: permanent dumps (§4.3) and triggering (§5) ---------
 
     def _warm_up(self, engine) -> Tuple[Buffer, Buffer, CudaGraph]:
         """Restore permanent contents, warm up + capture the first layer."""
         artifact = self.artifact
-        self._restore_permanent_contents()
-        graph_input = self._buffer(artifact.graph_input_alloc_index)
-        graph_output = self._buffer(artifact.graph_output_alloc_index)
+        process = engine.process
+        self._restore_permanent_contents(process)
+        graph_input = self._buffer(process, artifact.graph_input_alloc_index)
+        graph_output = self._buffer(process,
+                                    artifact.graph_output_alloc_index)
         zeros = np.zeros((PAYLOAD_DIM, PAYLOAD_DIM))
         graph_input.write(zeros)
         graph_output.write(zeros)
@@ -613,13 +607,13 @@ class VectorizedRestorer:
         first_layer_graph = self._capture_first_layer(engine, batch_order[0])
         return graph_input, graph_output, first_layer_graph
 
-    def _restore_permanent_contents(self) -> None:
+    def _restore_permanent_contents(self, process) -> None:
         artifact = self.artifact
         for alloc_index in sorted(artifact.permanent_contents):
             expected = artifact.permanent_payload(alloc_index)
             payload = expected if self.injector is None else \
                 self.injector.permanent_payload(alloc_index, expected)
-            buffer = self._buffer(alloc_index)
+            buffer = self._buffer(process, alloc_index)
             buffer.write(payload)
             if self._verify_dumps \
                     and not np.array_equal(buffer.read(), expected):

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.artifact import ReplayEvent
-from repro.core.binfmt import POINTER_CODE, GraphTable, LazyArtifact
+from repro.core.binfmt import POINTER_CODE, GraphTable, LazyArtifact, \
+    ReplayTable
 from repro.core.pointer_analysis import POINTER
 from repro.errors import InvalidValueError, OutOfMemoryError
 from repro.faults.plan import (
@@ -221,26 +221,50 @@ class FaultInjector:
                         f"out of bounds)")
         return tables
 
-    def on_replay_event(self, position: int,
-                        event: ReplayEvent) -> ReplayEvent:
-        """Called per replayed event; may raise OOM or return the event
-        with its allocation index shifted (divergence)."""
-        for fault in self._faults(FaultKind.REPLAY_OOM):
-            if fault.event_index == position:
-                self.record("replay.event",
-                            f"cudaMalloc OOM at replay event {position}")
-                raise OutOfMemoryError(
-                    f"cudaMalloc failed during allocation replay (event "
-                    f"{position}, fault injection): device memory exhausted")
-        for fault in self._faults(FaultKind.REPLAY_DIVERGENCE):
-            if fault.event_index == position:
+    def diverged_replay(self, artifact: LazyArtifact
+                        ) -> Optional[ReplayTable]:
+        """REPLAY_DIVERGENCE: a copy of the replay table whose targeted
+        rows record a shifted allocation index (None when no row is
+        targeted; ``artifact`` itself is never mutated)."""
+        targets = self._replay_targets(FaultKind.REPLAY_DIVERGENCE)
+        if not targets:
+            return None
+        table = artifact.replay_table()
+        alloc_index = table.alloc_index.copy()
+        alloc_index[targets] += _DIVERGENCE_SHIFT
+        return replace(table, alloc_index=alloc_index)
+
+    def replay_oom(self, start: int, stop: int) -> Optional[int]:
+        """REPLAY_OOM: the first targeted row in ``[start, stop)``, where
+        the replay must stop (:meth:`fail_replay` once it gets there)."""
+        targets = [position for position in
+                   self._replay_targets(FaultKind.REPLAY_OOM)
+                   if start <= position < stop]
+        return targets[0] if targets else None
+
+    def replay_reached(self, table: ReplayTable, start: int,
+                       end: int) -> None:
+        """Record the REPLAY_DIVERGENCE rows among ``[start, end)``, the
+        rows a replay reached (``table`` is the artifact's own)."""
+        for position in self._replay_targets(FaultKind.REPLAY_DIVERGENCE):
+            if start <= position < end:
+                event = table.event(position)
                 self.record("replay.event",
                             f"diverged replay event {position} "
                             f"({event.kind} {event.alloc_index})")
-                return replace(
-                    event,
-                    alloc_index=event.alloc_index + _DIVERGENCE_SHIFT)
-        return event
+
+    def fail_replay(self, position: int) -> None:
+        """The REPLAY_OOM at ``position`` fires: cudaMalloc fails."""
+        self.record("replay.event",
+                    f"cudaMalloc OOM at replay event {position}")
+        raise OutOfMemoryError(
+            f"cudaMalloc failed during allocation replay (event "
+            f"{position}, fault injection): device memory exhausted")
+
+    def _replay_targets(self, kind: FaultKind) -> List[int]:
+        """The rows faults of ``kind`` target, ascending, each once."""
+        return sorted({fault.event_index for fault in self._faults(kind)
+                       if fault.event_index is not None})
 
     def symbol_blocked(self, kernel_name: str) -> bool:
         """HIDDEN_KERNEL_UNRESOLVED: neither dlsym nor enumeration may see

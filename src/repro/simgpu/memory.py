@@ -26,11 +26,12 @@ pass.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import IllegalMemoryAccessError, InvalidValueError, OutOfMemoryError
+from repro.simgpu import replay as _replay
 
 #: Allocation granularity, mirroring the CUDA allocator's 256-byte alignment.
 ALIGNMENT = 256
@@ -98,6 +99,41 @@ class Buffer:
         return self.payload
 
 
+class Replayed(NamedTuple):
+    """The outcome of one :meth:`DeviceAllocator.replay` call."""
+
+    end: int                  # one past the last row replayed
+    stopped: bool             # the range ended at ``stop_alloc_index``
+    addresses: np.ndarray     # alloc index -> base address (whole history)
+    sizes: np.ndarray         # alloc index -> aligned size
+
+
+class _ReplayBlock(NamedTuple):
+    """The columns of one replay's allocations, from which their
+    :class:`Buffer` objects are built when asked for."""
+
+    first: int                # alloc index of the first one
+    addresses: np.ndarray
+    sizes: np.ndarray
+    tag_ids: np.ndarray
+    pool_ids: np.ndarray
+    tags: List[str]
+    pools: List[str]
+    sources: np.ndarray       # carried payload id, -1 for None
+    payloads: List[object]
+    poisoned: np.ndarray      # released by a cudaFree or empty_cache
+
+    def buffer(self, position: int, live: bool) -> Buffer:
+        source = int(self.sources[position])
+        payload = self.payloads[source] if source >= 0 else None
+        if payload is not None and self.poisoned[position]:
+            payload = np.full_like(payload, POISON_VALUE)
+        return Buffer(int(self.addresses[position]),
+                      int(self.sizes[position]), self.first + position,
+                      self.tags[self.tag_ids[position]],
+                      self.pools[self.pool_ids[position]], payload, live)
+
+
 class DeviceAllocator:
     """cudaMalloc/cudaFree over a randomized heap with LIFO reuse.
 
@@ -109,7 +145,12 @@ class DeviceAllocator:
     The allocator keeps no event log of its own: the replayable
     (de)allocation sequence (§4.2) is the trace a
     :class:`repro.core.interception.TraceInterceptor` records on the owning
-    process.
+    process.  Live allocations go through the scalar ``malloc`` /
+    ``free`` / ``pool_free`` / ``empty_cache``; a recorded sequence goes
+    through :meth:`replay`, one array solve for a whole row range
+    (:mod:`repro.simgpu.replay`).  A replay builds :class:`Buffer` objects
+    only for the blocks it leaves live; the others are built from its
+    columns when ``buffer_by_alloc_index`` or ``history`` asks for them.
     """
 
     def __init__(self, base: int, capacity_bytes: int):
@@ -120,8 +161,15 @@ class DeviceAllocator:
         self._cursor = base
         self._free_lists: Dict[int, List[int]] = {}
         self._live: Dict[int, Buffer] = {}
-        #: every buffer ever allocated; position == alloc index
-        self._history: List[Buffer] = []
+        #: every buffer ever allocated; position == alloc index.  None
+        #: marks a replayed buffer not built yet (see ``_blocks``).
+        self._history: List[Optional[Buffer]] = []
+        self._unbuilt = 0
+        self._blocks: List[_ReplayBlock] = []
+        self._block_starts: List[int] = []
+        #: alloc index -> address / size, for the first ``len`` indices
+        self._index_address = np.zeros(0, dtype=np.int64)
+        self._index_size = np.zeros(0, dtype=np.int64)
         self.bytes_in_use = 0
         self.peak_bytes = 0
         self._pending: set = set()            # addresses sitting on free lists
@@ -303,6 +351,147 @@ class DeviceAllocator:
         self._pending.clear()
         return released
 
+    def replay(self, table, start: int = 0, stop: Optional[int] = None,
+               stop_alloc_index: Optional[int] = None) -> Replayed:
+        """Replay rows ``[start, stop)`` of a recorded (de)allocation
+        table in one array solve (paper §4.2).
+
+        ``table`` is a :class:`~repro.core.binfmt.ReplayTable` (its
+        ``kind``, ``alloc_index``, ``size``, ``pooled``, ``tag_id`` and
+        ``pool_id`` columns and ``tags``/``pools`` string tables).  The
+        range also ends after the first allocation row recording
+        ``stop_alloc_index``.  An allocation row is ``malloc(size, tag,
+        pool)`` and must come back as the index it records; a free row
+        ``pool_free``s or ``free``s the block of the allocation it names;
+        any other kind is ``empty_cache``.  The allocator ends in exactly
+        the state those calls leave, one by one.
+
+        An invalid row raises what the row-by-row replay raises, with the
+        state of the rows before it applied (a drifted allocation is
+        made, then reported); the error carries the row as
+        ``replay_row``.
+        """
+        total = len(table.kind)
+        stop = total if stop is None else min(stop, total)
+        if stop <= start:
+            self._index_columns()
+            return Replayed(start, False, self._index_address,
+                            self._index_size)
+        stopped = False
+        if stop_alloc_index is not None:
+            hits = np.flatnonzero(
+                (table.kind[start:stop] == _replay.ALLOC)
+                & (table.alloc_index[start:stop] == stop_alloc_index))
+            if hits.size:
+                stop, stopped = start + int(hits[0]) + 1, True
+        # A size the solve does not take (non-positive, or more than the
+        # whole device) fails before its row changes any state.
+        sizes = table.size[start:stop]
+        bad_size = np.flatnonzero(
+            (table.kind[start:stop] == _replay.ALLOC)
+            & ((sizes <= 0) | (sizes > self.capacity_bytes)))
+        limit = start + int(bad_size[0]) if bad_size.size else stop
+        solution = self._solve(table, start, limit)
+        error = solution.error
+        if error is not None:
+            row = start + solution.error_row
+            if row > start:
+                self._apply(table, start, self._solve(table, start, row))
+            if solution.rows > solution.error_row:
+                # A drifted allocation is made, then reported.
+                self.malloc(int(table.size[row]),
+                            tag=table.tags[table.tag_id[row]],
+                            pool=table.pools[table.pool_id[row]])
+        else:
+            self._apply(table, start, solution)
+            if limit < stop:
+                row = limit
+                size = int(table.size[row])
+                error = InvalidValueError(
+                    f"cudaMalloc of non-positive size {size}") if size <= 0 \
+                    else OutOfMemoryError(
+                        f"device OOM: in use {self.bytes_in_use} + request "
+                        f"{_align(size)} > capacity {self.capacity_bytes}")
+        if error is not None:
+            error.replay_row = row
+            raise error
+        return Replayed(stop, stopped, self._index_address, self._index_size)
+
+    def _index_columns(self) -> None:
+        """Extend the alloc index -> address / size columns to the whole
+        history (the allocations made since the last replay are scalar,
+        so all built)."""
+        newer = self._history[self._index_address.size:]
+        if newer:
+            self._index_address = np.concatenate([
+                self._index_address,
+                np.array([b.address for b in newer], dtype=np.int64)])
+            self._index_size = np.concatenate([
+                self._index_size,
+                np.array([b.size for b in newer], dtype=np.int64)])
+
+    def _solve(self, table, start: int, stop: int) -> _replay.Solution:
+        self._index_columns()
+        return _replay.solve(
+            table, start, stop, alignment=ALIGNMENT,
+            next_index=len(self._history),
+            cursor=self._cursor, in_use=self.bytes_in_use,
+            capacity=self.capacity_bytes,
+            index_address=self._index_address, live=self._live,
+            free_lists=self._free_lists)
+
+    def _apply(self, table, start: int, solution: _replay.Solution) -> None:
+        """Make ``solution``, solved from the current state, the state."""
+        rows = start + np.flatnonzero(
+            table.kind[start:start + solution.rows] == _replay.ALLOC)
+        history = self._history
+        first = len(history)
+        count = rows.size
+        block = _ReplayBlock(first, solution.addresses, solution.sizes,
+                             table.tag_id[rows], table.pool_id[rows],
+                             table.tags, table.pools, solution.sources,
+                             solution.payloads, solution.poisoned)
+        history.extend([None] * count)
+        built = [block.buffer(position, live=True)
+                 for position in np.flatnonzero(solution.live).tolist()]
+        self._unbuilt += count - len(built)
+        live, large = self._live, self._large_live
+        poisoned = set(solution.poisoned_owners)
+        for address in solution.dead_owners:
+            owner = live.pop(address)
+            owner.live = False
+            if address in poisoned and owner.payload is not None:
+                owner.payload = np.full_like(owner.payload, POISON_VALUE)
+            large.pop(address, None)
+        for buffer in built:
+            history[buffer.alloc_index] = buffer
+            live[buffer.address] = buffer
+            if buffer.size > _LARGE_THRESHOLD:
+                large[buffer.address] = buffer
+        self._large_starts = None
+        self._free_lists.clear()
+        self._free_lists.update(solution.free_lists)
+        self._pending = {entry[0] for entries in solution.free_lists.values()
+                         for entry in entries}
+        self._cursor = solution.cursor
+        self.bytes_in_use = solution.in_use
+        if count:
+            self.peak_bytes = max(self.peak_bytes, solution.peak)
+            self._blocks.append(block)
+            self._block_starts.append(first)
+        self._index_address = np.concatenate([self._index_address,
+                                              solution.addresses])
+        self._index_size = np.concatenate([self._index_size, solution.sizes])
+
+    def _build(self, index: int) -> Buffer:
+        """Build the replayed buffer at ``index`` (no longer live)."""
+        block = self._blocks[bisect.bisect_right(self._block_starts,
+                                                 index) - 1]
+        buffer = block.buffer(index - block.first, live=False)
+        self._history[index] = buffer
+        self._unbuilt -= 1
+        return buffer
+
     def _unindex_large(self, address: int) -> None:
         if self._large_live.pop(address, None) is not None:
             self._large_starts = None
@@ -359,7 +548,8 @@ class DeviceAllocator:
             raise InvalidValueError(
                 f"allocation index {index} out of range "
                 f"(process performed {len(self._history)} allocations)")
-        return self._history[index]
+        buffer = self._history[index]
+        return buffer if buffer is not None else self._build(index)
 
     @property
     def live_buffers(self) -> Tuple[Buffer, ...]:
@@ -367,7 +557,16 @@ class DeviceAllocator:
 
     @property
     def history(self) -> Tuple[Buffer, ...]:
+        if self._unbuilt:
+            for index, buffer in enumerate(self._history):
+                if buffer is None:
+                    self._build(index)
         return tuple(self._history)
+
+    @property
+    def buffers_built(self) -> int:
+        """How many :class:`Buffer` objects this allocator has built."""
+        return len(self._history) - self._unbuilt
 
     @property
     def num_allocations(self) -> int:

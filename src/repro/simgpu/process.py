@@ -25,7 +25,7 @@ from repro.simgpu.kernels import (
 from repro.simgpu.libraries import LibraryCatalog
 from repro.simgpu.driver import CudaDriver
 from repro.simgpu.executor import ExecutionMode
-from repro.simgpu.memory import ALIGNMENT, Buffer, DeviceAllocator
+from repro.simgpu.memory import ALIGNMENT, Buffer, DeviceAllocator, Replayed
 from repro.simgpu.stream import LaunchRecord, Stream
 from repro.utils.rng import SeedSequence
 
@@ -57,6 +57,14 @@ class Interceptor:
         pass
 
 
+def _hooks_allocations(interceptor: Interceptor) -> bool:
+    """Whether ``interceptor`` overrides a per-allocation hook."""
+    kind = type(interceptor)
+    return (kind.on_alloc is not Interceptor.on_alloc
+            or kind.on_free is not Interceptor.on_free
+            or kind.on_empty_cache is not Interceptor.on_empty_cache)
+
+
 class CudaProcess:
     """One simulated process: clock + allocator + driver + streams."""
 
@@ -84,6 +92,7 @@ class CudaProcess:
         self.default_stream = Stream(self, name="stream0")
         self._interceptors: List[Interceptor] = []
         self._charges_interception = False   # any hook with adds_overhead
+        self._observes_allocations = False   # a hook a replay would skip
         self._magic: Dict[str, Tuple[int, int]] = {}   # kernel -> (addr_a, addr_b)
         self._current_pool = "default"
 
@@ -101,6 +110,8 @@ class CudaProcess:
         # ``adds_overhead`` is read when hooks attach or detach, not per event.
         self._charges_interception = any(
             i.adds_overhead for i in self._interceptors)
+        self._observes_allocations = self._charges_interception or any(
+            _hooks_allocations(i) for i in self._interceptors)
 
     @property
     def intercepted(self) -> bool:
@@ -160,6 +171,22 @@ class CudaProcess:
             self._charge_interception()
             for interceptor in self._interceptors:
                 interceptor.on_free(buffer)
+
+    def replay(self, table, start: int = 0, stop: Optional[int] = None,
+               stop_alloc_index: Optional[int] = None) -> Replayed:
+        """Replay recorded (de)allocation rows in one allocator call
+        (:meth:`DeviceAllocator.replay`).
+
+        Allocation hooks and the interception charge observe one call at
+        a time, so a replay raises instead of skipping them when an
+        interceptor has either; a launch-only passive observer (the
+        kernel profiler) sees nothing of the rows and may stay attached.
+        """
+        if self._observes_allocations:
+            raise InvalidValueError(
+                "allocation replay with an allocation interceptor "
+                "attached: the hooks see only per-call malloc/free")
+        return self.allocator.replay(table, start, stop, stop_alloc_index)
 
     def memcpy_h2d(self, buffer: Buffer, host_data: np.ndarray) -> None:
         """``cudaMemcpyAsync`` host->device: write payload, pay bandwidth.

@@ -58,3 +58,38 @@ class TestKernelProfiler:
         summary = profiler.summary()
         assert summary["total_launches"] == float(profiler.total_launches)
         assert summary["distinct_kernels"] > 0
+
+
+class TestProfiledMedusaRestore:
+    """The profiler only watches launches, so it may stay attached through
+    a Medusa restore's allocation replay."""
+
+    def test_profiles_a_medusa_cold_start(self, tiny2l_artifact):
+        from repro.core.online import (medusa_cold_start,
+                                       prepare_medusa_cold_start)
+        from repro.faults.ladder import DegradationPolicy
+        artifact, _report = tiny2l_artifact
+        _baseline, unprofiled = medusa_cold_start(
+            TINY, artifact, seed=7, cost_model=tiny_cost_model())
+        engine, restorer = prepare_medusa_cold_start(
+            TINY, artifact, seed=7, cost_model=tiny_cost_model(),
+            policy=DegradationPolicy())
+        profiler = profile(engine.process)
+        report = engine.cold_start(restorer=restorer)
+        assert report.degradation is None
+        assert report.stage_durations == unprofiled.stage_durations
+        # first-layer triggering captures the first layer's nodes; the
+        # rest are eager (the triggering forward and the warm-up)
+        assert profiler.captured_launches == artifact.first_layer_nodes == 11
+        assert profiler.eager_launches == 33
+
+    def test_allocation_hooks_refuse_a_replay(self, tiny2l_artifact):
+        from repro.core.interception import TraceInterceptor
+        from repro.errors import InvalidValueError
+        artifact, _report = tiny2l_artifact
+        engine = LLMEngine("Tiny-2L", Strategy.MEDUSA, seed=7,
+                           mode=ExecutionMode.TIMING,
+                           cost_model=tiny_cost_model())
+        engine.process.add_interceptor(TraceInterceptor())
+        with pytest.raises(InvalidValueError, match="allocation interceptor"):
+            engine.process.replay(artifact.replay_table())

@@ -366,6 +366,46 @@ class TestMalformedArtifactExitCodes:
         assert f"member '{member}' has shape" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value,field", [
+        ("first_layer_nodes", "3", "first_layer_nodes must be an integer"),
+        ("kv_alloc_index", None, "kv_alloc_index must be an integer, not "
+                                 "null"),
+        ("trigger_plans", [["k", 4]], "trigger_plans[0][1] must be a list"),
+        ("graph_meta", {"4": ["a", 1]}, "graph_meta['4'][0] must be an "
+                                        "integer"),
+    ], ids=["first-layer-string", "kv-index-null", "trigger-ref-int",
+            "graph-meta-string"])
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+        ["lint"],
+    ], ids=["restore", "coldstart", "validate", "lint"])
+    def test_wrong_typed_metadata_exits_two(self, good_npz, tmp_path, key,
+                                            value, field, argv, capsys):
+        """The embedded metadata is checked as the JSON artifact is."""
+        import io
+        import zipfile
+
+        import numpy as np
+        metadata = json.loads(str(np.load(good_npz)["metadata"][0]))
+        metadata[key] = value
+        buffer = io.BytesIO()
+        np.save(buffer, np.array([json.dumps(metadata)]))
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good_npz) as good, \
+                zipfile.ZipFile(path, "w") as bad:
+            for name in good.namelist():
+                bad.writestr(name, buffer.getvalue()
+                             if name == "metadata.npy" else good.read(name))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["lint"],
         ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
@@ -382,6 +422,100 @@ class TestMalformedArtifactExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
+def _rename_event_key(payload):
+    event = payload["replay_events"][0]
+    event["alloc_idx"] = event.pop("alloc_index")
+
+
+def _graphs_as_list(payload):
+    payload["graphs"] = list(payload["graphs"].values())
+
+
+def _kv_index_as_string(payload):
+    payload["kv_alloc_index"] = str(payload["kv_alloc_index"])
+
+
+def _restore_rule_value_as_string(payload):
+    rule = next(iter(payload["graphs"].values()))["nodes"][0][
+        "param_restores"][0]
+    rule["value"] = str(rule["value"])
+
+
+def _trigger_plan_without_ref(payload):
+    payload["trigger_plans"] = [{"kernel_name": "k"}]
+
+
+def _first_graph(payload):
+    return next(iter(payload["graphs"].values()))
+
+
+def _edge_as_integer(payload):
+    _first_graph(payload)["edges"] = [5]
+
+
+def _param_size_as_string(payload):
+    _first_graph(payload)["nodes"][0]["param_sizes"][0] = "x"
+
+
+def _param_size_past_int8(payload):
+    _first_graph(payload)["nodes"][0]["param_sizes"][0] = 300
+
+
+def _launch_dim_as_string(payload):
+    _first_graph(payload)["nodes"][0]["launch_dims"]["batch_size"] = "1"
+
+
+def _event_size_past_int64(payload):
+    payload["replay_events"][0]["size"] = 2 ** 64
+
+
+class TestJsonSchemaErrors:
+    """A JSON artifact with a misspelt key or a wrong-typed field is
+    unreadable: every command that opens it prints ``error:`` naming the
+    field and exits 2, with no traceback."""
+
+    @pytest.mark.parametrize("mutate,field", [
+        (_rename_event_key, "replay_events[0] has an unknown key "
+                            "'alloc_idx'"),
+        (_graphs_as_list, "graphs must be an object, not a list"),
+        (_kv_index_as_string, "kv_alloc_index must be an integer, not a "
+                              "string"),
+        (_restore_rule_value_as_string, ".nodes[0].param_restores[0].value "
+                                        "must be an integer"),
+        (_trigger_plan_without_ref, "trigger_plans[0] has no 'node_ref'"),
+        (_edge_as_integer, ".edges[0] must be a list, not an integer"),
+        (_param_size_as_string, ".nodes[0].param_sizes[0] must be an "
+                                "integer, not a string"),
+        (_param_size_past_int8, ".nodes[0].param_sizes[0] must fit in 8 "
+                                "bits, not 300"),
+        (_launch_dim_as_string, ".nodes[0].launch_dims['batch_size'] must "
+                                "be an integer, not a string"),
+        (_event_size_past_int64, "replay_events[0].size must fit in 64 "
+                                 "bits"),
+    ], ids=["event-key", "graphs-list", "kv-index-string",
+            "restore-value-string", "trigger-plan-ref", "edge-integer",
+            "param-size-string", "param-size-int8", "launch-dim-string",
+            "event-size-int64"])
+    @pytest.mark.parametrize("argv", [
+        ["lint"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+    ], ids=["lint", "coldstart", "validate"])
+    def test_wrong_typed_field_exits_two(self, tiny_artifact_path, tmp_path,
+                                         mutate, field, argv, capsys):
+        payload = json.loads(open(tiny_artifact_path).read())
+        mutate(payload)
+        path = tmp_path / "mutated.medusa.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
         assert "Traceback" not in err
 
 

@@ -24,8 +24,11 @@ packed once on entry
   cuModuleEnumerateFunctions) and substitutes pointers in one gather per
   graph: the flat ``param_values`` column is copied once and its pointer
   slots become ``fresh base + byte offset``, with the bounds checks as
-  vector comparisons.  Restored nodes keep their parameters packed
-  (:class:`PackedParams`).
+  vector comparisons.  A restored graph stays columns
+  (:meth:`repro.simgpu.graph.CudaGraph.from_columns`): its node objects,
+  whose parameters view the gathered array
+  (:class:`~repro.simgpu.graph.PackedParams`), are built only on first
+  read.
 
 The restorer binds the actions of all three Medusa plans; which one runs is
 picked by :func:`repro.core.online.prepare_medusa_cold_start`:
@@ -54,7 +57,7 @@ degradation ladder (partial → recapture → eager) instead of propagating.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -87,8 +90,13 @@ from repro.faults.ladder import (
     LadderStep,
     Rung,
 )
-from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
-from repro.simgpu.kernels import PAYLOAD_DIM, KernelParam
+from repro.simgpu.graph import (
+    CudaGraph,
+    GraphColumns,
+    GraphExecMeta,
+    PackedParams,
+)
+from repro.simgpu.kernels import PAYLOAD_DIM
 from repro.simgpu.memory import Buffer, Replayed
 from repro.simgpu.process import ExecutionMode
 
@@ -96,54 +104,6 @@ from repro.simgpu.process import ExecutionMode
 #: restore failures and realistic driver/runtime errors.  Engine-level
 #: errors (mis-wired plans, exhausted KV budgets) still propagate.
 _LADDER_ERRORS = (MaterializationError, CudaError)
-
-
-class PackedParams:
-    """A node's parameter array as a view into the resolved flat arrays.
-
-    Quacks like the ``List[KernelParam]`` a :class:`CudaGraphNode` stores —
-    ``len``, indexing, iteration, and item assignment (what
-    ``CudaGraphNode.set_param`` uses) all work — but holds only two array
-    references and a slot range.  A 16k-node graph therefore restores
-    without creating ~112k ``KernelParam`` objects; they materialize lazily
-    when COMPUTE-mode execution iterates the node.
-    """
-
-    __slots__ = ("sizes", "values", "start", "stop")
-
-    def __init__(self, sizes: np.ndarray, values: np.ndarray,
-                 start: int, stop: int):
-        self.sizes = sizes          # flat per-slot byte sizes (shared)
-        self.values = values        # flat resolved values (shared, mutable)
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def _position(self, index: int) -> int:
-        length = self.stop - self.start
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError(f"param index {index} out of range "
-                             f"for {length} slots")
-        return self.start + index
-
-    def __getitem__(self, index: int) -> KernelParam:
-        position = self._position(index)
-        return KernelParam(int(self.sizes[position]),
-                           int(self.values[position]))
-
-    def __setitem__(self, index: int, param: KernelParam) -> None:
-        # Slot sizes are fixed by the kernel ABI; only the value moves.
-        self.values[self._position(index)] = param.value
-
-    def __iter__(self) -> Iterator[KernelParam]:
-        sizes = self.sizes[self.start:self.stop].tolist()
-        values = self.values[self.start:self.stop].tolist()
-        for size, value in zip(sizes, values):
-            yield KernelParam(size, value)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +713,9 @@ class VectorizedRestorer:
         poisoned: Set[int] = set()
         for batch_size in sorted(artifact.batches, reverse=True):
             table = self._graph_table(batch_size)
-            if unresolved & set(table.node_kernel_names()):
+            if unresolved and not unresolved.isdisjoint(
+                    table.kernel_names[kernel_id]
+                    for kernel_id in np.unique(table.kernel_ids).tolist()):
                 poisoned.add(batch_size)
                 continue
             try:
@@ -814,32 +776,45 @@ class VectorizedRestorer:
         values[pointer_mask] = bases + offsets
         return values
 
-    def _assemble_graph(self, table: GraphTable) -> CudaGraph:
-        """Build one restored graph around the gathered parameter arrays."""
-        resolved = self._resolved_values(table)
+    def _kernel_addresses(self, table: GraphTable) -> np.ndarray:
+        """Per-node kernel addresses: one lookup per distinct kernel id,
+        then one ``np.take``; names the first node without an address."""
+        kernel_ids = table.kernel_ids
+        names = table.kernel_names
         name_table = self._name_to_address
-        addresses = []
-        for name in table.node_kernel_names():
-            address = name_table.get(name)
+        by_id = np.zeros(len(names), dtype=np.int64)
+        missing = []
+        for kernel_id in np.unique(kernel_ids).tolist():
+            address = name_table.get(names[kernel_id])
             if address is None:
-                raise RestorationError(
-                    f"no restored address for kernel {name}")
-            addresses.append(address)
-        offsets = table.param_offsets.tolist()
-        dims = table.batch_dims.tolist()
-        sizes = table.param_sizes
-        nodes = [
-            CudaGraphNode(
-                kernel_address=addresses[index],
-                params=PackedParams(sizes, resolved,
-                                    offsets[index], offsets[index + 1]),
-                launch_dims={"batch_size": dims[index]},
-            )
-            for index in range(table.num_nodes)
-        ]
-        return CudaGraph(
-            nodes=nodes,
-            edges={tuple(edge) for edge in table.edges.tolist()},
+                missing.append(kernel_id)
+            else:
+                by_id[kernel_id] = address
+        if missing:
+            first = int(np.isin(kernel_ids, missing).argmax())
+            raise RestorationError(
+                f"no restored address for kernel "
+                f"{names[int(kernel_ids[first])]}")
+        return np.take(by_id, kernel_ids)
+
+    def _assemble_graph(self, table: GraphTable) -> CudaGraph:
+        """Build one restored graph as columns around the gathered params.
+
+        The pointer gather and every check run here; the graph builds its
+        node objects only when something reads ``nodes`` (COMPUTE-mode
+        replay, validation, checkpoints), so a TIMING-mode restore builds
+        none.
+        """
+        resolved = self._resolved_values(table)
+        return CudaGraph.from_columns(
+            GraphColumns(
+                kernel_addresses=self._kernel_addresses(table),
+                param_sizes=table.param_sizes,
+                param_values=resolved,
+                param_offsets=table.param_offsets,
+                batch_dims=table.batch_dims,
+                edges=table.edges,
+            ),
             exec_meta=GraphExecMeta(
                 param_bytes=table.param_bytes,
                 num_tokens=table.num_tokens,

@@ -53,18 +53,32 @@ def declared_sizes(config: ModelConfig) -> Dict[str, int]:
     return sizes
 
 
+def _payloads(config: ModelConfig, keys: List[str]) -> np.ndarray:
+    """The weight matrices of ``keys``, stacked, each drawn from its own
+    generator and scaled to a spectral norm of at most 1.
+
+    The norms come from one batched SVD; each equals the per-matrix
+    ``np.linalg.norm(matrix, 2)`` bit for bit.
+    """
+    seeds = SeedSequence(config.checkpoint_seed)
+    matrices = np.stack([
+        seeds.generator("weights", key).normal(
+            scale=0.5, size=(PAYLOAD_DIM, PAYLOAD_DIM))
+        for key in keys])
+    # Keep norms bounded so deep stacks stay numerically tame.
+    norms = np.linalg.svd(matrices, compute_uv=False).max(-1)
+    return matrices / np.maximum(norms, 1.0)[:, None, None]
+
+
 class CheckpointStore:
     """Deterministic weight payload source for all models."""
 
     def payload(self, config: ModelConfig, key: str) -> np.ndarray:
-        rng = SeedSequence(config.checkpoint_seed).generator("weights", key)
-        matrix = rng.normal(scale=0.5, size=(PAYLOAD_DIM, PAYLOAD_DIM))
-        # Keep norms bounded so deep stacks stay numerically tame.
-        return matrix / max(1.0, np.linalg.norm(matrix, 2))
+        return _payloads(config, [key])[0]
 
     def iter_payloads(self, config: ModelConfig) -> Iterator[Tuple[str, np.ndarray]]:
-        for key in weight_buffer_keys(config):
-            yield key, self.payload(config, key)
+        keys = weight_buffer_keys(config)
+        yield from zip(keys, _payloads(config, keys))
 
 
 class FileCheckpointStore(CheckpointStore):

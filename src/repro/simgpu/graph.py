@@ -6,12 +6,18 @@ known only by byte size.  Replay executes straight through those raw values —
 via :meth:`repro.simgpu.driver.CudaDriver.resolve_executable` and the live
 allocation table — so a stale pointer or an unloaded module fails exactly the
 way it would on real hardware.
+
+A captured graph holds its node objects.  A restored graph holds the same
+content as columns (:class:`GraphColumns`) and builds the node objects
+only when something reads :attr:`CudaGraph.nodes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import InvalidValueError
 from repro.simgpu.kernels import KernelParam
@@ -39,6 +45,71 @@ class CudaGraphNode:
         self.params[index] = KernelParam(size=old.size, value=value)
 
 
+class PackedParams:
+    """A node's parameter array as a view into the resolved flat arrays.
+
+    Quacks like the ``List[KernelParam]`` a :class:`CudaGraphNode` stores —
+    ``len``, indexing, iteration, and item assignment (what
+    ``CudaGraphNode.set_param`` uses) all work — but holds only two array
+    references and a slot range.  A 16k-node graph therefore restores
+    without creating ~112k ``KernelParam`` objects; they materialize lazily
+    when COMPUTE-mode execution iterates the node.
+    """
+
+    __slots__ = ("sizes", "values", "start", "stop")
+
+    def __init__(self, sizes: np.ndarray, values: np.ndarray,
+                 start: int, stop: int):
+        self.sizes = sizes          # flat per-slot byte sizes (shared)
+        self.values = values        # flat resolved values (shared, mutable)
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def _position(self, index: int) -> int:
+        length = self.stop - self.start
+        if index < 0:
+            index += length
+        if not 0 <= index < length:
+            raise IndexError(f"param index {index} out of range "
+                             f"for {length} slots")
+        return self.start + index
+
+    def __getitem__(self, index: int) -> KernelParam:
+        position = self._position(index)
+        return KernelParam(int(self.sizes[position]),
+                           int(self.values[position]))
+
+    def __setitem__(self, index: int, param: KernelParam) -> None:
+        # Slot sizes are fixed by the kernel ABI; only the value moves.
+        self.values[self._position(index)] = param.value
+
+    def __iter__(self) -> Iterator[KernelParam]:
+        sizes = self.sizes[self.start:self.stop].tolist()
+        values = self.values[self.start:self.stop].tolist()
+        for size, value in zip(sizes, values):
+            yield KernelParam(size, value)
+
+
+class GraphColumns(NamedTuple):
+    """A restored graph's nodes and edges as arrays.
+
+    Node ``i`` launches ``kernel_addresses[i]`` with ``launch_dims``
+    ``{"batch_size": batch_dims[i]}`` and owns parameter slots
+    ``param_offsets[i]:param_offsets[i+1]`` of ``param_sizes`` /
+    ``param_values``; ``edges`` is the ``(n, 2)`` dependency array.
+    """
+
+    kernel_addresses: np.ndarray
+    param_sizes: np.ndarray
+    param_values: np.ndarray
+    param_offsets: np.ndarray
+    batch_dims: np.ndarray
+    edges: np.ndarray
+
+
 @dataclass
 class GraphExecMeta:
     """Timing metadata attached at capture (not part of the CUDA ABI)."""
@@ -49,25 +120,79 @@ class GraphExecMeta:
 
 
 class CudaGraph:
-    """A captured (or restored) graph of kernel nodes with dependency edges."""
+    """A captured (or restored) graph of kernel nodes with dependency edges.
+
+    A graph made by :meth:`from_columns` (a restored one) keeps its content
+    as :class:`GraphColumns`: ``num_nodes``, ``exec_meta`` and instantiation
+    read no node object, so a TIMING-mode restore and replay build none.
+    ``nodes`` and ``edges`` are built on first access and cached — the same
+    list and set on every access — and each node's :class:`PackedParams`
+    views the shared ``param_values`` column, so ``set_param`` writes
+    through.
+    """
 
     def __init__(self, nodes: Optional[List[CudaGraphNode]] = None,
                  edges: Optional[Set[Tuple[int, int]]] = None,
                  exec_meta: Optional[GraphExecMeta] = None):
-        self.nodes: List[CudaGraphNode] = nodes if nodes is not None else []
-        self.edges: Set[Tuple[int, int]] = edges if edges is not None else set()
+        self._nodes: Optional[List[CudaGraphNode]] = \
+            nodes if nodes is not None else []
+        self._edges: Optional[Set[Tuple[int, int]]] = \
+            edges if edges is not None else set()
+        self._columns: Optional[GraphColumns] = None
         self.exec_meta = exec_meta or GraphExecMeta()
+        #: node objects this graph has built from its columns (a work
+        #: count: 0 until something reads ``nodes``)
+        self.nodes_built = 0
+
+    @classmethod
+    def from_columns(cls, columns: GraphColumns,
+                     exec_meta: GraphExecMeta) -> "CudaGraph":
+        """A graph whose nodes and edges stay columns until first read."""
+        graph = cls(exec_meta=exec_meta)
+        graph._nodes = graph._edges = None
+        graph._columns = columns
+        return graph
+
+    @property
+    def nodes(self) -> List[CudaGraphNode]:
+        if self._nodes is None:
+            columns = self._columns
+            sizes, values = columns.param_sizes, columns.param_values
+            offsets = columns.param_offsets.tolist()
+            dims = columns.batch_dims.tolist()
+            self._nodes = [
+                CudaGraphNode(
+                    kernel_address=address,
+                    params=PackedParams(sizes, values,
+                                        offsets[index], offsets[index + 1]),
+                    launch_dims={"batch_size": dims[index]},
+                )
+                for index, address
+                in enumerate(columns.kernel_addresses.tolist())
+            ]
+            self.nodes_built += len(self._nodes)
+        return self._nodes
+
+    @property
+    def edges(self) -> Set[Tuple[int, int]]:
+        if self._edges is None:
+            self._edges = {tuple(edge)
+                           for edge in self._columns.edges.tolist()}
+        return self._edges
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        if self._nodes is None:
+            return int(self._columns.kernel_addresses.shape[0])
+        return len(self._nodes)
 
     def add_node(self, node: CudaGraphNode) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
     def add_edge(self, src: int, dst: int) -> None:
-        if not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
+        count = self.num_nodes
+        if not (0 <= src < count and 0 <= dst < count):
             raise InvalidValueError(f"edge ({src}, {dst}) out of node range")
         if src == dst:
             raise InvalidValueError(f"self-edge on node {src}")
@@ -75,7 +200,7 @@ class CudaGraph:
 
     def topological_order(self) -> List[int]:
         """Kahn's algorithm with node-index tie-breaking (deterministic)."""
-        indegree = [0] * len(self.nodes)
+        indegree = [0] * self.num_nodes
         successors: Dict[int, List[int]] = {}
         for src, dst in sorted(self.edges):
             indegree[dst] += 1
@@ -91,7 +216,7 @@ class CudaGraph:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     heapq.heappush(ready, succ)
-        if len(order) != len(self.nodes):
+        if len(order) != self.num_nodes:
             raise InvalidValueError("graph dependencies contain a cycle")
         return order
 

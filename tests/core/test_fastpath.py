@@ -1,5 +1,7 @@
 """Vectorized fast-path restoration tests (pipelined LoadPlan + gather)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.fastpath import PackedParams, VectorizedRestorer
 from repro.core.online import medusa_cold_start, prepare_medusa_cold_start
 from repro.engine.loadplan import restore_graph_stage
 from repro.engine.strategies import plan_for
+from repro.errors import RestorationError
 from repro.faults import (
     DegradationPolicy,
     FaultInjector,
@@ -145,6 +148,40 @@ class TestPipelinedTimeline:
             cost_model=tiny_cost_model())
         assert slow.ready_time == slow.timeline.total
         assert fast.ready_time < slow.ready_time
+
+
+class TestColumnGraphs:
+    """Restored graphs stay columns until something reads their nodes."""
+
+    def _restored(self, path):
+        engine, restorer = prepare_medusa_cold_start(
+            MODEL, LazyArtifact(path), seed=7, cost_model=tiny_cost_model())
+        engine.cold_start(restorer=restorer)
+        return engine, restorer
+
+    def test_timing_restore_builds_nodes_on_first_read(self, tiny2l_npz):
+        engine, _restorer = self._restored(tiny2l_npz)
+        graphs = engine.capture_artifacts.graphs
+        assert all(graph.nodes_built == 0 for graph in graphs.values())
+        graph = graphs[max(graphs)]
+        nodes = graph.nodes
+        assert isinstance(nodes[0].params, PackedParams)
+        assert graph.nodes is nodes
+        assert graph.nodes_built == graph.num_nodes == len(nodes)
+
+    def test_missing_address_names_first_node(self, tiny2l_npz):
+        _engine, restorer = self._restored(tiny2l_npz)
+        table = restorer.artifact.graph_table(max(restorer.artifact.batches))
+        ids = table.kernel_ids.tolist()
+        # Two kernels lose their address: node 0's and the lowest id,
+        # which first appears later in node order.
+        assert ids[0] != min(ids)
+        for kernel_id in (ids[0], min(ids)):
+            del restorer._name_to_address[table.kernel_names[kernel_id]]
+        with pytest.raises(RestorationError, match=re.escape(
+                f"no restored address for kernel "
+                f"{table.kernel_names[ids[0]]}")):
+            restorer._assemble_graph(table)
 
 
 class TestPackedParams:

@@ -10,7 +10,8 @@ from repro.models.weights import (
     declared_sizes,
     weight_buffer_keys,
 )
-from repro.models.zoo import get_model_config
+from repro.models.zoo import PAPER_MODELS, TINY_MODELS, get_model_config
+from repro.utils.rng import SeedSequence
 
 TINY = get_model_config("Tiny-2L")
 QWEN = get_model_config("Qwen1.5-4B")
@@ -58,6 +59,24 @@ class TestCheckpointStore:
         key = "embed_tokens.weight"
         assert not np.array_equal(store.payload(TINY, key),
                                   store.payload(QWEN, key))
+
+    @pytest.mark.parametrize("config", PAPER_MODELS + TINY_MODELS,
+                             ids=lambda config: config.name)
+    def test_batched_norm_matches_per_matrix_norm(self, config):
+        """The batched SVD scales every payload exactly as a per-matrix
+        ``np.linalg.norm(matrix, 2)`` does, bit for bit."""
+        store = CheckpointStore()
+        keys = weight_buffer_keys(config)
+        payloads = list(store.iter_payloads(config))
+        assert [key for key, _ in payloads] == keys
+        for key, payload in payloads:
+            rng = SeedSequence(config.checkpoint_seed).generator("weights",
+                                                                 key)
+            matrix = rng.normal(scale=0.5, size=payload.shape)
+            expected = matrix / max(1.0, np.linalg.norm(matrix, 2))
+            assert payload.tobytes() == expected.tobytes(), key
+            assert store.payload(config, key).tobytes() == \
+                expected.tobytes(), key
 
     def test_spectral_norm_bounded(self):
         store = CheckpointStore()

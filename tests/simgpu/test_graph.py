@@ -1,9 +1,16 @@
 """Graph structure tests: edges, topological order, node mutation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidValueError
-from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
+from repro.simgpu.graph import (
+    CudaGraph,
+    CudaGraphNode,
+    GraphColumns,
+    GraphExecMeta,
+    PackedParams,
+)
 from repro.simgpu.kernels import KernelParam
 
 
@@ -74,3 +81,49 @@ class TestExecMeta:
         meta = GraphExecMeta()
         assert meta.param_bytes == 0
         assert meta.num_tokens == 1
+
+
+def columns():
+    return GraphColumns(
+        kernel_addresses=np.array([0x1000, 0x2000], dtype=np.int64),
+        param_sizes=np.array([8, 4, 8], dtype=np.int64),
+        param_values=np.array([10, 20, 30], dtype=np.int64),
+        param_offsets=np.array([0, 2, 3], dtype=np.int64),
+        batch_dims=np.array([4, 4], dtype=np.int64),
+        edges=np.array([[0, 1]], dtype=np.int64),
+    )
+
+
+class TestColumnGraph:
+    def test_structure_reads_no_node(self):
+        graph = CudaGraph.from_columns(columns(), GraphExecMeta(batch_size=4))
+        assert graph.num_nodes == 2
+        assert graph.topological_order() == [0, 1]
+        assert graph.nodes_built == 0
+
+    def test_nodes_built_once_from_columns(self):
+        graph = CudaGraph.from_columns(columns(), GraphExecMeta())
+        nodes = graph.nodes
+        assert graph.nodes is nodes
+        assert graph.nodes_built == 2
+        assert [n.kernel_address for n in nodes] == [0x1000, 0x2000]
+        assert [[(p.size, p.value) for p in n.params] for n in nodes] == \
+            [[(8, 10), (4, 20)], [(8, 30)]]
+        assert all(n.launch_dims == {"batch_size": 4} for n in nodes)
+        assert isinstance(nodes[0].params, PackedParams)
+        assert graph.edges == {(0, 1)}
+        assert graph.edges is graph.edges
+
+    def test_set_param_writes_through_to_the_column(self):
+        cols = columns()
+        graph = CudaGraph.from_columns(cols, GraphExecMeta())
+        graph.nodes[1].set_param(0, 99)
+        assert cols.param_values[2] == 99
+        assert graph.nodes[1].params[0] == KernelParam(8, 99)
+
+    def test_added_node_and_edge_extend_the_built_graph(self):
+        graph = CudaGraph.from_columns(columns(), GraphExecMeta())
+        assert graph.add_node(node()) == 2
+        graph.add_edge(1, 2)
+        assert graph.num_nodes == 3
+        assert graph.topological_order() == [0, 1, 2]

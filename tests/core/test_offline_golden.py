@@ -37,7 +37,7 @@ from repro.core.trace import (
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name(
     "golden_offline_artifacts.json")
-MODELS = ("Tiny-2L", "Tiny-4L", "Qwen1.5-0.5B")
+MODELS = ("Tiny-2L", "Tiny-4L", "Qwen1.5-0.5B", "Qwen1.5-4B", "Llama2-7B")
 
 
 def _event_counts(trace) -> dict:

@@ -27,9 +27,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.errors import ArtifactError
-from repro.core.pointer_analysis import ParamRestore
 
 ARTIFACT_FORMAT_VERSION = 2
+
+#: The two kinds of parameter restoration rule.
+CONST = "const"
+POINTER = "ptr"
 
 #: The fields both artifact forms carry (the JSON object and the packed
 #: metadata), by JSON type.
@@ -156,6 +159,25 @@ class ReplayEvent:
     tag: str = ""
     pooled: bool = False         # free events: caching-pool free vs cudaFree
     pool: str = "default"        # alloc events: target memory pool
+
+
+@dataclass(frozen=True)
+class ParamRestore:
+    """Restoration rule for one node parameter (the analysis emits them
+    as :class:`repro.core.pointer_analysis.ParamColumns`)."""
+
+    kind: str                     # CONST or POINTER
+    value: int = 0                # CONST: the plain value to restore
+    alloc_index: int = -1         # POINTER: index in the allocation sequence
+    offset: int = 0               # POINTER: byte offset inside that buffer
+
+    @staticmethod
+    def const(value: int) -> "ParamRestore":
+        return ParamRestore(kind=CONST, value=value)
+
+    @staticmethod
+    def pointer(alloc_index: int, offset: int) -> "ParamRestore":
+        return ParamRestore(kind=POINTER, alloc_index=alloc_index, offset=offset)
 
 
 @dataclass

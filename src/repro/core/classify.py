@@ -18,7 +18,9 @@ Of all buffers referenced by CUDA graph node pointers, only a tiny
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Iterable, Set
+
+import numpy as np
 
 from repro.core.trace import Trace
 
@@ -57,13 +59,10 @@ def classify_buffers(trace: Trace, capture_marker: int,
     ``capture_marker`` is the process allocation count when the capture
     stage began (before the first warm-up forwarding).
     """
-    freed = trace.freed_alloc_indices()
-    plan = ContentPlan()
-    for alloc_index in referenced:
-        if alloc_index < capture_marker:
-            plan.pre_capture.add(alloc_index)
-        elif alloc_index in freed:
-            plan.temporary.add(alloc_index)
-        else:
-            plan.permanent.add(alloc_index)
-    return plan
+    referenced = np.fromiter(referenced, dtype=np.int64)
+    pre_capture = referenced < capture_marker
+    freed = np.isin(referenced, trace.free_columns().alloc_index)
+    return ContentPlan(
+        pre_capture=set(referenced[pre_capture].tolist()),
+        temporary=set(referenced[~pre_capture & freed].tolist()),
+        permanent=set(referenced[~pre_capture & ~freed].tolist()))

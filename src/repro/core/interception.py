@@ -9,79 +9,80 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.core.trace import (
-    AllocTraceEvent,
-    EmptyCacheTraceEvent,
-    FreeTraceEvent,
-    LaunchTraceEvent,
-    Trace,
-)
+from repro.core.trace import Trace, intern
 from repro.simgpu.memory import Buffer
 from repro.simgpu.process import CudaProcess, Interceptor
 from repro.simgpu.stream import LaunchRecord
-
-# Rows are built as ``_row(EventClass, fields)``: the NamedTuple's own
-# ``__new__`` binds each field by name, which costs more than the tuple
-# itself on a path that runs once per hook call.
-_row = tuple.__new__
 
 
 class TraceInterceptor(Interceptor):
     """Builds the offline trace from the process's hook callbacks.
 
-    Each hook appends one row to ``trace.events`` and to its per-kind list
-    (a free also updates ``trace.freed``).  A row's ``seq`` is its position
-    in ``trace.events``.
+    Each hook appends its event to the trace's columns for that kind, with
+    ``seq`` = the number of events recorded before it.  The list appends
+    are bound once here: they run once per hook call.
     """
 
     def __init__(self):
         self.trace = trace = Trace()
-        self._events = trace.events
-        # launch_dims items (insertion order) -> the sorted tuple a row
-        # stores; a capture launches with a handful of distinct dims.
-        self._dims: Dict[Tuple[Tuple[str, int], ...],
-                         Tuple[Tuple[str, int], ...]] = {}
+        self._seq = 0
+        self._alloc = tuple(column.append for column in trace.alloc_lists)
+        self._free = tuple(column.append for column in trace.free_lists)
+        launches = trace.launch_lists
+        self._launch = (*[column.append for column in launches[:5]],
+                        launches.sizes.extend, launches.values.extend)
+        # launch_dims items (insertion order) -> dims id; the trace's table
+        # holds the sorted tuple.  A capture uses a handful of distinct dims.
+        self._dims: Dict[Tuple[Tuple[str, int], ...], int] = {}
 
     def on_alloc(self, buffer: Buffer) -> None:
-        events = self._events
-        event = _row(AllocTraceEvent, (
-            len(events), buffer.alloc_index, buffer.address, buffer.size,
-            buffer.tag, buffer.pool))
-        events.append(event)
-        self.trace.alloc_events.append(event)
+        seq = self._seq
+        self._seq = seq + 1
+        trace = self.trace
+        seqs, indices, addresses, sizes, tags, pools = self._alloc
+        seqs(seq)
+        indices(buffer.alloc_index)
+        addresses(buffer.address)
+        sizes(buffer.size)
+        tags(intern(trace.tags, trace.tag_ids, buffer.tag))
+        pools(intern(trace.pools, trace.pool_ids, buffer.pool))
 
     def on_free(self, buffer: Buffer) -> None:
         # The hook runs after the free: a cudaFree has already set
         # ``buffer.live`` to False, while a pool free leaves it True.  So
         # ``live`` is exactly the pooled flag.
-        events = self._events
-        seq = len(events)
-        alloc_index = buffer.alloc_index
-        event = _row(FreeTraceEvent, (seq, alloc_index, buffer.address,
-                                      buffer.live))
-        events.append(event)
-        trace = self.trace
-        trace.free_events.append(event)
-        trace.freed[alloc_index] = seq
+        seq = self._seq
+        self._seq = seq + 1
+        seqs, indices, addresses, pooled = self._free
+        seqs(seq)
+        indices(buffer.alloc_index)
+        addresses(buffer.address)
+        pooled(buffer.live)
 
     def on_empty_cache(self) -> None:
-        events = self._events
-        events.append(_row(EmptyCacheTraceEvent, (len(events),)))
+        self.trace.empty_cache_seq.append(self._seq)
+        self._seq += 1
 
     def on_launch(self, record: LaunchRecord) -> None:
-        params = record.params
+        seq = self._seq
+        self._seq = seq + 1
+        trace = self.trace
         items = tuple(record.launch_dims.items())
         dims = self._dims.get(items)
         if dims is None:
-            dims = self._dims[items] = tuple(sorted(items))
-        events = self._events
-        event = _row(LaunchTraceEvent, (
-            len(events), record.kernel_name, record.library,
-            tuple([p.size for p in params]),
-            tuple([p.value for p in params]),
-            dims, record.captured))
-        events.append(event)
-        self.trace.launch_events.append(event)
+            dims = self._dims[items] = intern(trace.dims, trace.dims_ids,
+                                              tuple(sorted(items)))
+        params = record.params
+        seqs, kernels, counts, dims_ids, captured, sizes, values = \
+            self._launch
+        seqs(seq)
+        kernels(intern(trace.kernels, trace.kernel_ids,
+                       (record.kernel_name, record.library)))
+        counts(len(params))
+        dims_ids(dims)
+        captured(record.captured)
+        sizes([p.size for p in params])
+        values([p.value for p in params])
 
 
 def attach(process: CudaProcess) -> TraceInterceptor:

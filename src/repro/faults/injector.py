@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.binfmt import POINTER_CODE, GraphTable, LazyArtifact, \
     ReplayTable
-from repro.core.pointer_analysis import POINTER
+from repro.core.artifact import POINTER
 from repro.errors import InvalidValueError, OutOfMemoryError
 from repro.faults.plan import (
     PHASE_KV,

@@ -8,11 +8,11 @@ from repro.core.artifact import (
     MaterializedGraph,
     MaterializedModel,
     MaterializedNode,
+    ParamRestore,
     ReplayEvent,
     TriggerPlan,
 )
 from repro.core.binfmt import as_lazy
-from repro.core.pointer_analysis import ParamRestore
 from repro.errors import ArtifactError
 
 

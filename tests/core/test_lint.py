@@ -16,10 +16,10 @@ from repro.core.artifact import (
     MaterializedGraph,
     MaterializedModel,
     MaterializedNode,
+    ParamRestore,
     ReplayEvent,
     TriggerPlan,
 )
-from repro.core.pointer_analysis import ParamRestore
 from repro.errors import ArtifactError
 
 NORM = "_Z9layernormPfS_S_i"          # visible, libtorch_sim/mod_norm

@@ -128,7 +128,7 @@ class TestRestorationFailures:
 
     def test_out_of_range_indirect_index_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        from repro.core.pointer_analysis import ParamRestore
+        from repro.core.artifact import ParamRestore
         broken = artifact.materialize()
         node = broken.graphs[1].nodes[0]
         for position, restore_rule in enumerate(node.param_restores):
@@ -145,7 +145,7 @@ class TestCorruptionIsCaught:
         """If the analysis had produced a wrong indirect index, output
         validation must notice (the §4 guarantee)."""
         artifact, _ = tiny2l_artifact
-        from repro.core.pointer_analysis import ParamRestore
+        from repro.core.artifact import ParamRestore
         from repro.errors import ValidationError
         from repro.errors import IllegalMemoryAccessError
         broken = artifact.materialize()

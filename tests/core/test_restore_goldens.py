@@ -230,6 +230,43 @@ def test_chunked_restore_builds_no_graph_nodes(chunked_qwen_restore):
     assert sum(graph.nodes_built for graph in graphs.values()) == 0
 
 
+@pytest.fixture(scope="module")
+def default_qwen_offline():
+    """A default Qwen1.5-0.5B offline run's trace and allocation index."""
+    from unittest import mock
+
+    from repro.core import offline
+    seen = []
+
+    class SpyIndex(offline.AllocationIndex):
+        def __init__(self, trace):
+            super().__init__(trace)
+            seen.append((trace, self))
+
+    with mock.patch.object(offline, "AllocationIndex", SpyIndex):
+        offline.run_offline("Qwen1.5-0.5B")
+    (trace, index), = seen
+    return trace, index
+
+
+def test_offline_builds_no_trace_rows(default_qwen_offline):
+    """Work count, no clock: capture and analysis read the trace's columns
+    and build no event row (the row-based trace built one per event,
+    55,512 here).  A change that raises the count says why."""
+    trace, _index = default_qwen_offline
+    assert trace.num_events == 55512
+    assert trace.rows_built == 0
+
+
+def test_offline_per_query_matches(default_qwen_offline):
+    """Work count, no clock: the vector pass settles every exact match,
+    so the per-query matcher answers only the 805 interior pointers of
+    27,581 pointer parameters (the per-query analysis answered all
+    27,581).  A change that raises the count says why."""
+    _trace, index = default_qwen_offline
+    assert index.queries == 805
+
+
 def record() -> None:
     """Rewrite the three golden files from the current code."""
     restores = {}

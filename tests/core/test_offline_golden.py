@@ -4,6 +4,7 @@
 seed and cost model:
 
 - the sha256 of the :func:`~repro.core.binfmt.save_binary` output;
+- the sha256 of the JSON export (``to_json()``, UTF-8);
 - the ``repr`` of ``capture_stage_time`` and ``analysis_time``;
 - every :class:`~repro.core.offline.OfflineReport` ``stats`` value (repr);
 - the capture trace's per-kind event counts.
@@ -76,6 +77,8 @@ def snapshot(model: str) -> dict:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return {
         "save_binary_sha256": digest,
+        "to_json_sha256": hashlib.sha256(
+            artifact.to_json().encode("utf-8")).hexdigest(),
         "capture_stage_time": repr(report.capture_stage_time),
         "analysis_time": repr(report.analysis_time),
         "stats": {key: repr(value)

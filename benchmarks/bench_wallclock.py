@@ -4,10 +4,10 @@ Unlike the figure benches (which report *simulated* seconds), this harness
 times the restoration machinery itself with ``time.perf_counter``: binary
 artifact save, eager vs lazy load, load + restore, and a full
 chunk-store read over a paper-scale artifact (~16k graph nodes, ~65k
-replay events for Qwen1.5-4B).  There is
-one restorer; what still differs is the input it gets — an eager
-``load_binary`` model (rehydrated into Python objects, then packed back
-into arrays on entry) or a lazy npz open.  It writes
+replay events for Qwen1.5-4B).  There is one restorer; what still
+differs is the input it gets — an eager load (the ``.npz`` decoded whole
+into a JSON payload dict, then imported, which packs it back into
+arrays) or a lazy npz open.  It writes
 ``BENCH_restore.json`` with the host, the p50 wall-clock numbers and the
 simulated critical-path seconds per strategy, and (with
 ``--assert-speedup``/``--quick``) exits non-zero unless lazy load +
@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Callable, Dict, List
 
-from repro.core.binfmt import LazyArtifact, load_binary, save_binary
+from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.offline import run_offline
 from repro.core.online import prepare_medusa_cold_start
 from repro.engine import LLMEngine, Strategy
@@ -54,6 +54,11 @@ def _p50(fn: Callable[[], object], repeats: int) -> float:
     return statistics.median(samples)
 
 
+def _load_eager(path) -> LazyArtifact:
+    """The one eager load left: ``.npz`` -> JSON payload dict -> import."""
+    return LazyArtifact.from_payload(LazyArtifact(path).to_payload())
+
+
 def _restore_p50(model: str, open_artifact: Callable[[], object],
                  repeats: int) -> float:
     """p50 wall-clock of one full restore (artifact open + cold start).
@@ -72,9 +77,9 @@ def _restore_p50(model: str, open_artifact: Callable[[], object],
 def _chunk_get_p50(artifact, workdir: pathlib.Path, repeats: int) -> float:
     """p50 wall-clock of a full chunk-store read: open + reassemble.
 
-    Times ``store.get_lazy(...).materialize()``: the manifest read plus
+    Times ``store.get_lazy(...).to_payload()``: the manifest read plus
     decompressing, digest-checking and reassembling every
-    content-addressed chunk into a ``MaterializedModel``.  Each repeat
+    content-addressed chunk into the JSON payload dict.  Each repeat
     opens a fresh chunk reader, so every sample pays the full decode.
     """
     from repro.core.store import ArtifactStore
@@ -82,7 +87,7 @@ def _chunk_get_p50(artifact, workdir: pathlib.Path, repeats: int) -> float:
     store = ArtifactStore(workdir / "chunk-store")
     store.put(artifact)
     key = (artifact.gpu_name, artifact.model_name)
-    return _p50(lambda: store.get_lazy(*key).materialize(), repeats)
+    return _p50(lambda: store.get_lazy(*key).to_payload(), repeats)
 
 
 def _lint_vs_validate() -> Dict[str, float]:
@@ -148,10 +153,10 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
 
     print(f"timing save/load/restore ({repeats} repeats)...", flush=True)
     save_p50 = _p50(lambda: save_binary(artifact, npz_path), repeats)
-    eager_load_p50 = _p50(lambda: load_binary(npz_path), repeats)
+    eager_load_p50 = _p50(lambda: _load_eager(npz_path), repeats)
     lazy_open_p50 = _p50(lambda: LazyArtifact(npz_path), repeats)
     eager_restore_p50 = _restore_p50(
-        model, lambda: load_binary(npz_path), repeats=repeats)
+        model, lambda: _load_eager(npz_path), repeats=repeats)
     lazy_restore_p50 = _restore_p50(
         model, lambda: LazyArtifact(npz_path), repeats=repeats)
 
@@ -179,14 +184,14 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
         },
         "wallclock_p50_s": {
             "save_binary": save_p50,
-            "load_binary_eager": eager_load_p50,
+            "load_eager": eager_load_p50,
             "lazy_open": lazy_open_p50,
             # Full load+restore wall-clock: eager deserialize + restore
             # (monolithic plan) vs lazy npz open + restore (pipelined).
             "load_restore_eager": eager_restore_p50,
             "load_restore_lazy": lazy_restore_p50,
             # Content-addressed chunk store: full read (manifest +
-            # decompress + reassemble into a MaterializedModel).
+            # decompress + reassemble into the JSON payload dict).
             "chunk_get": chunk_get_p50,
         },
         "speedup": {

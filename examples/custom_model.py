@@ -10,7 +10,7 @@ through a file — the workflow a deployment would automate per model.
 import tempfile
 from pathlib import Path
 
-from repro import LLMEngine, MaterializedModel, Strategy
+from repro import LazyArtifact, LLMEngine, Strategy
 from repro.core.offline import OfflinePhase
 from repro.core.online import medusa_cold_start
 from repro.models.config import ModelConfig
@@ -50,10 +50,10 @@ def main() -> None:
     artifact, offline_report = OfflinePhase(CUSTOM, seed=6).run()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "custom-3b.medusa.json"
-        size = artifact.materialize().save(path)
+        size = artifact.save_json(path)
         print(f"   artifact: {size / 1024:.0f} KiB at {path.name}, offline "
               f"took {offline_report.total_time:.1f} s (simulated)")
-        loaded = MaterializedModel.load(path)
+        loaded = LazyArtifact.load_json(path)
 
     print("\n== Medusa cold start from the loaded artifact")
     _engine, medusa_report = medusa_cold_start(CUSTOM, loaded, seed=7)

@@ -33,12 +33,10 @@ Quickstart::
 from repro.core import (
     ArtifactStore,
     LazyArtifact,
-    MaterializedModel,
     OfflinePhase,
     OfflineReport,
     VectorizedRestorer,
     cold_start_for,
-    load_binary,
     medusa_cold_start,
     prepare_medusa_cold_start,
     run_offline,
@@ -90,7 +88,6 @@ __all__ = [
     "LLMEngine",
     "LazyArtifact",
     "Rung",
-    "MaterializedModel",
     "Model",
     "ModelConfig",
     "OfflinePhase",
@@ -104,7 +101,6 @@ __all__ = [
     "VectorizedRestorer",
     "get_model_config",
     "cold_start_for",
-    "load_binary",
     "medusa_cold_start",
     "paper_model_names",
     "prepare_medusa_cold_start",

@@ -1,7 +1,7 @@
 """The multi-pass static artifact verifier (``repro lint``).
 
 Runs every analysis pass over the packed tables the restorer reads (a JSON
-artifact is packed first) **without executing any forwarding** — no
+artifact is packed on import) **without executing any forwarding** — no
 simulated process, no kernels, no replay on device memory.  The passes,
 in order:
 
@@ -33,23 +33,20 @@ from repro.analysis.liveness import analyze_replay
 from repro.analysis.pointers import check_pointers
 from repro.core.artifact import (
     ARTIFACT_FORMAT_VERSION,
-    MaterializedModel,
     parse_artifact_json,
     read_artifact_text,
 )
-from repro.core.binfmt import LazyArtifact, as_lazy
+from repro.core.binfmt import LazyArtifact
 from repro.errors import InvalidValueError
 
 
-def lint_artifact(artifact, catalog=None) -> LintReport:
-    """Statically verify one artifact; returns the full report.
+def lint_artifact(artifact: LazyArtifact, catalog=None) -> LintReport:
+    """Statically verify one packed artifact; returns the full report.
 
-    ``artifact`` may be packed or object-form.  ``catalog`` is the model's
-    :class:`LibraryCatalog`; when omitted it is built from the model zoo
-    by name.  Artifacts for models outside the zoo get every
-    catalog-independent pass plus a MED034 warning.
+    ``catalog`` is the model's :class:`LibraryCatalog`; when omitted it is
+    built from the model zoo by name.  Artifacts for models outside the
+    zoo get every catalog-independent pass plus a MED034 warning.
     """
-    artifact = as_lazy(artifact)
     report = LintReport(model=artifact.model_name, gpu=artifact.gpu_name)
     # MED014/MED022: what the JSON importer found while packing.
     report.extend([Diagnostic(*finding) for finding in artifact.findings])
@@ -119,8 +116,7 @@ def lint_json_text(text: str, catalog=None) -> LintReport:
             f"{ARTIFACT_FORMAT_VERSION}; re-run the offline phase",
             "format_version"))
         return report
-    return lint_artifact(MaterializedModel.from_payload(payload),
-                         catalog=catalog)
+    return lint_artifact(LazyArtifact.from_payload(payload), catalog=catalog)
 
 
 def lint_file(path, catalog=None) -> LintReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.core.binfmt import LazyArtifact, as_lazy
+from repro.core.binfmt import LazyArtifact
 
 _ALIGNMENT = 256
 
@@ -70,12 +70,12 @@ class LivenessResult:
         return self.records.get(alloc_index)
 
 
-def analyze_replay(artifact) -> LivenessResult:
+def analyze_replay(artifact: LazyArtifact) -> LivenessResult:
     """Symbolically execute the structure prefix plus replay suffix, one
-    packed replay-table row at a time."""
-    artifact = as_lazy(artifact)
-    rows = artifact.replay_table().rows()
-    result = LivenessResult(num_events=len(rows))
+    position of the packed replay columns at a time."""
+    table = artifact.replay_table()
+    tags, pools = table.tags, table.pools
+    result = LivenessResult(num_events=len(table))
     records = result.records
     diagnostics = result.diagnostics
 
@@ -90,8 +90,10 @@ def analyze_replay(artifact) -> LivenessResult:
     counter = len(artifact.structure_prefix)
 
     # Diagnostic locations are formatted only when a diagnostic fires.
-    for position, (kind, alloc_index, size, pooled, tag, pool) in \
-            enumerate(rows):
+    for position, (kind, alloc_index, size, pooled, tag_id, pool_id) in \
+            enumerate(zip(table.kind.tolist(), table.alloc_index.tolist(),
+                          table.size.tolist(), table.pooled.tolist(),
+                          table.tag_id.tolist(), table.pool_id.tolist())):
         if kind == 0:           # alloc
             if alloc_index != counter:
                 diagnostics.append(Diagnostic(
@@ -106,6 +108,7 @@ def analyze_replay(artifact) -> LivenessResult:
                     _where(position)))
                 continue
             aligned = _align(size)
+            pool = pools[pool_id]
             bucket = free_lists.get((pool, aligned))
             if bucket:
                 previous_index, previous_pooled = bucket.pop()
@@ -115,7 +118,7 @@ def analyze_replay(artifact) -> LivenessResult:
                     previous.end_position = position
             # After drift (already flagged) the newest record wins.
             records[alloc_index] = AllocationRecord(
-                alloc_index=alloc_index, size=aligned, tag=tag,
+                alloc_index=alloc_index, size=aligned, tag=tags[tag_id],
                 pool=pool, origin="replay", born=position)
         elif kind == 1:         # free
             record = records.get(alloc_index)

@@ -1,10 +1,10 @@
 """Pointer-bounds and use-after-free checking (static analogue of §4.1).
 
-Every ``ParamRestore`` of kind ``ptr`` is an *indirect index pointer*:
-``(allocation index, byte offset)``.  Online restoration resolves it to
-``buffer(alloc_index).address + offset`` without further checks, so a
-corrupt artifact can silently aim a kernel at unmapped or foreign memory.
-This pass proves, against the symbolic liveness table:
+Every parameter restore rule of kind ``ptr`` is an *indirect index
+pointer*: ``(allocation index, byte offset)``.  Online restoration
+resolves it to ``buffer(alloc_index).address + offset`` without further
+checks, so a corrupt artifact can silently aim a kernel at unmapped or
+foreign memory.  This pass proves, against the symbolic liveness table:
 
 - the allocation index is in range (MED010);
 - the offset lies strictly inside the aligned allocation (MED011 — the
@@ -17,8 +17,9 @@ This pass proves, against the symbolic liveness table:
   targets are faults;
 - a pointer restore sits on an 8-byte parameter slot (MED013).
 
-One restore rule per parameter (MED014) only the JSON object form can
-break; :func:`repro.core.binfmt.as_lazy` checks it while packing.
+One restore rule per parameter (MED014) only a JSON artifact can break;
+:meth:`repro.core.binfmt.LazyArtifact.from_payload` checks it while
+packing.
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ Artifact paths ending in ``.npz`` select the binary format: ``offline``
 writes via :func:`repro.core.binfmt.save_binary`, and the consuming
 commands open them lazily (:class:`repro.core.binfmt.LazyArtifact`),
 which puts ``coldstart --strategy medusa``/``restore``/``validate`` on
-the pipelined plan (JSON artifacts are packed in memory and restore on the
-monolithic one).  ``lint`` reads the packed tables either way.
+the pipelined plan (JSON artifacts are packed on import and restore on
+the monolithic one).  ``lint`` reads the packed tables either way.
 
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
 exit-code convention (``coldstart`` and ``restore`` share its 1 and 2):
 0 = clean/passed, 1 = diagnostics found, outputs diverged or the restore
-failed, 2 = the artifact could not be read at all.  With ``validate
+failed (any repro error it raises, a simulated device fault included),
+2 = the artifact could not be read at all.  With ``validate
 --degraded-ok`` a restore that walked the degradation ladder but still
 serves correct outputs exits 3 — distinguishable from both a clean pass
 and a hard failure.
@@ -35,13 +36,12 @@ import functools
 import sys
 from typing import List, Optional
 
-from repro.core.artifact import MaterializedModel
 from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import validate_restoration
 from repro.engine import Strategy
-from repro.errors import ArtifactError, MaterializationError
+from repro.errors import ArtifactError, ReproError
 from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
@@ -73,17 +73,17 @@ def _strategy(name: str) -> Strategy:
 
 
 def _load_artifact(path: str):
-    """Open an artifact path: ``.npz`` lazily, anything else as JSON.
+    """Open an artifact path as a :class:`repro.core.binfmt.LazyArtifact`:
+    ``.npz`` lazily, anything else as JSON (imported whole).
 
-    Binary artifacts come back as :class:`repro.core.binfmt.LazyArtifact`,
-    which puts ``coldstart``/``restore``/``validate`` on the pipelined
-    plan; an unreadable one raises
+    A binary artifact puts ``coldstart``/``restore``/``validate`` on the
+    pipelined plan; an unreadable artifact raises
     :class:`~repro.errors.ArtifactError`, which each command reports as
     exit code 2.
     """
     if str(path).endswith(".npz"):
         return LazyArtifact(path)
-    return MaterializedModel.load(path)
+    return LazyArtifact.load_json(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +246,7 @@ def _cmd_coldstart(args) -> int:
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MaterializationError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_report(report)
@@ -270,7 +270,7 @@ def _cmd_offline(args) -> int:
     if str(args.output).endswith(".npz"):
         size = save_binary(artifact, args.output)
     else:
-        size = artifact.materialize().save(args.output)
+        size = artifact.save_json(args.output)
     print(f"capturing stage: {report.capture_stage_time:.1f} s (simulated)")
     print(f"analysis stage:  {report.analysis_time:.1f} s (simulated)")
     print(f"materialized {artifact.total_nodes} nodes / "
@@ -293,7 +293,7 @@ def _cmd_restore(args) -> int:
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MaterializationError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -372,7 +372,7 @@ def _cmd_validate(args) -> int:
         # that turns out unreadable there is exit 2, not a divergence.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MaterializationError as exc:
+    except ReproError as exc:
         if args.json:
             print(_json.dumps({"model": model, "passed": False,
                                "error": str(exc)}, indent=2))

@@ -13,8 +13,7 @@ ready-to-execute graphs plus the materialized KV size (§6), skipping both
 the profiling forwarding and 34/35ths of the capture work.
 """
 
-from repro.core.artifact import MaterializedModel
-from repro.core.binfmt import LazyArtifact, load_binary, save_binary
+from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.fastpath import VectorizedRestorer
 from repro.core.offline import OfflinePhase, OfflineReport, run_offline
 from repro.core.online import (cold_start_for, medusa_cold_start,
@@ -24,12 +23,10 @@ from repro.core.store import ArtifactStore
 __all__ = [
     "ArtifactStore",
     "LazyArtifact",
-    "MaterializedModel",
     "OfflinePhase",
     "OfflineReport",
     "VectorizedRestorer",
     "cold_start_for",
-    "load_binary",
     "medusa_cold_start",
     "prepare_medusa_cold_start",
     "run_offline",

@@ -1,11 +1,10 @@
-"""The artifact's object form, used only at the JSON boundary.
+"""The JSON artifact's schema: its fields, their checks and the file read.
 
 In memory the artifact is packed numpy tables
-(:class:`repro.core.binfmt.LazyArtifact`); this module's
-:class:`MaterializedModel` is what JSON import and export go through
-(:func:`repro.core.binfmt.as_lazy` packs it, ``LazyArtifact.materialize``
-builds it).  One artifact is produced per <GPU type, model type> by the
-offline phase (§3) and contains:
+(:class:`repro.core.binfmt.LazyArtifact`), which JSON import
+(``LazyArtifact.from_payload``) and export (``LazyArtifact.to_json``)
+read and write directly.  One artifact is produced per <GPU type, model
+type> by the offline phase (§3) and contains:
 
 - the materialized KV-cache initialization (the profiled free memory, §6);
 - the replayable buffer (de)allocation event sequence (§4.2);
@@ -16,15 +15,16 @@ offline phase (§3) and contains:
 - the first-layer node count (for first-layer triggering, §5.2) and any
   handwritten trigger plans (§5.1).
 
-In this form the artifact round-trips through JSON files the way the real
-system persists CUDA graph state to SSDs.
+As JSON the artifact round-trips through files the way the real system
+persists CUDA graph state to SSDs.  Every field's type is checked here
+(:func:`_check_payload`) before anything is packed from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.errors import ArtifactError
 
@@ -34,7 +34,7 @@ ARTIFACT_FORMAT_VERSION = 2
 CONST = "const"
 POINTER = "ptr"
 
-#: The fields both artifact forms carry (the JSON object and the packed
+#: The fields both artifact layouts carry (the JSON object and the packed
 #: metadata), by JSON type.
 SHARED_FIELDS = {
     "model_name": str, "gpu_name": str, "kv_bytes": int,
@@ -129,7 +129,7 @@ def check_index_key(key: str, where: str) -> int:
 
 
 def check_shared(payload: dict) -> None:
-    """The checks both artifact forms share (:data:`SHARED_FIELDS`)."""
+    """The checks both artifact layouts share (:data:`SHARED_FIELDS`)."""
     for position, entry in enumerate(payload["structure_prefix"]):
         check_tuple(entry, (int, str), f"structure_prefix[{position}]")
     for name, library in payload["kernel_libraries"].items():
@@ -150,62 +150,6 @@ def check_dumps(dumps: dict) -> None:
 
 
 @dataclass
-class ReplayEvent:
-    """One replayable allocator event (suffix after structure init)."""
-
-    kind: str                    # "alloc" | "free" | "empty_cache"
-    alloc_index: int = -1        # alloc: its index; free: index being freed
-    size: int = 0
-    tag: str = ""
-    pooled: bool = False         # free events: caching-pool free vs cudaFree
-    pool: str = "default"        # alloc events: target memory pool
-
-
-@dataclass(frozen=True)
-class ParamRestore:
-    """Restoration rule for one node parameter (the analysis emits them
-    as :class:`repro.core.pointer_analysis.ParamColumns`)."""
-
-    kind: str                     # CONST or POINTER
-    value: int = 0                # CONST: the plain value to restore
-    alloc_index: int = -1         # POINTER: index in the allocation sequence
-    offset: int = 0               # POINTER: byte offset inside that buffer
-
-    @staticmethod
-    def const(value: int) -> "ParamRestore":
-        return ParamRestore(kind=CONST, value=value)
-
-    @staticmethod
-    def pointer(alloc_index: int, offset: int) -> "ParamRestore":
-        return ParamRestore(kind=POINTER, alloc_index=alloc_index, offset=offset)
-
-
-@dataclass
-class MaterializedNode:
-    """One CUDA graph node, with addresses abstracted away."""
-
-    kernel_name: str
-    param_sizes: List[int]
-    param_restores: List[ParamRestore]
-    launch_dims: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class MaterializedGraph:
-    """One captured batch size's graph."""
-
-    batch_size: int
-    nodes: List[MaterializedNode]
-    edges: List[Tuple[int, int]]
-    param_bytes: int
-    num_tokens: int
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass
 class TriggerPlan:
     """A handwritten triggering-kernel launch (§5.1): forces a module load."""
 
@@ -213,152 +157,8 @@ class TriggerPlan:
     node_ref: Tuple[int, int]    # (batch_size, node_index) whose params to reuse
 
 
-@dataclass
-class MaterializedModel:
-    """The complete offline artifact for one <GPU type, model type>."""
-
-    model_name: str
-    gpu_name: str
-    format_version: int = ARTIFACT_FORMAT_VERSION
-    # KV cache initialization materialization (§6).
-    kv_bytes: int = 0
-    kv_num_blocks: int = 0
-    kv_layer_stride: int = 0
-    kv_alloc_index: int = -1
-    # Allocation replay (§4.2).
-    structure_prefix: List[Tuple[int, str]] = field(default_factory=list)
-    replay_events: List[ReplayEvent] = field(default_factory=list)
-    graph_input_alloc_index: int = -1
-    graph_output_alloc_index: int = -1
-    capture_marker: int = -1
-    # Kernel name table (§5): kernel name -> owning library.
-    kernel_libraries: Dict[str, str] = field(default_factory=dict)
-    # Copy-free contents restoration (§4.3): alloc index -> payload rows.
-    permanent_contents: Dict[int, List[List[float]]] = field(default_factory=dict)
-    # The graphs themselves.
-    graphs: Dict[int, MaterializedGraph] = field(default_factory=dict)
-    # First-layer triggering (§5.2): prologue + first layer node count.
-    first_layer_nodes: int = 0
-    trigger_plans: List[TriggerPlan] = field(default_factory=list)
-    # Offline statistics carried for reports/ablations.
-    stats: Dict[str, float] = field(default_factory=dict)
-
-    # -- (de)serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "model_name": self.model_name,
-            "gpu_name": self.gpu_name,
-            "format_version": self.format_version,
-            "kv_bytes": self.kv_bytes,
-            "kv_num_blocks": self.kv_num_blocks,
-            "kv_layer_stride": self.kv_layer_stride,
-            "kv_alloc_index": self.kv_alloc_index,
-            "structure_prefix": list(self.structure_prefix),
-            "replay_events": [asdict(e) for e in self.replay_events],
-            "graph_input_alloc_index": self.graph_input_alloc_index,
-            "graph_output_alloc_index": self.graph_output_alloc_index,
-            "capture_marker": self.capture_marker,
-            "kernel_libraries": self.kernel_libraries,
-            "permanent_contents": {
-                str(k): v for k, v in self.permanent_contents.items()},
-            "graphs": {
-                str(batch): {
-                    "batch_size": graph.batch_size,
-                    "param_bytes": graph.param_bytes,
-                    "num_tokens": graph.num_tokens,
-                    "edges": [list(edge) for edge in graph.edges],
-                    "nodes": [
-                        {
-                            "kernel_name": node.kernel_name,
-                            "param_sizes": node.param_sizes,
-                            "launch_dims": node.launch_dims,
-                            "param_restores": [asdict(r)
-                                               for r in node.param_restores],
-                        }
-                        for node in graph.nodes
-                    ],
-                }
-                for batch, graph in self.graphs.items()
-            },
-            "first_layer_nodes": self.first_layer_nodes,
-            "trigger_plans": [
-                {"kernel_name": t.kernel_name, "node_ref": list(t.node_ref)}
-                for t in self.trigger_plans],
-            "stats": self.stats,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MaterializedModel":
-        return cls.from_payload(parse_artifact_json(text))
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MaterializedModel":
-        """The model a parsed JSON artifact describes."""
-        version = payload.get("format_version")
-        if version != ARTIFACT_FORMAT_VERSION:
-            raise ArtifactError(
-                f"artifact has format version {version!r} but this code "
-                f"reads version {ARTIFACT_FORMAT_VERSION}; re-run the "
-                f"offline phase to re-materialize it")
-        _check_payload(payload)
-        artifact = cls(
-            model_name=payload["model_name"],
-            gpu_name=payload["gpu_name"],
-            kv_bytes=payload["kv_bytes"],
-            kv_num_blocks=payload["kv_num_blocks"],
-            kv_layer_stride=payload["kv_layer_stride"],
-            kv_alloc_index=payload["kv_alloc_index"],
-            structure_prefix=[tuple(p) for p in payload["structure_prefix"]],
-            replay_events=[ReplayEvent(**e) for e in payload["replay_events"]],
-            graph_input_alloc_index=payload["graph_input_alloc_index"],
-            graph_output_alloc_index=payload["graph_output_alloc_index"],
-            capture_marker=payload["capture_marker"],
-            kernel_libraries=payload["kernel_libraries"],
-            permanent_contents={
-                int(k): v for k, v in payload["permanent_contents"].items()},
-            first_layer_nodes=payload["first_layer_nodes"],
-            trigger_plans=[
-                TriggerPlan(kernel_name=t["kernel_name"],
-                            node_ref=tuple(t["node_ref"]))
-                for t in payload["trigger_plans"]],
-            stats=payload["stats"],
-        )
-        for batch_text, graph_payload in payload["graphs"].items():
-            nodes = [
-                MaterializedNode(
-                    kernel_name=n["kernel_name"],
-                    param_sizes=list(n["param_sizes"]),
-                    launch_dims=dict(n["launch_dims"]),
-                    param_restores=[ParamRestore(**r)
-                                    for r in n["param_restores"]],
-                )
-                for n in graph_payload["nodes"]
-            ]
-            artifact.graphs[int(batch_text)] = MaterializedGraph(
-                batch_size=graph_payload["batch_size"],
-                nodes=nodes,
-                edges=[tuple(e) for e in graph_payload["edges"]],
-                param_bytes=graph_payload["param_bytes"],
-                num_tokens=graph_payload["num_tokens"],
-            )
-        return artifact
-
-    def save(self, path) -> int:
-        """Write to ``path``; returns the byte size (ablation metric)."""
-        text = self.to_json()
-        with open(path, "w") as handle:
-            handle.write(text)
-        return len(text)
-
-    @classmethod
-    def load(cls, path) -> "MaterializedModel":
-        return cls.from_json(read_artifact_text(path))
-
-
 def _check_payload(payload: dict) -> None:
-    """Field types of a JSON artifact, checked before any object is built
+    """Field types of a JSON artifact, checked before anything is packed
     from it: a wrong one raises :class:`ArtifactError` naming it."""
     check_fields(payload, _MODEL_FIELDS)
     check_shared(payload)

@@ -4,13 +4,14 @@ A paper-scale artifact holds ~16k nodes x ~7 parameter restores plus ~65k
 replay events, so it lives as numpy columns plus a small metadata dict
 (:class:`LazyArtifact`, with the bulk :class:`ReplayTable` and
 :class:`GraphTable`).  The restorer and lint read those tables
-array-at-a-time; objects exist only at the JSON boundary
-(:meth:`LazyArtifact.materialize`, :func:`as_lazy`).  One packer,
-:func:`pack_artifact`, builds the columns, for the offline phase and for
-the JSON importer alike.  :func:`save_binary` writes the artifact's own
-members as one ``.npz``, and ``LazyArtifact(path)`` parses only its
-embedded metadata up front, decompressing each table on first access and
-checking it once (dtype, shape, lengths, CSR offsets, string ids).  Every
+array-at-a-time.  One packer, :func:`pack_artifact`, builds the columns,
+for the offline phase and for the JSON importer
+(:meth:`LazyArtifact.from_payload`) alike; the JSON export
+(:meth:`LazyArtifact.to_json`) writes straight from the tables.
+:func:`save_binary` writes the artifact's own members as one ``.npz``,
+and ``LazyArtifact(path)`` parses only its embedded metadata up front,
+decompressing each table on first access and checking it once (dtype,
+shape, lengths, CSR offsets, string ids).  Every
 ``.npy`` member, of an npz (:class:`NpzMembers`) or of a chunk
 (:func:`repro.core.chunks.unpack_chunk`), is read by one decoder,
 :func:`_decode_npy`; any failed check raises :class:`ArtifactError`.
@@ -25,7 +26,7 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,24 +36,24 @@ from repro.core.artifact import (
     CONST,
     POINTER,
     SHARED_FIELDS,
-    MaterializedGraph,
-    MaterializedModel,
-    MaterializedNode,
-    ParamRestore,
-    ReplayEvent,
     TriggerPlan,
+    _check_payload,
     check_fields,
     check_index_key,
     check_shared,
     check_tuple,
     check_type,
+    parse_artifact_json,
+    read_artifact_text,
 )
 from repro.core.pointer_analysis import POINTER_CODE, ParamColumns
 from repro.errors import ArtifactError
 from repro.utils.files import write_if_changed
 
-_EVENT_CODES = {"alloc": 0, "free": 1, "empty_cache": 2}
-_EVENT_NAMES = {0: "alloc", 1: "free", 2: "empty_cache"}
+#: Replay-event kind names by packed code; the JSON importer packs any
+#: other kind to -1, which has no name.
+EVENT_NAMES = {0: "alloc", 1: "free", 2: "empty_cache"}
+_EVENT_CODES = {name: code for code, name in EVENT_NAMES.items()}
 
 #: The embedded metadata's keys, in the order ``save_binary`` writes them.
 _META_KEYS = ("model_name", "gpu_name", "format_version", "kv_bytes",
@@ -61,6 +62,15 @@ _META_KEYS = ("model_name", "gpu_name", "format_version", "kv_bytes",
               "graph_output_alloc_index", "capture_marker",
               "kernel_libraries", "permanent_contents", "batches",
               "graph_meta", "first_layer_nodes", "trigger_plans", "stats")
+
+#: The JSON artifact's keys, in the order ``LazyArtifact.to_json`` writes
+#: them.
+_JSON_KEYS = ("model_name", "gpu_name", "format_version", "kv_bytes",
+              "kv_num_blocks", "kv_layer_stride", "kv_alloc_index",
+              "structure_prefix", "replay_events", "graph_input_alloc_index",
+              "graph_output_alloc_index", "capture_marker",
+              "kernel_libraries", "permanent_contents", "graphs",
+              "first_layer_nodes", "trigger_plans", "stats")
 
 #: Bulk members of one graph, without the ``g<batch>_`` prefix.
 GRAPH_MEMBERS = ("kernel", "batchdim", "param_offsets", "param_sizes",
@@ -143,7 +153,7 @@ def _string_ids(ids, table: Sequence[str]) -> Tuple[List[str], np.ndarray]:
     return packed, code[np.asarray(ids, dtype=np.int64)]
 
 
-def save_binary(artifact, path) -> int:
+def save_binary(artifact: "LazyArtifact", path) -> int:
     """Write the packed ``artifact``'s own members as .npz; returns the
     byte size on disk.
 
@@ -151,7 +161,6 @@ def save_binary(artifact, path) -> int:
     carries the same fixed timestamp), so a file that already holds them
     is left as it is.
     """
-    artifact = as_lazy(artifact)
     members = artifact.members()
     members["metadata"] = np.array([json.dumps(artifact.metadata())])
     buffer = io.BytesIO()
@@ -159,87 +168,6 @@ def save_binary(artifact, path) -> int:
     payload = buffer.getvalue()
     write_if_changed(path, payload)
     return len(payload)
-
-
-def load_binary(path) -> MaterializedModel:
-    """Read an artifact written by :func:`save_binary` in object form
-    (through :class:`LazyArtifact`, so both share one metadata check)."""
-    return LazyArtifact(path).materialize()
-
-
-def as_lazy(artifact) -> "LazyArtifact":
-    """``artifact`` packed: the JSON importer.
-
-    A packed artifact is returned as is.  An object-form
-    :class:`~repro.core.artifact.MaterializedModel` is packed, and the two
-    checks only that form can fail land on the result's ``findings`` for
-    lint: a node with more or fewer restore rules than parameters (MED014,
-    packed truncated) and a graph under another batch size than its own
-    (MED022).
-    """
-    if isinstance(artifact, LazyArtifact):
-        return artifact
-    findings: List[Tuple[str, str, str]] = []
-    graphs: Dict[int, GraphRows] = {}
-    for batch, graph in artifact.graphs.items():
-        if graph.batch_size != batch:
-            findings.append((
-                "MED022", f"stored under key {batch} but declares "
-                f"batch_size {graph.batch_size}", f"graphs[{batch}]"))
-        nodes = graph.nodes
-        for node_index, node in enumerate(nodes):
-            if len(node.param_restores) != len(node.param_sizes):
-                findings.append((
-                    "MED014", f"kernel {node.kernel_name}: "
-                    f"{len(node.param_restores)} restore rules for "
-                    f"{len(node.param_sizes)} parameters",
-                    f"graphs[{batch}].nodes[{node_index}]"))
-        counts = [min(len(n.param_sizes), len(n.param_restores))
-                  for n in nodes]
-        graphs[batch] = GraphRows(
-            [node.kernel_name for node in nodes],
-            [node.launch_dims.get("batch_size", 0) for node in nodes],
-            counts,
-            [size for n, count in zip(nodes, counts)
-             for size in n.param_sizes[:count]],
-            _rule_columns(batch, [rule for n, count in zip(nodes, counts)
-                                  for rule in n.param_restores[:count]]),
-            graph.edges, graph.param_bytes, graph.num_tokens)
-    events = artifact.replay_events
-    tags: Dict[str, int] = {}
-    pools: Dict[str, int] = {}
-    replay = ReplayTable(
-        [_EVENT_CODES.get(e.kind, -1) for e in events],
-        [e.alloc_index for e in events], [e.size for e in events],
-        [e.pooled for e in events],
-        [tags.setdefault(e.tag, len(tags)) for e in events],
-        [pools.setdefault(e.pool, len(pools)) for e in events],
-        list(tags), list(pools))
-    fields = {key: getattr(artifact, key, None) for key in _META_KEYS}
-    fields.update(
-        structure_prefix=list(artifact.structure_prefix),
-        permanent_contents={str(k): v for k, v
-                            in artifact.permanent_contents.items()},
-        trigger_plans=[[t.kernel_name, list(t.node_ref)]
-                       for t in artifact.trigger_plans])
-    lazy = pack_artifact(fields, replay, graphs)
-    lazy.findings = findings
-    return lazy
-
-
-def _rule_columns(batch: int,
-                  restores: Sequence[ParamRestore]) -> ParamColumns:
-    """Object-form restore rules as the packer's columns (lists, so a
-    value that does not fit fails in the packer)."""
-    for restore in restores:
-        if restore.kind not in (CONST, POINTER):
-            raise ArtifactError(f"graph {batch} has a parameter "
-                                f"restore of kind {restore.kind!r}")
-    pointer = [restore.kind == POINTER for restore in restores]   # codes
-    return ParamColumns(
-        pointer, [r.alloc_index if p else r.value
-                  for r, p in zip(restores, pointer)],
-        [r.offset if p else 0 for r, p in zip(restores, pointer)])
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +279,11 @@ class NpzMembers:
 class ReplayTable:
     """The replay-event sequence as a struct of numpy arrays.
 
-    Instead of ~65k :class:`ReplayEvent` objects, this table keeps the six
-    columns the events decompose into (kind code, allocation index, size,
-    pooled flag, tag id, pool id) plus the two string tables.  The restore
-    hands the columns to one allocator call
-    (:meth:`repro.simgpu.memory.DeviceAllocator.replay`); :meth:`rows`
-    yields plain-int tuples for lint's liveness pass (converted from the
-    arrays once, not per access), and :meth:`event` rehydrates a single
-    :class:`ReplayEvent`.
+    The six columns the events decompose into (kind code, allocation
+    index, size, pooled flag, tag id, pool id) plus the two string tables.
+    The restore hands the columns to one allocator call
+    (:meth:`repro.simgpu.memory.DeviceAllocator.replay`), and lint's
+    liveness pass walks them.
     """
 
     kind: np.ndarray
@@ -369,44 +294,20 @@ class ReplayTable:
     pool_id: np.ndarray
     tags: List[str]
     pools: List[str]
-    _rows: Optional[List[Tuple[int, int, int, int, str, str]]] = field(
-        default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return int(self.kind.shape[0])
 
-    def rows(self) -> List[Tuple[int, int, int, int, str, str]]:
-        """All events as ``(kind, alloc_index, size, pooled, tag, pool)``
-        plain-Python tuples, converted once and cached."""
-        if self._rows is None:
-            tags, pools = self.tags, self.pools
-            self._rows = [
-                (kind, alloc_index, size, pooled, tags[tag], pools[pool])
+    def to_payload(self) -> List[dict]:
+        """The events as the JSON artifact's ``replay_events`` records."""
+        tags, pools = self.tags, self.pools
+        return [{"kind": EVENT_NAMES[kind], "alloc_index": alloc_index,
+                 "size": size, "tag": tags[tag], "pooled": bool(pooled),
+                 "pool": pools[pool]}
                 for kind, alloc_index, size, pooled, tag, pool in zip(
                     self.kind.tolist(), self.alloc_index.tolist(),
                     self.size.tolist(), self.pooled.tolist(),
-                    self.tag_id.tolist(), self.pool_id.tolist())
-            ]
-        return self._rows
-
-    def event(self, position: int) -> ReplayEvent:
-        """The one event at ``position`` as an object (what the fault
-        injector reports)."""
-        return _replay_event(
-            int(self.kind[position]), int(self.alloc_index[position]),
-            int(self.size[position]), int(self.pooled[position]),
-            self.tags[self.tag_id[position]],
-            self.pools[self.pool_id[position]])
-
-    def events(self) -> List[ReplayEvent]:
-        """Every event as an object (the JSON export)."""
-        return [_replay_event(*row) for row in self.rows()]
-
-
-def _replay_event(kind: int, alloc_index: int, size: int, pooled: int,
-                  tag: str, pool: str) -> ReplayEvent:
-    return ReplayEvent(kind=_EVENT_NAMES[kind], alloc_index=alloc_index,
-                       size=size, tag=tag, pooled=bool(pooled), pool=pool)
+                    self.tag_id.tolist(), self.pool_id.tolist())]
 
 
 @dataclass(eq=False)
@@ -445,28 +346,31 @@ class GraphTable:
         names = self.kernel_names
         return [names[k] for k in self.kernel_ids.tolist()]
 
-    def to_graph(self) -> MaterializedGraph:
-        """The graph as objects (the JSON export form)."""
-        restores = [ParamRestore.pointer(value, offset) if kind == POINTER_CODE
-                    else ParamRestore.const(value)
+    def to_payload(self) -> dict:
+        """The graph as the JSON artifact's ``graphs`` record."""
+        restores = [{"kind": POINTER, "value": 0, "alloc_index": value,
+                     "offset": offset} if kind == POINTER_CODE else
+                    {"kind": CONST, "value": value, "alloc_index": -1,
+                     "offset": 0}
                     for kind, value, offset in zip(
                         self.param_kinds.tolist(), self.param_values.tolist(),
                         self.param_byte_offsets.tolist())]
         sizes = self.param_sizes.tolist()
         offsets = self.param_offsets.tolist()
         names = self.kernel_names
-        return MaterializedGraph(
-            batch_size=self.batch_size,
-            nodes=[MaterializedNode(names[kernel_id], sizes[start:stop],
-                                    restores[start:stop],
-                                    {"batch_size": batch_dim})
-                   for kernel_id, batch_dim, start, stop in zip(
-                       self.kernel_ids.tolist(), self.batch_dims.tolist(),
-                       offsets, offsets[1:])],
-            edges=[tuple(edge) for edge in self.edges.tolist()],
-            param_bytes=self.param_bytes,
-            num_tokens=self.num_tokens,
-        )
+        return {
+            "batch_size": self.batch_size,
+            "param_bytes": self.param_bytes,
+            "num_tokens": self.num_tokens,
+            "edges": self.edges.tolist(),
+            "nodes": [{"kernel_name": names[kernel_id],
+                       "param_sizes": sizes[start:stop],
+                       "launch_dims": {"batch_size": batch_dim},
+                       "param_restores": restores[start:stop]}
+                      for kernel_id, batch_dim, start, stop in zip(
+                          self.kernel_ids.tolist(), self.batch_dims.tolist(),
+                          offsets, offsets[1:])],
+        }
 
 
 def _meta_field(key: str, doc: str) -> property:
@@ -511,18 +415,14 @@ class LazyArtifact:
                     f"binary artifact {path} has corrupt metadata")
         self._data = data
         self._meta = meta
-        version = self._meta.get("format_version")
-        if version != ARTIFACT_FORMAT_VERSION:
-            raise ArtifactError(
-                f"artifact has format version {version!r} but this code "
-                f"reads version {ARTIFACT_FORMAT_VERSION}; re-run the "
-                f"offline phase to re-materialize it")
+        _check_version(meta)
         if path is not None:        # read back: check what the file says
             _check_meta(meta)
         self._replay_table: Optional[ReplayTable] = None
         self._graph_tables: Dict[int, GraphTable] = {}
         self._kernel_names: Optional[List[str]] = None
-        #: (code, message, location) of the importer's findings (as_lazy).
+        #: (code, message, location) of the JSON importer's findings
+        #: (:meth:`from_payload`).
         self.findings: List[Tuple[str, str, str]] = []
 
     # -- metadata mirror ----------------------------------------------------
@@ -690,24 +590,129 @@ class LazyArtifact:
         """The metadata dict :func:`save_binary` embeds."""
         return dict(self._meta, permanent_contents=self._dumps())
 
-    def materialize(self) -> MaterializedModel:
-        """A fresh object-form copy, for JSON export (what
-        :func:`load_binary` returns); lint and restore read the tables."""
-        fields = json.loads(json.dumps(self.metadata()))   # our own copy
-        del fields["batches"], fields["graph_meta"]
-        fields.update(structure_prefix=self.structure_prefix,
-                      permanent_contents=self.permanent_contents,
-                      trigger_plans=self.trigger_plans)
-        artifact = MaterializedModel(**fields)
-        artifact.replay_events = self.replay_table().events()
-        for batch in self._meta["graph_meta"]:      # member order
-            artifact.graphs[int(batch)] = \
-                self.graph_table(int(batch)).to_graph()
+    @staticmethod
+    def from_payload(payload: dict) -> "LazyArtifact":
+        """The JSON importer: a parsed JSON artifact, schema-checked
+        (:func:`repro.core.artifact._check_payload`) and packed.
+
+        A record's missing optional key takes its default (an event's
+        ``alloc_index=-1, size=0, tag="", pooled=False, pool="default"``,
+        a restore rule's ``value=0, alloc_index=-1, offset=0``); an
+        unknown event kind packs to code -1, which lint reports.  Two
+        checks only this form can fail land on ``findings`` for lint: a
+        graph under another batch size than its own (MED022) and a node
+        with more or fewer restore rules than parameters (MED014, packed
+        truncated).
+        """
+        _check_version(payload)
+        _check_payload(payload)
+        findings: List[Tuple[str, str, str]] = []
+        graphs = {int(key): graph for key, graph
+                  in payload["graphs"].items()}
+        rows = {batch: _graph_rows(batch, graph, findings)
+                for batch, graph in graphs.items()}
+        events = payload["replay_events"]
+        tags: Dict[str, int] = {}
+        pools: Dict[str, int] = {}
+        replay = ReplayTable(
+            [_EVENT_CODES.get(event["kind"], -1) for event in events],
+            [event.get("alloc_index", -1) for event in events],
+            [event.get("size", 0) for event in events],
+            [event.get("pooled", False) for event in events],
+            [tags.setdefault(event.get("tag", ""), len(tags))
+             for event in events],
+            [pools.setdefault(event.get("pool", "default"), len(pools))
+             for event in events],
+            list(tags), list(pools))
+        fields = dict(
+            payload,
+            structure_prefix=[tuple(p) for p in payload["structure_prefix"]],
+            permanent_contents={str(int(key)): rows for key, rows
+                                in payload["permanent_contents"].items()},
+            trigger_plans=[[plan["kernel_name"], list(plan["node_ref"])]
+                           for plan in payload["trigger_plans"]])
+        artifact = pack_artifact(fields, replay, rows)
+        artifact.findings = findings
         return artifact
 
+    @staticmethod
+    def load_json(path) -> "LazyArtifact":
+        """A JSON artifact file, imported (:meth:`from_payload`)."""
+        return LazyArtifact.from_payload(
+            parse_artifact_json(read_artifact_text(path)))
+
+    def to_payload(self) -> dict:
+        """The artifact as a fresh JSON payload dict, the documented
+        schema :meth:`from_payload` reads, built from the packed tables."""
+        meta = json.loads(json.dumps(self.metadata()))     # the caller's own
+        meta.update(
+            replay_events=self.replay_table().to_payload(),
+            graphs={batch: self.graph_table(int(batch)).to_payload()
+                    for batch in meta["graph_meta"]},      # member order
+            trigger_plans=[{"kernel_name": name, "node_ref": ref}
+                           for name, ref in meta["trigger_plans"]])
+        return {key: meta[key] for key in _JSON_KEYS}
+
     def to_json(self) -> str:
-        """The artifact as JSON (:meth:`MaterializedModel.to_json`)."""
-        return self.materialize().to_json()
+        """The artifact as JSON text (:meth:`to_payload`)."""
+        return json.dumps(self.to_payload())
+
+    def save_json(self, path) -> int:
+        """Write :meth:`to_json` to ``path``; returns its size."""
+        text = self.to_json()
+        with open(path, "w") as handle:
+            handle.write(text)
+        return len(text)
+
+
+def _graph_rows(batch: int, graph: dict,
+                findings: List[Tuple[str, str, str]]) -> GraphRows:
+    """One JSON ``graphs`` record as the packer takes it; its MED022 and
+    MED014 findings are appended to ``findings``."""
+    if graph["batch_size"] != batch:
+        findings.append((
+            "MED022", f"stored under key {batch} but declares "
+            f"batch_size {graph['batch_size']}", f"graphs[{batch}]"))
+    nodes = graph["nodes"]
+    counts, sizes, rules = [], [], []
+    for node_index, node in enumerate(nodes):
+        node_sizes, node_rules = node["param_sizes"], node["param_restores"]
+        if len(node_rules) != len(node_sizes):
+            findings.append((
+                "MED014", f"kernel {node['kernel_name']}: "
+                f"{len(node_rules)} restore rules for "
+                f"{len(node_sizes)} parameters",
+                f"graphs[{batch}].nodes[{node_index}]"))
+        count = min(len(node_sizes), len(node_rules))
+        counts.append(count)
+        sizes.extend(node_sizes[:count])
+        rules.extend(node_rules[:count])
+    for rule in rules:
+        if rule["kind"] not in (CONST, POINTER):
+            raise ArtifactError(f"graph {batch} has a parameter restore of "
+                                f"kind {rule['kind']!r}")
+    pointer = [rule["kind"] == POINTER for rule in rules]   # the codes
+    return GraphRows(
+        [node["kernel_name"] for node in nodes],
+        [node["launch_dims"].get("batch_size", 0) for node in nodes],
+        counts, sizes, ParamColumns(
+            pointer,
+            [rule.get("alloc_index", -1) if is_pointer
+             else rule.get("value", 0)
+             for rule, is_pointer in zip(rules, pointer)],
+            [rule.get("offset", 0) if is_pointer else 0
+             for rule, is_pointer in zip(rules, pointer)]),
+        graph["edges"], graph["param_bytes"], graph["num_tokens"])
+
+
+def _check_version(fields: dict) -> None:
+    """An artifact of another format version is refused by name."""
+    version = fields.get("format_version")
+    if version != ARTIFACT_FORMAT_VERSION:
+        raise ArtifactError(
+            f"artifact has format version {version!r} but this code "
+            f"reads version {ARTIFACT_FORMAT_VERSION}; re-run the "
+            f"offline phase to re-materialize it")
 
 
 _META_FIELDS = dict(SHARED_FIELDS, batches=list, graph_meta=dict)

@@ -27,7 +27,7 @@ identical arrays different digests).
 
 :class:`ChunkReader` re-presents a manifest + chunk loader as the
 dict-of-arrays mapping :class:`~repro.core.binfmt.LazyArtifact` reads, so
-:class:`ChunkedLazyArtifact` preserves lazy/materialize semantics
+:class:`ChunkedLazyArtifact` preserves lazy semantics and the JSON export
 byte-identically while loading only the chunks a consumer touches.
 """
 
@@ -52,7 +52,6 @@ from repro.core.binfmt import (
     GraphTable,
     LazyArtifact,
     _decode_npy,
-    as_lazy,
 )
 from repro.errors import ArtifactError
 
@@ -313,9 +312,8 @@ def simulation_chunks(manifest: ChunkManifest) -> Tuple[ChunkMeta, ...]:
 
 def chunk_model(artifact, replay_shard_events: int = REPLAY_SHARD_EVENTS,
                 ) -> Tuple[ChunkManifest, Dict[str, bytes]]:
-    """Split ``artifact``'s own members into content-addressed chunks (an
-    object-form artifact is packed first, see
-    :func:`~repro.core.binfmt.as_lazy`).
+    """Split the packed ``artifact``'s own members into content-addressed
+    chunks.
 
     Returns the manifest plus ``digest -> packed blob`` for every chunk it
     references.  Chunks with equal content collapse to one dict entry, so
@@ -324,7 +322,6 @@ def chunk_model(artifact, replay_shard_events: int = REPLAY_SHARD_EVENTS,
     """
     if replay_shard_events < 1:
         raise ArtifactError("replay_shard_events must be >= 1")
-    artifact = as_lazy(artifact)
     arrays = artifact.members()
     metadata = artifact.metadata()
     refs: List[ChunkRef] = []

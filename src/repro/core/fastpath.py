@@ -2,10 +2,8 @@
 
 :class:`VectorizedRestorer` restores one materialized model into a fresh
 process, reading the artifact as packed numpy arrays
-(:class:`repro.core.binfmt.LazyArtifact`, what the offline phase emits).
-An object-form (JSON) :class:`~repro.core.artifact.MaterializedModel` is
-packed once on entry
-(:func:`repro.core.binfmt.as_lazy`), so every input kind runs the same code:
+(:class:`repro.core.binfmt.LazyArtifact`, what the offline phase emits
+and the JSON importer returns), so every input kind runs the same code:
 
 - **KV restore (§6)** — verifies the engine's structure-init allocation
   prefix (the deterministic-control-flow assumption, checked rather than
@@ -61,7 +59,7 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.binfmt import POINTER_CODE, GraphTable, ReplayTable, as_lazy
+from repro.core.binfmt import POINTER_CODE, GraphTable, ReplayTable
 from repro.engine.capture_runner import (
     CaptureArtifacts,
     capture_one,
@@ -191,8 +189,7 @@ class VectorizedRestorer:
     """Restores one materialized model into a fresh process.
 
     ``artifact``: a :class:`~repro.core.binfmt.LazyArtifact` (in memory,
-    ``.npz`` or chunk-backed), or an object-form ``MaterializedModel``,
-    packed on entry.
+    ``.npz`` or chunk-backed).
     ``injector``: optional :class:`repro.faults.FaultInjector` whose faults
     fire at this restorer's injection sites (chaos testing).
     ``policy``: optional :class:`repro.faults.DegradationPolicy`.  When set,
@@ -205,7 +202,6 @@ class VectorizedRestorer:
     def __init__(self, artifact, injector=None,
                  policy: Optional[DegradationPolicy] = None,
                  verify_dumps: bool = False):
-        artifact = as_lazy(artifact)
         active = injector is not None and injector.active
         #: batch -> the graph table the restore reads when it is not the
         #: artifact's own (a fault-corrupted copy).
@@ -603,7 +599,7 @@ class VectorizedRestorer:
         # warm-up never forces a tail decompress.
         table = self._tables.get(batch_size) \
             or artifact.first_layer_table(batch_size)
-        count = min(artifact.first_layer_nodes, table.num_nodes)
+        count = max(0, min(artifact.first_layer_nodes, table.num_nodes))
         stop = int(table.param_offsets[count])
         resolved = self._resolved_values(table, stop=stop)
         names = table.kernel_names

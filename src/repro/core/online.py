@@ -6,7 +6,7 @@ and the one restorer, :class:`repro.core.fastpath.VectorizedRestorer`
 (KV restore, allocation replay, first-layer warm-up with triggering
 kernels, and graph restore by one pointer gather per graph).  Every input
 kind runs that restorer on the packed tables (a JSON artifact is packed
-on entry).  The packed artifact alone and the hooks pick the LoadPlan:
+on import).  The packed artifact alone and the hooks pick the LoadPlan:
 
 ================================== =====================
 input                              plan
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.binfmt import as_lazy
 # resolve_kernel_addresses is re-exported: bench/tracing.py wraps it here.
 from repro.core.fastpath import (  # noqa: F401
     VectorizedRestorer,
@@ -58,9 +57,8 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
                               policy: Optional[DegradationPolicy] = None):
     """Build the (engine, restorer) pair for one Medusa cold start.
 
-    ``artifact`` may be packed or object-form (packed here); the plan
-    follows the packed artifact (see the module docstring): an in-memory
-    one, an active :class:`~repro.faults.FaultInjector` or a
+    The plan follows the packed ``artifact`` (see the module docstring):
+    an in-memory one, an active :class:`~repro.faults.FaultInjector` or a
     :class:`~repro.faults.DegradationPolicy` gets the monolithic
     ``medusa`` plan, a chunk-backed artifact the chunk-streamed plan, and
     an artifact file the pipelined plan over its batch sizes.
@@ -71,7 +69,6 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     """
     if isinstance(config, str):
         config = get_model_config(config)
-    artifact = as_lazy(artifact)
     if artifact.model_name != config.name:
         raise RestorationError(
             f"artifact is for {artifact.model_name}, engine wants {config.name}")

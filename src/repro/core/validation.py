@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.binfmt import as_lazy
 from repro.core.online import prepare_medusa_cold_start
 from repro.errors import ValidationError
 from repro.simgpu.kernels import PAYLOAD_DIM
@@ -78,11 +77,10 @@ def validate_restoration(config, artifact,
     ``injector`` threads a :class:`repro.faults.FaultInjector` through
     (chaos testing).
 
-    ``artifact`` is packed once; lint and the restore read the same
-    tables, and the restore runs the plan that input gets (see
+    Lint and the restore read the same packed tables, and the restore
+    runs the plan that input gets (see
     :func:`repro.core.online.prepare_medusa_cold_start`).
     """
-    artifact = as_lazy(artifact)
     report = ValidationReport(model=artifact.model_name)
     degraded_ok = policy is not None
     if static_lint:

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.binfmt import POINTER_CODE, GraphTable, LazyArtifact, \
-    ReplayTable
+from repro.core.binfmt import EVENT_NAMES, POINTER_CODE, GraphTable, \
+    LazyArtifact, ReplayTable
 from repro.core.artifact import POINTER
 from repro.errors import InvalidValueError, OutOfMemoryError
 from repro.faults.plan import (
@@ -248,10 +248,10 @@ class FaultInjector:
         rows a replay reached (``table`` is the artifact's own)."""
         for position in self._replay_targets(FaultKind.REPLAY_DIVERGENCE):
             if start <= position < end:
-                event = table.event(position)
+                kind = EVENT_NAMES[int(table.kind[position])]
                 self.record("replay.event",
                             f"diverged replay event {position} "
-                            f"({event.kind} {event.alloc_index})")
+                            f"({kind} {table.alloc_index[position]})")
 
     def fail_replay(self, position: int) -> None:
         """The REPLAY_OOM at ``position`` fires: cudaMalloc fails."""

@@ -98,6 +98,31 @@ def process_factory(catalog):
     return factory
 
 
+def artifact_payload(**fields) -> dict:
+    """A JSON artifact payload (the documented schema): every top-level
+    field at its empty default, overridden by ``fields``.  Records inside
+    it may leave out their optional keys, which take the importer's
+    defaults."""
+    from repro.core.artifact import ARTIFACT_FORMAT_VERSION
+    return dict({
+        "model_name": "", "gpu_name": "",
+        "format_version": ARTIFACT_FORMAT_VERSION, "kv_bytes": 0,
+        "kv_num_blocks": 0, "kv_layer_stride": 0, "kv_alloc_index": -1,
+        "structure_prefix": [], "replay_events": [],
+        "graph_input_alloc_index": -1, "graph_output_alloc_index": -1,
+        "capture_marker": -1, "kernel_libraries": {},
+        "permanent_contents": {}, "graphs": {}, "first_layer_nodes": 0,
+        "trigger_plans": [], "stats": {},
+    }, **fields)
+
+
+def replaced(artifact, **fields):
+    """A packed ``artifact`` with top-level JSON fields replaced: its
+    export, changed and imported again."""
+    from repro.core.binfmt import LazyArtifact
+    return LazyArtifact.from_payload(dict(artifact.to_payload(), **fields))
+
+
 # ---------------------------------------------------------------------------
 # Tiny-model engine/artifact fixtures (shared, expensive ones session-scoped)
 # ---------------------------------------------------------------------------

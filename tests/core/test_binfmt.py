@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.binfmt import load_binary, save_binary
+from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.validation import validate_restoration
 from repro.errors import ArtifactError
 
@@ -18,7 +18,7 @@ class TestBinaryRoundTrip:
         artifact, _ = tiny2l_artifact
         path = tmp_path / "tiny.medusa.npz"
         save_binary(artifact, path)
-        loaded = load_binary(path)
+        loaded = LazyArtifact(path)
         # Semantic equality (graph insertion order may differ).
         assert json.loads(loaded.to_json()) == json.loads(artifact.to_json())
 
@@ -26,26 +26,26 @@ class TestBinaryRoundTrip:
         artifact, _ = tiny4l_artifact
         path = tmp_path / "tiny4l.medusa.npz"
         save_binary(artifact, path)
-        loaded = load_binary(path)
+        loaded = LazyArtifact(path)
         report = validate_restoration("Tiny-4L", loaded, batches=[1, 8],
                                       seed=61, cost_model=tiny_cost_model())
         assert report.passed
 
     def test_binary_smaller_than_json(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        json_size = artifact.materialize().save(tmp_path / "a.json")
+        json_size = artifact.save_json(tmp_path / "a.json")
         binary_size = save_binary(artifact, tmp_path / "a.npz")
         assert binary_size < json_size
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ArtifactError):
-            load_binary(tmp_path / "nope.npz")
+            LazyArtifact(tmp_path / "nope.npz")
 
     def test_garbage_file_raises(self, tmp_path):
         path = tmp_path / "bad.npz"
         path.write_bytes(b"not an npz")
         with pytest.raises(ArtifactError):
-            load_binary(path)
+            LazyArtifact(path)
 
 
 def _rewritten(tmp_path, artifact, edit):
@@ -62,7 +62,7 @@ def _rewritten(tmp_path, artifact, edit):
 
 
 class TestStaleArtifactsRejected:
-    """``load_binary`` shares ``LazyArtifact``'s version and metadata check."""
+    """Opening an ``.npz`` checks its version and metadata."""
 
     def test_unknown_format_version_raises(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
@@ -73,14 +73,14 @@ class TestStaleArtifactsRejected:
             members["metadata"] = np.array([json.dumps(meta)])
 
         with pytest.raises(ArtifactError, match="format version 999"):
-            load_binary(_rewritten(tmp_path, artifact, bump_version))
+            LazyArtifact(_rewritten(tmp_path, artifact, bump_version))
 
     def test_missing_metadata_raises(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
         path = _rewritten(tmp_path, artifact,
                           lambda members: members.pop("metadata"))
         with pytest.raises(ArtifactError, match="no metadata member"):
-            load_binary(path)
+            LazyArtifact(path)
 
     @pytest.mark.parametrize("metadata", [
         np.array(["{not json"]),
@@ -95,12 +95,12 @@ class TestStaleArtifactsRejected:
             members["metadata"] = metadata
 
         with pytest.raises(ArtifactError, match="corrupt metadata"):
-            load_binary(_rewritten(tmp_path, artifact, corrupt))
+            LazyArtifact(_rewritten(tmp_path, artifact, corrupt))
 
 
 class TestPackOnce:
     """The offline output is the packed artifact: nothing downstream packs
-    it again or unpacks it into objects."""
+    it again or unpacks it into a JSON payload."""
 
     def test_materialization_packs_once_and_never_unpacks(self, tmp_path,
                                                           monkeypatch):
@@ -108,22 +108,22 @@ class TestPackOnce:
         from repro.core.store import ArtifactStore
         from repro.simgpu.process import ExecutionMode
 
-        calls = {"pack_artifact": 0, "materialize": 0}
+        calls = {"pack_artifact": 0, "to_payload": 0}
         real_pack = binfmt.pack_artifact
-        real_materialize = binfmt.LazyArtifact.materialize
+        real_to_payload = binfmt.LazyArtifact.to_payload
 
         def counting_pack(*args, **kwargs):
             calls["pack_artifact"] += 1
             return real_pack(*args, **kwargs)
 
-        def counting_materialize(self):
-            calls["materialize"] += 1
-            return real_materialize(self)
+        def counting_to_payload(self):
+            calls["to_payload"] += 1
+            return real_to_payload(self)
 
         monkeypatch.setattr(binfmt, "pack_artifact", counting_pack)
         monkeypatch.setattr(offline, "pack_artifact", counting_pack)
-        monkeypatch.setattr(binfmt.LazyArtifact, "materialize",
-                            counting_materialize)
+        monkeypatch.setattr(binfmt.LazyArtifact, "to_payload",
+                            counting_to_payload)
         artifact, _ = offline.run_offline("Tiny-2L", seed=3,
                                           mode=ExecutionMode.COMPUTE,
                                           cost_model=tiny_cost_model())
@@ -131,14 +131,14 @@ class TestPackOnce:
         save_binary(artifact, path)
         store = ArtifactStore(tmp_path / "store", lint_on_load=True)
         store.put(artifact)
-        assert calls == {"pack_artifact": 1, "materialize": 0}
+        assert calls == {"pack_artifact": 1, "to_payload": 0}
         # Lint and restore read the tables of every input kind.
         store.get(artifact.gpu_name, artifact.model_name)
         for target in (artifact, binfmt.LazyArtifact(path)):
             assert validate_restoration("Tiny-2L", target, batches=[1],
                                         seed=4,
                                         cost_model=tiny_cost_model()).passed
-        assert calls == {"pack_artifact": 1, "materialize": 0}
+        assert calls == {"pack_artifact": 1, "to_payload": 0}
         assert not hasattr(binfmt, "artifact_arrays")
 
 

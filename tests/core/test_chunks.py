@@ -3,7 +3,6 @@ content-addressed chunk store paths built on it."""
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import struct
@@ -12,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.binfmt import load_binary, save_binary
+from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.chunks import (
     KIND_GRAPH_HEAD,
     KIND_GRAPH_TAIL,
@@ -27,6 +26,7 @@ from repro.core.chunks import (
 )
 from repro.core.store import ArtifactStore
 from repro.errors import ArtifactError
+from tests.conftest import replaced
 
 
 @pytest.fixture(scope="module")
@@ -295,9 +295,9 @@ class TestChunkModel:
         manifest, blobs = chunked
         path = tmp_path / "mono.npz"
         save_binary(tiny2l, path)
-        mono = load_binary(path)
+        mono = LazyArtifact(path)
         lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
-        assert lazy.materialize().to_json() == mono.to_json()
+        assert lazy.to_json() == mono.to_json()
 
     def test_simulation_chunks_mirror_manifest(self, chunked):
         manifest, _ = chunked
@@ -339,30 +339,28 @@ class TestStoreChunking:
     def test_sibling_model_dedups_every_chunk(self, tiny2l, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put(tiny2l)
-        sibling = dataclasses.replace(tiny2l.materialize(),
-                                      model_name="Tiny-2L-twin")
+        sibling = replaced(tiny2l, model_name="Tiny-2L-twin")
         store.put(sibling)
         stats = store.stats()
         assert stats["total_chunks"] == 2 * stats["unique_chunks"]
         assert stats["dedup_ratio"] == pytest.approx(2.0)
         assert store.chunks_deduped > 0
-        # Both identities materialize independently and identically.
-        a = store.get(tiny2l.gpu_name, tiny2l.model_name).materialize()
-        b = store.get(sibling.gpu_name, sibling.model_name).materialize()
-        assert a.model_name != b.model_name
-        assert a.graphs.keys() == b.graphs.keys()
+        # Both identities read back whole, independently and identically.
+        a = store.get(tiny2l.gpu_name, tiny2l.model_name).to_payload()
+        b = store.get(sibling.gpu_name, sibling.model_name).to_payload()
+        assert a["model_name"] != b["model_name"]
+        assert a["graphs"].keys() == b["graphs"].keys()
 
     def test_delete_keeps_shared_chunks_until_last_reference(
             self, tiny2l, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put(tiny2l)
-        sibling = dataclasses.replace(tiny2l.materialize(),
-                                      model_name="Tiny-2L-twin")
+        sibling = replaced(tiny2l, model_name="Tiny-2L-twin")
         store.put(sibling)
         store.delete(sibling.gpu_name, sibling.model_name)
-        # The survivor still materializes: its chunks were not GC'd.
-        survivor = store.get(tiny2l.gpu_name, tiny2l.model_name).materialize()
-        assert survivor.model_name == tiny2l.model_name
+        # The survivor still reads back whole: its chunks were not GC'd.
+        survivor = store.get(tiny2l.gpu_name, tiny2l.model_name).to_payload()
+        assert survivor["model_name"] == tiny2l.model_name
         assert store.stats()["unique_chunks"] > 0
         store.delete(tiny2l.gpu_name, tiny2l.model_name)
         assert store.stats()["unique_chunks"] == 0

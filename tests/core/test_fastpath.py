@@ -62,9 +62,10 @@ class TestFastPathCorrectness:
         assert report.timeline.plan == "medusa-pipelined"
         assert engine.capture_artifacts.execs
 
-    def test_packs_eager_artifact(self, tiny2l_artifact):
+    def test_reads_imported_json_artifact(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        restorer = VectorizedRestorer(artifact.materialize())
+        restorer = VectorizedRestorer(
+            LazyArtifact.from_payload(artifact.to_payload()))
         assert isinstance(restorer.artifact, LazyArtifact)
         assert restorer.artifact.batches == artifact.batches
         assert restorer.artifact.total_nodes == artifact.total_nodes

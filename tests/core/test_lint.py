@@ -12,82 +12,79 @@ from repro.analysis import (
     lint_artifact,
     lint_json_text,
 )
-from repro.core.artifact import (
-    MaterializedGraph,
-    MaterializedModel,
-    MaterializedNode,
-    ParamRestore,
-    ReplayEvent,
-    TriggerPlan,
-)
+from repro.core.binfmt import LazyArtifact
 from repro.errors import ArtifactError
+from tests.conftest import artifact_payload
 
 NORM = "_Z9layernormPfS_S_i"          # visible, libtorch_sim/mod_norm
 GEMM = "_ZN7cublas_sim10gemm_plainEv"  # hidden, libcublas_sim/mod_gemm
 
 
-def clean_artifact() -> MaterializedModel:
-    """A hand-built artifact that lints clean against the small catalog."""
-    artifact = MaterializedModel(model_name="Hand-Built", gpu_name="Tiny-GPU",
-                                 kv_bytes=1 << 20, kv_num_blocks=8,
-                                 kv_layer_stride=4096, kv_alloc_index=1,
-                                 graph_input_alloc_index=2,
-                                 graph_output_alloc_index=3,
-                                 capture_marker=4)
-    artifact.structure_prefix = [(1024, "weight")]
-    artifact.replay_events = [
-        ReplayEvent("alloc", alloc_index=1, size=4096, tag="kv"),
-        ReplayEvent("alloc", alloc_index=2, size=512, tag="graph_input"),
-        ReplayEvent("alloc", alloc_index=3, size=512, tag="graph_output"),
-        ReplayEvent("alloc", alloc_index=4, size=2048, tag="act",
-                    pool="graph"),
-        ReplayEvent("alloc", alloc_index=5, size=256, tag="workspace"),
-        ReplayEvent("free", alloc_index=4, pooled=True),
-    ]
-    artifact.kernel_libraries = {NORM: "libtorch_sim",
-                                 GEMM: "libcublas_sim"}
-    artifact.graphs[1] = MaterializedGraph(
-        batch_size=1,
-        nodes=[
-            MaterializedNode(
-                kernel_name=NORM,
-                param_sizes=[8, 8, 8, 4],
-                param_restores=[ParamRestore.pointer(2, 0),
-                                ParamRestore.pointer(0, 0),
-                                ParamRestore.pointer(3, 0),
-                                ParamRestore.const(64)],
-                launch_dims={"batch_size": 1}),
-            MaterializedNode(
-                kernel_name=GEMM,
-                param_sizes=[8, 8, 8],
-                param_restores=[ParamRestore.pointer(4, 128),
-                                ParamRestore.pointer(5, 0),
-                                ParamRestore.pointer(3, 0)],
-                launch_dims={"batch_size": 1}),
+def clean_artifact() -> dict:
+    """A hand-built artifact payload that lints clean against the small
+    catalog."""
+    return artifact_payload(
+        model_name="Hand-Built", gpu_name="Tiny-GPU", kv_bytes=1 << 20,
+        kv_num_blocks=8, kv_layer_stride=4096, kv_alloc_index=1,
+        graph_input_alloc_index=2, graph_output_alloc_index=3,
+        capture_marker=4,
+        structure_prefix=[[1024, "weight"]],
+        replay_events=[
+            {"kind": "alloc", "alloc_index": 1, "size": 4096, "tag": "kv"},
+            {"kind": "alloc", "alloc_index": 2, "size": 512,
+             "tag": "graph_input"},
+            {"kind": "alloc", "alloc_index": 3, "size": 512,
+             "tag": "graph_output"},
+            {"kind": "alloc", "alloc_index": 4, "size": 2048, "tag": "act",
+             "pool": "graph"},
+            {"kind": "alloc", "alloc_index": 5, "size": 256,
+             "tag": "workspace"},
+            {"kind": "free", "alloc_index": 4, "pooled": True},
         ],
-        edges=[(0, 1)],
-        param_bytes=256, num_tokens=1)
-    artifact.first_layer_nodes = 2
-    artifact.permanent_contents = {5: [[1.0]]}
-    return artifact
+        kernel_libraries={NORM: "libtorch_sim", GEMM: "libcublas_sim"},
+        graphs={"1": {
+            "batch_size": 1, "param_bytes": 256, "num_tokens": 1,
+            "edges": [[0, 1]],
+            "nodes": [
+                {"kernel_name": NORM, "param_sizes": [8, 8, 8, 4],
+                 "launch_dims": {"batch_size": 1},
+                 "param_restores": [
+                     {"kind": "ptr", "alloc_index": 2, "offset": 0},
+                     {"kind": "ptr", "alloc_index": 0, "offset": 0},
+                     {"kind": "ptr", "alloc_index": 3, "offset": 0},
+                     {"kind": "const", "value": 64}]},
+                {"kernel_name": GEMM, "param_sizes": [8, 8, 8],
+                 "launch_dims": {"batch_size": 1},
+                 "param_restores": [
+                     {"kind": "ptr", "alloc_index": 4, "offset": 128},
+                     {"kind": "ptr", "alloc_index": 5, "offset": 0},
+                     {"kind": "ptr", "alloc_index": 3, "offset": 0}]},
+            ],
+        }},
+        first_layer_nodes=2,
+        permanent_contents={"5": [[1.0]]})
+
+
+def packed(payload: dict) -> LazyArtifact:
+    return LazyArtifact.from_payload(payload)
 
 
 class TestCleanArtifact:
     def test_hand_built_artifact_is_clean(self, catalog):
-        report = lint_artifact(clean_artifact(), catalog=catalog)
+        report = lint_artifact(packed(clean_artifact()), catalog=catalog)
         assert report.clean, report.format_text()
         assert report.exit_code == 0
         assert report.passes == ["liveness", "pointers", "topology",
                                  "kernels", "coverage"]
 
     def test_unknown_model_without_catalog_warns_only(self):
-        report = lint_artifact(clean_artifact())
+        report = lint_artifact(packed(clean_artifact()))
         assert report.codes() == ["MED034"]
         assert not report.errors
         assert report.exit_code == 1    # a warning still counts as dirty
 
     def test_stats_populated(self, catalog):
-        report = lint_artifact(clean_artifact(), catalog=catalog)
+        report = lint_artifact(packed(clean_artifact()), catalog=catalog)
         assert report.stats["nodes"] == 2.0
         assert report.stats["allocations"] == 6.0
 
@@ -95,14 +92,14 @@ class TestCleanArtifact:
 class TestLivenessPass:
     def test_live_intervals_and_end_states(self):
         artifact = clean_artifact()
-        artifact.replay_events.extend([
+        artifact["replay_events"].extend([
             # claim alloc 4's pool block -> 4 becomes superseded
-            ReplayEvent("alloc", alloc_index=6, size=2048, tag="act",
-                        pool="graph"),
+            {"kind": "alloc", "alloc_index": 6, "size": 2048, "tag": "act",
+             "pool": "graph"},
             # cudaFree alloc 6 -> unmapped
-            ReplayEvent("free", alloc_index=6, pooled=False),
+            {"kind": "free", "alloc_index": 6, "pooled": False},
         ])
-        result = analyze_replay(artifact)
+        result = analyze_replay(packed(artifact))
         assert not result.diagnostics
         assert result.record(0).origin == "prefix"
         assert result.record(1).end_state == MAPPED
@@ -112,43 +109,43 @@ class TestLivenessPass:
 
     def test_empty_cache_releases_pooled_blocks(self):
         artifact = clean_artifact()
-        artifact.replay_events.append(ReplayEvent("empty_cache"))
-        result = analyze_replay(artifact)
+        artifact["replay_events"].append({"kind": "empty_cache"})
+        result = analyze_replay(packed(artifact))
         assert result.record(4).end_state == UNMAPPED
         assert result.record(5).end_state == MAPPED   # never freed
 
     def test_double_free_flagged(self):
         artifact = clean_artifact()
-        artifact.replay_events.append(
-            ReplayEvent("free", alloc_index=4, pooled=True))
-        result = analyze_replay(artifact)
+        artifact["replay_events"].append(
+            {"kind": "free", "alloc_index": 4, "pooled": True})
+        result = analyze_replay(packed(artifact))
         assert [d.code for d in result.diagnostics] == ["MED003"]
 
     def test_free_of_unknown_index_flagged(self):
         artifact = clean_artifact()
-        artifact.replay_events.append(
-            ReplayEvent("free", alloc_index=77, pooled=False))
-        result = analyze_replay(artifact)
+        artifact["replay_events"].append(
+            {"kind": "free", "alloc_index": 77, "pooled": False})
+        result = analyze_replay(packed(artifact))
         assert [d.code for d in result.diagnostics] == ["MED002"]
 
     def test_alloc_index_drift_flagged(self):
         artifact = clean_artifact()
-        artifact.replay_events.insert(0, ReplayEvent(
-            "alloc", alloc_index=9, size=64, tag="act"))
-        result = analyze_replay(artifact)
+        artifact["replay_events"].insert(0, {
+            "kind": "alloc", "alloc_index": 9, "size": 64, "tag": "act"})
+        result = analyze_replay(packed(artifact))
         assert any(d.code == "MED001" for d in result.diagnostics)
 
     def test_unknown_event_kind_flagged(self):
         """The importer packs an unknown kind to a code liveness rejects."""
         artifact = clean_artifact()
-        artifact.replay_events.append(ReplayEvent("defragment"))
-        result = analyze_replay(artifact)
+        artifact["replay_events"].append({"kind": "defragment"})
+        result = analyze_replay(packed(artifact))
         assert [d.code for d in result.diagnostics] == ["MED005"]
 
     def test_mistagged_kv_anchor_flagged(self):
         artifact = clean_artifact()
-        artifact.kv_alloc_index = 2    # tagged graph_input
-        result = analyze_replay(artifact)
+        artifact["kv_alloc_index"] = 2    # tagged graph_input
+        result = analyze_replay(packed(artifact))
         assert any(d.code == "MED006" for d in result.diagnostics)
 
 
@@ -157,104 +154,116 @@ class TestPointerPass:
         """Pool reuse keeps the memory mapped; graph kernels rewrite
         temporaries before reading (§4.3) — no diagnostic."""
         artifact = clean_artifact()
-        artifact.replay_events.append(ReplayEvent(
-            "alloc", alloc_index=6, size=2048, tag="act", pool="graph"))
-        report = lint_artifact(artifact, catalog=catalog)
+        artifact["replay_events"].append({
+            "kind": "alloc", "alloc_index": 6, "size": 2048, "tag": "act",
+            "pool": "graph"})
+        report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.clean, report.format_text()
 
     def test_pointer_to_cudafreed_memory_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.replay_events[-1] = ReplayEvent(
-            "free", alloc_index=4, pooled=False)   # cudaFree, not pool free
-        report = lint_artifact(artifact, catalog=catalog)
+        artifact["replay_events"][-1] = {
+            "kind": "free", "alloc_index": 4,
+            "pooled": False}                       # cudaFree, not pool free
+        report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.has("MED012")
 
     def test_offset_at_last_byte_legal_one_past_flagged(self, catalog):
         artifact = clean_artifact()
-        node = artifact.graphs[1].nodes[1]
-        node.param_restores[0] = ParamRestore.pointer(4, 2047)
-        assert lint_artifact(artifact, catalog=catalog).clean
-        node.param_restores[0] = ParamRestore.pointer(4, 2048)
-        assert lint_artifact(artifact, catalog=catalog).has("MED011")
+        rule = artifact["graphs"]["1"]["nodes"][1]["param_restores"][0]
+        rule["offset"] = 2047
+        assert lint_artifact(packed(artifact), catalog=catalog).clean
+        rule["offset"] = 2048
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED011")
 
 
 class TestTopologyPass:
     def test_cycle_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.graphs[1].edges.append((1, 0))
-        report = lint_artifact(artifact, catalog=catalog)
+        artifact["graphs"]["1"]["edges"].append([1, 0])
+        report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.has("MED021")
 
     def test_self_edge_is_a_cycle(self, catalog):
         artifact = clean_artifact()
-        artifact.graphs[1].edges.append((0, 0))
-        assert lint_artifact(artifact, catalog=catalog).has("MED021")
+        artifact["graphs"]["1"]["edges"].append([0, 0])
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED021")
 
     def test_first_layer_prefix_divergence_flagged(self, catalog):
         artifact = clean_artifact()
-        second = artifact.graphs[1]
-        artifact.graphs[2] = MaterializedGraph(
-            batch_size=2,
-            nodes=[second.nodes[1], second.nodes[0]],   # reordered
-            edges=[(0, 1)], param_bytes=256, num_tokens=2)
-        report = lint_artifact(artifact, catalog=catalog)
+        nodes = artifact["graphs"]["1"]["nodes"]
+        artifact["graphs"]["2"] = {
+            "batch_size": 2,
+            "nodes": [nodes[1], nodes[0]],              # reordered
+            "edges": [[0, 1]], "param_bytes": 256, "num_tokens": 2}
+        report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.has("MED024")
 
 
 class TestKernelPass:
     def test_hidden_module_without_coverage_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.first_layer_nodes = 1   # hidden GEMM no longer warmed up
-        report = lint_artifact(artifact, catalog=catalog)
+        artifact["first_layer_nodes"] = 1   # hidden GEMM no longer warmed up
+        report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.has("MED031")
 
     def test_trigger_plan_restores_coverage(self, catalog):
         artifact = clean_artifact()
-        artifact.first_layer_nodes = 1
-        artifact.trigger_plans = [TriggerPlan(GEMM, (1, 1))]
-        report = lint_artifact(artifact, catalog=catalog)
+        artifact["first_layer_nodes"] = 1
+        artifact["trigger_plans"] = [{"kernel_name": GEMM,
+                                      "node_ref": [1, 1]}]
+        report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.clean, report.format_text()
 
     def test_trigger_plan_kernel_node_mismatch_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.trigger_plans = [TriggerPlan(GEMM, (1, 0))]  # node 0 is NORM
-        assert lint_artifact(artifact, catalog=catalog).has("MED032")
+        artifact["trigger_plans"] = [{"kernel_name": GEMM,
+                                      "node_ref": [1, 0]}]  # node 0 is NORM
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED032")
 
     def test_library_skew_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.kernel_libraries[NORM] = "libcublas_sim"
-        assert lint_artifact(artifact, catalog=catalog).has("MED033")
+        artifact["kernel_libraries"][NORM] = "libcublas_sim"
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED033")
 
 
 class TestCoveragePass:
     def test_missing_permanent_dump_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.permanent_contents = {}
-        assert lint_artifact(artifact, catalog=catalog).has("MED042")
+        artifact["permanent_contents"] = {}
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED042")
 
     def test_orphan_dump_flagged(self, catalog):
         artifact = clean_artifact()
-        artifact.permanent_contents[2] = [[9.0]]   # graph input: pre-capture
-        assert lint_artifact(artifact, catalog=catalog).has("MED041")
+        # Allocation 2 is the graph input: pre-capture.
+        artifact["permanent_contents"]["2"] = [[9.0]]
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED041")
 
     def test_layout_divergence_flagged(self, catalog):
         artifact = clean_artifact()
-        graph = artifact.graphs[1]
-        divergent = MaterializedNode(
-            kernel_name=NORM,
-            param_sizes=[8, 8, 8, 4],
-            param_restores=[ParamRestore.pointer(2, 0),
-                            ParamRestore.const(123),    # weight demoted
-                            ParamRestore.pointer(3, 0),
-                            ParamRestore.const(64)],
-            launch_dims={"batch_size": 1})
-        graph.nodes.append(divergent)
-        assert lint_artifact(artifact, catalog=catalog).has("MED043")
+        divergent = {
+            "kernel_name": NORM,
+            "param_sizes": [8, 8, 8, 4],
+            "param_restores": [
+                {"kind": "ptr", "alloc_index": 2, "offset": 0},
+                {"kind": "const", "value": 123},    # weight demoted
+                {"kind": "ptr", "alloc_index": 3, "offset": 0},
+                {"kind": "const", "value": 64}],
+            "launch_dims": {"batch_size": 1}}
+        artifact["graphs"]["1"]["nodes"].append(divergent)
+        assert lint_artifact(packed(artifact),
+                             catalog=catalog).has("MED043")
 
 
 class TestSerializedEntryPoints:
     def test_version_mismatch_reported_not_raised(self):
-        payload = json.loads(clean_artifact().to_json())
+        payload = clean_artifact()
         payload["format_version"] = 1
         report = lint_json_text(json.dumps(payload))
         assert report.codes() == ["MED040"]
@@ -269,7 +278,8 @@ class TestSerializedEntryPoints:
             lint_json_text("[]")
 
     def test_round_trip_stays_clean(self, catalog):
-        report = lint_json_text(clean_artifact().to_json(), catalog=catalog)
+        text = packed(clean_artifact()).to_json()
+        report = lint_json_text(text, catalog=catalog)
         assert report.clean
 
 

@@ -8,6 +8,7 @@ eager forwarding bit-for-bit.
 import numpy as np
 import pytest
 
+from repro.core.binfmt import LazyArtifact
 from repro.core.online import OnlineRestorer, medusa_cold_start
 from repro.core.validation import make_input_ids, validate_restoration
 from repro.engine import LLMEngine, Strategy
@@ -107,37 +108,38 @@ class TestRestorationFailures:
 
     def test_structure_prefix_divergence_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        broken = artifact.materialize()
-        size, tag = broken.structure_prefix[0]
-        broken.structure_prefix[0] = (size + 256, tag)
+        broken = artifact.to_payload()
+        size, tag = broken["structure_prefix"][0]
+        broken["structure_prefix"][0] = [size + 256, tag]
         with pytest.raises(RestorationError):
-            restore(broken, mode=ExecutionMode.TIMING)
+            restore(LazyArtifact.from_payload(broken),
+                    mode=ExecutionMode.TIMING)
 
     def test_missing_kernel_library_mapping_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        broken = artifact.materialize()
+        broken = artifact.to_payload()
+        nodes = broken["graphs"]["1"]["nodes"]
         # Drop a library mapping for a kernel outside the first layer.
-        victim = broken.graphs[1].nodes[-1].kernel_name
-        first_layer_names = {n.kernel_name
-                             for n in broken.graphs[1].nodes[
-                                 :broken.first_layer_nodes]}
+        victim = nodes[-1]["kernel_name"]
+        first_layer_names = {n["kernel_name"]
+                             for n in nodes[:broken["first_layer_nodes"]]}
         assert victim not in first_layer_names
-        del broken.kernel_libraries[victim]
+        del broken["kernel_libraries"][victim]
         with pytest.raises(RestorationError):
-            restore(broken, mode=ExecutionMode.TIMING)
+            restore(LazyArtifact.from_payload(broken),
+                    mode=ExecutionMode.TIMING)
 
     def test_out_of_range_indirect_index_detected(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        from repro.core.artifact import ParamRestore
-        broken = artifact.materialize()
-        node = broken.graphs[1].nodes[0]
-        for position, restore_rule in enumerate(node.param_restores):
-            if restore_rule.kind == "ptr":
-                node.param_restores[position] = ParamRestore.pointer(
-                    10**9, 0)
+        broken = artifact.to_payload()
+        node = broken["graphs"]["1"]["nodes"][0]
+        for restore_rule in node["param_restores"]:
+            if restore_rule["kind"] == "ptr":
+                restore_rule.update(alloc_index=10**9, offset=0)
                 break
         with pytest.raises(RestorationError):
-            restore(broken, mode=ExecutionMode.TIMING)
+            restore(LazyArtifact.from_payload(broken),
+                    mode=ExecutionMode.TIMING)
 
 
 class TestCorruptionIsCaught:
@@ -145,22 +147,22 @@ class TestCorruptionIsCaught:
         """If the analysis had produced a wrong indirect index, output
         validation must notice (the §4 guarantee)."""
         artifact, _ = tiny2l_artifact
-        from repro.core.artifact import ParamRestore
         from repro.errors import ValidationError
         from repro.errors import IllegalMemoryAccessError
-        broken = artifact.materialize()
-        graph = broken.graphs[1]
+        broken = artifact.to_payload()
+        graph = broken["graphs"]["1"]
         # Swap the weight pointers of the two layernorm weights: outputs
         # change but every access stays legal.
-        nodes = [n for n in graph.nodes if "input_layernorm" in n.kernel_name]
+        nodes = [n for n in graph["nodes"]
+                 if "input_layernorm" in n["kernel_name"]]
         assert len(nodes) >= 2
-        spec_positions = [i for i, r in enumerate(nodes[0].param_restores)
-                          if r.kind == "ptr"]
+        spec_positions = [i for i, r in enumerate(nodes[0]["param_restores"])
+                          if r["kind"] == "ptr"]
         weight_pos = spec_positions[1]   # input, weight, output order
-        a = nodes[0].param_restores[weight_pos]
-        b = nodes[1].param_restores[weight_pos]
-        nodes[0].param_restores[weight_pos] = b
-        nodes[1].param_restores[weight_pos] = a
+        a = nodes[0]["param_restores"][weight_pos]
+        b = nodes[1]["param_restores"][weight_pos]
+        nodes[0]["param_restores"][weight_pos] = b
+        nodes[1]["param_restores"][weight_pos] = a
         with pytest.raises((ValidationError, IllegalMemoryAccessError)):
-            validate_restoration("Tiny-2L", broken, batches=[1],
-                                 cost_model=tiny_cost_model())
+            validate_restoration("Tiny-2L", LazyArtifact.from_payload(broken),
+                                 batches=[1], cost_model=tiny_cost_model())

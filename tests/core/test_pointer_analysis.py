@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.artifact import ParamRestore
 from repro.core.pointer_analysis import (
     POINTER_CODE,
     POINTER_PREFIX,
@@ -139,9 +138,9 @@ class TestBackwardMatching:
 
 
 def rules(params):
-    """The analysis's columns as ParamRestore lists (one per slot)."""
-    return [ParamRestore.pointer(value, offset) if kind == POINTER_CODE
-            else ParamRestore.const(value)
+    """The analysis's columns as JSON restore records (one per slot)."""
+    return [{"kind": "ptr", "alloc_index": value, "offset": offset}
+            if kind == POINTER_CODE else {"kind": "const", "value": value}
             for kind, value, offset in zip(params.kind.tolist(),
                                            params.value.tolist(),
                                            params.offset.tolist())]
@@ -155,8 +154,9 @@ class TestAnalyzeGraphParams:
         ])
         index = AllocationIndex(trace)
         params, stats = analyze_graph_params(index, trace.launch_columns())
-        assert rules(params) == [ParamRestore.pointer(0, 0),
-                                 ParamRestore.const(42)]
+        assert rules(params) == [
+            {"kind": "ptr", "alloc_index": 0, "offset": 0},
+            {"kind": "const", "value": 42}]
         assert params.kind.dtype == np.int8
         assert stats.pointer_params == 1
         assert stats.const_params == 1
@@ -186,7 +186,7 @@ class TestAnalyzeGraphParams:
         index = AllocationIndex(trace)
         params, stats = analyze_graph_params(index, trace.launch_columns())
         assert stats.demoted_false_positives == 1
-        assert rules(params)[-1] == ParamRestore.const(HEAP + 64)
+        assert rules(params)[-1] == {"kind": "const", "value": HEAP + 64}
 
     def test_true_pointers_survive_vote(self):
         events = [alloc(0, 0, HEAP, size=4096)]
@@ -195,7 +195,7 @@ class TestAnalyzeGraphParams:
         index = AllocationIndex(trace)
         params, stats = analyze_graph_params(index, trace.launch_columns())
         assert stats.demoted_false_positives == 0
-        assert all(r.kind == "ptr" for r in rules(params))
+        assert all(r["kind"] == "ptr" for r in rules(params))
 
     def test_naive_mode_uses_first_match(self):
         trace = Trace(events=[

@@ -1,10 +1,11 @@
 """Restore-timeline goldens: every input kind, with and without the ladder.
 
-One restorer serves eager artifacts (packed on entry), monolithic ``.npz``
-lazy artifacts, and chunk-backed artifacts from an
-:class:`~repro.core.store.ArtifactStore`.  Each input kind keeps the plan
-it has always run (``medusa``, ``medusa-pipelined``, ``medusa-chunked``), so
-the simulated loading time and every scheduled stage must stay bit-exact.
+One restorer serves in-memory artifacts (the ``eager`` rows: the offline
+output as it is), monolithic ``.npz`` lazy artifacts, and chunk-backed
+artifacts from an :class:`~repro.core.store.ArtifactStore`.  Each input
+kind keeps the plan it has always run (``medusa``, ``medusa-pipelined``,
+``medusa-chunked``), so the simulated loading time and every scheduled
+stage must stay bit-exact.
 ``golden_restore_timelines.json`` pins ``loading_time`` and each stage's
 ``(name, start, end, lane, background)`` as exact float reprs for Tiny-2L
 (tiny cost model) and Qwen1.5-0.5B, each with and without a default
@@ -21,7 +22,11 @@ restored graph: per batch size, each node's kernel address, every param
 slot's ``(size, value)`` (pointer values as offsets from the heap base),
 ``launch_dims``, the sorted edges and ``exec_meta``.
 
-Regenerate (only when a timeline change is intended)::
+``golden_work_counts.json`` is the work-count ledger: per fixed input,
+the counts that bound a layer's wall clock (see docs/MECHANISM.md).  It
+is edited by hand, in the commit that changes a count.
+
+Regenerate the other three (only when a timeline change is intended)::
 
     PYTHONPATH=src:. python tests/core/test_restore_goldens.py
 """
@@ -36,8 +41,7 @@ import tempfile
 
 import pytest
 
-from repro.core.binfmt import POINTER_CODE, LazyArtifact, as_lazy, \
-    save_binary
+from repro.core.binfmt import POINTER_CODE, LazyArtifact, save_binary
 from repro.core.online import medusa_cold_start
 from repro.core.store import ArtifactStore
 from repro.faults import DegradationPolicy
@@ -49,6 +53,7 @@ ALLOCATOR_GOLDEN_PATH = pathlib.Path(__file__).with_name(
     "golden_restore_allocators.json")
 GRAPH_GOLDEN_PATH = pathlib.Path(__file__).with_name(
     "golden_restore_graphs.json")
+WORK_COUNTS_PATH = pathlib.Path(__file__).with_name("golden_work_counts.json")
 INPUT_KINDS = ("eager", "lazy", "chunked")
 POLICIES = ("strict", "ladder")
 #: (model, offline seed, cold-start seed, restore mode, tiny cost model?)
@@ -119,10 +124,9 @@ def graph_digest(engine, artifact) -> str:
     ``artifact``'s graph tables say which param slots are pointers.
     """
     base = engine.process.allocator.base
-    tables = as_lazy(artifact)
     graphs = []
     for batch_size, graph in sorted(engine.capture_artifacts.graphs.items()):
-        kinds = tables.graph_table(batch_size).param_kinds.tolist()
+        kinds = artifact.graph_table(batch_size).param_kinds.tolist()
         slots = iter(kinds)
         nodes = [[node.kernel_address,
                   [[param.size, param.value - base
@@ -204,32 +208,6 @@ def chunked_qwen_restore(tmp_path_factory):
         seed=seed, mode=mode)
 
 
-def test_chunked_restore_builds_only_live_buffers(chunked_qwen_restore):
-    """Work count, no clock: the allocation replay builds one ``Buffer``
-    per block it leaves live, not one per allocation.  For this
-    Qwen1.5-0.5B chunked restore that is 539 of 18,583 allocations (the
-    row-by-row replay built all 18,583).  The restorer asks for no freed
-    buffer, so the two counts are equal; a change that raises the count
-    says why."""
-    engine, report = chunked_qwen_restore
-    allocator = engine.process.allocator
-    assert report.timeline.plan == "medusa-chunked"
-    assert allocator.num_allocations == 18583
-    assert allocator.buffers_built == 539
-    assert len(allocator.live_buffers) == 539
-
-
-def test_chunked_restore_builds_no_graph_nodes(chunked_qwen_restore):
-    """Work count, no clock: a TIMING-mode restore keeps every restored
-    graph as columns and builds no ``CudaGraphNode`` (the object-building
-    assembly built one per node, 9,118 here).  A change that raises the
-    count says why."""
-    engine, _report = chunked_qwen_restore
-    graphs = engine.capture_artifacts.graphs
-    assert sum(graph.num_nodes for graph in graphs.values()) == 9118
-    assert sum(graph.nodes_built for graph in graphs.values()) == 0
-
-
 @pytest.fixture(scope="module")
 def default_qwen_offline():
     """A default Qwen1.5-0.5B offline run's trace and allocation index."""
@@ -249,22 +227,38 @@ def default_qwen_offline():
     return trace, index
 
 
-def test_offline_builds_no_trace_rows(default_qwen_offline):
-    """Work count, no clock: capture and analysis read the trace's columns
-    and build no event row (the row-based trace built one per event,
-    55,512 here).  A change that raises the count says why."""
-    trace, _index = default_qwen_offline
+def test_work_counts_match_ledger(chunked_qwen_restore,
+                                  default_qwen_offline):
+    """Work counts, no clock: ``golden_work_counts.json`` is the ledger of
+    the counts that bound a layer's wall clock, per fixed input
+    (docs/MECHANISM.md gives each one's meaning).  A change that lowers a
+    count updates the ledger in the same commit; one that raises a count
+    says why."""
+    engine, report = chunked_qwen_restore
+    allocator = engine.process.allocator
+    graphs = engine.capture_artifacts.graphs
+    trace, index = default_qwen_offline
+    # The inputs the counts are taken on: the row-by-row replay built one
+    # Buffer per allocation (18,583), the object-building assembly one
+    # node per graph node (9,118), the row-based trace one row per event
+    # (55,512), and the per-query analysis answered all 27,581 pointer
+    # parameters.
+    assert report.timeline.plan == "medusa-chunked"
+    assert allocator.num_allocations == 18583
+    assert len(allocator.live_buffers) == allocator.buffers_built
+    assert sum(graph.num_nodes for graph in graphs.values()) == 9118
     assert trace.num_events == 55512
-    assert trace.rows_built == 0
-
-
-def test_offline_per_query_matches(default_qwen_offline):
-    """Work count, no clock: the vector pass settles every exact match,
-    so the per-query matcher answers only the 805 interior pointers of
-    27,581 pointer parameters (the per-query analysis answered all
-    27,581).  A change that raises the count says why."""
-    _trace, index = default_qwen_offline
-    assert index.queries == 805
+    assert {
+        "Qwen1.5-0.5B chunked restore": {
+            "DeviceAllocator.buffers_built": allocator.buffers_built,
+            "CudaGraph.nodes_built": sum(graph.nodes_built
+                                         for graph in graphs.values()),
+        },
+        "Qwen1.5-0.5B offline": {
+            "Trace.rows_built": trace.rows_built,
+            "AllocationIndex.queries": index.queries,
+        },
+    } == json.loads(WORK_COUNTS_PATH.read_text())
 
 
 def record() -> None:

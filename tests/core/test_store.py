@@ -1,6 +1,5 @@
 """Artifact store tests."""
 
-import dataclasses
 import os
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from repro.core.chunks import ChunkedLazyArtifact
 from repro.core.store import ArtifactStore
 from repro.errors import ArtifactError
+from tests.conftest import replaced
 
 
 class TestArtifactStore:
@@ -104,8 +104,8 @@ class TestUnchangedWrites:
 
     def test_changed_artifact_is_rewritten(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        changed = dataclasses.replace(
-            artifact.materialize(), kv_num_blocks=artifact.kv_num_blocks + 1)
+        changed = replaced(artifact,
+                           kv_num_blocks=artifact.kv_num_blocks + 1)
         store = ArtifactStore(tmp_path)
         path = store.put(artifact)
         _age(tmp_path)
@@ -124,8 +124,8 @@ class TestUnchangedWrites:
         os.utime(path, ns=(_OLD_NS, _OLD_NS))
         assert save_binary(artifact, path) == size == path.stat().st_size
         assert path.stat().st_mtime_ns == _OLD_NS
-        changed = dataclasses.replace(
-            artifact.materialize(), kv_num_blocks=artifact.kv_num_blocks + 1)
+        changed = replaced(artifact,
+                           kv_num_blocks=artifact.kv_num_blocks + 1)
         assert save_binary(changed, path) == path.stat().st_size
         assert path.stat().st_mtime_ns != _OLD_NS
 
@@ -230,12 +230,9 @@ class TestStoreCaches:
 
     def test_lint_on_load_rejects_a_broken_artifact(self, tmp_path,
                                                      tiny2l_artifact):
-        import dataclasses
-
         from repro.errors import LintError
         artifact, _ = tiny2l_artifact
-        broken = dataclasses.replace(artifact.materialize(),
-                                     capture_marker=-5)
+        broken = replaced(artifact, capture_marker=-5)
         store = ArtifactStore(tmp_path, lint_on_load=True)
         store.put(broken)
         for _ in range(2):                # a rejected artifact is not cached

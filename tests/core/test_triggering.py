@@ -15,7 +15,7 @@ from repro.core.validation import validate_restoration
 from repro.models import kernels_catalog
 from repro.simgpu.process import ExecutionMode
 
-from tests.conftest import tiny_cost_model
+from tests.conftest import replaced, tiny_cost_model
 
 
 @pytest.fixture
@@ -50,8 +50,7 @@ class TestHandwrittenTriggerPlans:
         artifact, _report = OfflinePhase(
             "Tiny-2L", seed=44, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model()).run()
-        artifact = artifact.materialize()
-        artifact.trigger_plans = []
+        artifact = replaced(artifact, trigger_plans=[])
         with pytest.raises(RestorationError):
             medusa_cold_start("Tiny-2L", artifact, seed=45,
                               mode=ExecutionMode.TIMING,
@@ -68,14 +67,15 @@ class TestFirstLayerTriggering:
         every module the remaining layers' hidden kernels live in."""
         from repro.models.kernels_catalog import build_catalog
         from repro.models.zoo import get_model_config
-        artifact = tiny2l_artifact[0].materialize()
+        artifact = tiny2l_artifact[0]
         catalog = build_catalog(get_model_config("Tiny-2L"))
-        first_layer = artifact.graphs[1].nodes[:artifact.first_layer_nodes]
-        covered = {(catalog.kernel(n.kernel_name).library,
-                    catalog.kernel(n.kernel_name).module)
-                   for n in first_layer}
-        for graph in artifact.graphs.values():
-            for node in graph.nodes:
-                spec = catalog.kernel(node.kernel_name)
+        first_layer = artifact.graph_table(1).node_kernel_names()[
+            :artifact.first_layer_nodes]
+        covered = {(catalog.kernel(name).library,
+                    catalog.kernel(name).module)
+                   for name in first_layer}
+        for batch in artifact.batches:
+            for name in artifact.graph_table(batch).node_kernel_names():
+                spec = catalog.kernel(name)
                 if spec.hidden:
                     assert (spec.library, spec.module) in covered

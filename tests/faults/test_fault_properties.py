@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.binfmt import as_lazy
 from repro.core.online import medusa_cold_start
 from repro.faults import (
     DegradationPolicy,
@@ -75,8 +74,8 @@ def test_fault_resolution_is_deterministic(tiny2l_artifact, plan):
     artifact, _ = tiny2l_artifact
     first = FaultInjector(plan)
     second = FaultInjector(plan)
-    first.prepare(as_lazy(artifact))
-    second.prepare(as_lazy(artifact))
+    first.prepare(artifact)
+    second.prepare(artifact)
     pinned = [(f.kind.value, f.batch_size, f.event_index, f.kernel_name,
                f.alloc_index) for f in first._resolved]
     assert pinned == [(f.kind.value, f.batch_size, f.event_index,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.artifact import MaterializedModel
+from repro.core.binfmt import LazyArtifact
 from repro.core.online import medusa_cold_start
 from repro.core.validation import make_input_ids, validate_restoration
 from repro.engine import LLMEngine, Strategy
@@ -18,8 +18,8 @@ class TestArtifactFileRoundTrip:
         """The artifact survives disk persistence (the SSD path)."""
         artifact, _ = tiny2l_artifact
         path = tmp_path / "tiny2l.medusa.json"
-        artifact.materialize().save(path)
-        loaded = MaterializedModel.load(path)
+        artifact.save_json(path)
+        loaded = LazyArtifact.load_json(path)
         report = validate_restoration("Tiny-2L", loaded, batches=[1, 4],
                                       seed=404, cost_model=tiny_cost_model())
         assert report.passed

@@ -101,10 +101,10 @@ class TestTensorParallelMedusa:
 
     def test_rank_consistency_check_catches_divergence(self, tp_artifacts):
         medusa, artifacts, _ = tp_artifacts
-        from repro.core.binfmt import as_lazy
-        diverged = artifacts[1].materialize()
-        diverged.graphs[1].nodes.pop()
-        broken = [artifacts[0], as_lazy(diverged)]
+        from repro.core.binfmt import LazyArtifact
+        diverged = artifacts[1].to_payload()
+        diverged["graphs"]["1"]["nodes"].pop()
+        broken = [artifacts[0], LazyArtifact.from_payload(diverged)]
         with pytest.raises(RestorationError):
             medusa._verify_rank_consistency(broken)
 

@@ -3,10 +3,10 @@
 Three invariants the content-addressed path must hold for any
 well-formed artifact:
 
-- Splitting an artifact into chunks and materializing from the manifest
-  is byte-identical to the eager ``load_binary`` of the monolithic
-  ``.npz`` — for every replay shard size, including degenerate ones
-  (one event per shard, everything in one shard).
+- Splitting an artifact into chunks and exporting it from the manifest
+  is byte-identical to exporting the monolithic ``.npz`` — for every
+  replay shard size, including degenerate ones (one event per shard,
+  everything in one shard).
 - Chunk digests are a pure function of chunk *content*: an artifact
   stored under a different model identity shares every chunk byte, so a
   store holding N identical-content identities keeps exactly one copy.
@@ -14,12 +14,11 @@ well-formed artifact:
   deterministic (same artifact in, same digests out).
 """
 
-import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.binfmt import load_binary, save_binary
+from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.chunks import (
     ChunkManifest,
     ChunkedLazyArtifact,
@@ -29,6 +28,7 @@ from repro.core.offline import OfflinePhase
 from repro.core.store import ArtifactStore
 from repro.simgpu.process import ExecutionMode
 
+from tests.conftest import replaced
 from tests.property.test_end_to_end_properties import (
     _cost_model,
     model_configs,
@@ -52,19 +52,19 @@ class TestChunkRoundTripProperty:
         artifact = _materialized(config, seed)
         path = tmp_path_factory.mktemp("chunks") / f"{config.name}.npz"
         save_binary(artifact, path)
-        mono = load_binary(path)
+        mono = LazyArtifact(path)
 
         manifest, blobs = chunk_model(
             artifact, replay_shard_events=shard_events)
         lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
         # The chunked view's metadata mirrors the monolithic artifact...
         assert lazy.model_name == mono.model_name
-        assert lazy.batches == sorted(mono.graphs)
+        assert lazy.batches == mono.batches
         # ...the manifest accounts for every stored byte exactly...
         assert manifest.total_bytes == sum(len(b) for b in blobs.values())
-        # ...and the reassembled artifact is byte-identical to the eager
-        # load of the monolithic file.
-        assert lazy.materialize().to_json() == mono.to_json()
+        # ...and the reassembled artifact exports byte-identically to the
+        # monolithic file.
+        assert lazy.to_json() == mono.to_json()
 
     @settings(max_examples=5, deadline=None)
     @given(config=model_configs(), seed=st.integers(0, 10**6))
@@ -104,22 +104,20 @@ class TestChunkDedupProperty:
         store.put(artifact)
         baseline = store.stats()
         for i in range(1, copies):
-            store.put(dataclasses.replace(
-                artifact.materialize(),
-                model_name=f"{artifact.model_name}-copy{i}"))
+            store.put(replaced(
+                artifact, model_name=f"{artifact.model_name}-copy{i}"))
 
         stats = store.stats()
         assert stats["unique_chunks"] == baseline["unique_chunks"]
         assert stats["unique_bytes"] == baseline["unique_bytes"]
         assert stats["total_chunks"] == copies * baseline["total_chunks"]
         assert stats["dedup_ratio"] == float(copies)
-        # Every identity still materializes to the same content.
-        original = store.get(artifact.gpu_name,
-                             artifact.model_name).materialize()
+        # Every identity still reads back the same content.
+        original = store.get(artifact.gpu_name, artifact.model_name)
         for i in range(1, copies):
             copy = store.get(artifact.gpu_name,
-                             f"{artifact.model_name}-copy{i}").materialize()
-            assert copy.graphs.keys() == original.graphs.keys()
+                             f"{artifact.model_name}-copy{i}")
+            assert copy.batches == original.batches
             assert copy.permanent_contents == original.permanent_contents
 
     @settings(max_examples=4, deadline=None)
@@ -128,14 +126,13 @@ class TestChunkDedupProperty:
                                                      tmp_path_factory):
         """Two different-content artifacts in one store stay independent."""
         a = _materialized(config, seed)
-        b = dataclasses.replace(
-            _materialized(config, seed + 1).materialize(),
-            model_name=f"{config.name}-alt")
+        b = replaced(_materialized(config, seed + 1),
+                     model_name=f"{config.name}-alt")
         store = ArtifactStore(tmp_path_factory.mktemp("store") / "s")
         store.put(a)
         store.put(b)
-        got_a = store.get(a.gpu_name, a.model_name).materialize()
-        got_b = store.get(b.gpu_name, b.model_name).materialize()
+        got_a = store.get(a.gpu_name, a.model_name)
+        got_b = store.get(b.gpu_name, b.model_name)
         assert got_a.to_json() == load_json_normalized(a)
         assert got_b.to_json() == load_json_normalized(b)
 
@@ -144,5 +141,4 @@ def load_json_normalized(artifact):
     """Round-trip through the binary format to normalize dtypes/layout
     exactly the way a store ``get`` does."""
     manifest, blobs = chunk_model(artifact)
-    return ChunkedLazyArtifact.from_blobs(manifest,
-                                          blobs).materialize().to_json()
+    return ChunkedLazyArtifact.from_blobs(manifest, blobs).to_json()

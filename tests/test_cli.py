@@ -1,8 +1,11 @@
 """CLI tests (driving tiny models through the public command surface)."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import build_parser, main
 
@@ -519,6 +522,122 @@ class TestJsonSchemaErrors:
         assert "Traceback" not in err
 
 
+def _json_paths(value, path=()):
+    """Every path into a JSON value (object keys, list positions)."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _value(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+#: One value of each JSON type, for a field set to a wrong type.
+_JSON_VALUES = ("x", 1.5, None, True, 7, [], {})
+#: Ints past the packed int64 columns either way, and negatives.
+_OUT_OF_RANGE = (2 ** 63, 2 ** 64, -2 ** 63 - 1, -1, -2 ** 31)
+_COMMANDS = (
+    ["lint"],
+    ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+     "--artifact"],
+    ["validate", "--artifact"],
+)
+
+
+def _targets(payload) -> dict:
+    """Per payload mutation, the paths it may hit: all of them, and the
+    same grouped by top-level field."""
+    fits = {
+        "wrong_type": lambda path, value: bool(path),
+        "out_of_range": lambda path, value: type(value) is int,
+        "drop_key": lambda path, value: bool(path)
+        and isinstance(path[-1], str),
+        "unknown_key": lambda path, value: isinstance(value, dict),
+    }
+    targets = {mutation: ([], {}) for mutation in fits}
+    for path in _json_paths(payload):
+        value = _value(payload, path)
+        for mutation, fit in fits.items():
+            if fit(path, value):
+                every, by_field = targets[mutation]
+                every.append(path)
+                by_field.setdefault(path[:1], []).append(path)
+    return targets
+
+
+class TestGeneratedJsonInputs:
+    """Generated malformed JSON artifacts, each through ``lint``,
+    ``coldstart --strategy medusa`` and ``validate``: every call ends in
+    a documented exit code (0, 1 or 2), exit 2 with an ``error:`` line,
+    and none raises.  The mutants are the Tiny-2L artifact truncated,
+    with bytes flipped, a field set to a wrong type or an out-of-range
+    int, a key dropped or an unknown key added.  A mutated path is drawn
+    either from all paths (mostly replay events and graph nodes) or from
+    one top-level field's."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tiny_artifact_path, tmp_path_factory):
+        text = open(tiny_artifact_path).read()
+        return (text, _targets(json.loads(text)),
+                tmp_path_factory.mktemp("fuzz") / "m.json")
+
+    @staticmethod
+    def _mutant(text, targets, data) -> bytes:
+        mutation = data.draw(st.sampled_from(
+            ("truncate", "flip", *targets)), label="mutation")
+        raw = text.encode()
+        if mutation == "truncate":
+            return raw[:data.draw(st.integers(0, len(raw) - 1))]
+        if mutation == "flip":
+            flipped = bytearray(raw)
+            for position, value in data.draw(st.lists(st.tuples(
+                    st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                    min_size=1, max_size=4)):
+                flipped[position] = value
+            return bytes(flipped)
+        every, by_field = targets[mutation]
+        if data.draw(st.booleans(), label="by field"):
+            every = by_field[data.draw(st.sampled_from(sorted(by_field)))]
+        path = data.draw(st.sampled_from(every), label="path")
+        payload = json.loads(text)
+        if mutation == "unknown_key":
+            _value(payload, path)["bogus"] = 0
+            return json.dumps(payload).encode()
+        container, key = _value(payload, path[:-1]), path[-1]
+        if mutation == "drop_key":
+            del container[key]
+        elif mutation == "out_of_range":
+            container[key] = data.draw(st.sampled_from(_OUT_OF_RANGE))
+        else:
+            container[key] = data.draw(st.sampled_from(
+                [value for value in _JSON_VALUES
+                 if type(value) is not type(container[key])]))
+        return json.dumps(payload).encode()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutant_ends_in_a_documented_exit_code(self, clean, data):
+        text, targets, path = clean
+        path.write_bytes(self._mutant(text, targets, data))
+        for argv in _COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv + [str(path)])
+            assert code in (0, 1, 2), (argv, code)
+            if code == 2:
+                assert err.getvalue().startswith("error:"), (argv, err)
+
+
 class TestRestoreFailureExitCodes:
     """A readable artifact whose restore fails exits 1 with ``error:``."""
 
@@ -533,6 +652,34 @@ class TestRestoreFailureExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "artifact is for Tiny-2L" in err
+
+    @pytest.mark.parametrize("field,value,coldstart_code,message", [
+        ("first_layer_nodes", -1, 1, "its module was never loaded"),
+        ("kv_num_blocks", -1, 1, "need at least one KV block"),
+        ("kv_layer_stride", -1, 0, "maps to no live allocation"),
+        ("size", None, 1, "non-positive size 0"),
+    ], ids=["first-layer-negative", "kv-blocks-negative",
+            "kv-stride-negative", "event-without-size"])
+    def test_well_formed_wrong_artifact_fails_the_restore(
+            self, tiny_artifact_path, tmp_path, field, value,
+            coldstart_code, message, capsys):
+        """Well-formed artifacts whose values are wrong: the restore (or
+        the validation after it) fails with exit 1, never a traceback."""
+        payload = json.loads(open(tiny_artifact_path).read())
+        if field == "size":         # the importer's default size is 0
+            del next(event for event in payload["replay_events"][5:]
+                     if event["kind"] == "alloc")["size"]
+        else:
+            payload[field] = value
+        path = tmp_path / "wrong.medusa.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["coldstart", "--model", "Tiny-2L", "--strategy",
+                     "medusa", "--artifact", str(path)]) == coldstart_code
+        assert main(["validate", "--artifact", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation: FAILED" in err
+        assert message in err
 
 
 class TestStoreCommand:

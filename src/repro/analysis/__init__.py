@@ -24,7 +24,6 @@ from repro.analysis.effects import (
     resolve_effects,
 )
 from repro.analysis.liveness import (
-    AllocationRecord,
     LivenessResult,
     MAPPED,
     SUPERSEDED,
@@ -44,7 +43,6 @@ __all__ = [
     "ERROR",
     "WARNING",
     "LintReport",
-    "AllocationRecord",
     "LivenessResult",
     "MAPPED",
     "SUPERSEDED",

@@ -5,7 +5,8 @@ artifact is packed on import) **without executing any forwarding** — no
 simulated process, no kernels, no replay on device memory.  The passes,
 in order:
 
-1. ``liveness``  — symbolic replay of the (de)allocation events (§4.2);
+1. ``liveness``  — the (de)allocation events, checked as column masks and
+   replayed by the allocator's array solver (§4.2);
 2. ``pointers``  — indirect-index-pointer bounds and use-after-free (§4.1);
 3. ``topology``  — dependency-edge sanity, DAG-ness, first-layer
    consistency (§5, §5.2);
@@ -71,7 +72,7 @@ def lint_artifact(artifact: LazyArtifact, catalog=None) -> LintReport:
     report.passes.append("coverage")
 
     report.stats.update({
-        "allocations": float(len(liveness.records)),
+        "allocations": float(liveness.alloc_index.size),
         "replay_events": float(liveness.num_events),
         "graphs": float(len(artifact.batches)),
         "nodes": float(artifact.total_nodes),

@@ -89,8 +89,15 @@ class TestCleanArtifact:
         assert report.stats["allocations"] == 6.0
 
 
+def column(result, name, alloc_index):
+    """One liveness column's entry for ``alloc_index``."""
+    at = int(result.find(alloc_index))
+    assert at >= 0, f"no allocation holds index {alloc_index}"
+    return getattr(result, name)[at]
+
+
 class TestLivenessPass:
-    def test_live_intervals_and_end_states(self):
+    def test_end_states_and_rows(self):
         artifact = clean_artifact()
         artifact["replay_events"].extend([
             # claim alloc 4's pool block -> 4 becomes superseded
@@ -101,18 +108,67 @@ class TestLivenessPass:
         ])
         result = analyze_replay(packed(artifact))
         assert not result.diagnostics
-        assert result.record(0).origin == "prefix"
-        assert result.record(1).end_state == MAPPED
-        assert result.record(4).end_state == SUPERSEDED
-        assert result.record(4).live_interval == (3, 6)
-        assert result.record(6).end_state == UNMAPPED
+        assert result.alloc_index.tolist() == [0, 1, 2, 3, 4, 5, 6]
+        assert column(result, "tag", 0) == "weight"     # structure prefix
+        assert column(result, "size", 0) == 1024
+        assert column(result, "end_state", 1) == MAPPED
+        assert column(result, "freed_row", 1) == -1
+        assert column(result, "end_state", 4) == SUPERSEDED
+        assert column(result, "freed_row", 4) == 5
+        assert column(result, "pooled_free", 4)
+        assert column(result, "end_row", 4) == -1
+        assert column(result, "end_state", 6) == UNMAPPED
+        assert column(result, "end_row", 6) == 7
+        assert not column(result, "pooled_free", 6)
+        assert column(result, "size", 5) == 256     # aligned
+        assert result.find([77, -1]).tolist() == [-1, -1]
 
     def test_empty_cache_releases_pooled_blocks(self):
         artifact = clean_artifact()
         artifact["replay_events"].append({"kind": "empty_cache"})
         result = analyze_replay(packed(artifact))
-        assert result.record(4).end_state == UNMAPPED
-        assert result.record(5).end_state == MAPPED   # never freed
+        assert column(result, "end_state", 4) == UNMAPPED
+        assert column(result, "end_row", 4) == 6     # the empty_cache row
+        assert column(result, "end_state", 5) == MAPPED   # never freed
+
+    @pytest.mark.parametrize("reuse", [
+        {"kind": "empty_cache"},
+        {"kind": "alloc", "alloc_index": 5, "size": 2048, "tag": "act",
+         "pool": "graph"},
+    ], ids=["empty_cache", "pop"])
+    def test_drift_leaves_the_newer_holder_of_an_index_alone(self, reuse):
+        """A drift that names index 4 again makes a second allocation
+        holding it.  Releasing or reusing the older one's pooled block
+        acts on the older one: the newer one stays mapped."""
+        artifact = clean_artifact()
+        artifact["replay_events"].extend([
+            {"kind": "alloc", "alloc_index": 4, "size": 256, "tag": "act"},
+            reuse])
+        result = analyze_replay(packed(artifact))
+        assert [d.code for d in result.diagnostics] == ["MED001"]
+        assert column(result, "end_state", 4) == MAPPED
+        assert column(result, "size", 4) == 256
+        assert column(result, "end_row", 4) == -1
+        # The newer allocation is live, so a pointer into it is no MED012.
+        assert not lint_artifact(packed(artifact)).has("MED012")
+
+    def test_every_invalid_row_is_reported_in_row_order(self):
+        artifact = clean_artifact()
+        artifact["replay_events"].extend([
+            {"kind": "free", "alloc_index": 77, "pooled": False},
+            {"kind": "alloc", "alloc_index": 9, "size": 0, "tag": "act"},
+            {"kind": "free", "alloc_index": 4, "pooled": True},
+            {"kind": "defragment"},
+            {"kind": "free", "alloc_index": 4, "pooled": True},
+        ])
+        result = analyze_replay(packed(artifact))
+        assert [(d.code, d.location) for d in result.diagnostics] == [
+            ("MED002", "replay[6]"), ("MED001", "replay[7]"),
+            ("MED004", "replay[7]"), ("MED003", "replay[8]"),
+            ("MED005", "replay[9]"), ("MED003", "replay[10]")]
+        assert result.diagnostics[3].message.endswith(
+            "(first free at replay[5])")
+        assert result.rows_visited == 6     # row 7 is worded twice
 
     def test_double_free_flagged(self):
         artifact = clean_artifact()

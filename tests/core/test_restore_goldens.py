@@ -210,21 +210,30 @@ def chunked_qwen_restore(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def default_qwen_offline():
-    """A default Qwen1.5-0.5B offline run's trace and allocation index."""
+    """A default Qwen1.5-0.5B offline run's trace, allocation index and
+    lint liveness result."""
     from unittest import mock
 
+    from repro.analysis import analyzer
     from repro.core import offline
-    seen = []
+    seen, linted = [], []
 
     class SpyIndex(offline.AllocationIndex):
         def __init__(self, trace):
             super().__init__(trace)
             seen.append((trace, self))
 
-    with mock.patch.object(offline, "AllocationIndex", SpyIndex):
+    def spy_liveness(artifact):
+        linted.append(analyze_replay(artifact))
+        return linted[-1]
+
+    analyze_replay = analyzer.analyze_replay
+    with mock.patch.object(offline, "AllocationIndex", SpyIndex), \
+            mock.patch.object(analyzer, "analyze_replay", spy_liveness):
         offline.run_offline("Qwen1.5-0.5B")
     (trace, index), = seen
-    return trace, index
+    liveness, = linted
+    return trace, index, liveness
 
 
 def test_work_counts_match_ledger(chunked_qwen_restore,
@@ -237,17 +246,19 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     engine, report = chunked_qwen_restore
     allocator = engine.process.allocator
     graphs = engine.capture_artifacts.graphs
-    trace, index = default_qwen_offline
+    trace, index, liveness = default_qwen_offline
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
-    # (55,512), and the per-query analysis answered all 27,581 pointer
-    # parameters.
+    # (55,512), the per-query analysis answered all 27,581 pointer
+    # parameters, and lint's scalar liveness walk visited every one of
+    # the 36,868 replay rows.
     assert report.timeline.plan == "medusa-chunked"
     assert allocator.num_allocations == 18583
     assert len(allocator.live_buffers) == allocator.buffers_built
     assert sum(graph.num_nodes for graph in graphs.values()) == 9118
     assert trace.num_events == 55512
+    assert liveness.num_events == 36868
     assert {
         "Qwen1.5-0.5B chunked restore": {
             "DeviceAllocator.buffers_built": allocator.buffers_built,
@@ -257,6 +268,9 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
         "Qwen1.5-0.5B offline": {
             "Trace.rows_built": trace.rows_built,
             "AllocationIndex.queries": index.queries,
+        },
+        "Qwen1.5-0.5B lint": {
+            "LivenessResult.rows_visited": liveness.rows_visited,
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

@@ -419,11 +419,18 @@ class VectorizedRestorer:
             engine.cost_model.alloc_replay_per_event * consumed)
         kv_buffer = self._buffer(process, artifact.kv_alloc_index)
         kv_buffer.write(np.zeros((PAYLOAD_DIM, PAYLOAD_DIM)))
+        block_bytes = engine.kv_config.block_bytes(engine.config)
+        # The block manager allocates per block: check the count first.
+        if artifact.kv_num_blocks * block_bytes > kv_buffer.size:
+            raise RestorationError(
+                f"artifact's {artifact.kv_num_blocks} KV blocks of "
+                f"{block_bytes} bytes overflow the restored "
+                f"{kv_buffer.size}-byte KV buffer")
         engine.kv_bytes = artifact.kv_bytes
         engine.kv_region = KVCacheRegion(
             buffer=kv_buffer,
             num_blocks=artifact.kv_num_blocks,
-            block_bytes=engine.kv_config.block_bytes(engine.config),
+            block_bytes=block_bytes,
             layer_stride=artifact.kv_layer_stride,
         )
         engine.block_manager = BlockManager(
@@ -631,10 +638,18 @@ class VectorizedRestorer:
 
     def _run_trigger_plans(self, engine) -> None:
         """Handwritten trigger launches for modules the first layer misses."""
-        for plan in self.artifact.trigger_plans:
+        artifact = self.artifact
+        for position, plan in enumerate(artifact.trigger_plans):
             self._check_trigger(engine, plan.kernel_name)
             batch_size, node_index = plan.node_ref
-            table = self._graph_table(batch_size)
+            table = self._graph_table(batch_size) \
+                if batch_size in artifact.batches else None
+            if table is None or not 0 <= node_index < table.num_nodes:
+                raise RestorationError(
+                    f"trigger_plans[{position}] launches "
+                    f"{plan.kernel_name} with the parameters of node "
+                    f"({batch_size}, {node_index}), which the artifact "
+                    f"does not contain")
             start = int(table.param_offsets[node_index])
             end = int(table.param_offsets[node_index + 1])
             resolved = self._resolved_values(table, start=start, stop=end)

@@ -157,6 +157,11 @@ class TestTableChecks:
         ("g4_param_kinds", lambda a: a[:-1], "inconsistent CSR"),
         ("g4_param_offsets", lambda a: a[::-1].copy(), "inconsistent CSR"),
         ("g4_edges", lambda a: a.ravel(), "edge member"),
+        ("g4_param_offsets", lambda a: a[:0], "need 27 offsets"),
+        ("pools", lambda a: a.astype(bool), "distinct strings"),
+        ("tags", lambda a: a.astype("S"), "distinct strings"),
+        ("kernel_names", lambda a: np.full_like(a, a[0]),
+         "distinct strings"),
     ])
     def test_malformed_member_raises(self, tmp_path, tiny2l_artifact,
                                      member, corrupt, message):

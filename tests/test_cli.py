@@ -369,6 +369,69 @@ class TestMalformedArtifactExitCodes:
         assert f"member '{member}' has shape" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("member,corrupt,message", [
+        ("g1_param_offsets", lambda column: column[:0],
+         "inconsistent CSR columns"),
+        ("pools", lambda column: column.astype(bool),
+         "not a table of distinct strings"),
+    ], ids=["empty-csr-offsets", "bool-string-table"])
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+        ["lint"],
+    ], ids=["coldstart", "validate", "lint"])
+    def test_malformed_table_exits_two(self, good_npz, tmp_path, member,
+                                       corrupt, message, argv, capsys):
+        """An empty CSR offsets member and a string table re-saved with
+        another dtype fail where their table is built."""
+        import io
+        import zipfile
+
+        import numpy as np
+        buffer = io.BytesIO()
+        np.save(buffer, corrupt(np.load(good_npz)[member]))
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good_npz) as good, \
+                zipfile.ZipFile(path, "w") as bad:
+            for name in good.namelist():
+                bad.writestr(name, buffer.getvalue()
+                             if name == member + ".npy" else good.read(name))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [(10, 99), (8, 0x20), (8, 0x01)],
+                             ids=["compression-method", "patched-data",
+                                  "encrypted"])
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["validate", "--artifact"],
+        ["lint"],
+    ], ids=["coldstart", "validate", "lint"])
+    def test_zip_header_flip_exits_two(self, good_npz, tmp_path, field,
+                                       value, argv, capsys):
+        """A zip header naming a compression method, patched data or
+        encryption zipfile cannot read makes its member unreadable."""
+        data = bytearray(good_npz.read_bytes())
+        # The last copy of the name is the central directory's, after the
+        # record's 46 fixed bytes.
+        record = data.rfind(b"ev_kind.npy") - 46
+        assert data[record:record + 4] == b"PK\x01\x02"
+        data[record + field] = value
+        path = tmp_path / "flipped.npz"
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unreadable member 'ev_kind'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key,value,field", [
         ("first_layer_nodes", "3", "first_layer_nodes must be an integer"),
         ("kv_alloc_index", None, "kv_alloc_index must be an integer, not "
@@ -680,6 +743,46 @@ class TestRestoreFailureExitCodes:
         err = capsys.readouterr().err
         assert "validation: FAILED" in err
         assert message in err
+
+
+    @pytest.mark.parametrize("node_ref", [[1, 99999], [3, 0]],
+                             ids=["node-past-graph", "batch-missing"])
+    def test_trigger_plan_past_the_graph_fails_the_restore(
+            self, tiny_artifact_path, tmp_path, node_ref, capsys):
+        """A trigger plan naming a node or batch size the artifact lacks
+        fails the cold start (exit 1); lint still reports it as MED032."""
+        payload = json.loads(open(tiny_artifact_path).read())
+        kernel = payload["graphs"]["1"]["nodes"][0]["kernel_name"]
+        payload["trigger_plans"] = [{"kernel_name": kernel,
+                                     "node_ref": node_ref}]
+        path = tmp_path / "trigger.medusa.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["coldstart", "--model", "Tiny-2L", "--strategy",
+                     "medusa", "--artifact", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "trigger_plans[0]" in err and kernel in err
+        assert main(["lint", str(path)]) == 1
+        assert "MED032" in capsys.readouterr().out
+
+    def test_kv_blocks_past_the_buffer_fail_before_allocating(
+            self, tiny_artifact_path, tmp_path, capsys):
+        """2**31 KV blocks do not fit the restored KV buffer: the cold
+        start exits 1 before the block manager allocates one per block."""
+        from unittest import mock
+
+        from repro.core import fastpath
+        payload = json.loads(open(tiny_artifact_path).read())
+        payload["kv_num_blocks"] = 2 ** 31
+        path = tmp_path / "blocks.medusa.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        with mock.patch.object(fastpath, "BlockManager", side_effect=(
+                AssertionError("block manager built"))):
+            assert main(["coldstart", "--model", "Tiny-2L", "--strategy",
+                         "medusa", "--artifact", str(path)]) == 1
+        assert "2147483648 KV blocks" in capsys.readouterr().err
 
 
 class TestStoreCommand:

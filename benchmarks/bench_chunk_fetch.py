@@ -28,12 +28,12 @@ Run it directly::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 import tempfile
 from typing import Dict, List, Tuple
 
+from repro.core.binfmt import LazyArtifact
 from repro.core.chunks import simulation_chunks
 from repro.core.offline import run_offline
 from repro.core.online import medusa_cold_start
@@ -111,7 +111,8 @@ def _one_cold_start(policy, report, chunks, key: Tuple[str, str],
 def warm_sibling_case(store: ArtifactStore, artifact,
                       cost_model: CostModel) -> Dict[str, float]:
     """Cold node vs a node warmed by a chunk-sharing sibling model."""
-    sibling = dataclasses.replace(artifact, model_name=SIBLING)
+    sibling = LazyArtifact.from_payload(
+        {**artifact.to_payload(), "model_name": SIBLING})
     store.put(sibling)
 
     key = (artifact.gpu_name, artifact.model_name)

@@ -26,7 +26,8 @@ import pathlib
 import sys
 from typing import Dict, List, Tuple
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.lanes import Lane
+from repro.engine.loadplan import LoadPlan, PlanStage
 from repro.reporting import format_table
 from repro.serverless import (
     ColdStartProfile,
@@ -55,16 +56,21 @@ def fetch_heavy_profile() -> ColdStartProfile:
     I/O-bound.  Placement rewrites only the fetch stage, so this is the
     profile on which tier residency moves the TTFT tail.
     """
-    stages = [
-        ScheduledStage("fetch_artifact", 0.0, 2.0, lane="disk"),
-        ScheduledStage("replay_alloc", 2.0, 2.2, lane="cpu"),
-        ScheduledStage("restore_graph[8]", 2.2, 2.8, lane="gpu_compute",
-                       critical=True),
-        ScheduledStage("restore_graph[16]", 2.8, 3.6, lane="gpu_compute",
-                       background=True),
-    ]
-    return ColdStartProfile(loading_time=3.6, ready_time=2.8,
-                            timeline=Timeline(None, stages))
+    plan = LoadPlan("fetch-heavy", (
+        PlanStage("fetch_artifact", Lane.DISK),
+        PlanStage("replay_alloc", Lane.CPU, deps=("fetch_artifact",)),
+        PlanStage("restore_graph[8]", Lane.GPU_COMPUTE,
+                  deps=("replay_alloc",)),
+        PlanStage("restore_graph[16]", Lane.GPU_COMPUTE,
+                  deps=("restore_graph[8]",), background=True),
+    ))
+    # Stage boundaries at 2.0, 2.2, 2.8 (ready) and 3.6 s.
+    timeline = plan.schedule({"fetch_artifact": 2.0,
+                              "replay_alloc": 2.2 - 2.0,
+                              "restore_graph[8]": 2.8 - 2.2,
+                              "restore_graph[16]": 3.6 - 2.8})
+    return ColdStartProfile(loading_time=timeline.total,
+                            ready_time=timeline.ready, timeline=timeline)
 
 
 def burst_trace(cycles: int, per_wave: int

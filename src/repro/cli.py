@@ -26,7 +26,10 @@ failed (any repro error it raises, a simulated device fault included),
 2 = the artifact could not be read at all.  With ``validate
 --degraded-ok`` a restore that walked the degradation ladder but still
 serves correct outputs exits 3 — distinguishable from both a clean pass
-and a hard failure.
+and a hard failure.  ``simulate`` exits 2 on a bad flag value (an
+unknown ``--model``, an ``--rps`` or ``--duration`` that is not positive
+and finite, ``--gpus`` below 1, a negative or non-finite
+``--slo-ttft``) before any offline work or cold start.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import validate_restoration
 from repro.engine import Strategy
-from repro.errors import ArtifactError, ReproError
+from repro.errors import ArtifactError, InvalidValueError, ReproError
 from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
@@ -230,7 +233,7 @@ def _print_report(report) -> None:
               f"{degradation.describe()}")
     print()
     print(format_stage_breakdown(
-        f"Stage schedule (plan: {report.timeline.plan or 'legacy'})",
+        f"Stage schedule (plan: {report.timeline.plan})",
         report.timeline))
 
 
@@ -404,7 +407,7 @@ def _cmd_validate(args) -> int:
         if cold is not None:
             print(format_stage_breakdown(
                 f"Restore stage schedule "
-                f"(plan: {cold.timeline.plan or 'legacy'})",
+                f"(plan: {cold.timeline.plan})",
                 cold.timeline))
     if not result.passed:
         return 1
@@ -415,15 +418,21 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     strategy = args.strategy
+    try:        # bad flags end here, before any offline work
+        workload = ShareGPTWorkload(rps=args.rps, duration=args.duration,
+                                    seed=args.seed, shape=args.shape)
+        SimulationConfig(num_gpus=args.gpus, slo_ttft=args.slo_ttft)
+        costs = ServingCostModel(args.model)
+    except InvalidValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     artifact = None
     if strategy is Strategy.MEDUSA:
         artifact, _ = run_offline(args.model, seed=args.seed)
     _engine, report = cold_start_for(args.model, strategy,
                                      artifact=artifact, seed=args.seed)
-    workload = ShareGPTWorkload(rps=args.rps, duration=args.duration,
-                                seed=args.seed, shape=args.shape)
     simulator = ClusterSimulator(
-        ServingCostModel(args.model),
+        costs,
         SimulationConfig.from_report(report, num_gpus=args.gpus,
                                      placement=args.placement,
                                      autoscale=args.autoscale,

@@ -9,7 +9,7 @@ needs.
 A capture records ~76k events for a 7B model, so the trace keeps each kind
 as columns of plain ints (strings interned into tables), and the analysis
 reads them as numpy arrays.  Event rows (``NamedTuple`` s) are views,
-built on demand for tests and hand-built traces.
+built on demand for tests and for traces written by hand.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ locality loading, Tangram-style memory reuse) become plan definitions in
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -121,7 +122,7 @@ class ScheduledStage:
     name: str
     start: float
     end: float
-    lane: str = ""
+    lane: str
     critical: bool = False
     background: bool = False
 
@@ -136,10 +137,10 @@ class Timeline:
 
     strategy: Optional[object]
     stages: List[ScheduledStage]
-    plan: str = ""
-    #: Declared dependency edges of the scheduled plan (stage -> deps);
-    #: empty for hand-built timelines, which then use legacy heuristics.
-    deps: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: The name of the :class:`LoadPlan` this schedule placed.
+    plan: str
+    #: Declared dependency edges of the scheduled plan (stage -> deps).
+    deps: Dict[str, Tuple[str, ...]]
     _index: Dict[str, ScheduledStage] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -204,20 +205,12 @@ class Timeline:
         *join* stage starting: the branches overlapping the weight
         stream are whatever the scheduled DAG says they are (derived
         from the plan's declared deps), so pipelined plans report
-        bubbles the same way the fixed-shape strategies do.  Timelines
-        built without dependency metadata fall back to the legacy
-        fixed branch-stage list.
+        bubbles the same way the fixed-shape strategies do.
         """
         try:
             weights = self.stage(WEIGHTS)
         except EngineError:
             return 0.0
-        if not self.deps:
-            branch_end = max((s.end for s in self.stages
-                              if s.name in (TOKENIZER, KV_INIT,
-                                            MEDUSA_WARMUP)),
-                             default=weights.end)
-            return max(0.0, branch_end - weights.end)
         joins = [self._index[name] for name, deps in self.deps.items()
                  if WEIGHTS in deps and name in self._index
                  and not self._index[name].background]
@@ -306,10 +299,8 @@ class LoadPlan:
                  strategy: Optional[object] = None) -> Timeline:
         """Place measured stage ``durations`` on the wall clock.
 
-        List-schedules the DAG: each stage starts at the later of its
-        dependencies' completion and its lane's availability, so each lane
-        runs one stage at a time and overlap is derived, never asserted.
-        Contention declarations extend the affected stage's duration via
+        List-schedules the DAG (:func:`_list_schedule`).  Contention
+        declarations extend the affected stage's duration via
         ``penalties`` (a ``CostModel`` or a plain mapping).  Returns a
         :class:`Timeline` whose stages carry lane and critical-path flags.
         """
@@ -318,37 +309,17 @@ class LoadPlan:
         if missing:
             raise EngineError(f"missing stage durations: {missing}")
 
-        finished: Dict[str, float] = {}
-        lane_free: Dict[Lane, float] = {}
-        placed: List[ScheduledStage] = []
-        blockers: Dict[str, Tuple[str, ...]] = {}
-        lane_prev: Dict[Lane, str] = {}
+        rows = []
         for stage in self.stages:
             duration = float(durations.get(stage.name, 0.0))
-            if duration < 0:
-                raise EngineError(
-                    f"stage {stage.name!r} has negative duration {duration}")
+            _check_duration(stage.name, duration)
             if stage.contention is not None \
                     and stage.contention.applies(durations):
                 duration += _resolve_penalty(penalties,
                                              stage.contention.penalty_key)
-            start = max((finished[dep] for dep in stage.deps), default=0.0)
-            start = max(start, lane_free.get(stage.lane, 0.0))
-            end = start + duration
-            finished[stage.name] = end
-            preds = list(stage.deps)
-            if stage.lane in lane_prev:
-                preds.append(lane_prev[stage.lane])
-            blockers[stage.name] = tuple(preds)
-            lane_free[stage.lane] = end
-            lane_prev[stage.lane] = stage.name
-            placed.append(ScheduledStage(stage.name, start, end,
-                                         lane=stage.lane.label,
-                                         background=stage.background))
-        return Timeline(strategy, _mark_critical(placed, blockers),
-                        plan=self.name,
-                        deps={stage.name: stage.deps
-                              for stage in self.stages})
+            rows.append((stage.name, stage.deps, stage.lane.label,
+                         stage.background, duration))
+        return _list_schedule(strategy, self.name, rows)
 
 
 def append_stages(plan: LoadPlan, names: Sequence[str],
@@ -378,105 +349,72 @@ def append_stages(plan: LoadPlan, names: Sequence[str],
                     description=plan.description)
 
 
-def retime_stage(timeline: Timeline, name: str,
-                 duration: float) -> Timeline:
-    """A copy of ``timeline`` with one stage's duration replaced.
-
-    The locality placement layer uses this to rewrite ``fetch_artifact``:
-    the tier an artifact is served from changes how long the fetch stage
-    takes, and every stage scheduled after it moves accordingly.  For
-    timelines that carry their plan's dependency metadata the whole DAG
-    is re-list-scheduled exactly as :meth:`LoadPlan.schedule` would (lane
-    serialization included), so overlap structure is preserved rather
-    than approximated.  Hand-built timelines (no ``deps``) fall back to a
-    rigid shift: the retimed stage stretches or shrinks in place and
-    every stage starting at or after its old end slides by the delta.
-    """
-    if duration < 0:
-        raise EngineError(
-            f"stage {name!r} cannot be retimed to negative "
-            f"duration {duration}")
-    old = timeline.stage(name)
-    if abs(duration - old.duration) <= _EPS:
-        return timeline
-    if timeline.deps:
-        return _reschedule(timeline, {name: duration})
-    delta = duration - old.duration
-    stages: List[ScheduledStage] = []
-    for stage in timeline.stages:
-        if stage.name == name:
-            stages.append(ScheduledStage(
-                stage.name, stage.start, stage.start + duration,
-                lane=stage.lane, critical=stage.critical,
-                background=stage.background))
-        elif stage.start >= old.end - _EPS:
-            stages.append(ScheduledStage(
-                stage.name, stage.start + delta, stage.end + delta,
-                lane=stage.lane, critical=stage.critical,
-                background=stage.background))
-        else:
-            stages.append(stage)
-    return Timeline(timeline.strategy, stages, plan=timeline.plan)
-
-
 def retime_stages(timeline: Timeline,
                   durations: Mapping[str, float]) -> Timeline:
     """A copy of ``timeline`` with several stages' durations replaced.
 
-    The chunk-streamed fetch path needs this: a tier-resolved fetch
-    rewrites *every* ``fetch_chunk[i]`` stage at once, and re-list-
-    scheduling once is both cheaper and more faithful than chaining
-    single-stage retimes (intermediate schedules never exist on the
-    simulated machine).  Semantics per stage match :func:`retime_stage`,
-    including the rigid-shift fallback for timelines without dependency
-    metadata.
+    The locality placement layer uses this to rewrite the fetch stages:
+    the tier an artifact is served from changes how long
+    ``fetch_artifact`` (or every ``fetch_chunk[i]`` of a chunk-streamed
+    plan) takes.  The timeline's DAG is re-list-scheduled once exactly
+    as :meth:`LoadPlan.schedule` would place it (lane serialization
+    included), so every dependent stage moves and the overlap structure
+    is preserved rather than approximated.  Stages not overridden keep
+    their placed durations; returns ``timeline`` itself when no duration
+    changes.
     """
     overrides: Dict[str, float] = {}
     for name, duration in durations.items():
-        if duration < 0:
-            raise EngineError(
-                f"stage {name!r} cannot be retimed to negative "
-                f"duration {duration}")
+        _check_duration(name, duration)
         if abs(duration - timeline.stage(name).duration) > _EPS:
             overrides[name] = duration
     if not overrides:
         return timeline
-    if timeline.deps:
-        return _reschedule(timeline, overrides)
-    result = timeline
-    for stage in timeline.stages:    # rigid shifts, in schedule order
-        if stage.name in overrides:
-            result = retime_stage(result, stage.name, overrides[stage.name])
-    return result
+    return _list_schedule(
+        timeline.strategy, timeline.plan,
+        [(stage.name, timeline.deps[stage.name], stage.lane,
+          stage.background, overrides.get(stage.name, stage.duration))
+         for stage in timeline.stages])
 
 
-def _reschedule(timeline: Timeline,
-                overrides: Mapping[str, float]) -> Timeline:
-    """List-schedule a timeline afresh with stage durations replaced."""
-    durations = {stage.name: stage.duration for stage in timeline.stages}
-    durations.update(overrides)
+def _check_duration(name: str, duration: float) -> None:
+    """Refuse a negative or non-finite stage duration."""
+    if not (math.isfinite(duration) and duration >= 0):
+        raise EngineError(
+            f"stage {name!r} has invalid duration {duration} (must be "
+            f"finite and non-negative)")
+
+
+def _list_schedule(strategy: Optional[object], plan: str,
+                   stages: Sequence[Tuple[str, Tuple[str, ...], str,
+                                          bool, float]]) -> Timeline:
+    """List-schedule ``(name, deps, lane, background, duration)`` rows.
+
+    Rows come in declaration (topological) order.  Each stage starts at
+    the later of its dependencies' completion and its lane's
+    availability, so each lane runs one stage at a time and overlap is
+    derived, never asserted.
+    """
     finished: Dict[str, float] = {}
     lane_free: Dict[str, float] = {}
     lane_prev: Dict[str, str] = {}
     blockers: Dict[str, Tuple[str, ...]] = {}
     placed: List[ScheduledStage] = []
-    for stage in timeline.stages:   # declaration (topological) order
-        deps = timeline.deps.get(stage.name, ())
+    for name, deps, lane, background, duration in stages:
         start = max((finished[dep] for dep in deps), default=0.0)
-        start = max(start, lane_free.get(stage.lane, 0.0))
-        end = start + durations[stage.name]
-        finished[stage.name] = end
+        start = max(start, lane_free.get(lane, 0.0))
+        end = start + duration
+        finished[name] = end
         preds = list(deps)
-        if stage.lane in lane_prev:
-            preds.append(lane_prev[stage.lane])
-        blockers[stage.name] = tuple(preds)
-        lane_free[stage.lane] = end
-        lane_prev[stage.lane] = stage.name
-        placed.append(ScheduledStage(stage.name, start, end,
-                                     lane=stage.lane,
-                                     background=stage.background))
-    return Timeline(timeline.strategy, _mark_critical(placed, blockers),
-                    plan=timeline.plan, deps=dict(timeline.deps))
+        if lane in lane_prev:
+            preds.append(lane_prev[lane])
+        blockers[name] = tuple(preds)
+        lane_free[lane] = end
+        lane_prev[lane] = name
+        placed.append(ScheduledStage(name, start, end, lane,
+                                     background=background))
+    return Timeline(strategy, _mark_critical(placed, blockers), plan,
+                    {name: deps for name, deps, _, _, _ in stages})
 
 
 def _mark_critical(placed: Sequence[ScheduledStage],

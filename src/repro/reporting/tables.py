@@ -68,18 +68,18 @@ def format_stage_breakdown(title: str, timeline) -> str:
     path visible in text output.
     """
     def flags(stage) -> str:
-        if getattr(stage, "background", False):
+        if stage.background:
             return "bg"
         return "*" if stage.critical else ""
 
-    rows = [[stage.name, stage.lane or "-", stage.start, stage.end,
+    rows = [[stage.name, stage.lane, stage.start, stage.end,
              stage.duration, flags(stage)]
             for stage in timeline.stages]
     table = format_table(
         title,
         ["stage", "lane", "start (s)", "end (s)", "duration (s)", "flags"],
         rows)
-    ready = getattr(timeline, "ready", timeline.total)
+    ready = timeline.ready
     if abs(ready - timeline.total) > 1e-12:
         table += (f"\nready (serving) at {ready:.4f} s; background restore "
                   f"finishes at {timeline.total:.4f} s")

@@ -31,17 +31,6 @@ _LANE_TRACKS = {
     Lane.GPU_COMPUTE.value: 3,
 }
 
-#: Fallback for legacy timelines whose stages carry no lane annotation.
-_RESOURCE_TRACKS = {
-    "structure_init": 1,   # CPU
-    "load_tokenizer": 1,   # CPU
-    "load_weights": 2,     # IO (SSD -> host -> device)
-    "kv_init": 3,          # GPU
-    "capture": 3,          # GPU
-    "medusa_warmup": 3,    # GPU
-    "medusa_restore": 3,   # GPU
-}
-
 _MICRO = 1_000_000
 
 #: Placement-layer marks describe node cache traffic, not one instance's
@@ -63,13 +52,6 @@ def _placement_style(label: str, args: Dict) -> Dict:
     return {}
 
 
-def _track(stage) -> int:
-    lane = getattr(stage, "lane", "")
-    if lane in _LANE_TRACKS:
-        return _LANE_TRACKS[lane]
-    return _RESOURCE_TRACKS.get(stage.name, 9)
-
-
 def to_trace_events(report: ColdStartReport,
                     pid: int = 0) -> List[Dict]:
     """The report's timeline as Chrome 'X' (complete) events.
@@ -89,12 +71,12 @@ def to_trace_events(report: ColdStartReport,
             "name": stage.name,
             "ph": "X",
             "pid": pid,
-            "tid": _track(stage),
+            "tid": _LANE_TRACKS[stage.lane],
             "ts": stage.start * _MICRO,
             "dur": stage.duration * _MICRO,
             "args": {"seconds": round(stage.duration, 6),
-                     "lane": getattr(stage, "lane", "") or "unknown",
-                     "critical": bool(getattr(stage, "critical", False))},
+                     "lane": stage.lane,
+                     "critical": stage.critical},
         })
     return events
 

@@ -30,6 +30,7 @@ co-timed step completions dispatch in instance order (the kernel's
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -53,6 +54,14 @@ from repro.serverless.placement import (
 )
 from repro.serverless.workload import Request, ShareGPTWorkload
 from repro.sim import EventLoop
+
+def check_slo_ttft(slo_ttft: float) -> None:
+    """Refuse a TTFT budget that is negative or not finite (0.0 is none;
+    a NaN one would quietly turn the SLO off)."""
+    if not (math.isfinite(slo_ttft) and slo_ttft >= 0):
+        raise InvalidValueError(
+            f"slo_ttft must be finite and non-negative, got {slo_ttft}")
+
 
 #: Event kinds, in tie-break (dispatch-priority) order.  IDLE_TICK
 #: deliberately sorts *after* every other kind: an arrival, stage
@@ -169,6 +178,7 @@ class MultiModelCluster:
                  trace: bool = False):
         if num_gpus <= 0:
             raise InvalidValueError("num_gpus must be positive")
+        check_slo_ttft(slo_ttft)
         names = [d.name for d in deployments]
         if len(set(names)) != len(names):
             raise InvalidValueError(f"duplicate deployment names in {names}")

@@ -73,12 +73,14 @@ class TierSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise InvalidValueError("tier needs a non-empty name")
-        if self.capacity < 0:
+        if math.isnan(self.capacity) or self.capacity < 0:
             raise InvalidValueError(
-                f"tier {self.name!r}: capacity must be >= 0")
-        if self.fetch_scale < 0:
+                f"tier {self.name!r}: capacity must be >= 0 (math.inf "
+                f"for the remote backstop), got {self.capacity}")
+        if not (math.isfinite(self.fetch_scale) and self.fetch_scale >= 0):
             raise InvalidValueError(
-                f"tier {self.name!r}: fetch_scale must be >= 0")
+                f"tier {self.name!r}: fetch_scale must be finite and "
+                f">= 0, got {self.fetch_scale}")
 
 
 #: The GPU / DRAM / SSD / remote ladder, warmest first.  The last tier is

@@ -27,6 +27,7 @@ from repro.serverless.cluster import (
     ModelDeployment,
     MultiModelCluster,
     TaggedRequest,
+    check_slo_ttft,
 )
 from repro.serverless.costs import ServingCostModel
 from repro.serverless.instance import ColdStartProfile
@@ -66,6 +67,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.num_gpus <= 0:
             raise InvalidValueError("num_gpus must be positive")
+        check_slo_ttft(self.slo_ttft)
         if self.initial_instances + self.hot_spares > self.num_gpus:
             raise InvalidValueError(
                 "initial_instances + hot_spares cannot exceed num_gpus")

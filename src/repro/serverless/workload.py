@@ -209,11 +209,17 @@ def make_schedule(shape: str, rps: float, duration: float) -> RateSchedule:
         raise InvalidValueError(
             f"unknown arrival shape {shape!r}; "
             f"registered: {', '.join(shape_names())}")
-    if rps <= 0:
-        raise InvalidValueError(f"rps must be positive, got {rps}")
-    if duration <= 0:
-        raise InvalidValueError(f"duration must be positive, got {duration}")
+    _check_rate(rps, duration)
     return SHAPES[shape](rps, duration)
+
+
+def _check_rate(rps: float, duration: float) -> None:
+    """Refuse a rate or duration that is not positive and finite (a NaN
+    or infinite one would make the arrival loop never end)."""
+    for name, value in (("rps", rps), ("duration", duration)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidValueError(
+                f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -243,10 +249,7 @@ class ShareGPTWorkload:
                  mean_output: float = SHAREGPT_MEAN_OUTPUT_TOKENS,
                  sigma: float = 0.8, shape: Optional[str] = None,
                  schedule: Optional[RateSchedule] = None):
-        if rps <= 0:
-            raise InvalidValueError(f"rps must be positive, got {rps}")
-        if duration <= 0:
-            raise InvalidValueError(f"duration must be positive, got {duration}")
+        _check_rate(rps, duration)
         if shape is not None and shape not in SHAPES:
             raise InvalidValueError(
                 f"unknown arrival shape {shape!r}; "

@@ -28,6 +28,7 @@ from repro.errors import EngineError
 from repro.simgpu.process import ExecutionMode
 
 from tests.conftest import tiny_cost_model
+from tests.timelines import chain_timeline
 
 #: The paper's Qwen1.5-4B stage durations (Figure 8a).
 PAPER = {
@@ -314,14 +315,15 @@ class TestPlanValidation:
 
 class TestTimelineIndex:
     def test_miss_lists_available_stages(self):
-        timeline = Timeline(None, [ScheduledStage("a", 0.0, 1.0),
-                                   ScheduledStage("b", 1.0, 2.0)])
+        timeline = chain_timeline(
+            ScheduledStage("a", 0.0, 1.0, lane="cpu"),
+            ScheduledStage("b", 1.0, 2.0, lane="cpu"))
         with pytest.raises(EngineError, match=r"available: a, b"):
             timeline.stage("c")
 
     def test_empty_timeline_miss(self):
         with pytest.raises(EngineError, match="<none>"):
-            Timeline(None, []).stage("a")
+            Timeline(None, [], "empty", {}).stage("a")
 
 
 class TestBackgroundStages:

@@ -17,7 +17,6 @@ from repro.engine.loadplan import (
     LoadPlan,
     PlanStage,
     ScheduledStage,
-    Timeline,
     append_stages,
     restore_graph_stage,
 )
@@ -27,6 +26,7 @@ from repro.engine.strategies import (
     plan_for,
 )
 from repro.faults.ladder import DEGRADED_LADDER_STAGES
+from tests.timelines import chain_timeline
 
 _EPS = 1e-9
 RG8 = restore_graph_stage(8)
@@ -124,16 +124,8 @@ class TestBubble:
                      - timeline.stage(WEIGHTS).end)
         assert timeline.bubble() == pytest.approx(legacy)
 
-    def test_hand_built_timeline_falls_back_to_legacy_branches(self):
-        timeline = Timeline(None, [
-            ScheduledStage(WEIGHTS, 0.0, 2.0),
-            ScheduledStage(KV_INIT, 0.0, 3.0),
-        ])
-        assert timeline.deps == {}
-        assert timeline.bubble() == pytest.approx(1.0)
-
     def test_no_weights_stage_means_no_bubble(self):
-        timeline = Timeline(None, [ScheduledStage("only", 0.0, 1.0)])
+        timeline = chain_timeline(ScheduledStage("only", 0.0, 1.0, lane="cpu"))
         assert timeline.bubble() == 0.0
 
 

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.loadplan import ScheduledStage
 from repro.serverless import (
     ClusterSimulator,
     ColdStartProfile,
@@ -32,6 +32,7 @@ from repro.serverless import (
     SimulationConfig,
     tag_workloads,
 )
+from tests.timelines import chain_timeline
 
 #: Committed golden snapshots for every scenario below.
 GOLDEN_PATH = Path(__file__).parent / "golden_scenarios.json"
@@ -69,18 +70,17 @@ def _fetch_profile(fetch: float = 2.0,
         ScheduledStage("fetch_artifact", 0.0, fetch, lane="disk"),
         ScheduledStage("replay_alloc", fetch, fetch + 0.2, lane="cpu"),
         ScheduledStage("restore_graph[1]", fetch + 0.2, fetch + 0.8,
-                       lane="gpu_compute", critical=True),
+                       lane="gpu_compute"),
     ]
     rung = ""
     total = fetch + 0.8
     if degrade:
         stages.append(ScheduledStage("degrade_recapture", total,
-                                     total + 0.6, lane="gpu_compute",
-                                     critical=True))
+                                     total + 0.6, lane="gpu_compute"))
         total += 0.6
         rung = "recapture"
     return ColdStartProfile(loading_time=total, ready_time=total,
-                            timeline=Timeline(None, stages),
+                            timeline=chain_timeline(*stages),
                             degraded_rung=rung)
 
 

@@ -18,7 +18,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.loadplan import ScheduledStage
 from repro.serverless import (
     ColdStartProfile,
     ModelDeployment,
@@ -31,6 +31,7 @@ from repro.serverless import (
 )
 from repro.serverless.placement import fetch_duration
 from repro.serverless.workload import Request
+from tests.timelines import chain_timeline
 
 # -- traffic strategies ------------------------------------------------------
 
@@ -105,11 +106,10 @@ class TestHitImpliesResidencyProperty:
 def _profile():
     stages = [
         ScheduledStage("fetch_artifact", 0.0, 1.0, lane="disk"),
-        ScheduledStage("restore", 1.0, 1.5, lane="gpu_compute",
-                       critical=True),
+        ScheduledStage("restore", 1.0, 1.5, lane="gpu_compute"),
     ]
     return ColdStartProfile(loading_time=1.5, ready_time=1.5,
-                            timeline=Timeline(None, stages))
+                            timeline=chain_timeline(*stages))
 
 
 def _run_cluster(policy, trace):
@@ -167,11 +167,11 @@ class TestFetchMonotonicityProperty:
         stages = [
             ScheduledStage("fetch_artifact", 0.0, base, lane="disk"),
             ScheduledStage("restore", base, base + 0.5,
-                           lane="gpu_compute", critical=True),
+                           lane="gpu_compute"),
         ]
         profile = ColdStartProfile(loading_time=base + 0.5,
                                    ready_time=base + 0.5,
-                                   timeline=Timeline(None, stages))
+                                   timeline=chain_timeline(*stages))
         readiness = [
             profile.with_fetch_duration(
                 fetch_duration(tiers, tier.name, base)).serving_ready_time

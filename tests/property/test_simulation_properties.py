@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.loadplan import ScheduledStage
 from repro.serverless import (
     ClusterSimulator,
     ColdStartProfile,
@@ -15,6 +15,7 @@ from repro.serverless import (
 )
 from repro.serverless.workload import Request
 from repro.utils.stats import percentile
+from tests.timelines import chain_timeline
 
 _COSTS = ServingCostModel("Qwen1.5-4B")
 
@@ -64,7 +65,7 @@ def _staged_profile():
     stages = [ScheduledStage("fetch_artifact", 0.0, 0.6, lane="disk"),
               ScheduledStage("restore", 0.6, 1.0, lane="gpu_compute")]
     return ColdStartProfile(loading_time=1.0,
-                            timeline=Timeline(None, stages))
+                            timeline=chain_timeline(*stages))
 
 
 class TestStarvedModelProperty:

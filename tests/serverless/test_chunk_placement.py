@@ -11,7 +11,7 @@ what keeps the golden snapshots bit-exact.
 
 import pytest
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.loadplan import ScheduledStage
 from repro.serverless import (
     ClusterSimulator,
     ColdStartProfile,
@@ -22,6 +22,7 @@ from repro.serverless import (
 )
 from repro.serverless.metrics import SimulationMetrics
 from repro.serverless.placement import ChunkFetchSummary
+from tests.timelines import chain_timeline
 
 
 class Chunk:
@@ -48,11 +49,11 @@ def chunk_profile(fetch=2.0):
         ScheduledStage("fetch_artifact", 0.0, fetch, lane="disk"),
         ScheduledStage("replay_alloc", fetch, fetch + 0.2, lane="cpu"),
         ScheduledStage("restore_graph[1]", fetch + 0.2, fetch + 0.8,
-                       lane="gpu_compute", critical=True),
+                       lane="gpu_compute"),
     ]
     return ColdStartProfile(loading_time=fetch + 0.8,
                             ready_time=fetch + 0.8,
-                            timeline=Timeline(None, stages))
+                            timeline=chain_timeline(*stages))
 
 
 def launch(policy, chunks, costs):

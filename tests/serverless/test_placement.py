@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.loadplan import ScheduledStage
 from repro.errors import InvalidValueError
 from repro.serverless import (
     AffinityPlacement,
@@ -37,6 +37,7 @@ from repro.serverless.placement import (
     validate_tiers,
 )
 from repro.serverless.workload import Request
+from tests.timelines import chain_timeline
 
 KEY_A = ("model", "a")
 KEY_B = ("model", "b")
@@ -48,13 +49,13 @@ def fetch_heavy_profile(fetch=2.0):
         ScheduledStage("fetch_artifact", 0.0, fetch, lane="disk"),
         ScheduledStage("replay_alloc", fetch, fetch + 0.2, lane="cpu"),
         ScheduledStage("restore_graph[1]", fetch + 0.2, fetch + 0.8,
-                       lane="gpu_compute", critical=True),
+                       lane="gpu_compute"),
         ScheduledStage("restore_graph[2]", fetch + 0.8, fetch + 1.6,
                        lane="gpu_compute", background=True),
     ]
     return ColdStartProfile(loading_time=fetch + 1.6,
                             ready_time=fetch + 0.8,
-                            timeline=Timeline(None, stages))
+                            timeline=chain_timeline(*stages))
 
 
 class TestTierSpecs:
@@ -74,6 +75,14 @@ class TestTierSpecs:
         with pytest.raises(InvalidValueError):
             validate_tiers((TierSpec("dram", 1.0, 0.1),
                             TierSpec("remote", 100.0, 1.0)))
+
+    @pytest.mark.parametrize("capacity,scale", [
+        (math.nan, 0.5), (-1.0, 0.5), (1.0, math.nan), (1.0, math.inf),
+        (1.0, -0.1)])
+    def test_spec_rejects_non_finite_or_negative_values(self, capacity,
+                                                        scale):
+        with pytest.raises(InvalidValueError, match="tier 'dram'"):
+            TierSpec("dram", capacity, scale)
 
     def test_fetch_duration_scales_by_tier(self):
         assert fetch_duration(DEFAULT_TIERS, "gpu", 2.0) == 0.0

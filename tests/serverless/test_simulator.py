@@ -5,6 +5,8 @@ import pytest
 from repro.errors import InvalidValueError
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
+    MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
     SimulationConfig,
@@ -93,6 +95,16 @@ class TestConfigValidation:
             SimulationConfig(num_gpus=0)
         with pytest.raises(InvalidValueError):
             SimulationConfig(num_gpus=1, initial_instances=2)
+
+    @pytest.mark.parametrize("slo", [-1.0, float("nan"), float("inf")])
+    def test_bad_slo_ttft_rejected(self, costs, slo):
+        # A NaN budget would otherwise turn the SLO off without a word.
+        with pytest.raises(InvalidValueError, match="slo_ttft"):
+            SimulationConfig(num_gpus=1, slo_ttft=slo)
+        with pytest.raises(InvalidValueError, match="slo_ttft"):
+            MultiModelCluster([ModelDeployment(name="m", costs=costs,
+                                               cold_start_latency=1.0)],
+                              num_gpus=1, slo_ttft=slo)
 
 
 class TestArtifactStoreWiring:

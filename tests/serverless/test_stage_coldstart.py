@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.engine.loadplan import ScheduledStage, Timeline
+from repro.engine.loadplan import ScheduledStage
 from repro.reporting.timeline import (
     export_simulation_trace,
     simulation_trace_events,
@@ -28,6 +28,7 @@ from repro.serverless import (
 )
 from repro.serverless.workload import Request
 from tests.serverless.reference_step import total_steps
+from tests.timelines import chain_timeline
 
 
 def pipelined_profile():
@@ -40,15 +41,14 @@ def pipelined_profile():
     stages = [
         ScheduledStage("fetch_artifact", 0.0, 0.4, lane="disk"),
         ScheduledStage("replay_alloc", 0.4, 0.7, lane="cpu"),
-        ScheduledStage("restore_graph[1]", 0.7, 1.0, lane="gpu_compute",
-                       critical=True),
+        ScheduledStage("restore_graph[1]", 0.7, 1.0, lane="gpu_compute"),
         ScheduledStage("restore_graph[2]", 1.0, 2.0, lane="gpu_compute",
                        background=True),
         ScheduledStage("restore_graph[4]", 2.0, 3.0, lane="gpu_compute",
                        background=True),
     ]
     return ColdStartProfile(loading_time=3.0, ready_time=1.0,
-                            timeline=Timeline(None, stages))
+                            timeline=chain_timeline(*stages))
 
 
 def scalar_timeline_profile(total=3.0, names=("s1", "s2", "s3")):
@@ -58,7 +58,7 @@ def scalar_timeline_profile(total=3.0, names=("s1", "s2", "s3")):
                              lane="gpu_compute")
               for i, name in enumerate(names)]
     return ColdStartProfile(loading_time=total,
-                            timeline=Timeline(None, stages))
+                            timeline=chain_timeline(*stages))
 
 
 def burst(count, spacing=0.05, prompt=128, output=30):
@@ -245,7 +245,7 @@ class TestLadderRungSurfacing:
                            lane="gpu_compute"),
         ]
         profile = ColdStartProfile(loading_time=1.5,
-                                   timeline=Timeline(None, stages),
+                                   timeline=chain_timeline(*stages),
                                    degraded_rung="recapture")
         simulator, metrics = run_single([Request(0, 0.0, 64, 2)],
                                         profile=profile)

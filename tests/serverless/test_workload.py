@@ -13,6 +13,9 @@ from repro.serverless.workload import (
     shape_names,
 )
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestArrivals:
     def test_deterministic_given_seed(self):
@@ -64,6 +67,18 @@ class TestValidation:
             ShareGPTWorkload(rps=0, duration=10)
         with pytest.raises(InvalidValueError):
             ShareGPTWorkload(rps=1, duration=0)
+
+    @pytest.mark.parametrize("rps,duration", [
+        (NAN, 10.0), (INF, 10.0), (1.0, NAN), (1.0, INF), (-INF, 10.0)])
+    def test_rejects_non_finite_rates(self, rps, duration):
+        # Never generate() with these: an infinite or NaN rate or horizon
+        # makes the arrival loop never end.
+        with pytest.raises(InvalidValueError, match="finite"):
+            ShareGPTWorkload(rps=rps, duration=duration)
+        with pytest.raises(InvalidValueError, match="finite"):
+            ShareGPTWorkload(rps=rps, duration=duration, shape="burst")
+        with pytest.raises(InvalidValueError, match="finite"):
+            make_schedule("burst", rps, duration)
 
     def test_rejects_unknown_shape(self):
         with pytest.raises(InvalidValueError):

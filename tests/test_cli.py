@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -104,6 +105,33 @@ class TestCommands:
                      "--strategy", "no-cuda-graph"]) == 0
         output = capsys.readouterr().out
         assert "ttft_p99" in output
+
+
+class TestSimulateBadFlags:
+    """A bad ``simulate`` flag exits 2 before any offline work or cold
+    start; a NaN or infinite rate or duration would otherwise never
+    finish generating arrivals."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate started work before its checks")
+
+        monkeypatch.setattr(cli, "run_offline", refuse)
+        monkeypatch.setattr(cli, "cold_start_for", refuse)
+
+    @pytest.mark.parametrize("flags", [
+        ["--gpus", "0"], ["--rps", "-1"], ["--duration", "0"],
+        ["--rps", "nan"], ["--rps", "inf"], ["--duration", "nan"],
+        ["--duration", "inf"], ["--slo-ttft", "nan"], ["--slo-ttft", "-1"],
+        ["--model", "Nope"]])
+    def test_exits_two_with_an_error(self, flags, capsys):
+        assert main(["simulate", "--model", "Tiny-2L", "--strategy",
+                     "medusa", "--gpus", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestLintCommand:

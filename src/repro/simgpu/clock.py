@@ -37,6 +37,15 @@ class SimClock:
         self.now = check_advance(self.now, seconds)
         return self.now
 
+    def advance_each(self, seconds: float, times: int) -> float:
+        """Advance by ``seconds`` ``times`` times: the same float adds,
+        in the same order, as that many :meth:`advance` calls."""
+        now = check_advance(self.now, seconds) if times > 0 else self.now
+        for _ in range(times - 1):
+            now += seconds
+        self.now = now
+        return now
+
     def advance_to(self, deadline: float) -> float:
         """Advance to an absolute time, never moving backwards."""
         if deadline > self.now:

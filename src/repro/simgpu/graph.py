@@ -7,9 +7,10 @@ via :meth:`repro.simgpu.driver.CudaDriver.resolve_executable` and the live
 allocation table — so a stale pointer or an unloaded module fails exactly the
 way it would on real hardware.
 
-A captured graph holds its node objects.  A restored graph holds the same
-content as columns (:class:`GraphColumns`) and builds the node objects
-only when something reads :attr:`CudaGraph.nodes`.
+A captured or restored graph holds its content as columns
+(:class:`GraphColumns`) and builds the node objects only when something
+reads :attr:`CudaGraph.nodes`.  A graph made from node objects (the
+checkpoint baseline, tests) holds those.
 """
 
 from __future__ import annotations
@@ -94,12 +95,13 @@ class PackedParams:
 
 
 class GraphColumns(NamedTuple):
-    """A restored graph's nodes and edges as arrays.
+    """A captured or restored graph's nodes and edges as arrays.
 
     Node ``i`` launches ``kernel_addresses[i]`` with ``launch_dims``
     ``{"batch_size": batch_dims[i]}`` and owns parameter slots
     ``param_offsets[i]:param_offsets[i+1]`` of ``param_sizes`` /
-    ``param_values``; ``edges`` is the ``(n, 2)`` dependency array.
+    ``param_values``; ``edges`` is the ``(n, 2)`` dependency array (a
+    capture's is sorted and holds each edge once).
     """
 
     kernel_addresses: np.ndarray
@@ -122,13 +124,13 @@ class GraphExecMeta:
 class CudaGraph:
     """A captured (or restored) graph of kernel nodes with dependency edges.
 
-    A graph made by :meth:`from_columns` (a restored one) keeps its content
-    as :class:`GraphColumns`: ``num_nodes``, ``exec_meta`` and instantiation
-    read no node object, so a TIMING-mode restore and replay build none.
-    ``nodes`` and ``edges`` are built on first access and cached — the same
-    list and set on every access — and each node's :class:`PackedParams`
-    views the shared ``param_values`` column, so ``set_param`` writes
-    through.
+    A graph made by :meth:`from_columns` (a captured or restored one)
+    keeps its content as :class:`GraphColumns`: ``num_nodes``,
+    ``exec_meta``, ``columns`` and instantiation read no node object, so
+    a TIMING-mode capture, restore and replay build none.  ``nodes`` and
+    ``edges`` are built on first access and cached — the same list and
+    set on every access — and each node's :class:`PackedParams` views the
+    shared ``param_values`` column, so ``set_param`` writes through.
     """
 
     def __init__(self, nodes: Optional[List[CudaGraphNode]] = None,
@@ -186,9 +188,24 @@ class CudaGraph:
             return int(self._columns.kernel_addresses.shape[0])
         return len(self._nodes)
 
+    @property
+    def columns(self) -> Optional[GraphColumns]:
+        """The columns of a graph made by :meth:`from_columns`; None once
+        ``add_node`` or ``add_edge`` changed it, and for a graph made from
+        node objects."""
+        return self._columns
+
+    def _edit(self) -> None:
+        """Build the node objects and edge set: an edit goes to them, and
+        the columns stop describing the graph."""
+        if self._columns is not None:
+            self.nodes, self.edges
+            self._columns = None
+
     def add_node(self, node: CudaGraphNode) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+        self._edit()
+        self._nodes.append(node)
+        return len(self._nodes) - 1
 
     def add_edge(self, src: int, dst: int) -> None:
         count = self.num_nodes
@@ -196,7 +213,8 @@ class CudaGraph:
             raise InvalidValueError(f"edge ({src}, {dst}) out of node range")
         if src == dst:
             raise InvalidValueError(f"self-edge on node {src}")
-        self.edges.add((src, dst))
+        self._edit()
+        self._edges.add((src, dst))
 
     def topological_order(self) -> List[int]:
         """Kahn's algorithm with node-index tie-breaking (deterministic)."""

@@ -9,7 +9,7 @@ non-determinism Medusa's materialization has to survive (paper §2.5).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,14 @@ from repro.simgpu.kernels import (
 from repro.simgpu.libraries import LibraryCatalog
 from repro.simgpu.driver import CudaDriver
 from repro.simgpu.executor import ExecutionMode
-from repro.simgpu.memory import ALIGNMENT, Buffer, DeviceAllocator, Replayed
-from repro.simgpu.stream import LaunchRecord, Stream
+from repro.simgpu.memory import (
+    ALIGNMENT,
+    Buffer,
+    DeviceAllocator,
+    Replayed,
+    same_free_lists,
+)
+from repro.simgpu.stream import CaptureMark, LaunchRecord, Stream
 from repro.utils.rng import SeedSequence
 
 #: Device heap region (above the library text region, see driver.py).
@@ -34,12 +40,60 @@ _HEAP_REGION_BASE = 0x7F00_0000_0000
 _HEAP_REGION_SPAN = 0x0040_0000_0000
 
 
+#: :attr:`EventBlock.kinds` codes.
+ALLOC_EVENT, FREE_EVENT, LAUNCH_EVENT = 0, 1, 2
+
+
+class EventBlock(NamedTuple):
+    """Stamped forwarding layers' events as columns (what
+    :meth:`CudaProcess.stamp` applies).
+
+    ``kinds`` orders the events as the per-call hooks would have seen
+    them.  Every allocation has ``tag`` and ``pool`` and reuses a pooled
+    block, every free is a pool free, and every launch has
+    ``launch_dims`` and is captured when ``captured``.
+    """
+
+    layers: int
+    kinds: np.ndarray             # per event: ALLOC/FREE/LAUNCH_EVENT
+    alloc_index: np.ndarray       # per allocation
+    address: np.ndarray
+    size: np.ndarray              # aligned bytes
+    payload_ids: np.ndarray       # carried payload: index into payloads, -1
+    payloads: List[object]
+    tag: str
+    pool: str
+    freed_index: np.ndarray       # per free: the allocation freed
+    freed_address: np.ndarray
+    kernels: np.ndarray           # per launch: index into kernel_table
+    kernel_table: List[Tuple[str, str]]     # (kernel name, library)
+    kernel_addresses: np.ndarray  # per launch
+    param_counts: np.ndarray      # per launch
+    param_sizes: np.ndarray       # flat, param_counts[i] per launch
+    param_values: np.ndarray
+    launch_dims: Mapping[str, int]
+    captured: bool
+
+
+class LayerMark(NamedTuple):
+    """A process's state after one forwarding layer
+    (:meth:`CudaProcess.mark_layer`)."""
+
+    carry: int                    # address of the buffer the layer returns
+    free_lists: Dict[Tuple[str, int], list]
+    magic: Dict[str, Tuple[int, int]]
+    launch_ready: Dict[str, Tuple[str, int]]
+    capture: Optional[CaptureMark]
+
+
 class Interceptor:
     """Base class for Medusa's offline hooks (allocation + launch trace).
 
     ``adds_overhead`` controls whether the process charges the per-event
     interception cost while this hook is attached; Medusa's offline tracer
-    pays it, a passive profiler does not.
+    pays it, a passive profiler does not.  A hook that overrides
+    ``on_block`` takes stamped layers as one :class:`EventBlock`; while
+    one that does not is attached, every layer runs call by call.
     """
 
     adds_overhead = True
@@ -55,6 +109,13 @@ class Interceptor:
 
     def on_empty_cache(self) -> None:  # pragma: no cover - interface
         pass
+
+    def on_block(self, block: EventBlock) -> None:  # pragma: no cover
+        pass
+
+
+def _takes_blocks(interceptor: Interceptor) -> bool:
+    return type(interceptor).on_block is not Interceptor.on_block
 
 
 def _hooks_allocations(interceptor: Interceptor) -> bool:
@@ -261,12 +322,61 @@ class CudaProcess:
 
     def launch(self, spec: KernelSpec, params: Sequence[KernelParam],
                launch_dims: Optional[Dict[str, int]] = None,
-               preset_magic: bool = False) -> None:
-        self.default_stream.launch_kernel(spec, params, launch_dims,
-                                          preset_magic=preset_magic)
+               preset_magic: bool = False) -> Sequence[KernelParam]:
+        """Launch on the default stream; returns the launched parameters
+        (:meth:`Stream.launch_kernel`)."""
+        return self.default_stream.launch_kernel(
+            spec, params, launch_dims, preset_magic=preset_magic)
 
     def synchronize(self) -> None:
         self.default_stream.synchronize()
+
+    # -- stamped forwarding layers (see repro.models.model) ------------------
+
+    def stamps_layers(self) -> bool:
+        """Whether a forwarding's layers may be stamped: no kernel
+        executes (the stream captures, or the mode only times) and every
+        attached hook takes :class:`EventBlock` rows."""
+        return ((self.default_stream.is_capturing
+                 or self.mode is not ExecutionMode.COMPUTE)
+                and all(_takes_blocks(i) for i in self._interceptors))
+
+    def mark_layer(self, carry: Buffer) -> LayerMark:
+        """What :meth:`layers_repeat` compares: the state a layer leaves."""
+        capture = self.default_stream._capture
+        return LayerMark(carry.address, self.allocator.free_list_copy(),
+                         dict(self._magic), dict(self.driver.launch_ready),
+                         None if capture is None else capture.mark())
+
+    def layers_repeat(self, first: LayerMark, third: LayerMark) -> bool:
+        """Whether the two layers after ``first`` brought the process back
+        to it: the same carried address, magic workspaces, ready kernels
+        and free lists, and a capture that repeats node-shifted.  Layers
+        that start from such a state run as the two did, in turn."""
+        if (first.carry != third.carry or first.magic != third.magic
+                or first.launch_ready != third.launch_ready
+                or not same_free_lists(first.free_lists, third.free_lists)):
+            return False
+        capture = self.default_stream._capture
+        return capture is None or capture.repeats(first.capture,
+                                                  third.capture)
+
+    def stamp(self, block: EventBlock, marks: Sequence[LayerMark]) -> None:
+        """Apply ``block``, the layers after the last of three ``marks``
+        (:meth:`layers_repeat` held for the first and third), as the
+        per-call malloc, launch and pool_free calls would: the allocator,
+        the capture, every hook and the clock's per-event interception
+        charge end as they would."""
+        self.allocator.stamp(block, marks[1 if block.layers % 2 else 2]
+                             .free_lists)
+        capture = self.default_stream._capture
+        if capture is not None:
+            capture.stamp(block, [mark.capture for mark in marks])
+        for interceptor in self._interceptors:
+            interceptor.on_block(block)
+        if self._charges_interception:
+            self.clock.advance_each(self.cost_model.interception_per_event,
+                                    len(block.kinds))
 
     # -- payload snapshots (validation support, §4) --------------------------------
 

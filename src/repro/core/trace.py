@@ -140,6 +140,10 @@ class Trace:
         self.empty_cache_seq: List[int] = []
         #: Rows the views have built: a capture and its analysis build none.
         self.rows_built = 0
+        #: Allocations and launches recorded from stamped layer blocks
+        #: (the rest came one hook call each).
+        self.stamped_allocations = 0
+        self.stamped_launches = 0
         self._cache: Dict[type, tuple] = {}
         for event in events:
             self.record(event)

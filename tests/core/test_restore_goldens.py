@@ -251,8 +251,9 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
     # (55,512), the per-query analysis answered all 27,581 pointer
-    # parameters, and lint's scalar liveness walk visited every one of
-    # the 36,868 replay rows.
+    # parameters, lint's scalar liveness walk visited every one of the
+    # 36,868 replay rows, and the capture made all 18,583 allocations and
+    # 18,497 launches one hook call each.
     assert report.timeline.plan == "medusa-chunked"
     assert allocator.num_allocations == 18583
     assert len(allocator.live_buffers) == allocator.buffers_built
@@ -271,6 +272,12 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
         },
         "Qwen1.5-0.5B lint": {
             "LivenessResult.rows_visited": liveness.rows_visited,
+        },
+        "Qwen1.5-0.5B capture": {
+            "per-call allocations": (len(trace.alloc_lists.seq)
+                                     - trace.stamped_allocations),
+            "per-call launches": (len(trace.launch_lists.seq)
+                                  - trace.stamped_launches),
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

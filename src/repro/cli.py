@@ -29,13 +29,16 @@ serves correct outputs exits 3 — distinguishable from both a clean pass
 and a hard failure.  ``simulate`` exits 2 on a bad flag value (an
 unknown ``--model``, an ``--rps`` or ``--duration`` that is not positive
 and finite, ``--gpus`` below 1, a negative or non-finite
-``--slo-ttft``) before any offline work or cold start.
+``--slo-ttft``, a ``--trace`` path in no existing directory) before any
+offline work or cold start; so does ``offline`` on an unknown
+``--model`` or an ``--output`` path in no existing directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import List, Optional
 
@@ -268,7 +271,24 @@ def _cmd_save_tensor(args) -> int:
     return 0
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work, a path that cannot be written: its
+    directory must exist and the path must not be one."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise InvalidValueError(
+            f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise InvalidValueError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_offline(args) -> int:
+    try:        # bad flags end here, before any offline work
+        get_model_config(args.model)
+        _check_output_path(args.output)
+    except InvalidValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     artifact, report = run_offline(args.model, seed=args.seed)
     if str(args.output).endswith(".npz"):
         size = save_binary(artifact, args.output)
@@ -423,6 +443,8 @@ def _cmd_simulate(args) -> int:
                                     seed=args.seed, shape=args.shape)
         SimulationConfig(num_gpus=args.gpus, slo_ttft=args.slo_ttft)
         costs = ServingCostModel(args.model)
+        if args.trace:
+            _check_output_path(args.trace)
     except InvalidValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -124,10 +124,38 @@ class TestSimulateBadFlags:
         ["--gpus", "0"], ["--rps", "-1"], ["--duration", "0"],
         ["--rps", "nan"], ["--rps", "inf"], ["--duration", "nan"],
         ["--duration", "inf"], ["--slo-ttft", "nan"], ["--slo-ttft", "-1"],
-        ["--model", "Nope"]])
+        ["--model", "Nope"], ["--trace", "/nonexistent/x.json"]])
     def test_exits_two_with_an_error(self, flags, capsys):
         assert main(["simulate", "--model", "Tiny-2L", "--strategy",
                      "medusa", "--gpus", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_a_trace_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--model", "Tiny-2L", "--strategy",
+                     "medusa", "--trace", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestOfflineBadFlags:
+    """A bad ``offline`` flag exits 2 before any offline work."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("offline started work before its checks")
+
+        monkeypatch.setattr(cli, "run_offline", refuse)
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "Nope", "--output", "x.json"],
+        ["--model", "Tiny-2L", "--output", "/nonexistent/x.npz"],
+        ["--model", "Tiny-2L", "--output", "/nonexistent/x.json"],
+        ["--model", "Tiny-2L", "--output", "."]])
+    def test_exits_two_with_an_error(self, flags, capsys):
+        assert main(["offline", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err

@@ -90,31 +90,42 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _match_stacks(group: np.ndarray, push: np.ndarray) -> np.ndarray:
+def _match_stacks(segment: np.ndarray, classes: int, op_class: np.ndarray,
+                  push: np.ndarray) -> np.ndarray:
     """LIFO matching: for each pop, the push whose entry it takes (-1 for
-    a pop from an empty stack).  ``group`` names each op's stack and
-    ``push`` tells pushes from pops; the ops are in time order."""
+    a pop from an empty stack).  Op ``i`` works on stack ``segment[i] *
+    classes + op_class[i]``; ``push`` tells pushes from pops; the ops are
+    in time order."""
+    group = segment * classes
+    group += op_class
     ops = group.size
     order = _stable_order(group)
     group = group[order]
     push = push[order]
-    step = np.where(push, 1, -1)
+    step = np.where(push, np.int8(1), np.int8(-1))
     first = np.ones(ops, dtype=bool)
     first[1:] = group[1:] != group[:-1]
+    del group
     run = np.cumsum(first) - 1
     total = np.cumsum(step)
     within = total - (total - step)[first][run]
+    del total, step
     # Depth after each op: the running sum, clamped at zero per stack.
     spread = 2 * ops + 2
-    floor = np.minimum.accumulate(within - run * spread) + run * spread
+    floor = run * spread
+    floor = np.minimum.accumulate(within - floor) + floor
     depth = within - np.minimum(floor, 0)
+    del within, floor
     depth_before = np.empty_like(depth)
     depth_before[1:] = depth[:-1]
     depth_before[first] = 0
+    del first
     paired = np.flatnonzero(push | (depth_before > 0))
     level = np.where(push, depth, depth_before)[paired]
+    del depth, depth_before
     by_level = paired[_stable_order(
         run[paired] * (int(level.max(initial=0)) + 1) + level)]
+    del paired, level, run
     pops = np.flatnonzero(~push[by_level])
     match = np.full(ops, -1, dtype=np.int64)
     match[order[by_level[pops]]] = order[by_level[pops - 1]]
@@ -156,6 +167,9 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     allocation count), ``cursor``, ``in_use``, ``index_address`` (address
     by allocation index), and its ``live`` and ``free_lists`` dicts,
     which are only read.
+
+    Each table-length temporary is deleted once dead: the working set,
+    not the arithmetic, bounds the memory a large solve takes.
     """
     kind = columns.kind[start:stop]
     named = np.asarray(columns.alloc_index[start:stop], dtype=np.int64)
@@ -177,6 +191,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
                                                        free_rows))
     is_old = (target >= 0) & (target < next_index)
     known = is_fresh | is_old
+    del is_free
 
     # Older addresses the range can touch: those its frees name, and
     # those on the free lists (the seeds, bottom of each list first).
@@ -187,8 +202,9 @@ def solve(columns, start: int, stop: int, *, alignment: int,
         seed_key.extend([key] * len(entries))
     seeds = len(seed_entries)
     seed_address = np.array([e[0] for e in seed_entries], dtype=np.int64)
-    old_address = index_address[target[is_old]]
-    roots_old = np.unique(np.concatenate([old_address, seed_address]))
+    roots_old = np.unique(np.concatenate([index_address[target[is_old]],
+                                          seed_address]))
+    del is_old
     old_count = roots_old.size
     owners = [live.get(address) for address in roots_old.tolist()]
     key_of = dict(zip(seed_address.tolist(), seed_key))
@@ -209,6 +225,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     class_keys, inverse = np.unique(np.concatenate(
         [new_pool * span + aligned, old_pool * span + old_size]),
         return_inverse=True)
+    del new_pool
     inverse = inverse.reshape(-1)
     classes = class_keys.size
     alloc_class = inverse[:count]
@@ -222,30 +239,34 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     is_op = is_alloc.copy()
     is_op[free_rows[known]] = True
     op_rows = np.flatnonzero(is_op)
+    del is_op
     ops = seeds + op_rows.size
     alloc_op = seeds + np.flatnonzero(is_alloc[op_rows])
     free_op = seeds + np.flatnonzero(~is_alloc[op_rows])
+    del is_alloc
     fresh_free = is_fresh[known]
     fresh_op = free_op[fresh_free]
     fresh_target = fresh[known][fresh_free]
     old_op = free_op[~fresh_free]
     old_root = np.searchsorted(roots_old, index_address[
         target[known][~fresh_free]])
+    del fresh_free, fresh, is_fresh
     seed_root = np.searchsorted(roots_old, seed_address)
-    segment = np.cumsum(is_cache)
-    last_segment = int(segment[-1]) if n else 0
     op_segment = np.zeros(ops, dtype=np.int64)
-    op_segment[seeds:] = segment[op_rows]
+    op_segment[seeds:] = np.cumsum(is_cache)[op_rows]
+    last_segment = int(np.count_nonzero(is_cache))
     op_class = np.empty(ops, dtype=np.int64)
     op_class[:seeds] = old_class[seed_root]
     op_class[alloc_op] = alloc_class
     op_class[fresh_op] = alloc_class[fresh_target]
     op_class[old_op] = old_class[old_root]
+    del inverse, alloc_class, old_class
     op_push = np.ones(ops, dtype=bool)
     op_push[alloc_op] = False
     op_pooled = np.empty(ops, dtype=bool)
     op_pooled[:seeds] = [bool(entry[1]) for entry in seed_entries]
     op_pooled[seeds:] = pooled[op_rows]
+    del pooled
     op_size = np.zeros(ops, dtype=np.int64)      # a push's block size
     op_size[:seeds] = old_size[seed_root]
     op_size[fresh_op] = aligned[fresh_target]
@@ -253,10 +274,12 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     op_root = np.full(ops, -1, dtype=np.int64)   # a push's block root
     op_root[:seeds] = seed_root
     op_root[old_op] = old_root
-    match = _match_stacks(op_segment * classes + op_class, op_push)
+    del old_op, old_root
+    match = _match_stacks(op_segment, classes, op_class, op_push)
     taken = np.zeros(ops, dtype=bool)
     taken[match[match >= 0]] = True
     pushed = match[alloc_op]                     # -1 for bumps
+    del match
     is_bump = pushed < 0
     entry_pooled = ~is_bump & op_pooled[pushed]
 
@@ -272,17 +295,21 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     op_parent[fresh_op] = fresh_target
     reuses = np.flatnonzero(~is_bump)
     links = op_parent[pushed[reuses]]
+    del op_parent
     chained = links >= 0
     parent[reuses[chained]] = links[chained]
     root[reuses[~chained]] = op_root[pushed[reuses[~chained]]]
+    del reuses, links, chained
     while True:
         jumped = parent[parent]
         if np.array_equal(jumped, parent):
             break
         parent = jumped
     root = root[parent]
+    del parent, jumped
     addresses = root_address[root]
     op_root[fresh_op] = root[fresh_target]
+    del fresh_op, fresh_target
 
     # -- bytes in use; OOM, drift and unknown indices --------------------
     added = np.where(entry_pooled, 0, aligned)   # per allocation
@@ -297,9 +324,14 @@ def solve(columns, start: int, stop: int, *, alignment: int,
         per_segment = np.zeros(last_segment, dtype=np.int64)
         np.add.at(per_segment, op_segment[released], op_size[released])
         delta[is_cache] = -per_segment
+    del op_size, is_cache
     in_use_end = in_use + int(delta.sum())
-    before = (in_use + np.cumsum(delta) - delta)[alloc_rows]
+    before = np.cumsum(delta)
+    before -= delta
     del delta
+    before = in_use + before[alloc_rows]
+    peak = int((before + added).max(initial=0))
+    del added
 
     failures = []                        # (row, error, rows kept)
     oom = np.flatnonzero(before + aligned > capacity)
@@ -309,6 +341,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
         failures.append((row, OutOfMemoryError(
             f"device OOM: in use {int(before[k])} + request "
             f"{int(aligned[k])} > capacity {capacity}"), row))
+    del before
     drift = np.flatnonzero(named[alloc_rows]
                            != next_index + np.arange(count))
     if drift.size:
@@ -326,15 +359,19 @@ def solve(columns, start: int, stop: int, *, alignment: int,
             f"indirect index {int(target[k])} points outside the "
             f"replayed allocation sequence"), row))
 
+    del alloc_rows, free_rows, target, known
+
     # -- one sort of every event by (root address, time) -----------------
     pushes = np.flatnonzero(op_push)
     ev_root, ev_type, ev_ref = _address_events(
         np.flatnonzero([owner is not None for owner in owners]), alloc_op,
         root, pushes, op_root[pushes])
+    del pushes, alloc_op, root
     events = ev_root.size
     owns = ev_type != _PUSH
     same_root = np.zeros(events + 2, dtype=bool)   # as the event before
     same_root[1:events] = ev_root[1:] == ev_root[:-1]
+    del ev_root
     # A free must follow a live owner of its block (a seed always does).
     frees = np.flatnonzero((ev_type == _PUSH) & (ev_ref >= seeds))
     bad = frees[~(owns[frees - 1] & same_root[frees])]
@@ -363,6 +400,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     flushed = np.append(op_segment, last_segment)[after] < last_segment
     alive = ~freed | (after_pooled & ~reused & ~flushed)
     poison = freed & (~after_pooled | (~reused & flushed))
+    del owns, same_root, freed, reused, after, after_pooled, flushed
 
     # Carried payloads: a block reused through a pooled entry hands the
     # previous owner's payload to the next one; any other start has none.
@@ -393,6 +431,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     inherits[is_new] = ~from_seed[new_refs] & entry_pooled[new_refs]
     source = source[np.maximum.accumulate(
         np.where(inherits, 0, np.arange(holders.size)))]
+    del inherits, origin, from_seed, pushed, is_bump, entry_pooled
 
     sources = np.empty(count, dtype=np.int64)
     sources[new_refs] = source[is_new]
@@ -403,6 +442,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     dead = is_owner & ~alive
     dead_owners = roots_old[refs[dead]].tolist()
     poisoned_owners = roots_old[refs[dead & poison]].tolist()
+    del dead, refs, is_owner, is_new, new_refs, alive, poison, ev_type
 
     # -- the free lists left at the end ----------------------------------
     # Keys in the order free/pool_free first created them (setdefault),
@@ -420,6 +460,7 @@ def solve(columns, start: int, stop: int, *, alignment: int,
     # the event just before the free in the per-address order.
     op_source = np.full(ops, -1, dtype=np.int64)
     op_source[ev_ref[frees]] = source[np.searchsorted(holders, frees - 1)]
+    del ev_ref, frees, source, holders
     left = op_push & ~taken & (op_segment == last_segment)
     for op in np.flatnonzero(left).tolist():
         if op < seeds:
@@ -436,4 +477,4 @@ def solve(columns, start: int, stop: int, *, alignment: int,
         payloads=payloads, dead_owners=dead_owners,
         poisoned_owners=poisoned_owners, free_lists=lists,
         cursor=int(cursor + bump_sizes.sum()), in_use=in_use_end,
-        peak=int((before + added).max(initial=0)))
+        peak=peak)

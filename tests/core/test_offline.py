@@ -99,6 +99,33 @@ class TestLayerEntryPoints:
         assert classify.call_count >= 1
 
 
+class TestNodeKernelCheck:
+    """The analysis reads each captured node's kernel from the graph's
+    address column and checks it against its launch."""
+
+    def test_a_node_whose_kernel_is_not_its_launch_is_refused(self):
+        from repro.errors import MaterializationError
+        phase = OfflinePhase("Tiny-2L", lint=False)
+        engine, trace, _ = phase._capturing_stage()
+        graph = engine.capture_artifacts.graphs[2]
+        addresses = graph.columns.kernel_addresses
+        driver = engine.process.driver
+        first, third = (driver.cu_func_get_name(int(addresses[i]))
+                        for i in (1, 3))
+        addresses[3] = addresses[1]
+        with pytest.raises(MaterializationError,
+                           match=f"node/launch mismatch: {first} vs "
+                                 f"{third}"):
+            phase._analysis_stage(engine, trace)
+
+    def test_captured_graphs_analyse_from_columns(self):
+        phase = OfflinePhase("Tiny-2L", lint=False)
+        engine, trace, _ = phase._capturing_stage()
+        phase._analysis_stage(engine, trace)
+        graphs = engine.capture_artifacts.graphs.values()
+        assert sum(graph.nodes_built for graph in graphs) == 0
+
+
 class TestDeterminism:
     def test_two_offline_runs_produce_equivalent_artifacts(self):
         from repro.simgpu.process import ExecutionMode

@@ -77,9 +77,9 @@ def main() -> None:
     engine, cold_report = medusa_cold_start(
         MODEL, artifact, seed=2, mode=ExecutionMode.COMPUTE,
         cost_model=cost_model)
-    restored = engine.capture_artifacts.graphs[1]
-    restored_node = restored.nodes[node_index]
-    print(f"   restored kernel address: 0x{restored_node.kernel_address:x} "
+    restored = engine.capture_artifacts.graphs[1].columns
+    address = int(restored.kernel_addresses[node_index])
+    print(f"   restored kernel address: 0x{address:x} "
           f"(process-local; different every launch)")
 
     print("\n== Validation: replay vs eager forwarding, bit for bit")

@@ -59,11 +59,14 @@ def lint_artifact(artifact: LazyArtifact, catalog=None) -> LintReport:
     report.extend(check_pointers(artifact, liveness))
     report.passes.append("pointers")
 
-    report.extend(check_topology(artifact))
+    config = _zoo_config(artifact.model_name)
+    report.extend(check_topology(
+        artifact,
+        max(config.capture_batch_sizes) if config is not None else None))
     report.passes.append("topology")
 
     if catalog is None:
-        catalog = _zoo_catalog(artifact, report)
+        catalog = _zoo_catalog(config, artifact, report)
     if catalog is not None:
         report.extend(check_kernels(artifact, catalog))
         report.passes.append("kernels")
@@ -81,12 +84,18 @@ def lint_artifact(artifact: LazyArtifact, catalog=None) -> LintReport:
     return report
 
 
-def _zoo_catalog(artifact: LazyArtifact, report: LintReport):
-    from repro.models.kernels_catalog import build_catalog
+def _zoo_config(model_name: str):
+    """The zoo's config of ``model_name``; None for a model outside it."""
     from repro.models.zoo import get_model_config
     try:
-        config = get_model_config(artifact.model_name)
+        return get_model_config(model_name)
     except InvalidValueError:
+        return None
+
+
+def _zoo_catalog(config, artifact: LazyArtifact, report: LintReport):
+    from repro.models.kernels_catalog import build_catalog
+    if config is None:
         report.diagnostics.append(Diagnostic(
             "MED034",
             f"model {artifact.model_name!r} is not in the zoo and no "

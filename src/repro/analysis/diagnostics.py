@@ -50,6 +50,8 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
     CodeInfo("MED023", "first-layer node count out of bounds", "§5.2", ERROR),
     CodeInfo("MED024", "first-layer prefix differs across batches",
              "§5.2", ERROR),
+    CodeInfo("MED025", "batch size above the model's or not its nodes'",
+             "§5", ERROR),
     # -- kernel resolvability (§5) --------------------------------------
     CodeInfo("MED030", "unresolvable kernel name", "§5", ERROR),
     CodeInfo("MED031", "hidden kernel module has no trigger coverage",

@@ -8,6 +8,10 @@ graph is structurally sound:
 - the edges form a DAG — instantiation order exists (MED021);
 - the ``graphs`` mapping key equals the graph's own ``batch_size`` (MED022,
   checked by the JSON importer: only the object form can break it);
+- no batch size exceeds the model's largest capture batch size, and every
+  node launches at its graph's batch size (MED025) — a restore and its
+  validation size buffers and inputs by them (the loader refuses a batch
+  size below 1);
 - the first-layer node count used for triggering (§5.2) is within bounds
   (MED023) and selects the *same* kernel-name prefix in every batch size's
   graph (MED024) — online warm-up launches ``nodes[:first_layer_nodes]`` of
@@ -17,7 +21,7 @@ graph is structurally sound:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -25,13 +29,36 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.core.binfmt import GraphTable, LazyArtifact
 
 
-def check_topology(artifact: LazyArtifact) -> List[Diagnostic]:
-    """Edge validity, DAG-ness, and first-layer consistency checks (§5)."""
+def check_topology(artifact: LazyArtifact,
+                   max_batch: Optional[int] = None) -> List[Diagnostic]:
+    """Edge validity, DAG-ness, batch sizes and first-layer consistency
+    checks (§5).  ``max_batch`` is the model's largest capture batch size;
+    None (a model outside the zoo) leaves batch sizes unbounded."""
     diagnostics: List[Diagnostic] = []
     for batch_size in artifact.batches:
-        diagnostics.extend(_check_edges(artifact.graph_table(batch_size),
-                                        f"graphs[{batch_size}]"))
+        table = artifact.graph_table(batch_size)
+        where = f"graphs[{batch_size}]"
+        diagnostics.extend(_check_edges(table, where))
+        diagnostics.extend(_check_batch(table, batch_size, max_batch, where))
     diagnostics.extend(_check_first_layer(artifact))
+    return diagnostics
+
+
+def _check_batch(table: GraphTable, batch_size: int,
+                 max_batch: Optional[int], where: str) -> List[Diagnostic]:
+    diagnostics: List[Diagnostic] = []
+    if max_batch is not None and batch_size > max_batch:
+        diagnostics.append(Diagnostic(
+            "MED025", f"batch size {batch_size} is outside the model's "
+            f"capture batch sizes 1..{max_batch}", where))
+    wrong = np.flatnonzero(table.batch_dims != batch_size)
+    if wrong.size:
+        node = int(wrong[0])
+        diagnostics.append(Diagnostic(
+            "MED025",
+            f"{wrong.size} node(s) launch at another batch dim than the "
+            f"graph's {batch_size}; the first at "
+            f"{int(table.batch_dims[node])}", f"{where}.nodes[{node}]"))
     return diagnostics
 
 

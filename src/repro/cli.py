@@ -31,7 +31,8 @@ unknown ``--model``, an ``--rps`` or ``--duration`` that is not positive
 and finite, ``--gpus`` below 1, a negative or non-finite
 ``--slo-ttft``, a ``--trace`` path in no existing directory) before any
 offline work or cold start; so does ``offline`` on an unknown
-``--model`` or an ``--output`` path in no existing directory.
+``--model`` or an ``--output`` path in no existing directory, and every
+command on a negative ``--seed``.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ def _strategy(name: str) -> Strategy:
     return strategy
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer (inputs and processes
+    are seeded from it and from ``seed + 1``)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _load_artifact(path: str):
     """Open an artifact path as a :class:`repro.core.binfmt.LazyArtifact`:
     ``.npz`` lazily, anything else as JSON (imported whole).
@@ -106,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     cold.add_argument("--strategy", type=_strategy, default=Strategy.VLLM)
     cold.add_argument("--artifact", help="Medusa artifact path "
                                          "(required for --strategy medusa)")
-    cold.add_argument("--seed", type=int, default=0)
+    cold.add_argument("--seed", type=_seed, default=0)
 
     save_tensor = sub.add_parser(
         "save-tensor", help="write a model's weights to disk "
@@ -119,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     offline.add_argument("--model", required=True)
     offline.add_argument("--output", required=True,
                          help="artifact JSON output path")
-    offline.add_argument("--seed", type=int, default=0)
+    offline.add_argument("--seed", type=_seed, default=0)
 
     lint = sub.add_parser(
         "lint", help="statically verify an artifact (no execution)")
@@ -146,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="engine model (default: the artifact's)")
     validate.add_argument("--json", action="store_true",
                           help="emit the result as JSON")
-    validate.add_argument("--seed", type=int, default=0)
+    validate.add_argument("--seed", type=_seed, default=0)
     validate.add_argument("--degraded-ok", action="store_true",
                           help="tolerate restore faults via the degradation "
                                "ladder; exit 3 when the engine serves on a "
@@ -158,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     restore.add_argument("--validate", action="store_true",
                          help="also run cross-process output validation "
                               "(COMPUTE mode; tiny models only in practice)")
-    restore.add_argument("--seed", type=int, default=0)
+    restore.add_argument("--seed", type=_seed, default=0)
 
     simulate = sub.add_parser("simulate", help="serverless trace simulation")
     simulate.add_argument("--model", required=True)
@@ -166,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--rps", type=float, default=2.0)
     simulate.add_argument("--duration", type=float, default=300.0)
     simulate.add_argument("--gpus", type=int, default=4)
-    simulate.add_argument("--seed", type=int, default=42)
+    simulate.add_argument("--seed", type=_seed, default=42)
     simulate.add_argument(
         "--placement", choices=policy_names(), default="locality",
         help="artifact placement across nodes: 'flat' reproduces the "

@@ -128,6 +128,14 @@ def check_index_key(key: str, where: str) -> int:
                             f"expected an integer") from None
 
 
+def check_batch_size(batch: int, where: str) -> int:
+    """A graph's batch size, which must be positive."""
+    if batch < 1:
+        raise ArtifactError(f"artifact field {where} must be a positive "
+                            f"batch size, not {batch}")
+    return batch
+
+
 def check_shared(payload: dict) -> None:
     """The checks both artifact layouts share (:data:`SHARED_FIELDS`)."""
     for position, entry in enumerate(payload["structure_prefix"]):
@@ -172,7 +180,7 @@ def _check_payload(payload: dict) -> None:
     node_keys = tuple(_NODE_FIELDS)
     for batch, graph in payload["graphs"].items():
         where = f"graphs[{batch!r}]"
-        check_index_key(batch, "graphs")
+        check_batch_size(check_index_key(batch, "graphs"), where)
         check_record(graph, _GRAPH_FIELDS, where, tuple(_GRAPH_FIELDS))
         for position, edge in enumerate(graph["edges"]):
             check_tuple(edge, (int, int), f"{where}.edges[{position}]")

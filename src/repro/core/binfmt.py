@@ -38,6 +38,7 @@ from repro.core.artifact import (
     SHARED_FIELDS,
     TriggerPlan,
     _check_payload,
+    check_batch_size,
     check_fields,
     check_index_key,
     check_shared,
@@ -732,9 +733,11 @@ def _check_meta(meta: dict) -> None:
     check_fields(meta, _META_FIELDS)
     check_shared(meta)
     for position, batch in enumerate(meta["batches"]):
-        check_type(batch, int, f"batches[{position}]")
+        where = f"batches[{position}]"
+        check_batch_size(check_type(batch, int, where), where)
     for batch, row in meta["graph_meta"].items():
-        check_index_key(batch, "graph_meta")
+        check_batch_size(check_index_key(batch, "graph_meta"),
+                         f"graph_meta[{batch!r}]")
         check_tuple(row, (int,) * len(row), f"graph_meta[{batch!r}]")
         if len(row) < 2:
             raise ArtifactError(f"artifact field graph_meta[{batch!r}] "

@@ -21,7 +21,7 @@ address layout, while Medusa's artifact is megabytes and address-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,8 +32,7 @@ from repro.engine.engine import LLMEngine
 from repro.engine.kvcache import BlockManager, KVCacheRegion
 from repro.engine.strategies import Strategy
 from repro.errors import RestorationError
-from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
-from repro.simgpu.kernels import KernelParam
+from repro.simgpu.graph import CudaGraph, GraphColumns, GraphExecMeta
 from repro.simgpu.process import ExecutionMode
 
 #: Driver/page-table reattachment cost on restore.
@@ -51,11 +50,8 @@ class BufferSnapshot:
 
 @dataclass
 class GraphSnapshot:
-    batch_size: int
-    nodes: List[Tuple[int, List[Tuple[int, int]], Dict[str, int]]]
-    edges: List[Tuple[int, int]]
-    param_bytes: int
-    num_tokens: int
+    columns: GraphColumns
+    exec_meta: GraphExecMeta
 
 
 @dataclass
@@ -91,6 +87,12 @@ class InstanceCheckpoint:
         return self.device_bytes + _HOST_IMAGE_BYTES
 
 
+def _copy_columns(columns: GraphColumns) -> GraphColumns:
+    """A graph's columns as arrays of their own: a snapshot outlives the
+    engine it was taken from and may be restored more than once."""
+    return GraphColumns(*(column.copy() for column in columns))
+
+
 def checkpoint_engine(engine: LLMEngine) -> InstanceCheckpoint:
     """Snapshot a cold-started engine's full instance state."""
     if engine.kv_region is None or engine.capture_artifacts is None:
@@ -124,16 +126,10 @@ def checkpoint_engine(engine: LLMEngine) -> InstanceCheckpoint:
             pool=buffer.pool,
             payload=None if buffer.payload is None
             else buffer.payload.tolist()))
-    for batch_size, graph in engine.capture_artifacts.graphs.items():
+    for graph in engine.capture_artifacts.graphs.values():
         checkpoint.graphs.append(GraphSnapshot(
-            batch_size=batch_size,
-            nodes=[(node.kernel_address,
-                    [(p.size, p.value) for p in node.params],
-                    dict(node.launch_dims)) for node in graph.nodes],
-            edges=sorted(graph.edges),
-            param_bytes=graph.exec_meta.param_bytes,
-            num_tokens=graph.exec_meta.num_tokens,
-        ))
+            columns=_copy_columns(graph.columns),
+            exec_meta=replace(graph.exec_meta)))
     return checkpoint
 
 
@@ -200,18 +196,11 @@ def restore_engine(checkpoint: InstanceCheckpoint,
         graph_output=by_address[checkpoint.graph_output_address],
         capture_marker=checkpoint.capture_marker)
     for snapshot in checkpoint.graphs:
-        graph = CudaGraph(
-            nodes=[CudaGraphNode(
-                kernel_address=address,
-                params=[KernelParam(size, value) for size, value in params],
-                launch_dims=dims)
-                for address, params, dims in snapshot.nodes],
-            edges=set(map(tuple, snapshot.edges)),
-            exec_meta=GraphExecMeta(param_bytes=snapshot.param_bytes,
-                                    num_tokens=snapshot.num_tokens,
-                                    batch_size=snapshot.batch_size))
-        artifacts.graphs[snapshot.batch_size] = graph
-        artifacts.execs[snapshot.batch_size] = graph.instantiate(process)
+        graph = CudaGraph(_copy_columns(snapshot.columns),
+                          replace(snapshot.exec_meta))
+        batch_size = graph.exec_meta.batch_size
+        artifacts.graphs[batch_size] = graph
+        artifacts.execs[batch_size] = graph.instantiate(process)
     engine.capture_artifacts = artifacts
 
     # The baseline's cost: stream the whole snapshot back + fix up driver.

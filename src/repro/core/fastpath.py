@@ -22,11 +22,9 @@ and the JSON importer returns), so every input kind runs the same code:
   cuModuleEnumerateFunctions) and substitutes pointers in one gather per
   graph: the flat ``param_values`` column is copied once and its pointer
   slots become ``fresh base + byte offset``, with the bounds checks as
-  vector comparisons.  A restored graph stays columns
-  (:meth:`repro.simgpu.graph.CudaGraph.from_columns`): its node objects,
-  whose parameters view the gathered array
-  (:class:`~repro.simgpu.graph.PackedParams`), are built only on first
-  read.
+  vector comparisons.  A restored graph is those columns
+  (:class:`repro.simgpu.graph.GraphColumns`) around the gathered array;
+  no per-node object is built.
 
 The restorer binds the actions of all three Medusa plans; which one runs is
 picked by :func:`repro.core.online.prepare_medusa_cold_start`:
@@ -88,13 +86,8 @@ from repro.faults.ladder import (
     LadderStep,
     Rung,
 )
-from repro.simgpu.graph import (
-    CudaGraph,
-    GraphColumns,
-    GraphExecMeta,
-    PackedParams,
-)
-from repro.simgpu.kernels import PAYLOAD_DIM
+from repro.simgpu.graph import CudaGraph, GraphColumns, GraphExecMeta
+from repro.simgpu.kernels import PAYLOAD_DIM, KernelParam
 from repro.simgpu.memory import Buffer, Replayed
 from repro.simgpu.process import ExecutionMode
 
@@ -115,7 +108,7 @@ def resolve_kernel_addresses(engine, first_layer_graph: CudaGraph,
     """Resolve materialized kernel names to this process's addresses (§5).
 
     Fills ``table`` in place from three sources, in order: the captured
-    first-layer graph nodes (they carry fresh addresses), ``dlsym`` ->
+    first-layer graph's kernel addresses (fresh ones), ``dlsym`` ->
     ``cudaGetFuncBySymbol`` for visible kernels, and
     ``cuModuleEnumerateFunctions`` over already-loaded modules for the
     hidden remainder (their modules were loaded by the triggering kernels).
@@ -125,9 +118,8 @@ def resolve_kernel_addresses(engine, first_layer_graph: CudaGraph,
     """
     driver = engine.process.driver
     cm = engine.cost_model
-    for node in first_layer_graph.nodes:
-        table[driver.cu_func_get_name(node.kernel_address)] = \
-            node.kernel_address
+    for address in first_layer_graph.columns.kernel_addresses.tolist():
+        table[driver.cu_func_get_name(address)] = address
     needed = sorted(set(needed_names) - set(table))
     enumerated: Dict[Tuple[str, str], Dict[str, int]] = {}
     unresolved: set = set()
@@ -608,7 +600,8 @@ class VectorizedRestorer:
             or artifact.first_layer_table(batch_size)
         count = max(0, min(artifact.first_layer_nodes, table.num_nodes))
         stop = int(table.param_offsets[count])
-        resolved = self._resolved_values(table, stop=stop)
+        sizes = table.param_sizes[:stop].tolist()
+        values = self._resolved_values(table, stop=stop).tolist()
         names = table.kernel_names
         kernel_ids = table.kernel_ids[:count].tolist()
         offsets = table.param_offsets[:count + 1].tolist()
@@ -616,8 +609,9 @@ class VectorizedRestorer:
         plan = []
         for position, kernel_id in enumerate(kernel_ids):
             name = names[kernel_id]
-            params = PackedParams(table.param_sizes, resolved,
-                                  offsets[position], offsets[position + 1])
+            start, end = offsets[position], offsets[position + 1]
+            params = list(map(KernelParam, sizes[start:end],
+                              values[start:end]))
             plan.append((name, engine.catalog.kernel(name), params,
                          {"batch_size": dims[position]}))
         return plan
@@ -652,9 +646,9 @@ class VectorizedRestorer:
                     f"does not contain")
             start = int(table.param_offsets[node_index])
             end = int(table.param_offsets[node_index + 1])
-            resolved = self._resolved_values(table, start=start, stop=end)
-            params = PackedParams(table.param_sizes[start:end], resolved,
-                                  0, end - start)
+            params = list(map(
+                KernelParam, table.param_sizes[start:end].tolist(),
+                self._resolved_values(table, start=start, stop=end).tolist()))
             engine.process.launch(
                 engine.catalog.kernel(plan.kernel_name), params,
                 launch_dims={"batch_size": int(table.batch_dims[node_index])},
@@ -811,13 +805,10 @@ class VectorizedRestorer:
     def _assemble_graph(self, table: GraphTable) -> CudaGraph:
         """Build one restored graph as columns around the gathered params.
 
-        The pointer gather and every check run here; the graph builds its
-        node objects only when something reads ``nodes`` (COMPUTE-mode
-        replay, validation, checkpoints), so a TIMING-mode restore builds
-        none.
+        The pointer gather and every check run here.
         """
         resolved = self._resolved_values(table)
-        return CudaGraph.from_columns(
+        return CudaGraph(
             GraphColumns(
                 kernel_addresses=self._kernel_addresses(table),
                 param_sizes=table.param_sizes,

@@ -62,7 +62,10 @@ class ArtifactStore:
 
     def __init__(self, root, lint_on_load: bool = False,
                  cache_size: int = 4):
-        """``lint_on_load``: statically verify every artifact fetched with
+        """Opening a store creates nothing: the first :meth:`put` makes
+        ``root``.
+
+        ``lint_on_load``: statically verify every artifact fetched with
         :meth:`get` (see :mod:`repro.analysis`) and raise
         :class:`~repro.errors.LintError` on error-severity diagnostics —
         the SSD copy may be corrupt, hand-edited, or version-skewed even
@@ -73,7 +76,6 @@ class ArtifactStore:
         ``cache_size``: in-memory LRU capacity in artifacts (content-hash
         keyed); 0 disables caching entirely."""
         self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.lint_on_load = lint_on_load
         self.cache_size = cache_size
         self.cache_hits = 0
@@ -175,7 +177,7 @@ class ArtifactStore:
         neither are a manifest or an index entry that already hold the
         same bytes."""
         manifest, blobs = chunk_model(artifact)
-        self._chunk_dir.mkdir(exist_ok=True)
+        self._chunk_dir.mkdir(parents=True, exist_ok=True)
         for digest in sorted(blobs):
             blob_path = self._chunk_dir / digest
             if blob_path.exists():
@@ -261,8 +263,11 @@ class ArtifactStore:
         ``total_bytes`` sums every manifest's chunks as if stored
         separately; ``unique_bytes`` is what the content-addressed blob
         directory actually holds; ``dedup_ratio`` is their quotient
-        (1.0 = no sharing).
+        (1.0 = no sharing).  A root that is no directory raises
+        :class:`ArtifactError`: it holds no store, not an empty one.
         """
+        if not self.root.is_dir():
+            raise ArtifactError(f"no artifact store at {self.root}")
         index = self._read_index()
         models: Dict[str, Dict[str, int]] = {}
         unique: Dict[str, int] = {}

@@ -25,7 +25,12 @@ against.
 
 from repro.simgpu.clock import SimClock
 from repro.simgpu.costmodel import CostModel, GpuProperties
-from repro.simgpu.graph import CudaGraph, CudaGraphExec, CudaGraphNode
+from repro.simgpu.graph import (
+    CudaGraph,
+    CudaGraphExec,
+    GraphColumns,
+    GraphExecMeta,
+)
 from repro.simgpu.kernels import KernelParam, KernelSpec, ParamKind, ParamSpec
 from repro.simgpu.libraries import DynamicLibrary
 from repro.simgpu.memory import Buffer, DeviceAllocator
@@ -39,7 +44,6 @@ __all__ = [
     "CudaGraph",
     "CudaGraphExec",
     "CudaEvent",
-    "CudaGraphNode",
     "CudaModule",
     "CudaProcess",
     "Stream",
@@ -47,6 +51,8 @@ __all__ = [
     "DynamicLibrary",
     "ExecutionMode",
     "GpuProperties",
+    "GraphColumns",
+    "GraphExecMeta",
     "KernelParam",
     "KernelSpec",
     "ParamKind",

@@ -15,7 +15,6 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.errors import IllegalMemoryAccessError, InvalidValueError
-from repro.simgpu.graph import CudaGraphNode
 from repro.simgpu.kernels import KernelParam, KernelSpec, ParamKind, run_op
 
 
@@ -58,8 +57,3 @@ def execute_params(process, spec: KernelSpec,
     result = run_op(spec, buffers, consts)
     output_buffer.write(result)
 
-
-def execute_node(process, node: CudaGraphNode) -> None:
-    """Execute a graph node through its raw recorded kernel address."""
-    spec = process.driver.resolve_executable(node.kernel_address)
-    execute_params(process, spec, node.params)

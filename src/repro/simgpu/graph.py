@@ -1,97 +1,27 @@
-"""CUDA graphs: nodes, edges, instantiation, and self-replaying.
+"""CUDA graphs: columns, instantiation, and self-replaying.
 
 A captured graph is *low-level and ready-to-execute* (paper §2.5): each node
-stores the raw kernel address and a flat parameter array whose entries are
-known only by byte size.  Replay executes straight through those raw values —
-via :meth:`repro.simgpu.driver.CudaDriver.resolve_executable` and the live
+is a raw kernel address, a flat parameter array whose entries are known only
+by byte size, and launch dimensions.  A :class:`CudaGraph` holds exactly
+that, as columns (:class:`GraphColumns`) — a capture and a restore both
+build one, and nothing builds per-node objects.  Replay executes straight
+through those raw values — via
+:meth:`repro.simgpu.driver.CudaDriver.resolve_executable` and the live
 allocation table — so a stale pointer or an unloaded module fails exactly the
 way it would on real hardware.
-
-A captured or restored graph holds its content as columns
-(:class:`GraphColumns`) and builds the node objects only when something
-reads :attr:`CudaGraph.nodes`.  A graph made from node objects (the
-checkpoint baseline, tests) holds those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+import heapq
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import InvalidValueError
+from repro.simgpu.executor import ExecutionMode, execute_params
 from repro.simgpu.kernels import KernelParam
-
-
-@dataclass
-class CudaGraphNode:
-    """One kernel node: address + parameter array + launch dimensions.
-
-    Mirrors Figure 4(d): the kernel address, the parameter array (with each
-    entry's size), and the launch configuration recorded at capture.  Both
-    the address and the parameters are mutable, as with
-    ``cudaGraphExecKernelNodeSetParams`` — restoration rewrites them in place.
-    """
-
-    kernel_address: int
-    params: List[KernelParam]
-    launch_dims: Dict[str, int] = field(default_factory=dict)
-
-    def param_sizes(self) -> Tuple[int, ...]:
-        return tuple([p.size for p in self.params])
-
-    def set_param(self, index: int, value: int) -> None:
-        old = self.params[index]
-        self.params[index] = KernelParam(size=old.size, value=value)
-
-
-class PackedParams:
-    """A node's parameter array as a view into the resolved flat arrays.
-
-    Quacks like the ``List[KernelParam]`` a :class:`CudaGraphNode` stores —
-    ``len``, indexing, iteration, and item assignment (what
-    ``CudaGraphNode.set_param`` uses) all work — but holds only two array
-    references and a slot range.  A 16k-node graph therefore restores
-    without creating ~112k ``KernelParam`` objects; they materialize lazily
-    when COMPUTE-mode execution iterates the node.
-    """
-
-    __slots__ = ("sizes", "values", "start", "stop")
-
-    def __init__(self, sizes: np.ndarray, values: np.ndarray,
-                 start: int, stop: int):
-        self.sizes = sizes          # flat per-slot byte sizes (shared)
-        self.values = values        # flat resolved values (shared, mutable)
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def _position(self, index: int) -> int:
-        length = self.stop - self.start
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError(f"param index {index} out of range "
-                             f"for {length} slots")
-        return self.start + index
-
-    def __getitem__(self, index: int) -> KernelParam:
-        position = self._position(index)
-        return KernelParam(int(self.sizes[position]),
-                           int(self.values[position]))
-
-    def __setitem__(self, index: int, param: KernelParam) -> None:
-        # Slot sizes are fixed by the kernel ABI; only the value moves.
-        self.values[self._position(index)] = param.value
-
-    def __iter__(self) -> Iterator[KernelParam]:
-        sizes = self.sizes[self.start:self.stop].tolist()
-        values = self.values[self.start:self.stop].tolist()
-        for size, value in zip(sizes, values):
-            yield KernelParam(size, value)
 
 
 class GraphColumns(NamedTuple):
@@ -122,108 +52,29 @@ class GraphExecMeta:
 
 
 class CudaGraph:
-    """A captured (or restored) graph of kernel nodes with dependency edges.
+    """A captured (or restored) graph: its :class:`GraphColumns` and
+    :class:`GraphExecMeta`."""
 
-    A graph made by :meth:`from_columns` (a captured or restored one)
-    keeps its content as :class:`GraphColumns`: ``num_nodes``,
-    ``exec_meta``, ``columns`` and instantiation read no node object, so
-    a TIMING-mode capture, restore and replay build none.  ``nodes`` and
-    ``edges`` are built on first access and cached — the same list and
-    set on every access — and each node's :class:`PackedParams` views the
-    shared ``param_values`` column, so ``set_param`` writes through.
-    """
-
-    def __init__(self, nodes: Optional[List[CudaGraphNode]] = None,
-                 edges: Optional[Set[Tuple[int, int]]] = None,
-                 exec_meta: Optional[GraphExecMeta] = None):
-        self._nodes: Optional[List[CudaGraphNode]] = \
-            nodes if nodes is not None else []
-        self._edges: Optional[Set[Tuple[int, int]]] = \
-            edges if edges is not None else set()
-        self._columns: Optional[GraphColumns] = None
-        self.exec_meta = exec_meta or GraphExecMeta()
-        #: node objects this graph has built from its columns (a work
-        #: count: 0 until something reads ``nodes``)
-        self.nodes_built = 0
-
-    @classmethod
-    def from_columns(cls, columns: GraphColumns,
-                     exec_meta: GraphExecMeta) -> "CudaGraph":
-        """A graph whose nodes and edges stay columns until first read."""
-        graph = cls(exec_meta=exec_meta)
-        graph._nodes = graph._edges = None
-        graph._columns = columns
-        return graph
-
-    @property
-    def nodes(self) -> List[CudaGraphNode]:
-        if self._nodes is None:
-            columns = self._columns
-            sizes, values = columns.param_sizes, columns.param_values
-            offsets = columns.param_offsets.tolist()
-            dims = columns.batch_dims.tolist()
-            self._nodes = [
-                CudaGraphNode(
-                    kernel_address=address,
-                    params=PackedParams(sizes, values,
-                                        offsets[index], offsets[index + 1]),
-                    launch_dims={"batch_size": dims[index]},
-                )
-                for index, address
-                in enumerate(columns.kernel_addresses.tolist())
-            ]
-            self.nodes_built += len(self._nodes)
-        return self._nodes
-
-    @property
-    def edges(self) -> Set[Tuple[int, int]]:
-        if self._edges is None:
-            self._edges = {tuple(edge)
-                           for edge in self._columns.edges.tolist()}
-        return self._edges
+    def __init__(self, columns: GraphColumns, exec_meta: GraphExecMeta):
+        self.columns = columns
+        self.exec_meta = exec_meta
 
     @property
     def num_nodes(self) -> int:
-        if self._nodes is None:
-            return int(self._columns.kernel_addresses.shape[0])
-        return len(self._nodes)
-
-    @property
-    def columns(self) -> Optional[GraphColumns]:
-        """The columns of a graph made by :meth:`from_columns`; None once
-        ``add_node`` or ``add_edge`` changed it, and for a graph made from
-        node objects."""
-        return self._columns
-
-    def _edit(self) -> None:
-        """Build the node objects and edge set: an edit goes to them, and
-        the columns stop describing the graph."""
-        if self._columns is not None:
-            self.nodes, self.edges
-            self._columns = None
-
-    def add_node(self, node: CudaGraphNode) -> int:
-        self._edit()
-        self._nodes.append(node)
-        return len(self._nodes) - 1
-
-    def add_edge(self, src: int, dst: int) -> None:
-        count = self.num_nodes
-        if not (0 <= src < count and 0 <= dst < count):
-            raise InvalidValueError(f"edge ({src}, {dst}) out of node range")
-        if src == dst:
-            raise InvalidValueError(f"self-edge on node {src}")
-        self._edit()
-        self._edges.add((src, dst))
+        return int(self.columns.kernel_addresses.shape[0])
 
     def topological_order(self) -> List[int]:
         """Kahn's algorithm with node-index tie-breaking (deterministic)."""
-        indegree = [0] * self.num_nodes
+        count = self.num_nodes
+        edges = self.columns.edges
+        if edges.size and (edges.min() < 0 or edges.max() >= count):
+            raise InvalidValueError(
+                f"graph edge out of node range 0..{count - 1}")
+        indegree = [0] * count
         successors: Dict[int, List[int]] = {}
-        for src, dst in sorted(self.edges):
+        for src, dst in edges.tolist():
             indegree[dst] += 1
             successors.setdefault(src, []).append(dst)
-        import heapq
         ready = [i for i, d in enumerate(indegree) if d == 0]
         heapq.heapify(ready)
         order: List[int] = []
@@ -234,7 +85,7 @@ class CudaGraph:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     heapq.heappush(ready, succ)
-        if len(order) != self.num_nodes:
+        if len(order) != count:
             raise InvalidValueError("graph dependencies contain a cycle")
         return order
 
@@ -259,9 +110,6 @@ class CudaGraphExec:
         Advances simulated time by the graph-step cost; in COMPUTE mode also
         executes every node's kernel through its *recorded raw addresses*.
         """
-        from repro.simgpu.executor import execute_node  # local: avoid cycle
-        from repro.simgpu.process import ExecutionMode
-
         process = self._process
         meta = self.graph.exec_meta
         if meta.param_bytes:
@@ -275,5 +123,13 @@ class CudaGraphExec:
         if process.mode is ExecutionMode.COMPUTE:
             if self._order is None:
                 self._order = self.graph.topological_order()
+            columns = self.graph.columns
+            addresses = columns.kernel_addresses.tolist()
+            offsets = columns.param_offsets.tolist()
+            sizes = columns.param_sizes.tolist()
+            values = columns.param_values.tolist()
+            resolve = process.driver.resolve_executable
             for index in self._order:
-                execute_node(process, self.graph.nodes[index])
+                start, stop = offsets[index], offsets[index + 1]
+                execute_params(process, resolve(addresses[index]), list(map(
+                    KernelParam, sizes[start:stop], values[start:stop])))

@@ -69,8 +69,8 @@ class _CaptureBuilder:
 
     A node appends its kernel address, batch dim, parameter sizes and
     values; an edge appends one (source, target) row, possibly twice.
-    ``graph`` turns them into a :class:`CudaGraph` made by
-    :meth:`CudaGraph.from_columns`, each edge once and sorted.
+    ``graph`` turns them into a :class:`CudaGraph`, each edge once and
+    sorted.
     """
 
     def __init__(self, meta: GraphExecMeta, origin: "Stream"):
@@ -106,7 +106,7 @@ class _CaptureBuilder:
                           + np.array(self._targets, dtype=np.int64))
         offsets = np.zeros(len(self._counts) + 1, dtype=np.int64)
         np.cumsum(self._counts, out=offsets[1:])
-        return CudaGraph.from_columns(GraphColumns(
+        return CudaGraph(GraphColumns(
             kernel_addresses=np.array(self._addresses, dtype=np.int64),
             param_sizes=np.array(self._sizes, dtype=np.int64),
             param_values=np.array(self._values, dtype=np.int64),

@@ -40,9 +40,14 @@ class TestCheckpoint:
         assert checkpoint.total_bytes > checkpoint.device_bytes  # + host image
 
     def test_graphs_snapshotted_verbatim(self, source_engine, checkpoint):
-        graphs = {g.batch_size: g for g in checkpoint.graphs}
+        graphs = {g.exec_meta.batch_size: g for g in checkpoint.graphs}
         for batch, graph in source_engine.capture_artifacts.graphs.items():
-            assert len(graphs[batch].nodes) == graph.num_nodes
+            snapshot = graphs[batch].columns
+            for column, ours in zip(graph.columns, snapshot):
+                assert np.array_equal(column, ours)
+                assert column is not ours
+            assert graphs[batch].exec_meta == graph.exec_meta
+            assert graphs[batch].exec_meta is not graph.exec_meta
 
 
 class TestRestore:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.binfmt import LazyArtifact, save_binary
-from repro.core.fastpath import PackedParams, VectorizedRestorer
+from repro.core.fastpath import VectorizedRestorer
 from repro.core.online import medusa_cold_start, prepare_medusa_cold_start
 from repro.engine.loadplan import restore_graph_stage
 from repro.engine.strategies import plan_for
@@ -152,7 +152,7 @@ class TestPipelinedTimeline:
 
 
 class TestColumnGraphs:
-    """Restored graphs stay columns until something reads their nodes."""
+    """A restored graph is its table's columns around the gathered params."""
 
     def _restored(self, path):
         engine, restorer = prepare_medusa_cold_start(
@@ -160,15 +160,32 @@ class TestColumnGraphs:
         engine.cold_start(restorer=restorer)
         return engine, restorer
 
-    def test_timing_restore_builds_nodes_on_first_read(self, tiny2l_npz):
-        engine, _restorer = self._restored(tiny2l_npz)
-        graphs = engine.capture_artifacts.graphs
-        assert all(graph.nodes_built == 0 for graph in graphs.values())
-        graph = graphs[max(graphs)]
-        nodes = graph.nodes
-        assert isinstance(nodes[0].params, PackedParams)
-        assert graph.nodes is nodes
-        assert graph.nodes_built == graph.num_nodes == len(nodes)
+    def test_restored_graph_is_the_gathered_columns(self, tiny2l_npz):
+        engine, restorer = self._restored(tiny2l_npz)
+        batch = max(restorer.artifact.batches)
+        table = restorer.artifact.graph_table(batch)
+        columns = engine.capture_artifacts.graphs[batch].columns
+        assert np.array_equal(columns.param_values,
+                              restorer._resolved_values(table))
+        assert columns.edges is table.edges
+        driver = engine.process.driver
+        assert [driver.cu_func_get_name(address) for address
+                in columns.kernel_addresses.tolist()] == \
+            [table.kernel_names[i] for i in table.kernel_ids.tolist()]
+
+    def test_warm_up_launches_the_gathered_first_layer(self, tiny2l_npz):
+        engine, restorer = self._restored(tiny2l_npz)
+        batch = max(restorer.artifact.batches)
+        table = restorer.artifact.graph_table(batch)
+        plan = restorer._first_layer_plan(engine, batch)
+        assert len(plan) == restorer.artifact.first_layer_nodes
+        stop = int(table.param_offsets[len(plan)])
+        launched = [(param.size, param.value)
+                    for _name, _spec, params, _dims in plan
+                    for param in params]
+        assert launched == list(zip(
+            table.param_sizes[:stop].tolist(),
+            restorer._resolved_values(table, stop=stop).tolist()))
 
     def test_missing_address_names_first_node(self, tiny2l_npz):
         _engine, restorer = self._restored(tiny2l_npz)
@@ -183,35 +200,3 @@ class TestColumnGraphs:
                 f"no restored address for kernel "
                 f"{table.kernel_names[ids[0]]}")):
             restorer._assemble_graph(table)
-
-
-class TestPackedParams:
-    def _params(self):
-        sizes = np.array([8, 8, 4], dtype=np.int64)
-        values = np.array([10, 20, 30], dtype=np.int64)
-        return sizes, values, PackedParams(sizes, values, 0, 3)
-
-    def test_len_get_and_iter(self):
-        _sizes, _values, params = self._params()
-        assert len(params) == 3
-        assert params[0].value == 10
-        assert params[-1].size == 4
-        assert [p.value for p in params] == [10, 20, 30]
-
-    def test_setitem_writes_through(self):
-        from repro.simgpu.kernels import KernelParam
-        _sizes, values, params = self._params()
-        params[1] = KernelParam(8, 99)
-        assert values[1] == 99
-
-    def test_out_of_range_raises(self):
-        _sizes, _values, params = self._params()
-        with pytest.raises(IndexError):
-            params[3]
-
-    def test_slice_window(self):
-        sizes = np.array([8] * 5, dtype=np.int64)
-        values = np.arange(5, dtype=np.int64)
-        window = PackedParams(sizes, values, 2, 4)
-        assert len(window) == 2
-        assert [p.value for p in window] == [2, 3]

@@ -257,6 +257,22 @@ class TestTopologyPass:
         report = lint_artifact(packed(artifact), catalog=catalog)
         assert report.has("MED024")
 
+    def test_node_at_another_batch_dim_flagged(self, catalog):
+        artifact = clean_artifact()
+        artifact["graphs"]["1"]["nodes"][1]["launch_dims"]["batch_size"] = 2
+        report = lint_artifact(packed(artifact), catalog=catalog)
+        assert report.codes() == ["MED025"]
+        assert report.diagnostics[0].location == "graphs[1].nodes[1]"
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_non_positive_batch_is_refused_on_import(self, batch):
+        artifact = clean_artifact()
+        graph = artifact["graphs"].pop("1")
+        graph["batch_size"] = batch
+        artifact["graphs"][str(batch)] = graph
+        with pytest.raises(ArtifactError, match="positive batch size"):
+            packed(artifact)
+
 
 class TestKernelPass:
     def test_hidden_module_without_coverage_flagged(self, catalog):

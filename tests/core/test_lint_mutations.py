@@ -132,6 +132,23 @@ def mutate_first_layer_prefix_divergence(payload):
     nodes[i], nodes[j] = nodes[j], nodes[i]
 
 
+def mutate_batch_past_the_model(payload):
+    """Re-key the largest graph past Tiny-2L's largest capture batch size,
+    its nodes with it, so only the bound breaks."""
+    key = max(payload["graphs"], key=int)
+    graph = payload["graphs"].pop(key)
+    batch = int(key) * 2
+    graph["batch_size"] = batch
+    for node in graph["nodes"]:
+        node["launch_dims"]["batch_size"] = batch
+    payload["graphs"][str(batch)] = graph
+
+
+def mutate_node_batch_dim(payload):
+    node = next(iter(payload["graphs"].values()))["nodes"][-1]
+    node["launch_dims"]["batch_size"] = 2 ** 30
+
+
 def mutate_unresolvable_kernel(payload):
     graph = max(payload["graphs"].values(), key=lambda g: len(g["nodes"]))
     graph["nodes"][-1]["kernel_name"] = BOGUS
@@ -196,6 +213,8 @@ MUTATIONS = [
     (mutate_batch_key_skew, "MED022"),
     (mutate_first_layer_overrun, "MED023"),
     (mutate_first_layer_prefix_divergence, "MED024"),
+    (mutate_batch_past_the_model, "MED025"),
+    (mutate_node_batch_dim, "MED025"),
     (mutate_unresolvable_kernel, "MED030"),
     (mutate_uncovered_hidden_module, "MED031"),
     (mutate_dangling_trigger_plan, "MED032"),

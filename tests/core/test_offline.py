@@ -118,13 +118,6 @@ class TestNodeKernelCheck:
                                  f"{third}"):
             phase._analysis_stage(engine, trace)
 
-    def test_captured_graphs_analyse_from_columns(self):
-        phase = OfflinePhase("Tiny-2L", lint=False)
-        engine, trace, _ = phase._capturing_stage()
-        phase._analysis_stage(engine, trace)
-        graphs = engine.capture_artifacts.graphs.values()
-        assert sum(graph.nodes_built for graph in graphs) == 0
-
 
 class TestDeterminism:
     def test_two_offline_runs_produce_equivalent_artifacts(self):

@@ -46,16 +46,17 @@ class TestRestoredEngine:
         artifact, _ = tiny2l_artifact
         engine_a, _ = restore(artifact, seed=1)
         engine_b, _ = restore(artifact, seed=2)
-        node_a = engine_a.capture_artifacts.graphs[1].nodes[0]
-        node_b = engine_b.capture_artifacts.graphs[1].nodes[0]
-        assert node_a.kernel_address != node_b.kernel_address
+        address_a, address_b = (
+            int(engine.capture_artifacts.graphs[1].columns
+                .kernel_addresses[0]) for engine in (engine_a, engine_b))
+        assert address_a != address_b
 
     def test_edges_restored(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
         engine, _ = restore(artifact)
         for batch, graph in engine.capture_artifacts.graphs.items():
-            assert graph.edges == set(map(tuple, artifact.graph_table(batch)
-                                               .edges.tolist()))
+            assert np.array_equal(graph.columns.edges,
+                                  artifact.graph_table(batch).edges)
 
     def test_medusa_loading_beats_vanilla(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact

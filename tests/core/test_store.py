@@ -19,6 +19,18 @@ class TestArtifactStore:
         assert loaded.model_name == artifact.model_name
         assert loaded.total_nodes == artifact.total_nodes
 
+    def test_opening_creates_nothing_and_put_makes_the_root(
+            self, tmp_path, tiny2l_artifact):
+        artifact, _ = tiny2l_artifact
+        store = ArtifactStore(tmp_path / "a" / "store")
+        assert not (tmp_path / "a").exists()
+        assert not store.has(artifact.gpu_name, artifact.model_name)
+        with pytest.raises(ArtifactError, match="no artifact store at"):
+            store.stats()
+        assert not (tmp_path / "a").exists()
+        store.put(artifact)
+        assert store.stats()["total_chunks"] > 0
+
     def test_keyed_by_gpu_and_model(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
         store = ArtifactStore(tmp_path)

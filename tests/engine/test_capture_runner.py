@@ -43,13 +43,15 @@ class TestCaptureArtifacts:
                 "libcublas_sim").iter_kernels())
             if "qkv_proj" in name)
         spec = engine.catalog.kernel(qkv_name)
-        graph = engine.capture_artifacts.graphs[1]
-        node = next(n for n in graph.nodes
-                    if engine.process.driver.cu_func_get_name(
-                        n.kernel_address) == qkv_name)
-        magic_index = spec.param_index("magic_a")
+        columns = engine.capture_artifacts.graphs[1].columns
+        node = next(i for i, address
+                    in enumerate(columns.kernel_addresses.tolist())
+                    if engine.process.driver.cu_func_get_name(address)
+                    == qkv_name)
+        magic_slot = int(columns.param_offsets[node]) \
+            + spec.param_index("magic_a")
         magic_buffer = engine.process.allocator.resolve(
-            node.params[magic_index].value)
+            int(columns.param_values[magic_slot]))
         assert magic_buffer.alloc_index >= marker
         assert magic_buffer.pool == "graph"
 
@@ -57,13 +59,11 @@ class TestCaptureArtifacts:
         """Every graph's sample node writes the same output buffer."""
         out_address = engine.capture_artifacts.graph_output.address
         for graph in engine.capture_artifacts.graphs.values():
-            addresses = {p.value for node in graph.nodes
-                         for p in node.params}
-            assert out_address in addresses
+            assert out_address in graph.columns.param_values
 
     def test_graph_edges_connect_all_nodes(self, engine):
         for graph in engine.capture_artifacts.graphs.values():
-            touched = {i for edge in graph.edges for i in edge}
+            touched = set(graph.columns.edges.ravel().tolist())
             assert touched == set(range(graph.num_nodes))
 
     def test_exec_meta_carries_batch(self, engine):
@@ -75,10 +75,11 @@ class TestCaptureArtifacts:
         """The private-pool property: a flood of default-pool allocations
         never claims capture-pool addresses (PyTorch graph-pool semantics)."""
         graph_addresses = {
-            p.value
+            value
             for graph in engine.capture_artifacts.graphs.values()
-            for node in graph.nodes for p in node.params
-            if p.size == 8 and p.value >= 0x5000_0000_0000}
+            for size, value in zip(graph.columns.param_sizes.tolist(),
+                                   graph.columns.param_values.tolist())
+            if size == 8 and value >= 0x5000_0000_0000}
         for _ in range(50):
             buffer = engine.process.malloc(256, tag="serving")
             assert buffer.address not in graph_addresses

@@ -85,6 +85,6 @@ class TestCaptureReplayProperty:
         process.default_stream.begin_capture()
         _run_program(process, program, list(base))
         graph = process.default_stream.end_capture()
-        recorded = [process.driver.cu_func_get_name(node.kernel_address)
-                    for node in graph.nodes]
+        recorded = [process.driver.cu_func_get_name(address) for address
+                    in graph.columns.kernel_addresses.tolist()]
         assert recorded == [_KERNELS[k][0] for k, _a, _b in program]

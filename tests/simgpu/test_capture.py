@@ -96,8 +96,9 @@ class TestCapturedGraph:
         launch_add(process, y, x, out)
         graph = process.default_stream.end_capture()
         assert graph.num_nodes == 3
-        assert (0, 1) in graph.edges  # h produced by 0, consumed by 1
-        assert (1, 2) in graph.edges  # y produced by 1, consumed by 2
+        edges = graph.columns.edges.tolist()
+        assert [0, 1] in edges  # h produced by 0, consumed by 1
+        assert [1, 2] in edges  # y produced by 1, consumed by 2
 
     def test_replay_matches_eager_output(self, process):
         x, w_norm, w_gemm, h, y, out = self._warmed_chain(process)
@@ -112,6 +113,24 @@ class TestCapturedGraph:
         exec_graph = graph.instantiate(process)
         exec_graph.replay()
         np.testing.assert_allclose(out.read(), eager_out)
+
+    def test_replay_reads_the_columns_at_replay_time(self, process):
+        """A node's parameters are its column slice, read when the graph
+        replays: rewriting a value retargets the node."""
+        x, w_norm, w_gemm, h, y, out = self._warmed_chain(process)
+        other = process.malloc(h.size, tag="other")
+        process.default_stream.begin_capture()
+        launch_norm(process, x, w_norm, h)
+        graph = process.default_stream.end_capture()
+        exec_graph = graph.instantiate(process)
+        exec_graph.replay()
+        spec = process.catalog.kernel("_Z9layernormPfS_S_i")
+        values = graph.columns.param_values
+        output = spec.param_index("output")
+        assert values[output] == h.address
+        values[output] = other.address
+        exec_graph.replay()
+        np.testing.assert_array_equal(other.read(), h.read())
 
     def test_replay_after_free_is_illegal_access(self, process):
         """PyTorch must keep capture-referenced buffers alive (§2.2)."""
@@ -136,7 +155,7 @@ class TestCapturedGraph:
         # Find the magic buffer through the node's own raw params.
         spec = process.catalog.kernel("_ZN7cublas_sim4gemmEv")
         magic_index = spec.param_index("magic_a")
-        magic_addr = graph.nodes[0].params[magic_index].value
+        magic_addr = int(graph.columns.param_values[magic_index])
         process.allocator.resolve(magic_addr).write(np.full((1, 1), 999.0))
         exec_graph.replay()
         assert not np.allclose(y.read(), good)

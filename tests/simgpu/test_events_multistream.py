@@ -76,8 +76,9 @@ class TestForkJoinCapture:
         graph = main.end_capture()
 
         assert graph.num_nodes == 3
-        assert (0, 1) in graph.edges     # fork: side depends on node 0
-        assert (1, 2) in graph.edges     # join: main depends on side's node
+        edges = graph.columns.edges.tolist()
+        assert [0, 1] in edges           # fork: side depends on node 0
+        assert [1, 2] in edges           # join: main depends on side's node
         assert not side.is_capturing     # end_capture released everyone
 
     def test_joined_stream_cannot_end_capture(self, process):

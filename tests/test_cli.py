@@ -19,6 +19,14 @@ def tiny_artifact_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def tiny_npz_path(tmp_path_factory):
+    """The same artifact as a ``.npz``."""
+    path = str(tmp_path_factory.mktemp("cli") / "tiny.medusa.npz")
+    assert main(["offline", "--model", "Tiny-2L", "--output", path]) == 0
+    return path
+
+
 class TestParser:
     def test_models_command(self):
         args = build_parser().parse_args(["models"])
@@ -160,6 +168,106 @@ class TestOfflineBadFlags:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestNegativeSeed:
+    """Every ``--seed`` is a non-negative integer, refused by the parser
+    before the command runs (``seed + 1`` seeds the inputs)."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_work(self, monkeypatch):
+        def refuse(args):
+            raise AssertionError("the command ran despite a bad --seed")
+
+        for command in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, command, refuse)
+
+    @pytest.mark.parametrize("seed", ["-5", "-1", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--model", "Tiny-2L"],
+        ["offline", "--model", "Tiny-2L", "--output", "x.npz"],
+        ["validate", "--artifact", "x.npz"],
+        ["restore", "--model", "Tiny-2L", "--artifact", "x.npz"],
+        ["simulate", "--model", "Tiny-2L"],
+    ], ids=["coldstart", "offline", "validate", "restore", "simulate"])
+    def test_exits_two_with_an_error(self, argv, seed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", seed])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed: expected a non-negative integer" \
+            in err
+        assert "Traceback" not in err
+
+
+class TestBatchSizes:
+    """A graph's batch size is positive (the loader refuses others), at
+    most the model's largest capture batch size, and every one of its
+    nodes' (lint MED025)."""
+
+    @staticmethod
+    def _mutant(source, path, rebatch=None, batch_dim=None) -> str:
+        """``source`` with graph 1 re-keyed to ``rebatch`` or its nodes'
+        batch dims set to ``batch_dim``."""
+        import numpy as np
+        if source.endswith(".json"):
+            payload = json.loads(open(source).read())
+            if rebatch is not None:
+                graph = payload["graphs"].pop("1")
+                graph["batch_size"] = rebatch
+                payload["graphs"][str(rebatch)] = graph
+            else:
+                for node in payload["graphs"]["1"]["nodes"]:
+                    node["launch_dims"]["batch_size"] = batch_dim
+            path = path.with_suffix(".json")
+            path.write_text(json.dumps(payload))
+            return str(path)
+        members = dict(np.load(source))
+        meta = json.loads(str(members["metadata"][0]))
+        if rebatch is not None:
+            for name in [name for name in members if name.startswith("g1_")]:
+                members[f"g{rebatch}_{name[3:]}"] = members.pop(name)
+            meta["batches"] = sorted(rebatch if batch == 1 else batch
+                                     for batch in meta["batches"])
+            meta["graph_meta"] = {str(rebatch) if key == "1" else key: row
+                                  for key, row in meta["graph_meta"].items()}
+        else:
+            members["g1_batchdim"] = np.full_like(members["g1_batchdim"],
+                                                  batch_dim)
+        members["metadata"] = np.array([json.dumps(meta)])
+        path = path.with_suffix(".npz")
+        np.savez(path, **members)
+        return str(path)
+
+    @pytest.fixture(params=["npz", "json"])
+    def source(self, request, tiny_npz_path, tiny_artifact_path):
+        return tiny_npz_path if request.param == "npz" else tiny_artifact_path
+
+    @pytest.mark.parametrize("batch", [-3, 0])
+    @pytest.mark.parametrize("argv", [
+        ["lint"],
+        ["validate", "--artifact"],
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+    ], ids=["lint", "validate", "coldstart"])
+    def test_non_positive_batch_exits_two(self, source, tmp_path, batch,
+                                          argv, capsys):
+        path = self._mutant(source, tmp_path / "bad", rebatch=batch)
+        assert main(argv + [path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"must be a positive batch size, not {batch}" in err
+
+    @pytest.mark.parametrize("mutation", [
+        {"rebatch": 2 ** 30}, {"batch_dim": 2 ** 30}],
+        ids=["batch-past-the-model", "node-batch-dim"])
+    def test_untrusted_batch_fails_lint_and_validate(
+            self, source, tmp_path, mutation, capsys):
+        path = self._mutant(source, tmp_path / "bad", **mutation)
+        assert main(["lint", path]) == 1
+        assert "MED025" in capsys.readouterr().out
+        assert main(["validate", "--artifact", path]) == 1
+        assert "(MED025); refusing to restore" in capsys.readouterr().err
 
 
 class TestLintCommand:
@@ -850,6 +958,15 @@ class TestStoreCommand:
         artifact, _ = tiny2l_artifact
         ArtifactStore(tmp_path).put(artifact)
         return tmp_path
+
+    def test_missing_directory_exits_two_and_creates_nothing(
+            self, tmp_path, capsys):
+        missing = tmp_path / "typo" / "store"
+        assert main(["store", "stats", "--dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no artifact store at {missing}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "typo").exists()
 
     def test_table(self, store_dir, tiny2l_artifact, capsys):
         artifact, _ = tiny2l_artifact

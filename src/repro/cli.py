@@ -20,7 +20,9 @@ the pipelined plan (JSON artifacts are packed on import and restore on
 the monolithic one).  ``lint`` reads the packed tables either way.
 
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
-exit-code convention (``coldstart`` and ``restore`` share its 1 and 2):
+exit-code convention (``coldstart`` and ``restore`` share its 1 and 2;
+``coldstart --strategy medusa`` and ``restore`` lint the artifact first,
+as ``validate`` does):
 0 = clean/passed, 1 = diagnostics found, outputs diverged or the restore
 failed (any repro error it raises, a simulated device fault included),
 2 = the artifact could not be read at all.  With ``validate
@@ -46,7 +48,7 @@ from typing import List, Optional
 from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
-from repro.core.validation import validate_restoration
+from repro.core.validation import lint_before_restore, validate_restoration
 from repro.engine import Strategy
 from repro.errors import ArtifactError, InvalidValueError, ReproError
 from repro.models.zoo import PAPER_MODELS, get_model_config
@@ -257,6 +259,8 @@ def _cmd_coldstart(args) -> int:
         return 2
     try:
         artifact = _load_artifact(args.artifact) if args.artifact else None
+        if args.strategy is Strategy.MEDUSA:
+            lint_before_restore(artifact)
         _engine, report = cold_start_for(args.model, args.strategy,
                                          artifact=artifact, seed=args.seed)
     except ArtifactError as exc:
@@ -315,6 +319,7 @@ def _cmd_offline(args) -> int:
 def _cmd_restore(args) -> int:
     try:
         artifact = _load_artifact(args.artifact)
+        lint_before_restore(artifact)
         _engine, report = cold_start_for(args.model, Strategy.MEDUSA,
                                          artifact=artifact, seed=args.seed)
         _print_report(report)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -62,6 +63,10 @@ CHUNK_FORMAT_VERSION = 1
 #: events (paper scale) become four shards, so a tier cache can keep the
 #: hot prefix without the whole event log.
 REPLAY_SHARD_EVENTS = 16384
+
+#: A chunk digest as a manifest records it: a sha256 in lowercase hex,
+#: which is also the blob's file name in a store.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 #: Magic prefix of a packed chunk blob (before zlib).
 _CHUNK_MAGIC = b"MCHK\x01"
@@ -100,14 +105,14 @@ _NAME_LEN = struct.Struct("<I")
 _DATA_LEN = struct.Struct("<Q")
 
 
-def pack_chunk(members: Dict[str, np.ndarray]) -> bytes:
-    """Serialize ``members`` deterministically and compress with zlib.
+def chunk_container(members: Dict[str, np.ndarray]) -> bytes:
+    """The uncompressed container :func:`pack_chunk` compresses.
 
-    Layout (before compression): magic, then for each member in sorted
-    name order a ``<I``-length-prefixed UTF-8 name followed by a
-    ``<Q``-length-prefixed ``np.save`` payload.  Nothing in the container
-    depends on when it was written, so equal arrays always produce equal
-    bytes — the property content addressing needs.
+    Layout: magic, then for each member in sorted name order a
+    ``<I``-length-prefixed UTF-8 name followed by a ``<Q``-length-prefixed
+    ``np.save`` payload.  Nothing in it depends on when it was written,
+    so equal arrays always produce equal bytes — the property content
+    addressing needs.
     """
     raw = io.BytesIO()
     raw.write(_CHUNK_MAGIC)
@@ -120,7 +125,25 @@ def pack_chunk(members: Dict[str, np.ndarray]) -> bytes:
         data = payload.getvalue()
         raw.write(_DATA_LEN.pack(len(data)))
         raw.write(data)
-    return zlib.compress(raw.getvalue(), 6)
+    return raw.getvalue()
+
+
+def pack_chunk(members: Dict[str, np.ndarray],
+               raw: Optional[bytes] = None) -> bytes:
+    """Serialize ``members`` with :func:`chunk_container` and compress
+    with zlib.  A caller that already built the container passes it as
+    ``raw``, which is then compressed as it is."""
+    if raw is None:
+        raw = chunk_container(members)
+    return zlib.compress(raw, 6)
+
+
+def holds_container(blob: bytes, raw: bytes) -> bool:
+    """Whether ``blob`` decompresses to exactly the container ``raw``."""
+    try:
+        return zlib.decompress(blob) == raw
+    except zlib.error:
+        return False
 
 
 def unpack_chunk(blob: bytes) -> Dict[str, np.ndarray]:
@@ -187,7 +210,10 @@ class ChunkRef:
 
     @classmethod
     def from_dict(cls, entry: dict) -> "ChunkRef":
-        return cls(name=entry["name"], digest=entry["digest"],
+        digest = entry["digest"]
+        if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+            raise ValueError(f"chunk digest {digest!r} is not a sha256")
+        return cls(name=entry["name"], digest=digest,
                    nbytes=int(entry["nbytes"]), kind=entry["kind"],
                    members=tuple(entry["members"]),
                    batch=entry.get("batch"))
@@ -311,6 +337,8 @@ def simulation_chunks(manifest: ChunkManifest) -> Tuple[ChunkMeta, ...]:
 # ---------------------------------------------------------------------------
 
 def chunk_model(artifact, replay_shard_events: int = REPLAY_SHARD_EVENTS,
+                reuse: Optional[Callable[[str, bytes],
+                                         Optional[Tuple[str, bytes]]]] = None,
                 ) -> Tuple[ChunkManifest, Dict[str, bytes]]:
     """Split the packed ``artifact``'s own members into content-addressed
     chunks.
@@ -319,6 +347,12 @@ def chunk_model(artifact, replay_shard_events: int = REPLAY_SHARD_EVENTS,
     references.  Chunks with equal content collapse to one dict entry, so
     ``len(blobs)`` can be smaller than ``len(manifest.chunks)`` even for a
     single artifact.
+
+    ``reuse`` lets a caller that holds earlier blobs skip compression: it
+    gets each chunk's name and :func:`chunk_container` bytes and returns
+    a ``(digest, blob)`` whose blob decompresses to exactly those bytes,
+    or None, in which case that container is compressed.  Either way
+    each chunk is serialized once.
     """
     if replay_shard_events < 1:
         raise ArtifactError("replay_shard_events must be >= 1")
@@ -329,8 +363,15 @@ def chunk_model(artifact, replay_shard_events: int = REPLAY_SHARD_EVENTS,
 
     def emit(name: str, kind: str, members: Dict[str, np.ndarray],
              batch: Optional[int] = None) -> None:
-        blob = pack_chunk(members)
-        digest = chunk_digest(blob)
+        raw = reused = None
+        if reuse is not None:
+            raw = chunk_container(members)
+            reused = reuse(name, raw)
+        if reused is None:
+            blob = pack_chunk(members, raw)
+            digest = chunk_digest(blob)
+        else:
+            digest, blob = reused
         blobs[digest] = blob
         refs.append(ChunkRef(name=name, digest=digest, nbytes=len(blob),
                              kind=kind, members=tuple(sorted(members)),

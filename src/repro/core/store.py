@@ -12,6 +12,11 @@ on first access).  Because blobs are addressed by content, two models
 identical graph, replay, or kernel-table chunks store those bytes
 **once** — :meth:`stats` reports the resulting dedup ratio.
 
+A re-put verifies the chunks it already stored for the same key (the
+blob's sha256 against its name, then its decompressed container against
+the chunk's) and compresses only the ones that changed.  A blob file
+that fails its sha256 is rewritten, not counted as deduped.
+
 Three caches keep repeated cold starts on one node off the
 deserialization path:
 
@@ -39,6 +44,7 @@ import re
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import chunks
 from repro.core.chunks import (
     ChunkManifest,
     ChunkedLazyArtifact,
@@ -82,6 +88,7 @@ class ArtifactStore:
         self.cache_misses = 0
         self.index_reads = 0
         self.manifest_reads = 0
+        self.chunks_compressed = 0
         self.chunks_written = 0
         self.chunks_deduped = 0
         self.bytes_deduped = 0
@@ -171,32 +178,80 @@ class ArtifactStore:
 
     def put(self, artifact) -> pathlib.Path:
         """Persist an artifact's members as chunks + manifest; returns the
-        manifest path.  Chunk blobs already present (from any model/GPU)
-        are not
-        rewritten — ``chunks_deduped``/``bytes_deduped`` count them — and
-        neither are a manifest or an index entry that already hold the
-        same bytes."""
-        manifest, blobs = chunk_model(artifact)
+        manifest path.
+
+        A re-put compresses only what changed: a chunk this key's
+        previous manifest names is taken from its stored blob, without
+        compressing, when that blob's sha256 is its name and it
+        decompresses to exactly the chunk's container.  Such a blob is
+        kept even where this build's zlib would compress the same
+        content to other bytes.  ``chunks_compressed`` counts the chunks
+        that were compressed.
+
+        A blob file already present (from any model/GPU) counts as
+        deduped — ``chunks_deduped``/``bytes_deduped`` — only when its
+        sha256 matches its name; a corrupt one is rewritten and counts
+        as written.  A manifest or an index entry that already holds the
+        same bytes is not rewritten.  A previous manifest that is missing
+        or unreadable reuses nothing.
+        """
+        index = self._read_index()
+        key = self._key(artifact.gpu_name, artifact.model_name)
+        previous = self._previous_digests(index.get(key))
+        verified: Dict[str, bytes] = {}
+        reused: List[str] = []
+
+        def reuse(name: str, raw: bytes) -> Optional[Tuple[str, bytes]]:
+            digest = previous.get(name)
+            if digest is None:
+                return None
+            blob = verified.get(digest) or self._stored_blob(digest)
+            if blob is None or not chunks.holds_container(blob, raw):
+                return None
+            verified[digest] = blob
+            reused.append(name)
+            return digest, blob
+
+        manifest, blobs = chunk_model(artifact,
+                                      reuse=reuse if previous else None)
+        self.chunks_compressed += len(manifest.chunks) - len(reused)
         self._chunk_dir.mkdir(parents=True, exist_ok=True)
         for digest in sorted(blobs):
-            blob_path = self._chunk_dir / digest
-            if blob_path.exists():
+            if digest in verified or self._stored_blob(digest) is not None:
                 self.chunks_deduped += 1
                 self.bytes_deduped += len(blobs[digest])
             else:
-                blob_path.write_bytes(blobs[digest])
+                (self._chunk_dir / digest).write_bytes(blobs[digest])
                 self.chunks_written += 1
         filename = (f"{_slug(artifact.gpu_name)}__"
                     f"{_slug(artifact.model_name)}{_MANIFEST_SUFFIX}")
         path = self.root / filename
         # A re-put of the same artifact leaves both files untouched.
         write_if_changed(path, manifest.to_json().encode("utf-8"))
-        index = self._read_index()
-        key = self._key(artifact.gpu_name, artifact.model_name)
         if index.get(key) != filename:
             index[key] = filename
             self._write_index(index)
         return path
+
+    def _previous_digests(self, filename: Optional[str]) -> Dict[str, str]:
+        """Chunk name -> digest in a stored manifest; empty when there is
+        none or it cannot be read."""
+        if filename is None:
+            return {}
+        try:
+            manifest, _ = self._load_manifest(filename)
+        except ArtifactError:
+            return {}
+        return {ref.name: ref.digest for ref in manifest.chunks}
+
+    def _stored_blob(self, digest: str) -> Optional[bytes]:
+        """The blob file named ``digest`` if it exists and its sha256 is
+        its name, else None."""
+        try:
+            blob = (self._chunk_dir / digest).read_bytes()
+        except OSError:
+            return None
+        return blob if chunks.chunk_digest(blob) == digest else None
 
     def get(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:
         """Open one artifact chunk-backed, through the LRU.

@@ -55,6 +55,24 @@ def make_input_ids(seed: int = 0) -> np.ndarray:
                         size=(PAYLOAD_DIM, PAYLOAD_DIM)).astype(float)
 
 
+def lint_before_restore(artifact, refuse: bool = True):
+    """Statically verify ``artifact`` (see :mod:`repro.analysis`) and
+    return the lint report.
+
+    With ``refuse``, error-severity findings raise
+    :class:`~repro.errors.ValidationError` naming their codes, so a
+    corrupt artifact fails before a restore touches it.
+    """
+    from repro import analysis
+    lint = analysis.lint_artifact(artifact)
+    if refuse and lint.errors:
+        raise ValidationError(
+            f"{artifact.model_name}: static verification found "
+            f"{len(lint.errors)} error(s) ({', '.join(lint.codes())}); "
+            f"refusing to restore a corrupt artifact")
+    return lint
+
+
 def validate_restoration(config, artifact,
                          batches: Optional[Sequence[int]] = None,
                          seed: int = 77, cost_model=None,
@@ -84,14 +102,8 @@ def validate_restoration(config, artifact,
     report = ValidationReport(model=artifact.model_name)
     degraded_ok = policy is not None
     if static_lint:
-        from repro import analysis
-        lint = analysis.lint_artifact(artifact)
-        report.diagnostics = list(lint.diagnostics)
-        if lint.errors and not degraded_ok:
-            raise ValidationError(
-                f"{artifact.model_name}: static verification found "
-                f"{len(lint.errors)} error(s) ({', '.join(lint.codes())}); "
-                f"refusing to restore a corrupt artifact")
+        report.diagnostics = list(
+            lint_before_restore(artifact, refuse=not degraded_ok).diagnostics)
     engine, restorer = prepare_medusa_cold_start(
         config, artifact, seed=seed, mode=ExecutionMode.COMPUTE,
         cost_model=cost_model, kv_config=kv_config,

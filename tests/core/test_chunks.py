@@ -271,6 +271,17 @@ class TestChunkModel:
         assert back.to_json() == manifest.to_json()
         assert back.batches == manifest.batches
 
+    @pytest.mark.parametrize("digest", ["../index.json", "ab" * 31, 7],
+                             ids=["path", "short", "not-a-string"])
+    def test_manifest_digest_must_be_a_sha256(self, chunked, digest):
+        """A digest names a file in the store's blob directory, so a
+        manifest whose digest is anything but a sha256 is malformed."""
+        manifest, _ = chunked
+        payload = json.loads(manifest.to_json())
+        payload["chunks"][0]["digest"] = digest
+        with pytest.raises(ArtifactError, match="is not a sha256"):
+            ChunkManifest.from_json(json.dumps(payload))
+
     def test_every_graph_has_head_and_tail(self, tiny2l, chunked):
         manifest, _ = chunked
         kinds = {}

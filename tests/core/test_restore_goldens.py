@@ -243,8 +243,23 @@ def default_qwen_offline():
     return trace, index, liveness
 
 
+@pytest.fixture(scope="module")
+def qwen_store_puts(tmp_path_factory):
+    """Chunks compressed by a first Qwen1.5-0.5B put into an empty store
+    and by a second put of the same artifact."""
+    model, offline_seed, _seed, _mode, tiny = MODELS[1]
+    artifact = _materialize(model, offline_seed, tiny)
+    store = ArtifactStore(tmp_path_factory.mktemp("puts"))
+    compressed = []
+    for _ in range(2):
+        before = store.chunks_compressed
+        store.put(artifact)
+        compressed.append(store.chunks_compressed - before)
+    return compressed
+
+
 def test_work_counts_match_ledger(chunked_qwen_restore,
-                                  default_qwen_offline):
+                                  default_qwen_offline, qwen_store_puts):
     """Work counts, no clock: ``golden_work_counts.json`` is the ledger of
     the counts that bound a layer's wall clock, per fixed input
     (docs/MECHANISM.md gives each one's meaning).  A change that lowers a
@@ -254,13 +269,15 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     allocator = engine.process.allocator
     graphs = engine.capture_artifacts.graphs
     trace, index, liveness = default_qwen_offline
+    first_put, reput = qwen_store_puts
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
     # (55,512), the per-query analysis answered all 27,581 pointer
     # parameters, lint's scalar liveness walk visited every one of the
-    # 36,868 replay rows, and the capture made all 18,583 allocations and
-    # 18,497 launches one hook call each.
+    # 36,868 replay rows, the capture made all 18,583 allocations and
+    # 18,497 launches one hook call each, and a store re-put compressed
+    # all 75 chunks again.
     assert report.timeline.plan == "medusa-chunked"
     assert allocator.num_allocations == 18583
     assert len(allocator.live_buffers) == allocator.buffers_built
@@ -283,6 +300,10 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
                                      - trace.stamped_allocations),
             "per-call launches": (len(trace.launch_lists.seq)
                                   - trace.stamped_launches),
+        },
+        "Qwen1.5-0.5B store put": {
+            "chunks compressed by a first put": first_put,
+            "chunks compressed by a re-put": reput,
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

@@ -252,3 +252,169 @@ class TestStoreCaches:
                 store.get(broken.gpu_name, broken.model_name)
         assert store.cache_info()["entries"] == 0
         assert store.cache_misses == 2
+
+
+def _put(store, artifact):
+    """Put ``artifact``; returns the chunks it compressed, the chunks it
+    wrote and the manifest's bytes."""
+    compressed, written = store.chunks_compressed, store.chunks_written
+    path = store.put(artifact)
+    return (store.chunks_compressed - compressed,
+            store.chunks_written - written, path.read_bytes())
+
+
+def _with_changed_dump(artifact):
+    """``artifact`` with one permanent buffer's contents changed: only
+    its ``dumps`` chunk moves."""
+    contents = artifact.to_payload()["permanent_contents"]
+    first = sorted(contents)[0]
+    return replaced(artifact, permanent_contents=dict(
+        contents, **{first: [[value + 1.0 for value in row]
+                             for row in contents[first]]}))
+
+
+def _manifest_file(store):
+    (filename,) = store._read_index().values()
+    return store.root / filename
+
+
+class TestReput:
+    """A re-put compresses and writes only the chunks that changed, and
+    its manifest is byte-identical to a fresh store's put."""
+
+    @pytest.fixture
+    def stored(self, tmp_path, tiny2l_artifact):
+        artifact, _ = tiny2l_artifact
+        store = ArtifactStore(tmp_path / "store")
+        store.put(artifact)
+        return store, artifact
+
+    @staticmethod
+    def _fresh(tmp_path, artifact) -> bytes:
+        return _put(ArtifactStore(tmp_path / "fresh"), artifact)[2]
+
+    def _blob_of(self, store, artifact, name):
+        digest = store.manifest(artifact.gpu_name,
+                                artifact.model_name).chunk(name).digest
+        return store.root / "chunks" / digest
+
+    @pytest.mark.parametrize("same_process", [True, False],
+                             ids=["same-store", "new-store"])
+    def test_unchanged_artifact(self, stored, tmp_path, same_process):
+        store, artifact = stored
+        if not same_process:          # every stamp cache starts empty
+            store = ArtifactStore(store.root)
+        assert _put(store, artifact) == (0, 0, self._fresh(tmp_path,
+                                                           artifact))
+        assert store.chunks_deduped == 9
+
+    def test_one_changed_chunk(self, stored, tmp_path):
+        store, artifact = stored
+        changed = _with_changed_dump(artifact)
+        before = store.manifest(artifact.gpu_name, artifact.model_name)
+        assert _put(store, changed) == (1, 1, self._fresh(tmp_path, changed))
+        after = store.manifest(artifact.gpu_name, artifact.model_name)
+        assert [ref.name for ref, old in zip(after.chunks, before.chunks)
+                if ref.digest != old.digest] == ["dumps"]
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_blob_failing_its_digest_is_compressed_and_healed(
+            self, stored, tmp_path, damage):
+        store, artifact = stored
+        blob = self._blob_of(store, artifact, "graph[4].head")
+        data = blob.read_bytes()
+        blob.write_bytes(data[:len(data) // 2] if damage == "truncate"
+                         else data[:-1] + bytes([data[-1] ^ 1]))
+        assert _put(store, artifact) == (1, 1, self._fresh(tmp_path,
+                                                           artifact))
+        assert blob.read_bytes() == data
+
+    def test_blob_holding_other_content_is_compressed(self, stored,
+                                                      tmp_path):
+        """A previous manifest whose refs name each other's blobs: each
+        blob verifies against its digest but decompresses to another
+        chunk's container."""
+        store, artifact = stored
+        path = _manifest_file(store)
+        text = path.read_text()
+        kernels = self._blob_of(store, artifact, "kernels").name
+        dumps = self._blob_of(store, artifact, "dumps").name
+        path.write_text(text.replace(kernels, "@").replace(dumps, kernels)
+                        .replace("@", dumps))
+        assert _put(store, artifact) == (2, 0, self._fresh(tmp_path,
+                                                           artifact))
+
+    def test_missing_blob_is_compressed_and_written(self, stored, tmp_path):
+        store, artifact = stored
+        self._blob_of(store, artifact, "replay[0]").unlink()
+        assert _put(store, artifact) == (1, 1, self._fresh(tmp_path,
+                                                           artifact))
+
+    @pytest.mark.parametrize("damage", ["missing", "invalid-json",
+                                        "digest-is-a-path"])
+    def test_unreadable_previous_manifest_reuses_nothing(
+            self, stored, tmp_path, damage):
+        store, artifact = stored
+        path = _manifest_file(store)
+        if damage == "missing":
+            path.unlink()
+        elif damage == "invalid-json":
+            path.write_bytes(b"{not json")
+        else:
+            kernels = self._blob_of(store, artifact, "kernels").name
+            path.write_text(path.read_text().replace(kernels,
+                                                     "../index.json"))
+            with pytest.raises(ArtifactError, match="is not a sha256"):
+                store.get_lazy(artifact.gpu_name, artifact.model_name)
+        assert _put(store, artifact) == (9, 0, self._fresh(tmp_path,
+                                                           artifact))
+
+    def test_first_put_serializes_each_chunk_once(self, tmp_path,
+                                                  tiny2l_artifact,
+                                                  monkeypatch):
+        """The codec is reached through the module attributes a tracer
+        hooks: a first put packs each chunk once and builds its
+        container once; a re-put builds each container once and packs
+        none."""
+        from repro.core import chunks
+        artifact, _ = tiny2l_artifact
+        calls = {"chunk_container": 0, "pack_chunk": 0, "chunk_digest": 0}
+        for name in calls:
+            real = getattr(chunks, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(chunks, name, counted)
+        store = ArtifactStore(tmp_path)
+        store.put(artifact)
+        assert calls == {"chunk_container": 9, "pack_chunk": 9,
+                         "chunk_digest": 9}
+        calls.update(dict.fromkeys(calls, 0))
+        store.put(artifact)
+        assert calls == {"chunk_container": 9, "pack_chunk": 0,
+                         "chunk_digest": 9}
+
+
+class TestHealOnPut:
+    """An existing blob counts as deduped only when its sha256 matches
+    its name; a corrupt one is rewritten."""
+
+    @pytest.mark.parametrize("previous", [True, False],
+                             ids=["re-put", "no-previous-manifest"])
+    def test_truncated_blob_is_rewritten(self, tmp_path, tiny2l_artifact,
+                                         previous):
+        artifact, _ = tiny2l_artifact
+        store = ArtifactStore(tmp_path)
+        store.put(artifact)
+        ref = store.manifest(artifact.gpu_name,
+                             artifact.model_name).chunk("graph[4].head")
+        blob = tmp_path / "chunks" / ref.digest
+        blob.write_bytes(blob.read_bytes()[:-7])
+        if not previous:
+            _manifest_file(store).unlink()
+        store = ArtifactStore(tmp_path)
+        store.put(artifact)
+        assert (store.chunks_written, store.chunks_deduped) == (1, 8)
+        assert store.get_lazy(artifact.gpu_name, artifact.model_name) \
+            .to_payload() == artifact.to_payload()

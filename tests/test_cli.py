@@ -269,6 +269,25 @@ class TestBatchSizes:
         assert main(["validate", "--artifact", path]) == 1
         assert "(MED025); refusing to restore" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutation", [
+        {"rebatch": 2 ** 30}, {"batch_dim": 2 ** 30}],
+        ids=["batch-past-the-model", "node-batch-dim"])
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+    ], ids=["coldstart", "restore"])
+    def test_untrusted_batch_is_refused_before_the_restore(
+            self, source, tmp_path, mutation, argv, capsys):
+        """``coldstart --strategy medusa`` and ``restore`` lint first, as
+        ``validate`` does: the artifact never reaches the restore."""
+        path = self._mutant(source, tmp_path / "bad", **mutation)
+        assert main(argv + [path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Tiny-2L: static verification")
+        assert "(MED025); refusing to restore" in captured.err
+        assert captured.out == ""
+
 
 class TestLintCommand:
     def test_clean_artifact_exits_zero(self, tiny_artifact_path, capsys):
@@ -880,18 +899,10 @@ class TestRestoreFailureExitCodes:
         assert err.startswith("error:")
         assert "artifact is for Tiny-2L" in err
 
-    @pytest.mark.parametrize("field,value,coldstart_code,message", [
-        ("first_layer_nodes", -1, 1, "its module was never loaded"),
-        ("kv_num_blocks", -1, 1, "need at least one KV block"),
-        ("kv_layer_stride", -1, 0, "maps to no live allocation"),
-        ("size", None, 1, "non-positive size 0"),
-    ], ids=["first-layer-negative", "kv-blocks-negative",
-            "kv-stride-negative", "event-without-size"])
-    def test_well_formed_wrong_artifact_fails_the_restore(
-            self, tiny_artifact_path, tmp_path, field, value,
-            coldstart_code, message, capsys):
-        """Well-formed artifacts whose values are wrong: the restore (or
-        the validation after it) fails with exit 1, never a traceback."""
+    @staticmethod
+    def _wrong(tiny_artifact_path, tmp_path, field, value) -> str:
+        """The Tiny-2L JSON artifact with ``field`` set to ``value``
+        (``size``: one allocation's size dropped)."""
         payload = json.loads(open(tiny_artifact_path).read())
         if field == "size":         # the importer's default size is 0
             del next(event for event in payload["replay_events"][5:]
@@ -900,6 +911,22 @@ class TestRestoreFailureExitCodes:
             payload[field] = value
         path = tmp_path / "wrong.medusa.json"
         path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("field,value,coldstart_code,message", [
+        ("first_layer_nodes", -1, 1, "(MED023, MED031); refusing to restore"),
+        ("kv_num_blocks", -1, 1, "need at least one KV block"),
+        ("kv_layer_stride", -1, 0, "maps to no live allocation"),
+        ("size", None, 1, "(MED002, MED004); refusing to restore"),
+    ], ids=["first-layer-negative", "kv-blocks-negative",
+            "kv-stride-negative", "event-without-size"])
+    def test_well_formed_wrong_artifact_fails_the_restore(
+            self, tiny_artifact_path, tmp_path, field, value,
+            coldstart_code, message, capsys):
+        """Well-formed artifacts whose values are wrong: lint refuses
+        them, or the restore (or the validation after it) fails, with
+        exit 1 and never a traceback."""
+        path = self._wrong(tiny_artifact_path, tmp_path, field, value)
         capsys.readouterr()
         assert main(["coldstart", "--model", "Tiny-2L", "--strategy",
                      "medusa", "--artifact", str(path)]) == coldstart_code
@@ -908,13 +935,33 @@ class TestRestoreFailureExitCodes:
         assert "validation: FAILED" in err
         assert message in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("first_layer_nodes", -1, "its module was never loaded"),
+        ("size", None, "non-positive size 0"),
+    ], ids=["first-layer-negative", "event-without-size"])
+    def test_the_restore_checks_what_lint_refuses(
+            self, tiny_artifact_path, tmp_path, field, value, message):
+        """A cold start through the API does not lint; the restore's own
+        checks still fail the artifacts the CLI refuses first."""
+        from repro.core.online import cold_start_for
+        from repro.engine import Strategy
+        from repro.errors import ReproError
+        artifact = cli._load_artifact(
+            self._wrong(tiny_artifact_path, tmp_path, field, value))
+        with pytest.raises(ReproError, match=message):
+            cold_start_for("Tiny-2L", Strategy.MEDUSA, artifact=artifact)
 
     @pytest.mark.parametrize("node_ref", [[1, 99999], [3, 0]],
                              ids=["node-past-graph", "batch-missing"])
     def test_trigger_plan_past_the_graph_fails_the_restore(
             self, tiny_artifact_path, tmp_path, node_ref, capsys):
-        """A trigger plan naming a node or batch size the artifact lacks
-        fails the cold start (exit 1); lint still reports it as MED032."""
+        """A trigger plan naming a node or batch size the artifact lacks:
+        lint reports it as MED032, so the CLI cold start refuses it
+        (exit 1), and a cold start that skips lint fails in the restore,
+        naming the plan."""
+        from repro.core.online import cold_start_for
+        from repro.engine import Strategy
+        from repro.errors import RestorationError
         payload = json.loads(open(tiny_artifact_path).read())
         kernel = payload["graphs"]["1"]["nodes"][0]["kernel_name"]
         payload["trigger_plans"] = [{"kernel_name": kernel,
@@ -926,9 +973,14 @@ class TestRestoreFailureExitCodes:
                      "medusa", "--artifact", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "trigger_plans[0]" in err and kernel in err
+        assert "(MED032); refusing to restore" in err
         assert main(["lint", str(path)]) == 1
         assert "MED032" in capsys.readouterr().out
+        with pytest.raises(RestorationError) as raised:
+            cold_start_for("Tiny-2L", Strategy.MEDUSA,
+                           artifact=cli._load_artifact(str(path)))
+        assert "trigger_plans[0]" in str(raised.value)
+        assert kernel in str(raised.value)
 
     def test_kv_blocks_past_the_buffer_fail_before_allocating(
             self, tiny_artifact_path, tmp_path, capsys):

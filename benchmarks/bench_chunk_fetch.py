@@ -67,16 +67,17 @@ def cold_remote_case(store: ArtifactStore, artifact,
     """Monolithic vs chunk-streamed cold start, engine-level timings."""
     import numpy as np
 
-    from repro.core.binfmt import LazyArtifact, save_binary
+    from repro.core.binfmt import save_binary
+    from repro.core.chunks import open_binary
 
     key = (artifact.gpu_name, artifact.model_name)
     manifest = store.manifest(*key)
 
     with tempfile.TemporaryDirectory() as tmp:
-        npz = pathlib.Path(tmp) / "monolithic.npz"
-        save_binary(artifact, npz)
+        path = pathlib.Path(tmp) / "monolithic.medusa"
+        save_binary(artifact, path)
         _, mono_report = medusa_cold_start(
-            MODEL, LazyArtifact(npz), mode=ExecutionMode.TIMING,
+            MODEL, open_binary(path), mode=ExecutionMode.TIMING,
             cost_model=cost_model)
     _, chunk_report = medusa_cold_start(
         MODEL, store.get_lazy(*key), mode=ExecutionMode.TIMING,

@@ -13,7 +13,8 @@ exports the stage-granular run as one Chrome trace
 
 import pytest
 
-from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.binfmt import save_binary
+from repro.core.chunks import open_binary
 from repro.core.offline import run_offline
 from repro.core.online import medusa_cold_start
 from repro.engine import LLMEngine, Strategy
@@ -37,9 +38,9 @@ NUM_GPUS = 4
 def pipelined_report(tmp_path_factory):
     """A Medusa cold-start report from the pipelined restore plan."""
     artifact, _ = run_offline(MODEL, seed=9000)
-    path = tmp_path_factory.mktemp("staged") / f"{MODEL}.medusa.npz"
+    path = tmp_path_factory.mktemp("staged") / f"{MODEL}.medusa"
     save_binary(artifact, path)
-    _engine, report = medusa_cold_start(MODEL, LazyArtifact(path),
+    _engine, report = medusa_cold_start(MODEL, open_binary(path),
                                         seed=9001)
     return report
 

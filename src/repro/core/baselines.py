@@ -51,17 +51,3 @@ class CheckpointRestoreBaseline:
                 / self.cost_model.gpu.h2d_bandwidth
                 + self.restore_fixup_time)
 
-    def compare_with_artifact(self, artifact) -> dict:
-        """Storage/latency comparison against a Medusa artifact (§9).
-
-        The artifact's size is its JSON export's, the form the paper's
-        artifact persists."""
-        kv_bytes = artifact.kv_bytes
-        artifact_bytes = len(artifact.to_json())
-        checkpoint = self.checkpoint_bytes(kv_bytes)
-        return {
-            "checkpoint_bytes": checkpoint,
-            "artifact_bytes": artifact_bytes,
-            "size_ratio": checkpoint / max(1, artifact_bytes),
-            "checkpoint_restore_time": self.restore_time(kv_bytes),
-        }

@@ -35,10 +35,10 @@ input                              plan                  restore actions
 in-memory artifact, or any active  ``medusa``            ``restore_kv``,
 hook                                                     ``restore_warmup``,
                                                          ``restore_tail``
-artifact file (``.npz``)           ``medusa-pipelined``  ``fetch_artifact``,
+artifact file                      ``medusa-pipelined``  ``fetch_artifact``,
                                                          ``replay_alloc``,
                                                          ``restore_graph[bs]``
-chunk-backed artifact              ``medusa-chunked``    ``fetch_chunk[i]``,
+store artifact                     ``medusa-chunked``    ``fetch_chunk[i]``,
                                                          ``replay_alloc``,
                                                          ``restore_graph[bs]``
 ================================== ===================== ==================
@@ -181,7 +181,7 @@ class VectorizedRestorer:
     """Restores one materialized model into a fresh process.
 
     ``artifact``: a :class:`~repro.core.binfmt.LazyArtifact` (in memory,
-    ``.npz`` or chunk-backed).
+    or chunk-backed, from a file or a store).
     ``injector``: optional :class:`repro.faults.FaultInjector` whose faults
     fire at this restorer's injection sites (chaos testing).
     ``policy``: optional :class:`repro.faults.DegradationPolicy`.  When set,

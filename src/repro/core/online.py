@@ -6,15 +6,15 @@ and the one restorer, :class:`repro.core.fastpath.VectorizedRestorer`
 (KV restore, allocation replay, first-layer warm-up with triggering
 kernels, and graph restore by one pointer gather per graph).  Every input
 kind runs that restorer on the packed tables (a JSON artifact is packed
-on import).  The packed artifact alone and the hooks pick the LoadPlan:
+on import).  Where the input came from and the hooks pick the LoadPlan:
 
 ================================== =====================
 input                              plan
 ================================== =====================
 in memory (``path is None``: the   ``medusa`` (monolithic restore tail)
 offline output or JSON), or hooked
-an artifact file (``.npz``)        ``medusa-pipelined``
-a chunk manifest                   ``medusa-chunked``
+an artifact file (``open_binary``) ``medusa-pipelined``
+a store (``ArtifactStore.get``)    ``medusa-chunked``
 ================================== =====================
 
 A :class:`~repro.faults.FaultInjector` or
@@ -60,8 +60,9 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     The plan follows the packed ``artifact`` (see the module docstring):
     an in-memory one, an active :class:`~repro.faults.FaultInjector` or a
     :class:`~repro.faults.DegradationPolicy` gets the monolithic
-    ``medusa`` plan, a chunk-backed artifact the chunk-streamed plan, and
-    an artifact file the pipelined plan over its batch sizes.
+    ``medusa`` plan; of the chunk-backed ones, as their opener recorded
+    (``fetch_per_chunk``), a store's gets the chunk-streamed plan and a
+    file's the pipelined plan over its batch sizes.
 
     Exposed separately from :func:`medusa_cold_start` so callers (the
     wall-clock bench, plan lint) can use the pair before running
@@ -73,13 +74,12 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
         raise RestorationError(
             f"artifact is for {artifact.model_name}, engine wants {config.name}")
     hooked = (injector is not None and injector.active) or policy is not None
-    manifest = getattr(artifact, "chunk_manifest", None)
     if hooked or artifact.path is None:
         plan = None     # the strategy's registered monolithic plan
-    elif manifest is not None:
-        # Chunk-backed lazy artifact: stream fetches per chunk, with only
-        # the first graph's chunks in the foreground.
-        plan = chunked_medusa_plan(manifest)
+    elif artifact.fetch_per_chunk:
+        # A store: stream fetches per chunk, with only the first graph's
+        # chunks in the foreground.
+        plan = chunked_medusa_plan(artifact.chunk_manifest)
     else:
         plan = pipelined_medusa_plan(artifact.batches)
     engine = LLMEngine(config, Strategy.MEDUSA, seed=seed, mode=mode,

@@ -12,10 +12,9 @@ on first access).  Because blobs are addressed by content, two models
 identical graph, replay, or kernel-table chunks store those bytes
 **once** — :meth:`stats` reports the resulting dedup ratio.
 
-A re-put verifies the chunks it already stored for the same key (the
-blob's sha256 against its name, then its decompressed container against
-the chunk's) and compresses only the ones that changed.  A blob file
-that fails its sha256 is rewritten, not counted as deduped.
+A put compresses each chunk at most once (see :meth:`ArtifactStore.put`),
+and a re-put only the chunks that changed.  A blob file that fails its
+sha256 is rewritten, not counted as deduped.
 
 Three caches keep repeated cold starts on one node off the
 deserialization path:
@@ -48,7 +47,6 @@ from repro.core import chunks
 from repro.core.chunks import (
     ChunkManifest,
     ChunkedLazyArtifact,
-    chunk_model,
     directory_loader,
 )
 from repro.errors import ArtifactError, LintError
@@ -152,12 +150,7 @@ class ArtifactStore:
         self.manifest_reads += 1
         payload = path.read_bytes()
         digest = hashlib.sha256(payload).hexdigest()
-        try:
-            text = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ArtifactError(
-                f"chunk manifest {filename} is not UTF-8 text: {exc}") from exc
-        manifest = ChunkManifest.from_json(text)
+        manifest = ChunkManifest.from_json(payload)
         self._manifest_cache[filename] = (stamp, manifest, digest)
         return manifest, digest
 
@@ -177,16 +170,17 @@ class ArtifactStore:
     # -- operations ----------------------------------------------------------
 
     def put(self, artifact) -> pathlib.Path:
-        """Persist an artifact's members as chunks + manifest; returns the
-        manifest path.
+        """Persist an artifact's chunk set as blobs + manifest; returns
+        the manifest path.
 
-        A re-put compresses only what changed: a chunk this key's
-        previous manifest names is taken from its stored blob, without
-        compressing, when that blob's sha256 is its name and it
-        decompresses to exactly the chunk's container.  Such a blob is
-        kept even where this build's zlib would compress the same
-        content to other bytes.  ``chunks_compressed`` counts the chunks
-        that were compressed.
+        An artifact whose chunk set exists (:func:`repro.core.chunks.
+        chunk_set`: saved or put before, or chunk-backed, whose blobs are
+        copied after their digest check) is not compressed again.
+        Otherwise a chunk this key's previous manifest names is taken
+        from its stored blob when that verifies (:class:`~repro.core.
+        chunks.BlobReuse`), even where this build's zlib would compress
+        the same content to other bytes.  ``chunks_compressed`` counts
+        the chunks that were compressed.
 
         A blob file already present (from any model/GPU) counts as
         deduped — ``chunks_deduped``/``bytes_deduped`` — only when its
@@ -197,31 +191,22 @@ class ArtifactStore:
         """
         index = self._read_index()
         key = self._key(artifact.gpu_name, artifact.model_name)
-        previous = self._previous_digests(index.get(key))
-        verified: Dict[str, bytes] = {}
-        reused: List[str] = []
-
-        def reuse(name: str, raw: bytes) -> Optional[Tuple[str, bytes]]:
-            digest = previous.get(name)
-            if digest is None:
-                return None
-            blob = verified.get(digest) or self._stored_blob(digest)
-            if blob is None or not chunks.holds_container(blob, raw):
-                return None
-            verified[digest] = blob
-            reused.append(name)
-            return digest, blob
-
-        manifest, blobs = chunk_model(artifact,
-                                      reuse=reuse if previous else None)
-        self.chunks_compressed += len(manifest.chunks) - len(reused)
+        previous = index.get(key)
+        reuse = chunks.BlobReuse(
+            (lambda: (self._load_manifest(previous)[0],
+                      directory_loader(self._chunk_dir)))
+            if previous is not None else None)
+        manifest, load = chunks.chunk_set(artifact, reuse)
+        self.chunks_compressed += reuse.offered - reuse.taken
         self._chunk_dir.mkdir(parents=True, exist_ok=True)
-        for digest in sorted(blobs):
-            if digest in verified or self._stored_blob(digest) is not None:
+        refs = {ref.digest: ref for ref in manifest.chunks}
+        for digest in sorted(refs):
+            if digest in reuse.verified \
+                    or self._stored_blob(digest) is not None:
                 self.chunks_deduped += 1
-                self.bytes_deduped += len(blobs[digest])
+                self.bytes_deduped += refs[digest].nbytes
             else:
-                (self._chunk_dir / digest).write_bytes(blobs[digest])
+                (self._chunk_dir / digest).write_bytes(load(refs[digest]))
                 self.chunks_written += 1
         filename = (f"{_slug(artifact.gpu_name)}__"
                     f"{_slug(artifact.model_name)}{_MANIFEST_SUFFIX}")
@@ -232,17 +217,6 @@ class ArtifactStore:
             index[key] = filename
             self._write_index(index)
         return path
-
-    def _previous_digests(self, filename: Optional[str]) -> Dict[str, str]:
-        """Chunk name -> digest in a stored manifest; empty when there is
-        none or it cannot be read."""
-        if filename is None:
-            return {}
-        try:
-            manifest, _ = self._load_manifest(filename)
-        except ArtifactError:
-            return {}
-        return {ref.name: ref.digest for ref in manifest.chunks}
 
     def _stored_blob(self, digest: str) -> Optional[bytes]:
         """The blob file named ``digest`` if it exists and its sha256 is

@@ -206,10 +206,6 @@ class Trace:
                 launches.sizes[slots], launches.values[slots], self.kernels)
         return launches
 
-    def freed_alloc_indices(self) -> Dict[int, int]:
-        """alloc_index -> seq of its (last) free event (pool or cudaFree)."""
-        return dict(zip(self.free_lists.alloc_index, self.free_lists.seq))
-
     # -- row views (built on demand) -------------------------------------
 
     def _built(self, rows: list) -> list:

@@ -62,10 +62,6 @@ class ServingLoop:
         self.scheduler.add(sequence)
         return sequence
 
-    def submit_text(self, text: str,
-                    sampling: Optional[SamplingParams] = None) -> Sequence:
-        return self.submit(self.engine.tokenizer.encode(text), sampling)
-
     # -- the loop -----------------------------------------------------------------
 
     def step(self) -> List[CompletedSequence]:

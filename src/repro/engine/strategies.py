@@ -74,10 +74,6 @@ class Strategy(enum.Enum):
         return self is not Strategy.NO_CUDA_GRAPH
 
     @property
-    def captures_at_cold_start(self) -> bool:
-        return self in (Strategy.VLLM, Strategy.VLLM_ASYNC)
-
-    @property
     def label(self) -> str:
         return self.value
 

@@ -66,9 +66,6 @@ class KernelProfiler(Interceptor):
     def total_launches(self) -> int:
         return self.eager_launches + self.captured_launches
 
-    def top_kernels(self, count: int = 10) -> List:
-        return self.per_kernel.most_common(count)
-
     def summary(self) -> Dict[str, float]:
         return {
             "total_launches": float(self.total_launches),

@@ -364,13 +364,14 @@ class TestRegistrySync:
 
     def test_vectorized_restorer_names_match_runtime(self, tiny2l_artifact,
                                                      tmp_path):
-        from repro.core.binfmt import LazyArtifact, save_binary
+        from repro.core.binfmt import save_binary
+        from repro.core.chunks import open_binary
         from repro.core.online import prepare_medusa_cold_start
         from repro.engine.engine import ENGINE_STAGE_ACTIONS
         artifact, _ = tiny2l_artifact
-        path = str(tmp_path / "tiny2l.npz")
+        path = str(tmp_path / "tiny2l.medusa")
         save_binary(artifact, path)
-        lazy = LazyArtifact(path)
+        lazy = open_binary(path)
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", lazy, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model())

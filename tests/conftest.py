@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.simgpu.kernels import KernelSpec, ParamKind, ParamSpec
@@ -121,6 +123,92 @@ def replaced(artifact, **fields):
     export, changed and imported again."""
     from repro.core.binfmt import LazyArtifact
     return LazyArtifact.from_payload(dict(artifact.to_payload(), **fields))
+
+
+def unchunked(artifact):
+    """A copy of the in-memory ``artifact`` without its cached chunk set:
+    the next save or put chunks it anew."""
+    from repro.core.binfmt import LazyArtifact
+    return LazyArtifact(None, data=artifact.members(),
+                        meta=artifact.metadata())
+
+
+def rewrite_binary(source, out, members=None, metadata=None):
+    """Copy the binary artifact file ``source`` to ``out``, edited; returns
+    ``out``.
+
+    ``members`` maps a member name to a function applied to each chunk's
+    part of that member: it returns the new array, or ``bytes`` to store
+    as the member's raw ``.npy`` payload.  ``metadata`` edits the
+    manifest's metadata dict in place.  Each edited chunk is re-packed
+    under its new digest, so the copy passes the content-hash check and
+    the edit reaches the decoder.
+    """
+    import dataclasses
+    import io
+    import json
+    import zlib
+
+    import numpy as np
+
+    from repro.core import chunks
+    manifest, load = chunks.file_chunk_set(source)
+    refs, blobs = [], {}
+    for ref in manifest.chunks:
+        blob = load(ref)
+        parts = chunks.unpack_chunk(blob)
+        edits = {name: edit for name, edit in (members or {}).items()
+                 if name in parts}
+        if edits:
+            raw = io.BytesIO()
+            raw.write(chunks._CHUNK_MAGIC)
+            for name in sorted(parts):
+                data = edits[name](parts[name]) if name in edits \
+                    else parts[name]
+                if not isinstance(data, bytes):
+                    payload = io.BytesIO()
+                    np.save(payload, data, allow_pickle=False)
+                    data = payload.getvalue()
+                encoded = name.encode("utf-8")
+                raw.write(len(encoded).to_bytes(4, "little") + encoded)
+                raw.write(len(data).to_bytes(8, "little") + data)
+            blob = zlib.compress(raw.getvalue(), 6)
+            ref = dataclasses.replace(ref, digest=chunks.chunk_digest(blob),
+                                      nbytes=len(blob))
+        blobs[ref.digest] = blob
+        refs.append(ref)
+    meta = json.loads(json.dumps(manifest.metadata))
+    if metadata is not None:
+        metadata(meta)
+    manifest = chunks.ChunkManifest(metadata=meta, chunks=tuple(refs))
+    pathlib.Path(out).write_bytes(
+        chunks.file_bytes(manifest, lambda ref: blobs[ref.digest]))
+    return out
+
+
+def rewrite_manifest(source, out, edit):
+    """Copy the binary artifact file ``source`` to ``out`` with its
+    manifest JSON edited as it is parsed, unchecked: ``edit(payload)``
+    may change anything but the number of chunks.  The blob offsets
+    shift with the manifest's length."""
+    import json
+    import struct
+
+    from repro.core.chunks import FILE_MAGIC
+    data = pathlib.Path(source).read_bytes()
+    start = len(FILE_MAGIC) + 8
+    length = int.from_bytes(data[len(FILE_MAGIC):start], "little")
+    payload = json.loads(data[start:start + length])
+    count = len(payload["chunks"])
+    offsets = struct.unpack_from(f"<{count}Q", data, start + length)
+    edit(payload)
+    text = json.dumps(payload, sort_keys=True).encode("utf-8")
+    shift = len(text) - length
+    pathlib.Path(out).write_bytes(
+        data[:len(FILE_MAGIC)] + len(text).to_bytes(8, "little") + text
+        + struct.pack(f"<{count}Q", *[offset + shift for offset in offsets])
+        + data[start + length + 8 * count:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.binfmt import save_binary
 from repro.core.chunks import (
     KIND_GRAPH_HEAD,
     KIND_GRAPH_TAIL,
@@ -20,13 +20,14 @@ from repro.core.chunks import (
     chunk_digest,
     chunk_model,
     graph_head_chunk_name,
+    open_binary,
     pack_chunk,
     simulation_chunks,
     unpack_chunk,
 )
 from repro.core.store import ArtifactStore
 from repro.errors import ArtifactError
-from tests.conftest import replaced
+from tests.conftest import replaced, rewrite_binary
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +185,8 @@ class TestMemberDecoder:
 _SHORT = _npy(np.arange(3))
 _LONG = _npy(np.arange(8, dtype=np.int64))
 
-#: Malformed ``.npy`` members and the diagnostic each must raise, as a
-#: chunk member and as a ``.npz`` member alike.
+#: Malformed ``.npy`` members and the diagnostic each must raise, in a
+#: bare chunk and in a chunk of a binary file alike.
 _MALFORMED_MEMBERS = {
     "bad-magic": (b"XNUMPY" + _SHORT[6:], "not a .npy payload"),
     "truncated-data": (_LONG[:-8], "header declares"),
@@ -196,64 +197,50 @@ _MALFORMED_MEMBERS = {
 }
 
 
-class TestNpzMemberDecoder:
-    """``.npz`` members go through the chunk codec's ``.npy`` decoder."""
+class TestFileMemberDecoder:
+    """The members of a binary file's chunks go through the chunk
+    codec's ``.npy`` decoder."""
 
-    @staticmethod
-    def _npz(tmp_path, members):
-        import zipfile
-        path = tmp_path / "members.npz"
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
-            for name, data in members.items():
-                archive.writestr(name + ".npy", data)
+    @pytest.fixture(scope="class")
+    def tiny_file(self, tiny2l, tmp_path_factory):
+        path = tmp_path_factory.mktemp("decoder") / "tiny.medusa"
+        save_binary(tiny2l, path)
         return path
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED_MEMBERS))
-    def test_malformed_member_fails_alike(self, case, tmp_path):
-        from repro.core.binfmt import NpzMembers
+    def test_malformed_member_fails_alike(self, case, tiny_file, tmp_path):
         payload, message = _MALFORMED_MEMBERS[case]
         with pytest.raises(ArtifactError, match=message):
             unpack_chunk(_container({"a": payload}))
-        members = NpzMembers(self._npz(tmp_path, {"a": payload}))
+        bad = open_binary(rewrite_binary(
+            tiny_file, tmp_path / "bad.medusa",
+            members={"ev_kind": lambda _column: payload}))
         with pytest.raises(ArtifactError, match=message):
-            members["a"]
+            bad.reader["ev_kind"]
 
-    def test_missing_member_is_a_key_error(self, tmp_path):
-        from repro.core.binfmt import NpzMembers
-        members = NpzMembers(self._npz(tmp_path, {"a": _npy(np.arange(3))}))
-        np.testing.assert_array_equal(members["a"], np.arange(3))
+    def test_missing_member_is_a_key_error(self, tiny_file):
+        reader = open_binary(tiny_file).reader
+        assert reader["ev_kind"].dtype == np.int8
         with pytest.raises(KeyError):
-            members["b"]
+            reader["b"]
 
     def test_every_member_of_a_model_decodes_like_np_load(self, tiny2l,
-                                                         tmp_path):
-        from repro.core.binfmt import NpzMembers
-        path = tmp_path / "tiny.npz"
-        save_binary(tiny2l, path)
-        members = NpzMembers(path)
-        with np.load(path, allow_pickle=False) as expected:
-            for name in expected.files:
-                actual = members[name]
-                assert actual.dtype == expected[name].dtype, name
-                assert actual.shape == expected[name].shape, name
-                assert actual.tobytes() == expected[name].tobytes(), name
-                assert actual.flags.writeable, name
+                                                         tiny_file):
+        members = open_binary(tiny_file).members()
+        expected = tiny2l.members()
+        assert list(members) == list(expected)
+        for name, actual in members.items():
+            assert actual.dtype == expected[name].dtype, name
+            assert actual.shape == expected[name].shape, name
+            assert actual.tobytes() == expected[name].tobytes(), name
+            assert actual.flags.writeable, name
 
-    def test_malformed_bulk_member_fails_on_first_use(self, tiny2l,
+    def test_malformed_bulk_member_fails_on_first_use(self, tiny_file,
                                                       tmp_path):
-        import zipfile
-        from repro.core.binfmt import LazyArtifact
-        good = tmp_path / "tiny.npz"
-        save_binary(tiny2l, good)
-        bad = tmp_path / "bad.npz"
-        with zipfile.ZipFile(good) as source, \
-                zipfile.ZipFile(bad, "w") as target:
-            for name in source.namelist():
-                data = source.read(name)
-                if name == "ev_kind.npy":
-                    data = data[:-1]
-                target.writestr(name, data)
-        artifact = LazyArtifact(bad)          # metadata is intact
+        bad = rewrite_binary(tiny_file, tmp_path / "bad.medusa",
+                             members={"ev_kind": lambda column:
+                                      _npy(column)[:-1]})
+        artifact = open_binary(bad)          # the manifest is intact
         with pytest.raises(ArtifactError, match="ev_kind"):
             artifact.replay_table()
 
@@ -293,7 +280,9 @@ class TestChunkModel:
 
     def test_foreground_excludes_only_nonlargest_tails(self, chunked):
         manifest, _ = chunked
-        background = manifest.background_chunks()
+        foreground = manifest.foreground_chunks()
+        background = [ref for ref in manifest.chunks
+                      if ref not in foreground]
         largest = max(manifest.batches)
         assert background
         for ref in background:
@@ -304,10 +293,11 @@ class TestChunkModel:
                                                          chunked,
                                                          tmp_path):
         manifest, blobs = chunked
-        path = tmp_path / "mono.npz"
+        path = tmp_path / "mono.medusa"
         save_binary(tiny2l, path)
-        mono = LazyArtifact(path)
-        lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
+        mono = open_binary(path)
+        lazy = ChunkedLazyArtifact(manifest,
+                                   lambda ref: blobs[ref.digest])
         assert lazy.to_json() == mono.to_json()
 
     def test_simulation_chunks_mirror_manifest(self, chunked):
@@ -322,18 +312,20 @@ class TestChunkModel:
 class TestChunkedLazyArtifact:
     def test_first_layer_table_loads_only_head_chunks(self, chunked):
         manifest, blobs = chunked
-        lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
+        lazy = ChunkedLazyArtifact(manifest,
+                                   lambda ref: blobs[ref.digest])
         batch = max(manifest.batches)
         table = lazy.first_layer_table(batch)
         assert table.num_nodes > 0
         loaded = lazy.reader.loaded_chunks
         assert graph_head_chunk_name(batch) in loaded
-        assert not any(manifest.chunk(name).kind == KIND_GRAPH_TAIL
-                       for name in loaded)
+        assert not any(ref.kind == KIND_GRAPH_TAIL
+                       for ref in manifest.chunks if ref.name in loaded)
 
     def test_graph_table_concatenates_head_and_tail(self, tiny2l, chunked):
         manifest, blobs = chunked
-        lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
+        lazy = ChunkedLazyArtifact(manifest,
+                                   lambda ref: blobs[ref.digest])
         for batch in manifest.batches:
             table = lazy.graph_table(batch)
             assert table.num_nodes == tiny2l.graph_nodes(batch)
@@ -341,7 +333,8 @@ class TestChunkedLazyArtifact:
     def test_permanent_contents_come_from_dumps_chunk(self, tiny2l,
                                                       chunked):
         manifest, blobs = chunked
-        lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
+        lazy = ChunkedLazyArtifact(manifest,
+                                   lambda ref: blobs[ref.digest])
         assert set(lazy.permanent_contents) \
             == set(tiny2l.permanent_contents)
 
@@ -390,7 +383,6 @@ class TestStoreChunking:
 class TestChunkedColdStart:
     def test_chunked_plan_cold_start_matches_pipelined_graphs(
             self, tiny2l, tmp_path):
-        from repro.core.binfmt import LazyArtifact
         from repro.core.online import prepare_medusa_cold_start
         from repro.simgpu.process import ExecutionMode
         from tests.conftest import tiny_cost_model
@@ -404,10 +396,10 @@ class TestChunkedColdStart:
         report = engine.cold_start(restorer=restorer)
         assert report.timeline.plan == "medusa-chunked"
 
-        npz = tmp_path / "mono.npz"
-        save_binary(tiny2l, npz)
+        path = tmp_path / "mono.medusa"
+        save_binary(tiny2l, path)
         engine2, restorer2 = prepare_medusa_cold_start(
-            "Tiny-2L", LazyArtifact(npz), mode=ExecutionMode.COMPUTE,
+            "Tiny-2L", open_binary(path), mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model())
         baseline = engine2.cold_start(restorer=restorer2)
         assert baseline.timeline.plan == "medusa-pipelined"
@@ -416,7 +408,6 @@ class TestChunkedColdStart:
 
     def test_foreground_fetch_is_smaller_than_monolithic(self, tiny2l,
                                                          tmp_path):
-        from repro.core.binfmt import LazyArtifact
         from repro.core.online import prepare_medusa_cold_start
         from repro.engine.loadplan import (
             FETCH_ARTIFACT,
@@ -433,10 +424,10 @@ class TestChunkedColdStart:
             cost_model=tiny_cost_model())
         chunked = engine.cold_start(restorer=restorer).timeline
 
-        npz = tmp_path / "mono.npz"
-        save_binary(tiny2l, npz)
+        path = tmp_path / "mono.medusa"
+        save_binary(tiny2l, path)
         engine2, restorer2 = prepare_medusa_cold_start(
-            "Tiny-2L", LazyArtifact(npz), mode=ExecutionMode.TIMING,
+            "Tiny-2L", open_binary(path), mode=ExecutionMode.TIMING,
             cost_model=tiny_cost_model())
         mono = engine2.cold_start(restorer=restorer2).timeline
 

@@ -79,10 +79,6 @@ class TestTrace:
         assert len(trace.captured_launches()) == 1
         assert trace.num_events == 5
 
-    def test_freed_indices_map(self):
-        trace = Trace(events=[alloc(0, 0), free(5, 0)])
-        assert trace.freed_alloc_indices() == {0: 5}
-
 
 def _assert_trace_contract(trace):
     """The per-kind lists and the free map are views of ``events``."""
@@ -93,7 +89,8 @@ def _assert_trace_contract(trace):
         assert rows == [e for e in events if type(e) is kind]
     seqs = [e.seq for e in events]
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
-    assert trace.freed_alloc_indices() == {
+    assert dict(zip(trace.free_lists.alloc_index,
+                    trace.free_lists.seq)) == {
         e.alloc_index: e.seq for e in events if type(e) is FreeTraceEvent}
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.chunks import open_binary
 from repro.core.fastpath import VectorizedRestorer
 from repro.core.online import medusa_cold_start, prepare_medusa_cold_start
 from repro.engine.loadplan import restore_graph_stage
@@ -27,9 +28,9 @@ MODEL = "Tiny-2L"
 
 
 @pytest.fixture(scope="session")
-def tiny2l_npz(tmp_path_factory, tiny2l_artifact):
+def tiny2l_file(tmp_path_factory, tiny2l_artifact):
     artifact, _ = tiny2l_artifact
-    path = tmp_path_factory.mktemp("fastpath") / "tiny2l.medusa.npz"
+    path = tmp_path_factory.mktemp("fastpath") / "tiny2l.medusa"
     save_binary(artifact, path)
     return path
 
@@ -40,23 +41,23 @@ def plan_name(engine):
 
 
 def fast_cold_start(path, mode=ExecutionMode.TIMING, **kwargs):
-    return medusa_cold_start(MODEL, LazyArtifact(path), seed=7, mode=mode,
+    return medusa_cold_start(MODEL, open_binary(path), seed=7, mode=mode,
                              cost_model=tiny_cost_model(), **kwargs)
 
 
 class TestFastPathCorrectness:
-    def test_serves_identical_outputs(self, tiny2l_npz, tiny2l_artifact):
+    def test_serves_identical_outputs(self, tiny2l_file, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        engine, report = fast_cold_start(tiny2l_npz,
+        engine, report = fast_cold_start(tiny2l_file,
                                          mode=ExecutionMode.COMPUTE)
         assert report.timeline.plan == "medusa-pipelined"
         assert_serves_correctly(engine, artifact)
 
-    def test_verify_dumps_vectorized(self, tiny2l_npz):
+    def test_verify_dumps_vectorized(self, tiny2l_file):
         engine, _ = prepare_medusa_cold_start(
-            MODEL, LazyArtifact(tiny2l_npz), seed=7,
+            MODEL, open_binary(tiny2l_file), seed=7,
             mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model())
-        restorer = VectorizedRestorer(LazyArtifact(tiny2l_npz),
+        restorer = VectorizedRestorer(open_binary(tiny2l_file),
                                       verify_dumps=True)
         report = engine.cold_start(restorer=restorer)
         assert report.timeline.plan == "medusa-pipelined"
@@ -74,9 +75,9 @@ class TestFastPathCorrectness:
 class TestPathSelection:
     """One restorer for every input; the input and hooks pick the plan."""
 
-    def test_lazy_artifact_auto_routes_to_fast_path(self, tiny2l_npz):
+    def test_lazy_artifact_auto_routes_to_fast_path(self, tiny2l_file):
         engine, restorer = prepare_medusa_cold_start(
-            MODEL, LazyArtifact(tiny2l_npz), cost_model=tiny_cost_model())
+            MODEL, open_binary(tiny2l_file), cost_model=tiny_cost_model())
         assert isinstance(restorer, VectorizedRestorer)
         assert plan_name(engine) == "medusa-pipelined"
 
@@ -100,18 +101,18 @@ class TestPathSelection:
             MODEL, artifact, cost_model=tiny_cost_model())
         assert plan_name(eager_engine) == "medusa"
 
-    def test_policy_keeps_monolithic_plan(self, tiny2l_npz):
+    def test_policy_keeps_monolithic_plan(self, tiny2l_file):
         engine, restorer = prepare_medusa_cold_start(
-            MODEL, LazyArtifact(tiny2l_npz), cost_model=tiny_cost_model(),
+            MODEL, open_binary(tiny2l_file), cost_model=tiny_cost_model(),
             policy=DegradationPolicy())
         assert isinstance(restorer, VectorizedRestorer)
         assert plan_name(engine) == "medusa"
 
-    def test_chaos_run_falls_back_and_degrades(self, tiny2l_npz):
+    def test_chaos_run_falls_back_and_degrades(self, tiny2l_file):
         spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
         injector = FaultInjector(FaultPlan(seed=11, faults=(spec,)))
         engine, report = fast_cold_start(
-            tiny2l_npz, mode=ExecutionMode.COMPUTE, injector=injector,
+            tiny2l_file, mode=ExecutionMode.COMPUTE, injector=injector,
             policy=DegradationPolicy())
         assert injector.fired
         assert report.timeline.plan == "medusa+degraded"
@@ -119,10 +120,10 @@ class TestPathSelection:
 
 
 class TestPipelinedTimeline:
-    def test_non_first_restore_stages_are_background(self, tiny2l_npz,
+    def test_non_first_restore_stages_are_background(self, tiny2l_file,
                                                      tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        _engine, report = fast_cold_start(tiny2l_npz)
+        _engine, report = fast_cold_start(tiny2l_file)
         batches = sorted(artifact.batches, reverse=True)
         stages = {stage.name: stage for stage in report.timeline.stages}
         first = stages[restore_graph_stage(batches[0])]
@@ -133,17 +134,17 @@ class TestPipelinedTimeline:
             assert stage.background
             assert not stage.critical
 
-    def test_ready_precedes_background_tail(self, tiny2l_npz):
-        _engine, report = fast_cold_start(tiny2l_npz)
+    def test_ready_precedes_background_tail(self, tiny2l_file):
+        _engine, report = fast_cold_start(tiny2l_file)
         timeline = report.timeline
         assert timeline.ready < timeline.total
         assert report.ready_time == timeline.ready
         assert report.loading_time == timeline.total
 
-    def test_pipelined_ready_beats_monolithic_plan(self, tiny2l_npz,
+    def test_pipelined_ready_beats_monolithic_plan(self, tiny2l_file,
                                                    tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        _engine, fast = fast_cold_start(tiny2l_npz)
+        _engine, fast = fast_cold_start(tiny2l_file)
         _engine, slow = medusa_cold_start(
             artifact.model_name, artifact, seed=7,
             cost_model=tiny_cost_model())
@@ -156,12 +157,12 @@ class TestColumnGraphs:
 
     def _restored(self, path):
         engine, restorer = prepare_medusa_cold_start(
-            MODEL, LazyArtifact(path), seed=7, cost_model=tiny_cost_model())
+            MODEL, open_binary(path), seed=7, cost_model=tiny_cost_model())
         engine.cold_start(restorer=restorer)
         return engine, restorer
 
-    def test_restored_graph_is_the_gathered_columns(self, tiny2l_npz):
-        engine, restorer = self._restored(tiny2l_npz)
+    def test_restored_graph_is_the_gathered_columns(self, tiny2l_file):
+        engine, restorer = self._restored(tiny2l_file)
         batch = max(restorer.artifact.batches)
         table = restorer.artifact.graph_table(batch)
         columns = engine.capture_artifacts.graphs[batch].columns
@@ -173,8 +174,8 @@ class TestColumnGraphs:
                 in columns.kernel_addresses.tolist()] == \
             [table.kernel_names[i] for i in table.kernel_ids.tolist()]
 
-    def test_warm_up_launches_the_gathered_first_layer(self, tiny2l_npz):
-        engine, restorer = self._restored(tiny2l_npz)
+    def test_warm_up_launches_the_gathered_first_layer(self, tiny2l_file):
+        engine, restorer = self._restored(tiny2l_file)
         batch = max(restorer.artifact.batches)
         table = restorer.artifact.graph_table(batch)
         plan = restorer._first_layer_plan(engine, batch)
@@ -187,8 +188,8 @@ class TestColumnGraphs:
             table.param_sizes[:stop].tolist(),
             restorer._resolved_values(table, stop=stop).tolist()))
 
-    def test_missing_address_names_first_node(self, tiny2l_npz):
-        _engine, restorer = self._restored(tiny2l_npz)
+    def test_missing_address_names_first_node(self, tiny2l_file):
+        _engine, restorer = self._restored(tiny2l_file)
         table = restorer.artifact.graph_table(max(restorer.artifact.batches))
         ids = table.kernel_ids.tolist()
         # Two kernels lose their address: node 0's and the lowest id,

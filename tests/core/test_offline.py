@@ -250,17 +250,18 @@ class TestCollectorPause:
     def test_cold_start_leaves_no_cyclic_garbage(self, tiny2l_artifact,
                                                  tmp_path):
         """A dropped engine is freed by refcounting alone, whatever the
-        input: eager, ``.npz`` or chunked.  A warm-up restore of each kind
+        input: eager, a file or a store.  A warm-up restore of each kind
         first parses its ``.npy`` headers into the decoder's cache."""
-        from repro.core.binfmt import LazyArtifact, save_binary
+        from repro.core.binfmt import save_binary
+        from repro.core.chunks import open_binary
         from repro.core.store import ArtifactStore
         artifact, _ = tiny2l_artifact
-        save_binary(artifact, tmp_path / "tiny.npz")
+        save_binary(artifact, tmp_path / "tiny.medusa")
         store = ArtifactStore(tmp_path / "store")
         store.put(artifact)
         inputs = {
             "eager": lambda: artifact,
-            "npz": lambda: LazyArtifact(tmp_path / "tiny.npz"),
+            "file": lambda: open_binary(tmp_path / "tiny.medusa"),
             "chunked": lambda: store.get_lazy(artifact.gpu_name,
                                               artifact.model_name),
         }

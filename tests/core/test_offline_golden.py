@@ -3,7 +3,8 @@
 ``golden_offline_artifacts.json`` pins, per model at the default offline
 seed and cost model:
 
-- the sha256 of the :func:`~repro.core.binfmt.save_binary` output;
+- the sha256 of the :func:`~repro.core.binfmt.save_binary` output (the
+  single-file chunk set);
 - the sha256 of the JSON export (``to_json()``, UTF-8);
 - the ``repr`` of ``capture_stage_time`` and ``analysis_time``;
 - every :class:`~repro.core.offline.OfflineReport` ``stats`` value (repr);
@@ -98,7 +99,7 @@ def snapshot(model: str, run=materialize) -> dict:
     produced."""
     artifact, report, trace = run(model)
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "artifact.npz"
+        path = pathlib.Path(tmp) / "artifact.medusa"
         save_binary(artifact, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return {

@@ -1,7 +1,7 @@
 """Restore-timeline goldens: every input kind, with and without the ladder.
 
 One restorer serves in-memory artifacts (the ``eager`` rows: the offline
-output as it is), monolithic ``.npz`` lazy artifacts, and chunk-backed
+output as it is), single-file artifacts opened lazily, and chunk-backed
 artifacts from an :class:`~repro.core.store.ArtifactStore`.  Each input
 kind keeps the plan it has always run (``medusa``, ``medusa-pipelined``,
 ``medusa-chunked``), so the simulated loading time and every scheduled
@@ -42,11 +42,14 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.core.binfmt import POINTER_CODE, LazyArtifact, save_binary
+from repro.core.binfmt import POINTER_CODE, save_binary
+from repro.core.chunks import open_binary
 from repro.core.online import medusa_cold_start
 from repro.core.store import ArtifactStore
 from repro.faults import DegradationPolicy
 from repro.simgpu.process import ExecutionMode
+
+from tests.conftest import unchunked
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name(
     "golden_restore_timelines.json")
@@ -84,9 +87,9 @@ def _open(artifact, kind: str, workdir: pathlib.Path):
     if kind == "eager":
         return artifact
     if kind == "lazy":
-        path = workdir / f"{artifact.model_name}.medusa.npz"
+        path = workdir / f"{artifact.model_name}.medusa"
         save_binary(artifact, path)
-        return LazyArtifact(path)
+        return open_binary(path)
     store = ArtifactStore(workdir / "store")
     store.put(artifact)
     return store.get_lazy(artifact.gpu_name, artifact.model_name)
@@ -245,16 +248,31 @@ def default_qwen_offline():
 
 @pytest.fixture(scope="module")
 def qwen_store_puts(tmp_path_factory):
-    """Chunks compressed by a first Qwen1.5-0.5B put into an empty store
-    and by a second put of the same artifact."""
+    """Chunks compressed by Qwen1.5-0.5B writes, each of a copy with no
+    chunk set yet: a first put into an empty store, a re-put of the same
+    content, then (counting ``pack_chunk`` calls) a ``save_binary``
+    followed by a first put, and a second ``save_binary`` over the same
+    file followed by a re-put."""
+    from unittest import mock
+
+    from repro.core import chunks
     model, offline_seed, _seed, _mode, tiny = MODELS[1]
     artifact = _materialize(model, offline_seed, tiny)
     store = ArtifactStore(tmp_path_factory.mktemp("puts"))
     compressed = []
     for _ in range(2):
         before = store.chunks_compressed
-        store.put(artifact)
+        store.put(unchunked(artifact))
         compressed.append(store.chunks_compressed - before)
+    workdir = tmp_path_factory.mktemp("saves")
+    store = ArtifactStore(workdir / "store")
+    for _ in range(2):
+        copy = unchunked(artifact)
+        with mock.patch.object(chunks, "pack_chunk",
+                               wraps=chunks.pack_chunk) as pack:
+            save_binary(copy, workdir / f"{model}.medusa")
+            store.put(copy)
+        compressed.append(pack.call_count)
     return compressed
 
 
@@ -269,15 +287,17 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     allocator = engine.process.allocator
     graphs = engine.capture_artifacts.graphs
     trace, index, liveness = default_qwen_offline
-    first_put, reput = qwen_store_puts
+    first_put, reput, first_save, resave = qwen_store_puts
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
     # (55,512), the per-query analysis answered all 27,581 pointer
     # parameters, lint's scalar liveness walk visited every one of the
     # 36,868 replay rows, the capture made all 18,583 allocations and
-    # 18,497 launches one hook call each, and a store re-put compressed
-    # all 75 chunks again.
+    # 18,497 launches one hook call each, a store re-put compressed
+    # all 75 chunks again, and a save wrote a separate ``.npz`` whose
+    # deflate compressed the same tables a second time (150 deflates
+    # with the put's 75 chunks), on every re-save too.
     assert report.timeline.plan == "medusa-chunked"
     assert allocator.num_allocations == 18583
     assert len(allocator.live_buffers) == allocator.buffers_built
@@ -304,6 +324,10 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
         "Qwen1.5-0.5B store put": {
             "chunks compressed by a first put": first_put,
             "chunks compressed by a re-put": reput,
+        },
+        "Qwen1.5-0.5B save + put": {
+            "chunks compressed by a first save and put": first_save,
+            "chunks compressed by a re-save and re-put": resave,
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

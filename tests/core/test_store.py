@@ -7,7 +7,7 @@ import pytest
 from repro.core.chunks import ChunkedLazyArtifact
 from repro.core.store import ArtifactStore
 from repro.errors import ArtifactError
-from tests.conftest import replaced
+from tests.conftest import replaced, unchunked
 
 
 class TestArtifactStore:
@@ -131,7 +131,7 @@ class TestUnchangedWrites:
                                                tiny2l_artifact):
         from repro.core.binfmt import save_binary
         artifact, _ = tiny2l_artifact
-        path = tmp_path / "a.npz"
+        path = tmp_path / "a.medusa"
         size = save_binary(artifact, path)
         os.utime(path, ns=(_OLD_NS, _OLD_NS))
         assert save_binary(artifact, path) == size == path.stat().st_size
@@ -255,10 +255,11 @@ class TestStoreCaches:
 
 
 def _put(store, artifact):
-    """Put ``artifact``; returns the chunks it compressed, the chunks it
-    wrote and the manifest's bytes."""
+    """Put a copy of ``artifact`` that has no chunk set yet; returns the
+    chunks it compressed, the chunks it wrote and the manifest's
+    bytes."""
     compressed, written = store.chunks_compressed, store.chunks_written
-    path = store.put(artifact)
+    path = store.put(unchunked(artifact))
     return (store.chunks_compressed - compressed,
             store.chunks_written - written, path.read_bytes())
 
@@ -294,8 +295,8 @@ class TestReput:
         return _put(ArtifactStore(tmp_path / "fresh"), artifact)[2]
 
     def _blob_of(self, store, artifact, name):
-        digest = store.manifest(artifact.gpu_name,
-                                artifact.model_name).chunk(name).digest
+        refs = store.manifest(artifact.gpu_name, artifact.model_name).chunks
+        digest, = [ref.digest for ref in refs if ref.name == name]
         return store.root / "chunks" / digest
 
     @pytest.mark.parametrize("same_process", [True, False],
@@ -374,8 +375,9 @@ class TestReput:
                                                   monkeypatch):
         """The codec is reached through the module attributes a tracer
         hooks: a first put packs each chunk once and builds its
-        container once; a re-put builds each container once and packs
-        none."""
+        container once; a re-put of the same content builds each
+        container once and packs none; a re-put of the same artifact
+        object takes its cached chunk set and builds nothing."""
         from repro.core import chunks
         artifact, _ = tiny2l_artifact
         calls = {"chunk_container": 0, "pack_chunk": 0, "chunk_digest": 0}
@@ -386,13 +388,18 @@ class TestReput:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(chunks, name, counted)
+        artifact = unchunked(artifact)
         store = ArtifactStore(tmp_path)
         store.put(artifact)
         assert calls == {"chunk_container": 9, "pack_chunk": 9,
                          "chunk_digest": 9}
         calls.update(dict.fromkeys(calls, 0))
-        store.put(artifact)
+        store.put(unchunked(artifact))
         assert calls == {"chunk_container": 9, "pack_chunk": 0,
+                         "chunk_digest": 9}
+        calls.update(dict.fromkeys(calls, 0))
+        store.put(artifact)
+        assert calls == {"chunk_container": 0, "pack_chunk": 0,
                          "chunk_digest": 9}
 
 
@@ -407,8 +414,9 @@ class TestHealOnPut:
         artifact, _ = tiny2l_artifact
         store = ArtifactStore(tmp_path)
         store.put(artifact)
-        ref = store.manifest(artifact.gpu_name,
-                             artifact.model_name).chunk("graph[4].head")
+        ref, = [ref for ref in store.manifest(artifact.gpu_name,
+                                              artifact.model_name).chunks
+                if ref.name == "graph[4].head"]
         blob = tmp_path / "chunks" / ref.digest
         blob.write_bytes(blob.read_bytes()[:-7])
         if not previous:

@@ -57,7 +57,7 @@ INTERFERENCE = 0.08
 
 def _oracle_sequential(strategy, durations):
     order = [STRUCTURE, WEIGHTS, TOKENIZER, KV_INIT]
-    if strategy.captures_at_cold_start:
+    if strategy in (Strategy.VLLM, Strategy.VLLM_ASYNC):
         order.append(CAPTURE)
     stages = []
     clock = 0.0

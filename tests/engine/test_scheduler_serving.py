@@ -217,7 +217,8 @@ class TestServingLoop:
 
     def test_tokens_within_vocab(self):
         loop = self.make_loop(seed=84)
-        loop.submit_text("hello world", SamplingParams(max_tokens=4))
+        loop.submit(loop.engine.tokenizer.encode("hello world"),
+                    SamplingParams(max_tokens=4))
         (completed,) = loop.run_until_complete()
         vocab = loop.engine.config.vocab_size
         assert all(0 <= t < vocab for t in completed.token_ids)

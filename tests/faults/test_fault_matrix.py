@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.binfmt import save_binary
+from repro.core.chunks import open_binary
 from repro.core.online import medusa_cold_start
 from repro.core.store import ArtifactStore
 from repro.faults import (
@@ -121,15 +122,15 @@ def test_fault_matrix(tiny2l_artifact, chaos_seed, case_id, spec, natural,
 
 @pytest.fixture(scope="module")
 def tiny2l_lazy_inputs(tiny2l_artifact, tmp_path_factory):
-    """Openers for the ``.npz`` and chunk-backed forms of the artifact."""
+    """Openers for the file and store forms of the artifact."""
     artifact, _ = tiny2l_artifact
     workdir = tmp_path_factory.mktemp("fault-inputs")
-    path = workdir / "tiny2l.medusa.npz"
+    path = workdir / "tiny2l.medusa"
     save_binary(artifact, path)
     store = ArtifactStore(workdir / "store")
     store.put(artifact)
     return {
-        "lazy": lambda: LazyArtifact(path),
+        "lazy": lambda: open_binary(path),
         "chunked": lambda: store.get_lazy(artifact.gpu_name,
                                           artifact.model_name),
     }
@@ -141,7 +142,7 @@ def tiny2l_lazy_inputs(tiny2l_artifact, tmp_path_factory):
 def test_default_row_on_lazy_inputs(tiny2l_artifact, tiny2l_lazy_inputs,
                                     chaos_seed, case_id, spec, natural,
                                     input_kind):
-    """The default-policy row over ``.npz`` and chunked inputs lands on the
+    """The default-policy row over file and store inputs lands on the
     eager input's rung with the same faults fired at the same sites."""
     artifact, _ = tiny2l_artifact
     policy = DegradationPolicy()

@@ -8,7 +8,8 @@ what it reads (DESIGN.md §6 extended to the on-disk format).
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.binfmt import save_binary
+from repro.core.chunks import open_binary
 from repro.core.offline import OfflinePhase
 from repro.simgpu.process import ExecutionMode
 
@@ -26,11 +27,11 @@ class TestBinaryRoundTripProperty:
         artifact, _report = OfflinePhase(
             config, seed=seed, mode=ExecutionMode.COMPUTE,
             cost_model=_cost_model()).run()
-        path = tmp_path_factory.mktemp("binfmt") / f"{config.name}.npz"
+        path = tmp_path_factory.mktemp("binfmt") / f"{config.name}.medusa"
         save_binary(artifact, path)
 
         written = artifact.to_payload()
-        lazy = LazyArtifact(path)
+        lazy = open_binary(path)
         # The lazy view's metadata mirrors the written artifact...
         assert lazy.model_name == written["model_name"]
         assert {b: lazy.graph_nodes(b) for b in lazy.batches} == {

@@ -4,7 +4,7 @@ Three invariants the content-addressed path must hold for any
 well-formed artifact:
 
 - Splitting an artifact into chunks and exporting it from the manifest
-  is byte-identical to exporting the monolithic ``.npz`` — for every
+  is byte-identical to exporting the single-file artifact — for every
   replay shard size, including degenerate ones (one event per shard,
   everything in one shard).
 - Chunk digests are a pure function of chunk *content*: an artifact
@@ -18,11 +18,12 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.binfmt import save_binary
 from repro.core.chunks import (
     ChunkManifest,
     ChunkedLazyArtifact,
     chunk_model,
+    open_binary,
 )
 from repro.core.offline import OfflinePhase
 from repro.core.store import ArtifactStore
@@ -50,13 +51,14 @@ class TestChunkRoundTripProperty:
                                                  shard_events,
                                                  tmp_path_factory):
         artifact = _materialized(config, seed)
-        path = tmp_path_factory.mktemp("chunks") / f"{config.name}.npz"
+        path = tmp_path_factory.mktemp("chunks") / f"{config.name}.medusa"
         save_binary(artifact, path)
-        mono = LazyArtifact(path)
+        mono = open_binary(path)
 
         manifest, blobs = chunk_model(
             artifact, replay_shard_events=shard_events)
-        lazy = ChunkedLazyArtifact.from_blobs(manifest, blobs)
+        lazy = ChunkedLazyArtifact(manifest,
+                                   lambda ref: blobs[ref.digest])
         # The chunked view's metadata mirrors the monolithic artifact...
         assert lazy.model_name == mono.model_name
         assert lazy.batches == mono.batches
@@ -141,4 +143,5 @@ def load_json_normalized(artifact):
     """Round-trip through the binary format to normalize dtypes/layout
     exactly the way a store ``get`` does."""
     manifest, blobs = chunk_model(artifact)
-    return ChunkedLazyArtifact.from_blobs(manifest, blobs).to_json()
+    return ChunkedLazyArtifact(
+        manifest, lambda ref: blobs[ref.digest]).to_json()

@@ -20,9 +20,9 @@ def tiny_artifact_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def tiny_npz_path(tmp_path_factory):
-    """The same artifact as a ``.npz``."""
-    path = str(tmp_path_factory.mktemp("cli") / "tiny.medusa.npz")
+def tiny_binary_path(tmp_path_factory):
+    """The same artifact as the binary file (any path but ``.json``)."""
+    path = str(tmp_path_factory.mktemp("cli") / "tiny.medusa")
     assert main(["offline", "--model", "Tiny-2L", "--output", path]) == 0
     return path
 
@@ -106,6 +106,57 @@ class TestCommands:
         assert main(["restore", "--model", "Tiny-2L",
                      "--artifact", artifact_path, "--validate"]) == 0
         assert "validation: PASSED" in capsys.readouterr().out
+
+    def test_restore_with_validation_lints_and_restores_once(
+            self, tmp_path, monkeypatch, capsys):
+        """``offline`` lints its output once; ``restore --validate`` lints
+        once more and runs one cold start, whose report it prints."""
+        from repro import analysis
+        from repro.engine.engine import LLMEngine
+        calls = {"lint": 0, "cold_start": 0}
+        lint, cold_start = analysis.lint_artifact, LLMEngine.cold_start
+
+        def counted_lint(*args, **kwargs):
+            calls["lint"] += 1
+            return lint(*args, **kwargs)
+
+        def counted_cold_start(*args, **kwargs):
+            calls["cold_start"] += 1
+            return cold_start(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "lint_artifact", counted_lint)
+        monkeypatch.setattr(LLMEngine, "cold_start", counted_cold_start)
+        artifact_path = str(tmp_path / "tiny.medusa")
+        assert main(["offline", "--model", "Tiny-2L",
+                     "--output", artifact_path]) == 0
+        calls["cold_start"] = 0
+        assert main(["restore", "--model", "Tiny-2L",
+                     "--artifact", artifact_path, "--validate"]) == 0
+        assert calls == {"lint": 2, "cold_start": 1}
+        output = capsys.readouterr().out
+        assert "plan: medusa-pipelined" in output
+        assert "validation: PASSED" in output
+
+    @pytest.mark.parametrize("name", ["a.json", "a.npz", "a.medusa", "a"])
+    def test_output_form_follows_the_json_suffix(self, tmp_path, name,
+                                                 capsys):
+        """``offline`` writes JSON for a ``.json`` path and the binary file
+        for any other; every command reads a file by its content, so a
+        binary file under a ``.json`` name is still read as binary."""
+        from repro.core.chunks import FILE_MAGIC
+        path = tmp_path / name
+        assert main(["offline", "--model", "Tiny-2L", "--output",
+                     str(path)]) == 0
+        binary = path.read_bytes().startswith(FILE_MAGIC)
+        assert binary == (path.suffix != ".json")
+        if binary:
+            path = path.rename(tmp_path / "renamed.json")
+        capsys.readouterr()
+        assert main(["lint", str(path)]) == 0
+        assert main(["restore", "--model", "Tiny-2L", "--artifact",
+                     str(path)]) == 0
+        plan = "medusa-pipelined" if binary else "medusa)"
+        assert f"plan: {plan}" in capsys.readouterr().out
 
     def test_simulate_tiny_run(self, capsys):
         assert main(["simulate", "--model", "Llama2-7B", "--rps", "1",
@@ -210,6 +261,9 @@ class TestBatchSizes:
         """``source`` with graph 1 re-keyed to ``rebatch`` or its nodes'
         batch dims set to ``batch_dim``."""
         import numpy as np
+
+        from repro.core.binfmt import LazyArtifact, save_binary
+        from repro.core.chunks import open_binary
         if source.endswith(".json"):
             payload = json.loads(open(source).read())
             if rebatch is not None:
@@ -222,8 +276,8 @@ class TestBatchSizes:
             path = path.with_suffix(".json")
             path.write_text(json.dumps(payload))
             return str(path)
-        members = dict(np.load(source))
-        meta = json.loads(str(members["metadata"][0]))
+        opened = open_binary(source)
+        members, meta = opened.members(), opened.metadata()
         if rebatch is not None:
             for name in [name for name in members if name.startswith("g1_")]:
                 members[f"g{rebatch}_{name[3:]}"] = members.pop(name)
@@ -234,14 +288,14 @@ class TestBatchSizes:
         else:
             members["g1_batchdim"] = np.full_like(members["g1_batchdim"],
                                                   batch_dim)
-        members["metadata"] = np.array([json.dumps(meta)])
-        path = path.with_suffix(".npz")
-        np.savez(path, **members)
+        path = path.with_suffix(".medusa")
+        save_binary(LazyArtifact(None, data=members, meta=meta), path)
         return str(path)
 
-    @pytest.fixture(params=["npz", "json"])
-    def source(self, request, tiny_npz_path, tiny_artifact_path):
-        return tiny_npz_path if request.param == "npz" else tiny_artifact_path
+    @pytest.fixture(params=["binary", "json"])
+    def source(self, request, tiny_binary_path, tiny_artifact_path):
+        return tiny_binary_path if request.param == "binary" \
+            else tiny_artifact_path
 
     @pytest.mark.parametrize("batch", [-3, 0])
     @pytest.mark.parametrize("argv", [
@@ -432,119 +486,117 @@ class TestSimulateStrategies:
         assert "cold_starts" in output
 
 
+#: Every command that opens an artifact, ready for its path.
+_OPENING_COMMANDS = pytest.mark.parametrize("argv", [
+    ["restore", "--model", "Tiny-2L", "--artifact"],
+    ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+     "--artifact"],
+    ["validate", "--artifact"],
+    ["lint"],
+], ids=["restore", "coldstart", "validate", "lint"])
+
+
+def _flip_last_byte(data: bytearray) -> None:
+    data[-1] ^= 0x01
+
+
+def _bad_magic(data: bytearray) -> None:
+    data[7:8] = b"2"
+
+
+def _manifest_past_the_end(data: bytearray) -> None:
+    data[8:16] = (len(data) + 1).to_bytes(8, "little")
+
+
+def _blob_offset_past_the_end(data: bytearray) -> None:
+    from repro.core.chunks import FILE_MAGIC
+    table = len(FILE_MAGIC) + 8 + int.from_bytes(data[8:16], "little")
+    data[table:table + 8] = len(data).to_bytes(8, "little")
+
+
+def _truncated(data: bytearray) -> None:
+    del data[-10:]
+
+
 class TestMalformedArtifactExitCodes:
     """Every command that opens an artifact reports a malformed one as
     ``error: …`` with exit code 2, never a traceback."""
 
-    @pytest.fixture
-    def metadata_less_npz(self, tmp_path):
-        import numpy as np
-        path = tmp_path / "bare.npz"
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, ev_kind=np.zeros(3, dtype=np.int8))
-        return str(path)
-
-    @pytest.mark.parametrize("argv", [
-        ["restore", "--model", "Tiny-2L", "--artifact"],
-        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
-         "--artifact"],
-        ["validate", "--artifact"],
-        ["lint"],
-    ], ids=["restore", "coldstart", "validate", "lint"])
-    def test_metadata_less_npz_exits_two(self, metadata_less_npz, argv,
-                                         capsys):
-        assert main(argv + [metadata_less_npz]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "no metadata member" in err
-        assert "Traceback" not in err
-
-    @pytest.fixture
-    def truncated_npz(self, tmp_path):
-        import numpy as np
-        path = tmp_path / "truncated.npz"
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, metadata=np.array(["{}"]),
-                                ev_kind=np.zeros(64, dtype=np.int8))
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        return str(path)
-
-    @pytest.mark.parametrize("argv", [
-        ["restore", "--model", "Tiny-2L", "--artifact"],
-        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
-         "--artifact"],
-        ["validate", "--artifact"],
-        ["lint"],
-    ], ids=["restore", "coldstart", "validate", "lint"])
-    def test_truncated_npz_exits_two(self, truncated_npz, argv, capsys):
-        assert main(argv + [truncated_npz]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "unreadable binary artifact" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("argv", [
-        ["restore", "--model", "Tiny-2L", "--artifact"],
-        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
-         "--artifact"],
-        ["validate", "--artifact"],
-        ["lint"],
-    ], ids=["restore", "coldstart", "validate", "lint"])
-    def test_malformed_bulk_member_exits_two(self, tmp_path, argv, capsys):
-        """The npz opens and its metadata parses; a bulk member read
-        later by the restore or by lint is not a ``.npy`` payload."""
-        import zipfile
+    @pytest.fixture(scope="class")
+    def good_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("binary") / "good.medusa"
         assert main(["offline", "--model", "Tiny-2L", "--output",
-                     str(tmp_path / "good.npz")]) == 0
+                     str(path)]) == 0
+        return path
+
+    @_OPENING_COMMANDS
+    def test_metadata_less_file_exits_two(self, good_file, tmp_path, argv,
+                                          capsys):
+        from tests.conftest import rewrite_manifest
+        path = rewrite_manifest(good_file, tmp_path / "bare.medusa",
+                                lambda payload: payload.pop("metadata"))
         capsys.readouterr()
-        path = tmp_path / "bad.npz"
-        with zipfile.ZipFile(tmp_path / "good.npz") as good, \
-                zipfile.ZipFile(path, "w") as bad:
-            for name in good.namelist():
-                data = good.read(name)
-                bad.writestr(name, b"garbage" if name == "ev_kind.npy"
-                             else data)
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "no metadata" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate,message", [
+        (_bad_magic, "not UTF-8 text"),
+        (_manifest_past_the_end, "runs past the end of the file"),
+        (_blob_offset_past_the_end, "runs past the end of"),
+        (_truncated, "runs past the end of"),
+        (_flip_last_byte, "failed content-hash verification"),
+    ], ids=["bad-magic", "manifest-past-the-end", "blob-offset-past-the-end",
+            "truncated", "flipped-blob-byte"])
+    @_OPENING_COMMANDS
+    def test_broken_file_exits_two(self, good_file, tmp_path, mutate,
+                                   message, argv, capsys):
+        """A file with another magic is read as JSON, which it is not; a
+        manifest past the end of the file is refused on open, a blob past
+        it when it is read, and a blob whose bytes changed fails its
+        digest when it is read."""
+        data = bytearray(good_file.read_bytes())
+        mutate(data)
+        path = tmp_path / "broken.medusa"
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
+
+    @_OPENING_COMMANDS
+    def test_malformed_bulk_member_exits_two(self, good_file, tmp_path,
+                                             argv, capsys):
+        """The file opens and its manifest parses; a bulk member read
+        later by the restore or by lint is not a ``.npy`` payload (its
+        chunk re-packed under its new digest, so it passes the hash
+        check)."""
+        from tests.conftest import rewrite_binary
+        path = rewrite_binary(good_file, tmp_path / "bad.medusa",
+                              members={"ev_kind": lambda _: b"garbage"})
+        capsys.readouterr()
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "'ev_kind' is not a .npy payload" in err
         assert "Traceback" not in err
 
-    @pytest.fixture(scope="class")
-    def good_npz(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("npz") / "good.npz"
-        assert main(["offline", "--model", "Tiny-2L", "--output",
-                     str(path)]) == 0
-        return path
-
     @pytest.mark.parametrize("member,reshape", [
         ("g4_param_values", lambda column: column.astype("float32")),
         ("ev_kind", lambda column: column.reshape(1, -1)),
     ], ids=["float32-param-values", "2d-ev-kind"])
-    @pytest.mark.parametrize("argv", [
-        ["restore", "--model", "Tiny-2L", "--artifact"],
-        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
-         "--artifact"],
-        ["validate", "--artifact"],
-        ["lint"],
-    ], ids=["restore", "coldstart", "validate", "lint"])
+    @_OPENING_COMMANDS
     def test_wrong_dtype_or_shape_member_exits_two(
-            self, good_npz, tmp_path, member, reshape, argv, capsys):
+            self, good_file, tmp_path, member, reshape, argv, capsys):
         """A member that is a well-formed ``.npy`` of the wrong dtype or
         shape fails the table check where the table is built."""
-        import io
-        import zipfile
-
-        import numpy as np
-        buffer = io.BytesIO()
-        np.save(buffer, reshape(np.load(good_npz)[member]))
-        path = tmp_path / "bad.npz"
-        with zipfile.ZipFile(good_npz) as good, \
-                zipfile.ZipFile(path, "w") as bad:
-            for name in good.namelist():
-                bad.writestr(name, buffer.getvalue()
-                             if name == member + ".npy" else good.read(name))
+        from tests.conftest import rewrite_binary
+        path = rewrite_binary(good_file, tmp_path / "bad.medusa",
+                              members={member: reshape})
         capsys.readouterr()
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err
@@ -564,22 +616,13 @@ class TestMalformedArtifactExitCodes:
         ["validate", "--artifact"],
         ["lint"],
     ], ids=["coldstart", "validate", "lint"])
-    def test_malformed_table_exits_two(self, good_npz, tmp_path, member,
+    def test_malformed_table_exits_two(self, good_file, tmp_path, member,
                                        corrupt, message, argv, capsys):
         """An empty CSR offsets member and a string table re-saved with
         another dtype fail where their table is built."""
-        import io
-        import zipfile
-
-        import numpy as np
-        buffer = io.BytesIO()
-        np.save(buffer, corrupt(np.load(good_npz)[member]))
-        path = tmp_path / "bad.npz"
-        with zipfile.ZipFile(good_npz) as good, \
-                zipfile.ZipFile(path, "w") as bad:
-            for name in good.namelist():
-                bad.writestr(name, buffer.getvalue()
-                             if name == member + ".npy" else good.read(name))
+        from tests.conftest import rewrite_binary
+        path = rewrite_binary(good_file, tmp_path / "bad.medusa",
+                              members={member: corrupt})
         capsys.readouterr()
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err
@@ -587,67 +630,24 @@ class TestMalformedArtifactExitCodes:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field,value", [(10, 99), (8, 0x20), (8, 0x01)],
-                             ids=["compression-method", "patched-data",
-                                  "encrypted"])
-    @pytest.mark.parametrize("argv", [
-        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
-         "--artifact"],
-        ["validate", "--artifact"],
-        ["lint"],
-    ], ids=["coldstart", "validate", "lint"])
-    def test_zip_header_flip_exits_two(self, good_npz, tmp_path, field,
-                                       value, argv, capsys):
-        """A zip header naming a compression method, patched data or
-        encryption zipfile cannot read makes its member unreadable."""
-        data = bytearray(good_npz.read_bytes())
-        # The last copy of the name is the central directory's, after the
-        # record's 46 fixed bytes.
-        record = data.rfind(b"ev_kind.npy") - 46
-        assert data[record:record + 4] == b"PK\x01\x02"
-        data[record + field] = value
-        path = tmp_path / "flipped.npz"
-        path.write_bytes(bytes(data))
-        capsys.readouterr()
-        assert main(argv + [str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "unreadable member 'ev_kind'" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("key,value,field", [
         ("first_layer_nodes", "3", "first_layer_nodes must be an integer"),
         ("kv_alloc_index", None, "kv_alloc_index must be an integer, not "
                                  "null"),
         ("trigger_plans", [["k", 4]], "trigger_plans[0][1] must be a list"),
-        ("graph_meta", {"4": ["a", 1]}, "graph_meta['4'][0] must be an "
-                                        "integer"),
+        ("graph_meta", {"4": ["a", 1, 26]}, "graph_meta['4'][0] must be an "
+                                            "integer"),
+        ("graph_meta", {"4": [1, 2]}, "graph_meta['4'] must have 3 "
+                                      "entries, not 2"),
     ], ids=["first-layer-string", "kv-index-null", "trigger-ref-int",
-            "graph-meta-string"])
-    @pytest.mark.parametrize("argv", [
-        ["restore", "--model", "Tiny-2L", "--artifact"],
-        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
-         "--artifact"],
-        ["validate", "--artifact"],
-        ["lint"],
-    ], ids=["restore", "coldstart", "validate", "lint"])
-    def test_wrong_typed_metadata_exits_two(self, good_npz, tmp_path, key,
+            "graph-meta-string", "graph-meta-two-entries"])
+    @_OPENING_COMMANDS
+    def test_wrong_typed_metadata_exits_two(self, good_file, tmp_path, key,
                                             value, field, argv, capsys):
-        """The embedded metadata is checked as the JSON artifact is."""
-        import io
-        import zipfile
-
-        import numpy as np
-        metadata = json.loads(str(np.load(good_npz)["metadata"][0]))
-        metadata[key] = value
-        buffer = io.BytesIO()
-        np.save(buffer, np.array([json.dumps(metadata)]))
-        path = tmp_path / "bad.npz"
-        with zipfile.ZipFile(good_npz) as good, \
-                zipfile.ZipFile(path, "w") as bad:
-            for name in good.namelist():
-                bad.writestr(name, buffer.getvalue()
-                             if name == "metadata.npy" else good.read(name))
+        """The manifest's metadata is checked as the JSON artifact is."""
+        from tests.conftest import rewrite_binary
+        path = rewrite_binary(good_file, tmp_path / "bad.medusa",
+                              metadata=lambda meta: meta.update({key: value}))
         capsys.readouterr()
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err

@@ -14,7 +14,6 @@ This bench puts numbers on all three against Medusa on Llama2-7B.
 
 import pytest
 
-from repro.core.baselines import CheckpointRestoreBaseline
 from repro.engine import LLMEngine, Strategy
 from repro.reporting import format_table
 from repro.serverless import ServingCostModel

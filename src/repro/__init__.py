@@ -9,7 +9,8 @@ Public API tour:
 - :mod:`repro.models` -- the paper's ten models (Table 1) plus tiny test
   configurations;
 - :mod:`repro.engine` -- the vLLM-like engine: five-stage loading phase,
-  KV cache blocks, capture runner, serving with/without CUDA graphs;
+  KV cache region, capture runner, prefill and decode with/without CUDA
+  graphs;
 - :mod:`repro.core` -- **Medusa itself**: offline materialization (indirect
   index pointers, copy-free contents classification, kernel name tables)
   and online restoration (allocation replay, first-layer triggering,
@@ -18,7 +19,8 @@ Public API tour:
   restore crosses, plus the graceful-degradation ladder (partial ->
   recapture -> eager) that keeps a faulted cold start serving;
 - :mod:`repro.serverless` -- the discrete-event cluster simulator producing
-  the paper's TTFT tail / throughput figures.
+  the paper's TTFT tail / throughput figures; its instances are the one
+  model of continuous-batching serving after a cold start.
 
 Quickstart::
 

@@ -210,14 +210,18 @@ def parse_artifact_json(text: str) -> dict:
 
 def read_artifact_text(path) -> str:
     """A JSON artifact file's text, read as bytes and decoded here: a
-    missing, unreadable or non-UTF-8 file raises :class:`ArtifactError`."""
+    missing, unreadable or non-UTF-8 file raises :class:`ArtifactError`.
+    Callers read a file here when it lacks the binary form's magic, so a
+    non-UTF-8 file is named as neither form."""
     try:
         with open(path, "rb") as handle:
             return handle.read().decode("utf-8")
     except FileNotFoundError as exc:
         raise ArtifactError(f"no artifact at {path}") from exc
     except UnicodeDecodeError as exc:
-        raise ArtifactError(f"artifact at {path} is not UTF-8 text: {exc}"
-                            ) from exc
+        from repro.core.chunks import FILE_MAGIC
+        raise ArtifactError(
+            f"artifact at {path} is neither a binary artifact (no "
+            f"{FILE_MAGIC!r} magic) nor UTF-8 JSON text: {exc}") from exc
     except OSError as exc:
         raise ArtifactError(f"cannot read artifact at {path}: {exc}") from exc

@@ -453,11 +453,6 @@ class ChunkReader:
             for member in ref.members:
                 self._sources.setdefault(member, []).append(ref.name)
 
-    @property
-    def loaded_chunks(self) -> frozenset:
-        """Names of the chunks decompressed so far."""
-        return frozenset(self._chunks)
-
     def blob(self, ref: ChunkRef) -> bytes:
         """Chunk ``ref``'s blob, checked against its content address."""
         blob = self._loader(ref)

@@ -24,11 +24,6 @@ import numpy as np
 
 from repro.core.trace import Trace
 
-PRE_CAPTURE = "pre_capture"
-TEMPORARY = "temporary"
-PERMANENT = "permanent"
-
-
 @dataclass
 class ContentPlan:
     """Which referenced allocations fall into which restoration class."""
@@ -36,20 +31,6 @@ class ContentPlan:
     pre_capture: Set[int] = field(default_factory=set)
     temporary: Set[int] = field(default_factory=set)
     permanent: Set[int] = field(default_factory=set)
-
-    def classify(self, alloc_index: int) -> str:
-        if alloc_index in self.pre_capture:
-            return PRE_CAPTURE
-        if alloc_index in self.temporary:
-            return TEMPORARY
-        if alloc_index in self.permanent:
-            return PERMANENT
-        raise KeyError(f"allocation {alloc_index} was not classified")
-
-    @property
-    def num_referenced(self) -> int:
-        return (len(self.pre_capture) + len(self.temporary)
-                + len(self.permanent))
 
 
 def classify_buffers(trace: Trace, capture_marker: int,

@@ -64,7 +64,7 @@ from repro.engine.capture_runner import (
     prepare_capture_stage,
     run_capture_stage,
 )
-from repro.engine.kvcache import BlockManager, KVCacheRegion
+from repro.engine.kvcache import KVCacheRegion
 from repro.engine.loadplan import FETCH_ARTIFACT, REPLAY_ALLOC, \
     fetch_chunk_stage, restore_graph_stage
 from repro.errors import (
@@ -412,7 +412,6 @@ class VectorizedRestorer:
         kv_buffer = self._buffer(process, artifact.kv_alloc_index)
         kv_buffer.write(np.zeros((PAYLOAD_DIM, PAYLOAD_DIM)))
         block_bytes = engine.kv_config.block_bytes(engine.config)
-        # The block manager allocates per block: check the count first.
         if artifact.kv_num_blocks * block_bytes > kv_buffer.size:
             raise RestorationError(
                 f"artifact's {artifact.kv_num_blocks} KV blocks of "
@@ -425,8 +424,6 @@ class VectorizedRestorer:
             block_bytes=block_bytes,
             layer_stride=artifact.kv_layer_stride,
         )
-        engine.block_manager = BlockManager(
-            artifact.kv_num_blocks, engine.kv_config.block_size_tokens)
 
     def _degrade_kv(self, engine, exc: BaseException) -> None:
         """Ladder mode: the replay broke before the KV region — re-profile."""

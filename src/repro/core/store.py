@@ -274,18 +274,6 @@ class ArtifactStore:
         """The stored manifest for one <GPU, model> pair."""
         return self._load_manifest(self._lookup(gpu_name, model_name))[0]
 
-    def cache_info(self) -> Dict[str, int]:
-        """Counters for the artifact LRU and the parsed-index/manifest
-        caches."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._cache),
-            "capacity": self.cache_size,
-            "index_reads": self.index_reads,
-            "manifest_reads": self.manifest_reads,
-        }
-
     def stats(self) -> Dict[str, object]:
         """Per-model chunk counts plus store-wide dedup accounting.
 
@@ -336,28 +324,3 @@ class ArtifactStore:
             gpu_name, _, model_name = key.partition("::")
             pairs.append((gpu_name, model_name))
         return pairs
-
-    def delete(self, gpu_name: str, model_name: str) -> None:
-        """Remove an artifact's manifest and garbage-collect any chunk
-        blobs no remaining manifest references."""
-        index = self._read_index()
-        filename = index.pop(self._key(gpu_name, model_name), None)
-        if filename is None:
-            raise ArtifactError(
-                f"no materialization for <{gpu_name}, {model_name}>")
-        path = self.root / filename
-        if path.exists():
-            path.unlink()
-        self._manifest_cache.pop(filename, None)
-        self._write_index(index)
-        referenced = set()
-        for remaining in index.values():
-            try:
-                manifest, _ = self._load_manifest(remaining)
-            except ArtifactError:
-                continue
-            referenced.update(ref.digest for ref in manifest.chunks)
-        if self._chunk_dir.exists():
-            for blob_path in self._chunk_dir.iterdir():
-                if blob_path.name not in referenced:
-                    blob_path.unlink()

@@ -2,14 +2,16 @@
 
 Implements the five loading-phase stages the paper breaks down (§2.1):
 model structure initialization, model weights loading, tokenizer loading,
-KV cache initialization (profiling forwarding + block allocation), and CUDA
-graph capturing (warm-up + capture for 35 batch sizes) — plus the serving
-paths with and without CUDA graphs, and the stage-overlap timeline model
+KV cache initialization (profiling forwarding + region allocation), and CUDA
+graph capturing (warm-up + capture for 35 batch sizes) — plus prefill and
+decode with and without CUDA graphs, and the stage-overlap timeline model
 that distinguishes vLLM, vLLM+ASYNC, and Medusa (Figures 1, 2, 7, 8).
+Serving a request stream after a cold start is modelled in one place, the
+pool's :class:`repro.serverless.instance.Instance`.
 """
 
 from repro.engine.engine import ColdStartReport, LLMEngine
-from repro.engine.kvcache import BlockManager, KVCacheConfig, KVCacheRegion
+from repro.engine.kvcache import KVCacheConfig, KVCacheRegion
 from repro.engine.lanes import Contention, Lane
 from repro.engine.loadplan import (
     LoadPlan,
@@ -17,9 +19,6 @@ from repro.engine.loadplan import (
     ScheduledStage,
     Timeline,
 )
-from repro.engine.request import SamplingParams, Sequence, SequenceStatus
-from repro.engine.scheduler import ContinuousBatchingScheduler
-from repro.engine.serving import ServingLoop
 from repro.engine.strategies import (
     Strategy,
     plan_for,
@@ -28,21 +27,15 @@ from repro.engine.strategies import (
 )
 
 __all__ = [
-    "BlockManager",
     "ColdStartReport",
     "Contention",
-    "ContinuousBatchingScheduler",
     "KVCacheConfig",
     "KVCacheRegion",
     "LLMEngine",
     "Lane",
     "LoadPlan",
     "PlanStage",
-    "SamplingParams",
     "ScheduledStage",
-    "Sequence",
-    "SequenceStatus",
-    "ServingLoop",
     "Strategy",
     "Timeline",
     "plan_for",

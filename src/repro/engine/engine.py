@@ -1,10 +1,12 @@
-"""The serverless LLM inference engine: cold start + serving.
+"""The serverless LLM inference engine: cold start, prefill and decode.
 
 ``LLMEngine.cold_start()`` runs the five loading-phase stages with real side
 effects on a fresh simulated process, measures each stage's simulated
 duration, and composes the strategy-specific timeline (sequential for vLLM,
 overlapped for vLLM+ASYNC, restore-based for Medusa).  After a cold start
-the engine serves: eager prefill, and graph-replayed (or eager) decode.
+the engine runs eager prefill and graph-replayed (or eager) decode steps;
+batching a request stream over them is the pool's
+:class:`repro.serverless.instance.Instance`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.engine.capture_runner import (
     run_capture_stage,
 )
 from repro.engine.kvcache import (
-    BlockManager,
     KVCacheConfig,
     KVCacheRegion,
     allocate_kv_region,
@@ -41,7 +42,6 @@ from repro.errors import EngineError
 from repro.models.config import ModelConfig
 from repro.models.kernels_catalog import build_catalog
 from repro.models.model import ForwardContext, Model
-from repro.models.tokenizer import Tokenizer
 from repro.models.weights import CheckpointStore
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
@@ -125,10 +125,8 @@ class LLMEngine:
                                    name=f"{config.name}/{strategy.value}",
                                    injector=injector)
         self.model = Model(config, self.process)
-        self.tokenizer = Tokenizer(config)
         self.kv_region: Optional[KVCacheRegion] = None
         self.kv_bytes: Optional[int] = None
-        self.block_manager: Optional[BlockManager] = None
         self.capture_artifacts: Optional[CaptureArtifacts] = None
         self._serving_ctx: Optional[ForwardContext] = None
         self._report: Optional[ColdStartReport] = None
@@ -235,7 +233,6 @@ class LLMEngine:
     def _stage_load_tokenizer(self) -> None:
         self.process.clock.advance(
             self.cost_model.tokenizer_load_time(self.config.vocab_size))
-        self.tokenizer.load()
 
     def _stage_kv_init(self) -> None:
         """Profiling forwarding, then allocate the KV region (§2.1 ❹)."""
@@ -277,13 +274,11 @@ class LLMEngine:
         return kv_bytes
 
     def adopt_kv_bytes(self, kv_bytes: int) -> None:
-        """Allocate the KV region and block manager for ``kv_bytes``."""
+        """Allocate the KV region for ``kv_bytes``."""
         self.process.clock.advance(self.cost_model.kv_block_alloc_time)
         self.kv_bytes = kv_bytes
         self.kv_region = allocate_kv_region(
             self.process, self.config, self.kv_config, kv_bytes)
-        self.block_manager = BlockManager(
-            self.kv_region.num_blocks, self.kv_config.block_size_tokens)
 
     def reset_kv_state(self) -> None:
         """Zero the KV region's payload (tests compare fixed-state outputs)."""
@@ -376,16 +371,3 @@ class LLMEngine:
                 self.process, self.model)
         capture_one(self.process, self.model, self.capture_artifacts,
                     self.kv_region, batch_size)
-
-    def generate(self, prompt_tokens: int, output_tokens: int,
-                 batch_size: int = 1, use_graphs: bool = True) -> Dict[str, float]:
-        """Serve one request batch end to end; returns latency components."""
-        ttft = self.prefill(prompt_tokens, batch_size)
-        decode_time = 0.0
-        for _step in range(max(0, output_tokens - 1)):
-            decode_time += self.decode_step(batch_size, use_graphs=use_graphs)
-        return {
-            "ttft": ttft,
-            "decode": decode_time,
-            "total": ttft + decode_time,
-        }

@@ -1,21 +1,22 @@
-"""KV cache: block-granular management over one continuous device region.
+"""KV cache: one continuous device region divided into fixed-size blocks.
 
 Mirrors vLLM's PagedAttention memory management (§6): the KV cache is one
 continuous GPU buffer sized from the *residual free memory after a profiling
-forwarding*, internally divided into fixed-size blocks handed out to
-sequences.  The block count is the quantity Medusa materializes — it is
-invariant per <GPU type, model type> because the profiling peak is
-deterministic.
+forwarding*, internally divided into fixed-size blocks.  The block count is
+the quantity Medusa materializes — it is invariant per <GPU type, model
+type> because the profiling peak is deterministic.  No block is handed to
+a request: serving after a cold start is modelled by the pool's
+instances (:mod:`repro.serverless.instance`), without per-block
+accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidValueError, KVCacheExhaustedError
+from repro.errors import InvalidValueError
 from repro.models.config import ModelConfig
 from repro.simgpu.kernels import PAYLOAD_DIM
 from repro.simgpu.memory import Buffer
@@ -54,6 +55,13 @@ class KVCacheRegion:
     block_bytes: int
     layer_stride: int
 
+    def __post_init__(self) -> None:
+        # Every path builds one: the vLLM profile, a Medusa restore (whose
+        # block count comes from the artifact) and a checkpoint restore.
+        if self.num_blocks <= 0:
+            raise InvalidValueError(
+                f"need at least one KV block, got {self.num_blocks}")
+
     @property
     def total_bytes(self) -> int:
         return self.num_blocks * self.block_bytes
@@ -73,69 +81,3 @@ def allocate_kv_region(process: CudaProcess, model: ModelConfig,
         block_bytes=kv_config.block_bytes(model),
         layer_stride=max(1, total // max(1, model.num_layers)),
     )
-
-
-class BlockManager:
-    """Hands out KV blocks to sequences (vLLM's block tables, simplified)."""
-
-    def __init__(self, num_blocks: int, block_size_tokens: int):
-        if num_blocks <= 0:
-            raise InvalidValueError(f"need at least one KV block, got {num_blocks}")
-        self.num_blocks = num_blocks
-        self.block_size_tokens = block_size_tokens
-        self._free: List[int] = list(range(num_blocks))
-        self._tables: Dict[str, List[int]] = {}
-
-    # -- capacity ---------------------------------------------------------
-
-    @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
-    def blocks_needed(self, num_tokens: int) -> int:
-        return -(-num_tokens // self.block_size_tokens)   # ceil division
-
-    def can_allocate(self, num_tokens: int) -> bool:
-        return self.blocks_needed(num_tokens) <= self.free_blocks
-
-    # -- sequence lifecycle ---------------------------------------------------
-
-    def allocate(self, seq_id: str, num_tokens: int) -> List[int]:
-        if seq_id in self._tables:
-            raise InvalidValueError(f"sequence {seq_id} already has a block table")
-        needed = self.blocks_needed(num_tokens)
-        if needed > self.free_blocks:
-            raise KVCacheExhaustedError(
-                f"sequence {seq_id} needs {needed} blocks, "
-                f"only {self.free_blocks} free")
-        blocks = [self._free.pop() for _ in range(needed)]
-        self._tables[seq_id] = blocks
-        return list(blocks)
-
-    def extend(self, seq_id: str, total_tokens: int) -> List[int]:
-        """Grow a sequence's table to cover ``total_tokens`` (decode growth)."""
-        table = self._tables.get(seq_id)
-        if table is None:
-            raise InvalidValueError(f"unknown sequence {seq_id}")
-        needed = self.blocks_needed(total_tokens)
-        added: List[int] = []
-        while len(table) < needed:
-            if not self._free:
-                raise KVCacheExhaustedError(
-                    f"sequence {seq_id}: out of KV blocks while extending")
-            block = self._free.pop()
-            table.append(block)
-            added.append(block)
-        return added
-
-    def release(self, seq_id: str) -> None:
-        table = self._tables.pop(seq_id, None)
-        if table is None:
-            raise InvalidValueError(f"unknown sequence {seq_id}")
-        self._free.extend(table)
-
-    def block_table(self, seq_id: str) -> List[int]:
-        table = self._tables.get(seq_id)
-        if table is None:
-            raise InvalidValueError(f"unknown sequence {seq_id}")
-        return list(table)

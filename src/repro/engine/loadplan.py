@@ -218,11 +218,6 @@ class Timeline:
             return 0.0
         return max(0.0, max(s.start for s in joins) - weights.end)
 
-    def critical_path(self) -> List[ScheduledStage]:
-        """The critical stages, in start-time order."""
-        return sorted((s for s in self.stages if s.critical),
-                      key=lambda s: (s.start, s.end))
-
 
 PenaltySource = Union[Mapping[str, float], object]
 

@@ -72,12 +72,8 @@ class EngineError(ReproError):
     """Base class for inference-engine errors."""
 
 
-class KVCacheExhaustedError(EngineError):
-    """The block manager could not satisfy a KV cache block allocation."""
-
-
 class SchedulingError(EngineError):
-    """The continuous-batching scheduler reached an inconsistent state."""
+    """The event loop or the pool reached an inconsistent scheduling state."""
 
 
 class MaterializationError(ReproError):

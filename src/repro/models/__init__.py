@@ -11,7 +11,6 @@ identical — the property Medusa's first-layer triggering relies on (§5.2).
 
 from repro.models.config import KernelTemplate, ModelConfig
 from repro.models.model import Model
-from repro.models.tokenizer import Tokenizer
 from repro.models.weights import CheckpointStore, FileCheckpointStore
 from repro.models.zoo import (
     PAPER_MODELS,
@@ -28,7 +27,6 @@ __all__ = [
     "ModelConfig",
     "PAPER_MODELS",
     "TINY_MODELS",
-    "Tokenizer",
     "get_model_config",
     "paper_model_names",
 ]

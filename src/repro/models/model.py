@@ -156,7 +156,6 @@ class Model:
         # sizes, sequence lengths, layer indices) recur the same way.
         self._pointer_params: Dict[int, KernelParam] = {}
         self._const_params: Dict[Tuple[int, int], KernelParam] = {}
-        self._weights_loaded = False
         self._layer_plan = _layer_plan(config.kernel_template().layer_kernels)
         self._stamp_slots = self._find_stamp_slots()
         #: per layer, the weight buffers its steps read, by ``step.weight``
@@ -187,11 +186,6 @@ class Model:
             raise EngineError(f"{self.config.name}: structure not initialized")
         for key, payload in store.iter_payloads(self.config):
             self.process.memcpy_h2d(self.weight_buffers[key], payload)
-        self._weights_loaded = True
-
-    @property
-    def weights_loaded(self) -> bool:
-        return self._weights_loaded
 
     # -- forwarding ------------------------------------------------------------
 

@@ -125,9 +125,6 @@ class FileCheckpointStore(CheckpointStore):
         (model_dir / "manifest.json").write_text(json.dumps(manifest))
         return total
 
-    def is_saved(self, config: ModelConfig) -> bool:
-        return (self._model_dir(config) / "manifest.json").exists()
-
     def iter_payloads(self, config: ModelConfig
                       ) -> Iterator[Tuple[str, np.ndarray]]:
         """Stream weights back from the saved shards, allocation order."""

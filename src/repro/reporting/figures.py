@@ -1,30 +1,16 @@
 """ASCII bar rendering for the figure benches.
 
 The paper's figures are bar/line charts; the benchmarks print tables for
-exactness and these horizontal bars for shape-at-a-glance (stacked bars for
-the loading-phase breakdowns, grouped bars for strategy comparisons).
+exactness and stacked horizontal bars of the loading-phase breakdowns for
+shape-at-a-glance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 #: One glyph per stage for stacked bars, cycled in order.
 _STACK_GLYPHS = "█▓▒░▚▞▗"
-
-
-def horizontal_bars(title: str, entries: Sequence[Tuple[str, float]],
-                    width: int = 50, unit: str = "s") -> str:
-    """Simple labelled horizontal bars, scaled to the longest entry."""
-    if not entries:
-        return f"{title}\n(empty)"
-    peak = max(value for _label, value in entries) or 1.0
-    label_width = max(len(label) for label, _value in entries)
-    lines = [title, "=" * len(title)]
-    for label, value in entries:
-        bar = "█" * max(1, round(width * value / peak)) if value > 0 else ""
-        lines.append(f"{label.ljust(label_width)}  {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
 
 
 def stacked_bars(title: str, labels: Sequence[str],

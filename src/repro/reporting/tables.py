@@ -7,7 +7,7 @@ runs (EXPERIMENTS.md records these outputs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -84,16 +84,3 @@ def format_stage_breakdown(title: str, timeline) -> str:
         table += (f"\nready (serving) at {ready:.4f} s; background restore "
                   f"finishes at {timeline.total:.4f} s")
     return table
-
-
-def format_series(title: str, series: Dict[str, Sequence[Cell]],
-                  x_label: str, x_values: Sequence[Cell]) -> str:
-    """A figure rendered as one column per line (x plus one column/series)."""
-    headers = [x_label] + list(series)
-    rows: List[List[Cell]] = []
-    for index, x in enumerate(x_values):
-        row: List[Cell] = [x]
-        for name in series:
-            row.append(series[name][index])
-        rows.append(row)
-    return format_table(title, headers, rows)

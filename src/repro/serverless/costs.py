@@ -142,12 +142,3 @@ class ServingCostModel:
         warm_up = cm.eager_step_time(self.config.param_bytes, padded, kernels)
         return (warm_up + cm.capture_forward_time(kernels)
                 + cm.instantiate_time(kernels))
-
-    def request_latency(self, prompt_tokens: int, output_tokens: int,
-                        use_graphs: bool, batch_size: int = 1) -> float:
-        """Unloaded single-request latency (Figure 3's quantity)."""
-        total = self.prefill_time(prompt_tokens)
-        for step in range(max(0, output_tokens - 1)):
-            context = prompt_tokens + step
-            total += self.decode_step_time(batch_size, context, use_graphs)
-        return total

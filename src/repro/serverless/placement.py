@@ -220,10 +220,6 @@ class NodeCache:
         """Summed artifact sizes resident in one cache tier."""
         return sum(self._resident[tier_name].values())
 
-    def resident_keys(self, tier_name: str) -> List[Tuple]:
-        """LRU-to-MRU keys resident in one cache tier."""
-        return list(self._resident[tier_name])
-
     # -- mutation ------------------------------------------------------------
 
     def _log(self, kind: str, key: Tuple, tier: str) -> None:
@@ -272,12 +268,6 @@ class NodeCache:
             raise InvalidValueError("artifact size must be positive")
         self._drop(key)
         return self._place(key, size, self.tier_index(tier_name), "admit")
-
-    def touch(self, key: Tuple) -> None:
-        """Refresh ``key``'s LRU position within its tier."""
-        tier = self.tier_of(key)
-        if tier is not None:
-            self._resident[tier].move_to_end(key)
 
     def hit(self, key: Tuple) -> Tuple[str, Optional[Tuple[str, str]],
                                        List[Tuple[Tuple, str]]]:

@@ -204,20 +204,9 @@ class EventLoop:
         heapq.heappush(self._heap, (time, priority, tie, seq, event))
         return event
 
-    def schedule_in(self, delay: float, kind: str,
-                    payload: object = None) -> Event:
-        """Enqueue an event ``delay`` seconds from now (>= 0)."""
-        return self.schedule(check_advance(self.now, delay), kind, payload)
-
     def cancel(self, event: Event) -> None:
         """Annul a pending event; a no-op if it already dispatched."""
         self._cancelled.add(event.seq)
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (cancelled ones excluded)."""
-        return sum(1 for *_ignored, event in self._heap
-                   if event.seq not in self._cancelled)
 
     # -- dispatch ------------------------------------------------------------
 

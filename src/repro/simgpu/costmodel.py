@@ -117,10 +117,6 @@ class CostModel:
         """Stage 1: instantiate model structure + allocate weight tensors."""
         return self.structure_init_base + self.structure_init_per_byte * param_bytes
 
-    def weight_load_time(self, param_bytes: int) -> float:
-        """Stage 2: stream weights from SSDs into the pre-allocated tensors."""
-        return param_bytes / self.gpu.h2d_bandwidth
-
     def tokenizer_load_time(self, vocab_size: int) -> float:
         """Stage 3: load and build the tokenizer."""
         return self.tokenizer_base + self.tokenizer_per_vocab_entry * vocab_size
@@ -135,10 +131,6 @@ class CostModel:
         compute = 2.0 * num_params * num_tokens / self.gpu.effective_flops
         memory = param_bytes / self.gpu.effective_mem_bandwidth
         return max(compute, memory)
-
-    def kv_profile_time(self, param_bytes: int) -> float:
-        """Stage 4's profiling forwarding (max seq len x max batch)."""
-        return self.forward_gpu_time(param_bytes, self.kv_profile_tokens)
 
     def eager_step_time(self, param_bytes: int, num_tokens: int,
                         num_kernels: int) -> float:

@@ -27,7 +27,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,9 +94,6 @@ class KernelSpec:
     host_entry: Optional[str] = None  # exported host API that launches it
     needs_magic: bool = False    # requires the two permanent magic buffers
     flops_share: float = 1.0     # relative share of a layer's FLOPs (timing)
-
-    def pointer_roles(self) -> List[str]:
-        return [p.role for p in self.params if p.kind is ParamKind.POINTER]
 
     @functools.cached_property
     def pointer_slots(self) -> Tuple[Tuple[int, str], ...]:

@@ -51,15 +51,6 @@ class DynamicLibrary:
         for module in self.modules:
             yield from module.kernels
 
-    def exported_symbols(self) -> Tuple[str, ...]:
-        """The symbol table: mangled names of all *visible* kernels."""
-        return tuple(s.name for s in self.iter_kernels() if not s.hidden)
-
-    def host_entries(self) -> Tuple[str, ...]:
-        """Always-exported host APIs that launch kernels internally."""
-        return tuple(sorted({s.host_entry for s in self.iter_kernels()
-                             if s.host_entry}))
-
     def find_kernel(self, kernel_name: str) -> KernelSpec:
         return self._lookup(kernel_name)[1]
 

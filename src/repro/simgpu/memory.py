@@ -597,12 +597,6 @@ class DeviceAllocator:
         raise IllegalMemoryAccessError(
             f"pointer 0x{address:x} maps to no live allocation")
 
-    def try_resolve(self, address: int) -> Optional[Buffer]:
-        try:
-            return self.resolve(address)
-        except IllegalMemoryAccessError:
-            return None
-
     def buffer_by_alloc_index(self, index: int) -> Buffer:
         """The buffer returned by the ``index``-th allocation of this process."""
         if not 0 <= index < len(self._history):
@@ -632,7 +626,3 @@ class DeviceAllocator:
     @property
     def num_allocations(self) -> int:
         return len(self._history)
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.bytes_in_use

@@ -1,14 +1,6 @@
 """Buffer contents classification (§4.3) and trace bookkeeping tests."""
 
-import pytest
-
-from repro.core.classify import (
-    PERMANENT,
-    PRE_CAPTURE,
-    TEMPORARY,
-    ContentPlan,
-    classify_buffers,
-)
+from repro.core.classify import ContentPlan, classify_buffers
 from repro.core.trace import (
     AllocTraceEvent,
     EmptyCacheTraceEvent,
@@ -39,15 +31,13 @@ class TestClassify:
             alloc(3, 2, tag="magic"),      # capture-stage permanent
         ])
         plan = classify_buffers(trace, capture_marker=1, referenced={0, 1, 2})
-        assert plan.classify(0) == PRE_CAPTURE
-        assert plan.classify(1) == TEMPORARY
-        assert plan.classify(2) == PERMANENT
+        assert plan == ContentPlan(pre_capture={0}, temporary={1},
+                                   permanent={2})
 
     def test_unreferenced_buffers_not_classified(self):
         trace = Trace(events=[alloc(0, 0), alloc(1, 1)])
         plan = classify_buffers(trace, capture_marker=0, referenced={0})
-        with pytest.raises(KeyError):
-            plan.classify(1)
+        assert 1 not in plan.pre_capture | plan.temporary | plan.permanent
 
     def test_counts(self):
         trace = Trace(events=[alloc(i, i) for i in range(5)]
@@ -57,7 +47,6 @@ class TestClassify:
         assert len(plan.pre_capture) == 2
         assert len(plan.temporary) == 1
         assert len(plan.permanent) == 2
-        assert plan.num_referenced == 5
 
 
 class TestTrace:

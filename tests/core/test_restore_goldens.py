@@ -210,12 +210,19 @@ def test_restore_timelines_match_golden(golden, allocator_golden,
 
 @pytest.fixture(scope="module")
 def chunked_qwen_restore(tmp_path_factory):
-    """One TIMING-mode Qwen1.5-0.5B restore from a chunked store."""
+    """One TIMING-mode Qwen1.5-0.5B restore from a chunked store, and the
+    ``unpack_chunk`` calls it made."""
+    from unittest import mock
+
+    from repro.core import chunks
     model, offline_seed, seed, mode, tiny = MODELS[1]
-    return medusa_cold_start(
-        model, _open(_materialize(model, offline_seed, tiny), "chunked",
-                     tmp_path_factory.mktemp("chunked")),
-        seed=seed, mode=mode)
+    artifact = _open(_materialize(model, offline_seed, tiny), "chunked",
+                     tmp_path_factory.mktemp("chunked"))
+    with mock.patch.object(chunks, "unpack_chunk",
+                           wraps=chunks.unpack_chunk) as unpack:
+        engine, report = medusa_cold_start(model, artifact, seed=seed,
+                                           mode=mode)
+    return engine, report, unpack.call_count
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +290,7 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     (docs/MECHANISM.md gives each one's meaning).  A change that lowers a
     count updates the ledger in the same commit; one that raises a count
     says why."""
-    engine, report = chunked_qwen_restore
+    engine, report, chunks_decoded = chunked_qwen_restore
     allocator = engine.process.allocator
     graphs = engine.capture_artifacts.graphs
     trace, index, liveness = default_qwen_offline
@@ -307,6 +314,7 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     assert {
         "Qwen1.5-0.5B chunked restore": {
             "DeviceAllocator.buffers_built": allocator.buffers_built,
+            "chunks decoded": chunks_decoded,
         },
         "Qwen1.5-0.5B offline": {
             "Trace.rows_built": trace.rows_built,

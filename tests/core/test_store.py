@@ -1,9 +1,11 @@
 """Artifact store tests."""
 
 import os
+from unittest import mock
 
 import pytest
 
+from repro.core import chunks
 from repro.core.chunks import ChunkedLazyArtifact
 from repro.core.store import ArtifactStore
 from repro.errors import ArtifactError
@@ -44,18 +46,14 @@ class TestArtifactStore:
         with pytest.raises(ArtifactError):
             store.get("A100", "Nope")
 
-    def test_list_and_delete(self, tmp_path, tiny2l_artifact,
-                             tiny4l_artifact):
+    def test_list(self, tmp_path, tiny2l_artifact, tiny4l_artifact):
         a2, _ = tiny2l_artifact
         a4, _ = tiny4l_artifact
         store = ArtifactStore(tmp_path)
         store.put(a2)
         store.put(a4)
-        assert len(store.list()) == 2
-        store.delete(a2.gpu_name, a2.model_name)
-        assert store.list() == [(a4.gpu_name, a4.model_name)]
-        with pytest.raises(ArtifactError):
-            store.delete(a2.gpu_name, a2.model_name)
+        assert store.list() == sorted([(a2.gpu_name, a2.model_name),
+                                       (a4.gpu_name, a4.model_name)])
 
     def test_put_overwrites(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
@@ -175,8 +173,8 @@ class TestStoreCaches:
         first = store.get(artifact.gpu_name, artifact.model_name)
         second = store.get(artifact.gpu_name, artifact.model_name)
         assert second is first            # the opened artifact itself
-        info = store.cache_info()
-        assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
+        assert (store.cache_hits, store.cache_misses) == (1, 1)
+        assert len(store._cache) == 1
 
     def test_rewrite_same_content_still_hits(self, tmp_path,
                                              tiny2l_artifact):
@@ -200,10 +198,9 @@ class TestStoreCaches:
         store.get(a2.gpu_name, a2.model_name)
         store.get(a4.gpu_name, a4.model_name)   # evicts a2
         store.get(a2.gpu_name, a2.model_name)   # miss again
-        info = store.cache_info()
-        assert info["entries"] == 1
-        assert info["misses"] == 3
-        assert info["hits"] == 0
+        assert len(store._cache) == 1
+        assert store.cache_misses == 3
+        assert store.cache_hits == 0
 
     def test_cache_size_zero_disables(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
@@ -212,7 +209,7 @@ class TestStoreCaches:
         first = store.get(artifact.gpu_name, artifact.model_name)
         second = store.get(artifact.gpu_name, artifact.model_name)
         assert second is not first
-        assert store.cache_info()["entries"] == 0
+        assert len(store._cache) == 0
 
     def test_lint_runs_once_per_content(self, tmp_path, tiny2l_artifact,
                                         monkeypatch):
@@ -232,12 +229,13 @@ class TestStoreCaches:
         artifact, _ = tiny2l_artifact
         store = ArtifactStore(tmp_path)
         store.put(artifact)
-        miss = store.get(artifact.gpu_name, artifact.model_name)
-        assert isinstance(miss, ChunkedLazyArtifact)
-        assert miss.reader.loaded_chunks == frozenset()
-        hit = store.get(artifact.gpu_name, artifact.model_name)
+        with mock.patch.object(chunks, "unpack_chunk",
+                               wraps=chunks.unpack_chunk) as unpack:
+            miss = store.get(artifact.gpu_name, artifact.model_name)
+            assert isinstance(miss, ChunkedLazyArtifact)
+            hit = store.get(artifact.gpu_name, artifact.model_name)
         assert hit is miss
-        assert hit.reader.loaded_chunks == frozenset()
+        assert unpack.call_count == 0
         assert (store.cache_hits, store.cache_misses) == (1, 1)
 
     def test_lint_on_load_rejects_a_broken_artifact(self, tmp_path,
@@ -250,7 +248,7 @@ class TestStoreCaches:
         for _ in range(2):                # a rejected artifact is not cached
             with pytest.raises(LintError):
                 store.get(broken.gpu_name, broken.model_name)
-        assert store.cache_info()["entries"] == 0
+        assert len(store._cache) == 0
         assert store.cache_misses == 2
 
 

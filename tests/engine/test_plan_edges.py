@@ -167,7 +167,7 @@ class TestReadyVsTotal:
         assert timeline.total == pytest.approx(3.0)
         assert timeline.ready == timeline.total
         # Background stages are never critical, even with no foreground.
-        assert timeline.critical_path() == []
+        assert not any(stage.critical for stage in timeline.stages)
         assert timeline.bubble() == 0.0
 
     def test_mixed_plan_ready_precedes_total(self, pipelined):

@@ -74,13 +74,13 @@ class TestCatalogBuild:
     def test_hidden_kernels_not_exported(self):
         catalog = build_catalog(QWEN)
         cublas = catalog.library(LIBCUBLAS)
-        exported = set(cublas.exported_symbols())
-        for spec in cublas.iter_kernels():
-            assert spec.name not in exported
+        assert all(spec.hidden for spec in cublas.iter_kernels())
 
     def test_host_entries_exported(self):
         catalog = build_catalog(QWEN)
-        assert "cublasGemmEx" in catalog.library(LIBCUBLAS).host_entries()
+        assert "cublasGemmEx" in {
+            spec.host_entry
+            for spec in catalog.library(LIBCUBLAS).iter_kernels()}
 
     def test_lm_head_shares_mlp_gemm_module(self):
         """lm_head (hidden, not in layer 1) must live in a module the

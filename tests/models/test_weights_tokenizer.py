@@ -1,10 +1,8 @@
-"""Checkpoint store and tokenizer tests."""
+"""Checkpoint store tests."""
 
 import numpy as np
 import pytest
 
-from repro.errors import InvalidValueError
-from repro.models.tokenizer import Tokenizer
 from repro.models.weights import (
     CheckpointStore,
     declared_sizes,
@@ -82,29 +80,3 @@ class TestCheckpointStore:
         store = CheckpointStore()
         for key, payload in store.iter_payloads(TINY):
             assert np.linalg.norm(payload, 2) <= 1.0 + 1e-9
-
-
-class TestTokenizer:
-    def test_use_before_load_raises(self):
-        tokenizer = Tokenizer(TINY)
-        with pytest.raises(InvalidValueError):
-            tokenizer.encode("hello world")
-
-    def test_encode_deterministic_and_in_vocab(self):
-        tokenizer = Tokenizer(QWEN)
-        tokenizer.load()
-        ids = tokenizer.encode("the quick brown fox")
-        assert ids == tokenizer.encode("the quick brown fox")
-        assert all(0 <= t < QWEN.vocab_size for t in ids)
-        assert len(ids) == 4
-
-    def test_decode_rejects_out_of_vocab(self):
-        tokenizer = Tokenizer(TINY)
-        tokenizer.load()
-        with pytest.raises(InvalidValueError):
-            tokenizer.decode([TINY.vocab_size])
-
-    def test_decode_produces_token_markers(self):
-        tokenizer = Tokenizer(TINY)
-        tokenizer.load()
-        assert tokenizer.decode([1, 2]) == "<tok1> <tok2>"

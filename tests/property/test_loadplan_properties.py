@@ -149,9 +149,10 @@ class TestZooModelOracle:
         for config in PAPER_MODELS:
             durations = {
                 STRUCTURE: cm.structure_init_time(config.param_bytes),
-                WEIGHTS: cm.weight_load_time(config.param_bytes),
+                WEIGHTS: config.param_bytes / cm.gpu.h2d_bandwidth,
                 TOKENIZER: cm.tokenizer_load_time(config.vocab_size),
-                KV_INIT: cm.kv_profile_time(config.param_bytes)
+                KV_INIT: cm.forward_gpu_time(config.param_bytes,
+                                             cm.kv_profile_tokens)
                          + cm.kv_block_alloc_time,
                 CAPTURE: cm.capture_forward_time(config.total_graph_nodes)
                          + cm.instantiate_time(config.total_graph_nodes),

@@ -79,7 +79,7 @@ class TestDispatchOrderProperty:
         def _spawn(lp, out, event):
             out.append(lp.now)
             for i in range(fanout):
-                lp.schedule_in(0.25 * (i + 1), "child", None)
+                lp.schedule(lp.now + 0.25 * (i + 1), "child", None)
 
         for time, _, _ in schedule:
             loop.schedule(time, "seed", None)

@@ -1,27 +1,6 @@
 """ASCII bar rendering tests."""
 
-from repro.reporting import horizontal_bars, stacked_bars
-
-
-class TestHorizontalBars:
-    def test_scales_to_peak(self):
-        text = horizontal_bars("T", [("a", 1.0), ("b", 2.0)], width=10)
-        lines = text.splitlines()
-        bar_a = lines[2].count("█")
-        bar_b = lines[3].count("█")
-        assert bar_b == 10
-        assert bar_a == 5
-
-    def test_zero_value_renders_empty_bar(self):
-        text = horizontal_bars("T", [("a", 0.0), ("b", 1.0)])
-        assert "a" in text
-
-    def test_empty_entries(self):
-        assert "(empty)" in horizontal_bars("T", [])
-
-    def test_values_printed(self):
-        text = horizontal_bars("T", [("x", 3.25)])
-        assert "3.25s" in text
+from repro.reporting import stacked_bars
 
 
 class TestStackedBars:

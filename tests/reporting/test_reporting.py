@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine import LLMEngine, Strategy
-from repro.reporting import format_series, format_table
+from repro.reporting import format_table
 from repro.reporting.timeline import export_chrome_trace, to_trace_events
 
 from tests.conftest import tiny_cost_model
@@ -28,13 +28,6 @@ class TestFormatTable:
 
     def test_zero_renders_plainly(self):
         assert "0" in format_table("T", ["v"], [[0.0]])
-
-    def test_format_series(self):
-        text = format_series("S", {"a": [1, 2], "b": [3, 4]},
-                             x_label="x", x_values=[10, 20])
-        lines = text.splitlines()
-        assert "x" in lines[2] and "a" in lines[2] and "b" in lines[2]
-        assert len(lines) == 6
 
 
 class TestChromeTrace:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.baselines import CheckpointRestoreBaseline
 from repro.errors import InvalidValueError
 from repro.serverless import (
     ClusterSimulator,
@@ -64,12 +63,3 @@ class TestDeferredCaptureInSim:
     def test_capture_penalty_positive_and_one_off(self, costs):
         penalty = costs.deferred_capture_penalty(8)
         assert penalty > costs.decode_step_time(8, 200, use_graphs=True)
-
-
-class TestCheckpointBaseline:
-    def test_checkpoint_scales_with_model(self):
-        small = CheckpointRestoreBaseline("Qwen1.5-0.5B")
-        large = CheckpointRestoreBaseline("Qwen1.5-14B")
-        kv = 4 * 1024**3
-        assert large.checkpoint_bytes(kv) > small.checkpoint_bytes(kv)
-        assert large.restore_time(kv) > small.restore_time(kv)

@@ -104,14 +104,11 @@ class TestChunkStreamResolution:
         launch(policy, CHUNKS_A, costs)
         chunk_cache = policy._chunk_cache(0)
         artifact_cache = policy.caches[0]
-        chunk_resident = [key for tier in policy.tiers[:-1]
-                          for key in chunk_cache.resident_keys(tier.name)]
-        artifact_resident = [key for tier in policy.tiers[:-1]
-                             for key in
-                             artifact_cache.resident_keys(tier.name)]
-        assert chunk_resident
-        assert all(key[0] == "chunk" for key in chunk_resident)
-        assert not any(key[0] == "chunk" for key in artifact_resident)
+        chunk_keys = [event.key for event in chunk_cache.events]
+        artifact_keys = [event.key for event in artifact_cache.events]
+        assert chunk_keys
+        assert all(key[0] == "chunk" for key in chunk_keys)
+        assert not any(key[0] == "chunk" for key in artifact_keys)
 
     def test_foreground_duration_sums_foreground_chunks_only(self, costs):
         policy = LocalityPlacement(num_nodes=1)

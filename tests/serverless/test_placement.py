@@ -142,13 +142,15 @@ class TestNodeCache:
         assert tier == "gpu" and promoted is None
 
     def test_hit_refreshes_lru_order(self):
-        cache = NodeCache(0)
-        cache.admit(KEY_A, 1.0)
-        cache.admit(KEY_B, 1.0)
-        cache.touch(KEY_A)   # B is now the DRAM LRU victim
-        cache.admit(KEY_C, 1.0)
-        assert cache.tier_of(KEY_B) == "ssd"
-        assert cache.tier_of(KEY_A) == "dram"
+        tiers = (TierSpec("gpu", 2.0, 0.0), TierSpec("dram", 8.0, 0.05),
+                 TierSpec("remote", math.inf, 1.0))
+        cache = NodeCache(0, tiers)
+        cache.admit(KEY_A, 1.0, tier_name="gpu")
+        cache.admit(KEY_B, 1.0, tier_name="gpu")
+        cache.hit(KEY_A)     # warmest tier: stays, B is now the LRU victim
+        cache.admit(KEY_C, 1.0, tier_name="gpu")
+        assert cache.tier_of(KEY_B) == "dram"
+        assert cache.tier_of(KEY_A) == "gpu"
 
     def test_hit_on_non_resident_key_is_an_error(self):
         with pytest.raises(InvalidValueError):

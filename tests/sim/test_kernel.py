@@ -51,17 +51,6 @@ class TestScheduling:
         with pytest.raises(InvalidValueError):
             loop.schedule(4.0, "a")
 
-    def test_schedule_in_is_relative(self):
-        log = []
-        loop = make_loop(log)
-        loop.schedule(2.0, "a")
-        loop.step()
-        loop.schedule_in(1.5, "b")
-        loop.run()
-        assert log[-1][1] == 3.5
-        with pytest.raises(InvalidValueError):
-            loop.schedule_in(-0.1, "a")
-
     def test_unregistered_kind_rejected(self):
         loop = make_loop([])
         with pytest.raises(SchedulingError):
@@ -79,7 +68,7 @@ class TestScheduling:
         def chain(event):
             log.append(loop.now)
             if event.payload > 0:
-                loop.schedule_in(1.0, "tick", event.payload - 1)
+                loop.schedule(loop.now + 1.0, "tick", event.payload - 1)
 
         loop.on("tick", chain)
         loop.schedule(0.0, "tick", 3)
@@ -124,7 +113,6 @@ class TestTieKeys:
         drop = loop.schedule(1.0, "a", "drop", tie=1)
         loop.schedule(1.0, "a", "keep-0", tie=0)
         loop.cancel(drop)
-        assert loop.pending == 2
         assert loop.run() == 2
         assert [p for _, _, p in log] == ["keep-0", "keep-1"]
 
@@ -146,7 +134,6 @@ class TestCancellation:
         keep = loop.schedule(1.0, "a", "keep")
         drop = loop.schedule(2.0, "a", "drop")
         loop.cancel(drop)
-        assert loop.pending == 1
         loop.run()
         assert [p for _, _, p in log] == ["keep"]
         assert keep.seq != drop.seq
@@ -177,7 +164,6 @@ class TestDeterminism:
             loop.schedule(t, "a")
         loop.run()
         assert loop.dispatched == 3
-        assert loop.pending == 0
 
 
 class TestCheckAdvance:

@@ -39,13 +39,6 @@ class TestParamSpecs:
         with pytest.raises(InvalidValueError):
             spec.param_index("nope")
 
-    def test_pointer_roles(self):
-        spec = KernelSpec(name="k", library="l", module="m", op="copy",
-                          params=(ParamSpec(ParamKind.POINTER, "input"),
-                                  ParamSpec(ParamKind.CONST32, "n"),
-                                  ParamSpec(ParamKind.POINTER, "output")))
-        assert spec.pointer_roles() == ["input", "output"]
-
 
 class TestStableHash:
     def test_deterministic(self):

@@ -41,14 +41,6 @@ class TestLibraryValidation:
             DynamicLibrary("lib", (
                 CudaModule("mod", "lib", (spec("k"), spec("k"))),))
 
-    def test_exported_symbols_exclude_hidden(self):
-        library = DynamicLibrary("lib", (
-            CudaModule("mod", "lib",
-                       (spec("visible"),
-                        spec("secret", hidden=True, host="hostfn"))),))
-        assert library.exported_symbols() == ("visible",)
-        assert library.host_entries() == ("hostfn",)
-
     def test_module_of(self):
         library = DynamicLibrary("lib", (
             CudaModule("m1", "lib", (spec("a", module="m1"),)),

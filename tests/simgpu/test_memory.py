@@ -58,13 +58,6 @@ class TestMalloc:
         buffers = [allocator.malloc(64) for _ in range(5)]
         assert [b.alloc_index for b in buffers] == [0, 1, 2, 3, 4]
 
-    def test_free_bytes_accounting(self):
-        allocator = make_allocator(capacity=4096)
-        allocator.malloc(1024)
-        assert allocator.free_bytes == 4096 - 1024
-        allocator.malloc(256)
-        assert allocator.free_bytes == 4096 - 1024 - 256
-
 
 class TestFreeAndReuse:
     def test_lifo_reuse_returns_same_address(self):

@@ -543,7 +543,8 @@ class TestMalformedArtifactExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mutate,message", [
-        (_bad_magic, "not UTF-8 text"),
+        (_bad_magic, "is neither a binary artifact (no b'\\x93MEDUSA1' "
+                     "magic) nor UTF-8 JSON text"),
         (_manifest_past_the_end, "runs past the end of the file"),
         (_blob_offset_past_the_end, "runs past the end of"),
         (_truncated, "runs past the end of"),
@@ -670,7 +671,7 @@ class TestMalformedArtifactExitCodes:
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "not UTF-8 text" in err
+        assert "nor UTF-8 JSON text" in err
         assert "Traceback" not in err
 
 
@@ -985,19 +986,14 @@ class TestRestoreFailureExitCodes:
     def test_kv_blocks_past_the_buffer_fail_before_allocating(
             self, tiny_artifact_path, tmp_path, capsys):
         """2**31 KV blocks do not fit the restored KV buffer: the cold
-        start exits 1 before the block manager allocates one per block."""
-        from unittest import mock
-
-        from repro.core import fastpath
+        start exits 1 before the KV region is built."""
         payload = json.loads(open(tiny_artifact_path).read())
         payload["kv_num_blocks"] = 2 ** 31
         path = tmp_path / "blocks.medusa.json"
         path.write_text(json.dumps(payload))
         capsys.readouterr()
-        with mock.patch.object(fastpath, "BlockManager", side_effect=(
-                AssertionError("block manager built"))):
-            assert main(["coldstart", "--model", "Tiny-2L", "--strategy",
-                         "medusa", "--artifact", str(path)]) == 1
+        assert main(["coldstart", "--model", "Tiny-2L", "--strategy",
+                     "medusa", "--artifact", str(path)]) == 1
         assert "2147483648 KV blocks" in capsys.readouterr().err
 
 

@@ -18,7 +18,7 @@ from repro.engine import LLMEngine, Strategy
 from repro.reporting import format_table
 from repro.serverless import ServingCostModel
 
-from benchmarks.bench_fig10_ttft import DURATION, run_scenario
+from benchmarks.bench_fig10_ttft import DURATION
 from repro.serverless import ClusterSimulator, ShareGPTWorkload, SimulationConfig
 
 MODEL = "Llama2-7B"

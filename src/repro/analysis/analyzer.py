@@ -24,8 +24,6 @@ MED040 diagnostic instead of refusing to load.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.coverage import check_coverage
 from repro.analysis.diagnostics import Diagnostic, LintReport
 from repro.analysis.graphs import check_topology

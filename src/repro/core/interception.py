@@ -28,19 +28,23 @@ class TraceInterceptor(Interceptor):
     """Builds the offline trace from the process's hook callbacks.
 
     Each hook appends its event to the trace's columns for that kind, with
-    ``seq`` = the number of events recorded before it.  The list appends
-    are bound once here: they run once per hook call.  A stamped block of
-    layers extends every column once (:meth:`on_block`).
+    ``seq`` = the number of events recorded before it.  The appends to the
+    columns' pending lists are bound once here: they run once per hook
+    call.  A stamped block appends its arrays to every column once
+    (:meth:`on_block`).
     """
 
     def __init__(self):
         self.trace = trace = Trace()
         self._seq = 0
-        self._alloc = tuple(column.append for column in trace.alloc_lists)
-        self._free = tuple(column.append for column in trace.free_lists)
-        launches = trace.launch_lists
-        self._launch = (*[column.append for column in launches[:5]],
-                        launches.sizes.extend, launches.values.extend)
+        self._alloc = tuple(column.pending.append
+                            for column in trace.alloc_data)
+        self._free = tuple(column.pending.append
+                           for column in trace.free_data)
+        launches = trace.launch_data
+        self._launch = (*[column.pending.append for column in launches[:5]],
+                        launches.sizes.pending.extend,
+                        launches.values.pending.extend)
         # launch_dims items (insertion order) -> dims id; the trace's table
         # holds the sorted tuple.  A capture uses a handful of distinct dims.
         self._dims: Dict[Tuple[Tuple[str, int], ...], int] = {}
@@ -104,32 +108,30 @@ class TraceInterceptor(Interceptor):
         kinds = block.kinds
         seqs = np.arange(self._seq, self._seq + kinds.size)
         self._seq += kinds.size
-        allocs = seqs[kinds == ALLOC_EVENT].tolist()
-        frees = seqs[kinds == FREE_EVENT].tolist()
-        launches = seqs[kinds == LAUNCH_EVENT].tolist()
-        trace.stamped_allocations += len(allocs)
-        trace.stamped_launches += len(launches)
+        allocs = seqs[kinds == ALLOC_EVENT]
+        frees = seqs[kinds == FREE_EVENT]
+        launches = seqs[kinds == LAUNCH_EVENT]
+        trace.stamped_allocations += allocs.size
+        trace.stamped_launches += launches.size
         tag = intern(trace.tags, trace.tag_ids, block.tag)
         pool = intern(trace.pools, trace.pool_ids, block.pool)
-        for column, values in zip(trace.alloc_lists, (
-                allocs, block.alloc_index.tolist(), block.address.tolist(),
-                block.size.tolist(), [tag] * len(allocs),
-                [pool] * len(allocs))):
-            column.extend(values)
-        for column, values in zip(trace.free_lists, (
-                frees, block.freed_index.tolist(),
-                block.freed_address.tolist(), [True] * len(frees))):
-            column.extend(values)
+        for column, values in zip(trace.alloc_data, (
+                allocs, block.alloc_index, block.address, block.size,
+                np.full(allocs.size, tag), np.full(allocs.size, pool))):
+            column.add(values)
+        for column, values in zip(trace.free_data, (
+                frees, block.freed_index, block.freed_address,
+                np.ones(frees.size, dtype=np.int64))):
+            column.add(values)
         kernels = np.array([intern(trace.kernels, trace.kernel_ids, kernel)
                             for kernel in block.kernel_table],
                            dtype=np.int64)
-        for column, values in zip(trace.launch_lists, (
-                launches, kernels[block.kernels].tolist(),
-                block.param_counts.tolist(),
-                [self._dims_id(block.launch_dims)] * len(launches),
-                [block.captured] * len(launches),
-                block.param_sizes.tolist(), block.param_values.tolist())):
-            column.extend(values)
+        for column, values in zip(trace.launch_data, (
+                launches, kernels[block.kernels], block.param_counts,
+                np.full(launches.size, self._dims_id(block.launch_dims)),
+                np.full(launches.size, int(block.captured)),
+                block.param_sizes, block.param_values)):
+            column.add(values)
 
 
 def attach(process: CudaProcess) -> TraceInterceptor:

@@ -17,13 +17,12 @@ checks as usual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.core.fastpath import VectorizedRestorer
 from repro.engine.engine import ColdStartReport, LLMEngine
 from repro.engine.strategies import Strategy
-from repro.errors import EngineError
 from repro.models.zoo import get_model_config
 from repro.simgpu.process import ExecutionMode
 

@@ -11,8 +11,8 @@ batching a request stream over them is the pool's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 import numpy as np
 

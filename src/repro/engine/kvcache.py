@@ -46,6 +46,13 @@ class KVCacheConfig:
         return min(self.max_blocks, kv_bytes // block)
 
 
+def check_num_blocks(num_blocks: int) -> None:
+    """Refuse a region of fewer than one block."""
+    if num_blocks < 1:
+        raise InvalidValueError(
+            f"need at least one KV block, got {num_blocks}")
+
+
 @dataclass
 class KVCacheRegion:
     """The allocated continuous KV region inside one process."""
@@ -58,9 +65,7 @@ class KVCacheRegion:
     def __post_init__(self) -> None:
         # Every path builds one: the vLLM profile, a Medusa restore (whose
         # block count comes from the artifact) and a checkpoint restore.
-        if self.num_blocks <= 0:
-            raise InvalidValueError(
-                f"need at least one KV block, got {self.num_blocks}")
+        check_num_blocks(self.num_blocks)
 
     @property
     def total_bytes(self) -> int:
@@ -69,8 +74,11 @@ class KVCacheRegion:
 
 def allocate_kv_region(process: CudaProcess, model: ModelConfig,
                        kv_config: KVCacheConfig, kv_bytes: int) -> KVCacheRegion:
-    """Allocate the continuous KV cache buffer from ``kv_bytes`` of free memory."""
+    """Allocate the continuous KV cache buffer from ``kv_bytes`` of free
+    memory; a block count below one (``max_blocks`` 0) is refused before
+    the malloc."""
     num_blocks = kv_config.num_blocks_for(model, kv_bytes)
+    check_num_blocks(num_blocks)
     total = num_blocks * kv_config.block_bytes(model)
     buffer = process.malloc(
         total, tag="kv",

@@ -16,8 +16,8 @@ graphs have both the right totals and the right repetitive layer structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import InvalidValueError
 

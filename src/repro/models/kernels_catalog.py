@@ -21,7 +21,6 @@ from typing import Dict, List, Tuple
 from repro.errors import InvalidValueError
 from repro.models.config import (
     EPILOGUE_BASE_KERNELS,
-    LAYER_KERNEL_TEMPLATE,
     PROLOGUE_KERNELS,
     ModelConfig,
 )

@@ -16,11 +16,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.models.config import (
-    EPILOGUE_BASE_KERNELS,
-    WEIGHTED_LAYER_KERNELS,
-    ModelConfig,
-)
+from repro.models.config import WEIGHTED_LAYER_KERNELS, ModelConfig
 from repro.simgpu.kernels import PAYLOAD_DIM
 from repro.utils.rng import SeedSequence
 

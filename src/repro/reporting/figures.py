@@ -7,7 +7,7 @@ shape-at-a-glance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 #: One glyph per stage for stacked bars, cycled in order.
 _STACK_GLYPHS = "█▓▒░▚▞▗"

@@ -13,7 +13,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.engine.strategies import Strategy
 from repro.models.config import ModelConfig
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel

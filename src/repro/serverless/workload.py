@@ -20,8 +20,8 @@ summation order, same generated trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import InvalidValueError
 from repro.utils.rng import SeedSequence

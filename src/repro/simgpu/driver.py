@@ -11,10 +11,8 @@ addressable after their *module* loads, at which point
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Set, Tuple
 
 from repro.errors import (
     InvalidValueError,

@@ -26,8 +26,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 

@@ -16,8 +16,8 @@ must precede capturing (paper §2.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import InvalidValueError, SymbolNotFoundError
 from repro.simgpu.kernels import KernelSpec

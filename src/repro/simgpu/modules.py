@@ -8,8 +8,8 @@ executing one visible kernel of a module surfaces the hidden ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import InvalidValueError
 from repro.simgpu.kernels import KernelSpec

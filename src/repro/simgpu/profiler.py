@@ -9,8 +9,8 @@ to users debugging their own model definitions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.simgpu.process import CudaProcess, Interceptor
 from repro.simgpu.stream import LaunchRecord

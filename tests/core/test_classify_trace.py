@@ -78,8 +78,8 @@ def _assert_trace_contract(trace):
         assert rows == [e for e in events if type(e) is kind]
     seqs = [e.seq for e in events]
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
-    assert dict(zip(trace.free_lists.alloc_index,
-                    trace.free_lists.seq)) == {
+    frees = trace.free_columns()
+    assert dict(zip(frees.alloc_index.tolist(), frees.seq.tolist())) == {
         e.alloc_index: e.seq for e in events if type(e) is FreeTraceEvent}
 
 

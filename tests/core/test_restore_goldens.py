@@ -324,9 +324,9 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
             "LivenessResult.rows_visited": liveness.rows_visited,
         },
         "Qwen1.5-0.5B capture": {
-            "per-call allocations": (len(trace.alloc_lists.seq)
+            "per-call allocations": (len(trace.alloc_data.seq)
                                      - trace.stamped_allocations),
-            "per-call launches": (len(trace.launch_lists.seq)
+            "per-call launches": (len(trace.launch_data.seq)
                                   - trace.stamped_launches),
         },
         "Qwen1.5-0.5B store put": {

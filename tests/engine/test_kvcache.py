@@ -62,6 +62,23 @@ class TestKVCacheRegion:
                               block_bytes=region.block_bytes,
                               layer_stride=region.layer_stride)
 
+    def test_no_blocks_refused_before_the_malloc(self):
+        """``max_blocks=0`` sizes a region of no blocks: the engine refuses
+        it by its block count, allocating nothing."""
+        engine = LLMEngine("Tiny-2L", Strategy.VLLM, seed=3,
+                           cost_model=tiny_cost_model(),
+                           kv_config=KVCacheConfig(max_blocks=0))
+        allocations = engine.process.allocator.num_allocations
+        with pytest.raises(InvalidValueError,
+                           match="^need at least one KV block, got 0$"):
+            engine.adopt_kv_bytes(10 * engine.kv_config.block_bytes(
+                engine.config))
+        assert engine.kv_region is None
+        assert engine.process.allocator.num_allocations == allocations
+        with pytest.raises(InvalidValueError,
+                           match="^need at least one KV block, got 0$"):
+            engine.cold_start()
+
     def test_vllm_region_is_whole_blocks_of_its_buffer(self):
         engine = LLMEngine("Tiny-2L", Strategy.VLLM, seed=3,
                            cost_model=tiny_cost_model())

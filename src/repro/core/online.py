@@ -6,20 +6,21 @@ and the one restorer, :class:`repro.core.fastpath.VectorizedRestorer`
 (KV restore, allocation replay, first-layer warm-up with triggering
 kernels, and graph restore by one pointer gather per graph).  Every input
 kind runs that restorer on the packed tables (a JSON artifact is packed
-on import).  Where the input came from and the hooks pick the LoadPlan:
+on import).  Where the input came from, and nothing else, picks the
+LoadPlan:
 
 ================================== =====================
 input                              plan
 ================================== =====================
 in memory (``path is None``: the   ``medusa`` (monolithic restore tail)
-offline output or JSON), or hooked
+offline output or JSON)
 an artifact file (``open_binary``) ``medusa-pipelined``
 a store (``ArtifactStore.get``)    ``medusa-chunked``
 ================================== =====================
 
 A :class:`~repro.faults.FaultInjector` or
-:class:`~repro.faults.DegradationPolicy` keeps the monolithic plan, on
-whose tail the degradation ladder resolves.
+:class:`~repro.faults.DegradationPolicy` runs on whichever plan that is:
+the degradation ladder resolves after the plan's last graph action.
 """
 
 from __future__ import annotations
@@ -57,10 +58,9 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
                               policy: Optional[DegradationPolicy] = None):
     """Build the (engine, restorer) pair for one Medusa cold start.
 
-    The plan follows the packed ``artifact`` (see the module docstring):
-    an in-memory one, an active :class:`~repro.faults.FaultInjector` or a
-    :class:`~repro.faults.DegradationPolicy` gets the monolithic
-    ``medusa`` plan; of the chunk-backed ones, as their opener recorded
+    The plan follows the packed ``artifact`` alone (see the module
+    docstring): an in-memory one gets the monolithic ``medusa`` plan; of
+    the chunk-backed ones, as their opener recorded
     (``fetch_per_chunk``), a store's gets the chunk-streamed plan and a
     file's the pipelined plan over its batch sizes.
 
@@ -73,8 +73,7 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     if artifact.model_name != config.name:
         raise RestorationError(
             f"artifact is for {artifact.model_name}, engine wants {config.name}")
-    hooked = (injector is not None and injector.active) or policy is not None
-    if hooked or artifact.path is None:
+    if artifact.path is None:
         plan = None     # the strategy's registered monolithic plan
     elif artifact.fetch_per_chunk:
         # A store: stream fetches per chunk, with only the first graph's

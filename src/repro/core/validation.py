@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.fastpath import eager_vs_replay
 from repro.core.online import prepare_medusa_cold_start
 from repro.errors import ValidationError
 from repro.simgpu.kernels import PAYLOAD_DIM
@@ -142,22 +143,8 @@ def validate_restoration(config, artifact,
             raise ValidationError(
                 f"{artifact.model_name}: degraded restore left no "
                 f"executable graphs to validate")
-    ctx = engine.serving_context()
-    # Settle one-time eager-path state (cuBLAS-style workspace setup) before
-    # the first snapshot, so snapshot/restore cycles preserve it.
-    ctx.input_buffer.write(make_input_ids(seed=seed))
-    engine.model.forward(min(check_batches), min(check_batches), ctx)
-    for batch_size in check_batches:
-        ctx.input_buffer.write(make_input_ids(seed=batch_size))
-        # Eager reference under a frozen state snapshot...
-        engine.reset_kv_state()
-        snapshot = engine.process.snapshot_payloads()
-        engine.model.forward(batch_size, batch_size, ctx)
-        expected = ctx.output_buffer.read().copy()
-        # ...then the restored graph's replay from the same state.
-        engine.process.restore_payloads(snapshot)
-        engine.capture_artifacts.execs[batch_size].replay()
-        actual = ctx.output_buffer.read()
+    for batch_size, actual, expected in eager_vs_replay(
+            engine, check_batches, make_input_ids, make_input_ids(seed)):
         error = float(np.max(np.abs(actual - expected)))
         report.max_abs_error = max(report.max_abs_error, error)
         if not np.array_equal(actual, expected):

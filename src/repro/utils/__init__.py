@@ -1,4 +1,4 @@
-"""Small shared utilities: deterministic RNG streams, ids, stats."""
+"""Small shared utilities: deterministic RNG streams and stats."""
 
 from repro.utils.rng import SeedSequence, derive_seed
 from repro.utils.stats import mean, percentile, summarize

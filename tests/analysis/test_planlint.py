@@ -345,20 +345,30 @@ class TestRegistrySync:
             restore_graph_stage(batch) for batch in artifact.batches}
         assert set(restorer.stage_actions(engine)) == set(names)
 
-    def test_ladder_restorer_names_match_runtime(self, tiny2l_artifact):
+    @pytest.mark.parametrize("plan_name", ["medusa", "medusa-pipelined"])
+    def test_ladder_restorer_names_match_runtime(self, tiny2l_artifact,
+                                                 tmp_path, plan_name):
+        from repro.core.binfmt import save_binary
+        from repro.core.chunks import open_binary
         from repro.core.online import prepare_medusa_cold_start
         from repro.engine.engine import ENGINE_STAGE_ACTIONS
         from repro.faults import DegradationPolicy
         artifact, _ = tiny2l_artifact
+        if plan_name == "medusa-pipelined":
+            path = str(tmp_path / "tiny2l.medusa")
+            save_binary(artifact, path)
+            artifact = open_binary(path)
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", artifact, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model(), policy=DegradationPolicy())
         names = restorer.stage_action_names()
         assert set(restorer.stage_actions(engine)) == set(names)
-        # The plan a hooked restore runs lints clean against exactly the
-        # actions the engine + this restorer register.
-        assert engine.plan is None      # the registered monolithic plan
-        report = lint_plan(plan_for(Strategy.MEDUSA),
+        # A ladder restore runs its input's plan (the registered monolithic
+        # one in memory, the pipelined one from a file), which lints clean
+        # against exactly the actions the engine + this restorer register.
+        plan = engine.plan or plan_for(Strategy.MEDUSA)
+        assert plan.name == plan_name
+        report = lint_plan(plan,
                            known_actions=tuple(ENGINE_STAGE_ACTIONS) + names)
         assert report.clean, report.format_text()
 

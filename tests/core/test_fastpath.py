@@ -54,11 +54,11 @@ class TestFastPathCorrectness:
         assert_serves_correctly(engine, artifact)
 
     def test_verify_dumps_vectorized(self, tiny2l_file):
-        engine, _ = prepare_medusa_cold_start(
+        engine, restorer = prepare_medusa_cold_start(
             MODEL, open_binary(tiny2l_file), seed=7,
-            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model())
-        restorer = VectorizedRestorer(open_binary(tiny2l_file),
-                                      verify_dumps=True)
+            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
+            policy=DegradationPolicy(verify_dumps=True))
+        assert restorer._verify_dumps
         report = engine.cold_start(restorer=restorer)
         assert report.timeline.plan == "medusa-pipelined"
         assert engine.capture_artifacts.execs
@@ -73,7 +73,7 @@ class TestFastPathCorrectness:
 
 
 class TestPathSelection:
-    """One restorer for every input; the input and hooks pick the plan."""
+    """One restorer for every input; the input alone picks the plan."""
 
     def test_lazy_artifact_auto_routes_to_fast_path(self, tiny2l_file):
         engine, restorer = prepare_medusa_cold_start(
@@ -101,12 +101,12 @@ class TestPathSelection:
             MODEL, artifact, cost_model=tiny_cost_model())
         assert plan_name(eager_engine) == "medusa"
 
-    def test_policy_keeps_monolithic_plan(self, tiny2l_file):
+    def test_policy_keeps_pipelined_plan(self, tiny2l_file):
         engine, restorer = prepare_medusa_cold_start(
             MODEL, open_binary(tiny2l_file), cost_model=tiny_cost_model(),
             policy=DegradationPolicy())
         assert isinstance(restorer, VectorizedRestorer)
-        assert plan_name(engine) == "medusa"
+        assert plan_name(engine) == "medusa-pipelined"
 
     def test_chaos_run_falls_back_and_degrades(self, tiny2l_file):
         spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
@@ -115,7 +115,7 @@ class TestPathSelection:
             tiny2l_file, mode=ExecutionMode.COMPUTE, injector=injector,
             policy=DegradationPolicy())
         assert injector.fired
-        assert report.timeline.plan == "medusa+degraded"
+        assert report.timeline.plan == "medusa-pipelined+degraded"
         assert engine.capture_artifacts is not None
 
 

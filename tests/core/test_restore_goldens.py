@@ -4,8 +4,8 @@ One restorer serves in-memory artifacts (the ``eager`` rows: the offline
 output as it is), single-file artifacts opened lazily, and chunk-backed
 artifacts from an :class:`~repro.core.store.ArtifactStore`.  Each input
 kind keeps the plan it has always run (``medusa``, ``medusa-pipelined``,
-``medusa-chunked``), so the simulated loading time and every scheduled
-stage must stay bit-exact.
+``medusa-chunked``), with or without a policy, so the simulated loading
+time and every scheduled stage must stay bit-exact.
 ``golden_restore_timelines.json`` pins ``loading_time`` and each stage's
 ``(name, start, end, lane, background)`` as exact float reprs for Tiny-2L
 (tiny cost model) and Qwen1.5-0.5B, each with and without a default

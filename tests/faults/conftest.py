@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.fastpath import eager_vs_replay
 from repro.core.validation import make_input_ids
 
 
@@ -32,17 +33,6 @@ def assert_serves_correctly(engine, artifact) -> None:
         assert padded in execs, (
             f"batch {batch_size} pads to {padded}, which has no graph "
             f"(available: {sorted(execs)})")
-    ctx = engine.serving_context()
-    batches = sorted(execs)
-    # Settle one-time eager-path state before the first snapshot.
-    ctx.input_buffer.write(make_input_ids(0))
-    engine.model.forward(batches[0], batches[0], ctx)
-    for batch_size in batches:
-        ctx.input_buffer.write(make_input_ids(batch_size))
-        engine.reset_kv_state()
-        snapshot = engine.process.snapshot_payloads()
-        engine.model.forward(batch_size, batch_size, ctx)
-        expected = ctx.output_buffer.read().copy()
-        engine.process.restore_payloads(snapshot)
-        execs[batch_size].replay()
-        np.testing.assert_array_equal(ctx.output_buffer.read(), expected)
+    for _batch, actual, expected in eager_vs_replay(
+            engine, sorted(execs), make_input_ids, make_input_ids(0)):
+        np.testing.assert_array_equal(actual, expected)

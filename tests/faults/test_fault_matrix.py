@@ -120,9 +120,14 @@ def test_fault_matrix(tiny2l_artifact, chaos_seed, case_id, spec, natural,
     assert_serves_correctly(engine, artifact)
 
 
+#: The plan each input kind runs, with or without a policy.
+INPUT_PLANS = {"eager": "medusa", "lazy": "medusa-pipelined",
+               "chunked": "medusa-chunked"}
+
+
 @pytest.fixture(scope="module")
-def tiny2l_lazy_inputs(tiny2l_artifact, tmp_path_factory):
-    """Openers for the file and store forms of the artifact."""
+def tiny2l_inputs(tiny2l_artifact, tmp_path_factory):
+    """Openers for the in-memory, file and store forms of the artifact."""
     artifact, _ = tiny2l_artifact
     workdir = tmp_path_factory.mktemp("fault-inputs")
     path = workdir / "tiny2l.medusa"
@@ -130,6 +135,7 @@ def tiny2l_lazy_inputs(tiny2l_artifact, tmp_path_factory):
     store = ArtifactStore(workdir / "store")
     store.put(artifact)
     return {
+        "eager": lambda: artifact,
         "lazy": lambda: open_binary(path),
         "chunked": lambda: store.get_lazy(artifact.gpu_name,
                                           artifact.model_name),
@@ -137,26 +143,30 @@ def tiny2l_lazy_inputs(tiny2l_artifact, tmp_path_factory):
 
 
 @pytest.mark.parametrize("input_kind", ["lazy", "chunked"])
+@pytest.mark.parametrize("policy_id,policy", POLICIES,
+                         ids=[p for p, _ in POLICIES])
 @pytest.mark.parametrize("case_id,spec,natural",
                          FAULT_CASES, ids=[c for c, _, _ in FAULT_CASES])
-def test_default_row_on_lazy_inputs(tiny2l_artifact, tiny2l_lazy_inputs,
+def test_default_row_on_lazy_inputs(tiny2l_artifact, tiny2l_inputs,
                                     chaos_seed, case_id, spec, natural,
-                                    input_kind):
-    """The default-policy row over file and store inputs lands on the
-    eager input's rung with the same faults fired at the same sites."""
+                                    policy_id, policy, input_kind):
+    """Every policy row over file and store inputs runs the ladder on
+    their own plan and lands on the eager input's rung, with the same
+    faults fired at the same sites and outputs equal to the oracle."""
     artifact, _ = tiny2l_artifact
-    policy = DegradationPolicy()
     runs = []
-    for opened in (artifact, tiny2l_lazy_inputs[input_kind]()):
+    for kind in ("eager", input_kind):
         injector = FaultInjector(FaultPlan(seed=chaos_seed, faults=(spec,)))
         engine, report = medusa_cold_start(
-            "Tiny-2L", opened, seed=3, mode=ExecutionMode.COMPUTE,
-            cost_model=tiny_cost_model(), injector=injector, policy=policy)
+            "Tiny-2L", tiny2l_inputs[kind](), seed=3,
+            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
+            injector=injector, policy=policy)
+        assert report.timeline.plan == f"{INPUT_PLANS[kind]}+degraded"
+        assert_serves_correctly(engine, artifact)
         runs.append((report.degradation.rung, injector.fired))
     assert runs[0][0] is expected_rung(natural, policy)
     assert runs[1] == runs[0]
     assert runs[0][1], f"fault {spec.kind.value} never fired"
-    assert_serves_correctly(engine, artifact)
 
 
 def test_degradation_costs_latency(tiny2l_artifact, chaos_seed):
@@ -172,19 +182,22 @@ def test_degradation_costs_latency(tiny2l_artifact, chaos_seed):
     assert degraded.loading_time > clean.loading_time
 
 
+@pytest.mark.parametrize("input_kind", sorted(INPUT_PLANS))
 class TestEmptyPlanIsByteIdentical:
-    """A policy with no faults must not perturb the restore at all."""
+    """A policy with no faults must not perturb the restore at all, on
+    any input's plan."""
 
-    def test_inactive_injector_and_policy_do_nothing(self, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
+    def test_inactive_injector_and_policy_do_nothing(self, tiny2l_inputs,
+                                                     input_kind):
         _, baseline = medusa_cold_start(
-            "Tiny-2L", artifact, seed=5, mode=ExecutionMode.COMPUTE,
-            cost_model=tiny_cost_model())
+            "Tiny-2L", tiny2l_inputs[input_kind](), seed=5,
+            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model())
         injector = FaultInjector(FaultPlan(seed=1, faults=()))
         _, chaotic = medusa_cold_start(
-            "Tiny-2L", artifact, seed=5, mode=ExecutionMode.COMPUTE,
-            cost_model=tiny_cost_model(), injector=injector,
-            policy=DegradationPolicy())
+            "Tiny-2L", tiny2l_inputs[input_kind](), seed=5,
+            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
+            injector=injector, policy=DegradationPolicy())
+        assert chaotic.timeline.plan == INPUT_PLANS[input_kind]
         assert chaotic.degradation is None
         assert not injector.fired
         assert baseline.stage_durations == chaotic.stage_durations
@@ -195,10 +208,12 @@ class TestEmptyPlanIsByteIdentical:
                 for s in chaotic.timeline.stages]
 
     def test_clean_restore_with_policy_stays_on_full_rung(
-            self, tiny2l_artifact):
+            self, tiny2l_artifact, tiny2l_inputs, input_kind):
         artifact, _ = tiny2l_artifact
         engine, report = medusa_cold_start(
-            "Tiny-2L", artifact, seed=5, mode=ExecutionMode.COMPUTE,
-            cost_model=tiny_cost_model(), policy=DegradationPolicy())
+            "Tiny-2L", tiny2l_inputs[input_kind](), seed=5,
+            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
+            policy=DegradationPolicy())
+        assert report.timeline.plan == INPUT_PLANS[input_kind]
         assert report.degradation is None
         assert_serves_correctly(engine, artifact)

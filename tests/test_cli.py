@@ -453,11 +453,20 @@ class TestValidateDegradedExitCode:
         assert main(["validate", "--artifact", corrupt_artifact_path]) == 1
         assert "FAILED" in capsys.readouterr().err
 
-    def test_clean_artifact_with_flag_exits_zero(self, tiny_artifact_path,
-                                                 capsys):
-        assert main(["validate", "--artifact", tiny_artifact_path,
+    @pytest.mark.parametrize("artifact_path,plan", [
+        ("tiny_artifact_path", "medusa"),
+        ("tiny_binary_path", "medusa-pipelined"),
+    ])
+    def test_clean_artifact_with_flag_exits_zero(self, request, artifact_path,
+                                                 plan, capsys):
+        # The ladder and its output check run on the plan the input takes
+        # without the flag.
+        assert main(["validate", "--artifact",
+                     request.getfixturevalue(artifact_path),
                      "--degraded-ok"]) == 0
-        assert "rung" not in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "rung" not in output
+        assert f"(plan: {plan}+degraded)" in output
 
     def test_hard_failure_still_exits_one(self, tiny_artifact_path, capsys):
         # A model mismatch is not a restore fault the ladder can absorb.

@@ -76,3 +76,26 @@ class TestProjectDocs:
                        "Strategy"):
             assert symbol in text
             assert hasattr(repro, symbol)
+
+    def test_design_module_tree_matches_src(self):
+        """DESIGN.md's module tree names every module under ``src/repro``
+        (package ``__init__`` files aside), and no module that is not."""
+        text = (REPO / "DESIGN.md").read_text()
+        tree = text[text.index("```\nsrc/repro/\n") + 4:]
+        tree = tree[:tree.index("```")].splitlines()[1:]
+        named, parents = set(), []
+        for line in tree:
+            entry = line.split(maxsplit=1)[0] if line.strip() else ""
+            depth = (len(line) - len(line.lstrip())) // 2
+            if not entry.endswith(("/", ".py")) or depth > 4:
+                continue   # a description's continuation line
+            del parents[depth - 1:]
+            if entry.endswith("/"):
+                parents.append(entry)
+            else:
+                named.add("".join(parents) + entry)
+        src = REPO / "src" / "repro"
+        modules = {str(path.relative_to(src)) for path in src.rglob("*.py")
+                   if path.name != "__init__.py"}
+        assert sorted(named - modules) == [], "named but not in src"
+        assert sorted(modules - named) == [], "in src but not named"

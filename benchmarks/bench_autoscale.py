@@ -42,7 +42,6 @@ from repro.serverless import (
     MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     ClusterSimulator,
     SimulationMetrics,
     TaggedRequest,
@@ -70,11 +69,11 @@ def run_grid_cell(policy: str, shape: str, rps: float,
     """One policy/shape combination on the single-model pool."""
     workload = ShareGPTWorkload(rps=rps, duration=duration,
                                 seed=GRID_SEED, shape=shape)
-    simulator = ClusterSimulator(
-        ServingCostModel(GRID_MODEL),
-        SimulationConfig(num_gpus=GRID_GPUS, cold_start_latency=2.0,
-                         placement="flat", autoscale=policy,
-                         slo_ttft=GRID_SLO))
+    deployment = ModelDeployment(name=GRID_MODEL,
+                                 costs=ServingCostModel(GRID_MODEL),
+                                 cold_start_latency=2.0)
+    simulator = ClusterSimulator(deployment, GRID_GPUS, placement="flat",
+                                 autoscale=policy, slo_ttft=GRID_SLO)
     return simulator.run(workload.generate(), horizon=duration)
 
 

@@ -41,8 +41,8 @@ from repro.core.store import ArtifactStore
 from repro.reporting import format_table
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
     ServingCostModel,
-    SimulationConfig,
 )
 from repro.serverless.instance import ColdStartProfile
 from repro.serverless.placement import LocalityPlacement
@@ -100,10 +100,9 @@ def cold_remote_case(store: ArtifactStore, artifact,
 def _one_cold_start(policy, report, chunks, key: Tuple[str, str],
                     costs: ServingCostModel) -> "SimulationMetrics":
     """Run one single-request simulation (exactly one cold start)."""
-    config = SimulationConfig.from_report(
-        report, num_gpus=1, placement=policy, chunks=chunks,
-        artifact_key=key)
-    simulator = ClusterSimulator(costs, config)
+    deployment = ModelDeployment.from_report(costs, report, chunks=chunks,
+                                             artifact_key=key)
+    simulator = ClusterSimulator(deployment, 1, placement=policy)
     requests = [Request(request_id=0, arrival_time=0.0,
                         prompt_tokens=32, output_tokens=4)]
     return simulator.run(requests, horizon=60.0)

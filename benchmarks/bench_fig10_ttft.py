@@ -13,9 +13,9 @@ from repro.engine import Strategy
 from repro.reporting import format_table
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
 )
 
 MODELS = ["Llama2-7B", "Qwen1.5-4B"]
@@ -27,9 +27,9 @@ DURATION = 300.0
 def run_scenario(costs, cold_start, use_graphs, rps, seed=42,
                  duration=DURATION):
     workload = ShareGPTWorkload(rps=rps, duration=duration, seed=seed)
-    simulator = ClusterSimulator(costs, SimulationConfig(
-        num_gpus=4, cold_start_latency=cold_start,
-        use_cuda_graphs=use_graphs))
+    simulator = ClusterSimulator(ModelDeployment(
+        name=costs.config.name, costs=costs, cold_start_latency=cold_start,
+        use_cuda_graphs=use_graphs), 4)
     return simulator.run(workload.generate(), horizon=duration)
 
 

@@ -19,7 +19,7 @@ from repro.reporting import format_table
 from repro.serverless import ServingCostModel
 
 from benchmarks.bench_fig10_ttft import DURATION
-from repro.serverless import ClusterSimulator, ShareGPTWorkload, SimulationConfig
+from repro.serverless import ClusterSimulator, ModelDeployment, ShareGPTWorkload
 
 MODEL = "Llama2-7B"
 
@@ -27,9 +27,10 @@ MODEL = "Llama2-7B"
 def _simulate(costs, cold, rps, use_graphs=True, deferred=False,
               hot_spares=0):
     workload = ShareGPTWorkload(rps=rps, duration=DURATION, seed=42)
-    simulator = ClusterSimulator(costs, SimulationConfig(
-        num_gpus=4, cold_start_latency=cold, use_cuda_graphs=use_graphs,
-        deferred_capture=deferred, hot_spares=hot_spares))
+    simulator = ClusterSimulator(ModelDeployment(
+        name=costs.config.name, costs=costs, cold_start_latency=cold,
+        use_cuda_graphs=use_graphs, deferred_capture=deferred,
+        hot_spares=hot_spares), 4)
     return simulator.run(workload.generate(), horizon=DURATION)
 
 

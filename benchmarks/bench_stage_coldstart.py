@@ -22,9 +22,9 @@ from repro.reporting import format_table
 from repro.reporting.timeline import save_simulation_trace
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
 )
 
 MODEL = "Llama2-7B"
@@ -45,31 +45,31 @@ def pipelined_report(tmp_path_factory):
     return report
 
 
-def _simulate(config):
+def _simulate(deployment):
     workload = ShareGPTWorkload(rps=RPS, duration=DURATION, seed=SEED)
-    simulator = ClusterSimulator(ServingCostModel(MODEL), config, trace=True)
+    simulator = ClusterSimulator(deployment, NUM_GPUS, trace=True)
     metrics = simulator.run(workload.generate(), horizon=DURATION)
     return simulator, metrics
 
 
 def _stage_coldstart(pipelined_report, results_dir):
     vllm = LLMEngine(MODEL, Strategy.VLLM, seed=9002).cold_start()
+    costs = ServingCostModel(MODEL)
     scenarios = [
         ("vLLM (scalar)",
-         SimulationConfig(num_gpus=NUM_GPUS,
-                          cold_start_latency=vllm.loading_time)),
+         ModelDeployment(name=MODEL, costs=costs,
+                         cold_start_latency=vllm.loading_time)),
         ("Medusa (stage-blind)",
-         SimulationConfig(num_gpus=NUM_GPUS,
-                          cold_start_latency=pipelined_report.loading_time)),
+         ModelDeployment(name=MODEL, costs=costs,
+                         cold_start_latency=pipelined_report.loading_time)),
         ("Medusa (stage-granular)",
-         SimulationConfig.from_report(pipelined_report,
-                                      num_gpus=NUM_GPUS)),
+         ModelDeployment.from_report(costs, pipelined_report)),
     ]
     rows = []
     staged_simulator = None
-    for label, config in scenarios:
-        simulator, metrics = _simulate(config)
-        rows.append([label, config.cold_start_latency, metrics.p99_ttft,
+    for label, deployment in scenarios:
+        simulator, metrics = _simulate(deployment)
+        rows.append([label, deployment.cold_start_latency, metrics.p99_ttft,
                      metrics.p90_ttft, metrics.mean_ttft,
                      metrics.cold_starts, metrics.background_contended_steps,
                      metrics.background_contention_seconds])

@@ -13,9 +13,9 @@ Figure 10's experiment as a script.
 from repro import (
     ClusterSimulator,
     LLMEngine,
+    ModelDeployment,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     Strategy,
     medusa_cold_start,
     run_offline,
@@ -50,9 +50,9 @@ def main() -> None:
     for strategy in (Strategy.VLLM, Strategy.VLLM_ASYNC,
                      Strategy.NO_CUDA_GRAPH, Strategy.MEDUSA):
         latency = cold_start_latency(strategy, artifact)
-        simulator = ClusterSimulator(costs, SimulationConfig(
-            num_gpus=4, cold_start_latency=latency,
-            use_cuda_graphs=strategy.uses_cuda_graphs))
+        simulator = ClusterSimulator(ModelDeployment(
+            name=MODEL, costs=costs, cold_start_latency=latency,
+            use_cuda_graphs=strategy.uses_cuda_graphs), 4)
         metrics = simulator.run(requests, horizon=DURATION)
         if baseline_p99 is None:
             baseline_p99 = metrics.p99_ttft

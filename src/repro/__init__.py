@@ -65,9 +65,9 @@ from repro.models import (
 )
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
 )
 from repro.simgpu import CostModel, CudaProcess, ExecutionMode, GpuProperties
 
@@ -92,12 +92,12 @@ __all__ = [
     "Rung",
     "Model",
     "ModelConfig",
+    "ModelDeployment",
     "OfflinePhase",
     "OfflineReport",
     "PAPER_MODELS",
     "ServingCostModel",
     "ShareGPTWorkload",
-    "SimulationConfig",
     "Strategy",
     "TINY_MODELS",
     "VectorizedRestorer",

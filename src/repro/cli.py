@@ -55,13 +55,14 @@ from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     autoscaler_names,
     policy_names,
     shape_names,
 )
+from repro.serverless.cluster import check_pool
 
 _STRATEGY_NAMES = {
     "vllm": Strategy.VLLM,
@@ -453,7 +454,7 @@ def _cmd_simulate(args) -> int:
     try:        # bad flags end here, before any offline work
         workload = ShareGPTWorkload(rps=args.rps, duration=args.duration,
                                     seed=args.seed, shape=args.shape)
-        SimulationConfig(num_gpus=args.gpus, slo_ttft=args.slo_ttft)
+        check_pool(args.gpus, args.slo_ttft)
         costs = ServingCostModel(args.model)
         if args.trace:
             _check_output_path(args.trace)
@@ -466,12 +467,9 @@ def _cmd_simulate(args) -> int:
     _engine, report = cold_start_for(args.model, strategy,
                                      artifact=artifact, seed=args.seed)
     simulator = ClusterSimulator(
-        costs,
-        SimulationConfig.from_report(report, num_gpus=args.gpus,
-                                     placement=args.placement,
-                                     autoscale=args.autoscale,
-                                     slo_ttft=args.slo_ttft),
-        trace=bool(args.trace))
+        ModelDeployment.from_report(costs, report), args.gpus,
+        placement=args.placement, autoscale=args.autoscale,
+        slo_ttft=args.slo_ttft, trace=bool(args.trace))
     metrics = simulator.run(workload.generate(), horizon=args.duration)
     summary = metrics.summary()
     rows = [[key, value] for key, value in sorted(summary.items())]

@@ -314,8 +314,8 @@ class ChunkManifest:
 
 
 def simulation_chunks(manifest: ChunkManifest) -> Tuple[ChunkMeta, ...]:
-    """The manifest's chunks as the duck-typed records
-    :class:`repro.serverless.simulator.SimulationConfig` accepts."""
+    """The manifest's chunks as the duck-typed records a
+    :class:`repro.serverless.cluster.ModelDeployment`'s ``chunks`` take."""
     foreground = {ref.name for ref in manifest.foreground_chunks()}
     return tuple(ChunkMeta(name=ref.name, digest=ref.digest,
                            nbytes=ref.nbytes,

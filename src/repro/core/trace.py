@@ -124,9 +124,9 @@ class Trace:
     appended as events are recorded, by :meth:`record` or by
     :class:`repro.core.interception.TraceInterceptor`, with seqs ascending
     in record order.  The analysis reads them through the ``*_columns()``
-    arrays.  ``events``, ``allocations()``,
-    ``frees()``, ``launches()`` and ``captured_launches()`` build rows
-    from the columns on every call; ``rows_built`` counts them.
+    arrays.  ``events``, ``allocations()``, ``frees()`` and
+    ``launches()`` build rows from the columns on every call;
+    ``rows_built`` counts them.
     """
 
     def __init__(self, events: Iterable[tuple] = ()):
@@ -240,9 +240,6 @@ class Trace:
             for seq, kernel, count, dims, captured, start in zip(
                 *columns[:5], starts)
             if captured or not captured_only])
-
-    def captured_launches(self) -> List[LaunchTraceEvent]:
-        return self.launches(captured_only=True)
 
     @property
     def events(self) -> List[tuple]:

@@ -168,10 +168,12 @@ class LLMEngine:
                                         or degradation.failures):
             # Ladder fallbacks (and verification passes) become their own
             # serial timeline stages, so the breakdown/trace name each rung
-            # and its latency cost.
+            # and its latency cost; only a cold start that left the full
+            # rung is named ``+degraded``.
             extras = degradation.extra_stages()
-            plan = append_stages(plan, [name for name, _ in extras],
-                                 Lane.GPU_COMPUTE)
+            plan = append_stages(
+                plan, [name for name, _ in extras], Lane.GPU_COMPUTE,
+                suffix="+degraded" if degradation.degraded else "")
             for name, duration in extras:
                 durations[name] = duration
         else:

@@ -23,11 +23,7 @@ from repro.serverless.cluster import (
     tag_workloads,
 )
 from repro.serverless.costs import ServingCostModel
-from repro.serverless.instance import (
-    ColdStartProfile,
-    Instance,
-    InstanceConfig,
-)
+from repro.serverless.instance import ColdStartProfile, Instance
 from repro.serverless.metrics import SimulationMetrics
 from repro.serverless.placement import (
     DEFAULT_TIERS,
@@ -41,7 +37,7 @@ from repro.serverless.placement import (
     make_policy,
     policy_names,
 )
-from repro.serverless.simulator import ClusterSimulator, SimulationConfig
+from repro.serverless.simulator import ClusterSimulator
 from repro.serverless.workload import (
     RateSchedule,
     RateSegment,
@@ -80,10 +76,8 @@ __all__ = [
     "make_policy",
     "policy_names",
     "Instance",
-    "InstanceConfig",
     "Request",
     "ServingCostModel",
     "ShareGPTWorkload",
-    "SimulationConfig",
     "SimulationMetrics",
 ]

@@ -8,6 +8,9 @@ kernel: requests tagged with a model, per-model instance sets, one global
 GPU bound, per-model plus aggregate metrics.  A single-model run is the
 same pool with one deployment
 (:class:`repro.serverless.simulator.ClusterSimulator`).
+:class:`ModelDeployment` is the one description of a hosted model: its
+cold start, its serving flags and its instance sizing; each
+:class:`Instance` reads its deployment as its ``config``.
 
 The router sends each request to the least-loaded live instance of its
 model and launches a new one when all are saturated and GPUs are free;
@@ -35,14 +38,11 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.strategies import Strategy
 from repro.errors import InvalidValueError, SchedulingError
 from repro.serverless.autoscale import AutoscalePolicy, make_autoscaler
 from repro.serverless.costs import ServingCostModel
-from repro.serverless.instance import (
-    ColdStartProfile,
-    Instance,
-    InstanceConfig,
-)
+from repro.serverless.instance import ColdStartProfile, Instance
 from repro.serverless.metrics import SimulationMetrics
 from repro.serverless.placement import (
     TIER_DRAM,
@@ -55,9 +55,12 @@ from repro.serverless.placement import (
 from repro.serverless.workload import Request, ShareGPTWorkload
 from repro.sim import EventLoop
 
-def check_slo_ttft(slo_ttft: float) -> None:
-    """Refuse a TTFT budget that is negative or not finite (0.0 is none;
-    a NaN one would quietly turn the SLO off)."""
+
+def check_pool(num_gpus: int, slo_ttft: float) -> None:
+    """Refuse a pool with no GPUs, or a TTFT budget that is negative or
+    not finite (0.0 is none; a NaN one would quietly turn the SLO off)."""
+    if num_gpus <= 0:
+        raise InvalidValueError("num_gpus must be positive")
     if not (math.isfinite(slo_ttft) and slo_ttft >= 0):
         raise InvalidValueError(
             f"slo_ttft must be finite and non-negative, got {slo_ttft}")
@@ -96,15 +99,16 @@ def _track(instance: Instance) -> str:
 
 @dataclass(frozen=True)
 class ModelDeployment:
-    """One hosted model's serving profile on the shared cluster."""
+    """One hosted model on the shared cluster: its cold start, serving
+    flags and instance sizing, and the config of each of its instances."""
 
     name: str
     costs: ServingCostModel
     cold_start_latency: float
     use_cuda_graphs: bool = True
-    deferred_capture: bool = False
-    hot_spares: int = 0
-    max_running: int = 14
+    deferred_capture: bool = False   # §2.4: capture lazily while serving
+    hot_spares: int = 0              # §2.4: always-on warm instances
+    max_running: int = 14            # per-instance concurrent sequences
     gpus_per_instance: int = 1   # tensor-parallel deployments span GPUs
     #: Scheduled-LoadPlan cold-start profile; when present, cold starts
     #: are stage-granular (ready at ``Timeline.ready``, cancellable at
@@ -131,6 +135,27 @@ class ModelDeployment:
     #: metrics gain ``chunk_hits`` / ``bytes_deduped`` /
     #: ``fetch_bytes_foreground``.  None keeps blob-granular fetches.
     chunks: Optional[Tuple[object, ...]] = None
+
+    @classmethod
+    def from_report(cls, costs: ServingCostModel, report,
+                    **overrides) -> "ModelDeployment":
+        """The deployment one cold start describes.
+
+        The scheduled LoadPlan's :class:`ColdStartProfile` gives the
+        cold-start latency and the report's strategy the serving flags,
+        so no consumer hand-copies per-strategy flags; the deployment is
+        named after ``costs``' model, and ``overrides`` set the remaining
+        fields (``hot_spares``, ``chunks``, ...).
+        """
+        profile = ColdStartProfile.from_report(report)
+        strategy = report.strategy
+        fields = dict(name=costs.config.name, costs=costs,
+                      cold_start_latency=profile.serving_ready_time,
+                      use_cuda_graphs=strategy.uses_cuda_graphs,
+                      deferred_capture=strategy is Strategy.DEFERRED,
+                      profile=profile)
+        fields.update(overrides)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -176,9 +201,7 @@ class MultiModelCluster:
                  autoscale: object = "keep-alive", slo_ttft: float = 0.0,
                  drain: bool = True, abort_cold_starts: bool = False,
                  trace: bool = False):
-        if num_gpus <= 0:
-            raise InvalidValueError("num_gpus must be positive")
-        check_slo_ttft(slo_ttft)
+        check_pool(num_gpus, slo_ttft)
         names = [d.name for d in deployments]
         if len(set(names)) != len(names):
             raise InvalidValueError(f"duplicate deployment names in {names}")
@@ -292,15 +315,10 @@ class MultiModelCluster:
             latency = profile.serving_ready_time if profile is not None \
                 else deployment.cold_start_latency
         instance = Instance(
-            costs=deployment.costs,
-            config=InstanceConfig(
-                max_running=deployment.max_running,
-                use_cuda_graphs=deployment.use_cuda_graphs,
-                deferred_capture=deployment.deferred_capture),
+            config=deployment,
             launched_at=now,
             cold_start_latency=latency,
             profile=profile,
-            model_name=model,
             instance_id=next(self._instance_ids))
         instance.hot_spare = hot_spare
         instance.node_ids = node_ids

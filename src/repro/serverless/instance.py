@@ -32,9 +32,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine import loadplan
-from repro.engine.strategies import Strategy
 from repro.errors import SchedulingError
-from repro.serverless.costs import ServingCostModel
 from repro.serverless.workload import Request
 
 #: Numerical slack for "these instants coincide" on stage boundaries.
@@ -53,10 +51,12 @@ class ColdStartProfile:
 
     Derived once from a :class:`repro.engine.ColdStartReport` (i.e. from a
     scheduled LoadPlan): the loading-phase latency an instance pays before
-    becoming ready, the serving flags the strategy implies, and the
-    scheduled stage timeline for per-stage introspection/tracing.  The one
-    interface between cold-start plans and the cluster simulation — new
-    strategies reach the simulator without touching it.
+    becoming ready and the scheduled stage timeline for per-stage
+    introspection/tracing.  The one interface between cold-start plans
+    and the cluster simulation — new strategies reach the simulator
+    without touching it.  The serving flags the strategy implies live on
+    the deployment (:meth:`repro.serverless.cluster.ModelDeployment.
+    from_report`).
     """
 
     loading_time: float
@@ -65,8 +65,6 @@ class ColdStartProfile:
     #: ``loading_time`` (background graphs finish behind it); 0.0 (legacy
     #: profiles) means "same as loading_time".
     ready_time: float = 0.0
-    use_cuda_graphs: bool = True
-    deferred_capture: bool = False   # §2.4: capture lazily while serving
     timeline: Optional[object] = None   # repro.engine.Timeline, if known
     # Ladder rung label ("partial"/"recapture"/"eager") when the cold start
     # this profile came from degraded; "" on a clean restore.
@@ -91,7 +89,6 @@ class ColdStartProfile:
     @classmethod
     def from_report(cls, report) -> "ColdStartProfile":
         """Build the profile from one engine ``ColdStartReport``."""
-        strategy = report.strategy
         degradation = getattr(report, "degradation", None)
         degraded_rung = ""
         if degradation is not None and getattr(degradation, "degraded",
@@ -100,8 +97,6 @@ class ColdStartProfile:
         return cls(
             loading_time=report.loading_time,
             ready_time=getattr(report, "ready_time", 0.0),
-            use_cuda_graphs=strategy.uses_cuda_graphs,
-            deferred_capture=strategy is Strategy.DEFERRED,
             timeline=report.timeline,
             degraded_rung=degraded_rung,
         )
@@ -154,15 +149,6 @@ class ColdStartProfile:
                        timeline=timeline)
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
-    """Sizing of one serverless serving instance."""
-
-    max_running: int = 14       # concurrent sequences per instance
-    use_cuda_graphs: bool = True
-    deferred_capture: bool = False   # §2.4: capture lazily while serving
-
-
 class _RunningSequence:
     """One admitted request and the instance step at which it finishes.
 
@@ -197,17 +183,20 @@ class CompletedRequest:
 class Instance:
     """One GPU-backed serving instance inside the cluster simulator."""
 
-    def __init__(self, costs: ServingCostModel, config: InstanceConfig,
-                 launched_at: float, cold_start_latency: float,
+    def __init__(self, config: "ModelDeployment", launched_at: float,
+                 cold_start_latency: float,
                  profile: Optional[ColdStartProfile] = None,
-                 model_name: str = "", instance_id: int = 0):
+                 instance_id: int = 0):
+        #: The deployment this instance serves: its model (``name``,
+        #: ``costs``), batch cap (``max_running``) and serving flags
+        #: (``use_cuda_graphs``, ``deferred_capture``).
+        self.config = config
         #: Launch order within the owning pool (its trace track and its
         #: tie-break among same-time step events).
         self.instance_id = instance_id
-        self.costs = costs
-        self.config = config
+        self.costs = config.costs
         self.profile = profile       # the cold-start plan trace, if known
-        self.model_name = model_name
+        self.model_name = config.name
         self.launched_at = launched_at
         self.ready_at = launched_at + cold_start_latency
         self.waiting: Deque[Request] = deque()

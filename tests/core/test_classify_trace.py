@@ -65,7 +65,7 @@ class TestTrace:
         assert len(trace.allocations()) == 1
         assert len(trace.frees()) == 1
         assert len(trace.launches()) == 2
-        assert len(trace.captured_launches()) == 1
+        assert len(trace.launches(captured_only=True)) == 1
         assert trace.num_events == 5
 
 

@@ -280,9 +280,9 @@ class TestCollectorPause:
         from repro.reporting.timeline import save_simulation_trace
         from repro.serverless import (
             ClusterSimulator,
+            ModelDeployment,
             ServingCostModel,
             ShareGPTWorkload,
-            SimulationConfig,
         )
 
         def simulate():
@@ -290,9 +290,8 @@ class TestCollectorPause:
             _engine, report = cold_start_for("Tiny-2L", Strategy.MEDUSA,
                                              artifact=artifact, seed=7)
             simulator = ClusterSimulator(
-                ServingCostModel("Tiny-2L"),
-                SimulationConfig.from_report(report, num_gpus=2),
-                trace=True)
+                ModelDeployment.from_report(ServingCostModel("Tiny-2L"),
+                                            report), 2, trace=True)
             workload = ShareGPTWorkload(rps=2, duration=20, seed=7,
                                         shape="burst")
             metrics = simulator.run(workload.generate(), horizon=20)

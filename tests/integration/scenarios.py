@@ -29,7 +29,6 @@ from repro.serverless import (
     MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     tag_workloads,
 )
 from tests.timelines import chain_timeline
@@ -84,6 +83,12 @@ def _fetch_profile(fetch: float = 2.0,
                             degraded_rung=rung)
 
 
+def _deployment(model: str, **kwargs) -> ModelDeployment:
+    """``model``'s deployment, named after it."""
+    return ModelDeployment(name=model, costs=ServingCostModel(model),
+                           **kwargs)
+
+
 def single_model_burst() -> Sections:
     """Bursty traffic on one model under the cold-cost-aware policy.
 
@@ -96,10 +101,8 @@ def single_model_burst() -> Sections:
     workload = ShareGPTWorkload(rps=2.0, duration=160.0, seed=21,
                                 shape="burst")
     simulator = ClusterSimulator(
-        ServingCostModel("Llama2-7B"),
-        SimulationConfig(num_gpus=3, cold_start_latency=2.5,
-                         placement="flat", autoscale="cold-cost",
-                         slo_ttft=0.8))
+        _deployment("Llama2-7B", cold_start_latency=2.5), 3,
+        placement="flat", autoscale="cold-cost", slo_ttft=0.8)
     metrics = simulator.run(workload.generate(), horizon=160.0)
     return {"metrics": metrics.summary()}
 
@@ -144,10 +147,9 @@ def scale_from_zero_spike() -> Sections:
     workload = ShareGPTWorkload(rps=2.0, duration=150.0, seed=41,
                                 shape="spike_train")
     simulator = ClusterSimulator(
-        ServingCostModel("Qwen1.5-4B"),
-        SimulationConfig(num_gpus=4, cold_start_latency=2.0,
-                         placement="flat", autoscale="queue-slo",
-                         slo_ttft=0.6, keep_alive=10.0))
+        _deployment("Qwen1.5-4B", cold_start_latency=2.0), 4,
+        placement="flat", autoscale="queue-slo", slo_ttft=0.6,
+        keep_alive=10.0)
     metrics = simulator.run(workload.generate(), horizon=150.0)
     return {"metrics": metrics.summary()}
 
@@ -163,11 +165,9 @@ def chunk_warm_sibling() -> Sections:
     """
     workload = ShareGPTWorkload(rps=0.8, duration=60.0, seed=51)
     simulator = ClusterSimulator(
-        ServingCostModel("Qwen1.5-4B"),
-        SimulationConfig(num_gpus=2, profile=_fetch_profile(2.0),
-                         cold_start_latency=2.8, placement="locality",
-                         chunks=_SIBLING_CHUNKS, keep_alive=0.0,
-                         autoscale="keep-alive"))
+        _deployment("Qwen1.5-4B", cold_start_latency=2.8,
+                    profile=_fetch_profile(2.0), chunks=_SIBLING_CHUNKS), 2,
+        placement="locality", keep_alive=0.0, autoscale="keep-alive")
     metrics = simulator.run(workload.generate(), horizon=60.0)
     return {"metrics": metrics.summary()}
 
@@ -183,11 +183,9 @@ def degraded_ladder() -> Sections:
     workload = ShareGPTWorkload(rps=1.2, duration=80.0, seed=61,
                                 shape="ramp")
     simulator = ClusterSimulator(
-        ServingCostModel("Llama2-7B"),
-        SimulationConfig(num_gpus=2,
-                         profile=_fetch_profile(1.5, degrade=True),
-                         cold_start_latency=3.9, placement="flat",
-                         autoscale="cold-cost", slo_ttft=1.0))
+        _deployment("Llama2-7B", cold_start_latency=3.9,
+                    profile=_fetch_profile(1.5, degrade=True)), 2,
+        placement="flat", autoscale="cold-cost", slo_ttft=1.0)
     metrics = simulator.run(workload.generate(), horizon=80.0)
     return {"metrics": metrics.summary()}
 
@@ -206,10 +204,9 @@ def locality_vs_flat() -> Sections:
         workload = ShareGPTWorkload(rps=1.0, duration=90.0, seed=71,
                                     shape="burst")
         simulator = ClusterSimulator(
-            ServingCostModel("Qwen1.5-4B"),
-            SimulationConfig(num_gpus=2, profile=_fetch_profile(2.5),
-                             cold_start_latency=3.3,
-                             placement=placement, autoscale="cold-cost"))
+            _deployment("Qwen1.5-4B", cold_start_latency=3.3,
+                        profile=_fetch_profile(2.5)), 2,
+            placement=placement, autoscale="cold-cost")
         metrics = simulator.run(workload.generate(), horizon=90.0)
         sections[placement] = metrics.summary()
     return sections

@@ -57,8 +57,8 @@ class TestHeadlineClaimRobustness:
         """Figure 10's conclusion must not hinge on one arrival seed."""
         from repro.serverless import (
             ClusterSimulator,
+            ModelDeployment,
             ShareGPTWorkload,
-            SimulationConfig,
         )
         costs = ServingCostModel("Llama2-7B")
         for seed in (1, 2, 3):
@@ -66,7 +66,7 @@ class TestHeadlineClaimRobustness:
             requests = workload.generate()
             p99 = {}
             for label, cold in (("vllm", 3.73), ("medusa", 2.21)):
-                simulator = ClusterSimulator(costs, SimulationConfig(
-                    num_gpus=4, cold_start_latency=cold))
+                simulator = ClusterSimulator(ModelDeployment(
+                    name="Llama2-7B", costs=costs, cold_start_latency=cold), 4)
                 p99[label] = simulator.run(requests, horizon=180).p99_ttft
             assert p99["medusa"] < p99["vllm"], f"seed {seed}"

@@ -258,7 +258,7 @@ class TestVectorPassProperty:
         trace, graphs = _vector_trace(program)
         index = AllocationIndex(trace)
         columns = trace.launch_columns(captured_only=True)
-        rows = trace.captured_launches()
+        rows = trace.launches(captured_only=True)
         start = 0
         for size in graphs:
             def vector():
@@ -281,7 +281,7 @@ class TestVectorPassProperty:
         columns = trace.launch_columns(captured_only=True)
         pointer_like = sum(
             is_pointer_like(size, value)
-            for launch in trace.captured_launches()
+            for launch in trace.launches(captured_only=True)
             for size, value in zip(launch.param_sizes, launch.param_values))
         start = 0
         try:

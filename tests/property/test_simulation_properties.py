@@ -10,7 +10,6 @@ from repro.serverless import (
     MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     TaggedRequest,
 )
 from repro.serverless.workload import Request
@@ -20,6 +19,12 @@ from tests.timelines import chain_timeline
 _COSTS = ServingCostModel("Qwen1.5-4B")
 
 
+def _two_gpu_pool(cold_start_latency=3.0):
+    return ClusterSimulator(ModelDeployment(
+        name=_COSTS.config.name, costs=_COSTS,
+        cold_start_latency=cold_start_latency), 2)
+
+
 class TestSimulationInvariants:
     @settings(max_examples=12, deadline=None)
     @given(rps=st.floats(0.5, 6.0), seed=st.integers(0, 10_000),
@@ -27,8 +32,7 @@ class TestSimulationInvariants:
     def test_conservation_and_sane_ttfts(self, rps, seed, cold):
         workload = ShareGPTWorkload(rps=rps, duration=40, seed=seed)
         requests = workload.generate()
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=cold))
+        simulator = _two_gpu_pool(cold)
         metrics = simulator.run(requests, horizon=40)
         assert metrics.arrived == len(requests)
         assert len(metrics.ttfts) == len(requests)      # no request lost
@@ -44,8 +48,7 @@ class TestSimulationInvariants:
         requests = workload.generate()
         means = []
         for cold in (0.5, 5.0):
-            simulator = ClusterSimulator(_COSTS, SimulationConfig(
-                num_gpus=2, cold_start_latency=cold))
+            simulator = _two_gpu_pool(cold)
             means.append(simulator.run(requests, horizon=60).mean_ttft)
         assert means[0] <= means[1] + 1e-9
 
@@ -56,7 +59,7 @@ class TestSimulationInvariants:
         requests = workload.generate()
         runs = []
         for _ in range(2):
-            simulator = ClusterSimulator(_COSTS, SimulationConfig(num_gpus=2))
+            simulator = _two_gpu_pool()
             runs.append(simulator.run(requests, horizon=30).ttfts)
         assert runs[0] == runs[1]
 

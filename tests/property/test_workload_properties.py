@@ -17,12 +17,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from repro.serverless import (
-    ClusterSimulator,
     RateSchedule,
     RateSegment,
-    ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     make_schedule,
     shape_names,
 )
@@ -118,21 +115,14 @@ class TestKeepAliveGoldenReplay:
         from tests.serverless.test_golden_equivalence import (
             SINGLE_SCENARIOS,
             assert_matches,
+            single_run,
         )
         golden_path = Path(__file__).parent.parent / "serverless" \
             / "golden_sim_metrics.json"
         with open(golden_path) as handle:
             golden = json.load(handle)
-        for name, scenario in sorted(SINGLE_SCENARIOS.items()):
-            workload = ShareGPTWorkload(rps=scenario["rps"],
-                                        duration=scenario["duration"],
-                                        seed=scenario["seed"])
-            simulator = ClusterSimulator(
-                ServingCostModel(scenario["model"]),
-                SimulationConfig(autoscale="keep-alive",
-                                 **scenario["config"]))
-            metrics = simulator.run(workload.generate(),
-                                    horizon=scenario["duration"])
+        for name in sorted(SINGLE_SCENARIOS):
+            _simulator, metrics = single_run(name, autoscale="keep-alive")
             assert_matches(golden["single"][name], metrics, name)
             assert metrics.autoscale_decisions.get("idle_tick_armed",
                                                    0) == 0, name

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.errors import SchedulingError
+from repro.serverless.cluster import ModelDeployment
 from repro.serverless.instance import (
     BACKGROUND_TAIL_PENALTY,
     CompletedRequest,
     Instance,
-    InstanceConfig,
 )
 from repro.serverless.workload import Request
 
@@ -91,7 +91,7 @@ class _RunningSequence:
 class ReferenceInstance:
     """The serving state ``run_step`` touches, stepped the old way."""
 
-    def __init__(self, costs, config: InstanceConfig,
+    def __init__(self, costs, config: ModelDeployment,
                  restore_tail_until: float = 0.0):
         self.costs = costs
         self.config = config

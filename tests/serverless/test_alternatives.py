@@ -5,9 +5,9 @@ import pytest
 from repro.errors import InvalidValueError
 from repro.serverless import (
     ClusterSimulator,
+    ModelDeployment,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
 )
 
 
@@ -18,8 +18,9 @@ def costs():
 
 def simulate(costs, seed=9, rps=2.0, duration=90.0, **kwargs):
     workload = ShareGPTWorkload(rps=rps, duration=duration, seed=seed)
-    simulator = ClusterSimulator(costs, SimulationConfig(
-        num_gpus=4, cold_start_latency=3.5, **kwargs))
+    simulator = ClusterSimulator(ModelDeployment(
+        name=costs.config.name, costs=costs, cold_start_latency=3.5,
+        **kwargs), 4)
     return simulator.run(workload.generate(), horizon=duration)
 
 
@@ -38,18 +39,20 @@ class TestHotSpares:
 
     def test_hot_spares_never_retire(self, costs):
         workload = ShareGPTWorkload(rps=0.2, duration=120, seed=3)
-        simulator = ClusterSimulator(costs, SimulationConfig(
-            num_gpus=2, cold_start_latency=1.0, hot_spares=2,
-            keep_alive=5.0))
+        simulator = ClusterSimulator(ModelDeployment(
+            name=costs.config.name, costs=costs, cold_start_latency=1.0,
+            hot_spares=2), 2, keep_alive=5.0)
         simulator.run(workload.generate(), horizon=120)
         spares = [i for i in simulator.instances[simulator.model]
                   if getattr(i, "hot_spare", False)]
         assert len(spares) == 2
         assert not any(i.retired for i in spares)
 
-    def test_spares_plus_initial_bounded_by_gpus(self):
+    def test_spares_plus_initial_bounded_by_gpus(self, costs):
         with pytest.raises(InvalidValueError):
-            SimulationConfig(num_gpus=2, initial_instances=1, hot_spares=2)
+            ClusterSimulator(ModelDeployment(
+                name=costs.config.name, costs=costs, cold_start_latency=1.0,
+                initial_instances=1, hot_spares=2), 2)
 
 
 class TestDeferredCaptureInSim:

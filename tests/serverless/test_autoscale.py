@@ -17,8 +17,8 @@ from repro.serverless import (
     ColdCostAwarePolicy,
     HistogramPolicy,
     KeepAlivePolicy,
+    ModelDeployment,
     ServingCostModel,
-    SimulationConfig,
     TargetQueueDelayPolicy,
     autoscaler_names,
     make_autoscaler,
@@ -27,6 +27,14 @@ from repro.serverless.workload import Request
 from repro.sim import EventLoop
 
 _COSTS = ServingCostModel("Qwen1.5-4B")
+
+
+def _flat_pool(cold_start_latency, initial_instances=0, **pool_kwargs):
+    """A two-GPU flat-placement pool serving ``_COSTS``' model."""
+    deployment = ModelDeployment(name=_COSTS.config.name, costs=_COSTS,
+                                 cold_start_latency=cold_start_latency,
+                                 initial_instances=initial_instances)
+    return ClusterSimulator(deployment, 2, placement="flat", **pool_kwargs)
 
 
 class _FakeInstance:
@@ -204,9 +212,7 @@ def _request(request_id, arrival):
 
 def _first_idle_window(policy_name):
     """Observe when the first instance goes idle and its policy window."""
-    simulator = ClusterSimulator(_COSTS, SimulationConfig(
-        num_gpus=2, cold_start_latency=1.0, placement="flat",
-        autoscale=policy_name))
+    simulator = _flat_pool(1.0, autoscale=policy_name)
     simulator.run([_request(0, 0.0)], horizon=30.0)
     instance = simulator.instances[simulator.model][0]
     policy = make_autoscaler(policy_name)
@@ -229,9 +235,7 @@ class TestEqualTimestampTieBreak:
     def test_arrival_at_exact_expiry_beats_retirement(self):
         idle_at, window = _first_idle_window("cold-cost")
         expiry = idle_at + window
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=1.0, placement="flat",
-            autoscale="cold-cost"))
+        simulator = _flat_pool(1.0, autoscale="cold-cost")
         metrics = simulator.run(
             [_request(0, 0.0), _request(1, expiry)],
             horizon=expiry + 30.0)
@@ -245,9 +249,7 @@ class TestEqualTimestampTieBreak:
     def test_arrival_after_expiry_finds_the_instance_retired(self):
         idle_at, window = _first_idle_window("cold-cost")
         late = idle_at + window + 0.5
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=1.0, placement="flat",
-            autoscale="cold-cost"))
+        simulator = _flat_pool(1.0, autoscale="cold-cost")
         metrics = simulator.run(
             [_request(0, 0.0), _request(1, late)], horizon=late + 30.0)
         assert metrics.cold_starts == 2   # the window really is enforced
@@ -256,9 +258,7 @@ class TestEqualTimestampTieBreak:
         """A tick armed before new work arrives is ignored when it fires."""
         idle_at, window = _first_idle_window("cold-cost")
         just_before = idle_at + window - 0.25
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=1.0, placement="flat",
-            autoscale="cold-cost"))
+        simulator = _flat_pool(1.0, autoscale="cold-cost")
         metrics = simulator.run(
             [_request(0, 0.0), _request(1, just_before)],
             horizon=just_before + 30.0)
@@ -268,17 +268,14 @@ class TestEqualTimestampTieBreak:
 class TestPolicyDecisionAccounting:
     def test_decisions_flow_into_the_run_metrics(self):
         workload = [_request(i, float(i)) for i in range(5)]
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=0.5, placement="flat",
-            autoscale="cold-cost"))
+        simulator = _flat_pool(0.5, autoscale="cold-cost")
         metrics = simulator.run(workload, horizon=60.0)
         assert metrics.autoscale_decisions.get("retire", 0) >= 1
         assert "autoscale[retire]" in metrics.summary()
 
     def test_default_policy_keeps_summaries_clean(self):
         workload = [_request(i, float(i)) for i in range(5)]
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=0.5, placement="flat"))
+        simulator = _flat_pool(0.5)
         metrics = simulator.run(workload, horizon=60.0)
         assert not any(key.startswith("autoscale[")
                        for key in metrics.summary())
@@ -308,9 +305,8 @@ class TestAlwaysOnFloor:
             return count
 
         monkeypatch.setattr(EventLoop, "run", bounded_run)
-        simulator = ClusterSimulator(_COSTS, SimulationConfig(
-            num_gpus=2, cold_start_latency=0.5, placement="flat",
-            initial_instances=1, keep_alive=1.0, autoscale=policy))
+        simulator = _flat_pool(0.5, initial_instances=1, keep_alive=1.0,
+                               autoscale=policy)
         metrics = simulator.run([_request(i, 5.0 * i) for i in range(4)],
                                 horizon=60.0)
         assert len(metrics.ttfts) == 4

@@ -1,6 +1,6 @@
 """Chunk-granular fetch resolution in the placement layer.
 
-When ``SimulationConfig.chunks`` carries a manifest's chunk records, the
+When ``ModelDeployment.chunks`` carries a manifest's chunk records, the
 locality policies resolve each ``fetch_chunk[i]`` against a per-node
 chunk cache that is separate from the artifact cache: a node warmed by a
 chunk-sharing sibling model serves the shared chunks from its tiers and
@@ -17,8 +17,8 @@ from repro.serverless import (
     ColdStartProfile,
     FlatPlacement,
     LocalityPlacement,
+    ModelDeployment,
     ServingCostModel,
-    SimulationConfig,
 )
 from repro.serverless.metrics import SimulationMetrics
 from repro.serverless.placement import ChunkFetchSummary
@@ -56,10 +56,15 @@ def chunk_profile(fetch=2.0):
                             timeline=chain_timeline(*stages))
 
 
+def one_gpu_pool(policy, chunks, costs):
+    deployment = ModelDeployment(name=costs.config.name, costs=costs,
+                                 cold_start_latency=3.0,
+                                 profile=chunk_profile(), chunks=chunks)
+    return ClusterSimulator(deployment, 1, placement=policy)
+
+
 def launch(policy, chunks, costs):
-    config = SimulationConfig(num_gpus=1, profile=chunk_profile(),
-                              placement=policy, chunks=chunks)
-    simulator = ClusterSimulator(costs, config)
+    simulator = one_gpu_pool(policy, chunks, costs)
     instance = simulator._launch(simulator.model, 0.0)
     return simulator, instance
 
@@ -112,9 +117,7 @@ class TestChunkStreamResolution:
 
     def test_foreground_duration_sums_foreground_chunks_only(self, costs):
         policy = LocalityPlacement(num_nodes=1)
-        config = SimulationConfig(num_gpus=1, profile=chunk_profile(),
-                                  placement=policy, chunks=CHUNKS_A)
-        simulator = ClusterSimulator(costs, config)
+        simulator = one_gpu_pool(policy, CHUNKS_A, costs)
         _nodes, resolution = simulator._place(
             simulator.deployments[simulator.model], cold=True)
         summary = resolution.chunks

@@ -7,7 +7,8 @@ import pytest
 from repro.errors import SchedulingError
 from repro.models.zoo import get_model_config
 from repro.serverless.costs import ServingCostModel
-from repro.serverless.instance import Instance, InstanceConfig
+from repro.serverless.cluster import ModelDeployment
+from repro.serverless.instance import Instance
 from repro.serverless.workload import Request
 from repro.simgpu.costmodel import CostModel
 
@@ -74,8 +75,10 @@ def request(rid, arrival=0.0, prompt=100, output=3):
 
 class TestInstance:
     def make(self, costs, cold=1.0, max_running=2):
-        return Instance(costs, InstanceConfig(max_running=max_running),
-                        launched_at=0.0, cold_start_latency=cold)
+        config = ModelDeployment(name="m", costs=costs,
+                                 cold_start_latency=cold,
+                                 max_running=max_running)
+        return Instance(config, launched_at=0.0, cold_start_latency=cold)
 
     def test_ready_after_cold_start(self, costs):
         instance = self.make(costs, cold=2.5)

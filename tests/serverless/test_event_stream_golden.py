@@ -45,8 +45,6 @@ from repro.serverless import (
     ModelDeployment,
     MultiModelCluster,
     ServingCostModel,
-    ShareGPTWorkload,
-    SimulationConfig,
     TaggedRequest,
     tag_workloads,
 )
@@ -62,9 +60,11 @@ from tests.serverless.test_golden_equivalence import (
     SINGLE_SCENARIOS,
     _deployments,
     _multi_workloads,
+    single_run,
 )
 from tests.serverless.test_stage_coldstart import (
     burst,
+    llama_deployment,
     pipelined_profile,
     scalar_timeline_profile,
 )
@@ -129,14 +129,7 @@ def _stream(pool, taps: Dict[int, _Tap]) -> dict:
 
 
 def run_single(name: str):
-    scenario = SINGLE_SCENARIOS[name]
-    workload = ShareGPTWorkload(rps=scenario["rps"],
-                                duration=scenario["duration"],
-                                seed=scenario["seed"])
-    simulator = ClusterSimulator(ServingCostModel(scenario["model"]),
-                                 SimulationConfig(**scenario["config"]))
-    simulator.run(workload.generate(), horizon=scenario["duration"])
-    return simulator
+    return single_run(name)[0]
 
 
 def run_multi(name: str):
@@ -151,8 +144,7 @@ def run_stage_tail_contention():
     burst``: 40 arrivals on a pipelined plan whose background tail
     contends with early serving."""
     simulator = ClusterSimulator(
-        ServingCostModel("Llama2-7B"),
-        SimulationConfig(profile=pipelined_profile(), max_running=8))
+        llama_deployment(profile=pipelined_profile(), max_running=8), 4)
     simulator.run(burst(40), horizon=30.0)
     return simulator
 

@@ -21,32 +21,54 @@ from repro.serverless import (
     MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
     tag_workloads,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden_sim_metrics.json"
 
-#: Same-seed scenarios the goldens were recorded from (pre-refactor).
+#: Same-seed scenarios the goldens were recorded from (pre-refactor):
+#: ``deployment`` holds the ModelDeployment fields, ``pool`` the pool's
+#: options; every pool has ``gpus`` GPUs (4 unless given).
 SINGLE_SCENARIOS = {
     "baseline": dict(rps=2.0, duration=60.0, seed=1, model="Llama2-7B",
-                     config=dict(cold_start_latency=3.0)),
+                     deployment=dict(cold_start_latency=3.0)),
     "hot_burst": dict(rps=6.0, duration=120.0, seed=5, model="Llama2-7B",
-                      config=dict(cold_start_latency=4.0, num_gpus=2)),
+                      deployment=dict(cold_start_latency=4.0), gpus=2),
     "warm_floor": dict(rps=1.0, duration=30.0, seed=3, model="Qwen1.5-4B",
-                       config=dict(cold_start_latency=5.0,
-                                   initial_instances=1, hot_spares=1)),
+                       deployment=dict(cold_start_latency=5.0,
+                                       initial_instances=1, hot_spares=1)),
     "no_drain": dict(rps=3.0, duration=45.0, seed=9, model="Qwen1.5-4B",
-                     config=dict(cold_start_latency=2.0, drain=False)),
+                     deployment=dict(cold_start_latency=2.0),
+                     pool=dict(drain=False)),
     "eager_serving": dict(rps=4.0, duration=90.0, seed=7,
                           model="Llama2-7B",
-                          config=dict(cold_start_latency=1.5,
-                                      use_cuda_graphs=False)),
+                          deployment=dict(cold_start_latency=1.5,
+                                          use_cuda_graphs=False)),
     "deferred_capture": dict(rps=4.0, duration=90.0, seed=7,
                              model="Llama2-7B",
-                             config=dict(cold_start_latency=1.5,
-                                         deferred_capture=True)),
+                             deployment=dict(cold_start_latency=1.5,
+                                             deferred_capture=True)),
 }
+
+
+def single_run(name: str, **pool_kwargs):
+    """Run one single-model scenario; returns ``(simulator, metrics)``.
+
+    ``pool_kwargs`` add pool options to the scenario's own.
+    """
+    scenario = SINGLE_SCENARIOS[name]
+    workload = ShareGPTWorkload(rps=scenario["rps"],
+                                duration=scenario["duration"],
+                                seed=scenario["seed"])
+    model = scenario["model"]
+    deployment = ModelDeployment(name=model, costs=ServingCostModel(model),
+                                 **scenario["deployment"])
+    simulator = ClusterSimulator(deployment, scenario.get("gpus", 4),
+                                 **scenario.get("pool", {}), **pool_kwargs)
+    metrics = simulator.run(workload.generate(),
+                            horizon=scenario["duration"])
+    return simulator, metrics
+
 
 MULTI_SCENARIOS = {"light": 1.0, "heavy": 4.0}
 
@@ -78,14 +100,7 @@ def assert_matches(snap, metrics, context):
 class TestSingleModelGoldens:
     @pytest.mark.parametrize("name", sorted(SINGLE_SCENARIOS))
     def test_scenario_matches_pre_refactor_metrics(self, golden, name):
-        scenario = SINGLE_SCENARIOS[name]
-        workload = ShareGPTWorkload(rps=scenario["rps"],
-                                    duration=scenario["duration"],
-                                    seed=scenario["seed"])
-        simulator = ClusterSimulator(ServingCostModel(scenario["model"]),
-                                     SimulationConfig(**scenario["config"]))
-        metrics = simulator.run(workload.generate(),
-                                horizon=scenario["duration"])
+        _simulator, metrics = single_run(name)
         assert_matches(golden["single"][name], metrics, name)
 
 
@@ -129,15 +144,7 @@ class TestFlatPlacementGoldens:
 
     @pytest.mark.parametrize("name", sorted(SINGLE_SCENARIOS))
     def test_single_model_flat_matches_goldens(self, golden, name):
-        scenario = SINGLE_SCENARIOS[name]
-        workload = ShareGPTWorkload(rps=scenario["rps"],
-                                    duration=scenario["duration"],
-                                    seed=scenario["seed"])
-        simulator = ClusterSimulator(
-            ServingCostModel(scenario["model"]),
-            SimulationConfig(placement="flat", **scenario["config"]))
-        metrics = simulator.run(workload.generate(),
-                                horizon=scenario["duration"])
+        _simulator, metrics = single_run(name, placement="flat")
         assert_matches(golden["single"][name], metrics, name)
         assert_no_placement_traffic(metrics, name)
 

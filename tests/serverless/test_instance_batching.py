@@ -10,12 +10,9 @@ completion, step pricing, lazy capture and the decode bookkeeping.
 import pytest
 
 from repro.models.zoo import paper_model_names
+from repro.serverless.cluster import ModelDeployment
 from repro.serverless.costs import ServingCostModel
-from repro.serverless.instance import (
-    BACKGROUND_TAIL_PENALTY,
-    Instance,
-    InstanceConfig,
-)
+from repro.serverless.instance import BACKGROUND_TAIL_PENALTY, Instance
 from repro.serverless.workload import Request
 
 
@@ -30,9 +27,10 @@ def request(rid, arrival=0.0, prompt=100, output=3):
 
 
 def make(costs, max_running=4, graphs=True, deferred=False, cold=0.0):
-    config = InstanceConfig(max_running=max_running, use_cuda_graphs=graphs,
-                            deferred_capture=deferred)
-    return Instance(costs, config, launched_at=0.0, cold_start_latency=cold)
+    config = ModelDeployment(name="m", costs=costs, cold_start_latency=cold,
+                             max_running=max_running, use_cuda_graphs=graphs,
+                             deferred_capture=deferred)
+    return Instance(config, launched_at=0.0, cold_start_latency=cold)
 
 
 def drain(instance, now=0.0, limit=10_000):

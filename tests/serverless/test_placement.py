@@ -25,7 +25,6 @@ from repro.serverless import (
     NodeCache,
     PlacementPolicy,
     ServingCostModel,
-    SimulationConfig,
     TaggedRequest,
     TierSpec,
     make_policy,
@@ -233,11 +232,16 @@ def costs():
     return ServingCostModel("Llama2-7B")
 
 
+def fetch_heavy_deployment(costs, cold_start_latency=3.0, **kwargs):
+    return ModelDeployment(name=costs.config.name, costs=costs,
+                           cold_start_latency=cold_start_latency,
+                           profile=fetch_heavy_profile(), **kwargs)
+
+
 class TestSimulatorWiring:
     def test_first_cold_start_misses_at_remote_cost(self, costs):
-        config = SimulationConfig(num_gpus=2, profile=fetch_heavy_profile(),
-                                  cold_start_latency=2.8)
-        simulator = ClusterSimulator(costs, config)
+        deployment = fetch_heavy_deployment(costs, cold_start_latency=2.8)
+        simulator = ClusterSimulator(deployment, 2)
         requests = [Request(request_id=0, arrival_time=0.0,
                             prompt_tokens=64, output_tokens=8)]
         metrics = simulator.run(requests, horizon=30.0)
@@ -249,11 +253,10 @@ class TestSimulatorWiring:
         assert instance.fetch_tier == "remote"
         # A remote-cost miss must not perturb the plan's timing at all.
         assert instance.ready_at == pytest.approx(
-            config.profile.serving_ready_time)
+            deployment.profile.serving_ready_time)
 
     def test_relaunch_on_same_node_hits_dram(self, costs):
-        config = SimulationConfig(num_gpus=2, profile=fetch_heavy_profile())
-        simulator = ClusterSimulator(costs, config)
+        simulator = ClusterSimulator(fetch_heavy_deployment(costs), 2)
         first = simulator._launch(simulator.model, 0.0)
         first.retired = True
         first.retired_at = 50.0
@@ -268,14 +271,13 @@ class TestSimulatorWiring:
         assert simulator.metrics[simulator.model].fetch_seconds_saved == pytest.approx(1.9)
 
     def test_flat_policy_never_rewrites_the_profile(self, costs):
-        config = SimulationConfig(num_gpus=2, profile=fetch_heavy_profile(),
-                                  placement="flat")
-        simulator = ClusterSimulator(costs, config)
+        deployment = fetch_heavy_deployment(costs)
+        simulator = ClusterSimulator(deployment, 2, placement="flat")
         first = simulator._launch(simulator.model, 0.0)
         first.retired = True
         first.retired_at = 50.0
         second = simulator._launch(simulator.model, 50.0)
-        assert second.profile is config.profile
+        assert second.profile is deployment.profile
         # Node identity is tracked (it is timing-inert) but no tier
         # resolution happens and no placement counters move.
         assert second.node_ids == (0,)
@@ -300,10 +302,9 @@ class TestSimulatorWiring:
         store = ArtifactStore(tmp_path)
         store.put(artifact)
         key = (artifact.gpu_name, artifact.model_name)
-        config = SimulationConfig(
-            num_gpus=2, profile=fetch_heavy_profile(),
-            artifact_store=store, artifact_key=key, placement="flat")
-        simulator = ClusterSimulator(costs, config)
+        deployment = fetch_heavy_deployment(costs, artifact_store=store,
+                                            artifact_key=key)
+        simulator = ClusterSimulator(deployment, 2, placement="flat")
         first = simulator._launch(simulator.model, 0.0)
         first.retired = True
         first.retired_at = 50.0

@@ -9,8 +9,8 @@ from repro.serverless import (
     MultiModelCluster,
     ServingCostModel,
     ShareGPTWorkload,
-    SimulationConfig,
 )
+from repro.serverless.cluster import check_pool
 from repro.serverless.workload import Request
 
 
@@ -19,9 +19,13 @@ def costs():
     return ServingCostModel("Llama2-7B")
 
 
-def simulate(costs, rps=2.0, duration=60.0, seed=1, **config_kwargs):
+def simulate(costs, rps=2.0, duration=60.0, seed=1, num_gpus=4,
+             cold_start_latency=3.0, **deployment_kwargs):
     workload = ShareGPTWorkload(rps=rps, duration=duration, seed=seed)
-    simulator = ClusterSimulator(costs, SimulationConfig(**config_kwargs))
+    deployment = ModelDeployment(name=costs.config.name, costs=costs,
+                                 cold_start_latency=cold_start_latency,
+                                 **deployment_kwargs)
+    simulator = ClusterSimulator(deployment, num_gpus)
     return simulator.run(workload.generate(), horizon=duration), simulator
 
 
@@ -90,17 +94,22 @@ class TestThroughput:
 
 
 class TestConfigValidation:
-    def test_bad_configs_rejected(self):
+    def test_bad_configs_rejected(self, costs):
         with pytest.raises(InvalidValueError):
-            SimulationConfig(num_gpus=0)
+            check_pool(0, 0.0)
         with pytest.raises(InvalidValueError):
-            SimulationConfig(num_gpus=1, initial_instances=2)
+            ClusterSimulator(ModelDeployment(name="m", costs=costs,
+                                             cold_start_latency=1.0), 0)
+        with pytest.raises(InvalidValueError):
+            ClusterSimulator(ModelDeployment(name="m", costs=costs,
+                                             cold_start_latency=1.0,
+                                             initial_instances=2), 1)
 
     @pytest.mark.parametrize("slo", [-1.0, float("nan"), float("inf")])
     def test_bad_slo_ttft_rejected(self, costs, slo):
         # A NaN budget would otherwise turn the SLO off without a word.
         with pytest.raises(InvalidValueError, match="slo_ttft"):
-            SimulationConfig(num_gpus=1, slo_ttft=slo)
+            check_pool(1, slo)
         with pytest.raises(InvalidValueError, match="slo_ttft"):
             MultiModelCluster([ModelDeployment(name="m", costs=costs,
                                                cold_start_latency=1.0)],

@@ -23,7 +23,6 @@ from repro.serverless import (
     ModelDeployment,
     MultiModelCluster,
     ServingCostModel,
-    SimulationConfig,
     TaggedRequest,
 )
 from repro.serverless.workload import Request
@@ -68,10 +67,18 @@ def burst(count, spacing=0.05, prompt=128, output=30):
             for i in range(count)]
 
 
-def run_single(requests, horizon=30.0, **config_kwargs):
+def llama_deployment(cold_start_latency=3.0, **kwargs):
+    return ModelDeployment(name="Llama2-7B",
+                           costs=ServingCostModel("Llama2-7B"),
+                           cold_start_latency=cold_start_latency, **kwargs)
+
+
+def run_single(requests, horizon=30.0, num_gpus=4, abort_cold_starts=False,
+               **deployment_kwargs):
     """One traced ClusterSimulator run; returns (simulator, metrics)."""
-    simulator = ClusterSimulator(ServingCostModel("Llama2-7B"),
-                                 SimulationConfig(**config_kwargs),
+    simulator = ClusterSimulator(llama_deployment(**deployment_kwargs),
+                                 num_gpus,
+                                 abort_cold_starts=abort_cold_starts,
                                  trace=True)
     metrics = simulator.run(requests, horizon=horizon)
     return simulator, metrics
@@ -287,10 +294,8 @@ class TestTraceOptIn:
     @staticmethod
     def _single(trace):
         simulator = ClusterSimulator(
-            ServingCostModel("Llama2-7B"),
-            SimulationConfig(profile=pipelined_profile(), max_running=8,
-                             num_gpus=2, abort_cold_starts=True),
-            trace=trace)
+            llama_deployment(profile=pipelined_profile(), max_running=8), 2,
+            abort_cold_starts=True, trace=trace)
         return simulator, {"m": simulator.run(burst(40), horizon=30.0)}
 
     @staticmethod

@@ -28,7 +28,8 @@ import pytest
 from repro.errors import SchedulingError
 from repro.models.zoo import get_model_config
 from repro.serverless import ServingCostModel
-from repro.serverless.instance import Instance, InstanceConfig
+from repro.serverless.cluster import ModelDeployment
+from repro.serverless.instance import Instance
 from repro.serverless.workload import Request
 from tests.serverless import reference_step
 from tests.serverless.reference_step import ReferenceInstance
@@ -79,11 +80,11 @@ def _same_step(new, ref) -> None:
 def test_step_matches_list_scan_reference(costs, max_running,
                                           use_cuda_graphs, deferred_capture,
                                           restore_tail, ops):
-    config = InstanceConfig(max_running=max_running,
-                            use_cuda_graphs=use_cuda_graphs,
-                            deferred_capture=deferred_capture)
-    instance = Instance(costs, config, launched_at=0.0,
-                        cold_start_latency=0.0)
+    config = ModelDeployment(name="m", costs=costs, cold_start_latency=0.0,
+                             max_running=max_running,
+                             use_cuda_graphs=use_cuda_graphs,
+                             deferred_capture=deferred_capture)
+    instance = Instance(config, launched_at=0.0, cold_start_latency=0.0)
     instance.restore_tail_until = restore_tail
     reference = ReferenceInstance(costs, config,
                                   restore_tail_until=restore_tail)
@@ -158,11 +159,11 @@ def _same_state(instance, reference) -> None:
 def test_silent_runs_and_cuts_match_per_step_reference(
         costs, max_running, use_cuda_graphs, deferred_capture, restore_tail,
         data):
-    config = InstanceConfig(max_running=max_running,
-                            use_cuda_graphs=use_cuda_graphs,
-                            deferred_capture=deferred_capture)
-    instance = Instance(costs, config, launched_at=0.0,
-                        cold_start_latency=0.0)
+    config = ModelDeployment(name="m", costs=costs, cold_start_latency=0.0,
+                             max_running=max_running,
+                             use_cuda_graphs=use_cuda_graphs,
+                             deferred_capture=deferred_capture)
+    instance = Instance(config, launched_at=0.0, cold_start_latency=0.0)
     instance.restore_tail_until = restore_tail
     reference = ReferenceInstance(costs, config,
                                   restore_tail_until=restore_tail)

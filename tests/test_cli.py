@@ -460,13 +460,17 @@ class TestValidateDegradedExitCode:
     def test_clean_artifact_with_flag_exits_zero(self, request, artifact_path,
                                                  plan, capsys):
         # The ladder and its output check run on the plan the input takes
-        # without the flag.
+        # without the flag; a run that stays on the full rung keeps the
+        # plain plan name, and its output check is a timeline stage.
         assert main(["validate", "--artifact",
                      request.getfixturevalue(artifact_path),
                      "--degraded-ok"]) == 0
         output = capsys.readouterr().out
         assert "rung" not in output
-        assert f"(plan: {plan}+degraded)" in output
+        assert f"(plan: {plan})" in output
+        assert "+degraded" not in output
+        assert any(line.split()[:1] == ["restore_verify"]
+                   for line in output.splitlines())
 
     def test_hard_failure_still_exits_one(self, tiny_artifact_path, capsys):
         # A model mismatch is not a restore fault the ladder can absorb.

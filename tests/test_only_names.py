@@ -12,6 +12,14 @@ reached is listed in ``test_only_names.json`` with the reason it stays.
 A change that leaves a def unreached either deletes it, with the tests
 of it alone, or lists it and says why in CHANGES.md.  A listed name that
 is reached again, or no longer exists, leaves the ledger.
+
+Modules get the same ledger, keyed by module name.  A module is
+*imported* when a program file imports it, or imports a name a package
+re-exports from it (``from repro.faults import FaultPlan`` imports
+``repro.faults.plan``); the imports of a package ``__init__`` are those
+re-exports, not uses.  ``__main__`` modules are run, never imported.
+The scan by name above cannot see a module no program file imports, as
+long as the module refers to its own defs.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -69,8 +77,75 @@ def unreached_names() -> Set[str]:
             and not (name.startswith("__") and name.endswith("__"))}
 
 
+def _module(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(tree: ast.AST, module: str, is_package: bool
+             ) -> Iterator[Tuple[str, Optional[str], str]]:
+    """``(source module, imported name or None, bound name)`` of every
+    import in ``tree``, which is ``module``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None, alias.asname or alias.name
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module
+            if node.level:
+                parts = module.split(".")
+                keep = len(parts) - node.level + is_package
+                source = ".".join(parts[:keep] + [node.module or ""]
+                                  ).rstrip(".")
+            for alias in node.names:
+                yield source, alias.name, alias.asname or alias.name
+
+
+def unimported_modules() -> Set[str]:
+    """The ``src`` modules no program file imports."""
+    paths = {_module(path): path for path in sorted(SRC.rglob("*.py"))}
+    packages = {module for module, path in paths.items()
+                if path.name == "__init__.py"}
+    exports = {
+        package: {bound: (source, name) for source, name, bound in _imports(
+                      ast.parse(paths[package].read_text()), package, True)
+                  if name is not None}
+        for package in packages}
+
+    def resolve(module: str, name: str) -> str:
+        """The module that defines what ``from module import name``
+        binds, through package re-exports."""
+        while f"{module}.{name}" not in paths and name in exports.get(
+                module, {}):
+            module, name = exports[module][name]
+        return f"{module}.{name}" if f"{module}.{name}" in paths else module
+
+    imported: Set[str] = set()
+    files = [path for path in paths.values() if path.name != "__init__.py"]
+    for directory in PROGRAM_DIRS:
+        files += sorted((REPO / directory).rglob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = _module(path) if path.is_relative_to(SRC) else ""
+        used = set(_references(tree))
+        for source, name, _bound in _imports(tree, module, False):
+            target = source if name is None else resolve(source, name)
+            imported.add(target)
+            # A package bound as a module object reaches what it
+            # re-exports under each attribute the file uses.
+            imported.update(resolve(target, attribute)
+                            for attribute in exports.get(target, {})
+                            if attribute in used)
+    return {module for module, path in paths.items()
+            if module not in imported and module not in packages
+            and path.stem != "__main__"}
+
+
 def test_unreached_names_match_the_ledger():
     ledger = json.loads(LEDGER.read_text())
+    modules = {_module(path) for path in SRC.rglob("*.py")}
+    ledger = {key: reason for key, reason in ledger.items()
+              if key not in modules}
     unreached = unreached_names()
     assert all(reason.strip() for reason in ledger.values())
     assert sorted(unreached - ledger.keys()) == [], (
@@ -79,3 +154,30 @@ def test_unreached_names_match_the_ledger():
     assert sorted(ledger.keys() - unreached) == [], (
         "ledger names that are reached again or no longer exist: remove "
         "them from test_only_names.json")
+
+
+def test_unimported_modules_match_the_ledger():
+    ledger = json.loads(LEDGER.read_text())
+    modules = {_module(path) for path in SRC.rglob("*.py")}
+    listed = {key for key in ledger if key in modules}
+    unimported = unimported_modules()
+    assert sorted(unimported - listed) == [], (
+        "src modules no program file imports: delete them with the tests "
+        "of them alone, or list them in test_only_names.json with a reason")
+    assert sorted(listed - unimported) == [], (
+        "ledger modules that are imported again: remove them from "
+        "test_only_names.json")
+
+
+def test_the_module_check_sees_an_unimported_module(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from pkg.shown import visible\nfrom pkg.hidden import hidden\n")
+    (package / "shown.py").write_text("def visible(): pass\n")
+    (package / "hidden.py").write_text("def hidden(): hidden()\n")
+    (package / "used.py").write_text("from pkg import visible\nvisible()\n")
+    (package / "__main__.py").write_text("import pkg.used\n")
+    monkeypatch.setitem(globals(), "REPO", tmp_path)
+    monkeypatch.setitem(globals(), "SRC", tmp_path / "src")
+    assert unimported_modules() == {"pkg.hidden"}

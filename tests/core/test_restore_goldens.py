@@ -50,6 +50,7 @@ from repro.faults import DegradationPolicy
 from repro.simgpu.process import ExecutionMode
 
 from tests.conftest import unchunked
+from tests.serverless.reference_step import total_steps
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name(
     "golden_restore_timelines.json")
@@ -283,8 +284,23 @@ def qwen_store_puts(tmp_path_factory):
     return compressed
 
 
+@pytest.fixture(scope="module")
+def tail_contention_pool():
+    """The ``stage/tail_contention`` pool run of the event-stream golden
+    (a 40-request burst on a pipelined plan whose background tail
+    contends with early serving), and its per-kind dispatch counts."""
+    from tests.serverless.test_event_stream_golden import (
+        run_stage_tail_contention,
+        tapped_loops,
+    )
+    with tapped_loops() as taps:
+        pool = run_stage_tail_contention()
+    return pool, taps[id(pool.loop)].kinds
+
+
 def test_work_counts_match_ledger(chunked_qwen_restore,
-                                  default_qwen_offline, qwen_store_puts):
+                                  default_qwen_offline, qwen_store_puts,
+                                  tail_contention_pool):
     """Work counts, no clock: ``golden_work_counts.json`` is the ledger of
     the counts that bound a layer's wall clock, per fixed input
     (docs/MECHANISM.md gives each one's meaning).  A change that lowers a
@@ -295,6 +311,7 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     graphs = engine.capture_artifacts.graphs
     trace, index, liveness = default_qwen_offline
     first_put, reput, first_save, resave = qwen_store_puts
+    pool, dispatched = tail_contention_pool
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
@@ -336,6 +353,12 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
         "Qwen1.5-0.5B save + put": {
             "chunks compressed by a first save and put": first_save,
             "chunks compressed by a re-save and re-put": resave,
+        },
+        "stage/tail_contention": {
+            "step_done dispatched": dispatched["step_done"],
+            "events dispatched": pool.loop.dispatched,
+            "steps run": total_steps(pool),
+            "contended steps": pool.aggregate().background_contended_steps,
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

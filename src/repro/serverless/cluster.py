@@ -21,13 +21,15 @@ requests at ``Timeline.ready``, and can be cancelled at a stage boundary.
 A request whose model has no instance and no GPU to free waits until one
 frees up.
 
-Serving steps that record nothing (no TTFT, no completion, no restore
--tail contention, no trace) are not dispatched one by one: the instance
-runs through them in one loop and the kernel dispatches one step
-completion at the end of the run, which an arrival cuts back to the step
-in flight (see ``_maybe_step`` and ``_cut_run``).  For that to be exact,
-co-timed step completions dispatch in instance order (the kernel's
-``tie``), an order that does not depend on when they were scheduled.
+Serving steps that record nothing (no TTFT, no completion, no trace)
+are not dispatched one by one: the instance runs through them in one
+loop, restore-tail contention included, and the kernel dispatches one
+step completion at the end of the run, which an arrival cuts back to the
+step in flight (see ``_maybe_step`` and ``_cut_run``).  For that to be
+exact, co-timed step completions dispatch in instance order (the
+kernel's ``tie``), an order that does not depend on when they were
+scheduled.  Each instance counts its own contended steps and seconds;
+the pool folds them into its model's metrics once the run is over.
 """
 
 from __future__ import annotations
@@ -774,10 +776,6 @@ class MultiModelCluster:
                 metrics.record_completion(
                     completion.latency,
                     in_horizon=completion.completion_time <= self.horizon)
-            if result.background_contention > 0:
-                metrics.count("background_contended_steps")
-                metrics.count("background_contention_seconds",
-                              result.background_contention)
         self._maybe_step(instance, now)
         self._maybe_retire(instance, now)
 
@@ -798,14 +796,16 @@ class MultiModelCluster:
         """Start one continuous-batching iteration if the instance can.
 
         A *silent* step records nothing: it admits nothing, completes
-        nothing, pays no contention, and the trace is off (a traced step
-        records a span).  After one, the instance runs through the
-        pure-decode steps up to its next completion step in one loop
-        (:meth:`Instance.run_ahead`) and one STEP_DONE is scheduled at
-        the run's end instead of one per step.  Nothing outside the
-        instance can observe the skipped steps, except an enqueue, and
-        ``_route`` cuts the run back to the step in flight before it
-        enqueues (``_cut_run``).
+        nothing, and the trace is off (a traced step records a span).
+        Restore-tail contention does not make a step loud: the instance
+        counts it itself.  After a silent step, the instance runs through
+        the pure-decode steps up to its next completion step in one loop
+        (:meth:`Instance.run_ahead`), penalizing those that start inside
+        the restore tail, and one STEP_DONE is scheduled at the run's end
+        instead of one per step.  Nothing outside the instance can
+        observe the skipped steps, except an enqueue, and ``_route`` cuts
+        the run back to the step in flight before it enqueues
+        (``_cut_run``).
         """
         if (instance.stepping or instance.retired
                 or now < instance.ready_at or not instance.has_work):
@@ -821,8 +821,7 @@ class MultiModelCluster:
                 track=_track(instance), admitted=len(result.ttfts),
                 completed=len(result.completed),
                 contended=result.background_contention > 0)
-        elif not (result.ttfts or result.completed
-                  or result.background_contention):
+        elif not (result.ttfts or result.completed):
             run_end = instance.run_ahead(end)
             if run_end is not None:
                 instance.run_event = loop.schedule(
@@ -943,14 +942,20 @@ class MultiModelCluster:
                 f"GPU pool exhausted and no instance of "
                 f"{self._starved[0].model!r} could launch before the run "
                 f"ended; increase num_gpus or lower hot_spares")
-        # GPU-time accounting (the §2.4 hot-spares waste argument).
+        # GPU-time accounting (the §2.4 hot-spares waste argument), and
+        # each instance's restore-tail contention, in launch order.
         end_of_run = max(horizon, self.loop.now)
         for model, pool in self.instances.items():
+            metrics = self.metrics[model]
             for instance in pool:
                 until = getattr(instance, "retired_at", end_of_run)
-                self.metrics[model].record_instance_lifetime(
+                metrics.record_instance_lifetime(
                     max(0.0, until - instance.ready_at),
                     instance.busy_time)
+                metrics.count("background_contended_steps",
+                              instance.contended_steps)
+                metrics.count("background_contention_seconds",
+                              instance.contention_seconds)
         for model, policy in self.autoscalers.items():
             for kind, count in policy.decisions.items():
                 self.metrics[model].count("autoscale_decisions", count,

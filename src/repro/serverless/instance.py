@@ -15,12 +15,16 @@ penalty on serving steps that overlap the background restore tail, and can
 be **cancelled at a stage boundary** by the cluster's scale-down policy
 instead of only before launch or after readiness.
 
-After a step that records nothing, the instance can run through the pure
--decode steps up to its next completion at once (:meth:`Instance.
-run_ahead`), priced as one float64 array with running sums of its step
-ends and busy time, and go back to any of them if a request arrives
-mid-run (:meth:`Instance.cut_run`, a binary search of those ends), with
-the same bits as stepping one by one.
+After a step that admits and completes nothing, the instance can run
+through the pure-decode steps up to its next completion at once
+(:meth:`Instance.run_ahead`), priced as one float64 array with running
+sums of its step ends, busy time and restore-tail contention, and go
+back to any of them if a request arrives mid-run (:meth:`Instance.
+cut_run`, a binary search of those ends), with the same bits as stepping
+one by one.  A run that starts inside the restore tail penalizes its
+leading steps as :meth:`Instance.run_step` would; the instance counts
+its contended steps and seconds itself, in step order, and the pool
+folds them into its metrics at the end of the run.
 """
 
 from __future__ import annotations
@@ -213,6 +217,10 @@ class Instance:
         self.fetch_tier = ""
         self.last_busy_at = self.ready_at
         self.busy_time = 0.0
+        #: Serving steps that overlapped the background restore tail, and
+        #: the extra seconds they paid for it, summed in step order.
+        self.contended_steps = 0
+        self.contention_seconds = 0.0
         self._captured_batches: set = set()
         # -- decode bookkeeping (see run_step) -------------------------------
         self._steps = 0                  # index of the next serving step
@@ -221,8 +229,8 @@ class Instance:
         self._finishing: Dict[int, List[_RunningSequence]] = {}
         #: The latest silent run (see run_ahead); it can be cut only
         #: while its end event is pending.
-        self._run: Optional[Tuple[int, int, int, np.ndarray,
-                                  np.ndarray]] = None
+        self._run: Optional[Tuple[int, int, int, np.ndarray, np.ndarray,
+                                  int, Optional[np.ndarray]]] = None
         #: The pending kernel event that ends a silent run, else None;
         #: set and cleared by the pool.
         self.run_event: Optional[object] = None
@@ -345,6 +353,8 @@ class Instance:
             # contends with it (§7.3's overlap, seen from the serving side).
             contention = duration * BACKGROUND_TAIL_PENALTY
             duration += contention
+            self.contended_steps += 1
+            self.contention_seconds += contention
         end = now + duration
         ttfts = []
         for sequence in admitted:
@@ -373,19 +383,22 @@ class Instance:
     def run_ahead(self, start: float) -> Optional[float]:
         """Run the pure-decode steps that follow a silent step.
 
-        Call right after a :meth:`run_step` that admitted nothing,
-        completed nothing and paid no contention; ``start`` is its end.
-        Until the next completion step the batch cannot change: admission
-        needs a free slot and a waiting request, and only a completion
-        frees a slot or an :meth:`enqueue` adds a request (the pool cuts
-        the run with :meth:`cut_run` before it enqueues).  Later steps
-        start later, so they pay no contention either, and the batch's
-        padded size is already captured.  Those steps are priced here as
-        one array (:meth:`ServingCostModel.decode_run`), stopping before
-        the next completion step, and their ends and busy sums are
-        sequential running sums (``np.cumsum``) that add every float in
-        :meth:`run_step`'s order, so the state after them is bit for bit
-        what stepping one at a time leaves.
+        Call right after a :meth:`run_step` that admitted and completed
+        nothing; ``start`` is its end.  Until the next completion step
+        the batch cannot change: admission needs a free slot and a
+        waiting request, and only a completion frees a slot or an
+        :meth:`enqueue` adds a request (the pool cuts the run with
+        :meth:`cut_run` before it enqueues).  The batch's padded size is
+        already captured.  Those steps are priced here as one array
+        (:meth:`ServingCostModel.decode_run`), stopping before the next
+        completion step.  When the run starts inside the restore tail,
+        the steps that start before its end (a prefix: later steps start
+        later) are penalized with :meth:`run_step`'s two operations, and
+        one ``searchsorted`` over their starts finds that prefix.  The
+        step ends, busy sums and contention sums are sequential running
+        sums (``np.cumsum``) that add every float in :meth:`run_step`'s
+        order, so the state after them is bit for bit what stepping one
+        at a time leaves.
 
         Returns the end of the run's last step, or None when the next
         step completes a sequence (there is nothing to run ahead).
@@ -396,16 +409,34 @@ class Instance:
             return None
         batch = len(self.running)
         context = self._context_sum
+        durations = self.costs.decode_run(batch, context, count,
+                                          self.config.use_cuda_graphs)
         # ends[j] and busy[j]: the instant step j of the run ends and the
         # busy time by then; index 0 is the silent step that started it.
         sums = np.empty(count + 1)
-        sums[1:] = self.costs.decode_run(batch, context, count,
-                                         self.config.use_cuda_graphs)
+        sums[0] = start
+        contended = self.contended_steps
+        contention = None
+        if start < self.restore_tail_until - _EPS:
+            extra = durations * BACKGROUND_TAIL_PENALTY
+            sums[1:] = durations + extra
+            # Where each step starts if every step before it contends:
+            # exact for the contended prefix and the step right after it.
+            prefix = int(sums.cumsum()[:count].searchsorted(
+                self.restore_tail_until - _EPS))
+            durations[:prefix] = sums[1:prefix + 1]
+            # contention[j]: the contention seconds by the end of step j.
+            contention = np.empty(prefix + 1)
+            contention[0] = self.contention_seconds
+            contention[1:] = extra[:prefix]
+            contention = contention.cumsum()
+            self.contended_steps = contended + prefix
+            self.contention_seconds = float(contention[-1])
+        sums[1:] = durations
+        ends = sums.cumsum()
         sums[0] = self.busy_time
         busy = sums.cumsum()
-        sums[0] = start
-        ends = sums.cumsum()
-        self._run = (step, context, batch, ends, busy)
+        self._run = (step, context, batch, ends, busy, contended, contention)
         self._steps = step + count
         self._context_sum = context + count * batch
         # Python floats: numpy scalars would leak into summaries and
@@ -421,13 +452,13 @@ class Instance:
         completed by now (its completion event sorts before the event
         being handled); the search side follows it, as ``bisect_right``
         or ``bisect_left`` would.  The state goes back to the end of the
-        step in flight, from the run's recorded ends and busy sums (as
-        Python floats); ``_steps`` and the context sum are exact
-        integers.  Returns that step's end, or None when it is the run's
-        last step (nothing to cut).  Either way the run is over: a later
-        cut would find the same step.
+        step in flight, from the run's recorded ends, busy sums and
+        contention sums (as Python floats); ``_steps``, the context sum
+        and the contended steps are exact integers.  Returns that step's
+        end, or None when it is the run's last step (nothing to cut).
+        Either way the run is over: a later cut would find the same step.
         """
-        step, context, batch, ends, busy = self._run
+        step, context, batch, ends, busy, contended, contention = self._run
         self._run = None
         index = int(ends.searchsorted(now,
                                       "right" if ended_at_now else "left"))
@@ -436,6 +467,10 @@ class Instance:
         self._steps = step + index
         self._context_sum = context + index * batch
         self.busy_time = float(busy[index])
+        if contention is not None and index < len(contention) - 1:
+            # The cut lands inside the contended prefix.
+            self.contended_steps = contended + index
+            self.contention_seconds = float(contention[index])
         self.last_busy_at = end = float(ends[index])
         return end
 

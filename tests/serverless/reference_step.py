@@ -100,6 +100,8 @@ class ReferenceInstance:
         self.restore_tail_until = restore_tail_until
         self.last_busy_at = 0.0
         self.busy_time = 0.0
+        self.contended_steps = 0
+        self.contention_seconds = 0.0
         self._captured_batches: set = set()
 
     @property
@@ -142,6 +144,8 @@ class ReferenceInstance:
         if duration > 0 and now < self.restore_tail_until - _EPS:
             contention = duration * BACKGROUND_TAIL_PENALTY
             duration += contention
+            self.contended_steps += 1
+            self.contention_seconds += contention
         end = now + duration
         for sequence in admitted:
             sequence.first_token_time = end
@@ -181,7 +185,8 @@ def pool_outcome(pool) -> dict:
 
     Per model: the summary, every TTFT and latency in record order, and
     the provisioned and busy GPU seconds.  Per instance, in launch order:
-    busy time, last busy instant, steps run and retirement instant.
+    busy time, last busy instant, steps run, retirement instant, and the
+    steps and seconds it paid restore-tail contention.
     """
     def hexed(values):
         return [float(value).hex() for value in values]
@@ -195,7 +200,9 @@ def pool_outcome(pool) -> dict:
     instances = {
         name: [(instance.busy_time.hex(), instance.last_busy_at.hex(),
                 instance._steps,
-                repr(getattr(instance, "retired_at", None)))
+                repr(getattr(instance, "retired_at", None)),
+                instance.contended_steps,
+                instance.contention_seconds.hex())
                for instance in pool_instances]
         for name, pool_instances in pool.instances.items()}
     return {"models": models, "instances": instances}

@@ -10,10 +10,11 @@ placement and autoscale policy, staged and scalar cold starts, eager and
 deferred-capture serving, hot spares, tensor-parallel deployments and
 starved models) and runs each twice: as is, and on the per-step path.
 Every metric, every TTFT and latency in record order, every instance's
-busy time, last busy instant, step count and retirement, and any error
-raised must agree bit for bit.  It also checks that the pools exercise
-what makes the rule delicate: runs cut by an arrival, and step
-completions of different instances at the same instant.
+busy time, last busy instant, step count, retirement and restore-tail
+contention, and any error raised must agree bit for bit.  It also checks
+that the pools exercise what makes the rule delicate: runs cut by an
+arrival, runs that start inside a restore tail, and step completions of
+different instances at the same instant.
 """
 
 from collections import Counter
@@ -137,7 +138,16 @@ def test_silent_runs_match_the_per_step_path_on_random_pools(monkeypatch):
         seen["cuts"] += end is not None
         return end
 
+    run_ahead = Instance.run_ahead
+
+    def counted_run_ahead(self, start):
+        end = run_ahead(self, start)
+        seen["contended_runs"] += end is not None \
+            and self._run[-1] is not None
+        return end
+
     monkeypatch.setattr(Instance, "cut_run", counted_cut)
+    monkeypatch.setattr(Instance, "run_ahead", counted_run_ahead)
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(spec=pools())
@@ -151,4 +161,5 @@ def test_silent_runs_match_the_per_step_path_on_random_pools(monkeypatch):
 
     check()
     assert seen["cuts"] > 0
+    assert seen["contended_runs"] > 0
     assert seen["co_timed"] > 0

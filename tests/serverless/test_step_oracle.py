@@ -13,11 +13,14 @@ A second property drives silent runs: after every silent step the
 instance runs ahead to its next completion step (``run_ahead``) and the
 run is either left to finish or cut (``cut_run``) at a random instant,
 exactly at a step end included.  The reference steps one at a time to
-the same step; every step end, busy sum, the last-busy instant and the
-context sum must agree bit for bit.
+the same step; every step end, busy sum, contention sum, the last-busy
+instant, the context sum and the contended step count must agree bit
+for bit.  Some runs must start inside the restore tail and cross its
+end, and some cuts must land inside a run's contended prefix.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -110,6 +113,9 @@ def test_step_matches_list_scan_reference(costs, max_running,
             now = reference.last_busy_at
         assert instance.busy_time.hex() == reference.busy_time.hex()
         assert instance.last_busy_at.hex() == reference.last_busy_at.hex()
+        assert instance.contended_steps == reference.contended_steps
+        assert instance.contention_seconds.hex() == \
+            reference.contention_seconds.hex()
         assert instance.load == reference.load
         assert instance.has_work == reference.has_work
 
@@ -133,32 +139,47 @@ def test_costs_match_reference_formulas(costs, batch, avg_context,
 
 
 def _silent(result) -> bool:
-    return not (result.ttfts or result.completed
-                or result.background_contention)
+    return not (result.ttfts or result.completed)
 
 
 def _same_state(instance, reference) -> None:
     # Python floats, not numpy scalars: these reach summaries and reprs.
     assert type(instance.busy_time) is float
     assert type(instance.last_busy_at) is float
+    assert type(instance.contention_seconds) is float
     assert instance.busy_time.hex() == reference.busy_time.hex()
     assert instance.last_busy_at.hex() == reference.last_busy_at.hex()
+    assert instance.contended_steps == reference.contended_steps
+    assert instance.contention_seconds.hex() == \
+        reference.contention_seconds.hex()
     assert instance._context_sum == sum(sequence.context
                                         for sequence in reference.running)
     assert instance.load == reference.load
     assert instance.has_work == reference.has_work
 
 
-@settings(max_examples=200, deadline=None)
-@given(costs=st.sampled_from(COSTS),
-       max_running=st.integers(1, 8),
-       use_cuda_graphs=st.booleans(),
-       deferred_capture=st.booleans(),
-       restore_tail=st.sampled_from([0.0, 0.3, 2.0]),
-       data=st.data())
-def test_silent_runs_and_cuts_match_per_step_reference(
-        costs, max_running, use_cuda_graphs, deferred_capture, restore_tail,
-        data):
+def test_silent_runs_and_cuts_match_per_step_reference():
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(costs=st.sampled_from(COSTS),
+           max_running=st.integers(1, 8),
+           use_cuda_graphs=st.booleans(),
+           deferred_capture=st.booleans(),
+           restore_tail=st.sampled_from([0.0, 0.3, 2.0]),
+           data=st.data())
+    def check(costs, max_running, use_cuda_graphs, deferred_capture,
+              restore_tail, data):
+        _check_silent_runs(costs, max_running, use_cuda_graphs,
+                           deferred_capture, restore_tail, data, seen)
+
+    check()
+    assert seen["contended_runs_crossing_the_tail"] > 0
+    assert seen["cuts_inside_the_contended_prefix"] > 0
+
+
+def _check_silent_runs(costs, max_running, use_cuda_graphs,
+                       deferred_capture, restore_tail, data, seen):
     config = ModelDeployment(name="m", costs=costs, cold_start_latency=0.0,
                              max_running=max_running,
                              use_cuda_graphs=use_cuda_graphs,
@@ -186,10 +207,16 @@ def test_silent_runs_and_cuts_match_per_step_reference(
             _same_state(instance, reference)
             continue
         assert type(run_end) is float
-        step, _context, batch, ends, busy = instance._run
+        step, _context, batch, ends, busy, contended, contention = \
+            instance._run
         assert ends[0] == now
         assert batch == len(reference.running)
+        assert contended == reference.contended_steps
         last = len(ends) - 1
+        # The run's contended prefix: its first ``prefix`` steps.
+        prefix = 0 if contention is None else len(contention) - 1
+        if 0 < prefix < last:
+            seen["contended_runs_crossing_the_tail"] += 1
         how = data.draw(st.sampled_from(["finish", "at_end", "between"]),
                         label="cut")
         if how == "finish":
@@ -212,15 +239,20 @@ def test_silent_runs_and_cuts_match_per_step_reference(
         steps = 0
         while steps < last and (how == "finish" or now < cut_at
                                 or (now == cut_at and ended)):
-            duration, ttfts, completed, contention = \
+            duration, ttfts, completed, step_contention = \
                 reference.run_step(now)
-            assert not (ttfts or completed or contention)
+            assert not (ttfts or completed)
+            assert (step_contention > 0) == (steps < prefix)
             steps += 1
             assert (now + duration).hex() == ends[steps].hex()
             assert reference.busy_time.hex() == busy[steps].hex()
+            if steps <= prefix:
+                assert reference.contention_seconds.hex() == \
+                    contention[steps].hex()
             now = reference.last_busy_at
         if how != "finish":
             assert returned == (None if steps == last else ends[steps])
+            seen["cuts_inside_the_contended_prefix"] += steps < prefix
         assert instance._steps == step + steps
         _same_state(instance, reference)
     # Drain: both must finish the same work the same way.

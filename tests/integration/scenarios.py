@@ -4,7 +4,8 @@ Each scenario is one deterministic, fully-configured simulation run
 (fixed seeds, fixed shapes, fixed policies) that exercises a distinct
 slice of the serverless stack: bursty single-model autoscaling,
 multi-model pool contention, scale-from-zero spikes, chunk-level sibling
-warmth, the degradation ladder, and locality-vs-flat placement.  A
+warmth, the degradation ladder, locality-vs-flat placement, and serving
+that contends with a pipelined restore's background tail.  A
 scenario returns a dict of named sections, each a metrics ``summary()``
 dict; ``tests/integration/golden_scenarios.json`` pins every scalar
 bit-exactly (JSON round-trips floats exactly).
@@ -81,6 +82,25 @@ def _fetch_profile(fetch: float = 2.0,
     return ColdStartProfile(loading_time=total, ready_time=total,
                             timeline=chain_timeline(*stages),
                             degraded_rung=rung)
+
+
+def _pipelined_profile(fetch: float, tail: float) -> ColdStartProfile:
+    """A pipelined restore: serving-ready after the first graph, with
+    the larger batch sizes' graphs restoring in the background for
+    ``tail`` more seconds while the instance already serves."""
+    ready = fetch + 0.5
+    stages = [
+        ScheduledStage("fetch_artifact", 0.0, fetch, lane="disk"),
+        ScheduledStage("replay_alloc", fetch, fetch + 0.2, lane="cpu"),
+        ScheduledStage("restore_graph[1]", fetch + 0.2, ready,
+                       lane="gpu_compute"),
+        ScheduledStage("restore_graph[2]", ready, ready + tail / 2,
+                       lane="gpu_compute", background=True),
+        ScheduledStage("restore_graph[4]", ready + tail / 2, ready + tail,
+                       lane="gpu_compute", background=True),
+    ]
+    return ColdStartProfile(loading_time=ready + tail, ready_time=ready,
+                            timeline=chain_timeline(*stages))
 
 
 def _deployment(model: str, **kwargs) -> ModelDeployment:
@@ -212,6 +232,40 @@ def locality_vs_flat() -> Sections:
     return sections
 
 
+def pipelined_tail_contention() -> Sections:
+    """Two models cold-starting on pipelined restores under spike trains.
+
+    Each instance serves from ``Timeline.ready`` while its background
+    ``restore_graph`` stages still stream, so its early decode steps pay
+    the restore-tail contention penalty.  The cold-cost policy retires
+    instances in the quiet stretches, so the run cold-starts again and
+    again.  The summaries pin the contended steps and seconds, which
+    each instance counts in step order and the pool sums in launch
+    order.
+    """
+    deployments = [
+        ModelDeployment(name="a", costs=ServingCostModel("Llama2-7B"),
+                        cold_start_latency=1.5,
+                        profile=_pipelined_profile(1.0, 2.0)),
+        ModelDeployment(name="b", costs=ServingCostModel("Qwen1.5-4B"),
+                        cold_start_latency=1.0,
+                        profile=_pipelined_profile(0.5, 1.5)),
+    ]
+    cluster = MultiModelCluster(deployments, num_gpus=4, placement="flat",
+                                autoscale="cold-cost")
+    workloads = {
+        "a": ShareGPTWorkload(rps=0.8, duration=90.0, seed=81,
+                              shape="spike_train"),
+        "b": ShareGPTWorkload(rps=0.8, duration=90.0, seed=82,
+                              shape="spike_train"),
+    }
+    per_model = cluster.run(tag_workloads(workloads), horizon=90.0)
+    sections = {model: metrics.summary()
+                for model, metrics in sorted(per_model.items())}
+    sections["__aggregate__"] = cluster.aggregate().summary()
+    return sections
+
+
 #: Every named scenario, in documentation order.
 SCENARIOS: Dict[str, Callable[[], Sections]] = {
     "single_model_burst": single_model_burst,
@@ -220,6 +274,7 @@ SCENARIOS: Dict[str, Callable[[], Sections]] = {
     "chunk_warm_sibling": chunk_warm_sibling,
     "degraded_ladder": degraded_ladder,
     "locality_vs_flat": locality_vs_flat,
+    "pipelined_tail_contention": pipelined_tail_contention,
 }
 
 

@@ -111,8 +111,8 @@ def _one_cold_start(policy, report, chunks, key: Tuple[str, str],
 def warm_sibling_case(store: ArtifactStore, artifact,
                       cost_model: CostModel) -> Dict[str, float]:
     """Cold node vs a node warmed by a chunk-sharing sibling model."""
-    sibling = LazyArtifact.from_payload(
-        {**artifact.to_payload(), "model_name": SIBLING})
+    sibling = LazyArtifact(None, data=artifact.members(),
+                           meta=dict(artifact.metadata(), model_name=SIBLING))
     store.put(sibling)
 
     key = (artifact.gpu_name, artifact.model_name)

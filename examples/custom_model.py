@@ -10,7 +10,8 @@ through a file — the workflow a deployment would automate per model.
 import tempfile
 from pathlib import Path
 
-from repro import LazyArtifact, LLMEngine, Strategy
+from repro import LLMEngine, Strategy, save_binary
+from repro.core.chunks import open_binary
 from repro.core.offline import OfflinePhase
 from repro.core.online import medusa_cold_start
 from repro.models.config import ModelConfig
@@ -49,11 +50,11 @@ def main() -> None:
     print("\n== Offline materialization (+ artifact file round trip)")
     artifact, offline_report = OfflinePhase(CUSTOM, seed=6).run()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "custom-3b.medusa.json"
-        size = artifact.save_json(path)
+        path = Path(tmp) / "custom-3b.medusa"
+        size = save_binary(artifact, path)
         print(f"   artifact: {size / 1024:.0f} KiB at {path.name}, offline "
               f"took {offline_report.total_time:.1f} s (simulated)")
-        loaded = LazyArtifact.load_json(path)
+        loaded = open_binary(path)
 
     print("\n== Medusa cold start from the loaded artifact")
     _engine, medusa_report = medusa_cold_start(CUSTOM, loaded, seed=7)

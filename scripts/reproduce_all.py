@@ -47,7 +47,7 @@ def lint_materialized_artifact() -> int:
     """
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        artifact = str(pathlib.Path(tmp) / "qwen05b.medusa.json")
+        artifact = str(pathlib.Path(tmp) / "qwen05b.medusa")
         code = run([sys.executable, "-m", "repro", "offline",
                     "--model", "Qwen1.5-0.5B", "--output", artifact])
         if code:

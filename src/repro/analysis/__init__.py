@@ -8,7 +8,7 @@ topology, kernel resolvability, and dump coverage.  See
 ``docs/MECHANISM.md`` ("Static verification") for the MED0xx code table.
 """
 
-from repro.analysis.analyzer import lint_artifact, lint_file, lint_json_text
+from repro.analysis.analyzer import lint_artifact
 from repro.analysis.diagnostics import (
     CODES,
     Diagnostic,
@@ -49,6 +49,4 @@ __all__ = [
     "UNMAPPED",
     "analyze_replay",
     "lint_artifact",
-    "lint_file",
-    "lint_json_text",
 ]

@@ -1,9 +1,8 @@
 """The multi-pass static artifact verifier (``repro lint``).
 
-Runs every analysis pass over the packed tables the restorer reads (a JSON
-artifact is packed on import) **without executing any forwarding** — no
-simulated process, no kernels, no replay on device memory.  The passes,
-in order:
+Runs every analysis pass over the packed tables the restorer reads
+**without executing any forwarding** — no simulated process, no kernels,
+no replay on device memory.  The passes, in order:
 
 1. ``liveness``  — the (de)allocation events, checked as column masks and
    replayed by the allocator's array solver (§4.2);
@@ -13,13 +12,11 @@ in order:
 4. ``kernels``   — name resolvability and trigger coverage against the
    model's kernel catalog (§5.1) — skipped with MED034 when the model is
    not in the zoo and no catalog is supplied;
-5. ``coverage``  — format version, permanent-dump coverage, cross-batch
-   layout consistency (§3, §4.3).
+5. ``coverage``  — capture marker, permanent-dump coverage, cross-batch
+   layout consistency (§4.3).
 
-Entry points: :func:`lint_artifact` for any artifact (what the offline
-phase, the store and ``repro lint x.npz`` call), :func:`lint_json_text` /
-:func:`lint_file` for JSON ones — these report a version mismatch as a
-MED040 diagnostic instead of refusing to load.
+Entry point: :func:`lint_artifact`, for any artifact (what the offline
+phase, the store and ``repro lint x.medusa`` call).
 """
 
 from __future__ import annotations
@@ -30,11 +27,6 @@ from repro.analysis.graphs import check_topology
 from repro.analysis.kernels import check_kernels
 from repro.analysis.liveness import analyze_replay
 from repro.analysis.pointers import check_pointers
-from repro.core.artifact import (
-    ARTIFACT_FORMAT_VERSION,
-    parse_artifact_json,
-    read_artifact_text,
-)
 from repro.core.binfmt import LazyArtifact
 from repro.errors import InvalidValueError
 
@@ -47,8 +39,6 @@ def lint_artifact(artifact: LazyArtifact, catalog=None) -> LintReport:
     zoo get every catalog-independent pass plus a MED034 warning.
     """
     report = LintReport(model=artifact.model_name, gpu=artifact.gpu_name)
-    # MED014/MED022: what the JSON importer found while packing.
-    report.extend([Diagnostic(*finding) for finding in artifact.findings])
 
     liveness = analyze_replay(artifact)
     report.extend(liveness.diagnostics)
@@ -102,31 +92,3 @@ def _zoo_catalog(config, artifact: LazyArtifact, report: LintReport):
         return None
     return build_catalog(config)
 
-
-def lint_json_text(text: str, catalog=None) -> LintReport:
-    """Lint a serialized artifact.
-
-    Raises :class:`ArtifactError` only when the payload is unreadable
-    (invalid JSON / not an artifact object).  A wrong format version is
-    readable-but-broken: it comes back as a MED040-only report rather
-    than an exception, so CI can distinguish "corrupt file" (exit 2)
-    from "diagnostics found" (exit 1).
-    """
-    payload = parse_artifact_json(text)
-    version = payload.get("format_version")
-    if version != ARTIFACT_FORMAT_VERSION:
-        report = LintReport(model=str(payload.get("model_name", "")),
-                            gpu=str(payload.get("gpu_name", "")))
-        report.passes.append("schema")
-        report.diagnostics.append(Diagnostic(
-            "MED040",
-            f"artifact declares format version {version}, this code reads "
-            f"{ARTIFACT_FORMAT_VERSION}; re-run the offline phase",
-            "format_version"))
-        return report
-    return lint_artifact(LazyArtifact.from_payload(payload), catalog=catalog)
-
-
-def lint_file(path, catalog=None) -> LintReport:
-    """Lint a JSON artifact file; raises ArtifactError if unreadable."""
-    return lint_json_text(read_artifact_text(path), catalog=catalog)

@@ -1,10 +1,10 @@
-"""Coverage and schema checks (§3, §4.3, and the Figure-6 static guard).
+"""Coverage checks (§4.3, and the Figure-6 static guard).
 
 Three families of invariants close out the analyzer:
 
-- **format/schema** — the artifact's format version matches the code's
-  (MED040) and the capture marker falls inside the allocation sequence
-  (MED044);
+- **capture marker** — it falls inside the allocation sequence (MED044);
+  an artifact of another format version never gets here, because opening
+  it raises :class:`~repro.errors.ArtifactError`;
 - **permanent-contents coverage (§4.3)** — the classification that decided
   which buffer contents to dump is *recomputable* from the artifact alone:
   a referenced allocation born at/after the capture marker and never freed
@@ -26,20 +26,13 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import LivenessResult
-from repro.core.artifact import ARTIFACT_FORMAT_VERSION
 from repro.core.binfmt import POINTER_CODE, LazyArtifact
 
 
 def check_coverage(artifact: LazyArtifact,
                    liveness: LivenessResult) -> List[Diagnostic]:
-    """Schema, capture-marker, permanent-dump, and layout checks (§4.3)."""
+    """Capture-marker, permanent-dump, and layout checks (§4.3)."""
     diagnostics: List[Diagnostic] = []
-    if artifact.format_version != ARTIFACT_FORMAT_VERSION:
-        diagnostics.append(Diagnostic(
-            "MED040",
-            f"artifact declares format version {artifact.format_version}, "
-            f"this code writes {ARTIFACT_FORMAT_VERSION}",
-            "format_version"))
     total_allocations = liveness.alloc_index.size
     if not 0 <= artifact.capture_marker <= total_allocations:
         diagnostics.append(Diagnostic(

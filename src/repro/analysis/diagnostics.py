@@ -28,7 +28,8 @@ class CodeInfo:
     severity: str       # default severity
 
 
-#: The full registry.  Codes are append-only: never renumber or reuse.
+#: The full registry.  Codes are append-only: never renumber or reuse one,
+#: a retired code included.
 CODES: Dict[str, CodeInfo] = {info.code: info for info in (
     # -- replay-sequence liveness (§4.2) --------------------------------
     CodeInfo("MED001", "replay allocation index drift", "§4.2", ERROR),
@@ -42,11 +43,9 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
     CodeInfo("MED011", "pointer offset outside allocation", "§4.1", ERROR),
     CodeInfo("MED012", "pointer to memory unmapped at launch", "§4.1", ERROR),
     CodeInfo("MED013", "pointer restore on non-8-byte parameter", "§4.1", ERROR),
-    CodeInfo("MED014", "restore rule count != parameter count", "§4.2", ERROR),
     # -- graph topology (§5, §2.5) --------------------------------------
     CodeInfo("MED020", "dependency edge references invalid node", "§5", ERROR),
     CodeInfo("MED021", "dependency edges contain a cycle", "§5", ERROR),
-    CodeInfo("MED022", "graph batch key != graph batch_size", "§5", ERROR),
     CodeInfo("MED023", "first-layer node count out of bounds", "§5.2", ERROR),
     CodeInfo("MED024", "first-layer prefix differs across batches",
              "§5.2", ERROR),
@@ -60,8 +59,7 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
     CodeInfo("MED033", "kernel library table disagrees with catalog",
              "§5", ERROR),
     CodeInfo("MED034", "model unknown; kernel checks skipped", "§5", WARNING),
-    # -- coverage & schema (§3, §4.3) -----------------------------------
-    CodeInfo("MED040", "artifact format version mismatch", "§3", ERROR),
+    # -- coverage (§4.3) ------------------------------------------------
     CodeInfo("MED041", "dumped contents for a non-permanent allocation",
              "§4.3", WARNING),
     CodeInfo("MED042", "permanent allocation has no dumped contents",

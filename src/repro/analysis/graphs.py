@@ -6,8 +6,6 @@ graph is structurally sound:
 
 - every dependency edge references a valid node index (MED020);
 - the edges form a DAG — instantiation order exists (MED021);
-- the ``graphs`` mapping key equals the graph's own ``batch_size`` (MED022,
-  checked by the JSON importer: only the object form can break it);
 - no batch size exceeds the model's largest capture batch size, and every
   node launches at its graph's batch size (MED025) — a restore and its
   validation size buffers and inputs by them (the loader refuses a batch

@@ -16,10 +16,6 @@ foreign memory.  This pass proves, against the liveness columns:
   before reading (§4.3), so only cudaFree'd or empty-cache-released
   targets are faults;
 - a pointer restore sits on an 8-byte parameter slot (MED013).
-
-One restore rule per parameter (MED014) only a JSON artifact can break;
-:meth:`repro.core.binfmt.LazyArtifact.from_payload` checks it while
-packing.
 """
 
 from __future__ import annotations

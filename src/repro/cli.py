@@ -5,18 +5,20 @@ Mirrors the original artifact's scripts (`scripts/serverless_llm.py
 
     python -m repro models
     python -m repro coldstart --model Qwen1.5-4B --strategy vllm
-    python -m repro offline   --model Qwen1.5-4B --output qwen4b.medusa.json
-    python -m repro lint      qwen4b.medusa.json
+    python -m repro offline   --model Qwen1.5-4B --output qwen4b.medusa
+    python -m repro offline   --model Qwen1.5-4B --output qwen4b.json
+    python -m repro lint      qwen4b.medusa
     python -m repro lint-plan --all --format json
-    python -m repro validate  --artifact qwen4b.medusa.json
-    python -m repro restore   --model Qwen1.5-4B --artifact qwen4b.medusa.json --validate
+    python -m repro validate  --artifact qwen4b.medusa
+    python -m repro restore   --model Qwen1.5-4B --artifact qwen4b.medusa --validate
     python -m repro simulate  --model Llama2-7B  --rps 10 --strategy medusa
 
-``offline --output`` writes JSON for a ``.json`` path and the binary file
-(:func:`repro.core.binfmt.save_binary`) for any other.  The other
-commands read a file by its content: one with the binary magic lazily
-(:func:`repro.core.chunks.open_binary`, the pipelined plan), any other
-as JSON (packed on import, the monolithic plan).
+``offline --output`` writes the binary file
+(:func:`repro.core.binfmt.save_binary`) for any path not ending in
+``.json``, and a JSON export, for reading by eye, for a ``.json`` path.
+The other commands read only the binary file, lazily
+(:func:`repro.core.chunks.open_binary`, the pipelined plan); a file
+without its magic, a JSON export among them, exits 2.
 
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
 exit-code convention (``coldstart`` and ``restore`` share its 1 and 2;
@@ -44,8 +46,8 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.binfmt import LazyArtifact, save_binary
-from repro.core.chunks import has_file_magic, open_binary
+from repro.core.binfmt import save_binary
+from repro.core.chunks import open_binary
 from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import lint_before_restore, validate_restoration
@@ -91,19 +93,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _load_artifact(path: str):
-    """Open an artifact path as a :class:`repro.core.binfmt.LazyArtifact`:
-    a binary file (by its magic) lazily, anything else as JSON.
-
-    A binary artifact puts ``coldstart``/``restore``/``validate`` on the
-    pipelined plan; an unreadable artifact raises
-    :class:`~repro.errors.ArtifactError`, which each command reports as
-    exit code 2.
-    """
-    return open_binary(path) if has_file_magic(path) \
-        else LazyArtifact.load_json(path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -130,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     offline = sub.add_parser("offline", help="materialize a model (offline phase)")
     offline.add_argument("--model", required=True)
     offline.add_argument("--output", required=True,
-                         help="artifact output path: JSON for a .json "
-                              "path, the binary file for any other")
+                         help="artifact output path: the binary file, or "
+                              "for a .json path an export-only JSON file")
     offline.add_argument("--seed", type=_seed, default=0)
 
     lint = sub.add_parser(
         "lint", help="statically verify an artifact (no execution)")
-    lint.add_argument("artifact", help="artifact path (binary or JSON)")
+    lint.add_argument("artifact", help="binary artifact path")
     lint.add_argument("--json", action="store_true",
                       help="emit the full report as JSON")
 
@@ -260,7 +249,7 @@ def _cmd_coldstart(args) -> int:
               "(run `repro offline` first)", file=sys.stderr)
         return 2
     try:
-        artifact = _load_artifact(args.artifact) if args.artifact else None
+        artifact = open_binary(args.artifact) if args.artifact else None
         if args.strategy is Strategy.MEDUSA:
             lint_before_restore(artifact)
         _engine, report = cold_start_for(args.model, args.strategy,
@@ -323,7 +312,7 @@ def _cmd_restore(args) -> int:
         return _cmd_coldstart(args)     # with --strategy medusa
     try:        # lints first; its restore is the cold start reported
         result = validate_restoration(args.model,
-                                      _load_artifact(args.artifact),
+                                      open_binary(args.artifact),
                                       seed=args.seed + 1)
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,10 +327,9 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import lint_artifact, lint_file
+    from repro.analysis import lint_artifact
     try:
-        report = lint_artifact(open_binary(args.artifact)) \
-            if has_file_magic(args.artifact) else lint_file(args.artifact)
+        report = lint_artifact(open_binary(args.artifact))
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -391,7 +379,7 @@ def _cmd_validate(args) -> int:
     from repro.reporting import format_diagnostics
 
     try:
-        artifact = _load_artifact(args.artifact)
+        artifact = open_binary(args.artifact)
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -618,16 +618,20 @@ def file_bytes(manifest: ChunkManifest,
 
 def file_chunk_set(path) -> ChunkSet:
     """The chunk set of a file :func:`file_bytes` wrote.  A missing file,
-    another magic or a manifest past the end raises
-    :class:`ArtifactError`; a blob past the end raises it when loaded."""
+    another magic (a JSON export among them) or a manifest past the end
+    raises :class:`ArtifactError`; a blob past the end raises it when
+    loaded."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ArtifactError(f"no readable binary artifact at {path}: "
                             f"{exc}") from exc
     if not data.startswith(FILE_MAGIC) or len(data) < _FILE_HEAD:
-        raise ArtifactError(f"{path} is not a binary Medusa artifact "
-                            f"(bad magic)")
+        raise ArtifactError(
+            f"{path} is not a binary Medusa artifact (bad magic, expected "
+            f"{FILE_MAGIC!r}); artifacts are read only in the binary form "
+            f"`repro offline --output <name>.medusa` writes, and JSON is "
+            f"export-only")
     (length,) = _DATA_LEN.unpack_from(data, len(FILE_MAGIC))
     if _FILE_HEAD + length > len(data):
         raise ArtifactError(
@@ -657,11 +661,3 @@ def open_binary(path) -> ChunkedLazyArtifact:
     return ChunkedLazyArtifact(manifest, load, path=path,
                                fetch_per_chunk=False)
 
-
-def has_file_magic(path) -> bool:
-    """Whether ``path`` is a readable file starting with the magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(FILE_MAGIC)) == FILE_MAGIC
-    except OSError:
-        return False

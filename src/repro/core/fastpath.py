@@ -3,7 +3,8 @@
 :class:`VectorizedRestorer` restores one materialized model into a fresh
 process, reading the artifact as packed numpy arrays
 (:class:`repro.core.binfmt.LazyArtifact`, what the offline phase emits
-and the JSON importer returns), so every input kind runs the same code:
+and a binary file or a store opens as), so every input kind runs the
+same code:
 
 - **KV restore (§6)** — verifies the engine's structure-init allocation
   prefix (the deterministic-control-flow assumption, checked rather than

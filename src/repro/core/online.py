@@ -5,15 +5,14 @@ Plugged into :meth:`repro.engine.engine.LLMEngine.cold_start` for
 and the one restorer, :class:`repro.core.fastpath.VectorizedRestorer`
 (KV restore, allocation replay, first-layer warm-up with triggering
 kernels, and graph restore by one pointer gather per graph).  Every input
-kind runs that restorer on the packed tables (a JSON artifact is packed
-on import).  Where the input came from, and nothing else, picks the
-LoadPlan:
+kind runs that restorer on the packed tables.  Where the input came
+from, and nothing else, picks the LoadPlan:
 
 ================================== =====================
 input                              plan
 ================================== =====================
 in memory (``path is None``: the   ``medusa`` (monolithic restore tail)
-offline output or JSON)
+offline output)
 an artifact file (``open_binary``) ``medusa-pipelined``
 a store (``ArtifactStore.get``)    ``medusa-chunked``
 ================================== =====================

@@ -5,7 +5,7 @@ See :mod:`repro.faults.plan` (what to inject), :mod:`repro.faults.injector`
 recovers).
 """
 
-from repro.faults.injector import FaultInjector, corrupt_graph_payload
+from repro.faults.injector import FaultInjector
 from repro.faults.ladder import (
     DEGRADE_EAGER,
     DEGRADE_KV_PROFILE,
@@ -45,5 +45,4 @@ __all__ = [
     "PHASE_KV",
     "PHASE_WARMUP",
     "Rung",
-    "corrupt_graph_payload",
 ]

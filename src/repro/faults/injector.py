@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.binfmt import EVENT_NAMES, POINTER_CODE, GraphTable, \
     LazyArtifact, ReplayTable
-from repro.core.artifact import POINTER
 from repro.errors import InvalidValueError, OutOfMemoryError
 from repro.faults.plan import (
     PHASE_KV,
@@ -39,46 +38,20 @@ _DIVERGENCE_SHIFT = 7919
 _ALLOC_CODE = 0
 
 
-def _pointer_sites(param_restores) -> List[int]:
-    """Indices of POINTER-kind restores in one node's JSON restore list."""
-    return [i for i, restore in enumerate(param_restores)
-            if restore.get("kind") == POINTER]
-
-
-def _pick_corruption_site(num_nodes: int, first_layer_nodes: int,
-                          pointer_sites) -> Tuple[int, int]:
-    """(node index, param index) to corrupt in one graph.
-
-    ``pointer_sites(node_index)`` lists a node's pointer-kind param
-    indices.  Prefers a node *after* the first-layer prefix so the poison
-    stays local to the graph's restore tail instead of breaking the shared
-    warm-up.
+def _pick_corruption_site(table: GraphTable) -> Tuple[int, int]:
+    """(node index, param index) to corrupt in one graph: its last
+    pointer-kind parameter.  That sits past the first-layer prefix
+    whenever any pointer does, so the poison stays local to the graph's
+    restore tail instead of breaking the shared warm-up.
     """
-    candidates = []
-    for node_index in range(num_nodes - 1, -1, -1):
-        sites = pointer_sites(node_index)
-        if sites:
-            candidates.append((node_index, sites[-1]))
-            if node_index >= first_layer_nodes:
-                return node_index, sites[-1]
-    if candidates:
-        return candidates[0]
-    raise InvalidValueError(
-        "graph has no pointer-restore parameters to corrupt")
-
-
-def corrupt_graph_payload(payload: Dict, batch_size: Optional[int] = None) -> Dict:
-    """Apply the canonical ARTIFACT_CORRUPTION mutation to a raw artifact
-    JSON payload (the same mutation the injector applies to a loaded
-    artifact) — used by the lint-sync tests to show MED011 catches it."""
-    graphs = payload["graphs"]
-    key = str(batch_size) if batch_size is not None else sorted(graphs)[0]
-    nodes = graphs[key]["nodes"]
-    node_index, param_index = _pick_corruption_site(
-        len(nodes), payload.get("first_layer_nodes", 0),
-        lambda index: _pointer_sites(nodes[index]["param_restores"]))
-    nodes[node_index]["param_restores"][param_index]["offset"] = _CORRUPT_OFFSET
-    return payload
+    slots = np.flatnonzero(table.param_kinds == POINTER_CODE)
+    if not slots.size:
+        raise InvalidValueError(
+            "graph has no pointer-restore parameters to corrupt")
+    slot = int(slots[-1])
+    node_index = int(np.searchsorted(table.param_offsets, slot,
+                                     side="right")) - 1
+    return node_index, slot - int(table.param_offsets[node_index])
 
 
 @dataclass
@@ -207,13 +180,8 @@ class FaultInjector:
                 table = copy.copy(artifact.graph_table(fault.batch_size))
                 table.param_byte_offsets = table.param_byte_offsets.copy()
                 tables[fault.batch_size] = table
-            offsets = table.param_offsets
-            node_index, param_index = _pick_corruption_site(
-                table.num_nodes, artifact.first_layer_nodes,
-                lambda index: np.flatnonzero(
-                    table.param_kinds[offsets[index]:offsets[index + 1]]
-                    == POINTER_CODE).tolist())
-            slot = int(offsets[node_index]) + param_index
+            node_index, param_index = _pick_corruption_site(table)
+            slot = int(table.param_offsets[node_index]) + param_index
             table.param_byte_offsets[slot] = _CORRUPT_OFFSET
             self.record("store.load",
                         f"corrupted batch-{fault.batch_size} graph node "

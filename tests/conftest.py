@@ -101,10 +101,9 @@ def process_factory(catalog):
 
 
 def artifact_payload(**fields) -> dict:
-    """A JSON artifact payload (the documented schema): every top-level
-    field at its empty default, overridden by ``fields``.  Records inside
-    it may leave out their optional keys, which take the importer's
-    defaults."""
+    """A hand-built artifact written in the JSON export's schema: every
+    top-level field at its empty default, overridden by ``fields``.
+    :func:`pack_payload` packs it."""
     from repro.core.artifact import ARTIFACT_FORMAT_VERSION
     return dict({
         "model_name": "", "gpu_name": "",
@@ -118,19 +117,92 @@ def artifact_payload(**fields) -> dict:
     }, **fields)
 
 
-def replaced(artifact, **fields):
-    """A packed ``artifact`` with top-level JSON fields replaced: its
-    export, changed and imported again."""
-    from repro.core.binfmt import LazyArtifact
-    return LazyArtifact.from_payload(dict(artifact.to_payload(), **fields))
+def pack_payload(payload: dict):
+    """The hand-built ``payload`` (:func:`artifact_payload`) packed by the
+    offline phase's packer, :func:`repro.core.binfmt.pack_artifact`.
+
+    A record may leave out keys: an event's ``alloc_index`` is then -1,
+    its ``size`` 0, ``tag`` "", ``pooled`` False and ``pool``
+    "default"; a restore rule's ``value`` 0, ``alloc_index`` -1 and
+    ``offset`` 0; a node's batch dim 0.  An event's ``kind`` may be a
+    packed code instead of a name, and a graph's batch size is its key.
+    """
+    from repro.core.binfmt import (
+        EVENT_NAMES,
+        GraphRows,
+        ReplayTable,
+        pack_artifact,
+    )
+    from repro.core.pointer_analysis import ParamColumns
+    codes = {name: code for code, name in EVENT_NAMES.items()}
+    events = payload["replay_events"]
+    tags, pools = {}, {}
+    replay = ReplayTable(
+        [codes.get(event["kind"], event["kind"]) for event in events],
+        [event.get("alloc_index", -1) for event in events],
+        [event.get("size", 0) for event in events],
+        [event.get("pooled", False) for event in events],
+        [tags.setdefault(event.get("tag", ""), len(tags))
+         for event in events],
+        [pools.setdefault(event.get("pool", "default"), len(pools))
+         for event in events],
+        list(tags), list(pools))
+    graphs = {}
+    for key, graph in payload["graphs"].items():
+        nodes = graph["nodes"]
+        rules = [rule for node in nodes for rule in node["param_restores"]]
+        pointer = [rule["kind"] == "ptr" for rule in rules]
+        graphs[int(key)] = GraphRows(
+            [node["kernel_name"] for node in nodes],
+            [node["launch_dims"].get("batch_size", 0) for node in nodes],
+            [len(node["param_sizes"]) for node in nodes],
+            [size for node in nodes for size in node["param_sizes"]],
+            ParamColumns(
+                pointer,
+                [rule.get("alloc_index", -1) if is_pointer
+                 else rule.get("value", 0)
+                 for rule, is_pointer in zip(rules, pointer)],
+                [rule.get("offset", 0) if is_pointer else 0
+                 for rule, is_pointer in zip(rules, pointer)]),
+            graph["edges"], graph["param_bytes"], graph["num_tokens"])
+    return pack_artifact(dict(payload, trigger_plans=[
+        [plan["kernel_name"], list(plan["node_ref"])]
+        for plan in payload["trigger_plans"]]), replay, graphs)
 
 
-def unchunked(artifact):
-    """A copy of the in-memory ``artifact`` without its cached chunk set:
-    the next save or put chunks it anew."""
+def unchunked(artifact, **fields):
+    """An in-memory copy of the packed ``artifact`` with metadata
+    ``fields`` replaced, and without a cached chunk set: the next save
+    or put chunks it anew."""
     from repro.core.binfmt import LazyArtifact
     return LazyArtifact(None, data=artifact.members(),
-                        meta=artifact.metadata())
+                        meta=dict(artifact.metadata(), **fields))
+
+
+replaced = unchunked
+
+
+def resaved(source, out, edit) -> str:
+    """Write the binary artifact file ``source`` (or a packed artifact)
+    to the binary file ``out``, edited; returns ``out`` as a string.
+
+    ``edit(members, metadata)`` changes copies of every whole member and
+    of the metadata in place; :func:`repro.core.binfmt.save_binary` then
+    cuts the chunks anew, so, unlike :func:`rewrite_binary`, an edit may
+    add, drop or rename members and change their lengths.
+    """
+    import json
+
+    from repro.core.binfmt import LazyArtifact, save_binary
+    from repro.core.chunks import open_binary
+    artifact = source if isinstance(source, LazyArtifact) \
+        else open_binary(source)
+    members = {name: column.copy()
+               for name, column in artifact.members().items()}
+    metadata = json.loads(json.dumps(artifact.metadata()))
+    edit(members, metadata)
+    save_binary(LazyArtifact(None, data=members, meta=metadata), out)
+    return str(out)
 
 
 def rewrite_binary(source, out, members=None, metadata=None):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.binfmt import LazyArtifact, save_binary
+from repro.core.binfmt import save_binary
 from repro.core.chunks import open_binary
 from repro.core.fastpath import VectorizedRestorer
 from repro.core.online import medusa_cold_start, prepare_medusa_cold_start
@@ -62,14 +62,6 @@ class TestFastPathCorrectness:
         report = engine.cold_start(restorer=restorer)
         assert report.timeline.plan == "medusa-pipelined"
         assert engine.capture_artifacts.execs
-
-    def test_reads_imported_json_artifact(self, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
-        restorer = VectorizedRestorer(
-            LazyArtifact.from_payload(artifact.to_payload()))
-        assert isinstance(restorer.artifact, LazyArtifact)
-        assert restorer.artifact.batches == artifact.batches
-        assert restorer.artifact.total_nodes == artifact.total_nodes
 
 
 class TestPathSelection:

@@ -1,200 +1,216 @@
 """Mutation testing for the static artifact verifier.
 
 Each mutation corrupts one invariant of a *golden* (known-clean) Tiny-2L
-artifact payload and asserts the analyzer flags it with the right stable
-MED0xx code.  This is the acceptance gate for the analyzer itself: a pass
-that stops detecting its corruption fails here, not in production.
+binary artifact, re-saved (:func:`tests.conftest.resaved`), and asserts
+the analyzer flags the file it opens with the right stable MED0xx code.
+This is the acceptance gate for the analyzer itself: a pass that stops
+detecting its corruption fails here, not in production.  A mutation
+edits the whole members (numpy arrays) and the metadata dict.
 """
 
-import copy
-import json
-
+import numpy as np
 import pytest
 
-from repro.analysis import lint_json_text
+from repro.analysis import lint_artifact
+from repro.core.binfmt import GRAPH_MEMBERS, REPLAY_MEMBERS, save_binary
+from repro.core.chunks import open_binary
+from tests.conftest import resaved
 
 BOGUS = "_Z9bogusKernelv"
+ALLOC, FREE = 0, 1
 
 
 @pytest.fixture(scope="session")
-def golden_payload(tiny2l_artifact):
+def golden_file(tiny2l_artifact, tmp_path_factory):
     artifact, _report = tiny2l_artifact
-    return json.loads(artifact.to_json())
+    path = tmp_path_factory.mktemp("golden") / "tiny2l.medusa"
+    save_binary(artifact, path)
+    return path
 
 
-def _ptr_restores(payload):
-    """Yield (graph, node_index, param_index, restore) for every pointer."""
-    for graph in payload["graphs"].values():
-        for node_index, node in enumerate(graph["nodes"]):
-            for param_index, restore in enumerate(node["param_restores"]):
-                if restore["kind"] == "ptr":
-                    yield graph, node_index, param_index, restore
+def _lint(path):
+    return lint_artifact(open_binary(path))
 
 
-def _first_ptr(payload):
-    return next(_ptr_restores(payload))[3]
+def _first_batch(meta) -> int:
+    return int(next(iter(meta["graph_meta"])))
 
 
-def _referenced_indices(payload):
-    return {restore["alloc_index"] for _, _, _, restore in
-            _ptr_restores(payload)}
+def _pointer_slots(members, batch):
+    """Flat parameter slots of batch ``batch``'s pointer restores."""
+    return np.flatnonzero(members[f"g{batch}_param_kinds"] == 1)
+
+
+def _first_pointer(members, meta):
+    """(batch, flat slot) of the first graph's first pointer restore."""
+    batch = _first_batch(meta)
+    return batch, int(_pointer_slots(members, batch)[0])
+
+
+def _first_row(members, kind) -> int:
+    return int(np.flatnonzero(members["ev_kind"] == kind)[0])
+
+
+def _append_event(members, row):
+    """Append one replay row: {member: value} over the six columns."""
+    for name in REPLAY_MEMBERS:
+        column = members[name]
+        members[name] = np.append(column, np.array([row[name]],
+                                                   dtype=column.dtype))
+
+
+def _event(members, row: int) -> dict:
+    return {name: members[name][row] for name in REPLAY_MEMBERS}
 
 
 # -- the mutations ---------------------------------------------------------
-# Each takes the payload, corrupts it in place, and the test asserts the
-# paired code fires.  Keep one invariant per mutation.
+# Each takes the members and metadata, corrupts them in place, and the
+# test asserts the paired code fires.  Keep one invariant per mutation.
 
-def mutate_alloc_index_drift(payload):
-    event = next(e for e in payload["replay_events"] if e["kind"] == "alloc")
-    event["alloc_index"] += 1000
-
-
-def mutate_free_unknown_index(payload):
-    payload["replay_events"].append(
-        {"kind": "free", "alloc_index": 999999, "size": 0, "tag": "",
-         "pooled": False, "pool": "default"})
+def mutate_alloc_index_drift(members, meta):
+    members["ev_alloc_index"][_first_row(members, ALLOC)] += 1000
 
 
-def mutate_double_free(payload):
-    free = next(e for e in payload["replay_events"] if e["kind"] == "free")
-    payload["replay_events"].append(copy.deepcopy(free))
+def mutate_free_unknown_index(members, meta):
+    _append_event(members, {"ev_kind": FREE, "ev_alloc_index": 999999,
+                            "ev_size": 0, "ev_pooled": 0, "ev_tag": 0,
+                            "ev_pool": 0})
 
 
-def mutate_zero_size_alloc(payload):
-    event = next(e for e in payload["replay_events"] if e["kind"] == "alloc")
-    event["size"] = 0
+def mutate_double_free(members, meta):
+    _append_event(members, _event(members, _first_row(members, FREE)))
 
 
-def mutate_mistagged_kv_anchor(payload):
-    payload["kv_alloc_index"] = payload["graph_input_alloc_index"]
+def mutate_zero_size_alloc(members, meta):
+    members["ev_size"][_first_row(members, ALLOC)] = 0
 
 
-def mutate_pointer_index_out_of_range(payload):
-    _first_ptr(payload)["alloc_index"] = 10**6
+def mutate_mistagged_kv_anchor(members, meta):
+    meta["kv_alloc_index"] = meta["graph_input_alloc_index"]
 
 
-def mutate_pointer_offset_out_of_bounds(payload):
-    _first_ptr(payload)["offset"] = 10**9
+def mutate_pointer_index_out_of_range(members, meta):
+    batch, slot = _first_pointer(members, meta)
+    members[f"g{batch}_param_values"][slot] = 10**6
 
 
-def mutate_referenced_free_to_cudafree(payload):
+def mutate_pointer_offset_out_of_bounds(members, meta):
+    batch, slot = _first_pointer(members, meta)
+    members[f"g{batch}_param_byte_offsets"][slot] = 10**9
+
+
+def mutate_referenced_free_to_cudafree(members, meta):
     """A pool free keeps memory mapped; rewriting it to a cudaFree makes
     every pointer into that buffer a use-after-free."""
-    referenced = _referenced_indices(payload)
-    free = next(e for e in payload["replay_events"]
-                if e["kind"] == "free" and e["pooled"]
-                and e["alloc_index"] in referenced)
-    free["pooled"] = False
+    referenced = np.concatenate([
+        members[f"g{batch}_param_values"][_pointer_slots(members, batch)]
+        for batch in map(int, meta["graph_meta"])])
+    row = np.flatnonzero((members["ev_kind"] == FREE)
+                         & (members["ev_pooled"] == 1)
+                         & np.isin(members["ev_alloc_index"], referenced))[0]
+    members["ev_pooled"][row] = 0
 
 
-def mutate_pointer_on_narrow_param(payload):
-    graph, node_index, param_index, _restore = next(_ptr_restores(payload))
-    graph["nodes"][node_index]["param_sizes"][param_index] = 4
+def mutate_pointer_on_narrow_param(members, meta):
+    batch, slot = _first_pointer(members, meta)
+    members[f"g{batch}_param_sizes"][slot] = 4
 
 
-def mutate_dropped_restore_rule(payload):
-    node = next(iter(payload["graphs"].values()))["nodes"][0]
-    node["param_restores"].pop()
+def mutate_edge_to_missing_node(members, meta):
+    name = f"g{_first_batch(meta)}_edges"
+    members[name] = np.concatenate([members[name], [[0, 999999]]])
 
 
-def mutate_edge_to_missing_node(payload):
-    next(iter(payload["graphs"].values()))["edges"].append([0, 999999])
+def mutate_cycle(members, meta):
+    name = f"g{_first_batch(meta)}_edges"
+    edges = members[name]
+    cycle = edges[:1, ::-1] if len(edges) else [[0, 1], [1, 0]]
+    members[name] = np.concatenate([edges, cycle]).astype(edges.dtype)
 
 
-def mutate_cycle(payload):
-    graph = next(iter(payload["graphs"].values()))
-    if graph["edges"]:
-        src, dst = graph["edges"][0]
-        graph["edges"].append([dst, src])
-    else:
-        graph["edges"].extend([[0, 1], [1, 0]])
+def mutate_first_layer_overrun(members, meta):
+    meta["first_layer_nodes"] = 10**4
 
 
-def mutate_batch_key_skew(payload):
-    key = next(iter(payload["graphs"]))
-    unused = str(max(int(k) for k in payload["graphs"]) * 2 + 1)
-    payload["graphs"][unused] = payload["graphs"].pop(key)
-
-
-def mutate_first_layer_overrun(payload):
-    payload["first_layer_nodes"] = 10**4
-
-
-def mutate_first_layer_prefix_divergence(payload):
+def mutate_first_layer_prefix_divergence(members, meta):
     """Swap two differently-named nodes inside one batch's first-layer
     prefix so the warm-up prefix no longer agrees across batches."""
-    graph = next(iter(payload["graphs"].values()))
-    limit = min(payload["first_layer_nodes"], len(graph["nodes"]))
-    names = [node["kernel_name"] for node in graph["nodes"][:limit]]
-    i = 0
-    j = next(j for j in range(1, limit) if names[j] != names[i])
-    nodes = graph["nodes"]
-    nodes[i], nodes[j] = nodes[j], nodes[i]
+    prefix = f"g{_first_batch(meta)}_"
+    kernels = members[prefix + "kernel"]
+    limit = min(meta["first_layer_nodes"], len(kernels))
+    j = next(j for j in range(1, limit) if kernels[j] != kernels[0])
+    order = np.arange(len(kernels))
+    order[[0, j]] = [j, 0]
+    offsets = members[prefix + "param_offsets"]
+    slots = np.concatenate([np.arange(offsets[node], offsets[node + 1])
+                            for node in order])
+    for name in ("kernel", "batchdim"):
+        members[prefix + name] = members[prefix + name][order]
+    for name in GRAPH_MEMBERS[3:-1]:
+        members[prefix + name] = members[prefix + name][slots]
+    members[prefix + "param_offsets"] = np.concatenate(
+        [[0], np.cumsum(np.diff(offsets)[order])]).astype(offsets.dtype)
 
 
-def mutate_batch_past_the_model(payload):
+def mutate_batch_past_the_model(members, meta):
     """Re-key the largest graph past Tiny-2L's largest capture batch size,
     its nodes with it, so only the bound breaks."""
-    key = max(payload["graphs"], key=int)
-    graph = payload["graphs"].pop(key)
-    batch = int(key) * 2
-    graph["batch_size"] = batch
-    for node in graph["nodes"]:
-        node["launch_dims"]["batch_size"] = batch
-    payload["graphs"][str(batch)] = graph
+    largest = max(meta["batches"])
+    batch = largest * 2
+    for name in GRAPH_MEMBERS:
+        members[f"g{batch}_{name}"] = members.pop(f"g{largest}_{name}")
+    members[f"g{batch}_batchdim"][:] = batch
+    meta["batches"] = sorted(batch if b == largest else b
+                             for b in meta["batches"])
+    meta["graph_meta"] = {str(batch) if key == str(largest) else key: row
+                          for key, row in meta["graph_meta"].items()}
 
 
-def mutate_node_batch_dim(payload):
-    node = next(iter(payload["graphs"].values()))["nodes"][-1]
-    node["launch_dims"]["batch_size"] = 2 ** 30
+def mutate_node_batch_dim(members, meta):
+    members[f"g{_first_batch(meta)}_batchdim"][-1] = 2 ** 30
 
 
-def mutate_unresolvable_kernel(payload):
-    graph = max(payload["graphs"].values(), key=lambda g: len(g["nodes"]))
-    graph["nodes"][-1]["kernel_name"] = BOGUS
+def mutate_unresolvable_kernel(members, meta):
+    batch = max(meta["graph_meta"], key=lambda key: meta["graph_meta"][key][2])
+    members["kernel_names"] = np.append(members["kernel_names"], BOGUS)
+    members[f"g{batch}_kernel"][-1] = len(members["kernel_names"]) - 1
 
 
-def mutate_uncovered_hidden_module(payload):
-    payload["first_layer_nodes"] = 1
-    payload["trigger_plans"] = []
+def mutate_uncovered_hidden_module(members, meta):
+    meta["first_layer_nodes"] = 1
+    meta["trigger_plans"] = []
 
 
-def mutate_dangling_trigger_plan(payload):
-    kernel = next(iter(payload["kernel_libraries"]))
-    batch = int(next(iter(payload["graphs"])))
-    payload["trigger_plans"].append(
-        {"kernel_name": kernel, "node_ref": [batch, 999999]})
+def mutate_dangling_trigger_plan(members, meta):
+    kernel = next(iter(meta["kernel_libraries"]))
+    meta["trigger_plans"].append([kernel, [_first_batch(meta), 999999]])
 
 
-def mutate_library_table_skew(payload):
-    kernel = next(iter(payload["kernel_libraries"]))
-    payload["kernel_libraries"][kernel] = "libbogus"
+def mutate_library_table_skew(members, meta):
+    kernel = next(iter(meta["kernel_libraries"]))
+    meta["kernel_libraries"][kernel] = "libbogus"
 
 
-def mutate_stale_format_version(payload):
-    payload["format_version"] = 1
-
-
-def mutate_orphan_permanent_dump(payload):
+def mutate_orphan_permanent_dump(members, meta):
     # Allocation 0 is structure prefix — before the capture marker, so it
     # can never be classified permanent; dumping it is an orphan.
-    payload["permanent_contents"]["0"] = [[1.0]]
+    meta["permanent_contents"]["0"] = [[1.0]]
 
 
-def mutate_missing_permanent_dump(payload):
-    key = next(iter(payload["permanent_contents"]))
-    del payload["permanent_contents"][key]
+def mutate_missing_permanent_dump(members, meta):
+    del meta["permanent_contents"][next(iter(meta["permanent_contents"]))]
 
 
-def mutate_layout_divergence(payload):
-    graph, node_index, param_index, restore = next(_ptr_restores(payload))
-    restore.clear()
-    restore.update({"kind": "const", "value": 7,
-                    "alloc_index": -1, "offset": 0})
+def mutate_layout_divergence(members, meta):
+    batch, slot = _first_pointer(members, meta)
+    prefix = f"g{batch}_param_"
+    members[prefix + "kinds"][slot] = 0
+    members[prefix + "values"][slot] = 7
+    members[prefix + "byte_offsets"][slot] = 0
 
 
-def mutate_capture_marker_out_of_range(payload):
-    payload["capture_marker"] = -5
+def mutate_capture_marker_out_of_range(members, meta):
+    meta["capture_marker"] = -5
 
 
 MUTATIONS = [
@@ -207,10 +223,8 @@ MUTATIONS = [
     (mutate_pointer_offset_out_of_bounds, "MED011"),
     (mutate_referenced_free_to_cudafree, "MED012"),
     (mutate_pointer_on_narrow_param, "MED013"),
-    (mutate_dropped_restore_rule, "MED014"),
     (mutate_edge_to_missing_node, "MED020"),
     (mutate_cycle, "MED021"),
-    (mutate_batch_key_skew, "MED022"),
     (mutate_first_layer_overrun, "MED023"),
     (mutate_first_layer_prefix_divergence, "MED024"),
     (mutate_batch_past_the_model, "MED025"),
@@ -219,7 +233,6 @@ MUTATIONS = [
     (mutate_uncovered_hidden_module, "MED031"),
     (mutate_dangling_trigger_plan, "MED032"),
     (mutate_library_table_skew, "MED033"),
-    (mutate_stale_format_version, "MED040"),
     (mutate_orphan_permanent_dump, "MED041"),
     (mutate_missing_permanent_dump, "MED042"),
     (mutate_layout_divergence, "MED043"),
@@ -227,18 +240,16 @@ MUTATIONS = [
 ]
 
 
-def test_golden_payload_is_clean(golden_payload):
-    report = lint_json_text(json.dumps(golden_payload))
+def test_golden_file_is_clean(golden_file):
+    report = _lint(golden_file)
     assert report.clean, report.format_text()
 
 
 @pytest.mark.parametrize(
     "mutate,expected_code", MUTATIONS,
     ids=[f"{code}-{fn.__name__}" for fn, code in MUTATIONS])
-def test_mutation_is_flagged(golden_payload, mutate, expected_code):
-    payload = copy.deepcopy(golden_payload)
-    mutate(payload)
-    report = lint_json_text(json.dumps(payload))
+def test_mutation_is_flagged(golden_file, tmp_path, mutate, expected_code):
+    report = _lint(resaved(golden_file, tmp_path / "m.medusa", mutate))
     assert report.has(expected_code), (
         f"{mutate.__name__} expected {expected_code}, got "
         f"{report.codes() or 'a clean report'}\n{report.format_text()}")
@@ -258,8 +269,10 @@ def test_mutations_cover_at_least_ten_distinct_codes():
 from repro.faults import (  # noqa: E402
     FAULT_STATIC_COVERAGE,
     RUNTIME_ONLY,
+    FaultInjector,
     FaultKind,
-    corrupt_graph_payload,
+    FaultPlan,
+    FaultSpec,
 )
 
 
@@ -271,30 +284,43 @@ def test_every_fault_kind_declares_static_coverage():
             f"{RUNTIME_ONLY!r}, got {coverage!r}")
 
 
-def test_statically_coverable_faults_trip_their_code(golden_payload):
-    """The injector's canonical artifact corruption is caught by the exact
-    code FAULT_STATIC_COVERAGE claims for it."""
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_statically_coverable_faults_trip_their_code(golden_file, tmp_path,
+                                                     seed):
+    """The injector's own artifact corruption, written into the binary
+    member it edits, is caught by the exact code FAULT_STATIC_COVERAGE
+    claims for it, at the node and parameter the injector picked."""
     checked = 0
     for kind, code in FAULT_STATIC_COVERAGE.items():
         if code == RUNTIME_ONLY:
             continue
         assert kind is FaultKind.ARTIFACT_CORRUPTION   # the only one so far
-        payload = copy.deepcopy(golden_payload)
-        corrupt_graph_payload(payload)
-        report = lint_json_text(json.dumps(payload))
-        assert report.has(code), (
-            f"{kind.value}: expected {code}, got "
-            f"{report.codes() or 'a clean report'}")
+        injector = FaultInjector(FaultPlan(seed=seed,
+                                           faults=(FaultSpec(kind),)))
+        [(batch, table)] = injector.corrupted_tables(
+            open_binary(golden_file)).items()
+        [(_site, fired)] = injector.fired
+        node, param = (int(word) for word in
+                       fired.split(" node ")[1].split()[:3:2])
+
+        def corrupt(members, meta):
+            members[f"g{batch}_param_byte_offsets"] = \
+                table.param_byte_offsets
+        report = _lint(resaved(golden_file, tmp_path / "c.medusa", corrupt))
+        assert [d.location for d in report.diagnostics
+                if d.code == code] == [
+            f"graphs[{batch}].nodes[{node}].params[{param}]"], (
+            f"{kind.value}: expected {code} at node {node} param {param}, "
+            f"got {report.format_text()}")
         checked += 1
     assert checked >= 1
 
 
-def test_runtime_only_faults_stay_invisible_to_lint(golden_payload):
+def test_runtime_only_faults_stay_invisible_to_lint(golden_file):
     """Runtime-only kinds corrupt process state, not artifact bytes — the
     golden artifact itself must stay lint-clean, which is what makes the
     runtime-only marker honest."""
-    report = lint_json_text(json.dumps(golden_payload))
-    assert report.clean
+    assert _lint(golden_file).clean
     runtime_only = [k for k, c in FAULT_STATIC_COVERAGE.items()
                     if c == RUNTIME_ONLY]
     assert len(runtime_only) == len(FaultKind) - 1

@@ -8,7 +8,7 @@ eager forwarding bit-for-bit.
 import numpy as np
 import pytest
 
-from repro.core.binfmt import LazyArtifact
+from repro.core.chunks import open_binary
 from repro.core.online import OnlineRestorer, medusa_cold_start
 from repro.core.validation import make_input_ids, validate_restoration
 from repro.engine import LLMEngine, Strategy
@@ -16,7 +16,7 @@ from repro.errors import RestorationError
 from repro.models.zoo import get_model_config
 from repro.simgpu.process import ExecutionMode
 
-from tests.conftest import tiny_cost_model
+from tests.conftest import resaved, tiny_cost_model
 
 TINY2 = get_model_config("Tiny-2L")
 
@@ -24,6 +24,12 @@ TINY2 = get_model_config("Tiny-2L")
 def restore(artifact, seed=303, mode=ExecutionMode.COMPUTE):
     return medusa_cold_start("Tiny-2L", artifact, seed=seed, mode=mode,
                              cost_model=tiny_cost_model())
+
+
+def broken(tiny2l_artifact, tmp_path, edit):
+    """The Tiny-2L artifact re-saved with ``edit`` and opened again."""
+    artifact, _ = tiny2l_artifact
+    return open_binary(resaved(artifact, tmp_path / "broken.medusa", edit))
 
 
 class TestRestoredEngine:
@@ -107,63 +113,66 @@ class TestRestorationFailures:
             medusa_cold_start("Tiny-4L", artifact,
                               cost_model=tiny_cost_model())
 
-    def test_structure_prefix_divergence_detected(self, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
-        broken = artifact.to_payload()
-        size, tag = broken["structure_prefix"][0]
-        broken["structure_prefix"][0] = [size + 256, tag]
+    def test_structure_prefix_divergence_detected(self, tiny2l_artifact,
+                                                  tmp_path):
+        def diverge(members, meta):
+            meta["structure_prefix"][0][0] += 256
         with pytest.raises(RestorationError):
-            restore(LazyArtifact.from_payload(broken),
+            restore(broken(tiny2l_artifact, tmp_path, diverge),
                     mode=ExecutionMode.TIMING)
 
-    def test_missing_kernel_library_mapping_detected(self, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
-        broken = artifact.to_payload()
-        nodes = broken["graphs"]["1"]["nodes"]
-        # Drop a library mapping for a kernel outside the first layer.
-        victim = nodes[-1]["kernel_name"]
-        first_layer_names = {n["kernel_name"]
-                             for n in nodes[:broken["first_layer_nodes"]]}
-        assert victim not in first_layer_names
-        del broken["kernel_libraries"][victim]
+    def test_missing_kernel_library_mapping_detected(self, tiny2l_artifact,
+                                                     tmp_path):
+        def drop_library(members, meta):
+            # Drop a library mapping for a kernel outside the first layer.
+            names = members["kernel_names"].tolist()
+            kernels = members["g1_kernel"].tolist()
+            victim = names[kernels[-1]]
+            assert victim not in {
+                names[k] for k in kernels[:meta["first_layer_nodes"]]}
+            del meta["kernel_libraries"][victim]
         with pytest.raises(RestorationError):
-            restore(LazyArtifact.from_payload(broken),
+            restore(broken(tiny2l_artifact, tmp_path, drop_library),
                     mode=ExecutionMode.TIMING)
 
-    def test_out_of_range_indirect_index_detected(self, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
-        broken = artifact.to_payload()
-        node = broken["graphs"]["1"]["nodes"][0]
-        for restore_rule in node["param_restores"]:
-            if restore_rule["kind"] == "ptr":
-                restore_rule.update(alloc_index=10**9, offset=0)
-                break
+    def test_out_of_range_indirect_index_detected(self, tiny2l_artifact,
+                                                  tmp_path):
+        def out_of_range(members, meta):
+            stop = members["g1_param_offsets"][1]
+            slot = np.flatnonzero(members["g1_param_kinds"][:stop] == 1)[0]
+            members["g1_param_values"][slot] = 10**9
+            members["g1_param_byte_offsets"][slot] = 0
         with pytest.raises(RestorationError):
-            restore(LazyArtifact.from_payload(broken),
+            restore(broken(tiny2l_artifact, tmp_path, out_of_range),
                     mode=ExecutionMode.TIMING)
 
 
 class TestCorruptionIsCaught:
-    def test_validation_catches_swapped_pointer(self, tiny2l_artifact):
+    def test_validation_catches_swapped_pointer(self, tiny2l_artifact,
+                                                tmp_path):
         """If the analysis had produced a wrong indirect index, output
         validation must notice (the §4 guarantee)."""
-        artifact, _ = tiny2l_artifact
         from repro.errors import ValidationError
         from repro.errors import IllegalMemoryAccessError
-        broken = artifact.to_payload()
-        graph = broken["graphs"]["1"]
-        # Swap the weight pointers of the two layernorm weights: outputs
-        # change but every access stays legal.
-        nodes = [n for n in graph["nodes"]
-                 if "input_layernorm" in n["kernel_name"]]
-        assert len(nodes) >= 2
-        spec_positions = [i for i, r in enumerate(nodes[0]["param_restores"])
-                          if r["kind"] == "ptr"]
-        weight_pos = spec_positions[1]   # input, weight, output order
-        a = nodes[0]["param_restores"][weight_pos]
-        b = nodes[1]["param_restores"][weight_pos]
-        nodes[0]["param_restores"][weight_pos] = b
-        nodes[1]["param_restores"][weight_pos] = a
+
+        def swap_weights(members, meta):
+            # Swap the weight pointers of the two layernorm weights:
+            # outputs change but every access stays legal.
+            names = members["kernel_names"].tolist()
+            nodes = [node for node, kernel in
+                     enumerate(members["g1_kernel"].tolist())
+                     if "input_layernorm" in names[kernel]]
+            assert len(nodes) >= 2
+            offsets = members["g1_param_offsets"]
+            kinds = members["g1_param_kinds"]
+            # input, weight, output order: the second pointer of each.
+            a, b = (offsets[node] + np.flatnonzero(
+                kinds[offsets[node]:offsets[node + 1]] == 1)[1]
+                for node in nodes[:2])
+            for name in ("g1_param_values", "g1_param_byte_offsets"):
+                column = members[name]
+                column[[a, b]] = column[[b, a]]
         with pytest.raises((ValidationError, IllegalMemoryAccessError)):
-            validate_restoration("Tiny-2L", LazyArtifact.from_payload(broken),
-                                 batches=[1], cost_model=tiny_cost_model())
+            validate_restoration(
+                "Tiny-2L", broken(tiny2l_artifact, tmp_path, swap_weights),
+                batches=[1], cost_model=tiny_cost_model())

@@ -260,7 +260,8 @@ def qwen_store_puts(tmp_path_factory):
     chunk set yet: a first put into an empty store, a re-put of the same
     content, then (counting ``pack_chunk`` calls) a ``save_binary``
     followed by a first put, and a second ``save_binary`` over the same
-    file followed by a re-put."""
+    file followed by a re-put; then the ``chunk_digest`` calls of those
+    two saves and puts."""
     from unittest import mock
 
     from repro.core import chunks
@@ -274,14 +275,18 @@ def qwen_store_puts(tmp_path_factory):
         compressed.append(store.chunks_compressed - before)
     workdir = tmp_path_factory.mktemp("saves")
     store = ArtifactStore(workdir / "store")
+    digests = []
     for _ in range(2):
         copy = unchunked(artifact)
         with mock.patch.object(chunks, "pack_chunk",
-                               wraps=chunks.pack_chunk) as pack:
+                               wraps=chunks.pack_chunk) as pack, \
+                mock.patch.object(chunks, "chunk_digest",
+                                  wraps=chunks.chunk_digest) as digest:
             save_binary(copy, workdir / f"{model}.medusa")
             store.put(copy)
         compressed.append(pack.call_count)
-    return compressed
+        digests.append(digest.call_count)
+    return compressed + digests
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +315,8 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     allocator = engine.process.allocator
     graphs = engine.capture_artifacts.graphs
     trace, index, liveness = default_qwen_offline
-    first_put, reput, first_save, resave = qwen_store_puts
+    (first_put, reput, first_save, resave, first_save_digests,
+     resave_digests) = qwen_store_puts
     pool, dispatched = tail_contention_pool
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
@@ -353,6 +359,8 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
         "Qwen1.5-0.5B save + put": {
             "chunks compressed by a first save and put": first_save,
             "chunks compressed by a re-save and re-put": resave,
+            "chunk digests by a first save and put": first_save_digests,
+            "chunk digests by a re-save and re-put": resave_digests,
         },
         "stage/tail_contention": {
             "step_done dispatched": dispatched["step_done"],

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.binfmt import LazyArtifact
+from repro.core.binfmt import save_binary
+from repro.core.chunks import open_binary
 from repro.core.online import medusa_cold_start
 from repro.core.validation import make_input_ids, validate_restoration
 from repro.engine import LLMEngine, Strategy
@@ -17,9 +18,9 @@ class TestArtifactFileRoundTrip:
     def test_restore_from_saved_file(self, tiny2l_artifact, tmp_path):
         """The artifact survives disk persistence (the SSD path)."""
         artifact, _ = tiny2l_artifact
-        path = tmp_path / "tiny2l.medusa.json"
-        artifact.save_json(path)
-        loaded = LazyArtifact.load_json(path)
+        path = tmp_path / "tiny2l.medusa"
+        save_binary(artifact, path)
+        loaded = open_binary(path)
         report = validate_restoration("Tiny-2L", loaded, batches=[1, 4],
                                       seed=404, cost_model=tiny_cost_model())
         assert report.passed

@@ -99,13 +99,24 @@ class TestTensorParallelMedusa:
         assert artifacts[0].model_name != artifacts[1].model_name
         assert artifacts[0].total_nodes == artifacts[1].total_nodes
 
-    def test_rank_consistency_check_catches_divergence(self, tp_artifacts):
+    def test_rank_consistency_check_catches_divergence(self, tp_artifacts,
+                                                       tmp_path):
+        from repro.core.chunks import open_binary
+        from tests.conftest import resaved
         medusa, artifacts, _ = tp_artifacts
-        from repro.core.binfmt import LazyArtifact
-        diverged = artifacts[1].to_payload()
-        diverged["graphs"]["1"]["nodes"].pop()
-        broken = [artifacts[0], LazyArtifact.from_payload(diverged)]
-        with pytest.raises(RestorationError):
+
+        def drop_last_node(members, meta):
+            """Graph 1 without its last node (its edges kept)."""
+            offsets = members["g1_param_offsets"]
+            for name in ("kernel", "batchdim", "param_offsets"):
+                members[f"g1_{name}"] = members[f"g1_{name}"][:-1]
+            for name in ("sizes", "kinds", "values", "byte_offsets"):
+                members[f"g1_param_{name}"] = \
+                    members[f"g1_param_{name}"][:offsets[-2]]
+            meta["graph_meta"]["1"][2] -= 1
+        broken = [artifacts[0], open_binary(resaved(
+            artifacts[1], tmp_path / "rank1.medusa", drop_last_node))]
+        with pytest.raises(RestorationError, match="nodes != rank 0's"):
             medusa._verify_rank_consistency(broken)
 
     def test_online_restores_every_rank(self, tp_artifacts):

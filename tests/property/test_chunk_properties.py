@@ -135,11 +135,11 @@ class TestChunkDedupProperty:
         store.put(b)
         got_a = store.get(a.gpu_name, a.model_name)
         got_b = store.get(b.gpu_name, b.model_name)
-        assert got_a.to_json() == load_json_normalized(a)
-        assert got_b.to_json() == load_json_normalized(b)
+        assert got_a.to_json() == normalized_json(a)
+        assert got_b.to_json() == normalized_json(b)
 
 
-def load_json_normalized(artifact):
+def normalized_json(artifact):
     """Round-trip through the binary format to normalize dtypes/layout
     exactly the way a store ``get`` does."""
     manifest, blobs = chunk_model(artifact)

@@ -11,10 +11,9 @@ the row that released it.
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import MAPPED, SUPERSEDED, UNMAPPED, analyze_replay
-from repro.core.binfmt import LazyArtifact
 from repro.simgpu.memory import DeviceAllocator
 
-from tests.conftest import artifact_payload
+from tests.conftest import artifact_payload, pack_payload
 
 _SIZES = st.sampled_from([1, 200, 256, 257, 512, 1000, 2048])
 _POOLS = st.sampled_from(["default", "graph"])
@@ -83,7 +82,7 @@ class TestLivenessMatchesTheAllocator:
     @given(prefix=_prefix, rows=_rows)
     def test_columns_match_row_by_row_calls(self, prefix, rows):
         events = _events(prefix, rows)
-        liveness = analyze_replay(LazyArtifact.from_payload(artifact_payload(
+        liveness = analyze_replay(pack_payload(artifact_payload(
             structure_prefix=[[size, "weight"] for size in prefix],
             replay_events=events)))
         # Only the (absent) anchors are flagged on a clean table.

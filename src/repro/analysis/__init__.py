@@ -16,13 +16,6 @@ from repro.analysis.diagnostics import (
     LintReport,
     WARNING,
 )
-from repro.analysis.effects import (
-    DEFAULT_EFFECTS,
-    Effects,
-    default_effects,
-    is_known_action,
-    resolve_effects,
-)
 from repro.analysis.liveness import (
     LivenessResult,
     MAPPED,

@@ -12,10 +12,12 @@ instant this is not a may-overlap approximation but a certainty: give the
 pair unit duration and every other stage zero, and the scheduler places
 both at ``[0, 1]`` (the property suite exercises exactly this witness).
 
-Over that relation, the declared stage effects
-(:mod:`repro.analysis.effects`) yield the PLN0xx diagnostics, reported
-through the same :class:`~repro.analysis.diagnostics.LintReport`
-machinery as the MED0xx artifact codes:
+Over that relation, each stage's declared ``reads``/``writes`` (the
+resources of :mod:`repro.engine.loadplan`) yield the PLN0xx diagnostics,
+reported through the same :class:`~repro.analysis.diagnostics.LintReport`
+machinery as the MED0xx artifact codes.  A stage's declaration is the only
+statement of its effects: a stage that declares none is invisible to the
+race passes.
 
 ====== ==========================================================
 PLN001 two concurrent stages write one resource
@@ -23,6 +25,8 @@ PLN002 a concurrent reader/writer pair on one resource
 PLN003 a *background* stage writes what an unordered foreground
        stage reads — ``Timeline.ready`` would lie
 PLN004 ``action_name`` unresolvable against the action registry
+       (the engine's and the restorer's fixed actions plus the
+       ``restore_graph[b]``/``fetch_chunk[i]`` patterns)
 PLN005 a ``Contention`` partner stage missing from the plan
 PLN006 a contention penalty key the cost model cannot resolve
 PLN007 dead stage: writes nothing, nothing depends on it
@@ -41,10 +45,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, LintReport
-from repro.analysis.effects import (
-    Effects,
-    is_known_action,
-    resolve_effects,
+from repro.engine.loadplan import (
+    ENGINE_STAGE_ACTIONS,
+    FETCH_CHUNK_PATTERN,
+    RESTORE_GRAPH_PATTERN,
+    RESTORER_STAGE_ACTIONS,
+    append_stages,
 )
 
 #: The passes, in emission order (mirrors ``analyzer``'s pass list).
@@ -127,12 +133,21 @@ def _dep_levels(plan) -> Dict[str, int]:
 # Passes
 # ---------------------------------------------------------------------------
 
+def _is_known_action(action_name: str, known: FrozenSet[str]) -> bool:
+    """Whether ``action_name`` is in ``known`` or matches a per-batch or
+    per-chunk pattern (``VectorizedRestorer.stage_action_names``)."""
+    return (action_name in known
+            or RESTORE_GRAPH_PATTERN.match(action_name) is not None
+            or FETCH_CHUNK_PATTERN.match(action_name) is not None)
+
+
 def _check_bindings(plan, known_actions, cost_model) -> List[Diagnostic]:
     """PLN004/005/006: action names, contention partners, penalty keys."""
     out: List[Diagnostic] = []
     names = {stage.name for stage in plan.stages}
+    known = frozenset(known_actions)
     for stage in plan.stages:
-        if not is_known_action(stage.action_name, known_actions):
+        if not _is_known_action(stage.action_name, known):
             out.append(Diagnostic(
                 "PLN004",
                 f"stage {stage.name!r} binds action "
@@ -178,11 +193,12 @@ def _check_races(plan) -> List[Diagnostic]:
     """PLN001/002/003: effect conflicts between concurrent stages."""
     out: List[Diagnostic] = []
     stages = {stage.name: stage for stage in plan.stages}
-    fx: Dict[str, Effects] = {name: resolve_effects(stage)
-                              for name, stage in stages.items()}
+    reads = {name: frozenset(stage.reads) for name, stage in stages.items()}
+    writes = {name: frozenset(stage.writes)
+              for name, stage in stages.items()}
     for first, second in concurrent_pairs(plan):
         a, b = stages[first], stages[second]
-        shared_writes = fx[first].writes & fx[second].writes
+        shared_writes = writes[first] & writes[second]
         for resource in sorted(shared_writes):
             out.append(Diagnostic(
                 "PLN001",
@@ -190,7 +206,7 @@ def _check_races(plan) -> List[Diagnostic]:
                 f"and both write {resource!r}",
                 location=_pair_location(plan.name, first, second)))
         for reader, writer in ((a, b), (b, a)):
-            conflicts = (fx[reader.name].reads & fx[writer.name].writes) \
+            conflicts = (reads[reader.name] & writes[writer.name]) \
                 - shared_writes
             for resource in sorted(conflicts):
                 if writer.background and not reader.background:
@@ -218,8 +234,7 @@ def _check_structure(plan) -> List[Diagnostic]:
     depended = {dep for stage in plan.stages for dep in stage.deps}
     closure = deps_closure(plan)
     for stage in plan.stages:
-        fx = resolve_effects(stage)
-        if not fx.writes and stage.name not in depended:
+        if not stage.writes and stage.name not in depended:
             out.append(Diagnostic(
                 "PLN007",
                 f"stage {stage.name!r} writes nothing and no stage "
@@ -277,13 +292,16 @@ def lint_plan(plan, known_actions: Optional[Iterable[str]] = None,
               cost_model=None) -> LintReport:
     """Statically verify one LoadPlan; returns a PLN0xx ``LintReport``.
 
-    ``known_actions`` overrides the action universe (pass a live
-    restorer's ``stage_actions`` keys to lint against the actual binding);
+    ``known_actions`` overrides the action universe, which defaults to
+    the engine's and the restorer's fixed actions (pass a live restorer's
+    ``stage_action_names()`` to lint against the actual binding);
     ``cost_model`` is anything with ``contention_penalty`` (defaults to a
     fresh ``CostModel``) or a penalty mapping.
     """
     report = LintReport(model=plan.name, gpu="plan",
                         passes=list(PLAN_PASSES), subject="plan")
+    if known_actions is None:
+        known_actions = ENGINE_STAGE_ACTIONS + RESTORER_STAGE_ACTIONS
     report.extend(_check_bindings(plan, known_actions, cost_model))
     report.extend(_check_races(plan))
     report.extend(_check_structure(plan))
@@ -299,17 +317,21 @@ def lint_plan(plan, known_actions: Optional[Iterable[str]] = None,
 
 def lint_registered_plans(include_degraded: bool = True
                           ) -> Dict[str, LintReport]:
-    """Lint every registered plan (plus its degraded-ladder variant)."""
-    from repro.engine.lanes import Lane
-    from repro.engine.loadplan import append_stages
+    """Lint every registered plan (plus its degraded-ladder variant).
+
+    A degraded variant's ladder stages execute no registered action (the
+    restorer reports their durations), so their names join its universe.
+    """
     from repro.engine.strategies import registered_plans
     from repro.faults.ladder import DEGRADED_LADDER_STAGES
 
+    degraded_actions = (ENGINE_STAGE_ACTIONS + RESTORER_STAGE_ACTIONS
+                        + tuple(stage.name for stage in DEGRADED_LADDER_STAGES))
     reports: Dict[str, LintReport] = {}
     for name, plan in sorted(registered_plans().items()):
         reports[name] = lint_plan(plan)
         if include_degraded:
-            degraded = append_stages(plan, DEGRADED_LADDER_STAGES,
-                                     Lane.GPU_COMPUTE)
-            reports[degraded.name] = lint_plan(degraded)
+            degraded = append_stages(plan, DEGRADED_LADDER_STAGES)
+            reports[degraded.name] = lint_plan(
+                degraded, known_actions=degraded_actions)
     return reports

@@ -236,7 +236,8 @@ def _decode_npy(raw: bytes, start: int, end: int, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lazy reader: header + metadata up front, bulk arrays on demand
+# The packed tables and the artifact: metadata up front, each bulk table
+# checked and cached on first use
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)

@@ -68,7 +68,7 @@ from repro.engine.capture_runner import (
     run_capture_stage,
 )
 from repro.engine.kvcache import KVCacheRegion
-from repro.engine.loadplan import FETCH_ARTIFACT, REPLAY_ALLOC, \
+from repro.engine.loadplan import RESTORER_STAGE_ACTIONS, \
     fetch_chunk_stage, restore_graph_stage
 from repro.errors import (
     CudaError,
@@ -247,10 +247,9 @@ class VectorizedRestorer:
         chunk_names = () if manifest is None else tuple(
             fetch_chunk_stage(position)
             for position in range(len(manifest.chunks)))
-        return (FETCH_ARTIFACT, "restore_kv", REPLAY_ALLOC,
-                "restore_warmup", "restore_tail") + chunk_names + tuple(
-                    restore_graph_stage(batch)
-                    for batch in sorted(self.artifact.batches, reverse=True))
+        return RESTORER_STAGE_ACTIONS + chunk_names + tuple(
+            restore_graph_stage(batch)
+            for batch in sorted(self.artifact.batches, reverse=True))
 
     def stage_actions(self, engine) -> Dict[str, object]:
         """The actions every Medusa plan binds its stages to.
@@ -305,16 +304,14 @@ class VectorizedRestorer:
             self._warm_step(engine, warm_up=True)
             return clock.now - start
 
-        actions: Dict[str, object] = {
-            FETCH_ARTIFACT: fetch_artifact,
-            "restore_kv": restore_kv,
-            REPLAY_ALLOC: replay_alloc,
-            "restore_warmup": restore_warmup,
-            # The monolithic tail also pays the artifact load.
-            "restore_tail": self._make_restore_graphs(
-                engine, sorted(artifact.batches, reverse=True),
-                cm.artifact_load_base, last=True),
-        }
+        # The monolithic tail also pays the artifact load.
+        restore_tail = self._make_restore_graphs(
+            engine, sorted(artifact.batches, reverse=True),
+            cm.artifact_load_base, last=True)
+        actions: Dict[str, object] = dict(zip(
+            RESTORER_STAGE_ACTIONS,
+            (fetch_artifact, restore_kv, replay_alloc, restore_warmup,
+             restore_tail), strict=True))
         manifest = getattr(artifact, "chunk_manifest", None)
         if manifest is not None:
             # Chunk-backed artifact: one fetch action per manifest chunk.

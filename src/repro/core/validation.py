@@ -114,7 +114,7 @@ def validate_restoration(config, artifact,
         # will execute, with PLN004 bindings resolved against exactly the
         # actions the engine and the restorer register.
         from repro.analysis.planlint import lint_plan
-        from repro.engine.engine import ENGINE_STAGE_ACTIONS
+        from repro.engine.loadplan import ENGINE_STAGE_ACTIONS
         from repro.engine.strategies import Strategy, plan_for
         plan = engine.plan or plan_for(Strategy.MEDUSA)
         plan_lint = lint_plan(

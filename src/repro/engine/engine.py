@@ -12,6 +12,7 @@ batching a request stream over them is the pool's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -26,13 +27,8 @@ from repro.engine.kvcache import (
     KVCacheRegion,
     allocate_kv_region,
 )
-from repro.engine.lanes import Lane
 from repro.engine.loadplan import (
-    CAPTURE,
-    KV_INIT,
-    STRUCTURE,
-    TOKENIZER,
-    WEIGHTS,
+    ENGINE_STAGE_ACTIONS,
     LoadPlan,
     Timeline,
     append_stages,
@@ -47,14 +43,6 @@ from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
 from repro.simgpu.kernels import PAYLOAD_DIM
 from repro.simgpu.process import CudaProcess, ExecutionMode
-
-#: Stage action names :meth:`LLMEngine._stage_actions` registers itself
-#: (a restorer's ``stage_actions`` extends/overrides these).  The static
-#: plan verifier (`repro.analysis.planlint`) resolves PLN004 bindings —
-#: and `repro.analysis.effects` keys its per-action effect defaults —
-#: against this registry.
-ENGINE_STAGE_ACTIONS = (STRUCTURE, WEIGHTS, TOKENIZER, KV_INIT, CAPTURE)
-
 
 @dataclass
 class ColdStartReport:
@@ -172,10 +160,10 @@ class LLMEngine:
             # rung is named ``+degraded``.
             extras = degradation.extra_stages()
             plan = append_stages(
-                plan, [name for name, _ in extras], Lane.GPU_COMPUTE,
+                plan, [stage for stage, _ in extras],
                 suffix="+degraded" if degradation.degraded else "")
-            for name, duration in extras:
-                durations[name] = duration
+            for stage, duration in extras:
+                durations[stage.name] = duration
         else:
             degradation = None
         timeline = plan.schedule(durations, self.cost_model,
@@ -207,15 +195,16 @@ class LLMEngine:
         """Action name -> side-effecting callable returning its duration.
 
         Plans reference these by ``PlanStage.action_name``; a restorer
-        contributes its restore actions on top of the engine's own.
+        contributes its restore actions on top of the engine's own, which
+        are named by ``ENGINE_STAGE_ACTIONS`` — the list the plan verifier
+        resolves PLN004 bindings against.
         """
+        stages = (self._stage_structure_init, self._stage_load_weights,
+                  self._stage_load_tokenizer, self._stage_kv_init,
+                  self._stage_capture)
         actions: Dict[str, Callable[[], float]] = {
-            STRUCTURE: lambda: self._timed(self._stage_structure_init),
-            WEIGHTS: lambda: self._timed(self._stage_load_weights),
-            TOKENIZER: lambda: self._timed(self._stage_load_tokenizer),
-            KV_INIT: lambda: self._timed(self._stage_kv_init),
-            CAPTURE: lambda: self._timed(self._stage_capture),
-        }
+            name: partial(self._timed, stage)
+            for name, stage in zip(ENGINE_STAGE_ACTIONS, stages, strict=True)}
         if restorer is not None:
             actions.update(restorer.stage_actions(self))
         return actions

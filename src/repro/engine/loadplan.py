@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.lanes import Contention, Lane
@@ -47,6 +47,22 @@ MEDUSA_RESTORE = "medusa_restore"
 FETCH_ARTIFACT = "fetch_artifact"
 REPLAY_ALLOC = "replay_alloc"
 
+#: Restorer actions Medusa's plans bind their stages to: the KV restore
+#: that replaces profiling, the warm-up window, and the monolithic tail.
+RESTORE_KV = "restore_kv"
+RESTORE_WARMUP = "restore_warmup"
+RESTORE_TAIL = "restore_tail"
+
+#: The actions ``LLMEngine._stage_actions`` registers itself.
+ENGINE_STAGE_ACTIONS = (STRUCTURE, WEIGHTS, TOKENIZER, KV_INIT, CAPTURE)
+#: The fixed actions every Medusa restorer registers on top of the
+#: engine's (``VectorizedRestorer.stage_actions``), beside one
+#: ``restore_graph[b]`` per captured batch and one ``fetch_chunk[i]`` per
+#: manifest chunk.  With :data:`ENGINE_STAGE_ACTIONS` and those two
+#: patterns, this is every action name a plan may bind.
+RESTORER_STAGE_ACTIONS = (FETCH_ARTIFACT, RESTORE_KV, REPLAY_ALLOC,
+                          RESTORE_WARMUP, RESTORE_TAIL)
+
 
 def restore_graph_stage(batch_size: int) -> str:
     """The per-graph restore stage name for one captured batch size."""
@@ -64,9 +80,53 @@ def fetch_chunk_stage(index: int) -> str:
     return f"fetch_chunk[{index}]"
 
 
-#: Matches chunk-streamed fetch stage names (both for effect defaults and
-#: for the serving layer's foreground-fetch accounting).
+#: Match the per-batch restore and per-chunk fetch stage names (for the
+#: plan verifier's action names and the serving layer's foreground-fetch
+#: accounting).
+RESTORE_GRAPH_PATTERN = re.compile(r"^restore_graph\[(\d+)\]$")
 FETCH_CHUNK_PATTERN = re.compile(r"^fetch_chunk\[(\d+)\]$")
+
+# ---------------------------------------------------------------------------
+# Resources: the engine state a stage reads or writes.  Every stage
+# declares its effects over these names (``PlanStage.reads``/``writes``),
+# and the plan verifier (``repro.analysis.planlint``) flags concurrent
+# stages whose effects conflict.
+# ---------------------------------------------------------------------------
+
+#: The materialized artifact (opened/indexed/decompressed in memory).
+ARTIFACT = "artifact"
+#: The initialized model structure (module tree, parameter shells).
+STRUCTURE_STATE = "structure"
+#: The weight buffers' contents (H2D-streamed checkpoint tensors).
+WEIGHTS_STATE = "weights"
+#: The loaded tokenizer.
+TOKENIZER_STATE = "tokenizer"
+#: The KV cache region.
+KV_STATE = "kv"
+#: The replayed allocation map (alloc_index -> live buffer).
+ALLOC_MAP = "alloc_map"
+#: Restored permanent buffer contents / packed kernel parameters (§4.3).
+PARAMS = "params"
+#: The kernel name -> address table (dlsym / module enumeration, §5).
+DRIVER_SYMBOLS = "driver_symbols"
+#: The full captured/restored graph set, as one aggregate (eager capture,
+#: the monolithic restore tail, ladder recapture).
+GRAPHS = "graphs"
+
+
+def graph_resource(batch_size: int) -> str:
+    """The per-batch graph resource (pipelined ``restore_graph`` stages)."""
+    return f"graph[{batch_size}]"
+
+
+def chunk_resource(index: int) -> str:
+    """The per-chunk fetched-bytes resource (chunk-streamed fetch stages).
+
+    ``index`` is the chunk's position in its manifest's canonical order
+    (see :class:`repro.core.chunks.ChunkManifest`).
+    """
+    return f"chunk[{index}]"
+
 
 #: Numerical slack for "these instants coincide" on the critical-path walk.
 _EPS = 1e-9
@@ -86,9 +146,11 @@ class PlanStage:
     (pipelined restore of non-first batch sizes): they extend
     ``Timeline.total`` but not ``Timeline.ready``, and are excluded from
     the critical path, which is walked back from the ready instant.
-    ``reads``/``writes`` declare the stage's effect sets over the named
-    engine-state resources of :mod:`repro.analysis.effects`; when absent,
-    the verifier falls back to the action's default effect table.
+    ``reads``/``writes`` declare the stage's effects over the resources
+    above (:data:`WEIGHTS_STATE`, :func:`graph_resource`, ...).  They are
+    the only statement of what the stage touches: the plan verifier reads
+    nothing else, so a stage that declares neither is invisible to its
+    race passes.
     """
 
     name: str
@@ -317,9 +379,9 @@ class LoadPlan:
         return _list_schedule(strategy, self.name, rows)
 
 
-def append_stages(plan: LoadPlan, names: Sequence[str],
-                  lane: Lane, suffix: str = "+degraded") -> LoadPlan:
-    """A copy of ``plan`` with serial stages chained after its ready frontier.
+def append_stages(plan: LoadPlan, stages: Sequence[PlanStage],
+                  suffix: str = "+degraded") -> LoadPlan:
+    """A copy of ``plan`` with ``stages`` chained after its ready frontier.
 
     Used by the degradation ladder: fallback work (re-profiling, recapture,
     eager capture) lands on the timeline as its own stages, in order, after
@@ -328,19 +390,21 @@ def append_stages(plan: LoadPlan, names: Sequence[str],
     frontier (not ``stages[-1]``) matters on pipelined plans: degradation
     gates serving readiness, so it must not serialize behind background
     restore tails — those queue up behind the fallback work instead.
+    Each appended stage keeps its declared lane and effects; only its
+    ``deps`` are set, to the stage before it.
     """
-    if not names:
+    if not stages:
         return plan
-    stages = list(plan.stages)
-    anchor = max((index for index, stage in enumerate(stages)
-                  if not stage.background), default=len(stages) - 1)
-    prev = stages[anchor].name
+    placed = list(plan.stages)
+    anchor = max((index for index, stage in enumerate(placed)
+                  if not stage.background), default=len(placed) - 1)
+    prev = placed[anchor].name
     extra: List[PlanStage] = []
-    for name in names:
-        extra.append(PlanStage(name, lane, deps=(prev,)))
-        prev = name
-    stages[anchor + 1:anchor + 1] = extra
-    return LoadPlan(plan.name + suffix, tuple(stages),
+    for stage in stages:
+        extra.append(replace(stage, deps=(prev,)))
+        prev = stage.name
+    placed[anchor + 1:anchor + 1] = extra
+    return LoadPlan(plan.name + suffix, tuple(placed),
                     description=plan.description)
 
 

@@ -28,33 +28,34 @@ import enum
 import warnings
 from typing import Dict, Optional, Sequence, Union
 
-from repro.analysis.effects import (
-    ALLOC_MAP,
-    ARTIFACT,
-    DRIVER_SYMBOLS,
-    GRAPHS,
-    KV_STATE,
-    PARAMS,
-    STRUCTURE_STATE,
-    TOKENIZER_STATE,
-    WEIGHTS_STATE,
-    chunk_resource,
-    graph_resource,
-)
 from repro.engine.lanes import CPU, DISK, GPU_COMPUTE, PCIE, Contention
 from repro.engine.loadplan import (
+    ALLOC_MAP,
+    ARTIFACT,
     CAPTURE,
+    DRIVER_SYMBOLS,
     FETCH_ARTIFACT,
+    GRAPHS,
     KV_INIT,
+    KV_STATE,
     MEDUSA_RESTORE,
     MEDUSA_WARMUP,
+    PARAMS,
     REPLAY_ALLOC,
+    RESTORE_KV,
+    RESTORE_TAIL,
+    RESTORE_WARMUP,
     STRUCTURE,
+    STRUCTURE_STATE,
     TOKENIZER,
+    TOKENIZER_STATE,
     WEIGHTS,
+    WEIGHTS_STATE,
     LoadPlan,
     PlanStage,
+    chunk_resource,
     fetch_chunk_stage,
+    graph_resource,
     restore_graph_stage,
 )
 from repro.errors import EngineError
@@ -98,9 +99,10 @@ def register_plan(plan: LoadPlan,
     """
     if plan.name in _PLANS:
         raise EngineError(f"a plan named {plan.name!r} is already registered")
-    # Imported lazily: repro.analysis reaches back into repro.core.artifact,
-    # which is complete by the time any plan registers, but must not be a
-    # module-level import here (strategies loads during repro.core's init).
+    # Imported lazily: the engine sits below repro.analysis, which reads
+    # this package's plan types and reaches into repro.core.binfmt.  This
+    # module loads during repro.core's init, so the verifier is imported
+    # at the first registration, when binfmt is already complete.
     from repro.analysis.planlint import lint_plan
     report = lint_plan(plan)
     if report.errors:
@@ -161,25 +163,25 @@ def _sequential_plan(name: str, with_capture: bool,
     return LoadPlan(name, tuple(order), description=description)
 
 
-VLLM_PLAN = register_plan(_sequential_plan(
+register_plan(_sequential_plan(
     "vllm", with_capture=True,
     description="Vanilla vLLM: five synchronous stages (§2.1)."),
     strategy=Strategy.VLLM)
 
-NO_CUDA_GRAPH_PLAN = register_plan(_sequential_plan(
+register_plan(_sequential_plan(
     "no-cuda-graph", with_capture=False,
     description="Synchronous loading without the capture stage (Fig. 10)."),
     strategy=Strategy.NO_CUDA_GRAPH)
 
-DEFERRED_PLAN = register_plan(_sequential_plan(
+register_plan(_sequential_plan(
     "deferred", with_capture=False,
     description="§2.4: capture is deferred onto the serving path."),
     strategy=Strategy.DEFERRED)
 
-#: Weights stream over PCIe while the CPU loads the tokenizer and the GPU
-#: runs the profiling forwarding; the profiling interferes with the copies
-#: (the declared contention), and capture must wait for both branches.
-VLLM_ASYNC_PLAN = register_plan(LoadPlan(
+# Weights stream over PCIe while the CPU loads the tokenizer and the GPU
+# runs the profiling forwarding; the profiling interferes with the copies
+# (the declared contention), and capture must wait for both branches.
+register_plan(LoadPlan(
     "vllm-async",
     (
         PlanStage(STRUCTURE, CPU, required=True,
@@ -202,11 +204,11 @@ VLLM_ASYNC_PLAN = register_plan(LoadPlan(
     description="vLLM + naive asynchronous weight loading (§7.3)."),
     strategy=Strategy.VLLM_ASYNC)
 
-#: Medusa reorders KV initialization before weight loading (restored, so it
-#: no longer profiles or interferes), warms up the first layer during the
-#: weight load, and only the restore tail — which reads weights-backed
-#: state — is serial after every branch (§7.3).
-MEDUSA_PLAN = register_plan(LoadPlan(
+# Medusa reorders KV initialization before weight loading (restored, so it
+# no longer profiles or interferes), warms up the first layer during the
+# weight load, and only the restore tail — which reads weights-backed
+# state — is serial after every branch (§7.3).
+register_plan(LoadPlan(
     "medusa",
     (
         PlanStage(STRUCTURE, CPU, required=True,
@@ -216,16 +218,16 @@ MEDUSA_PLAN = register_plan(LoadPlan(
         PlanStage(TOKENIZER, CPU, deps=(STRUCTURE,), required=True,
                   writes=(TOKENIZER_STATE,)),
         PlanStage(KV_INIT, GPU_COMPUTE, deps=(STRUCTURE,),
-                  action="restore_kv",
+                  action=RESTORE_KV,
                   reads=(ARTIFACT, STRUCTURE_STATE),
                   writes=(KV_STATE, ALLOC_MAP)),
         PlanStage(MEDUSA_WARMUP, GPU_COMPUTE, deps=(KV_INIT,),
-                  action="restore_warmup",
+                  action=RESTORE_WARMUP,
                   reads=(ARTIFACT, KV_STATE, ALLOC_MAP),
                   writes=(ALLOC_MAP, PARAMS, DRIVER_SYMBOLS)),
         PlanStage(MEDUSA_RESTORE, GPU_COMPUTE,
                   deps=(MEDUSA_WARMUP, WEIGHTS, TOKENIZER),
-                  action="restore_tail",
+                  action=RESTORE_TAIL,
                   reads=(ARTIFACT, WEIGHTS_STATE, TOKENIZER_STATE,
                          ALLOC_MAP, PARAMS),
                   writes=(DRIVER_SYMBOLS, GRAPHS)),
@@ -250,7 +252,7 @@ def pipelined_medusa_plan(batch_sizes: Sequence[int],
     Built per artifact (the stage set depends on its batch sizes), so the
     result is passed to ``LLMEngine(plan=...)`` rather than registered;
     :data:`Strategy.MEDUSA`'s registered default stays the monolithic
-    :data:`MEDUSA_PLAN`.
+    ``medusa`` plan.
     """
     batches = sorted(set(batch_sizes), reverse=True)
     if not batches:
@@ -265,7 +267,7 @@ def pipelined_medusa_plan(batch_sizes: Sequence[int],
         PlanStage(TOKENIZER, CPU, deps=(STRUCTURE,), required=True,
                   writes=(TOKENIZER_STATE,)),
         PlanStage(KV_INIT, GPU_COMPUTE, deps=(STRUCTURE, FETCH_ARTIFACT),
-                  action="restore_kv",
+                  action=RESTORE_KV,
                   reads=(ARTIFACT, STRUCTURE_STATE),
                   writes=(KV_STATE, ALLOC_MAP)),
         # KV restore already waited on the artifact, so a FETCH_ARTIFACT
@@ -273,7 +275,7 @@ def pipelined_medusa_plan(batch_sizes: Sequence[int],
         PlanStage(REPLAY_ALLOC, CPU, deps=(KV_INIT,),
                   reads=(ARTIFACT, ALLOC_MAP), writes=(ALLOC_MAP,)),
         PlanStage(MEDUSA_WARMUP, GPU_COMPUTE, deps=(REPLAY_ALLOC,),
-                  action="restore_warmup",
+                  action=RESTORE_WARMUP,
                   reads=(ARTIFACT, KV_STATE, ALLOC_MAP),
                   writes=(PARAMS, DRIVER_SYMBOLS)),
         PlanStage(restore_graph_stage(batches[0]), GPU_COMPUTE,
@@ -371,14 +373,14 @@ def chunked_medusa_plan(manifest, name: str = "medusa-chunked") -> LoadPlan:
         # Gates on the last replay shard, not the stream's end: the KV
         # replay runs while heads and tails are still arriving.
         PlanStage(KV_INIT, GPU_COMPUTE, deps=(STRUCTURE, replay_ready),
-                  action="restore_kv",
+                  action=RESTORE_KV,
                   reads=(STRUCTURE_STATE,) + replay_reads,
                   writes=(KV_STATE, ALLOC_MAP)),
         PlanStage(REPLAY_ALLOC, CPU, deps=(KV_INIT,),
                   reads=replay_reads + (ALLOC_MAP,), writes=(ALLOC_MAP,)),
         PlanStage(MEDUSA_WARMUP, GPU_COMPUTE,
                   deps=(REPLAY_ALLOC, heads_ready),
-                  action="restore_warmup",
+                  action=RESTORE_WARMUP,
                   reads=kernel_reads + dump_reads
                   + tuple(resource[head_of[b].name] for b in batches)
                   + (KV_STATE, ALLOC_MAP),
@@ -414,11 +416,11 @@ def chunked_medusa_plan(manifest, name: str = "medusa-chunked") -> LoadPlan:
                     "foreground covering only what the first graph needs.")
 
 
-#: Demonstration plan (not tied to a Strategy): the tokenizer is a pure
-#: disk/CPU-parse stage with no dependency on the model structure, so it
-#: can overlap structure initialization — a one-plan addition showing new
-#: orderings need no engine, scheduler, or reporting edits.
-EAGER_TOKENIZER_PLAN = register_plan(LoadPlan(
+# Demonstration plan (not tied to a Strategy): the tokenizer is a pure
+# disk/CPU-parse stage with no dependency on the model structure, so it
+# can overlap structure initialization — a one-plan addition showing new
+# orderings need no engine, scheduler, or reporting edits.
+register_plan(LoadPlan(
     "vllm-eager-tokenizer",
     (
         PlanStage(STRUCTURE, CPU, required=True,
@@ -435,10 +437,9 @@ EAGER_TOKENIZER_PLAN = register_plan(LoadPlan(
     ),
     description="vLLM with the tokenizer overlapping structure init."))
 
-#: The canonical pipelined plan, registered so ``repro lint-plan --all``,
-#: the CLI, and CI verify it alongside the strategies.  Real cold starts
-#: build a per-artifact instance via :func:`pipelined_medusa_plan` (the
-#: stage set depends on the artifact's captured batch sizes); this
-#: registered default uses a representative small capture ladder.
-PIPELINED_MEDUSA_PLAN = register_plan(
-    pipelined_medusa_plan((1, 2, 4, 8)))
+# The canonical pipelined plan, registered so ``repro lint-plan --all``,
+# the CLI, and CI verify it alongside the strategies.  Real cold starts
+# build a per-artifact instance via :func:`pipelined_medusa_plan` (the
+# stage set depends on the artifact's captured batch sizes); this
+# registered default uses a representative small capture ladder.
+register_plan(pipelined_medusa_plan((1, 2, 4, 8)))

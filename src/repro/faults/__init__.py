@@ -11,9 +11,7 @@ from repro.faults.ladder import (
     DEGRADE_KV_PROFILE,
     DEGRADE_PARTIAL,
     DEGRADE_RECAPTURE,
-    FAULT_STATIC_COVERAGE,
     RESTORE_VERIFY,
-    RUNTIME_ONLY,
     DegradationPolicy,
     DegradationReport,
     LadderStep,
@@ -32,9 +30,7 @@ __all__ = [
     "DEGRADE_KV_PROFILE",
     "DEGRADE_PARTIAL",
     "DEGRADE_RECAPTURE",
-    "FAULT_STATIC_COVERAGE",
     "RESTORE_VERIFY",
-    "RUNTIME_ONLY",
     "DegradationPolicy",
     "DegradationReport",
     "FaultInjector",

@@ -25,7 +25,14 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultKind
+from repro.engine.lanes import GPU_COMPUTE
+from repro.engine.loadplan import (
+    GRAPHS,
+    KV_STATE,
+    STRUCTURE_STATE,
+    WEIGHTS_STATE,
+    PlanStage,
+)
 
 #: Timeline stage names for degradation work (appended after the restore
 #: tail; see ``repro.engine.loadplan.append_stages``).
@@ -35,11 +42,24 @@ DEGRADE_PARTIAL = "degrade_partial"
 DEGRADE_RECAPTURE = "degrade_recapture"
 DEGRADE_EAGER = "degrade_eager_capture"
 
-#: Every ladder stage name a cold start may append, worst-case order —
-#: the degraded-variant universe ``repro lint-plan`` verifies per plan.
-DEGRADED_LADDER_STAGES = (DEGRADE_KV_PROFILE, RESTORE_VERIFY,
-                          DEGRADE_PARTIAL, DEGRADE_RECAPTURE,
-                          DEGRADE_EAGER)
+#: Every ladder stage a cold start may append, worst-case order, with its
+#: lane and effects: the degraded-variant universe ``repro lint-plan``
+#: verifies per plan.  ``append_stages`` sets each one's ``deps``.
+DEGRADED_LADDER_STAGES = (
+    PlanStage(DEGRADE_KV_PROFILE, GPU_COMPUTE,
+              reads=(STRUCTURE_STATE,), writes=(KV_STATE,)),
+    PlanStage(RESTORE_VERIFY, GPU_COMPUTE,
+              reads=(KV_STATE, WEIGHTS_STATE, GRAPHS), writes=(GRAPHS,)),
+    PlanStage(DEGRADE_PARTIAL, GPU_COMPUTE,
+              reads=(GRAPHS,), writes=(GRAPHS,)),
+    PlanStage(DEGRADE_RECAPTURE, GPU_COMPUTE,
+              reads=(STRUCTURE_STATE, WEIGHTS_STATE, KV_STATE),
+              writes=(GRAPHS,)),
+    PlanStage(DEGRADE_EAGER, GPU_COMPUTE,
+              reads=(STRUCTURE_STATE, WEIGHTS_STATE, KV_STATE),
+              writes=(GRAPHS,)),
+)
+_LADDER_STAGE = {stage.name: stage for stage in DEGRADED_LADDER_STAGES}
 
 
 class Rung(enum.IntEnum):
@@ -113,10 +133,10 @@ class DegradationReport:
     def note_failure(self, site: str, exc: BaseException) -> None:
         self.failures.append(f"{site}: {type(exc).__name__}: {exc}")
 
-    def extra_stages(self) -> List[Tuple[str, float]]:
-        """(stage name, duration) pairs to append to the LoadPlan."""
-        return [(step.stage, step.duration) for step in self.steps
-                if step.stage]
+    def extra_stages(self) -> List[Tuple[PlanStage, float]]:
+        """(ladder stage, duration) pairs to append to the LoadPlan."""
+        return [(_LADDER_STAGE[step.stage], step.duration)
+                for step in self.steps if step.stage]
 
     def describe(self) -> str:
         if not self.degraded:
@@ -135,23 +155,3 @@ class DegradationReport:
                        "duration": s.duration} for s in self.steps],
             "failures": list(self.failures),
         }
-
-
-#: Marker for fault kinds no static MED0xx diagnostic can catch — they only
-#: exist at restore time (live allocator state, live driver state).
-RUNTIME_ONLY = "runtime-only"
-
-#: Static-lint coverage per fault kind, kept in sync by
-#: ``tests/core/test_lint_mutations.py``: either the MED0xx code that flags
-#: the canonical corruption in a *stored* artifact, or ``RUNTIME_ONLY``.
-FAULT_STATIC_COVERAGE: Dict[FaultKind, str] = {
-    # The canonical corruption (pointer offset outside its allocation) is
-    # exactly what the pointer linter checks.
-    FaultKind.ARTIFACT_CORRUPTION: "MED011",
-    # The remaining kinds corrupt the *process*, not the artifact bytes:
-    FaultKind.REPLAY_DIVERGENCE: RUNTIME_ONLY,
-    FaultKind.HIDDEN_KERNEL_UNRESOLVED: RUNTIME_ONLY,
-    FaultKind.REPLAY_OOM: RUNTIME_ONLY,
-    FaultKind.PERMANENT_DUMP_BITFLIP: RUNTIME_ONLY,
-    FaultKind.TRIGGER_TIMEOUT: RUNTIME_ONLY,
-}

@@ -2,8 +2,8 @@
 
 Each pass is exercised on minimal hand-built plans, the registered plan
 zoo must sweep clean, ``register_plan`` must reject races and warn on
-advisories, and the effect tables in ``repro.analysis.effects`` are kept
-honest against the runtime action registries they mirror.
+advisories, the restorers' plans must lint clean against the actions
+they really register, and every shipped stage must declare its effects.
 """
 
 import dataclasses
@@ -11,42 +11,38 @@ import json
 
 import pytest
 
-from repro.analysis.effects import (
-    ENGINE_ACTION_EFFECTS,
-    KNOWN_ACTIONS,
-    LADDER_ACTION_EFFECTS,
-    LADDER_STAGES,
-    RESTORE_ACTION_EFFECTS,
-    STRUCTURE_STATE,
-    TOKENIZER_STATE,
-    WEIGHTS_STATE,
-    default_effects,
-    graph_resource,
-    is_known_action,
-    resolve_effects,
-)
 from repro.analysis.planlint import (
     concurrent_pairs,
     happens_before,
     lint_plan,
     lint_registered_plans,
 )
-from repro.engine.lanes import CPU, DISK, GPU_COMPUTE, PCIE, Contention, Lane
+from repro.engine.lanes import CPU, DISK, GPU_COMPUTE, PCIE, Contention
 from repro.engine.loadplan import (
+    ENGINE_STAGE_ACTIONS,
+    FETCH_CHUNK_PATTERN,
+    RESTORE_GRAPH_PATTERN,
+    RESTORER_STAGE_ACTIONS,
     STRUCTURE,
+    STRUCTURE_STATE,
     TOKENIZER,
+    TOKENIZER_STATE,
     WEIGHTS,
+    WEIGHTS_STATE,
     LoadPlan,
     PlanStage,
-    restore_graph_stage,
+    append_stages,
 )
 from repro.engine.strategies import (
     Strategy,
+    chunked_medusa_plan,
     pipelined_medusa_plan,
     plan_for,
     register_plan,
+    registered_plans,
 )
 from repro.errors import EngineError
+from repro.faults.ladder import DEGRADED_LADDER_STAGES
 from repro.simgpu.process import ExecutionMode
 
 from tests.conftest import tiny_cost_model
@@ -176,17 +172,27 @@ class TestBindings:
     def test_restore_graph_pattern_is_always_known(self):
         plan = _plan(PlanStage("restore_graph[16]", GPU_COMPUTE))
         assert not lint_plan(plan).has("PLN004")
-        assert is_known_action("restore_graph[16]")
-        assert is_known_action("restore_graph[16]", known=("other",))
-        assert not is_known_action("restore_graph[sixteen]")
+        assert not lint_plan(plan, known_actions=("other",)).has("PLN004")
+        assert RESTORE_GRAPH_PATTERN.match("restore_graph[16]")
+        assert not RESTORE_GRAPH_PATTERN.match("restore_graph[sixteen]")
+        odd = _plan(PlanStage("restore_graph[sixteen]", GPU_COMPUTE))
+        assert lint_plan(odd).has("PLN004")
 
     def test_fetch_chunk_pattern_is_always_known(self):
         plan = _plan(PlanStage("fetch_chunk[3]", CPU))
         assert not lint_plan(plan).has("PLN004")
-        assert is_known_action("fetch_chunk[3]")
-        assert is_known_action("fetch_chunk[0]", known=("other",))
-        assert not is_known_action("fetch_chunk[one]")
-        assert not is_known_action("fetch_chunk[]")
+        assert not lint_plan(plan, known_actions=("other",)).has("PLN004")
+        assert FETCH_CHUNK_PATTERN.match("fetch_chunk[0]")
+        assert not FETCH_CHUNK_PATTERN.match("fetch_chunk[one]")
+        assert not FETCH_CHUNK_PATTERN.match("fetch_chunk[]")
+
+    def test_default_universe_is_the_runtime_registries(self):
+        for action in ENGINE_STAGE_ACTIONS + RESTORER_STAGE_ACTIONS:
+            plan = _plan(PlanStage("a", CPU, action=action, writes=("x",)))
+            assert lint_plan(plan).clean, action
+        ladder = _plan(PlanStage(DEGRADED_LADDER_STAGES[0].name, CPU,
+                                 writes=("x",)))
+        assert lint_plan(ladder).codes() == ["PLN004"]
 
     def test_known_actions_override(self):
         plan = _plan(PlanStage("a", CPU, action="custom", writes=("x",)))
@@ -318,31 +324,13 @@ class TestEntryPoints:
 # ---------------------------------------------------------------------------
 
 class TestRegistrySync:
-    def test_engine_action_table_matches_engine_registry(self):
-        from repro.engine.engine import ENGINE_STAGE_ACTIONS
-        assert set(ENGINE_ACTION_EFFECTS) == set(ENGINE_STAGE_ACTIONS)
-        assert set(ENGINE_STAGE_ACTIONS) <= KNOWN_ACTIONS
-
-    def test_ladder_table_matches_ladder_constants(self):
-        from repro.faults.ladder import DEGRADED_LADDER_STAGES
-        assert LADDER_STAGES == DEGRADED_LADDER_STAGES
-        assert set(LADDER_ACTION_EFFECTS) == set(LADDER_STAGES)
-
     def test_online_restorer_names_match_runtime(self, tiny2l_artifact):
-        from repro.analysis.effects import default_effects
         from repro.core.online import prepare_medusa_cold_start
         artifact, _ = tiny2l_artifact
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", artifact, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model())
         names = restorer.stage_action_names()
-        # Every registered action has a default effect set: the fixed
-        # names are RESTORE_ACTION_EFFECTS keys, the rest its patterns.
-        assert {"restore_kv", "restore_warmup", "restore_tail"} \
-            <= set(names)
-        assert all(default_effects(name) is not None for name in names)
-        assert set(names) - set(RESTORE_ACTION_EFFECTS) == {
-            restore_graph_stage(batch) for batch in artifact.batches}
         assert set(restorer.stage_actions(engine)) == set(names)
 
     @pytest.mark.parametrize("plan_name", ["medusa", "medusa-pipelined"])
@@ -351,7 +339,6 @@ class TestRegistrySync:
         from repro.core.binfmt import save_binary
         from repro.core.chunks import open_binary
         from repro.core.online import prepare_medusa_cold_start
-        from repro.engine.engine import ENGINE_STAGE_ACTIONS
         from repro.faults import DegradationPolicy
         artifact, _ = tiny2l_artifact
         if plan_name == "medusa-pipelined":
@@ -369,7 +356,7 @@ class TestRegistrySync:
         plan = engine.plan or plan_for(Strategy.MEDUSA)
         assert plan.name == plan_name
         report = lint_plan(plan,
-                           known_actions=tuple(ENGINE_STAGE_ACTIONS) + names)
+                           known_actions=ENGINE_STAGE_ACTIONS + names)
         assert report.clean, report.format_text()
 
     def test_vectorized_restorer_names_match_runtime(self, tiny2l_artifact,
@@ -377,7 +364,6 @@ class TestRegistrySync:
         from repro.core.binfmt import save_binary
         from repro.core.chunks import open_binary
         from repro.core.online import prepare_medusa_cold_start
-        from repro.engine.engine import ENGINE_STAGE_ACTIONS
         artifact, _ = tiny2l_artifact
         path = str(tmp_path / "tiny2l.medusa")
         save_binary(artifact, path)
@@ -391,14 +377,13 @@ class TestRegistrySync:
         # actions the engine + this restorer register.
         plan = pipelined_medusa_plan(lazy.batches, name="sync-pipelined")
         report = lint_plan(plan,
-                           known_actions=tuple(ENGINE_STAGE_ACTIONS) + names)
+                           known_actions=ENGINE_STAGE_ACTIONS + names)
         assert report.clean, report.format_text()
 
     def test_chunked_restorer_names_match_runtime(self, tiny2l_artifact,
                                                   tmp_path):
         from repro.core.online import prepare_medusa_cold_start
         from repro.core.store import ArtifactStore
-        from repro.engine.engine import ENGINE_STAGE_ACTIONS
         from repro.engine.strategies import chunked_medusa_plan
         artifact, _ = tiny2l_artifact
         store = ArtifactStore(tmp_path / "store")
@@ -418,42 +403,45 @@ class TestRegistrySync:
         # actions the engine + this restorer register.
         plan = chunked_medusa_plan(manifest, name="sync-chunked")
         report = lint_plan(plan,
-                           known_actions=tuple(ENGINE_STAGE_ACTIONS) + names)
+                           known_actions=ENGINE_STAGE_ACTIONS + names)
         assert report.clean, report.format_text()
 
 
 # ---------------------------------------------------------------------------
-# Effect resolution
+# Declared effects: the verifier reads nothing but ``reads``/``writes``
 # ---------------------------------------------------------------------------
 
-class TestEffectResolution:
-    def test_declared_effects_win_over_action_defaults(self):
-        stage = PlanStage("kv_init", GPU_COMPUTE, action="restore_kv",
-                          reads=("only",))
-        fx = resolve_effects(stage)
-        assert fx.reads == frozenset({"only"})
-        assert fx.writes == frozenset()
+def _undeclared(plan):
+    return [stage.name for stage in plan.stages
+            if not stage.reads and not stage.writes]
 
-    def test_undeclared_falls_back_to_action_default(self):
-        stage = PlanStage("kv_init", GPU_COMPUTE, action="restore_kv")
-        assert resolve_effects(stage) == default_effects("restore_kv")
 
-    def test_unknown_action_resolves_empty(self):
-        stage = PlanStage("mystery", CPU)
-        assert resolve_effects(stage).empty
+def _registered_and_degraded():
+    for plan in sorted(registered_plans().values(), key=lambda p: p.name):
+        yield plan
+        yield append_stages(plan, DEGRADED_LADDER_STAGES)
 
-    def test_graph_pattern_default_effects(self):
-        fx = default_effects("restore_graph[4]")
-        assert fx.writes == frozenset({graph_resource(4)})
-        assert "alloc_map" in fx.reads
 
-    def test_chunk_pattern_default_effects(self):
-        from repro.analysis.effects import chunk_resource
-        fx = default_effects("fetch_chunk[7]")
-        assert fx.writes == frozenset({chunk_resource(7)})
-        assert fx.reads == frozenset()
-        assert default_effects("fetch_chunk[seven]") is None
-        assert default_effects("restore_graph[oops]") is None
+@pytest.mark.parametrize("plan", list(_registered_and_degraded()),
+                         ids=lambda plan: plan.name)
+def test_every_registered_stage_declares_its_effects(plan):
+    assert _undeclared(plan) == []
+
+
+@pytest.mark.parametrize("kind", ["pipelined", "chunked"])
+def test_every_per_artifact_stage_declares_its_effects(tiny2l_artifact,
+                                                       tmp_path, kind):
+    from repro.core.store import ArtifactStore
+    artifact, _ = tiny2l_artifact
+    if kind == "pipelined":
+        plan = pipelined_medusa_plan(artifact.batches, name="fx-pipelined")
+    else:
+        store = ArtifactStore(tmp_path / "store")
+        store.put(artifact)
+        lazy = store.get_lazy(artifact.gpu_name, artifact.model_name)
+        plan = chunked_medusa_plan(lazy.chunk_manifest, name="fx-chunked")
+    assert len(plan.stages) > len(artifact.batches)
+    assert _undeclared(plan) == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,28 +12,26 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.effects import (
-    ALLOC_MAP,
-    ARTIFACT,
-    KV_STATE,
-    PARAMS,
-    STRUCTURE_STATE,
-    TOKENIZER_STATE,
-    WEIGHTS_STATE,
-    graph_resource,
-)
 from repro.analysis.planlint import lint_plan, lint_registered_plans
 from repro.engine.lanes import CPU, Contention
 from repro.engine.loadplan import (
+    ALLOC_MAP,
+    ARTIFACT,
     FETCH_ARTIFACT,
     KV_INIT,
+    KV_STATE,
     MEDUSA_WARMUP,
+    PARAMS,
     REPLAY_ALLOC,
     STRUCTURE,
+    STRUCTURE_STATE,
     TOKENIZER,
+    TOKENIZER_STATE,
     WEIGHTS,
+    WEIGHTS_STATE,
     LoadPlan,
     PlanStage,
+    graph_resource,
     restore_graph_stage,
 )
 from repro.engine.strategies import pipelined_medusa_plan

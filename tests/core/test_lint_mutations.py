@@ -267,13 +267,29 @@ def test_mutations_cover_at_least_ten_distinct_codes():
 # entry fails here, forcing the author to decide which side it lands on.
 
 from repro.faults import (  # noqa: E402
-    FAULT_STATIC_COVERAGE,
-    RUNTIME_ONLY,
     FaultInjector,
     FaultKind,
     FaultPlan,
     FaultSpec,
 )
+
+#: Marker for fault kinds no static MED0xx diagnostic can catch — they only
+#: exist at restore time (live allocator state, live driver state).
+RUNTIME_ONLY = "runtime-only"
+
+#: Static-lint coverage per fault kind: either the MED0xx code that flags
+#: the canonical corruption in a *stored* artifact, or ``RUNTIME_ONLY``.
+FAULT_STATIC_COVERAGE = {
+    # The canonical corruption (pointer offset outside its allocation) is
+    # exactly what the pointer linter checks.
+    FaultKind.ARTIFACT_CORRUPTION: "MED011",
+    # The remaining kinds corrupt the *process*, not the artifact bytes:
+    FaultKind.REPLAY_DIVERGENCE: RUNTIME_ONLY,
+    FaultKind.HIDDEN_KERNEL_UNRESOLVED: RUNTIME_ONLY,
+    FaultKind.REPLAY_OOM: RUNTIME_ONLY,
+    FaultKind.PERMANENT_DUMP_BITFLIP: RUNTIME_ONLY,
+    FaultKind.TRIGGER_TIMEOUT: RUNTIME_ONLY,
+}
 
 
 def test_every_fault_kind_declares_static_coverage():

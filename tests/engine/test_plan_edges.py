@@ -28,6 +28,8 @@ from repro.engine.strategies import (
 from repro.faults.ladder import DEGRADED_LADDER_STAGES
 from tests.timelines import chain_timeline
 
+LADDER = [stage.name for stage in DEGRADED_LADDER_STAGES]
+
 _EPS = 1e-9
 RG8 = restore_graph_stage(8)
 RG4 = restore_graph_stage(4)
@@ -46,11 +48,10 @@ def pipelined():
 
 class TestAppendStages:
     def test_ladder_anchors_after_last_foreground_stage(self, pipelined):
-        degraded = append_stages(pipelined, DEGRADED_LADDER_STAGES,
-                                 Lane.GPU_COMPUTE)
+        degraded = append_stages(pipelined, DEGRADED_LADDER_STAGES)
         names = [stage.name for stage in degraded.stages]
         anchor = names.index(RG8)
-        ladder = list(DEGRADED_LADDER_STAGES)
+        ladder = LADDER
         # Inserted immediately after the last foreground stage, not at
         # the end of the stage list...
         assert names[anchor + 1:anchor + 1 + len(ladder)] == ladder
@@ -62,12 +63,11 @@ class TestAppendStages:
             assert degraded.stage(name).deps == (prev,)
 
     def test_background_restores_queue_behind_the_ladder(self, pipelined):
-        degraded = append_stages(pipelined, DEGRADED_LADDER_STAGES,
-                                 Lane.GPU_COMPUTE)
+        degraded = append_stages(pipelined, DEGRADED_LADDER_STAGES)
         durations = {stage.name: 1.0 for stage in degraded.stages}
         timeline = degraded.schedule(durations,
                                      {"weight_kv_interference": 0.0})
-        ladder_end = timeline.stage(DEGRADED_LADDER_STAGES[-1]).end
+        ladder_end = timeline.stage(LADDER[-1]).end
         # Degradation gates serving readiness...
         assert timeline.ready == ladder_end
         # ...and the background tail yields the GPU lane to it.
@@ -76,15 +76,20 @@ class TestAppendStages:
 
     def test_all_foreground_plan_appends_at_the_end(self):
         plan = plan_for(Strategy.VLLM)
-        degraded = append_stages(plan, DEGRADED_LADDER_STAGES,
-                                 Lane.GPU_COMPUTE)
+        degraded = append_stages(plan, DEGRADED_LADDER_STAGES)
         names = [stage.name for stage in degraded.stages]
-        assert names[-len(DEGRADED_LADDER_STAGES):] == \
-            list(DEGRADED_LADDER_STAGES)
-        assert degraded.stage(DEGRADED_LADDER_STAGES[0]).deps == (CAPTURE,)
+        assert names[-len(LADDER):] == LADDER
+        assert degraded.stage(LADDER[0]).deps == (CAPTURE,)
+
+    def test_appended_stages_keep_lane_and_effects(self, pipelined):
+        degraded = append_stages(pipelined, DEGRADED_LADDER_STAGES)
+        for declared in DEGRADED_LADDER_STAGES:
+            placed = degraded.stage(declared.name)
+            assert (placed.lane, placed.reads, placed.writes) == (
+                declared.lane, declared.reads, declared.writes)
 
     def test_empty_names_is_identity(self, pipelined):
-        assert append_stages(pipelined, (), Lane.GPU_COMPUTE) is pipelined
+        assert append_stages(pipelined, ()) is pipelined
 
 
 # ---------------------------------------------------------------------------

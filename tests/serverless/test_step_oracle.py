@@ -23,7 +23,7 @@ import dataclasses
 from collections import Counter
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -161,6 +161,11 @@ def _same_state(instance, reference) -> None:
 def test_silent_runs_and_cuts_match_per_step_reference():
     seen = Counter()
 
+    # Seeded: an unseeded search of 200 examples missed runs crossing the
+    # tail about one time in five, and st.data() draws cannot be pinned
+    # with @example.  This seed's search makes 17 such runs and 65 cuts
+    # inside a contended prefix.
+    @seed(1)
     @settings(max_examples=200, deadline=None, database=None)
     @given(costs=st.sampled_from(COSTS),
            max_running=st.integers(1, 8),

@@ -7,8 +7,10 @@ or any file under ``bench``, ``benchmarks``, ``scripts`` or
 that is exactly the identifier (``getattr`` keys).  The scan is by name,
 so two defs that share a name are reached together.
 
-Every function, method and class defined under ``src`` that is not
-reached is listed in ``test_only_names.json`` with the reason it stays.
+Every function, method and class defined under ``src``, and every
+module-level UPPER_CASE constant, that is not reached is listed in
+``test_only_names.json`` with the reason it stays.  Binding a constant
+is not a reference to it: only a read is.
 A change that leaves a def unreached either deletes it, with the tests
 of it alone, or lists it and says why in CHANGES.md.  A listed name that
 is reached again, or no longer exists, leaves the ledger.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+import re
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -35,6 +38,7 @@ PROGRAM_DIRS = ("bench", "benchmarks", "scripts", "examples")
 LEDGER = pathlib.Path(__file__).with_name("test_only_names.json")
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
 
 def _defs(tree: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
@@ -47,10 +51,27 @@ def _defs(tree: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
                 yield from _defs(node, qualified)
 
 
+def _constants(tree: ast.Module, prefix: str) -> Iterator[Tuple[str, str]]:
+    """``(qualified name, bare name)`` of every module-level UPPER_CASE
+    name an assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and _CONSTANT.match(name.id):
+                    yield f"{prefix}.{name.id}", name.id
+
+
 def _references(tree: ast.AST) -> Iterator[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if not isinstance(node.ctx, ast.Store):
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -59,13 +80,15 @@ def _references(tree: ast.AST) -> Iterator[str]:
 
 
 def unreached_names() -> Set[str]:
-    """Qualified names of the ``src`` defs no program file refers to."""
+    """Qualified names of the ``src`` defs and constants no program file
+    refers to."""
     defs: Dict[str, str] = {}
     referenced: Set[str] = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         defs.update(_defs(tree, module.removesuffix(".__init__")))
+        defs.update(_constants(tree, module.removesuffix(".__init__")))
         if path.name != "__init__.py":
             referenced.update(_references(tree))
     for directory in PROGRAM_DIRS:
@@ -181,3 +204,20 @@ def test_the_module_check_sees_an_unimported_module(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "REPO", tmp_path)
     monkeypatch.setitem(globals(), "SRC", tmp_path / "src")
     assert unimported_modules() == {"pkg.hidden"}
+
+
+def test_the_name_check_sees_an_unread_constant(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from pkg.consts import UNREAD\n")
+    (package / "consts.py").write_text(
+        "READ = 1\nUNREAD: int = 2\nPAIR_A, PAIR_B = 3, 4\n"
+        "lower = READ + PAIR_A\n"
+        "def uses():\n    return lower\n")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "from pkg.consts import uses\nuses()\n")
+    monkeypatch.setitem(globals(), "REPO", tmp_path)
+    monkeypatch.setitem(globals(), "SRC", tmp_path / "src")
+    assert unreached_names() == {"pkg.consts.UNREAD", "pkg.consts.PAIR_B"}
+

@@ -315,9 +315,8 @@ def lint_plan(plan, known_actions: Optional[Iterable[str]] = None,
     return report
 
 
-def lint_registered_plans(include_degraded: bool = True
-                          ) -> Dict[str, LintReport]:
-    """Lint every registered plan (plus its degraded-ladder variant).
+def lint_registered_plans() -> Dict[str, LintReport]:
+    """Lint every registered plan and its degraded-ladder variant.
 
     A degraded variant's ladder stages execute no registered action (the
     restorer reports their durations), so their names join its universe.
@@ -330,8 +329,7 @@ def lint_registered_plans(include_degraded: bool = True
     reports: Dict[str, LintReport] = {}
     for name, plan in sorted(registered_plans().items()):
         reports[name] = lint_plan(plan)
-        if include_degraded:
-            degraded = append_stages(plan, DEGRADED_LADDER_STAGES)
-            reports[degraded.name] = lint_plan(
-                degraded, known_actions=degraded_actions)
+        degraded = append_stages(plan, DEGRADED_LADDER_STAGES)
+        reports[degraded.name] = lint_plan(degraded,
+                                           known_actions=degraded_actions)
     return reports

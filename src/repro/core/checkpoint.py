@@ -133,8 +133,7 @@ def checkpoint_engine(engine: LLMEngine) -> InstanceCheckpoint:
     return checkpoint
 
 
-def restore_engine(checkpoint: InstanceCheckpoint,
-                   cost_model=None, kv_config=None,
+def restore_engine(checkpoint: InstanceCheckpoint, cost_model=None,
                    mode: ExecutionMode = ExecutionMode.TIMING,
                    ) -> Tuple[LLMEngine, float]:
     """Restore a snapshot into a fresh process at identical addresses.
@@ -146,7 +145,7 @@ def restore_engine(checkpoint: InstanceCheckpoint,
     engine = LLMEngine(checkpoint.model_name,
                        Strategy(checkpoint.strategy),
                        seed=checkpoint.process_seed, mode=mode,
-                       cost_model=cost_model, kv_config=kv_config)
+                       cost_model=cost_model)
     process = engine.process
     if engine.cost_model.gpu.name != checkpoint.gpu_name:
         raise RestorationError(

@@ -38,7 +38,6 @@ from repro.core.pointer_analysis import (
 )
 from repro.core.trace import Trace
 from repro.engine.engine import LLMEngine
-from repro.engine.kvcache import KVCacheConfig
 from repro.engine.strategies import Strategy
 from repro.errors import MaterializationError
 from repro.models.zoo import get_model_config
@@ -67,19 +66,16 @@ class OfflinePhase:
     def __init__(self, config, seed: int = 5000,
                  mode: ExecutionMode = ExecutionMode.TIMING,
                  cost_model: Optional[CostModel] = None,
-                 kv_config: Optional[KVCacheConfig] = None,
                  naive_pointer_matching: bool = False,
-                 batch_subset: Optional[Tuple[int, ...]] = None,
-                 lint: bool = True):
+                 batch_subset: Optional[Tuple[int, ...]] = None):
         """``batch_subset``: materialize only these batch sizes (must be a
         subset of the config's capture list).  Fewer sizes cut the offline
         time and artifact size at the cost of coarser padding when serving
         (uncovered batch sizes replay the next larger graph).
 
-        ``lint``: statically verify the finished artifact (zero GPU-time;
-        see :mod:`repro.analysis`) and refuse to emit one that carries
-        error-severity diagnostics.  Off only for ablations that *want*
-        broken artifacts (e.g. naive pointer matching)."""
+        Every run statically verifies the finished artifact (zero
+        GPU-time; see :mod:`repro.analysis`) and refuses to emit one that
+        carries error-severity diagnostics."""
         if isinstance(config, str):
             config = get_model_config(config)
         if batch_subset is not None:
@@ -94,9 +90,7 @@ class OfflinePhase:
         self.seed = seed
         self.mode = mode
         self.cost_model = cost_model or CostModel()
-        self.kv_config = kv_config or KVCacheConfig()
         self.naive_pointer_matching = naive_pointer_matching
-        self.lint = lint
         self.engine: Optional[LLMEngine] = None
 
     # ------------------------------------------------------------------
@@ -109,9 +103,8 @@ class OfflinePhase:
             engine, trace, capture_stage_time = self._capturing_stage()
             artifact, analysis_time, stats = self._analysis_stage(engine,
                                                                   trace)
-            if self.lint:
-                stats["lint_diagnostics"] = float(
-                    self._lint_artifact(engine, artifact))
+            stats["lint_diagnostics"] = float(
+                self._lint_artifact(engine, artifact))
         report = OfflineReport(
             model=self.config.name,
             capture_stage_time=capture_stage_time,
@@ -139,7 +132,6 @@ class OfflinePhase:
     def _capturing_stage(self) -> Tuple[LLMEngine, Trace, float]:
         engine = LLMEngine(self.config, Strategy.VLLM, seed=self.seed,
                            mode=self.mode, cost_model=self.cost_model,
-                           kv_config=self.kv_config,
                            capture_batch_sizes=self.batch_subset)
         self._guard_supported_kernels(engine)
         self.engine = engine

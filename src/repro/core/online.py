@@ -32,7 +32,6 @@ from repro.core.fastpath import (  # noqa: F401
     resolve_kernel_addresses,
 )
 from repro.engine.engine import ColdStartReport, LLMEngine
-from repro.engine.kvcache import KVCacheConfig
 from repro.engine.strategies import (
     Strategy,
     chunked_medusa_plan,
@@ -52,8 +51,7 @@ OnlineRestorer = VectorizedRestorer
 def prepare_medusa_cold_start(config, artifact, seed: int = 1,
                               mode: ExecutionMode = ExecutionMode.TIMING,
                               cost_model: Optional[CostModel] = None,
-                              kv_config: Optional[KVCacheConfig] = None,
-                              checkpoints=None, injector=None,
+                              injector=None,
                               policy: Optional[DegradationPolicy] = None):
     """Build the (engine, restorer) pair for one Medusa cold start.
 
@@ -81,8 +79,7 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     else:
         plan = pipelined_medusa_plan(artifact.batches)
     engine = LLMEngine(config, Strategy.MEDUSA, seed=seed, mode=mode,
-                       cost_model=cost_model, kv_config=kv_config,
-                       checkpoints=checkpoints, plan=plan, injector=injector)
+                       cost_model=cost_model, plan=plan, injector=injector)
     # Artifacts are keyed by <GPU type, model type> (§3): the profiled KV
     # memory and graph structure are only valid on the GPU they came from.
     if artifact.gpu_name != engine.cost_model.gpu.name:
@@ -97,8 +94,7 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
 def medusa_cold_start(config, artifact, seed: int = 1,
                       mode: ExecutionMode = ExecutionMode.TIMING,
                       cost_model: Optional[CostModel] = None,
-                      kv_config: Optional[KVCacheConfig] = None,
-                      checkpoints=None, injector=None,
+                      injector=None,
                       policy: Optional[DegradationPolicy] = None
                       ) -> Tuple[LLMEngine, ColdStartReport]:
     """One Medusa cold start: fresh process, restore-based loading phase.
@@ -116,8 +112,7 @@ def medusa_cold_start(config, artifact, seed: int = 1,
     with cyclic_gc_paused():
         engine, restorer = prepare_medusa_cold_start(
             config, artifact, seed=seed, mode=mode, cost_model=cost_model,
-            kv_config=kv_config, checkpoints=checkpoints, injector=injector,
-            policy=policy)
+            injector=injector, policy=policy)
         report = engine.cold_start(restorer=restorer)
     return engine, report
 

@@ -65,14 +65,14 @@ class OptimusTransformer:
 def medusa_plus_optimus_cold_start(
         config, artifact, seed: int = 1,
         mode: ExecutionMode = ExecutionMode.TIMING,
-        cost_model=None, kv_config=None,
+        cost_model=None,
 ) -> Tuple[LLMEngine, ColdStartReport]:
     """A cold start with both materializations: structure transform
     (Optimus) + KV/graph restore (Medusa) — the §9 composition claim."""
     if isinstance(config, str):
         config = get_model_config(config)
     engine = LLMEngine(config, Strategy.MEDUSA, seed=seed, mode=mode,
-                       cost_model=cost_model, kv_config=kv_config)
+                       cost_model=cost_model)
     OptimusTransformer(donor_family=config.family).install(engine)
     report = engine.cold_start(restorer=VectorizedRestorer(artifact))
     return engine, report

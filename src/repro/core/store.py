@@ -26,12 +26,16 @@ deserialization path:
   (``manifest_reads`` counts actual parses), so manifest-granular gets
   keep the same "100 gets ⇒ 1 parse" behavior;
 - opened artifacts land in a small in-memory **LRU keyed by the
-  manifest file's content hash** (``cache_size`` entries, 0 disables).
-  The manifest lists every chunk digest, so its hash is a content
-  address for the whole artifact.  A hit returns the same artifact
-  object — with ``lint_on_load``, one that already passed the
-  verifier — and its already-decompressed chunks; treat it as
+  manifest file's content hash** (:attr:`ArtifactStore.CACHE_SIZE`
+  entries).  The manifest lists every chunk digest, so its hash is a
+  content address for the whole artifact.  A hit returns the same
+  artifact object and its already-decompressed chunks; treat it as
   read-only.
+
+An index or manifest that cannot be read (a directory, bytes that are
+not UTF-8, malformed JSON) raises :class:`~repro.errors.ArtifactError`,
+and so does an index entry that is not a bare manifest file name: the
+store reads nothing outside its root.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from repro.core.chunks import (
     ChunkedLazyArtifact,
     directory_loader,
 )
-from repro.errors import ArtifactError, LintError
+from repro.errors import ArtifactError
 from repro.utils.files import write_if_changed
 
 _INDEX_NAME = "index.json"
@@ -61,27 +65,22 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
 
 
+def _is_manifest_name(name: object) -> bool:
+    """Whether an index value is a bare manifest file name."""
+    return (isinstance(name, str) and name.endswith(_MANIFEST_SUFFIX)
+            and "/" not in name and "\\" not in name)
+
+
 class ArtifactStore:
     """Materialization artifacts for many models on one storage path."""
 
-    def __init__(self, root, lint_on_load: bool = False,
-                 cache_size: int = 4):
+    #: In-memory LRU capacity, in artifacts (content-hash keyed).
+    CACHE_SIZE = 4
+
+    def __init__(self, root):
         """Opening a store creates nothing: the first :meth:`put` makes
-        ``root``.
-
-        ``lint_on_load``: statically verify every artifact fetched with
-        :meth:`get` (see :mod:`repro.analysis`) and raise
-        :class:`~repro.errors.LintError` on error-severity diagnostics —
-        the SSD copy may be corrupt, hand-edited, or version-skewed even
-        when the index entry looks fine.  With the LRU enabled the check
-        runs once per distinct content (lint-once): a cache hit is by
-        definition the artifact that already passed.
-
-        ``cache_size``: in-memory LRU capacity in artifacts (content-hash
-        keyed); 0 disables caching entirely."""
+        ``root``."""
         self.root = pathlib.Path(root)
-        self.lint_on_load = lint_on_load
-        self.cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
         self.index_reads = 0
@@ -109,16 +108,17 @@ class ArtifactStore:
             return dict(self._index_cache[1])
         self.index_reads += 1
         try:
-            parsed = json.loads(self._index_path.read_text())
-        except json.JSONDecodeError as exc:
+            parsed = json.loads(self._index_path.read_bytes())
+        except (OSError, ValueError) as exc:
             raise ArtifactError(
-                f"artifact store index at {self._index_path} is corrupt: "
-                f"{exc}") from exc
+                f"artifact store index at {self._index_path} is "
+                f"unreadable: {exc}") from exc
         if not isinstance(parsed, dict) or not all(
-                isinstance(name, str) for name in parsed.values()):
+                _is_manifest_name(name) for name in parsed.values()):
             raise ArtifactError(
                 f"artifact store index at {self._index_path} is not a "
-                f"key -> manifest-file object")
+                f"key -> manifest-file-name object (each name a bare "
+                f"file name ending in {_MANIFEST_SUFFIX})")
         self._index_cache = (stamp, parsed)
         return dict(parsed)
 
@@ -143,12 +143,21 @@ class ArtifactStore:
             raise ArtifactError(
                 f"indexed artifact file {filename} is missing from "
                 f"{self.root}") from exc
+        except OSError as exc:
+            raise ArtifactError(
+                f"indexed artifact file {filename} is unreadable: "
+                f"{exc}") from exc
         stamp = (stat.st_mtime_ns, stat.st_size)
         cached = self._manifest_cache.get(filename)
         if cached is not None and cached[0] == stamp:
             return cached[1], cached[2]
         self.manifest_reads += 1
-        payload = path.read_bytes()
+        try:
+            payload = path.read_bytes()
+        except OSError as exc:
+            raise ArtifactError(
+                f"indexed artifact file {filename} is unreadable: "
+                f"{exc}") from exc
         digest = hashlib.sha256(payload).hexdigest()
         manifest = ChunkManifest.from_json(payload)
         self._manifest_cache[filename] = (stamp, manifest, digest)
@@ -230,36 +239,25 @@ class ArtifactStore:
     def get(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:
         """Open one artifact chunk-backed, through the LRU.
 
-        A miss reads only the (stamp-cached) manifest; with
-        ``lint_on_load`` it also lints the artifact's tables once.  A hit
-        returns the same object, decompressed chunks included.
+        A miss reads only the (stamp-cached) manifest.  A hit returns the
+        same object, decompressed chunks included.
         """
         filename = self._lookup(gpu_name, model_name)
         manifest, digest = self._load_manifest(filename)
-        if self.cache_size > 0:
-            cached = self._cache.get(digest)
-            if cached is not None:
-                self._cache.move_to_end(digest)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
+        cached = self._cache.get(digest)
+        if cached is not None:
+            self._cache.move_to_end(digest)
+            self.cache_hits += 1
+            return cached
+        self.cache_misses += 1
         lazy = self._open_chunked(manifest, filename)
-        if self.lint_on_load:
-            from repro.analysis import lint_artifact
-            report = lint_artifact(lazy)
-            if report.errors:
-                raise LintError(
-                    f"stored artifact {filename} failed static "
-                    f"verification with {len(report.errors)} error(s): "
-                    f"{', '.join(report.codes())}", report=report)
-        if self.cache_size > 0:
-            self._cache[digest] = lazy
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+        self._cache[digest] = lazy
+        if len(self._cache) > self.CACHE_SIZE:
+            self._cache.popitem(last=False)
         return lazy
 
     def get_lazy(self, gpu_name: str, model_name: str) -> ChunkedLazyArtifact:
-        """Open one artifact chunk-backed, bypassing the LRU and lint.
+        """Open one artifact chunk-backed, bypassing the LRU.
 
         The chunked-plan entry: chunks decompress on first access (the
         restorer's foreground stages touch heads and replay shards only),

@@ -228,7 +228,7 @@ class Trace:
             _row(FreeTraceEvent, (*row[:3], bool(row[3])))
             for row in zip(*_lists(self.free_columns()))])
 
-    def launches(self, captured_only: bool = False) -> List[LaunchTraceEvent]:
+    def launches(self) -> List[LaunchTraceEvent]:
         columns = _lists(self.launch_columns())
         starts = np.cumsum([0, *columns.count]).tolist()
         return self._built([
@@ -238,8 +238,7 @@ class Trace:
                 tuple(columns.values[start:start + count]),
                 self.dims[dims], bool(captured)))
             for seq, kernel, count, dims, captured, start in zip(
-                *columns[:5], starts)
-            if captured or not captured_only])
+                *columns[:5], starts)])
 
     @property
     def events(self) -> List[tuple]:

@@ -77,16 +77,16 @@ def lint_before_restore(artifact, refuse: bool = True):
 def validate_restoration(config, artifact,
                          batches: Optional[Sequence[int]] = None,
                          seed: int = 77, cost_model=None,
-                         kv_config=None,
-                         static_lint: bool = True,
                          injector=None,
                          policy=None) -> ValidationReport:
     """Restore in a fresh process and compare replay vs eager outputs.
 
-    ``static_lint``: run the zero-execution artifact verifier first; its
-    diagnostics land on the report, and error-severity findings abort
-    before the restore touches the artifact (a corrupt artifact should
-    fail fast, not fault mid-replay).
+    The zero-execution artifact verifier runs first; its diagnostics
+    land on the report, and error-severity findings abort before the
+    restore touches the artifact (a corrupt artifact should fail fast,
+    not fault mid-replay).  The load plan the restore will execute is
+    verified next (PLN0xx), against exactly the actions the engine and
+    the restorer register.
 
     ``policy``: a :class:`repro.faults.DegradationPolicy`.  When set, lint
     errors no longer abort (the ladder is expected to survive them), the
@@ -102,33 +102,26 @@ def validate_restoration(config, artifact,
     """
     report = ValidationReport(model=artifact.model_name)
     degraded_ok = policy is not None
-    if static_lint:
-        report.diagnostics = list(
-            lint_before_restore(artifact, refuse=not degraded_ok).diagnostics)
+    report.diagnostics = list(
+        lint_before_restore(artifact, refuse=not degraded_ok).diagnostics)
     engine, restorer = prepare_medusa_cold_start(
         config, artifact, seed=seed, mode=ExecutionMode.COMPUTE,
-        cost_model=cost_model, kv_config=kv_config,
-        injector=injector, policy=policy)
-    if static_lint:
-        # Plan-lint prepass (PLN0xx): verify the load plan this restore
-        # will execute, with PLN004 bindings resolved against exactly the
-        # actions the engine and the restorer register.
-        from repro.analysis.planlint import lint_plan
-        from repro.engine.loadplan import ENGINE_STAGE_ACTIONS
-        from repro.engine.strategies import Strategy, plan_for
-        plan = engine.plan or plan_for(Strategy.MEDUSA)
-        plan_lint = lint_plan(
-            plan,
-            known_actions=ENGINE_STAGE_ACTIONS
-            + restorer.stage_action_names(),
-            cost_model=cost_model)
-        report.diagnostics.extend(plan_lint.diagnostics)
-        if plan_lint.errors and not degraded_ok:
-            raise ValidationError(
-                f"{artifact.model_name}: load plan {plan.name!r} "
-                f"failed static verification "
-                f"({', '.join(d.code for d in plan_lint.errors)}); "
-                f"refusing to execute an unsafe plan")
+        cost_model=cost_model, injector=injector, policy=policy)
+    from repro.analysis.planlint import lint_plan
+    from repro.engine.loadplan import ENGINE_STAGE_ACTIONS
+    from repro.engine.strategies import Strategy, plan_for
+    plan = engine.plan or plan_for(Strategy.MEDUSA)
+    plan_lint = lint_plan(
+        plan,
+        known_actions=ENGINE_STAGE_ACTIONS + restorer.stage_action_names(),
+        cost_model=cost_model)
+    report.diagnostics.extend(plan_lint.diagnostics)
+    if plan_lint.errors and not degraded_ok:
+        raise ValidationError(
+            f"{artifact.model_name}: load plan {plan.name!r} "
+            f"failed static verification "
+            f"({', '.join(d.code for d in plan_lint.errors)}); "
+            f"refusing to execute an unsafe plan")
     cold = engine.cold_start(restorer=restorer)
     report.degradation = getattr(cold, "degradation", None)
     report.cold_report = cold

@@ -73,7 +73,7 @@ def prepare_capture_stage(process: CudaProcess, model: Model) -> CaptureArtifact
 
 def capture_one(process: CudaProcess, model: Model,
                 artifacts: CaptureArtifacts, kv_region: KVCacheRegion,
-                batch_size: int, instantiate: bool = True) -> None:
+                batch_size: int) -> None:
     """Warm up and capture the decode graph of one batch size.
 
     All capture-stage transients live in the private graph memory pool, as
@@ -91,19 +91,17 @@ def capture_one(process: CudaProcess, model: Model,
         model.forward(batch_size, batch_size, ctx)          # capturing
         graph = process.default_stream.end_capture()
         artifacts.graphs[batch_size] = graph
-        if instantiate:
-            artifacts.execs[batch_size] = graph.instantiate(process)
+        artifacts.execs[batch_size] = graph.instantiate(process)
 
 
 def run_capture_stage(process: CudaProcess, model: Model,
                       kv_region: KVCacheRegion,
-                      batch_sizes: Optional[List[int]] = None,
-                      instantiate: bool = True) -> CaptureArtifacts:
+                      batch_sizes: Optional[List[int]] = None
+                      ) -> CaptureArtifacts:
     """Warm up and capture one decode graph per batch size (largest first)."""
     artifacts = prepare_capture_stage(process, model)
     sizes = batch_sizes if batch_sizes is not None else \
         sorted(model.config.capture_batch_sizes, reverse=True)
     for batch_size in sizes:
-        capture_one(process, model, artifacts, kv_region, batch_size,
-                    instantiate=instantiate)
+        capture_one(process, model, artifacts, kv_region, batch_size)
     return artifacts

@@ -85,7 +85,6 @@ class LLMEngine:
                  seed: int = 0,
                  mode: ExecutionMode = ExecutionMode.TIMING,
                  cost_model: Optional[CostModel] = None,
-                 kv_config: Optional[KVCacheConfig] = None,
                  checkpoints: Optional[CheckpointStore] = None,
                  capture_batch_sizes=None,
                  plan: Optional[LoadPlan] = None,
@@ -105,7 +104,7 @@ class LLMEngine:
         self.plan = plan
         self.injector = injector
         self.cost_model = cost_model or CostModel()
-        self.kv_config = kv_config or KVCacheConfig()
+        self.kv_config = KVCacheConfig()
         self.checkpoints = checkpoints or CheckpointStore()
         self.catalog = build_catalog(config)
         self.process = CudaProcess(seed=seed, catalog=self.catalog,
@@ -322,10 +321,10 @@ class LLMEngine:
         candidates = [b for b in available if b >= batch_size]
         return min(candidates) if candidates else max(available)
 
-    def prefill(self, num_prompt_tokens: int, batch_size: int = 1) -> float:
-        """Eager prefill; returns the simulated duration."""
+    def prefill(self, num_prompt_tokens: int) -> float:
+        """Eager prefill of one sequence; returns the simulated duration."""
         start = self.process.clock.now
-        self.model.forward(batch_size, num_prompt_tokens,
+        self.model.forward(1, num_prompt_tokens,
                            self.serving_context())
         return self.process.clock.now - start
 

@@ -235,8 +235,7 @@ register_plan(LoadPlan(
     description="Materialized restore: KV + graphs from the artifact (§3)."),
     strategy=Strategy.MEDUSA)
 
-def pipelined_medusa_plan(batch_sizes: Sequence[int],
-                          name: str = "medusa-pipelined") -> LoadPlan:
+def pipelined_medusa_plan(batch_sizes: Sequence[int]) -> LoadPlan:
     """The pipelined Medusa plan for one artifact's captured batch sizes.
 
     Splits the monolithic ``medusa_restore`` tail into ``fetch_artifact``
@@ -293,13 +292,13 @@ def pipelined_medusa_plan(batch_sizes: Sequence[int],
             writes=(graph_resource(batch),)))
         prev = stage
     return LoadPlan(
-        name, tuple(stages),
+        "medusa-pipelined", tuple(stages),
         description="Pipelined materialized restore: lazy artifact fetch, "
                     "replayed allocations, first graph foreground, the "
                     "rest behind the ready instant.")
 
 
-def chunked_medusa_plan(manifest, name: str = "medusa-chunked") -> LoadPlan:
+def chunked_medusa_plan(manifest) -> LoadPlan:
     """The chunk-streamed Medusa plan for one artifact's manifest.
 
     Replaces :data:`FETCH_ARTIFACT` with one ``fetch_chunk[i]`` stage per
@@ -410,7 +409,7 @@ def chunked_medusa_plan(manifest, name: str = "medusa-chunked") -> LoadPlan:
             writes=(graph_resource(batch),)))
         prev_restore = stage
     return LoadPlan(
-        name, tuple(stages),
+        "medusa-chunked", tuple(stages),
         description="Chunk-streamed materialized restore: content-"
                     "addressed chunks fetched as a DISK-lane pipeline, "
                     "foreground covering only what the first graph needs.")

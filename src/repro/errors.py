@@ -99,8 +99,8 @@ class ArtifactError(MaterializationError):
 class LintError(MaterializationError):
     """The static artifact verifier found error-severity diagnostics.
 
-    Raised by lint gates (offline lint-on-materialize, the store's
-    lint-on-load) — the diagnostics themselves live on the
+    Raised by the offline phase's lint-on-materialize gate — the
+    diagnostics themselves live on the
     :class:`repro.analysis.LintReport` attached as ``report``.
     """
 

@@ -219,13 +219,13 @@ class Model:
         no_consts: Dict[str, int] = {}
 
         def launch(key: str, roles: Dict[str, int],
-                   consts: Optional[Dict[str, int]] = None,
-                   dims: Optional[Dict[str, int]] = None) -> List[KernelParam]:
+                   consts: Optional[Dict[str, int]] = None
+                   ) -> List[KernelParam]:
             nonlocal launched
             spec = self._specs[key]
             params = process.launch(
                 spec, self._params(spec, roles, consts or no_consts),
-                launch_dims=dims or batch_dims)
+                launch_dims=batch_dims)
             launched += 1
             return params
 

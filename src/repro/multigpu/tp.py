@@ -55,15 +55,16 @@ def rank_config(config, tp_degree: int, rank: int) -> ModelConfig:
     )
 
 
-def allreduce_time(hidden_size: int, batch_size: int, tp_degree: int,
-                   collectives_per_step: int = 2) -> float:
-    """Per-decode-step allreduce cost added by tensor parallelism."""
+def allreduce_time(hidden_size: int, batch_size: int,
+                   tp_degree: int) -> float:
+    """Per-decode-step allreduce cost added by tensor parallelism: two
+    collectives per step (after attention and after the MLP)."""
     if tp_degree <= 1:
         return 0.0
     payload = batch_size * hidden_size * 2          # fp16 activations
     ring_factor = 2.0 * (tp_degree - 1) / tp_degree
     per_collective = ALLREDUCE_BASE + payload * ring_factor * ALLREDUCE_PER_BYTE
-    return collectives_per_step * per_collective
+    return 2 * per_collective
 
 
 @dataclass

@@ -11,14 +11,16 @@ from typing import Dict, Sequence
 
 #: One glyph per stage for stacked bars, cycled in order.
 _STACK_GLYPHS = "█▓▒░▚▞▗"
+#: Cells in the longest bar.
+_BAR_WIDTH = 60
 
 
 def stacked_bars(title: str, labels: Sequence[str],
-                 segments: Dict[str, Sequence[float]],
-                 width: int = 60, unit: str = "s") -> str:
+                 segments: Dict[str, Sequence[float]]) -> str:
     """Stacked horizontal bars: one row per label, one glyph per segment.
 
-    ``segments`` maps segment name -> per-label values (all equal length).
+    ``segments`` maps segment name -> per-label seconds (all equal
+    length); the longest bar is :data:`_BAR_WIDTH` cells.
     """
     names = list(segments)
     totals = [sum(segments[name][i] for name in names)
@@ -34,8 +36,9 @@ def stacked_bars(title: str, labels: Sequence[str],
         bar = ""
         for index, name in enumerate(names):
             glyph = _STACK_GLYPHS[index % len(_STACK_GLYPHS)]
-            cells = round(width * segments[name][row] / peak) if peak else 0
+            cells = round(_BAR_WIDTH * segments[name][row] / peak) \
+                if peak else 0
             bar += glyph * cells
         lines.append(f"{label.ljust(label_width)}  {bar} "
-                     f"{totals[row]:.3g}{unit}")
+                     f"{totals[row]:.3g}s")
     return "\n".join(lines)

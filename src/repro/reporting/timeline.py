@@ -98,7 +98,7 @@ def save_chrome_trace(reports: Sequence[ColdStartReport], path) -> int:
     return len(text)
 
 
-def simulation_trace_events(trace: TraceRecorder, pid: int = 0,
+def simulation_trace_events(trace: TraceRecorder,
                             name: str = "cluster") -> List[Dict]:
     """One simulated cluster run's event-kernel trace as Chrome events.
 
@@ -110,7 +110,7 @@ def simulation_trace_events(trace: TraceRecorder, pid: int = 0,
     """
     tids: Dict[str, int] = {}
     events: List[Dict] = [{
-        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
         "args": {"name": name},
     }]
 
@@ -118,7 +118,7 @@ def simulation_trace_events(trace: TraceRecorder, pid: int = 0,
         if track not in tids:
             tids[track] = len(tids) + 1
             events.append({
-                "name": "thread_name", "ph": "M", "pid": pid,
+                "name": "thread_name", "ph": "M", "pid": 0,
                 "tid": tids[track], "args": {"name": track or "events"},
             })
         return tids[track]
@@ -129,7 +129,7 @@ def simulation_trace_events(trace: TraceRecorder, pid: int = 0,
         events.append({
             "name": span.label,
             "ph": "X",
-            "pid": pid,
+            "pid": 0,
             "tid": _tid(track),
             "ts": span.start * _MICRO,
             "dur": span.duration * _MICRO,
@@ -140,7 +140,7 @@ def simulation_trace_events(trace: TraceRecorder, pid: int = 0,
             "name": label,
             "ph": "i",
             "s": "t",
-            "pid": pid,
+            "pid": 0,
             "tid": _tid(track),
             "ts": time * _MICRO,
             "args": dict(args),

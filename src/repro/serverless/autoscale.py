@@ -3,11 +3,12 @@
 The simulator used to hard-code one scale-down rule: a fixed
 ``keep_alive`` idle window evaluated only when a serving step completed
 (``serverless/cluster.py``).  This module turns that inline branch into a
-policy layer — :class:`AutoscalePolicy` exposes the four decision points
-the pool consults (``on_arrival``, ``on_stage_boundary``,
-``on_idle_tick``, ``target_instances`` plus the ``should_retire`` /
-``idle_check_delay`` retirement pair), and four concrete policies cover
-the design space the serverless literature argues about:
+policy layer — :class:`AutoscalePolicy` exposes the decision points the
+pool consults (``on_arrival``, ``target_instances`` plus the
+``should_retire`` / ``idle_check_delay`` retirement pair), and four
+concrete policies, built by name with :func:`make_autoscaler` and tuned
+by class constants, cover the design space the serverless literature
+argues about:
 
 - :class:`KeepAlivePolicy` — the fixed idle window, bit-identical to the
   pre-policy simulators (the 8 golden snapshots pin it);
@@ -62,12 +63,6 @@ class AutoscalePolicy:
 
     def on_arrival(self, pool, model: Optional[str], now: float) -> None:
         """One request arrived for deployment ``model``."""
-
-    def on_stage_boundary(self, pool, instance, stage, now: float) -> None:
-        """One cold-start stage of ``instance`` completed at ``now``."""
-
-    def on_idle_tick(self, pool, instance, now: float) -> None:
-        """A scheduled idle re-check fired for a still-idle ``instance``."""
 
     # -- scale-down ----------------------------------------------------------
 
@@ -156,28 +151,26 @@ class HistogramPolicy(_WindowedRetirePolicy):
     probability ``quantile``, then stop paying for it.  Arrivals feed a
     bucketed histogram per policy instance (one per model in the
     multi-model cluster); until ``warmup`` gaps are observed the policy
-    falls back to the configured default window.
+    falls back to the default window.
     """
 
     name = "histogram"
 
-    def __init__(self, default_keep_alive: float = 20.0,
-                 bucket: float = 1.0, max_window: float = 120.0,
-                 min_window: float = 0.5, quantile: float = 0.95,
-                 margin: float = 1.25, warmup: int = 8) -> None:
+    #: Histogram bucket width, seconds.
+    bucket = 1.0
+    #: Clamp on the predicted window, seconds.
+    min_window = 0.5
+    max_window = 120.0
+    #: Fraction of observed gaps the window must cover.
+    quantile = 0.95
+    #: Multiplier on the covering bucket's upper edge.
+    margin = 1.25
+    #: Gaps observed before the prediction replaces the default window.
+    warmup = 8
+
+    def __init__(self, default_keep_alive: float = 20.0) -> None:
         super().__init__()
-        if bucket <= 0:
-            raise InvalidValueError(f"bucket must be positive, got {bucket}")
-        if not 0.0 < quantile <= 1.0:
-            raise InvalidValueError(
-                f"quantile must be in (0, 1], got {quantile}")
         self.default_keep_alive = default_keep_alive
-        self.bucket = bucket
-        self.max_window = max_window
-        self.min_window = min_window
-        self.quantile = quantile
-        self.margin = margin
-        self.warmup = warmup
         self._last_arrival: Optional[float] = None
         self._buckets: Dict[int, int] = {}
         self._observed = 0
@@ -226,17 +219,14 @@ class ColdCostAwarePolicy(_WindowedRetirePolicy):
 
     name = "cold-cost"
 
-    def __init__(self, cost_ratio: float = 3.0, min_window: float = 0.25,
-                 max_window: float = 60.0,
-                 default_cold_cost: float = 3.0) -> None:
-        super().__init__()
-        if cost_ratio <= 0:
-            raise InvalidValueError(
-                f"cost_ratio must be positive, got {cost_ratio}")
-        self.cost_ratio = cost_ratio
-        self.min_window = min_window
-        self.max_window = max_window
-        self.default_cold_cost = default_cold_cost
+    #: Idle GPU seconds one second of cold-start latency is worth.
+    cost_ratio = 3.0
+    #: Clamp on the window, seconds.
+    min_window = 0.25
+    max_window = 60.0
+    #: Cold-start seconds assumed for an instance with no observed cost
+    #: and no profile.
+    default_cold_cost = 3.0
 
     def cold_cost(self, instance) -> float:
         """Expected seconds to re-provision this instance from cold."""
@@ -266,18 +256,16 @@ class TargetQueueDelayPolicy(_WindowedRetirePolicy):
 
     name = "queue-slo"
 
+    #: Seconds of service one queued request is predicted to need.
+    service_estimate = 0.08
+
     def __init__(self, slo_ttft: float = 1.0,
-                 service_estimate: float = 0.08,
                  keep_alive: float = 20.0) -> None:
         super().__init__()
         if slo_ttft <= 0:
             raise InvalidValueError(
                 f"slo_ttft must be positive, got {slo_ttft}")
-        if service_estimate <= 0:
-            raise InvalidValueError(
-                f"service_estimate must be positive, got {service_estimate}")
         self.slo_ttft = slo_ttft
-        self.service_estimate = service_estimate
         self.keep_alive = keep_alive
 
     def predicted_delay(self, pool, model: Optional[str],
@@ -321,40 +309,26 @@ def autoscaler_names() -> Tuple[str, ...]:
     return tuple(sorted(_AUTOSCALERS))
 
 
-def make_autoscaler(spec, keep_alive: float = 20.0,
+def make_autoscaler(spec: str, keep_alive: float = 20.0,
                     slo_ttft: float = 0.0) -> AutoscalePolicy:
     """Build a fresh autoscale policy for one simulation run.
 
-    ``spec`` may be a registered name (``"keep-alive"``, ``"histogram"``,
-    ``"cold-cost"``, ``"queue-slo"``), ``None`` (the keep-alive
-    default), a zero-argument factory callable, or an already-built
-    :class:`AutoscalePolicy` instance — reused as-is, so callers then
-    own its observed state (the multi-model cluster shares it across
-    deployments in that case).  ``keep_alive`` seeds the fixed/default
-    windows and ``slo_ttft`` the queue-delay budget, mirroring the
-    scenario configuration.
+    ``spec`` is a registered name (``"keep-alive"``, ``"histogram"``,
+    ``"cold-cost"``, ``"queue-slo"``).  ``keep_alive`` seeds the
+    fixed/default windows and ``slo_ttft`` the queue-delay budget,
+    mirroring the scenario configuration.
     """
-    if spec is None:
-        spec = KeepAlivePolicy.name
-    if isinstance(spec, AutoscalePolicy):
-        return spec
-    if isinstance(spec, str):
-        if spec not in _AUTOSCALERS:
-            raise InvalidValueError(
-                f"unknown autoscale policy {spec!r}; "
-                f"registered: {', '.join(autoscaler_names())}")
-        if spec == KeepAlivePolicy.name:
-            return KeepAlivePolicy(keep_alive)
-        if spec == HistogramPolicy.name:
-            return HistogramPolicy(default_keep_alive=keep_alive)
-        if spec == ColdCostAwarePolicy.name:
-            return ColdCostAwarePolicy()
-        return TargetQueueDelayPolicy(
-            slo_ttft=slo_ttft if slo_ttft > 0 else 1.0,
-            keep_alive=keep_alive)
-    if callable(spec):
-        return spec()
-    raise InvalidValueError(
-        f"autoscale must be a policy name, factory, or instance, "
-        f"got {spec!r}")
+    if spec not in _AUTOSCALERS:
+        raise InvalidValueError(
+            f"unknown autoscale policy {spec!r}; "
+            f"registered: {', '.join(autoscaler_names())}")
+    if spec == KeepAlivePolicy.name:
+        return KeepAlivePolicy(keep_alive)
+    if spec == HistogramPolicy.name:
+        return HistogramPolicy(default_keep_alive=keep_alive)
+    if spec == ColdCostAwarePolicy.name:
+        return ColdCostAwarePolicy()
+    return TargetQueueDelayPolicy(
+        slo_ttft=slo_ttft if slo_ttft > 0 else 1.0,
+        keep_alive=keep_alive)
 

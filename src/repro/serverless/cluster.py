@@ -15,11 +15,13 @@ cold start, its serving flags and its instance sizing; each
 The router sends each request to the least-loaded live instance of its
 model and launches a new one when all are saturated and GPUs are free;
 it becomes ready after the *strategy-specific cold-start latency* — the
-quantity Medusa shrinks.  A deployment with a :class:`ColdStartProfile`
-cold-starts stage by stage (each ``ScheduledStage`` is an event), admits
-requests at ``Timeline.ready``, and can be cancelled at a stage boundary.
-A request whose model has no instance and no GPU to free waits until one
-frees up.
+quantity Medusa shrinks.  Each instance holds one GPU.  A deployment
+with a :class:`ColdStartProfile` cold-starts stage by stage (each
+``ScheduledStage`` is an event), admits requests at ``Timeline.ready``,
+and can be cancelled at a stage boundary when another model needs its
+GPU.  A request whose model has no instance and no GPU to free waits
+until one frees up.  :func:`check_pool` caps the pool at
+:data:`MAX_GPUS`, since placement keeps one cache per GPU.
 
 Serving steps that record nothing (no TTFT, no completion, no trace)
 are not dispatched one by one: the instance runs through them in one
@@ -50,7 +52,6 @@ from repro.serverless.placement import (
     TIER_DRAM,
     ChunkFetchSummary,
     FetchResolution,
-    TierSpec,
     fetch_duration,
     make_policy,
 )
@@ -58,11 +59,20 @@ from repro.serverless.workload import Request, ShareGPTWorkload
 from repro.sim import EventLoop
 
 
+#: The largest pool :func:`check_pool` accepts: placement keeps one node
+#: cache per GPU and scans every free node on each launch.
+MAX_GPUS = 4096
+
+
 def check_pool(num_gpus: int, slo_ttft: float) -> None:
-    """Refuse a pool with no GPUs, or a TTFT budget that is negative or
-    not finite (0.0 is none; a NaN one would quietly turn the SLO off)."""
+    """Refuse a pool with no GPUs or more than :data:`MAX_GPUS`, or a
+    TTFT budget that is negative or not finite (0.0 is none; a NaN one
+    would quietly turn the SLO off)."""
     if num_gpus <= 0:
         raise InvalidValueError("num_gpus must be positive")
+    if num_gpus > MAX_GPUS:
+        raise InvalidValueError(
+            f"num_gpus must be at most {MAX_GPUS}, got {num_gpus}")
     if not (math.isfinite(slo_ttft) and slo_ttft >= 0):
         raise InvalidValueError(
             f"slo_ttft must be finite and non-negative, got {slo_ttft}")
@@ -111,7 +121,6 @@ class ModelDeployment:
     deferred_capture: bool = False   # §2.4: capture lazily while serving
     hot_spares: int = 0              # §2.4: always-on warm instances
     max_running: int = 14            # per-instance concurrent sequences
-    gpus_per_instance: int = 1   # tensor-parallel deployments span GPUs
     #: Scheduled-LoadPlan cold-start profile; when present, cold starts
     #: are stage-granular (ready at ``Timeline.ready``, cancellable at
     #: stage boundaries) and ``cold_start_latency`` is superseded by
@@ -182,52 +191,40 @@ def tag_workloads(workloads: Dict[str, ShareGPTWorkload]
 class MultiModelCluster:
     """One GPU pool shared by one or more model deployments.
 
-    ``placement`` picks nodes and prices artifact fetches over the
-    per-node ``tiers`` ladder (see :mod:`repro.serverless.placement`;
-    ``"flat"`` is the pre-placement pool bit for bit); ``autoscale``
-    builds one policy per deployment (see
-    :mod:`repro.serverless.autoscale`; ``keep_alive`` seeds its window);
-    ``slo_ttft`` (0.0 = none) is the TTFT budget the metrics and the
-    queue-delay policy use.  ``drain=False`` drops arrivals past the
-    horizon; ``abort_cold_starts`` cancels an in-flight stage-granular
-    cold start at its next stage boundary when ready instances of its
-    model can absorb its queue (the ServerlessLLM-style startup abort).
-    ``trace=True`` records the run's spans and marks on ``loop.trace``
-    for the Chrome-trace export; off, ``loop.trace`` stays empty and no
-    metric reads it either way.
+    ``placement`` names the policy that picks nodes and prices artifact
+    fetches over each node's tier ladder (see
+    :mod:`repro.serverless.placement`; ``"flat"`` is the pre-placement
+    pool bit for bit); ``autoscale`` names the policy built once per
+    deployment (see :mod:`repro.serverless.autoscale`; ``keep_alive``
+    seeds its window); ``slo_ttft`` (0.0 = none) is the TTFT budget the
+    metrics and the queue-delay policy use.  ``drain=False`` drops
+    arrivals past the horizon.  ``trace=True`` records the run's spans
+    and marks on ``loop.trace`` for the Chrome-trace export; off,
+    ``loop.trace`` stays empty and no metric reads it either way.
     """
 
     def __init__(self, deployments: List[ModelDeployment], num_gpus: int,
                  keep_alive: float = 20.0, placement: object = "locality",
-                 tiers: Optional[Tuple[TierSpec, ...]] = None,
-                 autoscale: object = "keep-alive", slo_ttft: float = 0.0,
-                 drain: bool = True, abort_cold_starts: bool = False,
-                 trace: bool = False):
+                 autoscale: str = "keep-alive", slo_ttft: float = 0.0,
+                 drain: bool = True, trace: bool = False):
         check_pool(num_gpus, slo_ttft)
         names = [d.name for d in deployments]
         if len(set(names)) != len(names):
             raise InvalidValueError(f"duplicate deployment names in {names}")
-        always_on = sum((d.initial_instances + d.hot_spares)
-                        * d.gpus_per_instance for d in deployments)
+        always_on = sum(d.initial_instances + d.hot_spares
+                        for d in deployments)
         if always_on > num_gpus:
             raise InvalidValueError(
                 f"initial instances and hot spares across deployments "
                 f"({always_on} GPUs) exceed the GPU pool ({num_gpus}) — "
                 f"the §2.4 affordability wall")
-        if any(not 1 <= d.gpus_per_instance <= num_gpus
-               for d in deployments):
-            raise InvalidValueError(
-                "a deployment's gpus_per_instance must be between 1 and "
-                "the pool size")
         self.deployments = {d.name: d for d in deployments}
         self.num_gpus = num_gpus
         self.keep_alive = keep_alive
         self.slo_ttft = slo_ttft
         self.drain = drain
-        self.abort_cold_starts = abort_cold_starts
         self.trace = trace
         self._placement_spec = placement
-        self._tiers = tiers
         self._autoscale_spec = autoscale
         self._reset(horizon=0.0)
 
@@ -235,7 +232,7 @@ class MultiModelCluster:
         """Fresh per-run state: metrics, instances, policies, event loop.
 
         Cache residency must not leak across runs, and neither must the
-        autoscalers' observed histograms (a caller-supplied policy
+        autoscalers' observed histograms (a caller-supplied placement
         *instance* is reused as-is).  One autoscaler per deployment:
         idle-window prediction is a per-model signal on a shared pool.
         """
@@ -258,7 +255,7 @@ class MultiModelCluster:
         #: share them as they share the unretimed one.
         self._retimed: Dict[Tuple[str, float], ColdStartProfile] = {}
         self.placement_policy = make_policy(self._placement_spec,
-                                            self.num_gpus, self._tiers)
+                                            self.num_gpus)
         self.autoscalers: Dict[str, AutoscalePolicy] = {
             name: make_autoscaler(self._autoscale_spec,
                                   keep_alive=self.keep_alive,
@@ -270,7 +267,7 @@ class MultiModelCluster:
         loop.on(COLD_STAGE_DONE, self._on_cold_stage_done, priority=1)
         loop.on(INSTANCE_READY, self._on_instance_ready, priority=2)
         loop.on(STEP_DONE, self._on_step_done, priority=_STEP_DONE_PRIORITY)
-        loop.on(IDLE_TICK, self._on_idle_tick, priority=4)
+        loop.on(IDLE_TICK, self._on_idle_recheck, priority=4)
         self.loop = loop
 
     # -- capacity ------------------------------------------------------------
@@ -282,14 +279,8 @@ class MultiModelCluster:
 
     @property
     def gpus_in_use(self) -> int:
-        """GPUs occupied by live instances (TP deployments span several)."""
-        return sum(self.deployments[inst.model_name].gpus_per_instance
-                   for inst in self._live_instances())
-
-    def _fits(self, model: str) -> bool:
-        """Whether the pool has GPUs free for one more ``model`` instance."""
-        return (self.gpus_in_use + self.deployments[model].gpus_per_instance
-                <= self.num_gpus)
+        """GPUs occupied by live instances, one each."""
+        return len(self._live_instances())
 
     def _above_floor(self, instance: Instance) -> bool:
         """Whether retiring ``instance`` keeps its model's always-on floor."""
@@ -303,8 +294,7 @@ class MultiModelCluster:
                 hot_spare: bool = False) -> Instance:
         """Provision one instance of ``model``'s deployment.
 
-        The placement layer picks the node(s) (TP deployments span
-        several; the artifact lives on the first); for a cold launch the
+        The placement layer picks the node; for a cold launch the
         resolved tier re-prices the profile's fetch stage before the
         kernel schedules the cold start.
         """
@@ -342,27 +332,25 @@ class MultiModelCluster:
 
     def _place(self, deployment: ModelDeployment, cold: bool
                ) -> Tuple[Tuple[int, ...], Optional[FetchResolution]]:
-        """Pick the node(s) for one launch and price its artifact fetch.
+        """Pick the node for one launch and price its artifact fetch.
 
-        Returns ``(node_ids, resolution)``: the nodes the instance will
-        occupy (empty when too few are free) and the policy's
+        Returns ``(node_ids, resolution)``: the one node the instance will
+        occupy (empty when none is free) and the policy's
         tier-resolved fetch outcome (None under the flat policy and for
         warm launches — the plan's own fetch duration then stands).  A
         deployment with ``chunks`` resolves the fetch chunk by chunk.
         """
         policy = self.placement_policy
-        needed = deployment.gpus_per_instance
         occupied = {node for inst in self._live_instances()
                     for node in inst.node_ids}
         free = [node for node in range(self.num_gpus)
                 if node not in occupied]
-        if len(free) < needed:
+        if not free:
             return (), None
         key = deployment.artifact_key or ("model", deployment.name)
         primary = policy.place(free, key) if cold else min(free)
         policy.record_placement(primary)
-        others = [node for node in free if node != primary][:needed - 1]
-        nodes = (primary, *others)
+        nodes = (primary,)
         if not cold:
             return nodes, None
         base_fetch = deployment.profile.fetch_duration \
@@ -449,9 +437,8 @@ class MultiModelCluster:
         if base <= 0:
             return profile
         duration = base if resolution is None else resolution.duration
-        tiers = self.placement_policy.tiers
-        if store_hit and any(tier.name == TIER_DRAM for tier in tiers):
-            duration = min(duration, fetch_duration(tiers, TIER_DRAM, base))
+        if store_hit:
+            duration = min(duration, fetch_duration(TIER_DRAM, base))
         memo = (deployment.name, duration)
         retimed = self._retimed.get(memo)
         if retimed is None:
@@ -524,7 +511,7 @@ class MultiModelCluster:
                 shortest, shortest_load = inst, load
         if best is not None:
             target = best
-        elif self._fits(model):
+        elif self.gpus_in_use < self.num_gpus:
             target = self._launch(model, now)
         elif shortest is not None:
             # Saturated: queue at the shortest backlog.
@@ -623,10 +610,6 @@ class MultiModelCluster:
                     best = victim
         if best is None:
             return None
-        freed = self.deployments[best.model_name].gpus_per_instance
-        needed = self.deployments[model].gpus_per_instance
-        if self.gpus_in_use - freed + needed > self.num_gpus:
-            return None   # a TP deployment needs more GPUs than one victim
         cancelled = self._cancel_cold_start(best, now,
                                             reason="pool_exhausted")
         if cancelled is None:
@@ -675,35 +658,6 @@ class MultiModelCluster:
         instance.waiting.clear()
         return boundary_time, queue
 
-    def _consider_abort(self, instance: Instance, now: float) -> None:
-        """Cancel a now-pointless cold start at this stage boundary.
-
-        If ready instances of the same model can absorb every request
-        queued on a still-cold instance (above the always-on floor),
-        finishing the startup only wastes GPU time: abort here and
-        re-route the queue.
-        """
-        if (not self.abort_cold_starts or instance.retired
-                or instance.running or instance.stepping
-                or now >= instance.ready_at
-                or not self._above_floor(instance)):
-            return
-        model = instance.model_name
-        max_running = self.deployments[model].max_running
-        spare = sum(max(0, max_running - inst.load)
-                    for inst in self._live_instances(model)
-                    if inst is not instance and now >= inst.ready_at)
-        if spare < len(instance.waiting):
-            return
-        cancelled = self._cancel_cold_start(instance, now,
-                                            reason="free_capacity")
-        if cancelled is None:
-            return
-        for request in cancelled[1]:
-            self._route(model, request, now)
-        if self._starved:
-            self._serve_starved(now)
-
     # -- event handlers ----------------------------------------------------------
 
     def _on_arrival(self, event) -> None:
@@ -718,7 +672,7 @@ class MultiModelCluster:
         self._apply_scale_up(policy, tagged.model, now)
 
     def _on_cold_stage_done(self, event) -> None:
-        """Account one completed cold-start stage and poll the policy."""
+        """Account one completed cold-start stage."""
         instance, stage = event.payload
         now = self.loop.now
         metrics = self.metrics[instance.model_name]
@@ -734,9 +688,6 @@ class MultiModelCluster:
             # it visible at cluster level, not only inside the engine.
             self.loop.trace.mark("ladder_rung", now, track=_track(instance),
                                  stage=stage.name)
-        self.autoscalers[instance.model_name].on_stage_boundary(
-            self, instance, stage, now)
-        self._consider_abort(instance, now)
 
     def _on_instance_ready(self, event) -> None:
         """An instance finished its foreground cold start: start serving."""
@@ -779,15 +730,13 @@ class MultiModelCluster:
         self._maybe_step(instance, now)
         self._maybe_retire(instance, now)
 
-    def _on_idle_tick(self, event) -> None:
+    def _on_idle_recheck(self, event) -> None:
         """Re-evaluate retirement for a (possibly no longer) idle instance."""
         instance, stamp = event.payload
         now = self.loop.now
         if (instance.retired or instance.stepping or instance.has_work
                 or instance.last_busy_at != stamp):
             return   # stale: the instance served (or died) since arming
-        self.autoscalers[instance.model_name].on_idle_tick(self, instance,
-                                                           now)
         self._maybe_retire(instance, now)
 
     # -- serving / retirement -------------------------------------------------
@@ -896,7 +845,7 @@ class MultiModelCluster:
         if target <= 0:
             return
         while len(self._live_instances(model)) < target \
-                and self._fits(model):
+                and self.gpus_in_use < self.num_gpus:
             instance = self._launch(model, now)
             policy._decide("scale_up")
             self.loop.trace.mark("autoscale_up", now,

@@ -10,8 +10,9 @@ that layer for the cluster simulators:
 
 - :class:`TierSpec` describes one storage tier: a capacity (in artifact
   size units) and a ``fetch_scale`` multiplier applied to the plan's
-  baseline (remote) ``fetch_artifact`` duration.  ``DEFAULT_TIERS`` is the
-  GPU-resident / DRAM / local-SSD / remote-store ladder, warmest first.
+  baseline (remote) ``fetch_artifact`` duration.  ``DEFAULT_TIERS`` is
+  every node's ladder: GPU-resident / DRAM / local-SSD / remote store,
+  warmest first.
 - :class:`NodeCache` is one node's tiered artifact cache: LRU within each
   tier, cascading demotion on eviction (DRAM spills to SSD, SSD spills out
   of the hierarchy), promotion one tier warmer on every hit, and an append
@@ -70,21 +71,10 @@ class TierSpec:
     capacity: float
     fetch_scale: float
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise InvalidValueError("tier needs a non-empty name")
-        if math.isnan(self.capacity) or self.capacity < 0:
-            raise InvalidValueError(
-                f"tier {self.name!r}: capacity must be >= 0 (math.inf "
-                f"for the remote backstop), got {self.capacity}")
-        if not (math.isfinite(self.fetch_scale) and self.fetch_scale >= 0):
-            raise InvalidValueError(
-                f"tier {self.name!r}: fetch_scale must be finite and "
-                f">= 0, got {self.fetch_scale}")
 
-
-#: The GPU / DRAM / SSD / remote ladder, warmest first.  The last tier is
-#: the remote backstop: unbounded, scale 1.0 (the flat-store baseline).
+#: Every node's GPU / DRAM / SSD / remote ladder, warmest first.  The
+#: last tier is the remote backstop: unbounded, scale 1.0 (the flat-store
+#: baseline).
 DEFAULT_TIERS: Tuple[TierSpec, ...] = (
     TierSpec(TIER_GPU, capacity=1.0, fetch_scale=0.0),
     TierSpec(TIER_DRAM, capacity=2.0, fetch_scale=0.05),
@@ -93,34 +83,9 @@ DEFAULT_TIERS: Tuple[TierSpec, ...] = (
 )
 
 
-def validate_tiers(tiers: Sequence[TierSpec]) -> Tuple[TierSpec, ...]:
-    """Check a tier ladder: unique names, warm-to-cold monotone scales."""
-    tiers = tuple(tiers)
-    if len(tiers) < 2:
-        raise InvalidValueError(
-            "a tier ladder needs at least one cache tier plus the remote "
-            "backstop")
-    names = [t.name for t in tiers]
-    if len(set(names)) != len(names):
-        raise InvalidValueError(f"duplicate tier names in {names}")
-    for warmer, colder in zip(tiers, tiers[1:]):
-        if warmer.fetch_scale > colder.fetch_scale:
-            raise InvalidValueError(
-                f"tier ladder not monotone: {warmer.name!r} "
-                f"({warmer.fetch_scale}) is declared warmer than "
-                f"{colder.name!r} ({colder.fetch_scale}) but fetches "
-                f"slower")
-    if not math.isinf(tiers[-1].capacity):
-        raise InvalidValueError(
-            f"the coldest tier ({tiers[-1].name!r}) is the remote "
-            f"backstop and must have infinite capacity")
-    return tiers
-
-
-def fetch_duration(tiers: Sequence[TierSpec], tier_name: str,
-                   base: float) -> float:
+def fetch_duration(tier_name: str, base: float) -> float:
     """The fetch time from ``tier_name`` given the remote baseline."""
-    for tier in tiers:
+    for tier in DEFAULT_TIERS:
         if tier.name == tier_name:
             return base * tier.fetch_scale
     raise InvalidValueError(f"unknown tier {tier_name!r}")
@@ -187,10 +152,11 @@ class NodeCache:
     the ladder toward GPU residency.
     """
 
-    def __init__(self, node_id: int,
-                 tiers: Sequence[TierSpec] = DEFAULT_TIERS):
+    #: The ladder, warmest first; the last tier is the remote backstop.
+    tiers = DEFAULT_TIERS
+
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.tiers = validate_tiers(tiers)
         #: Cache tiers only — the remote backstop holds no residency map.
         self._resident: Dict[str, "OrderedDict[Tuple, float]"] = {
             tier.name: OrderedDict() for tier in self.tiers[:-1]}
@@ -305,13 +271,10 @@ class PlacementPolicy:
 
     name = "base"
 
-    def __init__(self, num_nodes: int,
-                 tiers: Sequence[TierSpec] = DEFAULT_TIERS):
+    def __init__(self, num_nodes: int):
         if num_nodes <= 0:
             raise InvalidValueError("num_nodes must be positive")
-        self.tiers = validate_tiers(tiers)
-        self.caches = [NodeCache(node, self.tiers)
-                       for node in range(num_nodes)]
+        self.caches = [NodeCache(node) for node in range(num_nodes)]
         #: Per-node *chunk*-level residency, created lazily on the first
         #: chunk-streamed fetch: a separate hierarchy keyed by content
         #: digest, so chunk bookkeeping never evicts whole-artifact
@@ -330,7 +293,7 @@ class PlacementPolicy:
         """The node's chunk-residency hierarchy, created on first use."""
         cache = self._chunk_caches[node_id]
         if cache is None:
-            cache = NodeCache(node_id, self.tiers)
+            cache = NodeCache(node_id)
             self._chunk_caches[node_id] = cache
         return cache
 
@@ -476,7 +439,7 @@ class LocalityPlacement(PlacementPolicy):
         return FetchResolution(
             node_id=node_id, tier=tier, hit=True,
             base_duration=base_duration,
-            duration=fetch_duration(self.tiers, tier, base_duration),
+            duration=fetch_duration(tier, base_duration),
             evicted=tuple(spilled), promoted=promoted)
 
     def resolve_chunk_fetch(self, node_id: int, digest: str, size: float,
@@ -505,7 +468,7 @@ class LocalityPlacement(PlacementPolicy):
         return FetchResolution(
             node_id=node_id, tier=tier, hit=True,
             base_duration=base_duration,
-            duration=fetch_duration(self.tiers, tier, base_duration),
+            duration=fetch_duration(tier, base_duration),
             evicted=tuple(spilled), promoted=promoted)
 
 
@@ -521,9 +484,8 @@ class AffinityPlacement(LocalityPlacement):
 
     name = "affinity"
 
-    def __init__(self, num_nodes: int,
-                 tiers: Sequence[TierSpec] = DEFAULT_TIERS):
-        super().__init__(num_nodes, tiers)
+    def __init__(self, num_nodes: int):
+        super().__init__(num_nodes)
         #: key -> node -> last placement sequence number.
         self._hosted: Dict[Tuple, Dict[int, int]] = {}
         self._clock = 0
@@ -575,31 +537,17 @@ def policy_names() -> Tuple[str, ...]:
     return tuple(sorted(_POLICIES))
 
 
-def make_policy(spec, num_nodes: int,
-                tiers: Optional[Sequence[TierSpec]] = None
-                ) -> PlacementPolicy:
+def make_policy(spec, num_nodes: int) -> PlacementPolicy:
     """Build a fresh policy for one simulation run.
 
-    ``spec`` may be a registered name (``"flat"``, ``"locality"``,
-    ``"affinity"``), ``None`` (the locality default), a
-    :class:`PlacementPolicy` subclass / factory callable, or an already
-    -built instance (reused as-is — callers own its cache state then).
+    ``spec`` is a registered name (``"flat"``, ``"locality"``,
+    ``"affinity"``) or an already-built instance (reused as-is — callers
+    own its cache state then).
     """
-    tiers = tuple(tiers) if tiers is not None else DEFAULT_TIERS
-    if spec is None:
-        spec = LocalityPlacement.name
     if isinstance(spec, PlacementPolicy):
         return spec
-    if isinstance(spec, str):
-        try:
-            factory = _POLICIES[spec]
-        except KeyError:
-            raise InvalidValueError(
-                f"unknown placement policy {spec!r}; "
-                f"registered: {', '.join(policy_names())}") from None
-        return factory(num_nodes, tiers)
-    if callable(spec):
-        return spec(num_nodes, tiers)
+    if isinstance(spec, str) and spec in _POLICIES:
+        return _POLICIES[spec](num_nodes)
     raise InvalidValueError(
-        f"placement must be a policy name, class, or instance, "
-        f"got {spec!r}")
+        f"unknown placement policy {spec!r}; "
+        f"registered: {', '.join(policy_names())}")

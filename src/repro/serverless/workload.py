@@ -14,7 +14,9 @@ inhomogeneous arrival rate as a composition of constant-rate
 ``poisson``, ``burst``, ``diurnal``, ``spike_train``, ``ramp``.
 Composition is tuple concatenation, so ``(a + b) + c`` and ``a + (b +
 c)`` are *identical* schedules — same segment order, same float
-summation order, same generated trace.
+summation order, same generated trace.  A :class:`ShareGPTWorkload`
+picks its shape by name, and refuses more than
+:data:`MAX_EXPECTED_ARRIVALS` expected arrivals (``rps * duration``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ from repro.utils.rng import SeedSequence
 #: ShareGPT average lengths reported by the paper (§2.2).
 SHAREGPT_MEAN_PROMPT_TOKENS = 161
 SHAREGPT_MEAN_OUTPUT_TOKENS = 338
+#: Log-space spread of the lognormal prompt and output lengths.
+LENGTH_SIGMA = 0.8
+#: The most arrivals one workload may expect (``rps * duration``):
+#: generation loops once per arrival, so a larger product would exhaust
+#: time and memory before the simulation starts.
+MAX_EXPECTED_ARRIVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -215,11 +223,26 @@ def make_schedule(shape: str, rps: float, duration: float) -> RateSchedule:
 
 def _check_rate(rps: float, duration: float) -> None:
     """Refuse a rate or duration that is not positive and finite (a NaN
-    or infinite one would make the arrival loop never end)."""
+    or infinite one would make the arrival loop never end), and more
+    expected arrivals than :data:`MAX_EXPECTED_ARRIVALS`."""
     for name, value in (("rps", rps), ("duration", duration)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidValueError(
                 f"{name} must be positive and finite, got {value}")
+    if rps * duration > MAX_EXPECTED_ARRIVALS:
+        raise InvalidValueError(
+            f"rps x duration must be at most {MAX_EXPECTED_ARRIVALS:,} "
+            f"expected arrivals, got {rps} x {duration} = "
+            f"{rps * duration:,.2f}")
+
+
+def _lognormal_mu(mean: float) -> float:
+    """The lognormal location whose distribution has mean ``mean``."""
+    return math.log(mean) - LENGTH_SIGMA**2 / 2.0
+
+
+_MU_PROMPT = _lognormal_mu(SHAREGPT_MEAN_PROMPT_TOKENS)
+_MU_OUTPUT = _lognormal_mu(SHAREGPT_MEAN_OUTPUT_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -235,20 +258,17 @@ class Request:
 class ShareGPTWorkload:
     """Poisson arrivals; lognormal prompt/output lengths (ShareGPT means).
 
-    With ``shape``/``schedule`` left unset (or ``shape="poisson"``), the
-    generator is the original homogeneous-Poisson loop, byte-identical
-    to the golden-pinned traces.  A named ``shape`` (see
-    :func:`make_schedule`) or an explicit :class:`RateSchedule` switches
-    to the inhomogeneous sampler: same lognormal length model, arrivals
-    drawn from the schedule, and a distinct seed-derivation path so the
-    two modes never share an RNG stream.
+    With ``shape`` left unset (or ``"poisson"``), the generator is the
+    original homogeneous-Poisson loop, byte-identical to the
+    golden-pinned traces.  Another named ``shape`` (see
+    :func:`make_schedule`) switches to the inhomogeneous sampler: same
+    lognormal length model, arrivals drawn from the shape's schedule,
+    and a distinct seed-derivation path so the two modes never share an
+    RNG stream.
     """
 
     def __init__(self, rps: float, duration: float, seed: int = 0,
-                 mean_prompt: float = SHAREGPT_MEAN_PROMPT_TOKENS,
-                 mean_output: float = SHAREGPT_MEAN_OUTPUT_TOKENS,
-                 sigma: float = 0.8, shape: Optional[str] = None,
-                 schedule: Optional[RateSchedule] = None):
+                 shape: Optional[str] = None):
         _check_rate(rps, duration)
         if shape is not None and shape not in SHAPES:
             raise InvalidValueError(
@@ -257,25 +277,16 @@ class ShareGPTWorkload:
         self.rps = rps
         self.duration = duration
         self.seed = seed
-        self.mean_prompt = mean_prompt
-        self.mean_output = mean_output
-        self.sigma = sigma
         self.shape = shape
-        self.schedule = schedule
-
-    def _lognormal_mu(self, mean: float) -> float:
-        return math.log(mean) - self.sigma**2 / 2.0
 
     def _resolved_schedule(self) -> Optional[RateSchedule]:
         """The effective schedule; None means the legacy Poisson path.
 
-        An explicit ``schedule`` wins; otherwise a named non-Poisson
-        ``shape`` builds its schedule at the workload's nominal rate.
-        ``"poisson"`` stays on the legacy generator so its golden-pinned
-        RNG stream survives the shape flag's introduction.
+        A named non-Poisson ``shape`` builds its schedule at the
+        workload's nominal rate.  ``"poisson"`` stays on the legacy
+        generator so its golden-pinned RNG stream survives the shape
+        flag's introduction.
         """
-        if self.schedule is not None:
-            return self.schedule
         if self.shape is not None and self.shape != "poisson":
             return make_schedule(self.shape, self.rps, self.duration)
         return None
@@ -292,14 +303,14 @@ class ShareGPTWorkload:
         requests: List[Request] = []
         now = 0.0
         request_id = 0
-        mu_prompt = self._lognormal_mu(self.mean_prompt)
-        mu_output = self._lognormal_mu(self.mean_output)
         while True:
             now += arrival_rng.exponential(1.0 / self.rps)
             if now >= self.duration:
                 break
-            prompt = max(1, int(length_rng.lognormal(mu_prompt, self.sigma)))
-            output = max(1, int(length_rng.lognormal(mu_output, self.sigma)))
+            prompt = max(1, int(length_rng.lognormal(_MU_PROMPT,
+                                                     LENGTH_SIGMA)))
+            output = max(1, int(length_rng.lognormal(_MU_OUTPUT,
+                                                     LENGTH_SIGMA)))
             requests.append(Request(
                 request_id=request_id,
                 arrival_time=now,
@@ -313,25 +324,23 @@ class ShareGPTWorkload:
         """The inhomogeneous trace for one schedule (deterministic).
 
         Seeds derive from ``("workload-shaped", seed, rps, duration)``
-        plus the shape name when one was given — the legacy stream keys
-        on ``("workload", rps, duration)``, so the two modes can never
-        collide.  Arrivals are capped at the workload's ``duration``
-        even when the schedule extends past it.
+        plus the shape name — the legacy stream keys on ``("workload",
+        rps, duration)``, so the two modes can never collide.  Arrivals
+        are capped at the workload's ``duration`` even when the schedule
+        extends past it.
         """
-        label = self.shape if self.schedule is None and self.shape else \
-            "custom"
         seeds = SeedSequence(self.seed).child("workload-shaped", self.rps,
-                                              self.duration, label)
+                                              self.duration, self.shape)
         arrival_rng = seeds.generator("arrivals")
         length_rng = seeds.generator("lengths")
-        mu_prompt = self._lognormal_mu(self.mean_prompt)
-        mu_output = self._lognormal_mu(self.mean_output)
         requests: List[Request] = []
         arrivals = schedule.arrival_times(arrival_rng,
                                           horizon=self.duration)
         for request_id, now in enumerate(arrivals):
-            prompt = max(1, int(length_rng.lognormal(mu_prompt, self.sigma)))
-            output = max(1, int(length_rng.lognormal(mu_output, self.sigma)))
+            prompt = max(1, int(length_rng.lognormal(_MU_PROMPT,
+                                                     LENGTH_SIGMA)))
+            output = max(1, int(length_rng.lognormal(_MU_OUTPUT,
+                                                     LENGTH_SIGMA)))
             requests.append(Request(
                 request_id=request_id,
                 arrival_time=now,

@@ -143,14 +143,12 @@ class EventLoop:
     handler runs, ``_dispatching`` holds the heap entry
     ``(time, priority, tie, seq, event)`` of its event, so the pool can
     tell whether an event it never scheduled would already have
-    dispatched.  ``seed`` is carried for consumers that derive randomness
-    per run; the loop itself is deterministic by construction and never
-    consumes entropy.
+    dispatched.  The loop starts at time 0.0; it is deterministic by
+    construction and never consumes entropy.
     """
 
-    def __init__(self, start: float = 0.0, seed: int = 0):
-        self.now = start
-        self.seed = seed
+    def __init__(self):
+        self.now = 0.0
         self.dispatched = 0
         self.trace = TraceRecorder()
         self._heap: List[Tuple[float, int, int, int, Event]] = []

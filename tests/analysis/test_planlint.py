@@ -277,7 +277,7 @@ class TestStructureAndLanes:
 
 class TestEntryPoints:
     def test_lint_plan_stats(self):
-        plan = pipelined_medusa_plan((1, 2, 4, 8), name="stats-pipelined")
+        plan = pipelined_medusa_plan((1, 2, 4, 8))
         report = lint_plan(plan)
         assert report.clean
         assert report.stats["stages"] == float(len(plan.stages))
@@ -294,8 +294,8 @@ class TestEntryPoints:
 
     def test_register_plan_rejects_conflicting_effects(self, monkeypatch):
         _isolate_registry(monkeypatch)
-        base = pipelined_medusa_plan((1, 2, 4, 8),
-                                     name="injected-pipelined")
+        base = dataclasses.replace(pipelined_medusa_plan((1, 2, 4, 8)),
+                                   name="injected-pipelined")
         racy = replace_stage(base, TOKENIZER,
                              writes=(TOKENIZER_STATE, WEIGHTS_STATE))
         with pytest.raises(EngineError) as err:
@@ -375,7 +375,7 @@ class TestRegistrySync:
         assert set(restorer.stage_actions(engine)) == set(names)
         # The per-artifact pipelined plan lints clean against exactly the
         # actions the engine + this restorer register.
-        plan = pipelined_medusa_plan(lazy.batches, name="sync-pipelined")
+        plan = pipelined_medusa_plan(lazy.batches)
         report = lint_plan(plan,
                            known_actions=ENGINE_STAGE_ACTIONS + names)
         assert report.clean, report.format_text()
@@ -401,7 +401,7 @@ class TestRegistrySync:
         assert set(restorer.stage_actions(engine)) == set(names)
         # The per-manifest chunked plan lints clean against exactly the
         # actions the engine + this restorer register.
-        plan = chunked_medusa_plan(manifest, name="sync-chunked")
+        plan = chunked_medusa_plan(manifest)
         report = lint_plan(plan,
                            known_actions=ENGINE_STAGE_ACTIONS + names)
         assert report.clean, report.format_text()
@@ -434,12 +434,12 @@ def test_every_per_artifact_stage_declares_its_effects(tiny2l_artifact,
     from repro.core.store import ArtifactStore
     artifact, _ = tiny2l_artifact
     if kind == "pipelined":
-        plan = pipelined_medusa_plan(artifact.batches, name="fx-pipelined")
+        plan = pipelined_medusa_plan(artifact.batches)
     else:
         store = ArtifactStore(tmp_path / "store")
         store.put(artifact)
         lazy = store.get_lazy(artifact.gpu_name, artifact.model_name)
-        plan = chunked_medusa_plan(lazy.chunk_manifest, name="fx-chunked")
+        plan = chunked_medusa_plan(lazy.chunk_manifest)
     assert len(plan.stages) > len(artifact.batches)
     assert _undeclared(plan) == []
 

@@ -44,7 +44,7 @@ RG1 = restore_graph_stage(1)
 
 @pytest.fixture
 def golden_plan():
-    return pipelined_medusa_plan((1, 2, 4, 8), name="golden-pipelined")
+    return pipelined_medusa_plan((1, 2, 4, 8))
 
 
 def _rebuild(plan, mapper):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis import lint_artifact
 from repro.core.binfmt import save_binary
 from repro.core.chunks import open_binary
 from repro.core.validation import validate_restoration
@@ -143,11 +144,12 @@ class TestPackOnce:
                                           cost_model=tiny_cost_model())
         path = tmp_path / "a.medusa"
         save_binary(artifact, path)
-        store = ArtifactStore(tmp_path / "store", lint_on_load=True)
+        store = ArtifactStore(tmp_path / "store")
         store.put(artifact)
         assert calls == {"pack_artifact": 1, "to_payload": 0}
         # Lint and restore read the tables of every input kind.
-        store.get(artifact.gpu_name, artifact.model_name)
+        assert not lint_artifact(
+            store.get(artifact.gpu_name, artifact.model_name)).errors
         for target in (artifact, open_binary(path)):
             assert validate_restoration("Tiny-2L", target, batches=[1],
                                         seed=4,

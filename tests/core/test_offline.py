@@ -105,7 +105,7 @@ class TestNodeKernelCheck:
 
     def test_a_node_whose_kernel_is_not_its_launch_is_refused(self):
         from repro.errors import MaterializationError
-        phase = OfflinePhase("Tiny-2L", lint=False)
+        phase = OfflinePhase("Tiny-2L")
         engine, trace, _ = phase._capturing_stage()
         graph = engine.capture_artifacts.graphs[2]
         addresses = graph.columns.kernel_addresses

@@ -189,10 +189,11 @@ class TestStoreCaches:
         assert store.cache_hits == 1      # content hash, not file stamp
 
     def test_lru_evicts_oldest(self, tmp_path, tiny2l_artifact,
-                               tiny4l_artifact):
+                               tiny4l_artifact, monkeypatch):
         a2, _ = tiny2l_artifact
         a4, _ = tiny4l_artifact
-        store = ArtifactStore(tmp_path, cache_size=1)
+        monkeypatch.setattr(ArtifactStore, "CACHE_SIZE", 1)
+        store = ArtifactStore(tmp_path)
         store.put(a2)
         store.put(a4)
         store.get(a2.gpu_name, a2.model_name)
@@ -201,29 +202,6 @@ class TestStoreCaches:
         assert len(store._cache) == 1
         assert store.cache_misses == 3
         assert store.cache_hits == 0
-
-    def test_cache_size_zero_disables(self, tmp_path, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
-        store = ArtifactStore(tmp_path, cache_size=0)
-        store.put(artifact)
-        first = store.get(artifact.gpu_name, artifact.model_name)
-        second = store.get(artifact.gpu_name, artifact.model_name)
-        assert second is not first
-        assert len(store._cache) == 0
-
-    def test_lint_runs_once_per_content(self, tmp_path, tiny2l_artifact,
-                                        monkeypatch):
-        import repro.analysis as analysis
-        artifact, _ = tiny2l_artifact
-        calls = []
-        real = analysis.lint_artifact
-        monkeypatch.setattr(analysis, "lint_artifact",
-                            lambda a: calls.append(a) or real(a))
-        store = ArtifactStore(tmp_path, lint_on_load=True)
-        store.put(artifact)
-        for _ in range(5):
-            store.get(artifact.gpu_name, artifact.model_name)
-        assert len(calls) == 1            # lint-once: hits skip the verifier
 
     def test_get_decodes_no_chunk(self, tmp_path, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
@@ -237,19 +215,6 @@ class TestStoreCaches:
         assert hit is miss
         assert unpack.call_count == 0
         assert (store.cache_hits, store.cache_misses) == (1, 1)
-
-    def test_lint_on_load_rejects_a_broken_artifact(self, tmp_path,
-                                                     tiny2l_artifact):
-        from repro.errors import LintError
-        artifact, _ = tiny2l_artifact
-        broken = replaced(artifact, capture_marker=-5)
-        store = ArtifactStore(tmp_path, lint_on_load=True)
-        store.put(broken)
-        for _ in range(2):                # a rejected artifact is not cached
-            with pytest.raises(LintError):
-                store.get(broken.gpu_name, broken.model_name)
-        assert len(store._cache) == 0
-        assert store.cache_misses == 2
 
 
 def _put(store, artifact):

@@ -66,8 +66,8 @@ class TestKVCacheRegion:
         """``max_blocks=0`` sizes a region of no blocks: the engine refuses
         it by its block count, allocating nothing."""
         engine = LLMEngine("Tiny-2L", Strategy.VLLM, seed=3,
-                           cost_model=tiny_cost_model(),
-                           kv_config=KVCacheConfig(max_blocks=0))
+                           cost_model=tiny_cost_model())
+        engine.kv_config = KVCacheConfig(max_blocks=0)
         allocations = engine.process.allocator.num_allocations
         with pytest.raises(InvalidValueError,
                            match="^need at least one KV block, got 0$"):

@@ -39,7 +39,7 @@ RG1 = restore_graph_stage(1)
 
 @pytest.fixture
 def pipelined():
-    return pipelined_medusa_plan((1, 2, 4, 8), name="edges-pipelined")
+    return pipelined_medusa_plan((1, 2, 4, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ class TestAppendStages:
 
 class TestBubble:
     def test_pipelined_plan_reports_its_join_bubble(self):
-        plan = pipelined_medusa_plan((1, 2), name="edges-bubble")
+        plan = pipelined_medusa_plan((1, 2))
         rg_first = restore_graph_stage(2)
         durations = {STRUCTURE: 0.0, FETCH_ARTIFACT: 0.0, WEIGHTS: 1.0,
                      TOKENIZER: 0.0, KV_INIT: 2.0, REPLAY_ALLOC: 0.0,
@@ -111,7 +111,7 @@ class TestBubble:
         assert timeline.bubble() == pytest.approx(2.0)
 
     def test_bubble_is_zero_when_weights_bound_the_join(self):
-        plan = pipelined_medusa_plan((1, 2), name="edges-bubble-zero")
+        plan = pipelined_medusa_plan((1, 2))
         durations = {STRUCTURE: 0.0, FETCH_ARTIFACT: 0.0, WEIGHTS: 5.0,
                      TOKENIZER: 0.0, KV_INIT: 2.0, REPLAY_ALLOC: 0.0,
                      MEDUSA_WARMUP: 1.0, restore_graph_stage(2): 1.0,

@@ -32,7 +32,7 @@ class TestFullServingFlow:
         engine, report = medusa_cold_start(
             "Tiny-2L", artifact, seed=505, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model())
-        assert engine.prefill(12, batch_size=2) > 0
+        assert engine.prefill(12) > 0
         assert engine.decode_step(2) > 0
 
     def test_vanilla_and_medusa_serve_identically(self, tiny2l_artifact):

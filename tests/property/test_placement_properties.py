@@ -14,8 +14,6 @@ arbitrary admit/hit traffic:
   exceeds the plan's remote baseline.
 """
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.loadplan import ScheduledStage
@@ -26,10 +24,9 @@ from repro.serverless import (
     NodeCache,
     ServingCostModel,
     TaggedRequest,
-    TierSpec,
     make_policy,
 )
-from repro.serverless.placement import fetch_duration
+from repro.serverless.placement import DEFAULT_TIERS, fetch_duration
 from repro.serverless.workload import Request
 from tests.timelines import chain_timeline
 
@@ -43,14 +40,6 @@ _keys = st.integers(0, 5).map(lambda n: ("model", f"m{n}"))
 _ops = st.lists(st.tuples(_keys, st.integers(1, 4).map(lambda n: n / 2)),
                 min_size=1, max_size=60)
 
-_tier_ladders = st.sampled_from([
-    (TierSpec("gpu", 1.0, 0.0), TierSpec("dram", 2.0, 0.05),
-     TierSpec("ssd", 8.0, 0.35), TierSpec("remote", math.inf, 1.0)),
-    (TierSpec("dram", 1.5, 0.1), TierSpec("remote", math.inf, 1.0)),
-    (TierSpec("gpu", 0.5, 0.0), TierSpec("dram", 1.0, 0.2),
-     TierSpec("remote", math.inf, 1.0)),
-])
-
 
 def _drive(cache, ops):
     """Replay one admit-or-hit trace against a node cache."""
@@ -63,25 +52,24 @@ def _drive(cache, ops):
 
 class TestTierCapacityProperty:
     @settings(max_examples=200, deadline=None)
-    @given(ops=_ops, tiers=_tier_ladders)
-    def test_capacity_never_exceeded(self, ops, tiers):
-        cache = NodeCache(0, tiers)
+    @given(ops=_ops)
+    def test_capacity_never_exceeded(self, ops):
+        cache = NodeCache(0)
         for key, size in ops:
             if cache.tier_of(key) is None:
                 cache.admit(key, size)
             else:
                 cache.hit(key)
-            for tier in tiers[:-1]:
+            for tier in DEFAULT_TIERS[:-1]:
                 assert cache.load(tier.name) <= tier.capacity + 1e-12, \
                     tier.name
 
 
 class TestHitImpliesResidencyProperty:
     @settings(max_examples=200, deadline=None)
-    @given(ops=_ops, tiers=_tier_ladders)
-    def test_every_hit_has_a_prior_placement_without_spill(self, ops,
-                                                          tiers):
-        cache = NodeCache(0, tiers)
+    @given(ops=_ops)
+    def test_every_hit_has_a_prior_placement_without_spill(self, ops):
+        cache = NodeCache(0)
         _drive(cache, ops)
         # Replay the append-only log: a "hit" on a key requires the key
         # to be resident, i.e. placed ("admit"/"demote"/"promote") at
@@ -152,18 +140,16 @@ class TestPlacementDeterminismProperty:
 
 class TestFetchMonotonicityProperty:
     @settings(max_examples=200, deadline=None)
-    @given(tiers=_tier_ladders,
-           base=st.floats(0.0, 100.0, allow_nan=False))
-    def test_warmer_tiers_never_fetch_slower(self, tiers, base):
-        durations = [fetch_duration(tiers, tier.name, base)
-                     for tier in tiers]
+    @given(base=st.floats(0.0, 100.0, allow_nan=False))
+    def test_warmer_tiers_never_fetch_slower(self, base):
+        durations = [fetch_duration(tier.name, base)
+                     for tier in DEFAULT_TIERS]
         assert durations == sorted(durations)
         assert all(d <= base for d in durations)
 
     @settings(max_examples=100, deadline=None)
-    @given(tiers=_tier_ladders, base=st.floats(0.01, 50.0,
-                                               allow_nan=False))
-    def test_rewritten_profile_ready_monotone_in_tier(self, tiers, base):
+    @given(base=st.floats(0.01, 50.0, allow_nan=False))
+    def test_rewritten_profile_ready_monotone_in_tier(self, base):
         stages = [
             ScheduledStage("fetch_artifact", 0.0, base, lane="disk"),
             ScheduledStage("restore", base, base + 0.5,
@@ -174,8 +160,8 @@ class TestFetchMonotonicityProperty:
                                    timeline=chain_timeline(*stages))
         readiness = [
             profile.with_fetch_duration(
-                fetch_duration(tiers, tier.name, base)).serving_ready_time
-            for tier in tiers
+                fetch_duration(tier.name, base)).serving_ready_time
+            for tier in DEFAULT_TIERS
         ]
         assert readiness == sorted(readiness)
         assert readiness[-1] == profile.serving_ready_time
@@ -185,10 +171,10 @@ class TestFetchMonotonicityProperty:
 
 class TestPolicyFactoryProperty:
     @settings(max_examples=50, deadline=None)
-    @given(tiers=_tier_ladders, nodes=st.integers(1, 8))
-    def test_fresh_policies_share_no_cache_state(self, tiers, nodes):
-        first = make_policy("locality", nodes, tiers)
-        second = make_policy("locality", nodes, tiers)
+    @given(nodes=st.integers(1, 8))
+    def test_fresh_policies_share_no_cache_state(self, nodes):
+        first = make_policy("locality", nodes)
+        second = make_policy("locality", nodes)
         first.caches[0].admit(("model", "x"), 1.0)
         assert second.caches[0].tier_of(("model", "x")) is None
         assert len(first.caches) == nodes

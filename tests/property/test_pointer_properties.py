@@ -198,6 +198,11 @@ def _vector_trace(program):
     return trace, graphs
 
 
+def _captured(trace):
+    """The trace's launches captured into graphs, in launch order."""
+    return [launch for launch in trace.launches() if launch.captured]
+
+
 def _reference(index, launches, naive):
     """The per-query analysis: the positional vote over rows, then one
     backward_match (or naive_match) per pointer-like parameter."""
@@ -258,7 +263,7 @@ class TestVectorPassProperty:
         trace, graphs = _vector_trace(program)
         index = AllocationIndex(trace)
         columns = trace.launch_columns(captured_only=True)
-        rows = trace.launches(captured_only=True)
+        rows = _captured(trace)
         start = 0
         for size in graphs:
             def vector():
@@ -281,7 +286,7 @@ class TestVectorPassProperty:
         columns = trace.launch_columns(captured_only=True)
         pointer_like = sum(
             is_pointer_like(size, value)
-            for launch in trace.launches(captured_only=True)
+            for launch in _captured(trace)
             for size, value in zip(launch.param_sizes, launch.param_values))
         start = 0
         try:

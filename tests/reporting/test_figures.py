@@ -14,7 +14,7 @@ class TestStackedBars:
         assert "3s" in text
 
     def test_segment_proportions(self):
-        text = stacked_bars("T", ["m"], {"a": [3.0], "b": [1.0]}, width=40)
+        text = stacked_bars("T", ["m"], {"a": [3.0], "b": [1.0]})
         row = text.splitlines()[-1]
-        assert row.count("█") == 30
-        assert row.count("▓") == 10
+        assert row.count("█") == 45     # of the 60-cell bar
+        assert row.count("▓") == 15

@@ -85,7 +85,7 @@ class TestIdleWindowMutations:
         policy before retiring; this mutation retires any currently-idle
         instance the moment a (possibly stale) tick fires.
         """
-        def on_idle_tick(self, event):
+        def on_idle_recheck(self, event):
             instance, _stamp = event.payload
             now = self.loop.now
             if (instance.retired or instance.stepping
@@ -96,7 +96,8 @@ class TestIdleWindowMutations:
             instance.retired = True
             instance.retired_at = now
 
-        monkeypatch.setattr(MultiModelCluster, "_on_idle_tick", on_idle_tick)
+        monkeypatch.setattr(MultiModelCluster, "_on_idle_recheck",
+                            on_idle_recheck)
         assert_mutation_detected(goldens, "single_model_burst")
 
 

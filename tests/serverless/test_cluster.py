@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import InvalidValueError
 from repro.serverless.cluster import (
+    MAX_GPUS,
     ModelDeployment,
+    check_pool,
     MultiModelCluster,
     TaggedRequest,
     tag_workloads,
@@ -36,6 +38,12 @@ class TestClusterValidation:
     def test_duplicate_deployments_rejected(self):
         with pytest.raises(InvalidValueError):
             MultiModelCluster([deployment("m"), deployment("m")], num_gpus=4)
+
+    def test_pool_size_is_capped(self):
+        assert MAX_GPUS == 4096
+        check_pool(MAX_GPUS, 0.0)
+        with pytest.raises(InvalidValueError, match="at most 4096"):
+            check_pool(MAX_GPUS + 1, 0.0)
 
     def test_spares_beyond_pool_rejected(self):
         """§2.4: over-provisioning every model type hits the GPU wall."""
@@ -109,29 +117,3 @@ class TestMultiModelServing:
         aggregate = cluster.aggregate()
         assert aggregate.arrived == sum(m.arrived for m in metrics.values())
         assert len(aggregate.ttfts) == aggregate.arrived
-
-
-class TestTensorParallelDeployments:
-    def test_tp_instances_consume_multiple_gpus(self):
-        big = ModelDeployment(name="big", costs=ServingCostModel("Llama2-13B"),
-                              cold_start_latency=1.0, gpus_per_instance=2)
-        small = deployment("small")
-        cluster = MultiModelCluster([big, small], num_gpus=4)
-        cluster.run(tag_workloads(workloads(["big", "small"], rps=3.0)),
-                    horizon=60.0)
-        assert cluster.gpus_in_use <= 4
-        if cluster._live_instances("big"):
-            assert cluster.gpus_in_use >= 2
-
-    def test_oversized_deployment_rejected(self):
-        big = ModelDeployment(name="big", costs=ServingCostModel("Llama2-13B"),
-                              cold_start_latency=1.0, gpus_per_instance=8)
-        with pytest.raises(InvalidValueError):
-            MultiModelCluster([big], num_gpus=4)
-
-    def test_tp_spares_count_gpus(self):
-        big = ModelDeployment(name="big", costs=ServingCostModel("Llama2-13B"),
-                              cold_start_latency=1.0, gpus_per_instance=2,
-                              hot_spares=2)
-        with pytest.raises(InvalidValueError):
-            MultiModelCluster([big], num_gpus=3)

@@ -26,15 +26,10 @@ from repro.serverless import (
     PlacementPolicy,
     ServingCostModel,
     TaggedRequest,
-    TierSpec,
     make_policy,
     policy_names,
 )
-from repro.serverless.placement import (
-    DEFAULT_TIERS,
-    fetch_duration,
-    validate_tiers,
-)
+from repro.serverless.placement import DEFAULT_TIERS, fetch_duration
 from repro.serverless.workload import Request
 from tests.timelines import chain_timeline
 
@@ -57,39 +52,22 @@ def fetch_heavy_profile(fetch=2.0):
                             timeline=chain_timeline(*stages))
 
 
-class TestTierSpecs:
-    def test_ladder_validation_rejects_duplicates(self):
-        with pytest.raises(InvalidValueError):
-            validate_tiers((TierSpec("dram", 1.0, 0.1),
-                            TierSpec("dram", 2.0, 0.5),
-                            TierSpec("remote", math.inf, 1.0)))
-
-    def test_ladder_validation_rejects_non_monotone_scales(self):
-        with pytest.raises(InvalidValueError):
-            validate_tiers((TierSpec("dram", 1.0, 0.8),
-                            TierSpec("ssd", 2.0, 0.3),
-                            TierSpec("remote", math.inf, 1.0)))
-
-    def test_ladder_requires_infinite_remote_backstop(self):
-        with pytest.raises(InvalidValueError):
-            validate_tiers((TierSpec("dram", 1.0, 0.1),
-                            TierSpec("remote", 100.0, 1.0)))
-
-    @pytest.mark.parametrize("capacity,scale", [
-        (math.nan, 0.5), (-1.0, 0.5), (1.0, math.nan), (1.0, math.inf),
-        (1.0, -0.1)])
-    def test_spec_rejects_non_finite_or_negative_values(self, capacity,
-                                                        scale):
-        with pytest.raises(InvalidValueError, match="tier 'dram'"):
-            TierSpec("dram", capacity, scale)
+class TestTierLadder:
+    def test_ladder_is_warm_to_cold_with_an_unbounded_backstop(self):
+        names = [tier.name for tier in DEFAULT_TIERS]
+        assert names == ["gpu", "dram", "ssd", "remote"]
+        scales = [tier.fetch_scale for tier in DEFAULT_TIERS]
+        assert scales == sorted(scales) and scales[-1] == 1.0
+        assert all(math.isfinite(tier.capacity) and tier.capacity > 0
+                   for tier in DEFAULT_TIERS[:-1])
+        assert math.isinf(DEFAULT_TIERS[-1].capacity)
 
     def test_fetch_duration_scales_by_tier(self):
-        assert fetch_duration(DEFAULT_TIERS, "gpu", 2.0) == 0.0
-        assert fetch_duration(DEFAULT_TIERS, "dram", 2.0) == \
-            pytest.approx(0.1)
-        assert fetch_duration(DEFAULT_TIERS, "remote", 2.0) == 2.0
+        assert fetch_duration("gpu", 2.0) == 0.0
+        assert fetch_duration("dram", 2.0) == pytest.approx(0.1)
+        assert fetch_duration("remote", 2.0) == 2.0
         with pytest.raises(InvalidValueError):
-            fetch_duration(DEFAULT_TIERS, "tape", 2.0)
+            fetch_duration("tape", 2.0)
 
 
 class TestNodeCache:
@@ -111,15 +89,15 @@ class TestNodeCache:
         assert cache.tier_of(KEY_C) == "dram"
 
     def test_spill_past_coldest_cache_tier_evicts(self):
-        tiers = (TierSpec("dram", 1.0, 0.1),
-                 TierSpec("remote", math.inf, 1.0))
-        cache = NodeCache(0, tiers)
-        cache.admit(KEY_A, 1.0)
-        spilled = cache.admit(KEY_B, 1.0)
-        assert spilled == [(KEY_A, "remote")]
-        assert cache.tier_of(KEY_A) is None
-        assert [e.kind for e in cache.events] == ["admit", "evict",
-                                                  "admit"]
+        cache = NodeCache(0)   # dram 2.0 + ssd 8.0 hold ten artifacts
+        keys = [("model", str(index)) for index in range(11)]
+        for key in keys[:10]:
+            assert cache.admit(key, 1.0) == []
+        spilled = cache.admit(keys[10], 1.0)
+        assert spilled == [(keys[0], "remote")]
+        assert cache.tier_of(keys[0]) is None
+        assert [e.kind for e in cache.events
+                if e.key == keys[0]] == ["admit", "demote", "evict"]
 
     def test_oversized_artifact_skips_too_small_tiers(self):
         cache = NodeCache(0)   # gpu cap 1.0, dram 2.0, ssd 8.0
@@ -141,13 +119,11 @@ class TestNodeCache:
         assert tier == "gpu" and promoted is None
 
     def test_hit_refreshes_lru_order(self):
-        tiers = (TierSpec("gpu", 2.0, 0.0), TierSpec("dram", 8.0, 0.05),
-                 TierSpec("remote", math.inf, 1.0))
-        cache = NodeCache(0, tiers)
-        cache.admit(KEY_A, 1.0, tier_name="gpu")
-        cache.admit(KEY_B, 1.0, tier_name="gpu")
+        cache = NodeCache(0)   # gpu capacity 1.0: two halves fit
+        cache.admit(KEY_A, 0.5, tier_name="gpu")
+        cache.admit(KEY_B, 0.5, tier_name="gpu")
         cache.hit(KEY_A)     # warmest tier: stays, B is now the LRU victim
-        cache.admit(KEY_C, 1.0, tier_name="gpu")
+        cache.admit(KEY_C, 0.5, tier_name="gpu")
         assert cache.tier_of(KEY_B) == "dram"
         assert cache.tier_of(KEY_A) == "gpu"
 
@@ -214,16 +190,16 @@ class TestPolicies:
         assert vanilla.place([0, 1, 2], KEY_A) == 0
 
     def test_make_policy_accepts_every_spec_form(self):
-        assert isinstance(make_policy(None, 2, None), LocalityPlacement)
-        assert isinstance(make_policy("flat", 2, None), FlatPlacement)
-        assert isinstance(make_policy(AffinityPlacement, 2, None),
-                          AffinityPlacement)
+        assert isinstance(make_policy("locality", 2), LocalityPlacement)
+        assert isinstance(make_policy("flat", 2), FlatPlacement)
+        assert isinstance(make_policy("affinity", 2), AffinityPlacement)
         instance = FlatPlacement(2)
-        assert make_policy(instance, 2, None) is instance
+        assert make_policy(instance, 2) is instance
         with pytest.raises(InvalidValueError):
-            make_policy("round-robin", 2, None)
-        with pytest.raises(InvalidValueError):
-            make_policy(42, 2, None)
+            make_policy("round-robin", 2)
+        for spec in (AffinityPlacement, None):
+            with pytest.raises(InvalidValueError):
+                make_policy(spec, 2)
         assert policy_names() == ("affinity", "flat", "locality")
 
 

@@ -53,21 +53,17 @@ def pools(draw):
     always_on = 0
     deployments = []
     for name in names:
-        gpus = draw(st.sampled_from([1, 1, 1, 2]))
-        if gpus > num_gpus:
-            gpus = 1
         initial = draw(st.integers(0, 2))
         spares = draw(st.sampled_from([0, 0, 1]))
-        if always_on + (initial + spares) * gpus > num_gpus:
+        if always_on + initial + spares > num_gpus:
             initial = spares = 0
-        always_on += (initial + spares) * gpus
+        always_on += initial + spares
         deployments.append(ModelDeployment(
             name=name, costs=COSTS[name],
             cold_start_latency=draw(st.sampled_from([0.25, 1.0, 3.0])),
             use_cuda_graphs=draw(st.booleans()),
             deferred_capture=draw(st.booleans()),
             max_running=draw(st.integers(1, 4)),
-            gpus_per_instance=gpus,
             profile=draw(st.sampled_from(PROFILES)),
             initial_instances=initial, hot_spares=spares))
     grid = draw(st.sampled_from([0.05, 0.25, 1.0]))
@@ -90,8 +86,7 @@ def pools(draw):
         placement=draw(st.sampled_from(policy_names())),
         autoscale=draw(st.sampled_from(autoscaler_names())),
         slo_ttft=draw(st.sampled_from([0.0, 1.0])),
-        drain=draw(st.booleans()),
-        abort_cold_starts=draw(st.booleans()))
+        drain=draw(st.booleans()))
     horizon = draw(st.sampled_from([5.0, 30.0]))
     return deployments, num_gpus, options, tagged, horizon
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidValueError
 from repro.serverless.workload import (
+    MAX_EXPECTED_ARRIVALS,
     SHAREGPT_MEAN_OUTPUT_TOKENS,
     SHAREGPT_MEAN_PROMPT_TOKENS,
     RateSchedule,
@@ -84,6 +85,15 @@ class TestValidation:
         with pytest.raises(InvalidValueError):
             ShareGPTWorkload(rps=1, duration=10, shape="sawtooth")
 
+    def test_expected_arrivals_are_capped(self):
+        # Construction only: generate() would loop once per arrival.
+        assert MAX_EXPECTED_ARRIVALS == 1_000_000
+        ShareGPTWorkload(rps=1000, duration=1000)
+        with pytest.raises(InvalidValueError, match="1,000,000"):
+            ShareGPTWorkload(rps=1000, duration=1000.001)
+        with pytest.raises(InvalidValueError, match="1,000,000"):
+            make_schedule("burst", 1e6, 2.0)
+
 
 class TestRateSchedule:
     def test_segment_validation(self):
@@ -142,13 +152,6 @@ class TestShapedGeneration:
         assert all(0 <= t < 120 for t in times)
         assert [r.request_id for r in requests] == \
             list(range(len(requests)))
-
-    def test_explicit_schedule_overrides_shape(self):
-        schedule = RateSchedule((RateSegment(50.0, 60.0, 5.0),))
-        requests = ShareGPTWorkload(rps=2, duration=120, seed=12,
-                                    schedule=schedule).generate()
-        assert requests
-        assert all(50.0 <= r.arrival_time < 60.0 for r in requests)
 
     def test_shaped_and_legacy_streams_are_independent(self):
         """The shaped path derives from a distinct seed namespace."""

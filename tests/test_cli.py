@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,7 +197,9 @@ class TestSimulateBadFlags:
         ["--gpus", "0"], ["--rps", "-1"], ["--duration", "0"],
         ["--rps", "nan"], ["--rps", "inf"], ["--duration", "nan"],
         ["--duration", "inf"], ["--slo-ttft", "nan"], ["--slo-ttft", "-1"],
-        ["--model", "Nope"], ["--trace", "/nonexistent/x.json"]])
+        ["--model", "Nope"], ["--trace", "/nonexistent/x.json"],
+        # Just past the ceilings: 4,096 GPUs, 1,000,000 expected arrivals.
+        ["--gpus", "4097"], ["--rps", "1000", "--duration", "1000.001"]])
     def test_exits_two_with_an_error(self, flags, capsys):
         assert main(["simulate", "--model", "Tiny-2L", "--strategy",
                      "medusa", "--gpus", "2", *flags]) == 2
@@ -973,3 +976,136 @@ class TestStoreCommand:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("layout", [
+        "index-is-a-directory", "index-not-utf8", "entry-names-a-directory",
+        "entry-names-a-manifest-directory", "entry-outside-the-store"])
+    def test_unreadable_store_exits_two(self, tmp_path, layout, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        index = store / "index.json"
+        if layout == "index-is-a-directory":
+            index.mkdir()
+        elif layout == "index-not-utf8":
+            index.write_bytes(b"{\"a::b\": \"\xff\xfe\"}")
+        elif layout == "entry-names-a-directory":
+            (store / "chunks").mkdir()
+            index.write_text(json.dumps({"x::y": "chunks"}))
+        elif layout == "entry-names-a-manifest-directory":
+            (store / "m.medusa.manifest.json").mkdir()
+            index.write_text(json.dumps({"x::y": "m.medusa.manifest.json"}))
+        else:
+            # A readable manifest outside the root is refused, not read.
+            (tmp_path / "x.medusa.manifest.json").write_text("{}")
+            index.write_text(json.dumps(
+                {"x::y": "../x.medusa.manifest.json"}))
+        assert main(["store", "stats", "--dir", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+#: Store mutations for :class:`TestGeneratedStoreInputs`.
+_STORE_MUTATIONS = (
+    "index-truncate", "index-flip", "index-retype", "entry-missing",
+    "entry-directory", "entry-outside", "manifest-truncate",
+    "manifest-flip", "manifest-digest", "manifest-reorder")
+#: The mutations no draw can leave readable.
+_STORE_ALWAYS_BROKEN = (
+    "index-truncate", "index-retype", "entry-missing", "entry-directory",
+    "entry-outside", "manifest-truncate", "manifest-digest")
+
+
+class TestGeneratedStoreInputs:
+    """Generated malformed Tiny-2L stores through ``repro store stats``,
+    the CLI's one path to a store: every run exits 0 or 2, exit 2 prints
+    exactly one ``error:`` line, and none raises.  The mutants are an
+    index truncated, with a byte flipped or holding a wrong value type;
+    an index entry naming a missing file, a directory or a path outside
+    the store; and a manifest truncated, with a byte flipped, holding a
+    digest that is not a sha256, or with its refs reordered."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tiny2l_artifact, tmp_path_factory):
+        from repro.core.store import ArtifactStore
+        root = tmp_path_factory.mktemp("store-fuzz")
+        ArtifactStore(root / "clean").put(tiny2l_artifact[0])
+        (manifest,) = (root / "clean").glob("*.medusa.manifest.json")
+        return root / "clean", manifest.name, root / "mutant"
+
+    @staticmethod
+    def _mutant(clean, manifest_name, store, mutation, data) -> None:
+        import shutil
+        shutil.rmtree(store, ignore_errors=True)
+        shutil.copytree(clean, store)
+        index_path = store / "index.json"
+        manifest_path = store / manifest_name
+        target = index_path if mutation.startswith("index") \
+            else manifest_path
+        raw = bytearray(target.read_bytes())
+        if mutation.endswith("truncate"):
+            target.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        elif mutation.endswith("flip"):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(
+                st.integers(1, 255))
+            target.write_bytes(raw)
+        elif mutation == "index-retype":
+            index = json.loads(raw)
+            key = next(iter(index))
+            index[key] = data.draw(st.sampled_from(
+                [value for value in _JSON_VALUES if value != "x"]))
+            index_path.write_text(json.dumps(
+                data.draw(st.sampled_from([index, [index], 7]))))
+        elif mutation.startswith("entry"):
+            name = {"entry-missing": "gone.medusa.manifest.json",
+                    "entry-directory": "chunks",
+                    "entry-outside": f"../clean/{manifest_name}"}[mutation]
+            index_path.write_text(json.dumps({"x::y": name}))
+        else:
+            payload = json.loads(raw)
+            refs = payload["chunks"]
+            if mutation == "manifest-digest":
+                ref = data.draw(st.sampled_from(refs))
+                ref["digest"] = data.draw(st.sampled_from(
+                    ["", "x" * 64, ref["digest"][:-1], ref["digest"].upper(),
+                     None, 7]))
+            else:
+                payload["chunks"] = data.draw(st.permutations(refs))
+            manifest_path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("mutation", _STORE_MUTATIONS)
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_mutant_ends_in_a_documented_exit_code(self, clean, mutation,
+                                                   data):
+        source, manifest_name, store = clean
+        self._mutant(source, manifest_name, store, mutation, data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(["store", "stats", "--dir", str(store)])
+        assert code in (0, 2), code
+        if mutation in _STORE_ALWAYS_BROKEN:
+            assert code == 2, mutation
+        if code == 2:
+            assert err.getvalue().startswith("error:"), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert out.getvalue() == ""
+
+    def test_a_deleted_blob_fails_the_restore_naming_its_chunk(
+            self, clean, tmp_path):
+        import shutil
+        from repro.core.online import medusa_cold_start
+        from repro.core.store import ArtifactStore
+        from repro.errors import ArtifactError
+        from tests.conftest import tiny_cost_model
+        source, _name, _mutant = clean
+        shutil.copytree(source, tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
+        ((gpu, model),) = store.list()
+        ref = store.manifest(gpu, model).chunks[0]
+        (tmp_path / "store" / "chunks" / ref.digest).unlink()
+        with pytest.raises(ArtifactError, match=re.escape(ref.name)):
+            medusa_cold_start(model, store.get_lazy(gpu, model),
+                              cost_model=tiny_cost_model())

@@ -30,7 +30,7 @@ import ast
 import json
 import pathlib
 import re
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -39,6 +39,16 @@ LEDGER = pathlib.Path(__file__).with_name("test_only_names.json")
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*$")
+
+
+def program_paths(repo: pathlib.Path) -> List[pathlib.Path]:
+    """Every program file under ``repo``: a ``src`` module other than a
+    package ``__init__``, or any file under :data:`PROGRAM_DIRS`."""
+    paths = [path for path in sorted((repo / "src").rglob("*.py"))
+             if path.name != "__init__.py"]
+    for directory in PROGRAM_DIRS:
+        paths += sorted((repo / directory).rglob("*.py"))
+    return paths
 
 
 def _defs(tree: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
@@ -89,12 +99,9 @@ def unreached_names() -> Set[str]:
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         defs.update(_defs(tree, module.removesuffix(".__init__")))
         defs.update(_constants(tree, module.removesuffix(".__init__")))
-        if path.name != "__init__.py":
-            referenced.update(_references(tree))
-    for directory in PROGRAM_DIRS:
-        for path in sorted((REPO / directory).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            referenced.update(_references(tree))
+    for path in program_paths(REPO):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        referenced.update(_references(tree))
     return {qualified for qualified, name in defs.items()
             if name not in referenced
             and not (name.startswith("__") and name.endswith("__"))}
@@ -144,10 +151,7 @@ def unimported_modules() -> Set[str]:
         return f"{module}.{name}" if f"{module}.{name}" in paths else module
 
     imported: Set[str] = set()
-    files = [path for path in paths.values() if path.name != "__init__.py"]
-    for directory in PROGRAM_DIRS:
-        files += sorted((REPO / directory).rglob("*.py"))
-    for path in files:
+    for path in program_paths(REPO):
         tree = ast.parse(path.read_text(), filename=str(path))
         module = _module(path) if path.is_relative_to(SRC) else ""
         used = set(_references(tree))

@@ -30,12 +30,11 @@ failed (any repro error it raises, a simulated device fault included),
 --degraded-ok`` a restore that walked the degradation ladder but still
 serves correct outputs exits 3 — distinguishable from both a clean pass
 and a hard failure.  ``simulate`` exits 2 on a bad flag value (an
-unknown ``--model``, an ``--rps`` or ``--duration`` that is not positive
-and finite, ``--gpus`` below 1, a negative or non-finite
-``--slo-ttft``, a ``--trace`` path in no existing directory) before any
-offline work or cold start; so does ``offline`` on an unknown
-``--model`` or an ``--output`` path in no existing directory, and every
-command on a negative ``--seed``.
+``--rps`` or ``--duration`` that is not positive and finite, ``--gpus``
+below 1, a negative or non-finite ``--slo-ttft``, a ``--trace`` path in
+no existing directory) before any offline work or cold start; so does
+``offline`` on an ``--output`` path in no existing directory, and every
+command on an unknown ``--model`` or a negative ``--seed``.
 """
 
 from __future__ import annotations
@@ -93,6 +92,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _model(name: str) -> str:
+    """A ``--model`` value: a name in the model zoo."""
+    try:
+        get_model_config(name)
+    except InvalidValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -103,21 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("models", help="list the model zoo (Table 1)")
 
     cold = sub.add_parser("coldstart", help="run one cold start")
-    cold.add_argument("--model", required=True)
+    cold.add_argument("--model", type=_model, required=True)
     cold.add_argument("--strategy", type=_strategy, default=Strategy.VLLM)
     cold.add_argument("--artifact", help="Medusa artifact path "
                                          "(required for --strategy medusa)")
     cold.add_argument("--seed", type=_seed, default=0)
 
-    save_tensor = sub.add_parser(
-        "save-tensor", help="write a model's weights to disk "
-                            "(the artifact's --save_tensor step)")
-    save_tensor.add_argument("--model", required=True)
-    save_tensor.add_argument("--dir", required=True,
-                             help="checkpoint directory")
-
     offline = sub.add_parser("offline", help="materialize a model (offline phase)")
-    offline.add_argument("--model", required=True)
+    offline.add_argument("--model", type=_model, required=True)
     offline.add_argument("--output", required=True,
                          help="artifact output path: the binary file, or "
                               "for a .json path an export-only JSON file")
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="full restore + output validation of an artifact")
     validate.add_argument("--artifact", required=True)
-    validate.add_argument("--model",
+    validate.add_argument("--model", type=_model,
                           help="engine model (default: the artifact's)")
     validate.add_argument("--json", action="store_true",
                           help="emit the result as JSON")
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "lower rung instead of failing with 1")
 
     restore = sub.add_parser("restore", help="Medusa online cold start")
-    restore.add_argument("--model", required=True)
+    restore.add_argument("--model", type=_model, required=True)
     restore.add_argument("--artifact", required=True)
     restore.add_argument("--validate", action="store_true",
                          help="also run cross-process output validation "
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     restore.set_defaults(strategy=Strategy.MEDUSA)
 
     simulate = sub.add_parser("simulate", help="serverless trace simulation")
-    simulate.add_argument("--model", required=True)
+    simulate.add_argument("--model", type=_model, required=True)
     simulate.add_argument("--strategy", type=_strategy, default=Strategy.VLLM)
     simulate.add_argument("--rps", type=float, default=2.0)
     simulate.add_argument("--duration", type=float, default=300.0)
@@ -264,18 +265,6 @@ def _cmd_coldstart(args) -> int:
     return 0
 
 
-def _cmd_save_tensor(args) -> int:
-    from repro.models.weights import FileCheckpointStore
-    from repro.models.zoo import get_model_config
-    config = get_model_config(args.model)
-    store = FileCheckpointStore(args.dir)
-    written = store.save_checkpoint(config)
-    print(f"saved {config.weight_buffer_count()} weight tensors "
-          f"({written / 1024:.0f} KiB of payloads, "
-          f"{config.param_bytes / 1024**3:.1f} GiB declared) to {args.dir}")
-    return 0
-
-
 def _check_output_path(path: str) -> None:
     """Refuse, before any work, a path that cannot be written: its
     directory must exist and the path must not be one."""
@@ -289,7 +278,6 @@ def _check_output_path(path: str) -> None:
 
 def _cmd_offline(args) -> int:
     try:        # bad flags end here, before any offline work
-        get_model_config(args.model)
         _check_output_path(args.output)
     except InvalidValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -507,7 +495,6 @@ def _cmd_store(args) -> int:
 
 _COMMANDS = {
     "models": _cmd_models,
-    "save-tensor": _cmd_save_tensor,
     "coldstart": _cmd_coldstart,
     "offline": _cmd_offline,
     "lint": _cmd_lint,

@@ -45,9 +45,10 @@ store artifact                     ``medusa-chunked``    ``fetch_chunk[i]``,
                                                          ``restore_graph[bs]``
 ================================== ===================== ==================
 
-With a :class:`~repro.faults.FaultInjector` its faults fire at the array
-sites (one graph's corrupted ``param_byte_offsets`` copy, a replay table
-with shifted allocation indices, a replay range cut short by an OOM,
+With a :class:`~repro.faults.FaultInjector` in scope
+(``repro.faults.injecting``) its faults fire at the array sites (one
+graph's corrupted ``param_byte_offsets`` copy, a replay table with
+shifted allocation indices, a replay range cut short by an OOM,
 permanent-dump bit-flips, trigger timeouts in the warm-up); with a
 :class:`~repro.faults.DegradationPolicy` restore failures walk the
 degradation ladder (partial → recapture → eager) instead of propagating,
@@ -89,6 +90,7 @@ from repro.faults.ladder import (
     LadderStep,
     Rung,
 )
+from repro.faultscope import active_injector
 from repro.simgpu.graph import CudaGraph, GraphColumns, GraphExecMeta
 from repro.simgpu.kernels import PAYLOAD_DIM, KernelParam
 from repro.simgpu.memory import Buffer, Replayed
@@ -185,18 +187,20 @@ class VectorizedRestorer:
 
     ``artifact``: a :class:`~repro.core.binfmt.LazyArtifact` (in memory,
     or chunk-backed, from a file or a store).
-    ``injector``: optional :class:`repro.faults.FaultInjector` whose faults
-    fire at this restorer's injection sites (chaos testing).
     ``policy``: optional :class:`repro.faults.DegradationPolicy`.  When set,
     restore failures walk the degradation ladder instead of killing the
     cold start; when ``None`` every failure propagates.  Its
     ``verify_dumps`` turns on the permanent-dump readback check (on by
-    itself whenever an injector is active).
+    itself whenever a fault plan is in scope).
+
+    A restorer built inside ``with repro.faults.injecting(fi):`` fires
+    ``fi``'s faults at its injection sites (chaos testing).
     """
 
-    def __init__(self, artifact, injector=None,
+    def __init__(self, artifact,
                  policy: Optional[DegradationPolicy] = None):
-        active = injector is not None and injector.active
+        injector = active_injector()
+        active = injector is not None
         #: batch -> the graph table the restore reads when it is not the
         #: artifact's own (a fault-corrupted copy).
         self._tables: Dict[int, GraphTable] = {}
@@ -208,7 +212,7 @@ class VectorizedRestorer:
             self._tables = injector.corrupted_tables(artifact)
             self._replay_table = injector.diverged_replay(artifact)
         self.artifact = artifact
-        self.injector = injector if active else None
+        self.injector = injector
         self.policy = policy
         self.degradation = DegradationReport()
         self._verify_dumps = policy is not None and (

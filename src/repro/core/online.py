@@ -17,7 +17,7 @@ an artifact file (``open_binary``) ``medusa-pipelined``
 a store (``ArtifactStore.get``)    ``medusa-chunked``
 ================================== =====================
 
-A :class:`~repro.faults.FaultInjector` or
+A fault plan in scope (``with repro.faults.injecting(fi):``) or a
 :class:`~repro.faults.DegradationPolicy` runs on whichever plan that is:
 the degradation ladder resolves after the plan's last graph action.
 """
@@ -51,7 +51,6 @@ OnlineRestorer = VectorizedRestorer
 def prepare_medusa_cold_start(config, artifact, seed: int = 1,
                               mode: ExecutionMode = ExecutionMode.TIMING,
                               cost_model: Optional[CostModel] = None,
-                              injector=None,
                               policy: Optional[DegradationPolicy] = None):
     """Build the (engine, restorer) pair for one Medusa cold start.
 
@@ -79,7 +78,7 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
     else:
         plan = pipelined_medusa_plan(artifact.batches)
     engine = LLMEngine(config, Strategy.MEDUSA, seed=seed, mode=mode,
-                       cost_model=cost_model, plan=plan, injector=injector)
+                       cost_model=cost_model, plan=plan)
     # Artifacts are keyed by <GPU type, model type> (§3): the profiled KV
     # memory and graph structure are only valid on the GPU they came from.
     if artifact.gpu_name != engine.cost_model.gpu.name:
@@ -87,21 +86,20 @@ def prepare_medusa_cold_start(config, artifact, seed: int = 1,
             f"artifact was materialized on {artifact.gpu_name!r}, this "
             f"engine runs on {engine.cost_model.gpu.name!r} — the offline "
             f"phase is per <GPU type, model type> (§3)")
-    restorer = VectorizedRestorer(artifact, injector=injector, policy=policy)
+    restorer = VectorizedRestorer(artifact, policy=policy)
     return engine, restorer
 
 
 def medusa_cold_start(config, artifact, seed: int = 1,
                       mode: ExecutionMode = ExecutionMode.TIMING,
                       cost_model: Optional[CostModel] = None,
-                      injector=None,
                       policy: Optional[DegradationPolicy] = None
                       ) -> Tuple[LLMEngine, ColdStartReport]:
     """One Medusa cold start: fresh process, restore-based loading phase.
 
-    ``injector`` threads a :class:`repro.faults.FaultInjector` through the
-    process/driver and the restorer; ``policy`` opts the restorer into the
-    graceful-degradation ladder (see :mod:`repro.faults.ladder`).
+    ``policy`` opts the restorer into the graceful-degradation ladder (see
+    :mod:`repro.faults.ladder`); a fault plan in scope
+    (``repro.faults.injecting``) fires in the driver and the restorer.
     ``artifact`` may be packed or object-form (see
     :func:`prepare_medusa_cold_start` for the plan each one gets).
     """
@@ -112,7 +110,7 @@ def medusa_cold_start(config, artifact, seed: int = 1,
     with cyclic_gc_paused():
         engine, restorer = prepare_medusa_cold_start(
             config, artifact, seed=seed, mode=mode, cost_model=cost_model,
-            injector=injector, policy=policy)
+            policy=policy)
         report = engine.cold_start(restorer=restorer)
     return engine, report
 

@@ -77,7 +77,6 @@ def lint_before_restore(artifact, refuse: bool = True):
 def validate_restoration(config, artifact,
                          batches: Optional[Sequence[int]] = None,
                          seed: int = 77, cost_model=None,
-                         injector=None,
                          policy=None) -> ValidationReport:
     """Restore in a fresh process and compare replay vs eager outputs.
 
@@ -93,8 +92,8 @@ def validate_restoration(config, artifact,
     restore runs in degradation-ladder mode, and only the batch sizes the
     engine actually serves with a graph are output-checked; the ladder's
     :class:`DegradationReport` lands on ``report.degradation``.
-    ``injector`` threads a :class:`repro.faults.FaultInjector` through
-    (chaos testing).
+    A fault plan in scope (``repro.faults.injecting``) fires in the
+    restore, as in :func:`repro.core.online.medusa_cold_start`.
 
     Lint and the restore read the same packed tables, and the restore
     runs the plan that input gets (see
@@ -106,7 +105,7 @@ def validate_restoration(config, artifact,
         lint_before_restore(artifact, refuse=not degraded_ok).diagnostics)
     engine, restorer = prepare_medusa_cold_start(
         config, artifact, seed=seed, mode=ExecutionMode.COMPUTE,
-        cost_model=cost_model, injector=injector, policy=policy)
+        cost_model=cost_model, policy=policy)
     from repro.analysis.planlint import lint_plan
     from repro.engine.loadplan import ENGINE_STAGE_ACTIONS
     from repro.engine.strategies import Strategy, plan_for

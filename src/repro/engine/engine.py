@@ -38,7 +38,6 @@ from repro.errors import EngineError
 from repro.models.config import ModelConfig
 from repro.models.kernels_catalog import build_catalog
 from repro.models.model import ForwardContext, Model
-from repro.models.weights import CheckpointStore
 from repro.models.zoo import get_model_config
 from repro.simgpu.costmodel import CostModel
 from repro.simgpu.kernels import PAYLOAD_DIM
@@ -85,16 +84,14 @@ class LLMEngine:
                  seed: int = 0,
                  mode: ExecutionMode = ExecutionMode.TIMING,
                  cost_model: Optional[CostModel] = None,
-                 checkpoints: Optional[CheckpointStore] = None,
                  capture_batch_sizes=None,
-                 plan: Optional[LoadPlan] = None,
-                 injector=None):
+                 plan: Optional[LoadPlan] = None):
         """``capture_batch_sizes``: override the batch sizes the capture
         stage covers (a subset of the config's list); None captures all.
         ``plan``: override the strategy's registered LoadPlan (e.g. a
         demonstration ordering from ``repro.engine.strategies``).
-        ``injector``: optional ``repro.faults.FaultInjector`` threaded into
-        the simulated process/driver (chaos testing)."""
+        A fault plan in scope (``repro.faults.injecting``) reaches the
+        simulated driver this engine builds."""
         if isinstance(config, str):
             config = get_model_config(config)
         self.config: ModelConfig = config
@@ -102,15 +99,12 @@ class LLMEngine:
             if capture_batch_sizes is not None else None
         self.strategy = strategy
         self.plan = plan
-        self.injector = injector
         self.cost_model = cost_model or CostModel()
         self.kv_config = KVCacheConfig()
-        self.checkpoints = checkpoints or CheckpointStore()
         self.catalog = build_catalog(config)
         self.process = CudaProcess(seed=seed, catalog=self.catalog,
                                    cost_model=self.cost_model, mode=mode,
-                                   name=f"{config.name}/{strategy.value}",
-                                   injector=injector)
+                                   name=f"{config.name}/{strategy.value}")
         self.model = Model(config, self.process)
         self.kv_region: Optional[KVCacheRegion] = None
         self.kv_bytes: Optional[int] = None
@@ -218,7 +212,7 @@ class LLMEngine:
     def _stage_load_weights(self) -> None:
         # Per-tensor H2D copies advance the clock; the stage duration is
         # their mechanical sum (= param_bytes / h2d_bandwidth).
-        self.model.load_weights(self.checkpoints)
+        self.model.load_weights()
 
     def _stage_load_tokenizer(self) -> None:
         self.process.clock.advance(

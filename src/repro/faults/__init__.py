@@ -1,7 +1,8 @@
 """Deterministic fault injection + the restoration degradation ladder.
 
 See :mod:`repro.faults.plan` (what to inject), :mod:`repro.faults.injector`
-(where it fires), and :mod:`repro.faults.ladder` (how the cold start
+(where it fires), :mod:`repro.faultscope` (``injecting``, which puts an
+injector in scope), and :mod:`repro.faults.ladder` (how the cold start
 recovers).
 """
 
@@ -24,6 +25,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
+from repro.faultscope import injecting
 
 __all__ = [
     "DEGRADE_EAGER",
@@ -41,4 +43,5 @@ __all__ = [
     "PHASE_KV",
     "PHASE_WARMUP",
     "Rung",
+    "injecting",
 ]

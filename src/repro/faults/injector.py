@@ -1,9 +1,11 @@
 """The runtime side of fault injection: site hooks + deterministic targets.
 
-A :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan` and
-is threaded through the layers a restore actually crosses — the simulated
-driver (symbol resolution) and the restorer (load-time graph corruption,
-allocation replay, permanent dumps, trigger launches).
+A :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan`.
+``with injecting(fi):`` (:mod:`repro.faultscope`) puts it in scope, and
+the two layers a restore crosses that own fault points read it when they
+are built — the simulated driver (symbol resolution) and the restorer
+(load-time graph corruption, allocation replay, permanent dumps, trigger
+launches).
 ``prepare(artifact)`` resolves every underspecified fault target against the
 concrete artifact's packed arrays (a :class:`~repro.core.binfmt.LazyArtifact`)
 using the plan's seeded RNG, so the same (plan, artifact) pair always faults

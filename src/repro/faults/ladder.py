@@ -80,7 +80,7 @@ class DegradationPolicy:
     """How far down the ladder a cold start may recover.
 
     ``verify_dumps`` / ``verify_outputs``: None means *auto* — verify only
-    when a fault injector is active, so a policy attached to a clean restore
+    when a fault plan is in scope, so a policy attached to a clean restore
     leaves its timeline byte-identical to the policy-less path.
     ``verify_outputs`` additionally requires COMPUTE mode (the oracle is a
     real eager forwarding).

@@ -11,7 +11,6 @@ identical — the property Medusa's first-layer triggering relies on (§5.2).
 
 from repro.models.config import KernelTemplate, ModelConfig
 from repro.models.model import Model
-from repro.models.weights import CheckpointStore, FileCheckpointStore
 from repro.models.zoo import (
     PAPER_MODELS,
     TINY_MODELS,
@@ -20,8 +19,6 @@ from repro.models.zoo import (
 )
 
 __all__ = [
-    "CheckpointStore",
-    "FileCheckpointStore",
     "KernelTemplate",
     "Model",
     "ModelConfig",

@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import EngineError, InvalidValueError
 from repro.models.config import WEIGHTED_LAYER_KERNELS, ModelConfig
 from repro.models.kernels_catalog import all_kernel_keys, kernel_spec
-from repro.models.weights import CheckpointStore, declared_sizes, weight_buffer_keys
+from repro.models.weights import declared_sizes, iter_payloads, weight_buffer_keys
 from repro.simgpu.kernels import KernelParam, KernelSpec, ParamKind, magic_values
 from repro.simgpu.memory import Buffer
 from repro.simgpu.process import (
@@ -175,7 +175,7 @@ class Model:
             self.weight_buffers[key] = self.process.malloc(
                 sizes[key], tag="weight")
 
-    def load_weights(self, store: CheckpointStore) -> None:
+    def load_weights(self) -> None:
         """Stage 2: stream the checkpoint into the pre-allocated buffers.
 
         Each tensor is a host->device copy paying real (simulated) PCIe/SSD
@@ -184,7 +184,7 @@ class Model:
         """
         if not self.weight_buffers:
             raise EngineError(f"{self.config.name}: structure not initialized")
-        for key, payload in store.iter_payloads(self.config):
+        for key, payload in iter_payloads(self.config):
             self.process.memcpy_h2d(self.weight_buffers[key], payload)
 
     # -- forwarding ------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.errors import (
     ModuleNotLoadedError,
     SymbolNotFoundError,
 )
+from repro.faultscope import active_injector
 from repro.simgpu.kernels import KernelSpec, hash_stable
 from repro.simgpu.libraries import DynamicLibrary, LibraryCatalog
 from repro.simgpu.modules import CudaModule
@@ -41,12 +42,13 @@ class HostSymbol:
 class CudaDriver:
     """Process-local driver state over a shared :class:`LibraryCatalog`."""
 
-    def __init__(self, catalog: LibraryCatalog, aslr_seeds, injector=None):
+    def __init__(self, catalog: LibraryCatalog, aslr_seeds):
         self.catalog = catalog
         self._aslr_seeds = aslr_seeds     # SeedSequence: per-library bases
-        #: Optional repro.faults.FaultInjector: lets chaos tests make
-        #: symbol resolution fail the way a driver/library skew would.
-        self.injector = injector
+        #: The repro.faults.FaultInjector in scope (repro.faultscope), if
+        #: any: lets chaos tests make symbol resolution fail the way a
+        #: driver/library skew would.
+        self.injector = active_injector()
         self._lib_bases: Dict[str, int] = {}
         self._initialized_libs: Set[str] = set()
         self._loaded_modules: Set[Tuple[str, str]] = set()   # (library, module)

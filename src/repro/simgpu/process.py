@@ -132,24 +132,20 @@ class CudaProcess:
     def __init__(self, seed: int, catalog: LibraryCatalog,
                  cost_model: Optional[CostModel] = None,
                  mode: ExecutionMode = ExecutionMode.COMPUTE,
-                 name: str = "proc", injector=None):
+                 name: str = "proc"):
         self.seed = int(seed)
         self.name = name
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
         self.mode = mode
         self.clock = SimClock()
-        #: Optional repro.faults.FaultInjector (chaos testing); forwarded to
-        #: the driver so symbol-resolution faults fire at the driver layer.
-        self.injector = injector
         seeds = SeedSequence(self.seed).child("process", name)
         heap_offset = int(seeds.generator("heap").integers(
             0, _HEAP_REGION_SPAN // ALIGNMENT))
         self.allocator = DeviceAllocator(
             base=_HEAP_REGION_BASE + heap_offset * ALIGNMENT,
             capacity_bytes=self.cost_model.gpu.total_memory_bytes)
-        self.driver = CudaDriver(catalog, seeds.child("aslr"),
-                                 injector=injector)
+        self.driver = CudaDriver(catalog, seeds.child("aslr"))
         self.default_stream = Stream(self, name="stream0")
         self._interceptors: List[Interceptor] = []
         self._charges_interception = False   # any hook with adds_overhead

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -299,6 +300,18 @@ def tiny_cost_model() -> CostModel:
 @pytest.fixture
 def tiny_cm() -> CostModel:
     return tiny_cost_model()
+
+
+@pytest.fixture(scope="session")
+def chaos_seed() -> int:
+    """The fault plans' seed: ``MEDUSA_CHAOS_SEED``, 7 when unset.
+
+    CI runs every test that injects once per entry of its seed matrix by
+    exporting it; everything downstream derives fault targets from this
+    one seed, so a CI failure reproduces locally with
+    ``MEDUSA_CHAOS_SEED=<seed> pytest <node id>``.
+    """
+    return int(os.environ.get("MEDUSA_CHAOS_SEED", "7"))
 
 
 @pytest.fixture(scope="session")

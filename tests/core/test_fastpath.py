@@ -18,6 +18,7 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    injecting,
 )
 from repro.simgpu.process import ExecutionMode
 
@@ -100,12 +101,14 @@ class TestPathSelection:
         assert isinstance(restorer, VectorizedRestorer)
         assert plan_name(engine) == "medusa-pipelined"
 
-    def test_chaos_run_falls_back_and_degrades(self, tiny2l_file):
+    def test_chaos_run_falls_back_and_degrades(self, tiny2l_file,
+                                               chaos_seed):
         spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
-        injector = FaultInjector(FaultPlan(seed=11, faults=(spec,)))
-        engine, report = fast_cold_start(
-            tiny2l_file, mode=ExecutionMode.COMPUTE, injector=injector,
-            policy=DegradationPolicy())
+        injector = FaultInjector(FaultPlan(seed=chaos_seed, faults=(spec,)))
+        with injecting(injector):
+            engine, report = fast_cold_start(
+                tiny2l_file, mode=ExecutionMode.COMPUTE,
+                policy=DegradationPolicy())
         assert injector.fired
         assert report.timeline.plan == "medusa-pipelined+degraded"
         assert engine.capture_artifacts is not None

@@ -228,7 +228,8 @@ class TestCollectorPause:
             (gc.enable if was_enabled else gc.disable)()
 
     def test_collector_restored_when_cold_start_raises(self,
-                                                       tiny2l_artifact):
+                                                       tiny2l_artifact,
+                                                       chaos_seed):
         """A replay OOM with no DegradationPolicy fails the restore."""
         import gc
         from repro.errors import OutOfMemoryError
@@ -238,12 +239,13 @@ class TestCollectorPause:
             FaultKind,
             FaultPlan,
             FaultSpec,
+            injecting,
         )
-        injector = FaultInjector(FaultPlan(seed=1, faults=(
+        injector = FaultInjector(FaultPlan(seed=chaos_seed, faults=(
             FaultSpec(kind=FaultKind.REPLAY_OOM, phase=PHASE_KV),)))
         assert gc.isenabled()
-        with pytest.raises(OutOfMemoryError):
-            _tiny_cold_start(tiny2l_artifact[0], injector=injector)
+        with pytest.raises(OutOfMemoryError), injecting(injector):
+            _tiny_cold_start(tiny2l_artifact[0])
         assert injector.fired
         assert gc.isenabled()
 

@@ -303,9 +303,47 @@ def tail_contention_pool():
     return pool, taps[id(pool.loop)].kinds
 
 
+@pytest.fixture(scope="module")
+def spike_train_pool():
+    """Four staged deployments on an eight-GPU pool under seeded
+    spike-train arrivals (1 rps each for 300 s), untraced, with silent
+    runs on, and its per-kind dispatch counts."""
+    from repro.serverless import (
+        ModelDeployment,
+        MultiModelCluster,
+        ServingCostModel,
+        ShareGPTWorkload,
+        tag_workloads,
+    )
+    from tests.serverless.test_event_stream_golden import tapped_loops
+    from tests.serverless.test_stage_coldstart import (
+        pipelined_profile,
+        scalar_timeline_profile,
+    )
+    profiles = {"Llama2-7B": pipelined_profile(),
+                "Qwen1.5-4B": scalar_timeline_profile(),
+                "Qwen1.5-0.5B": pipelined_profile(),
+                "Yi-6B": scalar_timeline_profile(total=2.0)}
+    deployments = [
+        ModelDeployment(name=model, costs=ServingCostModel(model),
+                        cold_start_latency=profile.serving_ready_time,
+                        profile=profile)
+        for model, profile in profiles.items()]
+    trace = tag_workloads({
+        model: ShareGPTWorkload(rps=1.0, duration=300.0, seed=50 + position,
+                                shape="spike_train")
+        for position, model in enumerate(profiles)})
+    with tapped_loops() as taps:
+        pool = MultiModelCluster(deployments, num_gpus=8,
+                                 placement="locality", autoscale="cold-cost",
+                                 slo_ttft=1.0)
+        pool.run(trace, horizon=300.0)
+    return pool, taps[id(pool.loop)].kinds
+
+
 def test_work_counts_match_ledger(chunked_qwen_restore,
                                   default_qwen_offline, qwen_store_puts,
-                                  tail_contention_pool):
+                                  tail_contention_pool, spike_train_pool):
     """Work counts, no clock: ``golden_work_counts.json`` is the ledger of
     the counts that bound a layer's wall clock, per fixed input
     (docs/MECHANISM.md gives each one's meaning).  A change that lowers a
@@ -318,6 +356,7 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     (first_put, reput, first_save, resave, first_save_digests,
      resave_digests) = qwen_store_puts
     pool, dispatched = tail_contention_pool
+    spike_pool, spike_dispatched = spike_train_pool
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
@@ -367,6 +406,13 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
             "events dispatched": pool.loop.dispatched,
             "steps run": total_steps(pool),
             "contended steps": pool.aggregate().background_contended_steps,
+        },
+        "multimodel/spike_train": {
+            "events dispatched": spike_pool.loop.dispatched,
+            **{f"{kind} dispatched": spike_dispatched[kind]
+               for kind in ("arrival", "cold_stage_done", "instance_ready",
+                            "step_done", "idle_tick")},
+            "cold starts": spike_pool.aggregate().cold_starts,
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

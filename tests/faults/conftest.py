@@ -1,26 +1,12 @@
-"""Chaos-suite fixtures: the seed matrix entry and oracle helpers.
-
-CI runs this suite once per entry of its seed matrix by exporting
-``MEDUSA_CHAOS_SEED``; locally the suite runs with the default seed 7.
-Everything downstream derives fault targets from this one seed, so a CI
-failure reproduces locally with ``MEDUSA_CHAOS_SEED=<seed> pytest
-tests/faults``.
-"""
+"""Chaos-suite oracle helpers (the ``chaos_seed`` fixture is in
+``tests/conftest.py``)."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.core.fastpath import eager_vs_replay
 from repro.core.validation import make_input_ids
-
-
-@pytest.fixture(scope="session")
-def chaos_seed() -> int:
-    return int(os.environ.get("MEDUSA_CHAOS_SEED", "7"))
 
 
 def assert_serves_correctly(engine, artifact) -> None:

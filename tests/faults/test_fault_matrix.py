@@ -31,6 +31,7 @@ from repro.faults import (
     PHASE_KV,
     PHASE_WARMUP,
     Rung,
+    injecting,
 )
 from repro.simgpu.process import ExecutionMode
 
@@ -84,9 +85,10 @@ def expected_rung(natural: Rung, policy: DegradationPolicy) -> Rung:
 
 def run_faulted(artifact, spec, policy, chaos_seed):
     injector = FaultInjector(FaultPlan(seed=chaos_seed, faults=(spec,)))
-    engine, report = medusa_cold_start(
-        "Tiny-2L", artifact, seed=3, mode=ExecutionMode.COMPUTE,
-        cost_model=tiny_cost_model(), injector=injector, policy=policy)
+    with injecting(injector):
+        engine, report = medusa_cold_start(
+            "Tiny-2L", artifact, seed=3, mode=ExecutionMode.COMPUTE,
+            cost_model=tiny_cost_model(), policy=policy)
     assert injector.fired, f"fault {spec.kind.value} never fired"
     return engine, report
 
@@ -157,10 +159,11 @@ def test_default_row_on_lazy_inputs(tiny2l_artifact, tiny2l_inputs,
     runs = []
     for kind in ("eager", input_kind):
         injector = FaultInjector(FaultPlan(seed=chaos_seed, faults=(spec,)))
-        engine, report = medusa_cold_start(
-            "Tiny-2L", tiny2l_inputs[kind](), seed=3,
-            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
-            injector=injector, policy=policy)
+        with injecting(injector):
+            engine, report = medusa_cold_start(
+                "Tiny-2L", tiny2l_inputs[kind](), seed=3,
+                mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
+                policy=policy)
         assert report.timeline.plan == f"{INPUT_PLANS[kind]}+degraded"
         assert_serves_correctly(engine, artifact)
         runs.append((report.degradation.rung, injector.fired))
@@ -193,10 +196,11 @@ class TestEmptyPlanIsByteIdentical:
             "Tiny-2L", tiny2l_inputs[input_kind](), seed=5,
             mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model())
         injector = FaultInjector(FaultPlan(seed=1, faults=()))
-        _, chaotic = medusa_cold_start(
-            "Tiny-2L", tiny2l_inputs[input_kind](), seed=5,
-            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
-            injector=injector, policy=DegradationPolicy())
+        with injecting(injector):
+            _, chaotic = medusa_cold_start(
+                "Tiny-2L", tiny2l_inputs[input_kind](), seed=5,
+                mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model(),
+                policy=DegradationPolicy())
         assert chaotic.timeline.plan == INPUT_PLANS[input_kind]
         assert chaotic.degradation is None
         assert not injector.fired

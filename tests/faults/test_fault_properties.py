@@ -20,6 +20,7 @@ from repro.faults import (
     PHASE_KV,
     PHASE_WARMUP,
     Rung,
+    injecting,
 )
 from repro.simgpu.process import ExecutionMode
 
@@ -51,10 +52,10 @@ fault_plans = st.builds(
 def test_random_fault_plans_never_corrupt_the_engine(tiny2l_artifact, plan):
     artifact, _ = tiny2l_artifact
     injector = FaultInjector(plan)
-    engine, report = medusa_cold_start(
-        "Tiny-2L", artifact, seed=3, mode=ExecutionMode.COMPUTE,
-        cost_model=tiny_cost_model(), injector=injector,
-        policy=DegradationPolicy())
+    with injecting(injector):
+        engine, report = medusa_cold_start(
+            "Tiny-2L", artifact, seed=3, mode=ExecutionMode.COMPUTE,
+            cost_model=tiny_cost_model(), policy=DegradationPolicy())
     # Restored output always matches the eager oracle — the core guarantee.
     assert_serves_correctly(engine, artifact)
     degradation = report.degradation

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import EngineError
 from repro.models.kernels_catalog import build_catalog
 from repro.models.model import ForwardContext, Model
-from repro.models.weights import CheckpointStore
 from repro.models.zoo import get_model_config
 from repro.simgpu.graph import GraphExecMeta
 from repro.simgpu.process import CudaProcess, ExecutionMode
@@ -19,7 +18,7 @@ def make_model(seed=3, mode=ExecutionMode.COMPUTE, loaded=True):
     model = Model(TINY, process)
     model.initialize_structure()
     if loaded:
-        model.load_weights(CheckpointStore())
+        model.load_weights()
     return model, process
 
 

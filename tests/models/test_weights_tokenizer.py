@@ -1,11 +1,11 @@
-"""Checkpoint store tests."""
+"""Weight payload tests."""
 
 import numpy as np
 import pytest
 
 from repro.models.weights import (
-    CheckpointStore,
     declared_sizes,
+    iter_payloads,
     weight_buffer_keys,
 )
 from repro.models.zoo import PAPER_MODELS, TINY_MODELS, get_model_config
@@ -39,33 +39,28 @@ class TestWeightKeys:
         assert all(size > 0 for size in declared_sizes(TINY).values())
 
 
-class TestCheckpointStore:
-    def test_payloads_deterministic_across_instances(self):
-        key = weight_buffer_keys(TINY)[0]
-        a = CheckpointStore().payload(TINY, key)
-        b = CheckpointStore().payload(TINY, key)
-        np.testing.assert_array_equal(a, b)
+class TestIterPayloads:
+    def test_payloads_deterministic(self):
+        np.testing.assert_equal(dict(iter_payloads(TINY)),
+                                dict(iter_payloads(TINY)))
 
     def test_payloads_differ_per_key(self):
         keys = weight_buffer_keys(TINY)
-        store = CheckpointStore()
-        assert not np.array_equal(store.payload(TINY, keys[0]),
-                                  store.payload(TINY, keys[1]))
+        payloads = dict(iter_payloads(TINY))
+        assert not np.array_equal(payloads[keys[0]], payloads[keys[1]])
 
     def test_payloads_differ_per_model(self):
-        store = CheckpointStore()
         key = "embed_tokens.weight"
-        assert not np.array_equal(store.payload(TINY, key),
-                                  store.payload(QWEN, key))
+        assert not np.array_equal(dict(iter_payloads(TINY))[key],
+                                  dict(iter_payloads(QWEN))[key])
 
     @pytest.mark.parametrize("config", PAPER_MODELS + TINY_MODELS,
                              ids=lambda config: config.name)
     def test_batched_norm_matches_per_matrix_norm(self, config):
         """The batched SVD scales every payload exactly as a per-matrix
         ``np.linalg.norm(matrix, 2)`` does, bit for bit."""
-        store = CheckpointStore()
         keys = weight_buffer_keys(config)
-        payloads = list(store.iter_payloads(config))
+        payloads = list(iter_payloads(config))
         assert [key for key, _ in payloads] == keys
         for key, payload in payloads:
             rng = SeedSequence(config.checkpoint_seed).generator("weights",
@@ -73,10 +68,7 @@ class TestCheckpointStore:
             matrix = rng.normal(scale=0.5, size=payload.shape)
             expected = matrix / max(1.0, np.linalg.norm(matrix, 2))
             assert payload.tobytes() == expected.tobytes(), key
-            assert store.payload(config, key).tobytes() == \
-                expected.tobytes(), key
 
     def test_spectral_norm_bounded(self):
-        store = CheckpointStore()
-        for key, payload in store.iter_payloads(TINY):
+        for key, payload in iter_payloads(TINY):
             assert np.linalg.norm(payload, 2) <= 1.0 + 1e-9

@@ -197,7 +197,7 @@ class TestSimulateBadFlags:
         ["--gpus", "0"], ["--rps", "-1"], ["--duration", "0"],
         ["--rps", "nan"], ["--rps", "inf"], ["--duration", "nan"],
         ["--duration", "inf"], ["--slo-ttft", "nan"], ["--slo-ttft", "-1"],
-        ["--model", "Nope"], ["--trace", "/nonexistent/x.json"],
+        ["--trace", "/nonexistent/x.json"],
         # Just past the ceilings: 4,096 GPUs, 1,000,000 expected arrivals.
         ["--gpus", "4097"], ["--rps", "1000", "--duration", "1000.001"]])
     def test_exits_two_with_an_error(self, flags, capsys):
@@ -225,7 +225,6 @@ class TestOfflineBadFlags:
         monkeypatch.setattr(cli, "run_offline", refuse)
 
     @pytest.mark.parametrize("flags", [
-        ["--model", "Nope", "--output", "x.json"],
         ["--model", "Tiny-2L", "--output", "/nonexistent/x.npz"],
         ["--model", "Tiny-2L", "--output", "/nonexistent/x.json"],
         ["--model", "Tiny-2L", "--output", "."]])
@@ -235,6 +234,35 @@ class TestOfflineBadFlags:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestUnknownModel:
+    """Every ``--model`` names a zoo model, refused by the parser before
+    the command runs."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran despite a bad --model")
+
+        monkeypatch.setattr(cli, "run_offline", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--strategy", "vllm"],
+        ["offline", "--output", "x.medusa"],
+        ["validate", "--artifact", "x.medusa"],
+        ["restore", "--artifact", "x.medusa"],
+        ["simulate"],
+    ], ids=["coldstart", "offline", "validate", "restore", "simulate"])
+    def test_exits_two_with_an_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--model", "Nope"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert "argument --model: unknown model 'Nope'" in lines[-1]
 
 
 class TestNegativeSeed:

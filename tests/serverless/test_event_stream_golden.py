@@ -43,13 +43,9 @@ import pytest
 from repro import cli
 from repro.serverless import (
     ClusterSimulator,
-    ModelDeployment,
     MultiModelCluster,
-    ServingCostModel,
-    TaggedRequest,
     tag_workloads,
 )
-from repro.serverless.workload import Request
 from repro.sim import EventLoop
 from tests.serverless.reference_step import (
     per_step_path,
@@ -64,10 +60,11 @@ from tests.serverless.test_golden_equivalence import (
     single_run,
 )
 from tests.serverless.test_stage_coldstart import (
+    PREEMPTION_REQUESTS,
     burst,
     llama_deployment,
     pipelined_profile,
-    scalar_timeline_profile,
+    preemption_cluster,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden_event_streams.json"
@@ -153,19 +150,8 @@ def run_stage_tail_contention():
 def run_stage_preemption():
     """``TestMultiModelPreemption``: a zero-capacity model cancels another
     model's in-flight staged cold start at a stage boundary."""
-    cluster = MultiModelCluster([
-        ModelDeployment(
-            name="a", costs=ServingCostModel("Llama2-7B"),
-            cold_start_latency=3.0, max_running=1,
-            profile=scalar_timeline_profile()),
-        ModelDeployment(
-            name="b", costs=ServingCostModel("Qwen1.5-4B"),
-            cold_start_latency=0.5),
-    ], num_gpus=2)
-    cluster.run([TaggedRequest("a", Request(0, 0.0, 64, 4)),
-                 TaggedRequest("a", Request(1, 0.1, 64, 4)),
-                 TaggedRequest("b", Request(2, 1.2, 64, 4))],
-                horizon=30.0)
+    cluster = preemption_cluster()
+    cluster.run(PREEMPTION_REQUESTS, horizon=30.0)
     return cluster
 
 

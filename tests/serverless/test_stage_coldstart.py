@@ -156,16 +156,28 @@ class TestRedundantColdStart:
         assert metrics.completed == 2
 
 
-class TestMultiModelPreemption:
-    def _cluster(self):
-        return MultiModelCluster([
-            ModelDeployment(name="a", costs=ServingCostModel("Llama2-7B"),
-                            cold_start_latency=3.0, max_running=1,
-                            profile=scalar_timeline_profile()),
-            ModelDeployment(name="b", costs=ServingCostModel("Qwen1.5-4B"),
-                            cold_start_latency=0.5),
-        ], num_gpus=2)
+#: Two ``a`` arrivals, then one ``b`` arrival (see
+#: :func:`preemption_cluster`).
+PREEMPTION_REQUESTS = [
+    TaggedRequest("a", Request(0, 0.0, 64, 4)),
+    TaggedRequest("a", Request(1, 0.1, 64, 4)),
+    TaggedRequest("b", Request(2, 1.2, 64, 4)),
+]
 
+
+def preemption_cluster(trace=False):
+    """Two GPUs for a staged model ``a`` and a scalar model ``b``: under
+    :data:`PREEMPTION_REQUESTS`, ``b`` preempts an ``a`` cold start."""
+    return MultiModelCluster([
+        ModelDeployment(name="a", costs=ServingCostModel("Llama2-7B"),
+                        cold_start_latency=3.0, max_running=1,
+                        profile=scalar_timeline_profile()),
+        ModelDeployment(name="b", costs=ServingCostModel("Qwen1.5-4B"),
+                        cold_start_latency=0.5),
+    ], num_gpus=2, trace=trace)
+
+
+class TestMultiModelPreemption:
     def test_zero_capacity_model_preempts_a_cold_start(self):
         """Pool exhausted by model a's cold starts; model b preempts one.
 
@@ -175,13 +187,8 @@ class TestMultiModelPreemption:
         its request on the surviving ``a`` instance, and launches ``b``
         on the freed GPU.
         """
-        cluster = self._cluster()
-        tagged = [
-            TaggedRequest("a", Request(0, 0.0, 64, 4)),
-            TaggedRequest("a", Request(1, 0.1, 64, 4)),
-            TaggedRequest("b", Request(2, 1.2, 64, 4)),
-        ]
-        per_model = cluster.run(tagged, horizon=30.0)
+        cluster = preemption_cluster()
+        per_model = cluster.run(PREEMPTION_REQUESTS, horizon=30.0)
         assert per_model["a"].cancelled_cold_starts == 1
         # The victim (launched at 0.1, stage width 1.0) aborts at the
         # boundary after t=1.2: the end of its second stage.
@@ -194,13 +201,8 @@ class TestMultiModelPreemption:
         assert cluster.gpus_in_use <= cluster.num_gpus
 
     def test_aggregate_folds_stage_counters(self):
-        cluster = self._cluster()
-        tagged = [
-            TaggedRequest("a", Request(0, 0.0, 64, 4)),
-            TaggedRequest("a", Request(1, 0.1, 64, 4)),
-            TaggedRequest("b", Request(2, 1.2, 64, 4)),
-        ]
-        per_model = cluster.run(tagged, horizon=30.0)
+        cluster = preemption_cluster()
+        per_model = cluster.run(PREEMPTION_REQUESTS, horizon=30.0)
         total = cluster.aggregate()
         assert total.cancelled_cold_starts == 1
         assert total.cold_stage_counts.get("s1") == \
@@ -252,7 +254,8 @@ class TestTraceOptIn:
     """``trace=False`` (the default) records nothing and changes nothing.
 
     The trace is an output only: the same run with and without it must
-    produce bit-identical metrics, so no metric can depend on a record.
+    dispatch the same event stream and produce bit-identical metrics,
+    cold-start stage sums included, so no metric can depend on a record.
     """
 
     @staticmethod
@@ -278,13 +281,51 @@ class TestTraceOptIn:
                   TaggedRequest("b", Request(3, 9.0, 640, 40))]
         return cluster, cluster.run(tagged, horizon=30.0)
 
-    @pytest.mark.parametrize("run", ["_single", "_multi"])
+    @staticmethod
+    def _preemption(trace):
+        """The ``stage/preemption`` pool: the cancelled cold start has a
+        stage past its boundary."""
+        cluster = preemption_cluster(trace)
+        metrics = cluster.run(PREEMPTION_REQUESTS, horizon=30.0)
+        assert metrics["a"].cancelled_cold_starts == 1
+        assert metrics["a"].cold_stage_counts["s3"] == 1
+        assert metrics["a"].cold_stage_counts["s1"] == 2
+        return cluster, metrics
+
+    @staticmethod
+    def _background_tail(trace):
+        """A pipelined cold start whose background stages end at 3.0 s,
+        after its one request completes and after the horizon: the run
+        lasts until its last stage."""
+        simulator = ClusterSimulator(
+            llama_deployment(profile=pipelined_profile()), 1, trace=trace)
+        metrics = simulator.run([Request(0, 0.0, 64, 2)], horizon=2.0)
+        assert metrics.latencies[0] < 2.0
+        assert metrics.cold_stage_counts["restore_graph[4]"] == 1
+        assert metrics.provisioned_gpu_seconds == 2.0   # ready 1.0 .. 3.0
+        return simulator, {"m": metrics}
+
+    @staticmethod
+    def _observed(run, trace):
+        from tests.serverless.test_event_stream_golden import (
+            _stream,
+            tapped_loops,
+        )
+        with tapped_loops() as taps:
+            pool, metrics = run(trace)
+        return pool, metrics, _stream(pool, taps)
+
+    @pytest.mark.parametrize("run", ["_single", "_multi", "_preemption",
+                                     "_background_tail"])
     def test_untraced_run_records_nothing_and_matches(self, run):
-        quiet, quiet_metrics = getattr(self, run)(False)
-        traced, traced_metrics = getattr(self, run)(True)
+        quiet, quiet_metrics, quiet_stream = \
+            self._observed(getattr(self, run), False)
+        traced, traced_metrics, traced_stream = \
+            self._observed(getattr(self, run), True)
         assert quiet.loop.trace.spans == [] and quiet.loop.trace.marks == []
         assert quiet.loop.trace.tracks == [] and quiet.loop.trace.args == []
         assert traced.loop.trace.spans and traced.loop.trace.marks
+        assert quiet_stream == traced_stream
         assert total_steps(quiet) == total_steps(traced)
         for name, metrics in quiet_metrics.items():
             other = traced_metrics[name]
@@ -294,3 +335,8 @@ class TestTraceOptIn:
             assert metrics.busy_gpu_seconds.hex() == \
                 other.busy_gpu_seconds.hex()
             assert sum(metrics.ttfts).hex() == sum(other.ttfts).hex()
+            assert metrics.cold_stage_counts == other.cold_stage_counts
+            assert {stage: seconds.hex() for stage, seconds
+                    in metrics.cold_stage_seconds.items()} == \
+                {stage: seconds.hex() for stage, seconds
+                 in other.cold_stage_seconds.items()}

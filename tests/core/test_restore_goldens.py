@@ -410,8 +410,8 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
         "multimodel/spike_train": {
             "events dispatched": spike_pool.loop.dispatched,
             **{f"{kind} dispatched": spike_dispatched[kind]
-               for kind in ("arrival", "cold_stage_done", "instance_ready",
-                            "step_done", "idle_tick")},
+               for kind in ("arrival", "instance_ready", "step_done",
+                            "idle_tick")},
             "cold starts": spike_pool.aggregate().cold_starts,
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.binfmt import LazyArtifact
 from repro.core.fastpath import VectorizedRestorer
 from repro.core.offline import OfflinePhase, OfflineReport
+from repro.core.online import check_artifact_key
 from repro.engine import ColdStartReport, LLMEngine, Strategy
 from repro.errors import InvalidValueError, RestorationError
 from repro.models.config import ModelConfig
@@ -195,6 +196,8 @@ class TensorParallelMedusa:
         engine = TensorParallelEngine(
             self.config, self.tp_degree, Strategy.MEDUSA, seed=seed,
             mode=self.mode, cost_model=self.cost_model)
+        for artifact, rank_engine in zip(artifacts, engine.engines):
+            check_artifact_key(artifact, rank_engine)
         restorers = [VectorizedRestorer(artifact) for artifact in artifacts]
         report = engine.cold_start(restorers=restorers)
         return engine, report

@@ -9,6 +9,8 @@ from repro.core.optimus import (
 )
 from repro.core.validation import make_input_ids
 from repro.engine import LLMEngine, Strategy
+from repro.errors import RestorationError
+from repro.simgpu.costmodel import H100_80GB, CostModel
 from repro.simgpu.process import ExecutionMode
 
 from tests.conftest import tiny_cost_model
@@ -65,3 +67,23 @@ class TestComposition:
                           cost_model=tiny_cost_model())
         assert transformer.transform_time(large) > \
             transformer.transform_time(small)
+
+
+class TestArtifactKey:
+    """The composed cold start checks the artifact's <GPU type, model
+    type> key (§3) as a Medusa cold start does."""
+
+    def test_refuses_an_artifact_of_another_gpu(self):
+        from repro.core.offline import run_offline
+        artifact, _ = run_offline("Tiny-2L", seed=28,
+                                  cost_model=CostModel(gpu=H100_80GB))
+        for cold_start in (medusa_cold_start,
+                           medusa_plus_optimus_cold_start):
+            with pytest.raises(RestorationError, match="materialized on"):
+                cold_start("Tiny-2L", artifact)
+
+    def test_refuses_an_artifact_of_another_model(self, tiny4l_artifact):
+        artifact, _ = tiny4l_artifact
+        with pytest.raises(RestorationError, match="artifact is for"):
+            medusa_plus_optimus_cold_start("Tiny-2L", artifact,
+                                           cost_model=tiny_cost_model())

@@ -11,6 +11,7 @@ from repro.multigpu import (
 )
 from repro.multigpu.tp import DIST_INIT_TIME, allreduce_time
 from repro.models.zoo import get_model_config
+from repro.simgpu.costmodel import H100_80GB, CostModel
 from repro.simgpu.process import ExecutionMode
 
 from tests.conftest import tiny_cost_model
@@ -140,6 +141,20 @@ class TestTensorParallelMedusa:
         vanilla_kv = max(r.stage_durations["kv_init"]
                          for r in vanilla.rank_reports)
         assert medusa_kv < vanilla_kv
+
+    def test_swapped_rank_artifacts_rejected(self, tp_artifacts):
+        """Each rank's artifact is keyed by its rank's model (§3)."""
+        medusa, artifacts, _ = tp_artifacts
+        with pytest.raises(RestorationError, match="artifact is for"):
+            medusa.cold_start(artifacts[::-1])
+
+    def test_rank_artifacts_of_another_gpu_rejected(self):
+        h100 = TensorParallelMedusa("Tiny-2L", tp_degree=2, seed=9,
+                                    cost_model=CostModel(gpu=H100_80GB))
+        artifacts, _ = h100.run_offline()
+        a100 = TensorParallelMedusa("Tiny-2L", tp_degree=2, seed=9)
+        with pytest.raises(RestorationError, match="materialized on"):
+            a100.cold_start(artifacts)
 
     def test_wrong_artifact_count_rejected(self, tp_artifacts):
         medusa, artifacts, _ = tp_artifacts

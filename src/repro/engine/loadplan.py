@@ -238,11 +238,11 @@ class Timeline:
         return any(stage.background for stage in self.stages)
 
     def stage_events(self) -> List[ScheduledStage]:
-        """The stages a discrete-event cold start dispatches, end-ordered.
+        """The stages a cluster cold start runs through, end-ordered.
 
-        Zero-duration stages occupy no simulated time and produce no
-        event; the rest are returned sorted by completion instant — the
-        order a cluster event loop observes their boundaries in.
+        Zero-duration stages occupy no simulated time and are left out;
+        the rest are returned sorted by completion instant: the stage
+        boundaries a pool's cold start can be cancelled at.
         """
         return sorted((stage for stage in self.stages
                        if stage.duration > 0),

@@ -29,8 +29,7 @@ class SimulationMetrics:
     store_cache_hits: int = 0
     store_cache_misses: int = 0
     # Stage-granular cold-start accounting (profile-driven launches only):
-    # summed seconds and completion counts per LoadPlan stage name, as
-    # observed from the cluster's stage-done events.
+    # summed seconds and completion counts per LoadPlan stage name.
     cold_stage_seconds: Dict[str, float] = field(default_factory=dict)
     cold_stage_counts: Dict[str, int] = field(default_factory=dict)
     # Cold starts the scale-down policy aborted mid-flight, keyed by the

@@ -17,8 +17,9 @@ instead of only before launch or after readiness.
 
 After a step that admits and completes nothing, the instance can run
 through the pure-decode steps up to its next completion at once
-(:meth:`Instance.run_ahead`), priced as one float64 array with running
-sums of its step ends, busy time and restore-tail contention, and go
+(:meth:`Instance.run_ahead`), read as one slice of its cost model's
+decode table with running sums of its step ends, busy time and
+restore-tail contention, and go
 back to any of them if a request arrives mid-run (:meth:`Instance.
 cut_run`, a binary search of those ends), with the same bits as stepping
 one by one.  A run that starts inside the restore tail penalizes its
@@ -305,8 +306,10 @@ class Instance:
 
         Returns the step duration plus the TTFTs and completions it produced.
         A step costs O(1 + admitted + completed): the running context sum
-        is kept as an exact integer, and each sequence waits in the bucket
-        of the step it finishes at, in admission (= ``running``) order.
+        is kept as an exact integer, its decode time is read from the
+        batch's decode table at that sum (:meth:`ServingCostModel.
+        decode_step_at`), and each sequence waits in the bucket of the
+        step it finishes at, in admission (= ``running``) order.
         """
         running = self.running
         waiting = self.waiting
@@ -339,10 +342,8 @@ class Instance:
                     # requests instead of on the cold start.
                     duration += costs.deferred_capture_penalty(padded)
                     self._captured_batches.add(padded)
-            # Integer sum / count: the same correctly rounded division as
-            # the mean over the per-sequence contexts.
-            duration += costs.decode_step_time(
-                batch, context_sum / batch, config.use_cuda_graphs)
+            duration += costs.decode_step_at(batch, context_sum,
+                                             config.use_cuda_graphs)
             # Every sequence admitted before this step generated a token.
             context_sum += carried
         contention = 0.0
@@ -387,16 +388,18 @@ class Instance:
         waiting request, and only a completion frees a slot or an
         :meth:`enqueue` adds a request (the pool cuts the run with
         :meth:`cut_run` before it enqueues).  The batch's padded size is
-        already captured.  Those steps are priced here as one array
-        (:meth:`ServingCostModel.decode_run`), stopping before the next
-        completion step.  When the run starts inside the restore tail,
-        the steps that start before its end (a prefix: later steps start
-        later) are penalized with :meth:`run_step`'s two operations, and
-        one ``searchsorted`` over their starts finds that prefix.  The
-        step ends, busy sums and contention sums are sequential running
-        sums (``np.cumsum``) that add every float in :meth:`run_step`'s
-        order, so the state after them is bit for bit what stepping one
-        at a time leaves.
+        already captured.  Those steps' durations, up to the next
+        completion step, are one read-only slice of the batch's decode
+        table (:meth:`ServingCostModel.decode_run`).  When the run starts
+        inside the restore tail, the steps that start before its end (a
+        prefix: later steps start later) are penalized with
+        :meth:`run_step`'s two operations, and one ``searchsorted`` over
+        their starts finds that prefix; the penalized durations go into
+        the running-sum buffer, never into the table.  The step ends,
+        busy sums and contention sums are sequential running sums
+        (``np.cumsum``) that add every float in :meth:`run_step`'s order,
+        so the state after them is bit for bit what stepping one at a
+        time leaves.
 
         Returns the end of the run's last step, or None when the next
         step completes a sequence (there is nothing to run ahead).
@@ -422,7 +425,7 @@ class Instance:
             # exact for the contended prefix and the step right after it.
             prefix = int(sums.cumsum()[:count].searchsorted(
                 self.restore_tail_until - _EPS))
-            durations[:prefix] = sums[1:prefix + 1]
+            sums[prefix + 1:] = durations[prefix:]
             # contention[j]: the contention seconds by the end of step j.
             contention = np.empty(prefix + 1)
             contention[0] = self.contention_seconds
@@ -430,7 +433,8 @@ class Instance:
             contention = contention.cumsum()
             self.contended_steps = contended + prefix
             self.contention_seconds = float(contention[-1])
-        sums[1:] = durations
+        else:
+            sums[1:] = durations
         ends = sums.cumsum()
         sums[0] = self.busy_time
         busy = sums.cumsum()

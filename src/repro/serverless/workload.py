@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import InvalidValueError
 from repro.utils.rng import SeedSequence
 
@@ -299,26 +301,14 @@ class ShareGPTWorkload:
         seeds = SeedSequence(self.seed).child("workload", self.rps,
                                               self.duration)
         arrival_rng = seeds.generator("arrivals")
-        length_rng = seeds.generator("lengths")
-        requests: List[Request] = []
+        arrivals: List[float] = []
         now = 0.0
-        request_id = 0
         while True:
             now += arrival_rng.exponential(1.0 / self.rps)
             if now >= self.duration:
                 break
-            prompt = max(1, int(length_rng.lognormal(_MU_PROMPT,
-                                                     LENGTH_SIGMA)))
-            output = max(1, int(length_rng.lognormal(_MU_OUTPUT,
-                                                     LENGTH_SIGMA)))
-            requests.append(Request(
-                request_id=request_id,
-                arrival_time=now,
-                prompt_tokens=prompt,
-                output_tokens=output,
-            ))
-            request_id += 1
-        return requests
+            arrivals.append(now)
+        return _requests(arrivals, seeds.generator("lengths"))
 
     def _generate_shaped(self, schedule: RateSchedule) -> List[Request]:
         """The inhomogeneous trace for one schedule (deterministic).
@@ -331,20 +321,23 @@ class ShareGPTWorkload:
         """
         seeds = SeedSequence(self.seed).child("workload-shaped", self.rps,
                                               self.duration, self.shape)
-        arrival_rng = seeds.generator("arrivals")
-        length_rng = seeds.generator("lengths")
-        requests: List[Request] = []
-        arrivals = schedule.arrival_times(arrival_rng,
+        arrivals = schedule.arrival_times(seeds.generator("arrivals"),
                                           horizon=self.duration)
-        for request_id, now in enumerate(arrivals):
-            prompt = max(1, int(length_rng.lognormal(_MU_PROMPT,
-                                                     LENGTH_SIGMA)))
-            output = max(1, int(length_rng.lognormal(_MU_OUTPUT,
-                                                     LENGTH_SIGMA)))
-            requests.append(Request(
-                request_id=request_id,
-                arrival_time=now,
-                prompt_tokens=prompt,
-                output_tokens=output,
-            ))
-        return requests
+        return _requests(arrivals, seeds.generator("lengths"))
+
+
+def _requests(arrivals: List[float], length_rng) -> List[Request]:
+    """One request per arrival time, its lengths drawn in one call.
+
+    The draws alternate prompt and output, request by request: the
+    order of one scalar ``lognormal`` call per length, so each length
+    keeps its value.  Truncation to int64 is ``int()`` on these positive
+    floats, and ``tolist`` makes every length a Python int.
+    """
+    draws = length_rng.lognormal(
+        np.tile([_MU_PROMPT, _MU_OUTPUT], len(arrivals)), LENGTH_SIGMA)
+    lengths = np.maximum(1, draws.astype(np.int64)).tolist()
+    return [Request(request_id=request_id, arrival_time=now,
+                    prompt_tokens=lengths[2 * request_id],
+                    output_tokens=lengths[2 * request_id + 1])
+            for request_id, now in enumerate(arrivals)]

@@ -413,6 +413,12 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
                for kind in ("arrival", "instance_ready", "step_done",
                             "idle_tick")},
             "cold starts": spike_pool.aggregate().cold_starts,
+            "decode tables built": sum(
+                d.costs.decode_tables.built
+                for d in spike_pool.deployments.values()),
+            "decode table entries priced": sum(
+                d.costs.decode_tables.priced
+                for d in spike_pool.deployments.values()),
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import InvalidValueError
+from repro.serverless import workload
 from repro.serverless.workload import (
+    LENGTH_SIGMA,
     MAX_EXPECTED_ARRIVALS,
     SHAREGPT_MEAN_OUTPUT_TOKENS,
     SHAREGPT_MEAN_PROMPT_TOKENS,
@@ -13,6 +15,7 @@ from repro.serverless.workload import (
     make_schedule,
     shape_names,
 )
+from repro.utils.rng import SeedSequence
 
 NAN = float("nan")
 INF = float("inf")
@@ -60,6 +63,42 @@ class TestLengths:
         requests = ShareGPTWorkload(rps=5, duration=100, seed=7).generate()
         assert all(r.prompt_tokens >= 1 and r.output_tokens >= 1
                    for r in requests)
+
+    @pytest.mark.parametrize("shape", (None,) + shape_names())
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2024])
+    def test_lengths_match_one_scalar_draw_each(self, shape, seed):
+        """The lengths are drawn in one array call per trace; each is
+        the value one scalar draw per length, prompt then output, request
+        by request, gave (the generator's original loop)."""
+        rps, duration = 3.0, 200.0
+        generated = ShareGPTWorkload(rps=rps, duration=duration, seed=seed,
+                                     shape=shape).generate()
+        if shape in (None, "poisson"):
+            seeds = SeedSequence(seed).child("workload", rps, duration)
+            arrival_rng = seeds.generator("arrivals")
+            arrivals = []
+            now = arrival_rng.exponential(1.0 / rps)
+            while now < duration:
+                arrivals.append(now)
+                now += arrival_rng.exponential(1.0 / rps)
+        else:
+            seeds = SeedSequence(seed).child("workload-shaped", rps,
+                                             duration, shape)
+            arrivals = make_schedule(shape, rps, duration).arrival_times(
+                seeds.generator("arrivals"), horizon=duration)
+        length_rng = seeds.generator("lengths")
+        expected = []
+        for request_id, now in enumerate(arrivals):
+            prompt = max(1, int(length_rng.lognormal(workload._MU_PROMPT,
+                                                     LENGTH_SIGMA)))
+            output = max(1, int(length_rng.lognormal(workload._MU_OUTPUT,
+                                                     LENGTH_SIGMA)))
+            expected.append((request_id, now.hex(), prompt, output))
+        assert len(expected) > 100
+        assert [(r.request_id, r.arrival_time.hex(), r.prompt_tokens,
+                 r.output_tokens) for r in generated] == expected
+        assert all(type(r.prompt_tokens) is int
+                   and type(r.output_tokens) is int for r in generated)
 
 
 class TestValidation:

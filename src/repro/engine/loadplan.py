@@ -24,10 +24,13 @@ locality loading, Tangram-style memory reuse) become plan definitions in
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.engine.lanes import Contention, Lane
 from repro.errors import EngineError
@@ -195,7 +198,15 @@ class ScheduledStage:
 
 @dataclass
 class Timeline:
-    """The composed loading-phase schedule of one cold start."""
+    """The composed loading-phase schedule of one cold start.
+
+    A timeline is never mutated once built, so ``__post_init__`` works
+    out its per-stage facts once: the name index, :attr:`total`,
+    :attr:`ready`, :attr:`has_background`, the end-ordered
+    :meth:`stage_events` and their columns (:attr:`event_ends`,
+    :attr:`event_durations`, :attr:`event_name_ids`).  Every cold start
+    launched from the timeline shares them.
+    """
 
     strategy: Optional[object]
     stages: List[ScheduledStage]
@@ -207,11 +218,39 @@ class Timeline:
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._index = {stage.name: stage for stage in self.stages}
+        stages = self.stages
+        self._index = {stage.name: stage for stage in stages}
+        ends = [stage.end for stage in stages]
+        self._total = max(ends, default=0.0)
+        foreground = [stage.end for stage in stages if not stage.background]
+        self._ready = max(foreground) if foreground else self._total
+        self._has_background = len(foreground) < len(stages)
+        ends = np.array(ends, dtype=np.float64)
+        starts = np.array([stage.start for stage in stages], dtype=np.float64)
+        #: Every stage's ``end - start``, as :attr:`ScheduledStage.duration`
+        #: computes it (:func:`retime_stages` keeps the ones it does not
+        #: override).
+        self._durations = ends - starts
+        timed = np.flatnonzero(self._durations > 0)
+        # lexsort is stable: stages that end and start together keep
+        # their declaration order.
+        positions = timed[np.lexsort((starts[timed], ends[timed]))]
+        self._events = tuple(stages[position]
+                             for position in positions.tolist())
+        #: Each event's end (seconds from launch), in event order.
+        self.event_ends = ends[positions]
+        #: Each event's duration, in event order.
+        self.event_durations = self._durations[positions]
+        #: Each event's position in :attr:`stages`: an id for its name,
+        #: the same in every timeline placed from one plan.
+        self.event_name_ids = positions
+        for column in (self._durations, self.event_ends,
+                       self.event_durations, self.event_name_ids):
+            column.setflags(write=False)
 
     @property
     def total(self) -> float:
-        return max((stage.end for stage in self.stages), default=0.0)
+        return self._total
 
     @property
     def ready(self) -> float:
@@ -222,10 +261,7 @@ class Timeline:
         serving-ready instant.  Equals :attr:`total` for plans without
         background stages.
         """
-        foreground = [s.end for s in self.stages if not s.background]
-        if not foreground:
-            return self.total
-        return max(foreground)
+        return self._ready
 
     @property
     def has_background(self) -> bool:
@@ -235,18 +271,25 @@ class Timeline:
         the cluster simulator uses this to decide whether an instance's
         early steps contend with a restore tail (``ready < total``).
         """
-        return any(stage.background for stage in self.stages)
+        return self._has_background
 
-    def stage_events(self) -> List[ScheduledStage]:
+    def stage_events(self) -> Tuple[ScheduledStage, ...]:
         """The stages a cluster cold start runs through, end-ordered.
 
         Zero-duration stages occupy no simulated time and are left out;
-        the rest are returned sorted by completion instant: the stage
-        boundaries a pool's cold start can be cancelled at.
+        the rest are returned sorted by completion instant (then start):
+        the stage boundaries a pool's cold start can be cancelled at.
+        One tuple per timeline, shared by every caller.
         """
-        return sorted((stage for stage in self.stages
-                       if stage.duration > 0),
-                      key=lambda stage: (stage.end, stage.start))
+        return self._events
+
+    @functools.cached_property
+    def _layout(self) -> "_Layout":
+        """The stages by position, for :func:`retime_stages`.  A timeline
+        the scheduler placed shares its plan's; built on first use
+        otherwise."""
+        return _Layout([(stage.name, self.deps[stage.name], stage.lane,
+                         stage.background) for stage in self.stages])
 
     def stage(self, name: str) -> ScheduledStage:
         """O(1) lookup by stage name (stages are indexed once)."""
@@ -366,7 +409,7 @@ class LoadPlan:
         if missing:
             raise EngineError(f"missing stage durations: {missing}")
 
-        rows = []
+        placed = []
         for stage in self.stages:
             duration = float(durations.get(stage.name, 0.0))
             _check_duration(stage.name, duration)
@@ -374,9 +417,14 @@ class LoadPlan:
                     and stage.contention.applies(durations):
                 duration += _resolve_penalty(penalties,
                                              stage.contention.penalty_key)
-            rows.append((stage.name, stage.deps, stage.lane.label,
-                         stage.background, duration))
-        return _list_schedule(strategy, self.name, rows)
+            placed.append(duration)
+        return _list_schedule(strategy, self.name, self._layout, placed)
+
+    @functools.cached_property
+    def _layout(self) -> "_Layout":
+        """The plan's stages by position, built on the first schedule."""
+        return _Layout([(stage.name, stage.deps, stage.lane.label,
+                         stage.background) for stage in self.stages])
 
 
 def append_stages(plan: LoadPlan, stages: Sequence[PlanStage],
@@ -422,18 +470,20 @@ def retime_stages(timeline: Timeline,
     their placed durations; returns ``timeline`` itself when no duration
     changes.
     """
-    overrides: Dict[str, float] = {}
+    layout = timeline._layout
+    placed = timeline._durations.tolist()
+    changed = False
     for name, duration in durations.items():
         _check_duration(name, duration)
-        if abs(duration - timeline.stage(name).duration) > _EPS:
-            overrides[name] = duration
-    if not overrides:
+        position = layout.positions.get(name)
+        if position is None:
+            timeline.stage(name)    # raises, naming the stages there are
+        if abs(duration - placed[position]) > _EPS:
+            placed[position] = duration
+            changed = True
+    if not changed:
         return timeline
-    return _list_schedule(
-        timeline.strategy, timeline.plan,
-        [(stage.name, timeline.deps[stage.name], stage.lane,
-          stage.background, overrides.get(stage.name, stage.duration))
-         for stage in timeline.stages])
+    return _list_schedule(timeline.strategy, timeline.plan, layout, placed)
 
 
 def _check_duration(name: str, duration: float) -> None:
@@ -444,72 +494,103 @@ def _check_duration(name: str, duration: float) -> None:
             f"finite and non-negative)")
 
 
-def _list_schedule(strategy: Optional[object], plan: str,
-                   stages: Sequence[Tuple[str, Tuple[str, ...], str,
-                                          bool, float]]) -> Timeline:
-    """List-schedule ``(name, deps, lane, background, duration)`` rows.
+class _Layout:
+    """A stage graph by position: what the list scheduler reads.
 
-    Rows come in declaration (topological) order.  Each stage starts at
-    the later of its dependencies' completion and its lane's
-    availability, so each lane runs one stage at a time and overlap is
-    derived, never asserted.
+    Built once per plan from ``(name, deps, lane, background)`` rows in
+    declaration order, and shared by every timeline placed from it (a
+    timeline built by hand builds its own on its first retime).
+    ``blockers[i]`` holds the positions stage ``i`` waits for: its
+    dependencies, then the stage before it on its lane.  A blocker is
+    always declared before the stage it blocks, since declaration order
+    is topological and lanes fill in that order.
     """
-    finished: Dict[str, float] = {}
-    lane_free: Dict[str, float] = {}
-    lane_prev: Dict[str, str] = {}
-    blockers: Dict[str, Tuple[str, ...]] = {}
-    placed: List[ScheduledStage] = []
-    for name, deps, lane, background, duration in stages:
-        start = max((finished[dep] for dep in deps), default=0.0)
-        start = max(start, lane_free.get(lane, 0.0))
-        end = start + duration
-        finished[name] = end
-        preds = list(deps)
-        if lane in lane_prev:
-            preds.append(lane_prev[lane])
-        blockers[name] = tuple(preds)
-        lane_free[lane] = end
-        lane_prev[lane] = name
-        placed.append(ScheduledStage(name, start, end, lane,
-                                     background=background))
-    return Timeline(strategy, _mark_critical(placed, blockers), plan,
-                    {name: deps for name, deps, _, _, _ in stages})
+
+    __slots__ = ("names", "lanes", "background", "blockers", "positions",
+                 "deps")
+
+    def __init__(self, rows: Sequence[Tuple[str, Tuple[str, ...], str,
+                                            bool]]):
+        self.names = tuple(row[0] for row in rows)
+        self.lanes = tuple(row[2] for row in rows)
+        self.background = tuple(row[3] for row in rows)
+        #: Stage name -> position (stage names are unique).
+        self.positions = {name: position
+                          for position, name in enumerate(self.names)}
+        #: The declared edges (stage -> deps) every placed timeline shares.
+        self.deps = {name: deps for name, deps, _, _ in rows}
+        lane_prev: Dict[str, int] = {}
+        blockers = []
+        for position, (_, deps, lane, _) in enumerate(rows):
+            preds = [self.positions[dep] for dep in deps]
+            if lane in lane_prev:
+                preds.append(lane_prev[lane])
+            lane_prev[lane] = position
+            blockers.append(tuple(preds))
+        self.blockers = tuple(blockers)
 
 
-def _mark_critical(placed: Sequence[ScheduledStage],
-                   blockers: Mapping[str, Tuple[str, ...]]
-                   ) -> List[ScheduledStage]:
+def _list_schedule(strategy: Optional[object], plan: str, layout: _Layout,
+                   durations: Sequence[float]) -> Timeline:
+    """List-schedule ``layout``'s stages with ``durations`` (by position).
+
+    Each stage starts at the latest end among its blockers (its
+    dependencies' completion and its lane's availability), or at zero,
+    so each lane runs one stage at a time and overlap is derived, never
+    asserted.  Each :class:`ScheduledStage` is built once, with its
+    critical-path flag (:func:`_critical_flags`).
+    """
+    starts: List[float] = []
+    ends: List[float] = []
+    for blockers, duration in zip(layout.blockers, durations):
+        start = 0.0
+        for blocker in blockers:
+            end = ends[blocker]
+            if end > start:
+                start = end
+        starts.append(start)
+        ends.append(start + duration)
+    critical = _critical_flags(layout, starts, ends)
+    timeline = Timeline(
+        strategy,
+        [ScheduledStage(*row) for row in zip(
+            layout.names, starts, ends, layout.lanes, critical,
+            layout.background)],
+        plan, layout.deps)
+    timeline._layout = layout
+    return timeline
+
+
+def _critical_flags(layout: _Layout, starts: Sequence[float],
+                    ends: Sequence[float]) -> List[bool]:
     """Flag every stage lying on a zero-slack chain ending at the makespan.
 
-    A stage's start always equals some blocking predecessor's end (a
-    dependency or the previous stage on its lane) or zero, so walking those
+    A stage's start always equals some blocker's end (a dependency or
+    the previous stage on its lane) or zero, so walking those
     exact-coincidence links backward from the stages that end at the
     makespan recovers the critical path(s), whose summed durations equal
-    the timeline total by construction.
+    the timeline total by construction.  Blockers precede the stages
+    they block, so one backward pass over the positions visits every
+    critical stage after all of its successors and finds the whole
+    chain.
 
     Background stages (pipelined restore of non-first batch sizes) are
     neither seeds nor ever critical: the makespan that matters is the
     *ready* instant — the latest foreground end — since everything behind
     it happens while the instance already serves.
     """
-    if not placed:
-        return []
-    by_name = {stage.name: stage for stage in placed}
-    foreground = [stage for stage in placed if not stage.background]
-    makespan = max(stage.end for stage in foreground) if foreground \
-        else max(stage.end for stage in placed)
-    critical = {stage.name for stage in foreground
-                if abs(stage.end - makespan) <= _EPS}
-    frontier = list(critical)
-    while frontier:
-        name = frontier.pop()
-        stage = by_name[name]
-        for pred_name in blockers.get(name, ()):
-            pred = by_name[pred_name]
-            if pred_name not in critical and not pred.background \
-                    and abs(pred.end - stage.start) <= _EPS:
-                critical.add(pred_name)
-                frontier.append(pred_name)
-    return [ScheduledStage(s.name, s.start, s.end, lane=s.lane,
-                           critical=s.name in critical,
-                           background=s.background) for s in placed]
+    background = layout.background
+    foreground = [end for end, behind in zip(ends, background)
+                  if not behind]
+    makespan = max(foreground) if foreground else max(ends, default=0.0)
+    critical = [not behind and abs(end - makespan) <= _EPS
+                for end, behind in zip(ends, background)]
+    for position in range(len(ends) - 1, -1, -1):
+        if not critical[position]:
+            continue
+        start = starts[position]
+        for blocker in layout.blockers[position]:
+            if not critical[blocker] and not background[blocker] \
+                    and abs(ends[blocker] - start) <= _EPS:
+                critical[blocker] = True
+    return critical

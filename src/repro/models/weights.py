@@ -2,10 +2,11 @@
 
 A model's checkpoint is identified by its ``checkpoint_seed``: weight
 payload matrices are generated deterministically from (seed, buffer key)
-by :func:`iter_payloads`, so every process that "loads" a model gets
-bit-identical weights, and no checkpoint file exists on disk — the
-invariant that lets Medusa skip re-saving model-parameter buffer contents
-(§4.3: "the model parameters are already prepared before capturing").
+by :func:`iter_payloads` (once per process and model), so every process
+that "loads" a model gets bit-identical weights, and no checkpoint file
+exists on disk — the invariant that lets Medusa skip re-saving
+model-parameter buffer contents (§4.3: "the model parameters are
+already prepared before capturing").
 
 Declared byte sizes split the paper's parameter size across the model's
 weight buffers, so device-memory accounting happens at real-model scale.
@@ -67,7 +68,24 @@ def _payloads(config: ModelConfig, keys: List[str]) -> np.ndarray:
     return matrices / np.maximum(norms, 1.0)[:, None, None]
 
 
+#: ``config -> (keys, payloads)``: each model's weights, generated once
+#: per process.  The stacked payloads are read-only.
+_PAYLOADS: Dict[ModelConfig, Tuple[Tuple[str, ...], np.ndarray]] = {}
+
+
 def iter_payloads(config: ModelConfig) -> Iterator[Tuple[str, np.ndarray]]:
-    """Every weight buffer's ``(key, payload)``, in allocation order."""
-    keys = weight_buffer_keys(config)
-    yield from zip(keys, _payloads(config, keys))
+    """Every weight buffer's ``(key, payload)``, in allocation order.
+
+    The payloads are generated on the first call for a config and kept
+    (the frozen config is the key), so later weight loads and offline
+    captures skip the generators and the SVD.  They are read-only views:
+    ``Buffer.write`` copies each one into its buffer, so no two engines
+    share a payload.
+    """
+    memo = _PAYLOADS.get(config)
+    if memo is None:
+        keys = weight_buffer_keys(config)
+        payloads = _payloads(config, keys)
+        payloads.setflags(write=False)
+        memo = _PAYLOADS[config] = (tuple(keys), payloads)
+    yield from zip(*memo)

@@ -42,6 +42,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.strategies import Strategy
 from repro.errors import InvalidValueError, SchedulingError
 from repro.serverless.autoscale import AutoscalePolicy, make_autoscaler
@@ -248,10 +250,11 @@ class MultiModelCluster:
         #: free, oldest first; re-routed whenever a GPU frees up.
         self._starved: Deque[TaggedRequest] = deque()
         #: ``(deployment, fetch seconds) -> retimed profile``: a run
-        #: relaunches each model on few distinct tiers, and re-scheduling
-        #: the LoadPlan timeline is the cold launch's main cost.  Profiles
-        #: are frozen and their timelines never mutated, so instances
-        #: share them as they share the unretimed one.
+        #: relaunches each model on few distinct tiers, so each retime
+        #: (one re-schedule of the LoadPlan timeline) serves many cold
+        #: launches.  Profiles are frozen and their timelines never
+        #: mutated, so instances share them, and each timeline's stage
+        #: table, as they share the unretimed one.
         self._retimed: Dict[Tuple[str, float], ColdStartProfile] = {}
         self.placement_policy = make_policy(self._placement_spec,
                                             self.num_gpus)
@@ -902,22 +905,74 @@ class MultiModelCluster:
         (``retired_at``), any other all of them.  They are added in
         ``(end, instance id, stage position)`` order, the order one
         event per stage would dispatch them in, so the sums keep their
-        bits.  Returns the last one's end.
+        bits.  The rows come from each timeline's shared stage columns
+        (:attr:`Timeline.event_ends` and friends), one ``lexsort`` puts
+        them in that order, and ``np.add.at`` adds each ``(model,
+        stage)`` sum one row at a time in it.  Returns the last one's end.
         """
-        done = sorted(   # instance ids and positions are unique
-            (instance.launched_at + stage.end, instance.instance_id,
-             position, instance, stage)
-            for instance in itertools.chain(*self.instances.values())
-            for position, stage in enumerate(instance.cold_stages)
-            if not instance.cancelled or instance.launched_at + stage.end
-            <= instance.retired_at + _EPS)
+        launches: List[Instance] = []
+        counts: List[int] = []
+        ends, durations, groups = [], [], []
+        #: ``(model, stage name) -> group``, numbered as first met.
+        keys: Dict[Tuple[str, str], int] = {}
+        #: ``(model, id(timeline)) -> each stage event's group``.
+        event_groups: Dict[Tuple[str, int], np.ndarray] = {}
+        for instance in itertools.chain(*self.instances.values()):
+            if not instance.cold_stages:
+                continue
+            timeline = instance.profile.timeline
+            absolute = instance.launched_at + timeline.event_ends
+            count = len(absolute)
+            if instance.cancelled:
+                # Ends ascend, so the stages run by the boundary are a
+                # prefix.
+                count = int(absolute.searchsorted(
+                    instance.retired_at + _EPS, "right"))
+                if not count:
+                    continue
+            model = instance.model_name
+            events = event_groups.get((model, id(timeline)))
+            if events is None:
+                events = event_groups[model, id(timeline)] = np.array(
+                    [keys.setdefault((model, stage.name), len(keys))
+                     for stage in timeline.stages],
+                    dtype=np.int64)[timeline.event_name_ids]
+            launches.append(instance)
+            counts.append(count)
+            ends.append(absolute[:count])
+            durations.append(timeline.event_durations[:count])
+            groups.append(events[:count])
+        if not launches:
+            return 0.0
+        ends = np.concatenate(ends)
+        owners = np.repeat(np.arange(len(launches)), counts)
+        firsts = np.cumsum(counts) - counts
+        positions = np.arange(len(ends)) - firsts[owners]
+        ids = np.array([instance.instance_id
+                        for instance in launches])[owners]
+        order = np.lexsort((positions, ids, ends))
+        groups = np.concatenate(groups)[order]
+        seconds = np.zeros(len(keys))
+        np.add.at(seconds, groups, np.concatenate(durations)[order])
+        seconds = seconds.tolist()
+        stage_counts = np.bincount(groups, minlength=len(keys)).tolist()
+        names = list(keys)
+        # Each model's dicts get their keys in first-run order, as one
+        # count per row would have inserted them.
+        met, first = np.unique(groups, return_index=True)
+        for group in met[np.argsort(first)].tolist():
+            model, name = names[group]
+            metrics = self.metrics[model]
+            totals = metrics.cold_stage_seconds
+            totals[name] = totals.get(name, 0) + seconds[group]
+            totals = metrics.cold_stage_counts
+            totals[name] = totals.get(name, 0) + stage_counts[group]
         trace = self.loop.trace
-        for end, _id, _position, instance, stage in done:
-            metrics = self.metrics[instance.model_name]
-            metrics.count("cold_stage_seconds", stage.duration,
-                          key=stage.name)
-            metrics.count("cold_stage_counts", key=stage.name)
-            if trace.enabled:
+        if trace.enabled:
+            owners, positions = owners.tolist(), positions.tolist()
+            for row, end in zip(order.tolist(), ends[order].tolist()):
+                instance = launches[owners[row]]
+                stage = instance.cold_stages[positions[row]]
                 trace.span(stage.name, instance.launched_at + stage.start,
                            end, track=_track(instance), lane=stage.lane,
                            background=stage.background,
@@ -925,7 +980,7 @@ class MultiModelCluster:
                 if stage.name.startswith("degrade_"):
                     trace.mark("ladder_rung", end, track=_track(instance),
                                stage=stage.name)
-        return done[-1][0] if done else 0.0
+        return float(ends[order[-1]])
 
     # -- aggregate view --------------------------------------------------------------
 

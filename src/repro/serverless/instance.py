@@ -74,22 +74,28 @@ class ColdStartProfile:
     # Ladder rung label ("partial"/"recapture"/"eager") when the cold start
     # this profile came from degraded; "" on a clean restore.
     degraded_rung: str = ""
-    #: Every scheduled fetch stage: ``fetch_artifact`` and any
-    #: chunk-streamed ``fetch_chunk[i]`` stages (schedule order).
-    _fetch_stages: Tuple = field(init=False, repr=False, compare=False)
-    #: :attr:`fetch_duration`, summed once from ``_fetch_stages``.
-    _fetch_seconds: float = field(init=False, repr=False, compare=False)
+    #: Positions in ``timeline.stages`` of every scheduled fetch stage:
+    #: ``fetch_artifact`` and any chunk-streamed ``fetch_chunk[i]``
+    #: stages, in schedule order.  Found by name on first use, or carried
+    #: over from the profile :meth:`with_fetch_duration` retimed.
+    _fetch_positions: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    #: :attr:`fetch_duration`, summed once from the fetch stages.
+    _fetch_seconds: Optional[float] = field(
+        default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # The profile is frozen and ``with_fetch_duration``'s ``replace``
-        # runs this again, so both stay in step with ``timeline``.
-        stages = tuple(
-            stage for stage in getattr(self.timeline, "stages", ())
-            if stage.name == loadplan.FETCH_ARTIFACT
-            or loadplan.FETCH_CHUNK_PATTERN.match(stage.name) is not None)
-        object.__setattr__(self, "_fetch_stages", stages)
-        object.__setattr__(self, "_fetch_seconds", sum(
-            stage.duration for stage in stages if not stage.background))
+    def _fetch_stages(self) -> Tuple:
+        """The scheduled fetch stages, in schedule order."""
+        stages = getattr(self.timeline, "stages", ())
+        positions = self._fetch_positions
+        if positions is None:
+            positions = tuple(
+                position for position, stage in enumerate(stages)
+                if stage.name == loadplan.FETCH_ARTIFACT
+                or loadplan.FETCH_CHUNK_PATTERN.match(stage.name)
+                is not None)
+            object.__setattr__(self, "_fetch_positions", positions)
+        return tuple(stages[position] for position in positions)
 
     @classmethod
     def from_report(cls, report) -> "ColdStartProfile":
@@ -121,7 +127,12 @@ class ColdStartProfile:
         the flat artifact store, and the placement layer rewrites it per
         tier via :meth:`with_fetch_duration`.
         """
-        return self._fetch_seconds
+        seconds = self._fetch_seconds
+        if seconds is None:
+            seconds = sum(stage.duration for stage in self._fetch_stages()
+                          if not stage.background)
+            object.__setattr__(self, "_fetch_seconds", seconds)
+        return seconds
 
     def with_fetch_duration(self, duration: float) -> "ColdStartProfile":
         """This profile with its fetch stage(s) retimed.
@@ -142,7 +153,7 @@ class ColdStartProfile:
             return self
         ratio = duration / base
         overrides = {stage.name: stage.duration * ratio
-                     for stage in self._fetch_stages}
+                     for stage in self._fetch_stages()}
         timeline = loadplan.retime_stages(self.timeline, overrides)
         loading = max(0.0, self.loading_time
                       + (timeline.total - self.timeline.total))
@@ -150,8 +161,12 @@ class ColdStartProfile:
         if ready > 0:
             ready = max(0.0, ready
                         + (timeline.ready - self.timeline.ready))
-        return replace(self, loading_time=loading, ready_time=ready,
-                       timeline=timeline)
+        retimed = replace(self, loading_time=loading, ready_time=ready,
+                          timeline=timeline)
+        # Retiming moves stages but keeps their order.
+        object.__setattr__(retimed, "_fetch_positions",
+                           self._fetch_positions)
+        return retimed
 
 
 class _RunningSequence:
@@ -236,7 +251,9 @@ class Instance:
         #: set and cleared by the pool.
         self.run_event: Optional[object] = None
         # -- stage-granular cold start (profile timelines only) -------------
-        self.cold_stages: List[object] = []
+        #: The timeline's end-ordered stage events, shared with every
+        #: instance launched from it (:meth:`Timeline.stage_events`).
+        self.cold_stages: Tuple = ()
         self.restore_tail_until = self.ready_at
         self.cancelled = False
         #: The kernel event of the ready instant, set by the pool and
@@ -246,7 +263,7 @@ class Instance:
             if profile is not None else None
         if cold_start_latency > 0 and timeline is not None \
                 and getattr(timeline, "stages", None):
-            self.cold_stages = list(timeline.stage_events())
+            self.cold_stages = timeline.stage_events()
             if timeline.has_background:
                 self.restore_tail_until = max(self.ready_at,
                                               launched_at + timeline.total)

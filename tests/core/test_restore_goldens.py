@@ -307,38 +307,17 @@ def tail_contention_pool():
 def spike_train_pool():
     """Four staged deployments on an eight-GPU pool under seeded
     spike-train arrivals (1 rps each for 300 s), untraced, with silent
-    runs on, and its per-kind dispatch counts."""
-    from repro.serverless import (
-        ModelDeployment,
-        MultiModelCluster,
-        ServingCostModel,
-        ShareGPTWorkload,
-        tag_workloads,
-    )
+    runs on, its per-kind dispatch counts and its retime calls."""
+    from unittest import mock
+
+    from repro.engine import loadplan
     from tests.serverless.test_event_stream_golden import tapped_loops
-    from tests.serverless.test_stage_coldstart import (
-        pipelined_profile,
-        scalar_timeline_profile,
-    )
-    profiles = {"Llama2-7B": pipelined_profile(),
-                "Qwen1.5-4B": scalar_timeline_profile(),
-                "Qwen1.5-0.5B": pipelined_profile(),
-                "Yi-6B": scalar_timeline_profile(total=2.0)}
-    deployments = [
-        ModelDeployment(name=model, costs=ServingCostModel(model),
-                        cold_start_latency=profile.serving_ready_time,
-                        profile=profile)
-        for model, profile in profiles.items()]
-    trace = tag_workloads({
-        model: ShareGPTWorkload(rps=1.0, duration=300.0, seed=50 + position,
-                                shape="spike_train")
-        for position, model in enumerate(profiles)})
-    with tapped_loops() as taps:
-        pool = MultiModelCluster(deployments, num_gpus=8,
-                                 placement="locality", autoscale="cold-cost",
-                                 slo_ttft=1.0)
-        pool.run(trace, horizon=300.0)
-    return pool, taps[id(pool.loop)].kinds
+    from tests.serverless.test_fold_parity import run_spike_train
+    with tapped_loops() as taps, \
+            mock.patch.object(loadplan, "retime_stages",
+                              wraps=loadplan.retime_stages) as retime:
+        pool = run_spike_train()
+    return pool, taps[id(pool.loop)].kinds, retime.call_count
 
 
 def test_work_counts_match_ledger(chunked_qwen_restore,
@@ -356,7 +335,7 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
     (first_put, reput, first_save, resave, first_save_digests,
      resave_digests) = qwen_store_puts
     pool, dispatched = tail_contention_pool
-    spike_pool, spike_dispatched = spike_train_pool
+    spike_pool, spike_dispatched, spike_retimes = spike_train_pool
     # The inputs the counts are taken on: the row-by-row replay built one
     # Buffer per allocation (18,583), the object-building assembly one
     # node per graph node (9,118), the row-based trace one row per event
@@ -419,6 +398,9 @@ def test_work_counts_match_ledger(chunked_qwen_restore,
             "decode table entries priced": sum(
                 d.costs.decode_tables.priced
                 for d in spike_pool.deployments.values()),
+            "profiles retimed": spike_retimes,
+            "cold stages folded": sum(
+                spike_pool.aggregate().cold_stage_counts.values()),
         },
     } == json.loads(WORK_COUNTS_PATH.read_text())
 

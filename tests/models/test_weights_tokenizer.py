@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.models.kernels_catalog import build_catalog
+from repro.models.model import Model
 from repro.models.weights import (
+    _payloads,
     declared_sizes,
     iter_payloads,
     weight_buffer_keys,
 )
 from repro.models.zoo import PAPER_MODELS, TINY_MODELS, get_model_config
+from repro.simgpu.process import CudaProcess, ExecutionMode
 from repro.utils.rng import SeedSequence
 
 TINY = get_model_config("Tiny-2L")
@@ -72,3 +76,54 @@ class TestIterPayloads:
     def test_spectral_norm_bounded(self):
         for key, payload in iter_payloads(TINY):
             assert np.linalg.norm(payload, 2) <= 1.0 + 1e-9
+
+
+class TestPayloadMemo:
+    """Each model's payloads are generated once per process and shared
+    read-only; every engine's weight buffers hold copies."""
+
+    def test_memo_arrays_are_read_only(self):
+        for _key, payload in iter_payloads(TINY):
+            assert not payload.flags.writeable
+            with pytest.raises(ValueError):
+                payload[0, 0] = 1.0
+
+    def test_memo_is_generated_once(self):
+        first = dict(iter_payloads(QWEN))
+        again = dict(iter_payloads(QWEN))
+        assert all(again[key] is not first[key]
+                   and np.shares_memory(again[key], first[key])
+                   for key in first)
+
+    @pytest.mark.parametrize("config", PAPER_MODELS + TINY_MODELS,
+                             ids=lambda config: config.name)
+    def test_memo_bytes_equal_a_fresh_build(self, config):
+        keys = weight_buffer_keys(config)
+        fresh = _payloads(config, keys)
+        memo = list(iter_payloads(config))
+        assert [key for key, _ in memo] == keys
+        for (key, payload), expected in zip(memo, fresh):
+            assert payload.tobytes() == expected.tobytes(), key
+
+    def test_a_buffer_write_stays_in_its_engine(self):
+        """Weight loads copy: writing into one engine's weight buffer
+        changes neither another engine's buffer nor the memo."""
+        def loaded(seed):
+            process = CudaProcess(seed=seed, catalog=build_catalog(TINY),
+                                  mode=ExecutionMode.COMPUTE)
+            model = Model(TINY, process)
+            model.initialize_structure()
+            model.load_weights()
+            return model
+        first, second = loaded(3), loaded(4)
+        key = weight_buffer_keys(TINY)[0]
+        memo = dict(iter_payloads(TINY))[key]
+        before = memo.tobytes()
+        buffer = first.weight_buffers[key]
+        assert buffer.payload.flags.writeable
+        assert not np.shares_memory(buffer.payload, memo)
+        buffer.payload[0, 0] += 1.0
+        buffer.write(np.full_like(memo, 7.0))
+        assert memo.tobytes() == before
+        assert second.weight_buffers[key].read().tobytes() == before
+        assert dict(iter_payloads(TINY))[key].tobytes() == before
